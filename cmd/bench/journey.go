@@ -1,21 +1,7 @@
-// Command journeybench measures the end-to-end journey tracing layer: for
-// every recoverable fault-tolerance mechanism and shard count it drives the
-// kill-and-heal chaos cell with sampled tracing on and reports the
-// per-stage latency decomposition (admission / queue / route / execute /
-// commit / ack, plus the explicit RECOVERY stage for time spent inside
-// heals), cross-checked server-side against the client-observed ack lag.
-// A final set of interleaved steady-cell pairs measures the overhead of
-// tracing itself (sampling off vs on), gated at 2%. Regenerate with:
-//
-//	go run ./cmd/journeybench -o BENCH_journey.json
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -26,8 +12,8 @@ import (
 	"morphstreamr/internal/serve"
 )
 
-// Cell is one measured (mechanism, shards) kill-and-heal run with tracing.
-type Cell struct {
+// JourneyCell is one measured (mechanism, shards) kill-and-heal run with tracing.
+type JourneyCell struct {
 	Kind    string `json:"kind"`
 	Shards  int    `json:"shards"`
 	Cell    string `json:"cell"`
@@ -98,20 +84,18 @@ type Overhead struct {
 	FullTracing OverheadRow `json:"full_tracing"`
 }
 
-// Report is the file layout of BENCH_journey.json.
-type Report struct {
-	GoVersion  string   `json:"go_version"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	Note       string   `json:"note"`
-	Cells      []Cell   `json:"cells"`
-	Overhead   Overhead `json:"overhead"`
+// JourneyReport is the file layout of BENCH_journey.json.
+type JourneyReport struct {
+	Host
+	Note     string        `json:"note"`
+	Cells    []JourneyCell `json:"cells"`
+	Overhead Overhead      `json:"overhead"`
 }
 
 // measureCell runs one traced kill-and-heal cell. observer may be nil; when
 // set, the run's heals and SLO breaches land on its incident timeline and
 // the cell's /slo and /incidents views stay live on the telemetry endpoint.
-func measureCell(kind ftapi.Kind, shards, tenants, batches int, seed int64, observer *obs.Observer) (Cell, error) {
+func measureCell(kind ftapi.Kind, shards, tenants, batches int, seed int64, observer *obs.Observer) (JourneyCell, error) {
 	rec := journey.NewRecorder(journey.Config{SampleEvery: 3})
 	slo := obs.NewSLOMonitor(obs.SLOConfig{
 		Name: "ack", Objective: 100 * time.Millisecond, Timeline: observer.Timeline(),
@@ -129,7 +113,7 @@ func measureCell(kind ftapi.Kind, shards, tenants, batches int, seed int64, obse
 		SLO:             slo,
 		SampleFlagEvery: 2, // client-side flag path, interleaved with the server modulus
 	})
-	c := Cell{
+	c := JourneyCell{
 		Kind: kind.String(), Shards: shards, Cell: serve.CellKillHeal,
 		Tenants: tenants, Batches: batches,
 	}
@@ -271,107 +255,160 @@ func median(s []float64) float64 {
 	return obs.Percentile(s, 0.50)
 }
 
-func main() {
-	out := flag.String("o", "BENCH_journey.json", "output path for the JSON report")
-	tenants := flag.Int("tenants", 3, "tenants per cell")
-	batches := flag.Int("batches", 40, "batches per tenant")
-	pairs := flag.Int("pairs", 7, "interleaved off/on pairs for the overhead measurement")
-	obatches := flag.Int("obatches", 250, "batches per tenant in each overhead run (long runs amortize scheduler noise)")
-	shardsList := flag.String("shards", "1,2", "comma-separated shard counts")
-	kindsList := flag.String("kinds", "CKPT,WAL,DL,LV,MSR", "comma-separated mechanisms")
-	obsAddr := flag.String("obs", "", "serve live telemetry (/metrics, /slo, /incidents) on this address, e.g. :9090")
-	linger := flag.Bool("linger", false, "keep serving -obs after the cells complete")
-	flag.Parse()
+// The journey suite's fixed shape: 3 tenants per cell at shard counts 1
+// and 2, and the overhead measurement — 7 order-alternating steady pairs of
+// 250 batches per tenant (long runs amortize scheduler noise) — at both
+// sizes. Only the mechanisms and the cells' stream length differ.
+const (
+	journeyTenants         = 3
+	journeyOverheadPairs   = 7
+	journeyOverheadBatches = 250
+)
 
-	var observer *obs.Observer
-	var obsSrv *obs.Server
-	if *obsAddr != "" {
-		observer = obs.NewObserver(1, 1<<14)
-		srv, err := obs.Serve(*obsAddr, observer)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "journeybench:", err)
-			os.Exit(1)
-		}
-		obsSrv = srv
-		defer obsSrv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry at %s/slo and /incidents\n", srv.URL())
+var journeyShards = []int{1, 2}
+
+// journeyGrid is the journey suite's grid at one size.
+type journeyGrid struct {
+	kinds   []ftapi.Kind
+	batches int
+}
+
+func journeyPlan(quick bool) journeyGrid {
+	if quick {
+		return journeyGrid{kinds: []ftapi.Kind{ftapi.WAL, ftapi.MSR}, batches: 30}
 	}
+	return journeyGrid{kinds: mechanisms, batches: 40}
+}
 
-	kinds := map[string]ftapi.Kind{}
-	for _, k := range ftapi.Kinds() {
-		kinds[k.String()] = k
-	}
+var journeySuite = Suite[JourneyReport]{
+	Spec: Spec{
+		Name:  "journey",
+		File:  "BENCH_journey.json",
+		Quick: "{WAL,MSR} x shards {1,2} kill-heal cells, 3 tenants x 30 batches; overhead 7 pairs x 250 batches",
+		Full:  "5 mechanisms x shards {1,2} kill-heal cells, 3 tenants x 40 batches; overhead 7 pairs x 250 batches",
+	},
+	Run: runJourney,
+	Gates: []Gate[JourneyReport]{
+		countGate("cells", "journey", "mechanisms x shard counts",
+			func(r *JourneyReport) int { return len(r.Cells) },
+			func(quick bool) int { return len(journeyPlan(quick).kinds) * len(journeyShards) }),
+		journeyGate("decomposition_ok", "journey", "every pipeline stage observed and stage sums exact, in every cell",
+			func(c JourneyCell) bool { return c.DecompositionOK }),
+		journeyGate("crosscheck_ok", "journey", "server-side total median within epsilon of the clients' own stopwatch, in every cell",
+			func(c JourneyCell) bool { return c.CrosscheckOK }),
+		journeyGate("recovery_observed", "journey", "a RECOVERY stage sample in every kill-heal cell",
+			func(c JourneyCell) bool { return c.RecoveryObserved }),
+		journeyGate("decomposition_exact", "journey", "max_decomp_err_ms == 0 in every cell",
+			func(c JourneyCell) bool { return c.MaxDecompErrMs == 0 }),
+		journeyGate("ack_stream", "serve", "dup_acks == 0 and ack_order_violations == 0 in every cell",
+			func(c JourneyCell) bool { return c.DupAcks == 0 && c.OrderViol == 0 }),
+		journeyGate("exactly_once_non_ckpt", "serve", "exactly_once_violations == 0 in every non-CKPT cell (CKPT re-delivers by design)",
+			func(c JourneyCell) bool { return c.Kind == ftapi.CKPT.String() || c.ExactlyOnce == 0 }),
+		journeyGate("journeys_healed", "journey", "journeys > 0, heals >= 1 and shed == 0 in every cell",
+			func(c JourneyCell) bool { return c.Journeys > 0 && c.Heals >= 1 && c.Shed == 0 }),
+		journeyGate("recovery_stage", "journey", "stages.RECOVERY.count >= 1 in every cell",
+			func(c JourneyCell) bool { return c.Stages[journey.StageRecovery].Count >= 1 }),
+		gate("sampling_off_overhead", "journey", "sampling-off overhead <= 2%", func(r *JourneyReport) (bool, string) {
+			return r.Overhead.OK, fmt.Sprintf("%+.2f%%", r.Overhead.SamplingOff.OverheadPct)
+		}),
+	},
+	Summary: summarizeJourney,
+}
 
-	rep := Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "Each cell is one kill-and-heal chaos run (internal/serve.Chaos) with " +
-			"journey tracing sampled both client-side (Submit flag, every 2nd batch) " +
-			"and server-side (modulus 3): per-stage stats decompose the sampled " +
-			"batches' server-observed submit→ack latency into admission/queue/route/" +
-			"execute/commit/ack, with time inside heals attributed to the explicit " +
-			"RECOVERY stage. dup_acks and ack_order_violations gate the server's " +
-			"exactly-once ack stream (0 for every mechanism); exactly_once_violations " +
-			"audits the raw output union and is nonzero for CKPT by design, since " +
-			"checkpoint-only recovery re-executes — and re-delivers — every epoch " +
-			"since the last snapshot. decomposition_ok requires every stage observed and the " +
-			"stage sums exactly equal to each journey's total; crosscheck_ok requires " +
-			"the server-side total median to match the clients' own stopwatch. The " +
-			"overhead section interleaves order-alternating steady-cell pairs: " +
-			"sampling_off compares no recorder vs recorder+SLO attached with nothing " +
-			"sampled (the always-on cost every deployment pays, gated at 2%); " +
-			"full_tracing compares against every batch traced (informational).",
-	}
+func journeyGate(name, layer, want string, ok func(JourneyCell) bool) Gate[JourneyReport] {
+	return cellsGate(name, layer, want, func(r *JourneyReport) []JourneyCell { return r.Cells },
+		func(c JourneyCell) string { return fmt.Sprintf("%s/%d", c.Kind, c.Shards) }, ok)
+}
 
-	for _, ks := range strings.Split(*kindsList, ",") {
-		kind, ok := kinds[strings.TrimSpace(ks)]
-		if !ok || kind == ftapi.NAT {
-			fmt.Fprintf(os.Stderr, "journeybench: skipping unknown/non-recoverable kind %q\n", ks)
-			continue
-		}
-		for _, ss := range strings.Split(*shardsList, ",") {
-			var shards int
-			fmt.Sscanf(strings.TrimSpace(ss), "%d", &shards)
-			if shards <= 0 {
-				continue
-			}
-			c, err := measureCell(kind, shards, *tenants, *batches, int64(11+shards), observer)
+func runJourney(env *Env, rep *JourneyReport) error {
+	grid := journeyPlan(env.quick())
+	rep.Note = "Each cell is one kill-and-heal chaos run (internal/serve.Chaos) with " +
+		"journey tracing sampled both client-side (Submit flag, every 2nd batch) " +
+		"and server-side (modulus 3): per-stage stats decompose the sampled " +
+		"batches' server-observed submit→ack latency into admission/queue/route/" +
+		"execute/commit/ack, with time inside heals attributed to the explicit " +
+		"RECOVERY stage. dup_acks and ack_order_violations gate the server's " +
+		"exactly-once ack stream (0 for every mechanism); exactly_once_violations " +
+		"audits the raw output union and is nonzero for CKPT by design, since " +
+		"checkpoint-only recovery re-executes — and re-delivers — every epoch " +
+		"since the last snapshot. decomposition_ok requires every stage observed and the " +
+		"stage sums exactly equal to each journey's total; crosscheck_ok requires " +
+		"the server-side total median to match the clients' own stopwatch. The " +
+		"overhead section interleaves order-alternating steady-cell pairs: " +
+		"sampling_off compares no recorder vs recorder+SLO attached with nothing " +
+		"sampled (the always-on cost every deployment pays, gated at 2%); " +
+		"full_tracing compares against every batch traced (informational)."
+
+	for _, kind := range grid.kinds {
+		for _, shards := range journeyShards {
+			c, err := measureCell(kind, shards, journeyTenants, grid.batches, int64(11+shards), env.Obs)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "journeybench:", err)
-				os.Exit(1)
+				return err
 			}
 			rep.Cells = append(rep.Cells, c)
-			fmt.Fprintf(os.Stderr,
-				"%-5s shards=%d: %3d journeys (%d recovered), total p50 %6.1f ms / client %6.1f ms, recovery p99 %6.1f ms, decomp=%v xcheck=%v\n",
+			env.logf("%-5s shards=%d: %3d journeys (%d recovered), total p50 %6.1f ms / client %6.1f ms, recovery p99 %6.1f ms, decomp=%v xcheck=%v\n",
 				c.Kind, c.Shards, c.Journeys, c.Recovered, c.ServerP50Ms, c.ClientP50Ms,
 				c.Stages[journey.StageRecovery].P99Ms, c.DecompositionOK, c.CrosscheckOK)
 		}
 	}
 
-	oh, err := measureOverhead(*pairs, *tenants, *obatches)
+	oh, err := measureOverhead(journeyOverheadPairs, journeyTenants, journeyOverheadBatches)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "journeybench:", err)
-		os.Exit(1)
+		return err
 	}
 	rep.Overhead = oh
-	fmt.Fprintf(os.Stderr, "overhead: sampling-off %.2f%% (ok=%v), full tracing %.2f%%\n",
+	env.logf("overhead: sampling-off %.2f%% (ok=%v), full tracing %.2f%%\n",
 		oh.SamplingOff.OverheadPct, oh.OK, oh.FullTracing.OverheadPct)
+	return nil
+}
 
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "journeybench:", err)
-		os.Exit(1)
+// summarizeJourney keeps the tracing headlines: the invariant verdicts
+// (decomposition exact and complete, server/client cross-check, sampling-off
+// overhead ≤2%) aggregated across every cell, the worst per-stage p99 over
+// all cells (the stage-decomposition curve a trend chart plots), the worst
+// SLO burn-rate peak, and the overhead percentages.
+func summarizeJourney(r *JourneyReport) map[string]any {
+	decompOK, xcheckOK, recoveryAll := true, true, true
+	var journeys, recovered, ackViolations, exOnceNonCKPT int
+	maxDecompErr, peakBurn := 0.0, 0.0
+	stageP99 := map[journey.Stage]float64{}
+	for _, c := range r.Cells {
+		decompOK = decompOK && c.DecompositionOK
+		xcheckOK = xcheckOK && c.CrosscheckOK
+		recoveryAll = recoveryAll && c.RecoveryObserved
+		journeys += c.Journeys
+		recovered += c.Recovered
+		ackViolations += c.DupAcks + c.OrderViol
+		// CKPT's output-union duplicates are by design (checkpoint replay
+		// re-delivers); only the other mechanisms gate on them.
+		if c.Kind != ftapi.CKPT.String() {
+			exOnceNonCKPT += c.ExactlyOnce
+		}
+		maxDecompErr = max(maxDecompErr, c.MaxDecompErrMs)
+		peakBurn = max(peakBurn, c.SLOPeakBurn)
+		for st, s := range c.Stages {
+			if s.P99Ms > stageP99[st] {
+				stageP99[st] = s.P99Ms
+			}
+		}
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "journeybench:", err)
-		os.Exit(1)
+	out := map[string]any{
+		"cells":                            len(r.Cells),
+		"decomposition_ok":                 decompOK,
+		"crosscheck_ok":                    xcheckOK,
+		"recovery_observed":                recoveryAll,
+		"journeys":                         journeys,
+		"recovered":                        recovered,
+		"ack_violations":                   ackViolations,
+		"exactly_once_violations_non_ckpt": exOnceNonCKPT,
+		"max_decomp_err_ms":                maxDecompErr,
+		"slo_peak_burn":                    peakBurn,
+		"overhead_ok":                      r.Overhead.OK,
+		"sampling_off_overhead_pct":        r.Overhead.SamplingOff.OverheadPct,
+		"full_tracing_overhead_pct":        r.Overhead.FullTracing.OverheadPct,
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d cells)\n", *out, len(rep.Cells))
-
-	if *linger && obsSrv != nil {
-		fmt.Fprintf(os.Stderr, "lingering on %s (Ctrl-C to exit)\n", obsSrv.URL())
-		select {}
+	for st, p99 := range stageP99 {
+		out["p99_ms_"+strings.ToLower(string(st))] = p99
 	}
+	return out
 }

@@ -1,27 +1,7 @@
-// Command schedbench runs the scheduler microbenchmark grid — workloads ×
-// implementations × worker counts, see internal/schedbench — and writes
-// the results to a JSON report (default BENCH_scheduler.json at the repo
-// root). The committed report is the before/after record of the
-// work-stealing scheduler against the seed channel implementation;
-// regenerate it after scheduler changes with:
-//
-//	go run ./cmd/schedbench -o BENCH_scheduler.json
-//
-// Observability flags:
-//
-//	-obs ADDR       serve live telemetry (/metrics, /trace, pprof) while the grid runs
-//	-trace PATH     write a Chrome trace_event JSON of the run
-//	-baseline PATH  compare steal cells against a prior report; warn beyond 2%
-//	-quick          one workload, workers {1,4}, single sample (CI smoke)
-//	-linger         keep serving -obs after the grid completes (Ctrl-C to exit)
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"morphstreamr/internal/codec"
@@ -30,8 +10,8 @@ import (
 	"morphstreamr/internal/workload"
 )
 
-// Entry is one measured cell of the grid.
-type Entry struct {
+// SchedEntry is one measured cell of the grid.
+type SchedEntry struct {
 	Workload       string  `json:"workload"`
 	Impl           string  `json:"impl"`
 	Workers        int     `json:"workers"`
@@ -43,8 +23,8 @@ type Entry struct {
 	BytesPerEpoch  int64   `json:"bytes_per_epoch"`
 }
 
-// Speedup compares the implementations at one grid point.
-type Speedup struct {
+// SchedSpeedup compares the implementations at one grid point.
+type SchedSpeedup struct {
 	Workload string `json:"workload"`
 	Workers  int    `json:"workers"`
 	// Throughput is steal ops/s over chanref ops/s (>1 means the
@@ -119,15 +99,13 @@ type Baseline struct {
 	Cells    []BaselineCell `json:"cells"`
 }
 
-// Report is the file layout of BENCH_scheduler.json.
-type Report struct {
-	GoVersion       string            `json:"go_version"`
-	GOMAXPROCS      int               `json:"gomaxprocs"`
-	NumCPU          int               `json:"num_cpu"`
+// SchedReport is the file layout of BENCH_scheduler.json.
+type SchedReport struct {
+	Host
 	EpochEvents     int               `json:"epoch_events"`
 	Note            string            `json:"note"`
-	Entries         []Entry           `json:"entries"`
-	Speedups        []Speedup         `json:"speedups"`
+	Entries         []SchedEntry      `json:"entries"`
+	Speedups        []SchedSpeedup    `json:"speedups"`
 	Adaptive        []AdaptiveEntry   `json:"adaptive,omitempty"`
 	AdaptiveSummary []AdaptiveSummary `json:"adaptive_summary,omitempty"`
 	Alloc           []AllocEntry      `json:"alloc,omitempty"`
@@ -135,13 +113,13 @@ type Report struct {
 	Baseline        *Baseline         `json:"baseline,omitempty"`
 }
 
-// measure benchmarks one grid cell, keeping the fastest of repeat samples:
+// measureSched benchmarks one grid cell, keeping the fastest of repeat samples:
 // the host is shared, so the minimum is the least-perturbed estimate of
 // the scheduler's actual cost (allocation stats are deterministic and
 // identical across samples). With a non-nil observer each run additionally
 // emits an execute span and scheduler counters — that cost is part of what
 // the sample then measures, which is the point of benchmarking with -trace.
-func measure(wl schedbench.Workload, impl string, workers, repeat int, o *obs.Observer, stats *obs.SchedStats) Entry {
+func measureSched(wl schedbench.Workload, impl string, workers, repeat int, o *obs.Observer, stats *obs.SchedStats) SchedEntry {
 	ep := schedbench.Prepare(wl)
 	numOps := ep.G.NumOps
 	var res testing.BenchmarkResult
@@ -161,7 +139,7 @@ func measure(wl schedbench.Workload, impl string, workers, repeat int, o *obs.Ob
 		}
 	}
 	nsPerEpoch := best
-	return Entry{
+	return SchedEntry{
 		Workload:       wl.Name,
 		Impl:           impl,
 		Workers:        workers,
@@ -256,14 +234,10 @@ func allocProbes() []struct {
 // compareBaseline loads a prior report and ratios every current steal cell
 // against its counterpart there (cells present in only one report are
 // skipped, so grid changes do not break comparison).
-func compareBaseline(path string, entries []Entry) (*Baseline, error) {
-	buf, err := os.ReadFile(path)
+func compareBaseline(path string, entries []SchedEntry) (*Baseline, error) {
+	prior, err := load[SchedReport](path)
 	if err != nil {
 		return nil, err
-	}
-	var prior Report
-	if err := json.Unmarshal(buf, &prior); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	before := map[string]float64{}
 	for _, e := range prior.Entries {
@@ -295,79 +269,126 @@ func compareBaseline(path string, entries []Entry) (*Baseline, error) {
 	return b, nil
 }
 
-func main() {
-	out := flag.String("o", "BENCH_scheduler.json", "output path for the JSON report")
-	repeat := flag.Int("repeat", 3, "samples per cell; the fastest is kept")
-	obsAddr := flag.String("obs", "", "serve live telemetry (/metrics, /trace, pprof) on this address, e.g. :9090")
-	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the run to this path")
-	baselinePath := flag.String("baseline", "", "prior report to ratio steal cells against (overhead check)")
-	quick := flag.Bool("quick", false, "one workload, workers {1,4}, single sample (CI smoke)")
-	linger := flag.Bool("linger", false, "keep serving -obs after the grid completes")
-	flag.Parse()
+// schedGrid is the scheduler suite's grid at one size.
+type schedGrid struct {
+	workloads    []schedbench.Workload
+	workers      []int
+	repeat       int
+	trajectories []schedbench.Trajectory
+}
 
-	var observer *obs.Observer
-	var stats *obs.SchedStats
-	if *obsAddr != "" || *tracePath != "" {
-		observer = obs.NewObserver(1, 1<<15)
-		stats = &obs.SchedStats{}
-		stats.Register(observer.Registry())
+func schedPlan(quick bool) schedGrid {
+	g := schedGrid{
+		workloads:    schedbench.Workloads(),
+		workers:      schedbench.Workers(),
+		repeat:       3,
+		trajectories: schedbench.Trajectories(),
 	}
-	var srv *obs.Server
-	if *obsAddr != "" {
-		var err error
-		srv, err = obs.Serve(*obsAddr, observer)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "schedbench:", err)
-			os.Exit(1)
+	if quick {
+		g.workloads, g.workers, g.repeat = g.workloads[:1], []int{1, 4}, 1
+		// The smoke grid keeps the trajectory that actually exercises morphing.
+		for _, tr := range g.trajectories {
+			if tr.Name == "GS-phased" {
+				g.trajectories = []schedbench.Trajectory{tr}
+				break
+			}
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry at http://%s/metrics and /trace\n", srv.URL())
 	}
+	return g
+}
 
-	rep := Report{
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		EpochEvents: schedbench.EpochEvents,
-		Note: "One epoch graph per cell, rebuilt never: each iteration " +
-			"ResetExec()s the graph and reruns the scheduler, so numbers " +
-			"isolate scheduling cost from graph construction. chanref is " +
-			"the seed channel-based scheduler preserved in " +
-			"internal/scheduler/chanref.go; steal is the work-stealing " +
-			"scheduler on the production path. The adaptive section runs " +
-			"whole multi-epoch trajectories (fresh graphs per epoch) and " +
-			"ratios the adaptive controller against the best static worker " +
-			"count; the alloc section records the arena pass's fresh vs " +
-			"pooled-buffer encode cost. The baseline section, when " +
-			"present, ratios steal cells against a prior report — the " +
-			"observability layer's tracing-off overhead record.",
+var schedSuite = Suite[SchedReport]{
+	Spec: Spec{
+		Name:   "sched",
+		File:   "BENCH_scheduler.json",
+		Quick:  "1 workload x {chanref,steal} x workers {1,4}, 1 sample; GS-phased trajectory; 2 alloc probes",
+		Full:   "4 workloads x {chanref,steal} x workers {1,2,4,8}, best of 3; 3 trajectories; 2 alloc probes",
+		Traces: []Trace{{File: "sched_trace.json"}},
+	},
+	Run: runSched,
+	Gates: []Gate[SchedReport]{
+		countGate("adaptive_cells", "adaptive", "trajectories x (static worker counts + adaptive)",
+			func(r *SchedReport) int { return len(r.Adaptive) },
+			func(quick bool) int { g := schedPlan(quick); return len(g.trajectories) * (len(g.workers) + 1) }),
+		cellsGate("adaptive_positive", "adaptive", "ns_total > 0 and ops_per_sec > 0 in every trajectory run",
+			adaptiveRuns, adaptiveLabel, func(e AdaptiveEntry) bool { return e.NsTotal > 0 && e.OpsPerSec > 0 }),
+		countGate("adaptive_runs", "adaptive", "one adaptive-mode run per trajectory",
+			func(r *SchedReport) int { return len(controllerRuns(r)) },
+			func(quick bool) int { return len(schedPlan(quick).trajectories) }),
+		cellsGate("adaptive_morphs", "adaptive", ">= 1 morph in every adaptive-mode run",
+			controllerRuns, adaptiveLabel, func(e AdaptiveEntry) bool { return e.Morphs >= 1 }),
+		gate("adaptive_phased", "adaptive", "GS-phased adaptive_over_best_static >= 1.05", func(r *SchedReport) (bool, string) {
+			for _, s := range r.AdaptiveSummary {
+				if s.Trajectory == "GS-phased" {
+					return s.AdaptiveOverBest >= 1.05, fmt.Sprintf("x%.3f (best static %s)", s.AdaptiveOverBest, s.BestStatic)
+				}
+			}
+			return false, "no GS-phased summary"
+		}),
+		countGate("alloc_cells", "codec", "a fresh and an arena cell per encode probe",
+			func(r *SchedReport) int { return len(r.Alloc) }, func(bool) int { return 2 * len(allocProbes()) }),
+		countGate("alloc_summaries", "codec", "one bytes_reduction summary per encode probe",
+			func(r *SchedReport) int { return len(r.AllocSummary) }, func(bool) int { return len(allocProbes()) }),
+		cellsGate("alloc_reduction", "codec", "bytes_reduction >= 0.20 on every encode probe",
+			func(r *SchedReport) []AllocSummary { return r.AllocSummary },
+			func(s AllocSummary) string { return fmt.Sprintf("%s %.2f", s.Path, s.BytesReduction) },
+			func(s AllocSummary) bool { return s.BytesReduction >= 0.20 }),
+	},
+	Summary: summarizeSched,
+}
+
+func adaptiveRuns(r *SchedReport) []AdaptiveEntry { return r.Adaptive }
+func adaptiveLabel(e AdaptiveEntry) string        { return e.Trajectory + "/" + e.Mode }
+
+// controllerRuns are the trajectory runs the adaptive controller drove.
+func controllerRuns(r *SchedReport) []AdaptiveEntry {
+	var runs []AdaptiveEntry
+	for _, e := range r.Adaptive {
+		if e.Mode == "adaptive" {
+			runs = append(runs, e)
+		}
 	}
+	return runs
+}
 
-	workloads := schedbench.Workloads()
-	workers := schedbench.Workers()
-	if *quick {
-		workloads = workloads[:1]
-		workers = []int{1, 4}
-		*repeat = 1
+func runSched(env *Env, rep *SchedReport) error {
+	var stats *obs.SchedStats
+	if env.Obs != nil {
+		stats = &obs.SchedStats{}
+		stats.Register(env.Obs.Registry())
 	}
+	rep.EpochEvents = schedbench.EpochEvents
+	rep.Note = "One epoch graph per cell, rebuilt never: each iteration " +
+		"ResetExec()s the graph and reruns the scheduler, so numbers " +
+		"isolate scheduling cost from graph construction. chanref is " +
+		"the seed channel-based scheduler preserved in " +
+		"internal/scheduler/chanref.go; steal is the work-stealing " +
+		"scheduler on the production path. The adaptive section runs " +
+		"whole multi-epoch trajectories (fresh graphs per epoch) and " +
+		"ratios the adaptive controller against the best static worker " +
+		"count; the alloc section records the arena pass's fresh vs " +
+		"pooled-buffer encode cost. The baseline section, when " +
+		"present, ratios steal cells against a prior report — the " +
+		"observability layer's tracing-off overhead record."
 
-	byKey := map[string]Entry{}
-	for _, wl := range workloads {
+	grid := schedPlan(env.quick())
+	byKey := map[string]SchedEntry{}
+	for _, wl := range grid.workloads {
 		for _, impl := range schedbench.Impls() {
-			for _, w := range workers {
-				e := measure(wl, impl, w, *repeat, observer, stats)
+			for _, w := range grid.workers {
+				e := measureSched(wl, impl, w, grid.repeat, env.Obs, stats)
 				rep.Entries = append(rep.Entries, e)
 				byKey[fmt.Sprintf("%s/%s/%d", wl.Name, impl, w)] = e
-				fmt.Fprintf(os.Stderr, "%-12s %-8s w%d: %.0f ns/epoch, %.2f ns/op, %d B/op, %d allocs/op\n",
+				env.logf("%-12s %-8s w%d: %.0f ns/epoch, %.2f ns/op, %d B/op, %d allocs/op\n",
 					wl.Name, impl, w, e.NsPerEpoch, e.NsPerOp, e.BytesPerEpoch, e.AllocsPerEpoch)
 			}
 		}
 	}
-	for _, wl := range workloads {
-		for _, w := range workers {
+	for _, wl := range grid.workloads {
+		for _, w := range grid.workers {
 			ref := byKey[fmt.Sprintf("%s/%s/%d", wl.Name, schedbench.ImplChanRef, w)]
 			st := byKey[fmt.Sprintf("%s/%s/%d", wl.Name, schedbench.ImplSteal, w)]
-			sp := Speedup{
+			sp := SchedSpeedup{
 				Workload:   wl.Name,
 				Workers:    w,
 				Throughput: st.OpsPerSec / ref.OpsPerSec,
@@ -380,39 +401,27 @@ func main() {
 	}
 
 	// Adaptive section: whole trajectories, static grid vs controller.
-	trajectories := schedbench.Trajectories()
-	if *quick {
-		// CI smoke keeps the trajectory that actually exercises morphing.
-		for _, tr := range trajectories {
-			if tr.Name == "GS-phased" {
-				trajectories = []schedbench.Trajectory{tr}
-				break
-			}
-		}
-	}
-	maxWorkers := workers[len(workers)-1]
-	for _, tr := range trajectories {
+	maxWorkers := grid.workers[len(grid.workers)-1]
+	for _, tr := range grid.trajectories {
 		bestStatic := AdaptiveEntry{}
-		for _, w := range workers {
+		for _, w := range grid.workers {
 			w := w
-			e, err := measureTrajectory(tr, fmt.Sprintf("static-w%d", w), *repeat,
+			e, err := measureTrajectory(tr, fmt.Sprintf("static-w%d", w), grid.repeat,
 				func() (schedbench.TrajectoryResult, error) { return schedbench.RunTrajectoryStatic(tr, w) })
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "schedbench: adaptive:", err)
-				os.Exit(1)
+				return fmt.Errorf("adaptive: %w", err)
 			}
 			rep.Adaptive = append(rep.Adaptive, e)
 			if e.OpsPerSec > bestStatic.OpsPerSec {
 				bestStatic = e
 			}
-			fmt.Fprintf(os.Stderr, "%-18s %-10s: %8.2f ms, %.2f Mops/s\n",
+			env.logf("%-18s %-10s: %8.2f ms, %.2f Mops/s\n",
 				tr.Name, e.Mode, e.NsTotal/1e6, e.OpsPerSec/1e6)
 		}
-		e, err := measureTrajectory(tr, "adaptive", *repeat,
+		e, err := measureTrajectory(tr, "adaptive", grid.repeat,
 			func() (schedbench.TrajectoryResult, error) { return schedbench.RunTrajectoryAdaptive(tr, maxWorkers) })
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "schedbench: adaptive:", err)
-			os.Exit(1)
+			return fmt.Errorf("adaptive: %w", err)
 		}
 		rep.Adaptive = append(rep.Adaptive, e)
 		sum := AdaptiveSummary{
@@ -421,7 +430,7 @@ func main() {
 			AdaptiveOverBest: e.OpsPerSec / bestStatic.OpsPerSec,
 		}
 		rep.AdaptiveSummary = append(rep.AdaptiveSummary, sum)
-		fmt.Fprintf(os.Stderr, "%-18s %-10s: %8.2f ms, %.2f Mops/s, %d morphs (x%.2f of best static %s)\n",
+		env.logf("%-18s %-10s: %8.2f ms, %.2f Mops/s, %d morphs (x%.2f of best static %s)\n",
 			tr.Name, e.Mode, e.NsTotal/1e6, e.OpsPerSec/1e6, e.Morphs, sum.AdaptiveOverBest, sum.BestStatic)
 	}
 
@@ -435,56 +444,50 @@ func main() {
 			sum.BytesReduction = 1 - float64(arena.BytesPerOp)/float64(fresh.BytesPerOp)
 		}
 		rep.AllocSummary = append(rep.AllocSummary, sum)
-		fmt.Fprintf(os.Stderr, "%-20s fresh %d B/op %d allocs/op -> arena %d B/op %d allocs/op (-%.0f%% bytes)\n",
+		env.logf("%-20s fresh %d B/op %d allocs/op -> arena %d B/op %d allocs/op (-%.0f%% bytes)\n",
 			p.Path, fresh.BytesPerOp, fresh.AllocsPerOp, arena.BytesPerOp, arena.AllocsPerOp, sum.BytesReduction*100)
 	}
 
-	if *baselinePath != "" {
-		b, err := compareBaseline(*baselinePath, rep.Entries)
+	if env.Baseline != "" {
+		b, err := compareBaseline(env.Baseline, rep.Entries)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "schedbench: baseline:", err)
-			os.Exit(1)
+			return fmt.Errorf("baseline: %w", err)
 		}
 		rep.Baseline = b
 		for _, c := range b.Cells {
-			fmt.Fprintf(os.Stderr, "baseline %-12s w%d: %.0f -> %.0f ns/epoch (x%.3f)\n",
+			env.logf("baseline %-12s w%d: %.0f -> %.0f ns/epoch (x%.3f)\n",
 				c.Workload, c.Workers, c.NsBefore, c.NsAfter, c.Ratio)
 		}
 		if b.MaxRatio > 1.02 {
-			fmt.Fprintf(os.Stderr, "schedbench: WARNING: worst cell is x%.3f of baseline (>1.02 budget)\n", b.MaxRatio)
+			env.logf("sched: WARNING: worst cell is x%.3f of baseline (>1.02 budget)\n", b.MaxRatio)
 		}
 	}
+	return env.writeSpans("sched_trace.json")
+}
 
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedbench:", err)
-		os.Exit(1)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "schedbench:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d cells)\n", *out, len(rep.Entries))
-
-	if *tracePath != "" {
-		events, dropped := observer.T().Drain()
-		f, err := os.Create(*tracePath)
-		if err == nil {
-			err = obs.ExportChrome(f, events, dropped)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
+// summarizeSched keeps the headline throughput per implementation (the
+// best ops/sec over all cells), the controller-vs-best-static ratio per
+// trajectory, and the arena pass's worst bytes reduction.
+func summarizeSched(r *SchedReport) map[string]any {
+	out := map[string]any{"entries": len(r.Entries)}
+	best := map[string]float64{}
+	for _, e := range r.Entries {
+		if e.OpsPerSec > best[e.Impl] {
+			best[e.Impl] = e.OpsPerSec
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "schedbench: trace:", err)
-			os.Exit(1)
+	}
+	for impl, ops := range best {
+		out["max_ops_per_sec_"+impl] = ops
+	}
+	for _, s := range r.AdaptiveSummary {
+		out["adaptive_over_best_"+s.Trajectory] = s.AdaptiveOverBest
+	}
+	if len(r.AllocSummary) > 0 {
+		worst := r.AllocSummary[0].BytesReduction
+		for _, s := range r.AllocSummary[1:] {
+			worst = min(worst, s.BytesReduction)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d spans, %d dropped)\n", *tracePath, len(events), dropped)
+		out["min_alloc_bytes_reduction"] = worst
 	}
-
-	if *linger && srv != nil {
-		fmt.Fprintf(os.Stderr, "lingering on http://%s (Ctrl-C to exit)\n", srv.URL())
-		select {}
-	}
+	return out
 }

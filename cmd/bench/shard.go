@@ -1,21 +1,7 @@
-// Command shardbench measures the shard layer's two headline numbers:
-// ingest scaling with the shard fan-out, and the parallel-over-serial group
-// recovery speedup. Both are reported as simulated walls so the record is
-// reproducible on oversubscribed hosts: ingest runs the shards of every
-// epoch serially (Config.SerialEpochs) and derives the group wall as
-// Σ over epochs of (max per-shard wall + barrier wall); recovery compares
-// the deterministic virtual-time SimWall of the per-shard recoveries,
-// summed (serial baseline) versus maxed (parallel). Real wall clocks ride
-// along as informational fields. Regenerate the committed record with:
-//
-//	go run ./cmd/shardbench -o BENCH_shard.json
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"os"
 	"runtime"
 	"runtime/debug"
 	"time"
@@ -78,8 +64,9 @@ type RecoveryEntry struct {
 	ParallelWallUs float64 `json:"parallel_wall_us"`
 }
 
-// Checks is the pass/fail record of the shard layer's acceptance gates.
-type Checks struct {
+// ShardChecks is the shard layer's headline numbers and the verdicts the
+// run recorded for them.
+type ShardChecks struct {
 	// Scaling8x is gs-local's ScalingX at 8 shards; the gate is ≥ 0.8×8.
 	Scaling8x     float64 `json:"scaling_8x"`
 	Scaling8xPass bool    `json:"scaling_8x_pass"`
@@ -88,20 +75,16 @@ type Checks struct {
 	RecoverySpeedup4xPass bool    `json:"recovery_speedup_4x_pass"`
 }
 
-// Report is the file layout of BENCH_shard.json.
-type Report struct {
-	GoVersion  string          `json:"go_version"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	NumCPU     int             `json:"num_cpu"`
-	Epochs     int             `json:"epochs"`
-	EpochSize  int             `json:"epoch_size"`
-	Note       string          `json:"note"`
-	Scaling    []ScalingEntry  `json:"scaling"`
-	Recovery   []RecoveryEntry `json:"recovery"`
-	Checks     Checks          `json:"checks"`
+// ShardReport is the file layout of BENCH_shard.json.
+type ShardReport struct {
+	Host
+	Epochs    int             `json:"epochs"`
+	EpochSize int             `json:"epoch_size"`
+	Note      string          `json:"note"`
+	Scaling   []ScalingEntry  `json:"scaling"`
+	Recovery  []RecoveryEntry `json:"recovery"`
+	Checks    ShardChecks     `json:"checks"`
 }
-
-func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
 // variant parameterizes one scaling workload.
 type variant struct {
@@ -276,50 +259,107 @@ func measureRecovery(kind ftapi.Kind, shards, epochs, epochSize int) (RecoveryEn
 	return e, nil
 }
 
-func main() {
-	out := flag.String("o", "BENCH_shard.json", "output path for the JSON report")
-	quick := flag.Bool("quick", false, "small epochs/sizes for CI smoke")
-	strict := flag.Bool("strict", false, "exit non-zero when an acceptance gate fails")
-	epochs := flag.Int("epochs", 6, "scaling epochs per run")
-	epochSize := flag.Int("epochsize", 2048, "scaling events per epoch")
-	repeat := flag.Int("repeat", 5, "scaling samples per cell; each (epoch, shard)'s fastest is kept")
-	recEpochs := flag.Int("recepochs", 11, "recovery epochs per run (snapshot at 8, tail past 10)")
-	recEpochSize := flag.Int("recepochsize", 512, "recovery events per epoch")
-	flag.Parse()
-	if *quick {
-		*epochs, *epochSize, *repeat = 4, 256, 2
-		*recEpochs, *recEpochSize = 7, 128
+// shardGrid is the shard suite's grid at one size.
+type shardGrid struct {
+	// epochs x epochSize events per scaling run, repeat samples per cell.
+	epochs, epochSize, repeat int
+	// recEpochs x recEpochSize events per recovery run: a snapshot, then a
+	// tail past the last commit for the recovery to replay.
+	recEpochs, recEpochSize int
+}
+
+func shardPlan(quick bool) shardGrid {
+	if quick {
+		return shardGrid{epochs: 4, epochSize: 256, repeat: 2, recEpochs: 7, recEpochSize: 128}
 	}
+	return shardGrid{epochs: 6, epochSize: 2048, repeat: 5, recEpochs: 11, recEpochSize: 512}
+}
+
+// The shard layer's acceptance thresholds: ingest scaling of the
+// partition-local variant at 8 shards, and the simulated group-recovery
+// speedup at 4.
+const (
+	scaling8xGate         = 0.8 * 8
+	recoverySpeedup4xGate = 0.7 * 4
+)
+
+var shardSuite = Suite[ShardReport]{
+	Spec: Spec{
+		Name:  "shard",
+		File:  "BENCH_shard.json",
+		Quick: "3 variants x shards {1,2,4,8}, 4 epochs x 256 events, 2 samples; recovery 7 epochs x 128 events",
+		Full:  "3 variants x shards {1,2,4,8}, 6 epochs x 2048 events, 5 samples; recovery 11 epochs x 512 events",
+	},
+	Run: runShard,
+	Gates: []Gate[ShardReport]{
+		countGate("scaling_cells", "shard", "variants x fan-outs",
+			func(r *ShardReport) int { return len(r.Scaling) }, func(bool) int { return len(variants) * len(fanouts) }),
+		gate("scaling_workloads", "shard", "every variant (gs-local, gs-replicated, gs-skewed) at every fan-out", func(r *ShardReport) (bool, string) {
+			seen := map[string]int{}
+			for _, e := range r.Scaling {
+				seen[e.Workload]++
+			}
+			for _, v := range variants {
+				if seen[v.name] != len(fanouts) {
+					return false, fmt.Sprintf("%d %s cells", seen[v.name], v.name)
+				}
+			}
+			return true, ""
+		}),
+		cellsGate("scaling_positive", "shard", "sim_wall_us > 0 and throughput_eps > 0 in every scaling cell",
+			func(r *ShardReport) []ScalingEntry { return r.Scaling },
+			func(e ScalingEntry) string { return fmt.Sprintf("%s/%d", e.Workload, e.Shards) },
+			func(e ScalingEntry) bool { return e.SimWallUs > 0 && e.ThroughputEps > 0 }),
+		fullOnly(gate("scaling_8x", "shard", "gs-local scaling_x at 8 shards >= 0.8 x 8", func(r *ShardReport) (bool, string) {
+			return r.Checks.Scaling8x >= scaling8xGate, fmt.Sprintf("%.2fx", r.Checks.Scaling8x)
+		})),
+		countGate("recovery_cells", "shard", "one recovery cell per fan-out",
+			func(r *ShardReport) int { return len(r.Recovery) }, func(bool) int { return len(fanouts) }),
+		cellsGate("recovery_serial_ge_parallel", "shard", "serial_sim_us >= parallel_sim_us at every fan-out",
+			shardRecoveries, recoveryLabel, func(e RecoveryEntry) bool { return e.SerialSimUs >= e.ParallelSimUs }),
+		cellsGate("recovery_replayed", "shard", "events_replayed > 0 at every fan-out",
+			shardRecoveries, recoveryLabel, func(e RecoveryEntry) bool { return e.EventsReplayed > 0 }),
+		gate("recovery_speedup_4x", "shard", "exactly one 4-shard recovery cell, speedup_x >= 0.7 x 4", func(r *ShardReport) (bool, string) {
+			n, x := 0, 0.0
+			for _, e := range r.Recovery {
+				if e.Shards == 4 {
+					n, x = n+1, e.SpeedupX
+				}
+			}
+			return n == 1 && x >= recoverySpeedup4xGate, fmt.Sprintf("%d 4-shard cells, %.2fx", n, x)
+		}),
+	},
+	Summary: summarizeShard,
+}
+
+func shardRecoveries(r *ShardReport) []RecoveryEntry { return r.Recovery }
+func recoveryLabel(e RecoveryEntry) string           { return fmt.Sprintf("%s/%d", e.Kind, e.Shards) }
+
+func runShard(env *Env, rep *ShardReport) error {
+	grid := shardPlan(env.quick())
 
 	// The scaling estimator times sub-millisecond per-shard windows; a GC
 	// cycle landing inside one inflates the epoch's max-over-shards. Run
 	// collections only between repeats (measureScaling calls runtime.GC).
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	rep := Report{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Epochs:     *epochs,
-		EpochSize:  *epochSize,
-		Note: "Scaling cells run the shard group with SerialEpochs and derive the " +
-			"group ingest wall as sum over epochs of (max per-shard wall + barrier " +
-			"wall) — the wall an N-core host would see. gs-local is the " +
-			"partition-local configuration (LocalReads, replication off) the 0.8xN " +
-			"gate applies to; gs-replicated shows the frontier-broadcast tax; " +
-			"gs-skewed the theta=1.0 hot-shard imbalance. Recovery cells ingest, " +
-			"crash, and group-recover; speedup_x is the deterministic simulated " +
-			"serial-over-parallel ratio (sum vs max of per-shard SimWall), gated " +
-			"at 0.7xN for N=4. Real walls are informational on shared hosts.",
-	}
+	rep.Epochs, rep.EpochSize = grid.epochs, grid.epochSize
+	rep.Note = "Scaling cells run the shard group with SerialEpochs and derive the " +
+		"group ingest wall as sum over epochs of (max per-shard wall + barrier " +
+		"wall) — the wall an N-core host would see. gs-local is the " +
+		"partition-local configuration (LocalReads, replication off) the 0.8xN " +
+		"gate applies to; gs-replicated shows the frontier-broadcast tax; " +
+		"gs-skewed the theta=1.0 hot-shard imbalance. Recovery cells ingest, " +
+		"crash, and group-recover; speedup_x is the deterministic simulated " +
+		"serial-over-parallel ratio (sum vs max of per-shard SimWall), gated " +
+		"at 0.7xN for N=4. Real walls are informational on shared hosts."
 
 	for _, v := range variants {
 		var base float64
 		for _, n := range fanouts {
-			e, err := measureScaling(v, n, *epochs, *epochSize, *repeat)
+			e, err := measureScaling(v, n, grid.epochs, grid.epochSize, grid.repeat)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "shardbench:", err)
-				os.Exit(1)
+				return err
 			}
 			if n == 1 {
 				base = e.ThroughputEps
@@ -328,45 +368,50 @@ func main() {
 				e.ScalingX = e.ThroughputEps / base
 			}
 			rep.Scaling = append(rep.Scaling, e)
-			fmt.Fprintf(os.Stderr, "%-13s shards=%d: sim wall %8.0f µs, %9.0f ev/s, scaling %.2fx\n",
+			env.logf("%-13s shards=%d: sim wall %8.0f µs, %9.0f ev/s, scaling %.2fx\n",
 				v.name, n, e.SimWallUs, e.ThroughputEps, e.ScalingX)
 			if v.name == "gs-local" && n == 8 {
 				rep.Checks.Scaling8x = e.ScalingX
-				rep.Checks.Scaling8xPass = e.ScalingX >= 0.8*8
+				rep.Checks.Scaling8xPass = e.ScalingX >= scaling8xGate
 			}
 		}
 	}
 
 	for _, n := range fanouts {
-		e, err := measureRecovery(ftapi.WAL, n, *recEpochs, *recEpochSize)
+		e, err := measureRecovery(ftapi.WAL, n, grid.recEpochs, grid.recEpochSize)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "shardbench:", err)
-			os.Exit(1)
+			return err
 		}
 		rep.Recovery = append(rep.Recovery, e)
-		fmt.Fprintf(os.Stderr, "recovery WAL shards=%d: %5d replayed, serial sim %8.0f µs, parallel sim %8.0f µs, speedup %.2fx, balance %.2f\n",
+		env.logf("recovery WAL shards=%d: %5d replayed, serial sim %8.0f µs, parallel sim %8.0f µs, speedup %.2fx, balance %.2f\n",
 			n, e.EventsReplayed, e.SerialSimUs, e.ParallelSimUs, e.SpeedupX, e.Balance)
 		if n == 4 {
 			rep.Checks.RecoverySpeedup4x = e.SpeedupX
-			rep.Checks.RecoverySpeedup4xPass = e.SpeedupX >= 0.7*4
+			rep.Checks.RecoverySpeedup4xPass = e.SpeedupX >= recoverySpeedup4xGate
 		}
 	}
+	return nil
+}
 
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "shardbench:", err)
-		os.Exit(1)
+// summarizeShard keeps the shard layer's headlines: the recorded gate
+// verdicts, the gs-local scaling curve, and the recovery speedup per
+// fan-out.
+func summarizeShard(r *ShardReport) map[string]any {
+	out := map[string]any{
+		"scaling_8x":               r.Checks.Scaling8x,
+		"scaling_8x_pass":          r.Checks.Scaling8xPass,
+		"recovery_speedup_4x":      r.Checks.RecoverySpeedup4x,
+		"recovery_speedup_4x_pass": r.Checks.RecoverySpeedup4xPass,
+		"scaling_cells":            len(r.Scaling),
+		"recovery_cells":           len(r.Recovery),
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "shardbench:", err)
-		os.Exit(1)
+	for _, c := range r.Scaling {
+		if c.Workload == "gs-local" {
+			out[fmt.Sprintf("local_scaling_%dx", c.Shards)] = c.ScalingX
+		}
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d scaling cells, %d recovery cells)\n", *out, len(rep.Scaling), len(rep.Recovery))
-	fmt.Fprintf(os.Stderr, "checks: scaling_8x %.2fx (pass=%v), recovery_speedup_4x %.2fx (pass=%v)\n",
-		rep.Checks.Scaling8x, rep.Checks.Scaling8xPass,
-		rep.Checks.RecoverySpeedup4x, rep.Checks.RecoverySpeedup4xPass)
-	if *strict && (!rep.Checks.Scaling8xPass || !rep.Checks.RecoverySpeedup4xPass) {
-		os.Exit(1)
+	for _, c := range r.Recovery {
+		out[fmt.Sprintf("recovery_speedup_%dx", c.Shards)] = c.SpeedupX
 	}
+	return out
 }

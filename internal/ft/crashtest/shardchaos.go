@@ -23,7 +23,10 @@ type ShardChaosConfig struct {
 	KillShard int
 	// FaultAt is the 0-based write index on that device where the fatal
 	// outage strikes (one write fails; the outage has passed by the time
-	// the heal's recovery writes).
+	// the heal's recovery writes). Zero means the midpoint of the shard's
+	// own write sequence, enumerated from a fault-free run of the same
+	// config — mid-run at every run length, where a constant index is past
+	// the end of a short run and never fires.
 	FaultAt int
 }
 
@@ -65,12 +68,16 @@ func ShardChaos(cc ShardChaosConfig) (*ShardChaosOutcome, error) {
 	if cc.KillShard < 0 || cc.KillShard >= scfg.Shards {
 		return nil, fmt.Errorf("crashtest: KillShard %d out of range for %d shards", cc.KillShard, scfg.Shards)
 	}
-	if cc.FaultAt <= 0 {
-		cc.FaultAt = 8
-	}
 	ref, err := buildShardRef(&scfg)
 	if err != nil {
 		return nil, err
+	}
+	if cc.FaultAt <= 0 {
+		sites, err := shardEnumerate(&scfg, ref)
+		if err != nil {
+			return nil, err
+		}
+		cc.FaultAt = len(sites[deviceName(scfg.Shards, cc.KillShard)]) / 2
 	}
 
 	devs := make([]storage.Device, scfg.Shards)

@@ -57,6 +57,29 @@ func TestShardChaosSingleKill(t *testing.T) {
 	}
 }
 
+// TestShardChaosDefaultFaultSiteFollowsRunLength pins the derived fault
+// site: with FaultAt unset the shard must die strictly mid-run at every run
+// length, including runs too short for any fixed write index to land in.
+func TestShardChaosDefaultFaultSiteFollowsRunLength(t *testing.T) {
+	for _, epochs := range []int{3, 6, 10} {
+		out, err := ShardChaos(ShardChaosConfig{
+			Config: Config{
+				Kind:   ftapi.WAL,
+				NewGen: func() workload.Generator { return fttest.GSGen(43) },
+				Epochs: epochs,
+			},
+			Shards:    4,
+			KillShard: 2,
+		})
+		if err != nil {
+			t.Fatalf("epochs=%d: %v", epochs, err)
+		}
+		if out.FailedEpoch < 2 || out.FailedEpoch > uint64(epochs-1) {
+			t.Errorf("epochs=%d: died in epoch %d, want strictly mid-run", epochs, out.FailedEpoch)
+		}
+	}
+}
+
 // TestShardChaosTransientIsInvisible pins the boundary between the retry
 // layer and the heal path at group scale: wrap one shard's device in the
 // retry policy and script a transient storm — the group must absorb it

@@ -25,6 +25,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"morphstreamr/internal/adaptive"
@@ -108,7 +109,9 @@ type Config struct {
 	// they are released downstream (in release order), in addition to the
 	// engine's internal delivered ledger. It lets a supervisor accumulate
 	// outputs across engine incarnations without reading an abandoned
-	// engine's ledger from another goroutine.
+	// engine's ledger from another goroutine. The slice handed over is the
+	// ledger's own chunk for that epoch, not a copy: a sink may keep it but
+	// must not mutate it.
 	Sink func(outs []types.Output)
 	// FireHook, when non-nil, is passed to the scheduler and runs before
 	// every operation fires on the live parallel path. Chaos testing and
@@ -123,9 +126,10 @@ type Config struct {
 	// OnWriteSet, when non-nil, receives after each executed epoch the
 	// epoch number and the distinct keys its transactions wrote (the TPG's
 	// chain keys — write-attempted keys, including chains whose every
-	// operation aborted). The shard coordinator uses it to extract the
-	// epoch's cross-shard replication delta without diffing snapshots. The
-	// slice is only valid for the duration of the call.
+	// operation aborted), in ascending key order. The shard coordinator uses
+	// it to extract the epoch's cross-shard replication delta without
+	// diffing snapshots or sorting. The slice is only valid for the duration
+	// of the call.
 	OnWriteSet func(epoch uint64, keys []types.Key)
 	// OnCommit, when non-nil, is called each time the engine's durability
 	// gate fires with the highest epoch whose outputs have just been
@@ -166,8 +170,12 @@ type Engine struct {
 	lastCommit uint64
 	lastSnap   uint64
 
-	pending   []epochOutputs
-	delivered []types.Output
+	pending []epochOutputs
+	// delivered is the ledger: one chunk per released epoch, each the very
+	// slice postprocessing filled. Appending an epoch's elements to one flat
+	// slice instead re-allocated, cleared and copied every output ever
+	// delivered about five times over a run.
+	delivered [][]types.Output
 
 	runtime   metrics.RuntimeBreakdown
 	procWall  time.Duration
@@ -180,6 +188,9 @@ type Engine struct {
 	// inflight is the pending asynchronous commit, if any: once done
 	// reports success, outputs up to its epoch may release.
 	inflight *asyncCommit
+
+	// writeSet is notifyWriteSet's key buffer, reused across epochs.
+	writeSet []types.Key
 
 	// builder recycles TPG memory across epochs: a graph is released back
 	// to it once its epoch is sealed (mechanisms do not retain graphs),
@@ -277,8 +288,15 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 func (e *Engine) CommitEvery() int { return e.commitEvery }
 
 // Delivered returns the outputs released downstream so far, in release
-// order. The slice is the live ledger; callers must not mutate it.
-func (e *Engine) Delivered() []types.Output { return e.delivered }
+// order, flattened out of the ledger's chunks into a fresh slice on every
+// call (tests, audits and examples read it; nothing on the epoch path
+// does). The outputs' Vals are the ledger's; callers must not mutate them.
+func (e *Engine) Delivered() []types.Output { return slices.Concat(e.delivered...) }
+
+// DeliveredChunks returns the ledger as it is kept: one chunk per released
+// epoch, in release order. The slice and its chunks are the live ledger;
+// callers must not mutate them.
+func (e *Engine) DeliveredChunks() [][]types.Output { return e.delivered }
 
 // PendingOutputs returns how many outputs await their release marker.
 func (e *Engine) PendingOutputs() int {
@@ -394,13 +412,8 @@ func (e *Engine) processEpochAt(ep uint64, events []types.Event, persistInput bo
 		// (they are only valid once the previous epoch has fully executed,
 		// which also lets the pipelined path build structure early).
 		proc := time.Now()
-		sp := e.cfg.Obs.Begin(0, obs.CatEpoch, "preprocess", ep)
-		txns := e.preprocess(events)
-		sp.End()
-		sp = e.cfg.Obs.Begin(0, obs.CatEpoch, "construct", ep)
-		g := e.builder.Build(txns)
+		g := e.construct(0, ep, events)
 		g.CaptureBases(e.st.Get)
-		sp.End()
 		return e.finishEpoch(ep, events, g, proc)
 	}
 	return e.reprocessEpoch(ep, events, breakdown)
@@ -427,16 +440,24 @@ func (e *Engine) persistEpochInput(ep uint64, events []types.Event, persistInput
 	return nil
 }
 
-// preprocess turns raw events into state transactions. It reads no engine
-// state besides the immutable App, so the pipelined path may run it on the
-// builder goroutine.
-func (e *Engine) preprocess(events []types.Event) []*types.Txn {
-	txns := make([]*types.Txn, 0, len(events))
-	for _, ev := range events {
-		txn := e.cfg.App.Preprocess(ev)
-		txns = append(txns, &txn)
+// construct runs the stream-processing phase of one epoch: preprocessing
+// turns the events into state transactions, written straight into a
+// recycled graph's own storage, and structural construction builds the
+// task precedence graph over them. It reads no engine state besides the
+// immutable App and the builder, so the pipelined path runs it on the
+// builder goroutine (lane 1; the submitting goroutine is lane 0). Bases are
+// not captured.
+func (e *Engine) construct(lane int, ep uint64, events []types.Event) *tpg.Graph {
+	sp := e.cfg.Obs.Begin(lane, obs.CatEpoch, "preprocess", ep)
+	g := e.builder.Begin(len(events))
+	for i := range events {
+		g.Input[i] = e.cfg.App.Preprocess(events[i])
 	}
-	return txns
+	sp.End()
+	sp = e.cfg.Obs.Begin(lane, obs.CatEpoch, "construct", ep)
+	g.BuildInput()
+	sp.End()
+	return g
 }
 
 // reprocessEpoch replays one epoch during recovery on the virtual W-worker
@@ -444,8 +465,8 @@ func (e *Engine) preprocess(events []types.Event) []*types.Txn {
 // charged the stalls and load imbalance a real multicore would experience.
 func (e *Engine) reprocessEpoch(ep uint64, events []types.Event, breakdown *metrics.RecoveryBreakdown) error {
 	proc := time.Now()
-	txns := e.preprocess(events)
-	g := tpg.Build(txns, e.st.Get)
+	g := e.construct(0, ep, events)
+	g.CaptureBases(e.st.Get)
 	// Preprocessing and graph construction parallelize across the
 	// stream-processing executors; charge aggregate thread-time.
 	costs := vtime.Calibrate()
@@ -470,7 +491,7 @@ func (e *Engine) reprocessEpoch(ep uint64, events []types.Event, breakdown *metr
 	// Postprocessing: outputs are buffered until their release marker. One
 	// scratch view serves the whole loop (zero-copy record view — the
 	// Postprocess contract forbids retaining it).
-	outs := make([]types.Output, 0, len(txns))
+	outs := make([]types.Output, 0, len(g.Txns))
 	var view types.ExecutedTxn
 	for _, tn := range g.Txns {
 		outs = append(outs, e.cfg.App.Postprocess(tn.ExecutedInto(&view)))
@@ -496,11 +517,15 @@ func (e *Engine) notifyWriteSet(ep uint64, g *tpg.Graph) {
 	if e.cfg.OnWriteSet == nil {
 		return
 	}
-	keys := make([]types.Key, len(g.ChainList))
-	for i, ch := range g.ChainList {
-		keys[i] = ch.Key
+	// The chain list is in ascending key order, one chain per key, so the
+	// write set is sorted and duplicate-free — a guarantee coordinators
+	// build their barrier deltas on. The buffer is reused (the hook's
+	// contract: valid only for the duration of the call).
+	e.writeSet = e.writeSet[:0]
+	for _, ch := range g.ChainList {
+		e.writeSet = append(e.writeSet, ch.Key)
 	}
-	e.cfg.OnWriteSet(ep, keys)
+	e.cfg.OnWriteSet(ep, e.writeSet)
 }
 
 // finishEpoch executes an already-built epoch graph and drives it through
@@ -569,10 +594,15 @@ func (e *Engine) finishEpoch(ep uint64, events []types.Event, g *tpg.Graph, proc
 // static run's (commit-granularity morphing, off by default, is the one
 // documented exception).
 func (e *Engine) executeAdaptive(ep uint64, g *tpg.Graph) error {
-	maxChain := 0
+	maxChain, heads := 0, 0
 	for _, ch := range g.ChainList {
 		if len(ch.Ops) > maxChain {
 			maxChain = len(ch.Ops)
+		}
+		for _, n := range ch.Ops {
+			if n.Pending() == 0 {
+				heads++
+			}
 		}
 	}
 	strat := e.ctrl.Decide(adaptive.Signals{
@@ -580,7 +610,7 @@ func (e *Engine) executeAdaptive(ep uint64, g *tpg.Graph) error {
 		Ops:      g.NumOps,
 		Chains:   len(g.ChainList),
 		MaxChain: maxChain,
-		Heads:    len(g.Heads()),
+		Heads:    heads,
 	})
 	impl := strat.Impl
 	if e.cfg.FireHook != nil && impl != adaptive.ImplSteal {
@@ -839,7 +869,9 @@ func (e *Engine) release(upTo uint64) {
 	kept := e.pending[:0]
 	for _, p := range e.pending {
 		if p.epoch <= upTo {
-			e.delivered = append(e.delivered, p.outs...)
+			if len(p.outs) > 0 {
+				e.delivered = append(e.delivered, p.outs)
+			}
 			if e.cfg.Sink != nil {
 				e.cfg.Sink(p.outs)
 			}

@@ -3,7 +3,6 @@ package engine
 import (
 	"time"
 
-	"morphstreamr/internal/obs"
 	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
 )
@@ -58,12 +57,7 @@ func (e *Engine) ProcessEpochs(batches [][]types.Event) error {
 		defer close(built)
 		for i := range batches {
 			ep := base + uint64(i) + 1
-			sp := e.cfg.Obs.Begin(1, obs.CatEpoch, "preprocess", ep)
-			txns := e.preprocess(batches[i])
-			sp.End()
-			sp = e.cfg.Obs.Begin(1, obs.CatEpoch, "construct", ep)
-			g := e.builder.Build(txns)
-			sp.End()
+			g := e.construct(1, ep, batches[i])
 			select {
 			case built <- builtEpoch{idx: i, g: g}:
 			case <-stop:

@@ -71,8 +71,19 @@ type Mech struct {
 	ftapi.GroupCommitter
 	opts Options
 
-	groupCache    map[types.Key]int
+	// groups is the cached chain-group partitioning, keyed by chain key and
+	// holding group+1 so that zero — a key the partitioning never saw —
+	// reads as "no group". groupCooldown counts the epochs it stays valid.
+	groups        types.Dense[uint16]
 	groupCooldown int
+
+	// Per-epoch scratch, indexed by chain position (tpg.Chain.Pos) and
+	// reused across epochs: the cached group+1 of each chain of the epoch
+	// being sealed, and whether recovery must co-locate it. views is the
+	// record under construction; it is encoded before SealEpoch returns.
+	chainGroup []uint16
+	needGroup  []bool
+	views      codec.MSRViews
 }
 
 // New creates the MSR mechanism writing to dev, accounting into bytes.
@@ -94,22 +105,34 @@ func (m *Mech) Options() Options { return m.opts }
 // epoch's chains with the greedy graph partitioner and records only the
 // parametric results whose edges cross groups.
 func (m *Mech) SealEpoch(ep *ftapi.EpochResult) {
-	var views codec.MSRViews
-	var groups map[types.Key]int
-	if m.opts.SelectiveLogging {
-		if m.groupCache == nil || m.groupCooldown <= 0 {
-			m.groupCache = PartitionChains(ep.Graph, ep.Workers)
+	g := ep.Graph
+	views := &m.views
+	views.Aborted, views.Parametric, views.Groups = views.Aborted[:0], views.Parametric[:0], views.Groups[:0]
+	selective := m.opts.SelectiveLogging
+	if selective {
+		if m.groupCooldown <= 0 {
+			m.groups.Reset()
+			for i, group := range PartitionChains(g, ep.Workers) {
+				*m.groups.Slot(g.ChainList[i].Key) = uint16(group) + 1
+			}
 			m.groupCooldown = repartitionEvery
 		}
 		m.groupCooldown--
-		groups = m.groupCache
+		// Resolve each chain's cached group once, in key order, so the
+		// per-edge classification below is two slice reads. Keys the cached
+		// partitioning has not seen read zero: inter-group (logged).
+		m.chainGroup = m.chainGroup[:0]
+		for _, ch := range g.ChainList {
+			m.chainGroup = append(m.chainGroup, m.groups.Get(ch.Key))
+		}
+		// needGroup collects the chains recovery must co-locate: the
+		// endpoints of parametric dependencies deliberately left unlogged.
+		// Logical dependencies never need co-location — the AbortView
+		// always carries the full abort verdicts.
+		m.needGroup = append(m.needGroup[:0], make([]bool, len(g.ChainList))...)
 	}
-	// needGroup collects the chains recovery must co-locate: the endpoints
-	// of parametric dependencies deliberately left unlogged. Logical
-	// dependencies never need co-location — the AbortView always carries
-	// the full abort verdicts.
-	var needGroup map[types.Key]struct{}
-	for _, tn := range ep.Graph.Txns {
+	anyNeed := false
+	for _, tn := range g.Txns {
 		if tn.Aborted() {
 			views.Aborted = append(views.Aborted, tn.Txn.ID)
 		}
@@ -118,15 +141,15 @@ func (m *Mech) SealEpoch(ep *ftapi.EpochResult) {
 				if src == nil {
 					continue
 				}
-				if groups != nil && sameGroup(groups, src.Op.Key, opn.Op.Key) {
-					// Intra-group: shadow-resolved during recovery by the
-					// worker owning both chains.
-					if needGroup == nil {
-						needGroup = make(map[types.Key]struct{})
+				if selective {
+					from, to := src.Chain.Pos, opn.Chain.Pos
+					if gf := m.chainGroup[from]; gf != 0 && gf == m.chainGroup[to] {
+						// Intra-group: shadow-resolved during recovery by
+						// the worker owning both chains.
+						m.needGroup[from], m.needGroup[to] = true, true
+						anyNeed = true
+						continue
 					}
-					needGroup[src.Op.Key] = struct{}{}
-					needGroup[opn.Op.Key] = struct{}{}
-					continue
 				}
 				views.Parametric = append(views.Parametric, codec.ViewEntry{
 					From:  opn.Op.Deps[i],
@@ -137,73 +160,54 @@ func (m *Mech) SealEpoch(ep *ftapi.EpochResult) {
 			}
 		}
 	}
-	// Persist the group of every co-location-relevant chain: the group map
-	// is itself an intermediate result of the resolved classification.
-	if len(needGroup) > 0 {
-		views.Groups = make([]codec.GroupEntry, 0, len(needGroup))
-		for _, ch := range ep.Graph.ChainList {
-			if _, need := needGroup[ch.Key]; need {
-				views.Groups = append(views.Groups, codec.GroupEntry{Key: ch.Key, Group: uint8(groups[ch.Key])})
+	// Persist the group of every co-location-relevant chain, in chain
+	// (key) order: the group map is itself an intermediate result of the
+	// resolved classification.
+	if anyNeed {
+		for i, need := range m.needGroup {
+			if need {
+				views.Groups = append(views.Groups, codec.GroupEntry{Key: g.ChainList[i].Key, Group: uint8(m.chainGroup[i] - 1)})
 			}
 		}
 	}
-	m.SealInto(ep.Epoch, func(w *codec.Buffer) { codec.EncodeMSRInto(w, views) })
+	m.SealInto(ep.Epoch, func(w *codec.Buffer) { codec.EncodeMSRInto(w, *views) })
 }
 
 // GC implements ftapi.Mechanism; views live only until their covering
 // commit, so there is nothing left to drop.
 func (m *Mech) GC(uint64) {}
 
-// sameGroup reports whether both keys fall in the same cached group; keys
-// the cached partitioning has not seen default to inter-group (logged).
-func sameGroup(groups map[types.Key]int, a, b types.Key) bool {
-	ga, ok := groups[a]
-	if !ok {
-		return false
-	}
-	gb, ok := groups[b]
-	return ok && ga == gb
-}
-
 // PartitionChains groups an epoch's chains into k groups with the greedy
 // weighted graph partitioner: chain weight is its operation count, edge
 // weight the number of logical plus parametric dependencies between two
-// chains. The result maps chain key to group. It is deterministic in the
-// graph, which recovery relies on to reproduce the runtime classification.
-func PartitionChains(g *tpg.Graph, k int) map[types.Key]int {
+// chains. The result holds the group of each chain by its position in
+// g.ChainList. It is deterministic in the graph, which recovery relies on
+// to reproduce the runtime classification.
+func PartitionChains(g *tpg.Graph, k int) []int {
 	n := len(g.ChainList)
-	idx := make(map[*tpg.Chain]int32, n)
-	for i, ch := range g.ChainList {
-		idx[ch] = int32(i)
-	}
 	weights := make([]int, n)
 	for i, ch := range g.ChainList {
 		weights[i] = len(ch.Ops)
 	}
 	adj := make([][]int32, n)
-	addEdge := func(a, b int32) {
+	addEdge := func(a, b int) {
 		if a == b {
 			return
 		}
-		adj[a] = append(adj[a], b)
-		adj[b] = append(adj[b], a)
+		adj[a] = append(adj[a], int32(b))
+		adj[b] = append(adj[b], int32(a))
 	}
 	for _, tn := range g.Txns {
 		for _, opn := range tn.Ops {
 			if opn.CondSrc != nil {
-				addEdge(idx[opn.CondSrc.Chain], idx[opn.Chain])
+				addEdge(opn.CondSrc.Chain.Pos, opn.Chain.Pos)
 			}
 			for _, src := range opn.PDSrc {
 				if src != nil {
-					addEdge(idx[src.Chain], idx[opn.Chain])
+					addEdge(src.Chain.Pos, opn.Chain.Pos)
 				}
 			}
 		}
 	}
-	assign := partition.GreedyAdj(weights, adj, k)
-	out := make(map[types.Key]int, n)
-	for i, ch := range g.ChainList {
-		out[ch.Key] = assign[i]
-	}
-	return out
+	return partition.GreedyAdj(weights, adj, k)
 }

@@ -159,12 +159,12 @@ func TestPartitionChainsDeterministic(t *testing.T) {
 	if len(a) != len(ep.Graph.ChainList) {
 		t.Fatalf("partitioning covers %d chains of %d", len(a), len(ep.Graph.ChainList))
 	}
-	for k, g := range a {
+	for i, g := range a {
 		if g < 0 || g >= 4 {
-			t.Fatalf("chain %v in group %d", k, g)
+			t.Fatalf("chain %v in group %d", ep.Graph.ChainList[i].Key, g)
 		}
-		if b[k] != g {
-			t.Fatalf("PartitionChains nondeterministic at %v", k)
+		if b[i] != g {
+			t.Fatalf("PartitionChains nondeterministic at %v", ep.Graph.ChainList[i].Key)
 		}
 	}
 }

@@ -13,7 +13,9 @@
 package partition
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 	"sort"
 
 	"morphstreamr/internal/types"
@@ -25,7 +27,10 @@ import (
 // transaction" a property the generators can control exactly.
 type Ranges struct {
 	count int
-	rows  map[types.TableID]uint32
+	// rows is indexed by TableID, as store.Store's tables are: Of sits on
+	// the route of every event and the owner check of every written key.
+	// Undeclared tables have zero rows.
+	rows []uint32
 }
 
 // NewRanges builds a range partitioner over the given tables.
@@ -33,11 +38,22 @@ func NewRanges(specs []types.TableSpec, count int) *Ranges {
 	if count <= 0 {
 		count = 1
 	}
-	r := &Ranges{count: count, rows: make(map[types.TableID]uint32, len(specs))}
+	r := &Ranges{count: count}
 	for _, sp := range specs {
+		if int(sp.ID) >= len(r.rows) {
+			r.rows = append(r.rows, make([]uint32, int(sp.ID)+1-len(r.rows))...)
+		}
 		r.rows[sp.ID] = sp.Rows
 	}
 	return r
+}
+
+// rowsOf returns the declared size of table t, zero when undeclared.
+func (r *Ranges) rowsOf(t types.TableID) uint32 {
+	if int(t) >= len(r.rows) {
+		return 0
+	}
+	return r.rows[t]
 }
 
 // Count returns the number of partitions.
@@ -51,7 +67,7 @@ func (r *Ranges) Count() int { return r.count }
 // partition that doesn't own them (found by FuzzRangesOf). Rows at or
 // beyond the table's end clamp into the last partition.
 func (r *Ranges) Of(k types.Key) int {
-	rows := r.rows[k.Table]
+	rows := r.rowsOf(k.Table)
 	if rows == 0 {
 		return 0
 	}
@@ -64,7 +80,7 @@ func (r *Ranges) Of(k types.Key) int {
 // RowsIn returns the half-open row range [lo, hi) of partition p for the
 // given table, so generators can draw intra-partition keys directly.
 func (r *Ranges) RowsIn(t types.TableID, p int) (lo, hi uint32) {
-	rows := uint64(r.rows[t])
+	rows := uint64(r.rowsOf(t))
 	lo = uint32(rows * uint64(p) / uint64(r.count))
 	hi = uint32(rows * uint64(p+1) / uint64(r.count))
 	return lo, hi
@@ -146,7 +162,7 @@ func GreedyAdj(weights []int, adj [][]int32, k int) []int {
 		order[i] = i
 		total += weights[i]
 	}
-	sort.SliceStable(order, func(a, b int) bool { return weights[order[a]] > weights[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weights[b], weights[a]) })
 	load := make([]int, k)
 	gain := make([]int, k)
 	avg := float64(total)/float64(k) + 1

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -46,10 +47,10 @@ type GroupBackend struct {
 	killGroup atomic.Bool
 	killShard atomic.Int64 // shard to crash at next Feed; <0 none
 
-	// banked collects per-shard outputs delivered by abandoned
+	// banked collects, per shard, the ledger chunks of abandoned
 	// incarnations across group-wide recoveries; AllDelivered joins them
 	// with the live group's union for exactly-once audits.
-	banked [][]types.Output
+	banked [][][]types.Output
 
 	heals int
 }
@@ -61,7 +62,7 @@ func NewGroupBackend(cfg shard.Config) (*GroupBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &GroupBackend{cfg: cfg, g: g, banked: make([][]types.Output, g.Shards())}
+	b := &GroupBackend{cfg: cfg, g: g, banked: make([][][]types.Output, g.Shards())}
 	b.killShard.Store(-1)
 	return b, nil
 }
@@ -81,7 +82,7 @@ func RecoverGroupBackend(cfg shard.Config) (*GroupBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &GroupBackend{cfg: cfg, g: g, banked: make([][]types.Output, g.Shards())}
+	b := &GroupBackend{cfg: cfg, g: g, banked: make([][][]types.Output, g.Shards())}
 	b.killShard.Store(-1)
 	return b, nil
 }
@@ -145,11 +146,13 @@ func (b *GroupBackend) Heal(procErr error, src shard.Source) (uint64, error) {
 	}
 	// Group-wide: bank the dead incarnation's delivered outputs (they left
 	// the building; exactly-once accounting must keep them — recovery does
-	// not re-release outputs below each shard's delivery watermark), then
+	// not re-release outputs below each shard's delivery watermark) by
+	// moving its ledger's chunk list, stop its engines' worker pools, then
 	// rebuild the group from the surviving devices.
 	for i := 0; i < b.g.Shards(); i++ {
-		b.banked[i] = append(b.banked[i], b.g.DeliveredUnion(i)...)
+		b.banked[i] = append(b.banked[i], b.g.DeliveredChunks(i)...)
 	}
+	b.Close()
 	g, _, err := shard.GroupRecover(shard.RecoverConfig{Config: b.cfg, Source: src})
 	if err != nil {
 		return 0, err
@@ -161,8 +164,7 @@ func (b *GroupBackend) Heal(procErr error, src shard.Source) (uint64, error) {
 // AllDelivered returns every output shard i released across all backend
 // incarnations — the union exactly-once audits run against.
 func (b *GroupBackend) AllDelivered(i int) []types.Output {
-	out := append([]types.Output(nil), b.banked[i]...)
-	return append(out, b.g.DeliveredUnion(i)...)
+	return slices.Concat(append(slices.Clip(b.banked[i]), b.g.DeliveredChunks(i)...)...)
 }
 
 // Close implements Backend.

@@ -66,10 +66,13 @@ func encodeIngestRecord(entries []ManifestEntry, events []types.Event) []byte {
 			Name: e.Tenant, Vals: []uint64{e.BatchSeq, e.FirstSeq, e.Events},
 		})
 	}
+	// The pooled buffer lends its bytes to the manifest for the duration of
+	// Encode, which copies them into the record; the device copies the
+	// record once more on Append. No private copy in between.
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
 	codec.EncodeEventsInto(w, events)
-	m.Payload = append([]byte(nil), w.Bytes()...)
+	m.Payload = w.Bytes()
 	return m.Encode()
 }
 

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -87,25 +89,18 @@ func (s *Server) gather() []*batch {
 	room := s.cfg.MaxEpochEvents
 	var out []*batch
 	for _, t := range s.order {
+		if room <= 0 {
+			break
+		}
 		if degraded && t.cfg.Priority < s.cfg.ShedBelow {
 			continue
 		}
-		for room > 0 {
-			got := t.take(1)
-			if len(got) == 0 {
-				break
-			}
-			b := got[0]
-			if len(b.ev) > room && len(out) > 0 {
-				// Batch does not fit this epoch: put it back for the next.
-				t.requeue(got)
-				room = 0
-				break
-			}
-			out = append(out, b)
+		var got []*batch
+		got, room = t.takeFitting(room, len(out) == 0)
+		for _, b := range got {
 			b.j.Stamp(journey.StageQueue)
-			room -= len(b.ev)
 		}
+		out = append(out, got...)
 	}
 	return out
 }
@@ -113,7 +108,11 @@ func (s *Server) gather() []*batch {
 // feed assigns sequences, writes the manifest record, and feeds one epoch.
 func (s *Server) feed(batches []*batch) error {
 	ep := s.be.Epoch() + 1
-	var events []types.Event
+	total := 0
+	for _, b := range batches {
+		total += len(b.ev)
+	}
+	events := make([]types.Event, 0, total)
 	entries := make([]ManifestEntry, 0, len(batches))
 	for _, b := range batches {
 		if !b.seqed {
@@ -133,8 +132,12 @@ func (s *Server) feed(batches []*batch) error {
 		})
 	}
 	// Requeued batches carry older sequences than freshly gathered ones;
-	// feed the epoch in global sequence order.
-	sort.Slice(events, func(a, b int) bool { return events[a].Seq < events[b].Seq })
+	// feed the epoch in global sequence order. Unless a heal requeued, the
+	// batches were sequenced in gather order and are ascending already.
+	bySeq := func(a, b types.Event) int { return cmp.Compare(a.Seq, b.Seq) }
+	if !slices.IsSortedFunc(events, bySeq) {
+		slices.SortFunc(events, bySeq)
+	}
 
 	// Record the epoch before feeding it: the manifest is the write-ahead
 	// truth recovery re-feeds from, so it must cover every epoch the

@@ -216,16 +216,28 @@ func (t *tenant) admit(seq uint64, ev []types.Event, degraded bool, shedBelow in
 	return vAccept
 }
 
-// take pops up to n batches off the queue front (the pump's gather step).
-// skip leaves the queue untouched (a shed tenant keeps its backlog).
-func (t *tenant) take(n int) []*batch {
+// takeFitting pops, under one lock, as many whole batches off the queue
+// front as fit into room events (the pump's gather step) and returns them
+// with the room they leave. A batch larger than the room is taken only as
+// the epoch's very first (first set and nothing taken yet), so an oversized
+// batch cannot wedge its queue; otherwise it stays queued for the next
+// epoch and the returned room is zero — nothing may be gathered past a
+// batch that was put off, or feeding would reorder.
+func (t *tenant) takeFitting(room int, first bool) ([]*batch, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n > len(t.queue) {
-		n = len(t.queue)
+	n := 0
+	for n < len(t.queue) && room > 0 {
+		size := len(t.queue[n].ev)
+		if size > room && !(first && n == 0) {
+			room = 0
+			break
+		}
+		room -= size
+		n++
 	}
-	if n <= 0 {
-		return nil
+	if n == 0 {
+		return nil, room
 	}
 	out := make([]*batch, n)
 	copy(out, t.queue)
@@ -233,7 +245,7 @@ func (t *tenant) take(n int) []*batch {
 	for _, b := range out {
 		t.pending[b.seq] = b
 	}
-	return out
+	return out, room
 }
 
 // requeue pushes heal-surviving batches back onto the queue front in their

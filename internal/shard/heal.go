@@ -8,7 +8,6 @@ import (
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/supervisor"
-	"morphstreamr/internal/types"
 )
 
 // HealShard recovers a single dead shard in place after ProcessEpoch
@@ -53,7 +52,7 @@ func (g *Group) HealShard(procErr error, source Source) (*engine.RecoveryReport,
 	}
 
 	s := g.shards[serr.Shard]
-	s.banked = append(s.banked, s.eng.Delivered()...)
+	s.banked = append(s.banked, s.eng.DeliveredChunks()...)
 	s.eng.Crash()
 
 	fail := func(err error) (*engine.RecoveryReport, error) {
@@ -85,14 +84,10 @@ func (g *Group) HealShard(procErr error, source Source) (*engine.RecoveryReport,
 				minSeq = ev.Seq
 			}
 		}
-		var reps []types.Event
-		if g.lastDeltas != nil {
-			reps, err = buildReplication(serr.Shard, g.lastDeltas, minSeq)
-			if err != nil {
-				return fail(err)
-			}
+		reps, err := s.stageReplication(g.lastDeltas, minSeq)
+		if err != nil {
+			return fail(err)
 		}
-		s.repKeys = repKeySet(reps)
 		batch := append(reps, g.subBatch(ep, serr.Shard, source)...)
 		if err := s.eng.ProcessEpoch(batch); err != nil {
 			return fail(fmt.Errorf("shard: heal shard %d: re-feed epoch %d: %w", serr.Shard, ep, err))

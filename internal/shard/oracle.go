@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"sort"
 
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/oracle"
@@ -21,8 +22,8 @@ import (
 // oracle at every barrier regardless — which is exactly the property the
 // sharded sweep asserts.
 type GroupOracle struct {
-	app    *App
-	router *partition.Ranges
+	app     *App
+	router  *partition.Ranges
 	oracles []*oracle.Oracle
 	// prev mirrors each shard's owned values as of the last barrier, for
 	// value-diff delta extraction.
@@ -39,6 +40,26 @@ type GroupOracle struct {
 	// localReads mirrors Config.LocalReads: no replication between shards,
 	// so foreign rows stay at their Init values on every shard.
 	localReads bool
+}
+
+// sortedDelta flattens a delta map into the canonical key order shared by
+// the frontier codec, replication events, and the oracle. It is the
+// oracle's own: the coordinator builds its deltas in one pass over an
+// already-sorted write set, and the oracle's map-and-sort form staying
+// independent of that path is what makes agreement between the two a check.
+func sortedDelta(delta map[types.Key]types.Value) codec.ShardDelta {
+	out := codec.ShardDelta{
+		Keys: make([]types.Key, 0, len(delta)),
+		Vals: make([]types.Value, 0, len(delta)),
+	}
+	for k := range delta {
+		out.Keys = append(out.Keys, k)
+	}
+	sort.Slice(out.Keys, func(i, j int) bool { return out.Keys[i].Less(out.Keys[j]) })
+	for _, k := range out.Keys {
+		out.Vals = append(out.Vals, delta[k])
+	}
+	return out
 }
 
 // NewGroupOracle replays the whole run (one batch per group epoch)

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/types"
@@ -88,45 +87,67 @@ func RealOutputs(outs []types.Output) []types.Output {
 	return kept
 }
 
-// sortedDelta flattens a delta map into the canonical key order shared by
-// the frontier codec, replication events, and the oracle.
-func sortedDelta(delta map[types.Key]types.Value) codec.ShardDelta {
-	out := codec.ShardDelta{
-		Keys: make([]types.Key, 0, len(delta)),
-		Vals: make([]types.Value, 0, len(delta)),
+// mergeForeign merges every shard's delta but dst's own into one delta in
+// ascending key order. Barrier deltas arrive sorted and ownership-disjoint
+// (each holds only keys its shard owns), so this is a k-way merge, not a
+// map and a sort — but not a concatenation either: with two tables, shard
+// 0's table-1 keys sort after shard 1's table-0 keys. Should two deltas
+// ever carry the same key (a frontier record from a foreign writer), the
+// later shard's value wins, as it did when the merge went through a map.
+func mergeForeign(dst int, deltas []codec.ShardDelta) codec.ShardDelta {
+	total := 0
+	for src, d := range deltas {
+		if src != dst {
+			total += len(d.Keys)
+		}
 	}
-	for k := range delta {
+	if total == 0 {
+		return codec.ShardDelta{}
+	}
+	out := codec.ShardDelta{Keys: make([]types.Key, 0, total), Vals: make([]types.Value, 0, total)}
+	pos := make([]int, len(deltas))
+	for {
+		best := -1
+		for src, d := range deltas {
+			if src == dst || pos[src] == len(d.Keys) {
+				continue
+			}
+			if best < 0 || !deltas[best].Keys[pos[best]].Less(d.Keys[pos[src]]) {
+				best = src
+			}
+		}
+		if best < 0 {
+			return out
+		}
+		k := deltas[best].Keys[pos[best]]
 		out.Keys = append(out.Keys, k)
+		out.Vals = append(out.Vals, deltas[best].Vals[pos[best]])
+		for src, d := range deltas {
+			if src != dst && pos[src] < len(d.Keys) && d.Keys[pos[src]] == k {
+				pos[src]++
+			}
+		}
 	}
-	sort.Slice(out.Keys, func(i, j int) bool { return out.Keys[i].Less(out.Keys[j]) })
-	for _, k := range out.Keys {
-		out.Vals = append(out.Vals, delta[k])
-	}
-	return out
 }
 
 // buildReplication turns the foreign portion of a barrier's deltas into
-// the replication events shard dst ingests next epoch. Sequence numbers
-// occupy [minSeq-n, minSeq): strictly below the epoch's first real
-// sequence number, so every replicated put orders (by temporal dependency)
-// before every real operation of the epoch, and frontier reads observe the
-// consistent committed frontier. Sequence space below an epoch is finite;
-// an epoch too small to host its replication fan-in is an error, not a
-// silent reorder.
+// the replication events shard dst ingests next epoch; see
+// replicationEvents for their shape.
 func buildReplication(dst int, deltas []codec.ShardDelta, minSeq uint64) ([]types.Event, error) {
-	merged := make(map[types.Key]types.Value)
-	for src, d := range deltas {
-		if src == dst {
-			continue
-		}
-		for i, k := range d.Keys {
-			merged[k] = d.Vals[i]
-		}
-	}
-	if len(merged) == 0 {
+	return replicationEvents(mergeForeign(dst, deltas), minSeq)
+}
+
+// replicationEvents chunks a merged foreign delta into replication events.
+// Sequence numbers occupy [minSeq-n, minSeq): strictly below the epoch's
+// first real sequence number, so every replicated put orders (by temporal
+// dependency) before every real operation of the epoch, and frontier reads
+// observe the consistent committed frontier. Sequence space below an epoch
+// is finite; an epoch too small to host its replication fan-in is an
+// error, not a silent reorder. The events alias flat's slices.
+func replicationEvents(flat codec.ShardDelta, minSeq uint64) ([]types.Event, error) {
+	if len(flat.Keys) == 0 {
 		return nil, nil
 	}
-	flat := sortedDelta(merged)
 	n := (len(flat.Keys) + maxReplicateKeys - 1) / maxReplicateKeys
 	if uint64(n) > minSeq {
 		return nil, fmt.Errorf("shard: %d replication events do not fit below sequence %d (epoch too small for the replication fan-in)", n, minSeq)

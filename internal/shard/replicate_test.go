@@ -1,0 +1,99 @@
+package shard
+
+import (
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"morphstreamr/internal/codec"
+	"morphstreamr/internal/types"
+)
+
+// refMergeForeign is how buildReplication merged the other shards' deltas
+// before it k-way merged them: pour every foreign delta into one map, pull
+// the keys back out, comparison-sort them.
+func refMergeForeign(dst int, deltas []codec.ShardDelta) codec.ShardDelta {
+	merged := map[types.Key]types.Value{}
+	for src, d := range deltas {
+		if src == dst {
+			continue
+		}
+		for i, k := range d.Keys {
+			merged[k] = d.Vals[i]
+		}
+	}
+	var out codec.ShardDelta
+	for k := range merged {
+		out.Keys = append(out.Keys, k)
+	}
+	sort.Slice(out.Keys, func(i, j int) bool { return out.Keys[i].Less(out.Keys[j]) })
+	for _, k := range out.Keys {
+		out.Vals = append(out.Vals, merged[k])
+	}
+	return out
+}
+
+// TestMergeForeignMatchesMapAndSort: for 3 shards over 2 tables — where
+// concatenating the sorted, disjoint deltas is not sorted — the k-way
+// merge equals the map-and-sort form key for key and value for value,
+// empty deltas included, and the events chunked from it carry the same
+// keys in the same order.
+func TestMergeForeignMatchesMapAndSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const shards, rows = 3, 900
+	for round := 0; round < 40; round++ {
+		// Shard s owns rows [s*300, (s+1)*300) of both tables.
+		deltas := make([]codec.ShardDelta, shards)
+		for s := range deltas {
+			if rng.Intn(6) == 0 {
+				continue // a shard that wrote nothing this epoch
+			}
+			for table := types.TableID(0); table < 2; table++ {
+				for row := uint32(s * rows / shards); row < uint32((s+1)*rows/shards); row++ {
+					if rng.Intn(3) == 0 {
+						deltas[s].Keys = append(deltas[s].Keys, types.Key{Table: table, Row: row})
+						deltas[s].Vals = append(deltas[s].Vals, rng.Int63n(1000))
+					}
+				}
+			}
+		}
+		for dst := 0; dst < shards; dst++ {
+			got, want := mergeForeign(dst, deltas), refMergeForeign(dst, deltas)
+			if len(got.Keys) != len(want.Keys) || (len(want.Keys) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("round %d dst %d: merge diverges from the map-and-sort form (%d vs %d keys)", round, dst, len(got.Keys), len(want.Keys))
+			}
+			events, err := buildReplication(dst, deltas, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keys []types.Key
+			for i, ev := range events {
+				if ev.Kind != KindReplicate || ev.Seq != 1<<20-uint64(len(events))+uint64(i) || len(ev.Keys) > maxReplicateKeys {
+					t.Fatalf("round %d dst %d: event %d malformed: %+v", round, dst, i, ev)
+				}
+				keys = append(keys, ev.Keys...)
+			}
+			if len(keys) != len(want.Keys) || (len(keys) > 0 && !reflect.DeepEqual(keys, want.Keys)) {
+				t.Fatalf("round %d dst %d: replication events carry different keys than the reference", round, dst)
+			}
+		}
+	}
+}
+
+// TestMergeForeignDuplicateKeyLaterShardWins: deltas are ownership-disjoint
+// by construction, but a frontier record read back from a device is input;
+// should two shards' deltas carry one key, the merge keeps it once with
+// the later shard's value, as the map form did.
+func TestMergeForeignDuplicateKeyLaterShardWins(t *testing.T) {
+	k := func(row uint32) types.Key { return types.Key{Table: 0, Row: row} }
+	deltas := []codec.ShardDelta{
+		{Keys: []types.Key{k(1), k(5)}, Vals: []types.Value{10, 50}},
+		{},
+		{Keys: []types.Key{k(5), k(7)}, Vals: []types.Value{51, 70}},
+	}
+	got, want := mergeForeign(1, deltas), refMergeForeign(1, deltas)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge = %+v, map-and-sort form = %+v", got, want)
+	}
+}

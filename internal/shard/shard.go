@@ -39,6 +39,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -65,7 +66,8 @@ const LogFrontier = "frontier"
 type Config struct {
 	// GroupShape is the shard fan-out plus the per-shard engine knobs.
 	// Pipeline is ignored: the coordinator feeds one epoch per barrier, so
-	// there is never a multi-epoch run to overlap.
+	// there is never a multi-epoch run to overlap. AutoCommit is ignored
+	// (one commit cadence per group) and Adaptive is always on.
 	types.GroupShape
 	// App is the (write-local) application; the coordinator wraps it with
 	// the replication-event handler.
@@ -85,7 +87,9 @@ type Config struct {
 	// a fresh log.
 	Health *metrics.Health
 	// Sinks, when non-nil, receives each shard's released outputs
-	// (Sinks[i] for shard i) in addition to the engines' ledgers.
+	// (Sinks[i] for shard i) in addition to the engines' ledgers. A sink
+	// shares each slice with the ledger and must not mutate it (see
+	// engine.Config.Sink).
 	Sinks []func([]types.Output)
 	// LocalReads declares the application partition-local: every key a
 	// transaction reads lives in the shard that owns its routing key (GS
@@ -179,21 +183,25 @@ type shardState struct {
 	writeSet      []types.Key
 	writeSetEpoch uint64
 
-	// repKeys is the set of keys the coordinator fed shard idx as
-	// replication puts this epoch. Replication deliberately writes
-	// foreign-owned keys (that is what a replica is), so the barrier's
-	// write-locality check exempts exactly these; any other foreign-key
-	// write is an application locality violation. An application write to
-	// a key that was also replicated this epoch is masked by the exemption
-	// — acceptable, since such an application is already rejected the
-	// first time it writes a foreign key that was not replicated.
-	repKeys map[types.Key]bool
+	// repKeys holds the keys the coordinator fed shard idx as replication
+	// puts this epoch, ascending (the merged foreign delta's key slice).
+	// Replication deliberately writes foreign-owned keys (that is what a
+	// replica is), so the barrier's write-locality check exempts exactly
+	// these; any other foreign-key write is an application locality
+	// violation. An application write to a key that was also replicated
+	// this epoch is masked by the exemption — acceptable, since such an
+	// application is already rejected the first time it writes a foreign
+	// key that was not replicated.
+	repKeys []types.Key
+
+	// batch is the shard's epoch input buffer, reused across epochs.
+	batch []types.Event
 
 	fedReal int
-	// banked holds outputs delivered by abandoned incarnations of this
+	// banked holds the ledger chunks of abandoned incarnations of this
 	// shard (per-shard heals); DeliveredUnion joins them with the live
 	// engine's ledger.
-	banked []types.Output
+	banked [][]types.Output
 }
 
 // Group is a running shard group. Create with NewGroup (or GroupRecover),
@@ -228,6 +236,8 @@ type Group struct {
 
 	stats  []EpochStat
 	routes [][]int
+	// dest is route's per-event shard scratch, reused across epochs.
+	dest []int32
 }
 
 // NewGroup builds a shard group with fresh engines over cfg's devices.
@@ -279,6 +289,13 @@ func (g *Group) engineConfig(s *shardState) engine.Config {
 	// that every shard's markers land on the same epochs, so the MSR
 	// advisor must not retune CommitEvery per shard.
 	shape.AutoCommit = false
+	// Executor choice is a measurement, not a setting: the adaptive
+	// controller's grain probes decide per engine whether this host runs
+	// these operations faster sequentially or on the worker pool, instead of
+	// every epoch spawning Workers goroutines and fresh deques whether or not
+	// they pay. Durable bytes are invariant under it (chains are re-labelled
+	// with the canonical partitioning before each seal).
+	shape.Adaptive = true
 	var sink func([]types.Output)
 	if len(g.cfg.Sinks) > s.idx {
 		sink = g.cfg.Sinks[s.idx]
@@ -310,7 +327,7 @@ func (g *Group) ProcessEpoch(events []types.Event) error {
 	}
 	ep := g.epoch + 1
 
-	subs, minSeq, err := g.route(events)
+	dest, counts, minSeq, err := g.route(events)
 	if err != nil {
 		g.crashed = true
 		return err
@@ -320,20 +337,38 @@ func (g *Group) ProcessEpoch(events []types.Event) error {
 		g.crashed = true
 		return err
 	}
-
-	for i, s := range g.shards {
-		s.repKeys = repKeySet(reps[i])
+	// One copy per event into a buffer each shard keeps across epochs (the
+	// engine retains nothing of a batch once ProcessEpoch returns): its
+	// replication events first, then its share of the input in order. A
+	// group of one shard has nothing to split and no other shard to hear
+	// from, and feeds the caller's slice as it is.
+	batches := make([][]types.Event, len(g.shards))
+	if len(g.shards) == 1 {
+		batches[0] = events
+	} else {
+		for i, s := range g.shards {
+			if n := len(reps[i]) + counts[i]; cap(s.batch) < n {
+				s.batch = make([]types.Event, 0, n)
+			}
+			s.batch = append(s.batch[:0], reps[i]...)
+		}
+		for j := range events {
+			s := g.shards[dest[j]]
+			s.batch = append(s.batch, events[j])
+		}
+		for i, s := range g.shards {
+			batches[i] = s.batch
+		}
 	}
 
 	walls := make([]time.Duration, len(g.shards))
 	errs := make([]error, len(g.shards))
 	run := func(i int) {
 		t0 := time.Now()
-		batch := append(reps[i], subs[i]...)
-		errs[i] = g.shards[i].eng.ProcessEpoch(batch)
+		errs[i] = g.shards[i].eng.ProcessEpoch(batches[i])
 		walls[i] = time.Since(t0)
 	}
-	if g.cfg.SerialEpochs {
+	if g.cfg.SerialEpochs || len(g.shards) == 1 {
 		for i := range g.shards {
 			run(i)
 		}
@@ -352,7 +387,7 @@ func (g *Group) ProcessEpoch(events []types.Event) error {
 		}
 	}
 	for i, s := range g.shards {
-		s.fedReal += len(subs[i])
+		s.fedReal += counts[i]
 	}
 
 	t0 := time.Now()
@@ -376,27 +411,31 @@ func (g *Group) Run(batches [][]types.Event) error {
 	return nil
 }
 
-// route splits the global batch into per-shard sub-batches by each
-// event's first key, and returns the epoch's minimum real sequence number
-// (the replication sequence ceiling).
-func (g *Group) route(events []types.Event) ([][]types.Event, uint64, error) {
-	subs := make([][]types.Event, len(g.shards))
+// route validates the global batch and assigns every event its shard by
+// its first key: dest[j] is event j's shard (scratch, valid until the next
+// call), counts[s] the number of events bound for shard s. It also returns
+// the epoch's minimum real sequence number (the replication sequence
+// ceiling).
+func (g *Group) route(events []types.Event) (dest []int32, counts []int, minSeq uint64, err error) {
+	if cap(g.dest) < len(events) {
+		g.dest = make([]int32, len(events))
+	}
+	dest = g.dest[:len(events)]
+	counts = make([]int, len(g.shards))
 	// An empty epoch anchors replication sequences just past the highest
 	// sequence ever routed (no real events to order against).
-	minSeq := g.seqFloor
-	var route []int
-	for i, ev := range events {
+	minSeq = g.seqFloor
+	for i := range events {
+		ev := &events[i]
 		if ev.Kind == KindReplicate {
-			return nil, 0, fmt.Errorf("shard: input event %d uses reserved kind %d", ev.Seq, KindReplicate)
+			return nil, nil, 0, fmt.Errorf("shard: input event %d uses reserved kind %d", ev.Seq, KindReplicate)
 		}
 		if len(ev.Keys) == 0 {
-			return nil, 0, fmt.Errorf("shard: input event %d has no routing key", ev.Seq)
+			return nil, nil, 0, fmt.Errorf("shard: input event %d has no routing key", ev.Seq)
 		}
 		s := g.router.Of(ev.Keys[0])
-		subs[s] = append(subs[s], ev)
-		if g.cfg.RecordRouting {
-			route = append(route, s)
-		}
+		dest[i] = int32(s)
+		counts[s]++
 		if i == 0 || ev.Seq < minSeq {
 			minSeq = ev.Seq
 		}
@@ -405,9 +444,13 @@ func (g *Group) route(events []types.Event) ([][]types.Event, uint64, error) {
 		}
 	}
 	if g.cfg.RecordRouting {
+		route := make([]int, len(dest))
+		for i, s := range dest {
+			route[i] = int(s)
+		}
 		g.routes = append(g.routes, route)
 	}
-	return subs, minSeq, nil
+	return dest, counts, minSeq, nil
 }
 
 // replicationFor builds every shard's replication events for the next
@@ -432,17 +475,25 @@ func (g *Group) replicationFor(minSeq uint64) ([][]types.Event, error) {
 		g.fullSync = false
 		g.lastDeltas = deltas
 	}
-	if deltas == nil {
-		return reps, nil
-	}
-	for i := range g.shards {
-		ev, err := buildReplication(i, deltas, minSeq)
+	// A fresh group's first epoch has no deltas yet; staging still runs, so
+	// every shard's exemptions are those of this epoch (here: none).
+	for i, s := range g.shards {
+		ev, err := s.stageReplication(deltas, minSeq)
 		if err != nil {
 			return nil, err
 		}
 		reps[i] = ev
 	}
 	return reps, nil
+}
+
+// stageReplication builds the replication events shard s ingests this
+// epoch from the other shards' deltas, and remembers their keys as the
+// epoch's write-locality exemptions.
+func (s *shardState) stageReplication(deltas []codec.ShardDelta, minSeq uint64) ([]types.Event, error) {
+	flat := mergeForeign(s.idx, deltas)
+	s.repKeys = flat.Keys
+	return replicationEvents(flat, minSeq)
 }
 
 // completeBarrier runs the barrier step of epoch ep: verify write
@@ -471,18 +522,29 @@ func (g *Group) completeBarrier(ep uint64) error {
 			deltas[i] = g.fullDelta(i)
 			continue
 		}
-		m := make(map[types.Key]types.Value, len(s.writeSet))
+		// The write set arrives ascending and duplicate-free (it is the
+		// graph's chain list), and so do the exemptions, so the delta is one
+		// pass: owned keys are read straight into it, already in canonical
+		// order, and foreign keys are checked off against repKeys in step.
+		// Every replicated key is written, so the owned count is exact.
+		owned := max(0, len(s.writeSet)-len(s.repKeys))
+		d := codec.ShardDelta{Keys: make([]types.Key, 0, owned), Vals: make([]types.Value, 0, owned)}
+		st, rep := s.eng.Store(), s.repKeys
 		for _, k := range s.writeSet {
 			if owner := g.router.Of(k); owner != i {
-				if s.repKeys[k] {
+				for len(rep) > 0 && rep[0].Less(k) {
+					rep = rep[1:]
+				}
+				if len(rep) > 0 && rep[0] == k {
 					continue // replica refresh, not an application write
 				}
 				return fmt.Errorf("shard: write-locality violation: shard %d wrote %v owned by shard %d (application %q is not write-local)",
 					i, k, owner, g.cfg.App.Name())
 			}
-			m[k] = s.eng.Store().Get(k)
+			d.Keys = append(d.Keys, k)
+			d.Vals = append(d.Vals, st.Get(k))
 		}
-		deltas[i] = sortedDelta(m)
+		deltas[i] = d
 	}
 	payload := codec.EncodeShardDeltas(deltas)
 	if err := g.coord.Append(LogFrontier, storage.Record{Epoch: ep, Payload: payload}); err != nil {
@@ -534,20 +596,6 @@ func (g *Group) completeBarrier(ep uint64) error {
 func (g *Group) CommittedAt(ep uint64) (time.Time, bool) {
 	t, ok := g.commitAt[ep]
 	return t, ok
-}
-
-// repKeySet collects the keys carried by a shard's replication events.
-func repKeySet(reps []types.Event) map[types.Key]bool {
-	if len(reps) == 0 {
-		return nil
-	}
-	set := make(map[types.Key]bool)
-	for _, ev := range reps {
-		for _, k := range ev.Keys {
-			set[k] = true
-		}
-	}
-	return set
 }
 
 // fullDelta is shard i's entire owned key space with current values — the
@@ -605,9 +653,17 @@ func (g *Group) FedReal(i int) int { return g.shards[i].fedReal }
 // across all of its incarnations (heals bank the abandoned engine's
 // ledger), replication acknowledgements included.
 func (g *Group) DeliveredUnion(i int) []types.Output {
+	return slices.Concat(g.DeliveredChunks(i)...)
+}
+
+// DeliveredChunks is DeliveredUnion unflattened: the ledger chunks (one per
+// released epoch) of every incarnation of shard i, in release order. A
+// caller banking a group's ledger moves this list instead of copying every
+// output ever delivered. The chunks are shared with the engines' ledgers
+// and sinks; callers must not mutate them.
+func (g *Group) DeliveredChunks(i int) [][]types.Output {
 	s := g.shards[i]
-	out := append([]types.Output(nil), s.banked...)
-	return append(out, s.eng.Delivered()...)
+	return append(slices.Clip(s.banked), s.eng.DeliveredChunks()...)
 }
 
 // Committed returns the group's committed punctuation frontier: the

@@ -13,6 +13,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"morphstreamr/internal/core"
 	"morphstreamr/internal/types"
@@ -43,14 +44,14 @@ type Pipeline struct {
 	// when positive.
 	BatchSize int
 
-	emitted int // outputs already forwarded to the sink
+	emitted int // ledger chunks already forwarded to the sink
 }
 
 // NewPipeline assembles a pipeline. The sink starts at the system's
 // current delivery ledger position, so re-attaching after recovery never
 // re-emits outputs that reached a sink before the crash.
 func NewPipeline(sys *core.System, src Source, sink Sink) *Pipeline {
-	return &Pipeline{Sys: sys, Source: src, Sink: sink, emitted: len(sys.Engine.Delivered())}
+	return &Pipeline{Sys: sys, Source: src, Sink: sink, emitted: len(sys.Engine.DeliveredChunks())}
 }
 
 // Step pulls one epoch's worth of events, processes it, and forwards any
@@ -98,15 +99,14 @@ func (p *Pipeline) Run(maxEpochs int) error {
 
 // flush forwards outputs released since the last flush.
 func (p *Pipeline) flush() error {
-	delivered := p.Sys.Engine.Delivered()
-	if p.emitted >= len(delivered) {
+	chunks := p.Sys.Engine.DeliveredChunks()
+	if p.emitted >= len(chunks) {
 		return nil
 	}
-	batch := delivered[p.emitted:]
-	if err := p.Sink.Emit(batch); err != nil {
+	if err := p.Sink.Emit(slices.Concat(chunks[p.emitted:]...)); err != nil {
 		return fmt.Errorf("stream: sink: %w", err)
 	}
-	p.emitted = len(delivered)
+	p.emitted = len(chunks)
 	return nil
 }
 

@@ -8,9 +8,8 @@ import (
 
 // TestBuilderBuildAllocBound pins the arena-recycling contract of the
 // epoch-construction hot path: once a graph has been built and released,
-// rebuilding an epoch of the same shape reuses its arenas, slices, and map
-// buckets, so the steady-state allocation count is a small constant — not
-// proportional to the number of transactions or operations.
+// rebuilding an epoch of the same shape reuses its arenas, slices, and
+// chain index, so steady-state construction allocates nothing at all.
 func TestBuilderBuildAllocBound(t *testing.T) {
 	txns := make([]*types.Txn, 200)
 	for i := range txns {
@@ -29,11 +28,20 @@ func TestBuilderBuildAllocBound(t *testing.T) {
 	got := testing.AllocsPerRun(50, func() {
 		b.Release(b.Build(txns))
 	})
-	// The pin is deliberately far below one allocation per transaction
-	// (200 txns, 400 ops): a regression that reintroduces per-node or
-	// per-chain allocation jumps past it immediately.
-	const bound = 32
-	if got > bound {
-		t.Fatalf("recycled build: %.1f allocs/op, want <= %d (200 txns would be ~400+ without recycling)", got, bound)
+	gotOwn := testing.AllocsPerRun(50, func() {
+		g := b.Begin(len(txns))
+		for i, txn := range txns {
+			g.Input[i] = *txn
+		}
+		g.BuildInput()
+		b.Release(g)
+	})
+	if gotOwn != 0 {
+		t.Fatalf("recycled Begin/BuildInput: %.1f allocs/op, want 0 (the graph keeps its transaction storage)", gotOwn)
+	}
+	// The map-indexed build allocated twice per epoch here (the reflection
+	// swapper and closure of its sort.Slice); the dense index sorts nothing.
+	if got != 0 {
+		t.Fatalf("recycled build: %.1f allocs/op, want 0 (200 txns would be ~400+ without recycling)", got)
 	}
 }

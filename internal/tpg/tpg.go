@@ -25,7 +25,8 @@
 package tpg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -134,6 +135,9 @@ type Chain struct {
 	// Owner is the worker (or recovery task) the chain is assigned to;
 	// schedulers and partitioners set it before execution.
 	Owner int
+	// Pos is the chain's index in Graph.ChainList, so per-chain scratch
+	// state can live in a slice instead of a map keyed by chain or key.
+	Pos int
 }
 
 // Weight is the chain's operation count, the task weight used by load
@@ -143,12 +147,24 @@ func (c *Chain) Weight() int { return len(c.Ops) }
 // Graph is one epoch's TPG.
 type Graph struct {
 	Txns []*TxnNode
-	// Chains maps each accessed key to its chain.
-	Chains map[types.Key]*Chain
-	// ChainList holds the chains in deterministic (key) order.
+	// ChainList holds the chains in ascending key order, one per distinct
+	// key. Callers may rely on both: the engine's OnWriteSet hands the
+	// keys on as a sorted, duplicate-free write set.
 	ChainList []*Chain
 	// NumOps is the total vertex count.
 	NumOps int
+	// Input is the transaction storage of a graph obtained from
+	// Builder.Begin: the caller fills it and calls BuildInput. It is kept
+	// (not cleared) across recycling, like the arenas; nil for graphs built
+	// from the caller's own transactions.
+	Input []types.Txn
+	// inputPtrs[i] is &Input[i] over Input's whole capacity.
+	inputPtrs []*types.Txn
+
+	// index maps each accessed key to its chain. It is dense, grows with
+	// the rows an epoch touches rather than with declared table sizes, and
+	// walks in key order — which is where ChainList's order comes from.
+	index types.Dense[*Chain]
 
 	// Arenas back the node, transaction, and chain allocations. A fresh
 	// graph grows them chunk by chunk; a recycled graph (see Builder)
@@ -156,6 +172,9 @@ type Graph struct {
 	nodes  arena[OpNode]
 	txns   arena[TxnNode]
 	chains arena[Chain]
+	// Slabs back the small per-transaction, per-node and per-chain slices.
+	links slab[*OpNode]
+	vals  slab[types.Value]
 }
 
 // ReadBase supplies epoch-start values for keys without in-epoch producers.
@@ -179,14 +198,18 @@ func Build(txns []*types.Txn, readBase ReadBase) *Graph {
 // epoch N+1's structure while epoch N is still mutating state, then
 // capture bases at the epoch barrier.
 func BuildStructure(txns []*types.Txn) *Graph {
-	g := newGraph()
+	g := &Graph{}
 	g.build(txns)
 	return g
 }
 
-func newGraph() *Graph {
-	return &Graph{Chains: make(map[types.Key]*Chain)}
-}
+// BuildInput constructs the structural TPG over the transactions in Input
+// (see Builder.Begin). The caller must CaptureBases before executing it.
+func (g *Graph) BuildInput() { g.build(g.inputPtrs[:len(g.Input)]) }
+
+// ChainOf returns the chain of operations on k, or nil when the epoch has
+// none.
+func (g *Graph) ChainOf(k types.Key) *Chain { return g.index.Get(k) }
 
 // newNode takes a (possibly recycled) node from the arena and resets it
 // for op. Slice fields keep their capacity; everything else is zeroed.
@@ -213,41 +236,45 @@ func (g *Graph) build(txns []*types.Txn) {
 	if g.Txns == nil {
 		g.Txns = make([]*TxnNode, 0, len(txns))
 	}
+	ops := 0
+	for _, txn := range txns {
+		ops += len(txn.Ops)
+	}
+	g.txns.reserve(len(txns))
+	g.nodes.reserve(ops)
 
 	// Pass 1: create nodes and chains.
 	for _, txn := range txns {
 		tn := g.txns.take()
 		tn.Txn = txn
 		tn.aborted.Store(false)
-		tn.Ops = resize(tn.Ops, len(txn.Ops))
+		tn.Ops = g.links.resize(tn.Ops, len(txn.Ops))
 		for i := range txn.Ops {
 			op := &txn.Ops[i]
 			n := g.newNode(op, tn)
 			tn.Ops[i] = n
-			ch, ok := g.Chains[op.Key]
-			if !ok {
+			slot := g.index.Slot(op.Key)
+			ch := *slot
+			if ch == nil {
 				ch = g.chains.take()
 				ch.Key = op.Key
 				ch.Ops = ch.Ops[:0]
 				ch.Owner = 0
-				g.Chains[op.Key] = ch
+				*slot = ch
 			}
 			n.Chain = ch
-			ch.Ops = append(ch.Ops, n)
+			// Most chains of a low-contention epoch never outgrow two links.
+			ch.Ops = g.links.push(ch.Ops, n, 2)
 			g.NumOps++
 		}
 		g.Txns = append(g.Txns, tn)
 	}
 
-	// Deterministic chain order for partitioners and schedulers.
-	if g.ChainList == nil {
-		g.ChainList = make([]*Chain, 0, len(g.Chains))
-	}
-	for _, ch := range g.Chains {
+	// Deterministic chain order for partitioners, schedulers and the
+	// durable records sealed from them: the index walks in key order.
+	g.index.Each(func(_ types.Key, ch *Chain) {
+		ch.Pos = len(g.ChainList)
 		g.ChainList = append(g.ChainList, ch)
-	}
-	sort.Slice(g.ChainList, func(i, j int) bool {
-		return g.ChainList[i].Key.Less(g.ChainList[j].Key)
 	})
 
 	// Pass 2: TD edges. Transactions arrive in ascending TS, so each chain
@@ -255,9 +282,7 @@ func (g *Graph) build(txns []*types.Txn) {
 	// if needed.
 	for _, ch := range g.ChainList {
 		if !sorted(ch.Ops) {
-			sort.SliceStable(ch.Ops, func(i, j int) bool {
-				return ch.Ops[i].Op.TS < ch.Ops[j].Op.TS
-			})
+			slices.SortStableFunc(ch.Ops, func(a, b *OpNode) int { return cmp.Compare(a.Op.TS, b.Op.TS) })
 		}
 		for i := 1; i < len(ch.Ops); i++ {
 			ch.Ops[i].ChainPrev = ch.Ops[i-1]
@@ -273,7 +298,7 @@ func (g *Graph) build(txns []*types.Txn) {
 			cond := tn.Ops[0]
 			for _, n := range tn.Ops[1:] {
 				n.CondSrc = cond
-				cond.LDOut = append(cond.LDOut, n)
+				cond.LDOut = g.links.push(cond.LDOut, n, len(tn.Ops)-1)
 				n.pending.Add(1)
 			}
 		}
@@ -281,15 +306,15 @@ func (g *Graph) build(txns []*types.Txn) {
 			if len(n.Op.Deps) == 0 {
 				continue
 			}
-			n.PDSrc = resize(n.PDSrc, len(n.Op.Deps))
-			n.DepVals = resize(n.DepVals, len(n.Op.Deps))
+			n.PDSrc = g.links.resize(n.PDSrc, len(n.Op.Deps))
+			n.DepVals = g.vals.resize(n.DepVals, len(n.Op.Deps))
 			for i, dk := range n.Op.Deps {
-				src := latestEarlierWriter(g.Chains[dk], n.Op.TS)
+				src := latestEarlierWriter(g.index.Get(dk), n.Op.TS)
 				if src == nil {
 					continue
 				}
 				n.PDSrc[i] = src
-				src.PDOut = append(src.PDOut, n)
+				src.PDOut = g.links.push(src.PDOut, n, 2)
 				n.pending.Add(1)
 			}
 		}
@@ -349,25 +374,16 @@ func (g *Graph) ResetExec() {
 }
 
 // rewind clears the graph for reuse, keeping arena chunks, slice
-// capacities, and the chain map's buckets.
+// capacities, and the chain index's nodes (only the leaves this epoch
+// touched are cleared).
 func (g *Graph) rewind() {
 	g.Txns = g.Txns[:0]
-	clear(g.Chains)
+	g.index.Reset()
 	g.ChainList = g.ChainList[:0]
 	g.NumOps = 0
 	g.nodes.rewind()
 	g.txns.rewind()
 	g.chains.rewind()
-}
-
-// resize returns s with length n and zeroed content, reusing capacity.
-func resize[T any](s []T, n int) []T {
-	if cap(s) >= n {
-		s = s[:n]
-		clear(s)
-		return s
-	}
-	return make([]T, n)
 }
 
 func sorted(ops []*OpNode) bool {
@@ -382,15 +398,23 @@ func sorted(ops []*OpNode) bool {
 // latestEarlierWriter returns the chain's last operation with a timestamp
 // strictly below ts, or nil. Chains are sorted, so binary search applies.
 func latestEarlierWriter(ch *Chain, ts uint64) *OpNode {
-	if ch == nil || len(ch.Ops) == 0 {
+	if ch == nil {
 		return nil
 	}
-	// First index with TS >= ts.
-	i := sort.Search(len(ch.Ops), func(i int) bool { return ch.Ops[i].Op.TS >= ts })
-	if i == 0 {
+	// lo is the first index with TS >= ts.
+	lo, hi := 0, len(ch.Ops)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ch.Ops[mid].Op.TS < ts {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == 0 {
 		return nil
 	}
-	return ch.Ops[i-1]
+	return ch.Ops[lo-1]
 }
 
 // Heads returns the nodes with no unresolved dependencies: the initial

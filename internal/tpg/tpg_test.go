@@ -56,7 +56,7 @@ func TestBuildStructure(t *testing.T) {
 	if len(g.ChainList) != 2 {
 		t.Fatalf("chains = %d, want 2 (A and B)", len(g.ChainList))
 	}
-	chainA, chainB := g.Chains[keyA], g.Chains[keyB]
+	chainA, chainB := g.ChainOf(keyA), g.ChainOf(keyB)
 	if len(chainA.Ops) != 3 || len(chainB.Ops) != 2 {
 		t.Fatalf("chain lengths: A=%d B=%d, want 3 and 2", len(chainA.Ops), len(chainB.Ops))
 	}

@@ -64,8 +64,12 @@ func TestTrendEquivalence(t *testing.T) {
 	if len(got) != len(want) {
 		t.Errorf("folded %d sources, committed point has %d", len(got), len(want))
 	}
-	if pt.GOMAXPROCS != 1 || pt.NumCPU != 1 || pt.GoVersion == "" {
-		t.Errorf("point header %+v does not carry the reports' host", pt.Host)
+	first, err := load[SchedReport](filepath.Join(repoRoot, schedSuite.File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.Host != first.Host || pt.GoVersion == "" {
+		t.Errorf("point header %+v does not carry the first report's host %+v", pt.Host, first.Host)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"morphstreamr/internal/adaptive"
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/obs"
 	"morphstreamr/internal/schedbench"
@@ -13,7 +14,6 @@ import (
 // SchedEntry is one measured cell of the grid.
 type SchedEntry struct {
 	Workload       string  `json:"workload"`
-	Impl           string  `json:"impl"`
 	Workers        int     `json:"workers"`
 	Iterations     int     `json:"iterations"`
 	NsPerEpoch     float64 `json:"ns_per_epoch"`
@@ -23,24 +23,12 @@ type SchedEntry struct {
 	BytesPerEpoch  int64   `json:"bytes_per_epoch"`
 }
 
-// SchedSpeedup compares the implementations at one grid point.
-type SchedSpeedup struct {
-	Workload string `json:"workload"`
-	Workers  int    `json:"workers"`
-	// Throughput is steal ops/s over chanref ops/s (>1 means the
-	// work-stealing scheduler is faster).
-	Throughput float64 `json:"throughput_steal_over_chanref"`
-	// Bytes is chanref bytes-per-epoch over steal bytes-per-epoch (>1
-	// means the work-stealing scheduler allocates less).
-	Bytes float64 `json:"bytes_chanref_over_steal"`
-}
-
 // AdaptiveEntry is one measured trajectory run of the adaptive section:
 // a fresh multi-epoch stream executed end to end by one strategy mode —
-// a fixed static worker count, or the adaptive controller.
+// the pool pinned at one worker count, or the adaptive controller.
 type AdaptiveEntry struct {
 	Trajectory string `json:"trajectory"`
-	// Mode is "static-wN" or "adaptive".
+	// Mode is "static-wN" (AdaptiveForce{steal, N}) or "adaptive".
 	Mode      string  `json:"mode"`
 	Epochs    int     `json:"epochs"`
 	NsTotal   float64 `json:"ns_total"`
@@ -105,7 +93,6 @@ type SchedReport struct {
 	EpochEvents     int               `json:"epoch_events"`
 	Note            string            `json:"note"`
 	Entries         []SchedEntry      `json:"entries"`
-	Speedups        []SchedSpeedup    `json:"speedups"`
 	Adaptive        []AdaptiveEntry   `json:"adaptive,omitempty"`
 	AdaptiveSummary []AdaptiveSummary `json:"adaptive_summary,omitempty"`
 	Alloc           []AllocEntry      `json:"alloc,omitempty"`
@@ -119,7 +106,7 @@ type SchedReport struct {
 // identical across samples). With a non-nil observer each run additionally
 // emits an execute span and scheduler counters — that cost is part of what
 // the sample then measures, which is the point of benchmarking with -trace.
-func measureSched(wl schedbench.Workload, impl string, workers, repeat int, o *obs.Observer, stats *obs.SchedStats) SchedEntry {
+func measureSched(wl schedbench.Workload, workers, repeat int, o *obs.Observer, stats *obs.SchedStats) SchedEntry {
 	ep := schedbench.Prepare(wl)
 	numOps := ep.G.NumOps
 	var res testing.BenchmarkResult
@@ -128,7 +115,7 @@ func measureSched(wl schedbench.Workload, impl string, workers, repeat int, o *o
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := schedbench.RunObserved(impl, ep, workers, o, stats); err != nil {
+				if err := schedbench.RunObserved(ep, workers, o, stats); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -141,7 +128,6 @@ func measureSched(wl schedbench.Workload, impl string, workers, repeat int, o *o
 	nsPerEpoch := best
 	return SchedEntry{
 		Workload:       wl.Name,
-		Impl:           impl,
 		Workers:        workers,
 		Iterations:     res.N,
 		NsPerEpoch:     nsPerEpoch,
@@ -231,7 +217,7 @@ func allocProbes() []struct {
 	}
 }
 
-// compareBaseline loads a prior report and ratios every current steal cell
+// compareBaseline loads a prior report and ratios every current cell
 // against its counterpart there (cells present in only one report are
 // skipped, so grid changes do not break comparison).
 func compareBaseline(path string, entries []SchedEntry) (*Baseline, error) {
@@ -241,15 +227,10 @@ func compareBaseline(path string, entries []SchedEntry) (*Baseline, error) {
 	}
 	before := map[string]float64{}
 	for _, e := range prior.Entries {
-		if e.Impl == schedbench.ImplSteal {
-			before[fmt.Sprintf("%s/%d", e.Workload, e.Workers)] = e.NsPerEpoch
-		}
+		before[fmt.Sprintf("%s/%d", e.Workload, e.Workers)] = e.NsPerEpoch
 	}
 	b := &Baseline{Path: path}
 	for _, e := range entries {
-		if e.Impl != schedbench.ImplSteal {
-			continue
-		}
 		prev, ok := before[fmt.Sprintf("%s/%d", e.Workload, e.Workers)]
 		if !ok || prev <= 0 {
 			continue
@@ -301,8 +282,8 @@ var schedSuite = Suite[SchedReport]{
 	Spec: Spec{
 		Name:   "sched",
 		File:   "BENCH_scheduler.json",
-		Quick:  "1 workload x {chanref,steal} x workers {1,4}, 1 sample; GS-phased trajectory; 2 alloc probes",
-		Full:   "4 workloads x {chanref,steal} x workers {1,2,4,8}, best of 3; 3 trajectories; 2 alloc probes",
+		Quick:  "1 workload x workers {1,4}, 1 sample; GS-phased trajectory; 2 alloc probes",
+		Full:   "4 workloads x workers {1,2,4,8}, best of 3; 3 trajectories; 2 alloc probes",
 		Traces: []Trace{{File: "sched_trace.json"}},
 	},
 	Run: runSched,
@@ -360,54 +341,35 @@ func runSched(env *Env, rep *SchedReport) error {
 	rep.EpochEvents = schedbench.EpochEvents
 	rep.Note = "One epoch graph per cell, rebuilt never: each iteration " +
 		"ResetExec()s the graph and reruns the scheduler, so numbers " +
-		"isolate scheduling cost from graph construction. chanref is " +
-		"the seed channel-based scheduler preserved in " +
-		"internal/scheduler/chanref.go; steal is the work-stealing " +
-		"scheduler on the production path. The adaptive section runs " +
-		"whole multi-epoch trajectories (fresh graphs per epoch) and " +
-		"ratios the adaptive controller against the best static worker " +
-		"count; the alloc section records the arena pass's fresh vs " +
-		"pooled-buffer encode cost. The baseline section, when " +
-		"present, ratios steal cells against a prior report — the " +
-		"observability layer's tracing-off overhead record."
+		"isolate scheduling cost from graph construction; every cell is " +
+		"scheduler.Run, the work-stealing pool at a fixed worker count. " +
+		"The adaptive section runs whole multi-epoch trajectories (fresh " +
+		"graphs per epoch) through the engine's executor and ratios the " +
+		"adaptive controller against the best pinned worker count " +
+		"(static-wN is AdaptiveForce{steal, N}); the alloc section " +
+		"records the arena pass's fresh vs pooled-buffer encode cost. " +
+		"The baseline section, when present, ratios cells against a " +
+		"prior report — the observability layer's tracing-off overhead " +
+		"record."
 
 	grid := schedPlan(env.quick())
-	byKey := map[string]SchedEntry{}
-	for _, wl := range grid.workloads {
-		for _, impl := range schedbench.Impls() {
-			for _, w := range grid.workers {
-				e := measureSched(wl, impl, w, grid.repeat, env.Obs, stats)
-				rep.Entries = append(rep.Entries, e)
-				byKey[fmt.Sprintf("%s/%s/%d", wl.Name, impl, w)] = e
-				env.logf("%-12s %-8s w%d: %.0f ns/epoch, %.2f ns/op, %d B/op, %d allocs/op\n",
-					wl.Name, impl, w, e.NsPerEpoch, e.NsPerOp, e.BytesPerEpoch, e.AllocsPerEpoch)
-			}
-		}
-	}
 	for _, wl := range grid.workloads {
 		for _, w := range grid.workers {
-			ref := byKey[fmt.Sprintf("%s/%s/%d", wl.Name, schedbench.ImplChanRef, w)]
-			st := byKey[fmt.Sprintf("%s/%s/%d", wl.Name, schedbench.ImplSteal, w)]
-			sp := SchedSpeedup{
-				Workload:   wl.Name,
-				Workers:    w,
-				Throughput: st.OpsPerSec / ref.OpsPerSec,
-			}
-			if st.BytesPerEpoch > 0 {
-				sp.Bytes = float64(ref.BytesPerEpoch) / float64(st.BytesPerEpoch)
-			}
-			rep.Speedups = append(rep.Speedups, sp)
+			e := measureSched(wl, w, grid.repeat, env.Obs, stats)
+			rep.Entries = append(rep.Entries, e)
+			env.logf("%-12s w%d: %.0f ns/epoch, %.2f ns/op, %d B/op, %d allocs/op\n",
+				wl.Name, w, e.NsPerEpoch, e.NsPerOp, e.BytesPerEpoch, e.AllocsPerEpoch)
 		}
 	}
 
-	// Adaptive section: whole trajectories, static grid vs controller.
+	// Adaptive section: whole trajectories, pinned pool vs controller.
 	maxWorkers := grid.workers[len(grid.workers)-1]
 	for _, tr := range grid.trajectories {
 		bestStatic := AdaptiveEntry{}
 		for _, w := range grid.workers {
-			w := w
+			pin := &adaptive.Strategy{Impl: adaptive.ImplSteal, Workers: w}
 			e, err := measureTrajectory(tr, fmt.Sprintf("static-w%d", w), grid.repeat,
-				func() (schedbench.TrajectoryResult, error) { return schedbench.RunTrajectoryStatic(tr, w) })
+				func() (schedbench.TrajectoryResult, error) { return schedbench.RunTrajectory(tr, maxWorkers, pin) })
 			if err != nil {
 				return fmt.Errorf("adaptive: %w", err)
 			}
@@ -419,7 +381,7 @@ func runSched(env *Env, rep *SchedReport) error {
 				tr.Name, e.Mode, e.NsTotal/1e6, e.OpsPerSec/1e6)
 		}
 		e, err := measureTrajectory(tr, "adaptive", grid.repeat,
-			func() (schedbench.TrajectoryResult, error) { return schedbench.RunTrajectoryAdaptive(tr, maxWorkers) })
+			func() (schedbench.TrajectoryResult, error) { return schedbench.RunTrajectory(tr, maxWorkers, nil) })
 		if err != nil {
 			return fmt.Errorf("adaptive: %w", err)
 		}
@@ -465,20 +427,15 @@ func runSched(env *Env, rep *SchedReport) error {
 	return env.writeSpans("sched_trace.json")
 }
 
-// summarizeSched keeps the headline throughput per implementation (the
-// best ops/sec over all cells), the controller-vs-best-static ratio per
-// trajectory, and the arena pass's worst bytes reduction.
+// summarizeSched keeps the headline throughput (the best ops/sec over all
+// cells), the controller-vs-best-static ratio per trajectory, and the arena
+// pass's worst bytes reduction.
 func summarizeSched(r *SchedReport) map[string]any {
-	out := map[string]any{"entries": len(r.Entries)}
-	best := map[string]float64{}
+	best := 0.0
 	for _, e := range r.Entries {
-		if e.OpsPerSec > best[e.Impl] {
-			best[e.Impl] = e.OpsPerSec
-		}
+		best = max(best, e.OpsPerSec)
 	}
-	for impl, ops := range best {
-		out["max_ops_per_sec_"+impl] = ops
-	}
+	out := map[string]any{"entries": len(r.Entries), "max_ops_per_sec_steal": best}
 	for _, s := range r.AdaptiveSummary {
 		out["adaptive_over_best_"+s.Trajectory] = s.AdaptiveOverBest
 	}

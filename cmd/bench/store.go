@@ -263,6 +263,7 @@ func replayCell(kind ftapi.Kind, n, epochSize, segBytes, segBudget int, seed int
 	if err != nil {
 		return nil, err
 	}
+	defer e.Close()
 	total := 0
 	for i := 0; i < n+tailEpochs; i++ {
 		batch := workload.Batch(gen, epochSize)
@@ -321,6 +322,7 @@ func incrementalCell(rows uint32, epochSize int, seed int64) (*IncCell, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.Close()
 	for i := 0; i < epochs; i++ {
 		if err := e.ProcessEpoch(workload.Batch(gen, epochSize)); err != nil {
 			return nil, err

@@ -56,6 +56,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer recovered.Close()
 	fmt.Printf("recovered: %d events replayed, simulated wall %v\n",
 		report.EventsReplayed, report.SimWall().Round(0))
 

@@ -51,6 +51,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer recovered.Close()
 	fmt.Printf("recovered %d events in %v (simulated %d-worker wall: %v)\n",
 		report.EventsReplayed, report.Wall.Round(0), report.Workers, report.SimWall().Round(0))
 	fmt.Printf("  breakdown: %v\n", report.Breakdown.PerWorker(report.Workers))

@@ -66,6 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer recovered.Close()
 	fmt.Printf("recovered to epoch %d: replayed %d events, simulated wall %v\n",
 		report.LastEpoch, report.EventsReplayed, report.SimWall().Round(0))
 

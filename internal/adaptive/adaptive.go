@@ -4,18 +4,16 @@
 //
 // The controller observes two kinds of signals. Structural signals come
 // from the epoch's task precedence graph before it executes — operation
-// count, chain count, the longest chain (the structural critical path), and
-// the number of initially-ready heads — and are pure functions of the
-// input stream, so every incarnation of an engine derives the same values
-// for the same epoch. Feedback signals come from the scheduler's counters
-// after the previous epoch executed — epoch wall time, steal and
-// steal-fail rates, park and stall counts — and carry the timing noise of
-// the host.
+// count and the longest chain (the structural critical path) — and are pure
+// functions of the input stream, so every incarnation of an engine derives
+// the same values for the same epoch. The feedback signal is the wall time
+// the previous epoch took under the strategy that ran it, and carries the
+// timing noise of the host.
 //
-// Strategy decisions (worker count, work-stealing vs sequential vs
-// channel-based execution) may use both kinds: they change how an epoch is
-// explored but never what it writes, because the engine re-labels chains
-// with the canonical partitioning before sealing (see engine docs). The
+// Strategy decisions (worker count, work-stealing vs sequential execution)
+// may use both kinds: they change how an epoch is explored but never what it
+// writes, because the engine re-labels chains with the canonical
+// partitioning before sealing (see engine docs). The
 // log-commit granularity decision changes which epochs share a durable
 // group record, so it uses only structural byte accounting and is a
 // stateless function of the current epoch — a recovered engine that
@@ -50,19 +48,18 @@ import (
 	"morphstreamr/internal/obs"
 )
 
-// Execution strategies the controller morphs between. ImplSteal and
-// ImplChanRef name the two parallel schedulers (scheduler.Run and
-// scheduler.RunChanRef); ImplSeq is the sequential executor, the right
-// choice when the graph is one long chain and any pool would just spin.
+// Execution strategies the controller morphs between. ImplSteal is the
+// work-stealing pool (scheduler.Pool); ImplSeq is the sequential executor,
+// the right choice when the graph is one long chain and any pool would just
+// spin.
 const (
-	ImplSteal   = "steal"
-	ImplChanRef = "chanref"
-	ImplSeq     = "seq"
+	ImplSteal = "steal"
+	ImplSeq   = "seq"
 )
 
 // Strategy is one executable scheduling choice.
 type Strategy struct {
-	// Impl selects the executor: ImplSteal, ImplChanRef, or ImplSeq.
+	// Impl selects the executor: ImplSteal or ImplSeq.
 	Impl string
 	// Workers is the parallelism degree (1 for ImplSeq).
 	Workers int
@@ -77,16 +74,11 @@ type Signals struct {
 	Epoch uint64
 	// Ops is the graph's operation count.
 	Ops int
-	// Chains is the number of key chains.
-	Chains int
 	// MaxChain is the longest chain's operation count — the structural
 	// critical path of a TPG whose only mandatory ordering is temporal.
 	// Ops/MaxChain bounds the useful parallelism from below exactly the way
 	// vtime's CPRatio bounds it from measurement.
 	MaxChain int
-	// Heads is the number of initially-ready operations — the seed depth
-	// of the scheduler's deques.
-	Heads int
 }
 
 // Par returns the structural parallelism estimate Ops/MaxChain.
@@ -97,17 +89,13 @@ func (s Signals) Par() float64 {
 	return float64(s.Ops) / float64(s.MaxChain)
 }
 
-// Feedback is the post-execution view of one epoch: what the chosen
-// strategy actually cost. Counter fields are per-epoch deltas.
+// Feedback is the post-execution view of one epoch: what the strategy that
+// ran it actually cost.
 type Feedback struct {
-	Epoch      uint64
-	Strategy   Strategy
-	Wall       time.Duration
-	Ops        int
-	Steals     int64
-	StealFails int64
-	Parks      int64
-	Stalls     int64
+	Epoch    uint64
+	Strategy Strategy
+	Wall     time.Duration
+	Ops      int
 }
 
 // Decision records one strategy morph (or the initial choice).
@@ -121,7 +109,7 @@ type Decision struct {
 
 // Config tunes one controller.
 type Config struct {
-	// MaxWorkers is the parallelism ceiling — the run shape's Workers knob.
+	// MaxWorkers is the parallelism ceiling — the run shape's Workers.
 	MaxWorkers int
 	// Margin is the dead-band around the current worker level: the
 	// parallelism estimate must clear level*(1±Margin) before a resize
@@ -142,11 +130,6 @@ type Config struct {
 	// ProbeMargin is the measured ns/op advantage the probed side must show
 	// before the controller morphs to it. Zero means 0.10.
 	ProbeMargin float64
-	// StealFailStorm is the steal-fails-per-operation rate above which the
-	// work-stealing pool is judged to be thrashing (many idle workers
-	// sweeping empty deques) and the channel scheduler — whose idle workers
-	// block instead of sweeping — becomes the candidate. Zero means 0.75.
-	StealFailStorm float64
 	// GroupBudget is the target durable group-commit size in bytes for the
 	// commit-granularity rule. Zero means 256 KiB.
 	GroupBudget int64
@@ -179,9 +162,6 @@ func (c *Config) normalize() {
 	if c.ProbeMargin <= 0 {
 		c.ProbeMargin = 0.10
 	}
-	if c.StealFailStorm <= 0 {
-		c.StealFailStorm = 0.75
-	}
 	if c.GroupBudget <= 0 {
 		c.GroupBudget = 256 << 10
 	}
@@ -204,9 +184,6 @@ type Controller struct {
 	pending      Strategy
 	pendingRuns  int
 	cooldownLeft int
-
-	// failRate is an EWMA of steal fails per operation from feedback.
-	failRate float64
 
 	// Measured grain: EWMA ns/op on each side of the sequential/parallel
 	// divide, with sample counts. Fed only by Feedback calls that carry a
@@ -349,12 +326,6 @@ func (c *Controller) candidate(sig Signals) Strategy {
 	if c.grainSeq() {
 		return Strategy{Impl: ImplSeq, Workers: 1}
 	}
-	// Feedback escape hatch: a persistent steal-fail storm means the deques
-	// are starved (many workers, little stealable work) — the blocking
-	// channel scheduler sheds that sweep load.
-	if c.failRate > c.cfg.StealFailStorm {
-		return Strategy{Impl: ImplChanRef, Workers: w}
-	}
 	return Strategy{Impl: ImplSteal, Workers: w}
 }
 
@@ -462,14 +433,6 @@ func (c *Controller) Feedback(fb Feedback) {
 			c.parN++
 		}
 	}
-	if fb.Ops > 0 && fb.Strategy.Impl == ImplSteal && fb.Strategy.Workers > 1 {
-		rate := float64(fb.StealFails) / float64(fb.Ops)
-		c.failRate = 0.5*c.failRate + 0.5*rate
-	} else {
-		// Other strategies produce no steal-fail signal; decay toward calm
-		// so a stale storm verdict cannot pin the controller on chanref.
-		c.failRate *= 0.5
-	}
 }
 
 // morph switches the live strategy and records the decision.
@@ -497,6 +460,9 @@ func (c *Controller) record(sig Signals, from, to Strategy, reason string) {
 	sp := c.cfg.Obs.Begin(0, CatAdaptive, fmt.Sprintf("morph %s", to), sig.Epoch)
 	sp.End()
 }
+
+// MaxWorkers returns the parallelism ceiling no decision exceeds.
+func (c *Controller) MaxWorkers() int { return c.cfg.MaxWorkers }
 
 // Current returns the live strategy (the zero Strategy before any Decide).
 func (c *Controller) Current() Strategy { return c.cur }

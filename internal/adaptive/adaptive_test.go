@@ -2,7 +2,6 @@ package adaptive
 
 import (
 	"testing"
-	"time"
 
 	"morphstreamr/internal/obs"
 )
@@ -15,7 +14,7 @@ func sigPar(epoch uint64, par float64) Signals {
 	if mc < 1 {
 		mc = 1
 	}
-	return Signals{Epoch: epoch, Ops: ops, Chains: ops / mc, MaxChain: mc, Heads: ops / mc}
+	return Signals{Epoch: epoch, Ops: ops, MaxChain: mc}
 }
 
 func TestInitialPick(t *testing.T) {
@@ -131,39 +130,8 @@ func TestDeadband(t *testing.T) {
 	}
 }
 
-// TestStealFailStorm: persistent steal-fail feedback under the stealing
-// pool flips the parallel strategy to the channel scheduler, and calm
-// feedback decays the verdict back.
-func TestStealFailStorm(t *testing.T) {
-	c := New(Config{MaxWorkers: 8, Patience: 2, Cooldown: 1, StealFailStorm: 0.75})
-	s := c.Decide(sigPar(1, 500))
-	if s.Impl != ImplSteal {
-		t.Fatalf("initial impl %v", s)
-	}
-	epoch := uint64(2)
-	for i := 0; i < 8 && c.Current().Impl != ImplChanRef; i++ {
-		c.Feedback(Feedback{Epoch: epoch, Strategy: s, Wall: time.Millisecond,
-			Ops: 1024, StealFails: 4096})
-		s = c.Decide(sigPar(epoch, 500))
-		epoch++
-	}
-	if c.Current().Impl != ImplChanRef {
-		t.Fatalf("storm did not morph to chanref: %v", c.Current())
-	}
-	// chanref produces no steal-fail counters; the EWMA decays and the
-	// controller returns to stealing.
-	for i := 0; i < 12 && c.Current().Impl != ImplSteal; i++ {
-		c.Feedback(Feedback{Epoch: epoch, Strategy: c.Current(), Ops: 1024})
-		c.Decide(sigPar(epoch, 500))
-		epoch++
-	}
-	if c.Current().Impl != ImplSteal {
-		t.Fatalf("calm feedback did not recover steal: %v", c.Current())
-	}
-}
-
 func TestForceOverride(t *testing.T) {
-	forced := Strategy{Impl: ImplChanRef, Workers: 3}
+	forced := Strategy{Impl: ImplSteal, Workers: 3}
 	c := New(Config{MaxWorkers: 8, Force: &forced})
 	for i := 0; i < 10; i++ {
 		par := 500.0

@@ -176,6 +176,7 @@ func executeOnce(s Scenario) (Run, error) {
 	if err != nil {
 		return Run{}, err
 	}
+	defer sys.Close()
 	total := s.Scale.SnapshotEvery + s.Scale.PostEpochs
 	// Batches are drawn up front (the generator stream is identical either
 	// way) and submitted as one run, so pipelined scenarios can overlap

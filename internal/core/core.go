@@ -194,6 +194,11 @@ func (s *System) ProcessBatches(batches [][]types.Event) error {
 	return s.Engine.ProcessEpochs(batches)
 }
 
+// Close releases the engine's worker pool. A system that is done — it
+// finished its stream, or was recovered from — is closed by its owner;
+// Crash closes too, and Close is idempotent.
+func (s *System) Close() { s.Engine.Close() }
+
 // Crash models a power failure: all volatile state is lost; only the
 // durable device survives (and is reused by Recover).
 func (s *System) Crash() {

@@ -3,12 +3,16 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"morphstreamr/internal/adaptive"
 	"morphstreamr/internal/ft/ftapi"
+	"morphstreamr/internal/ft/wal"
 	"morphstreamr/internal/storage"
+	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
@@ -38,88 +42,76 @@ func transcript(t *testing.T, dev *storage.Mem) string {
 }
 
 // adaptiveEngine builds a WAL engine over a fresh Mem device with the given
-// adaptive settings, processes epochs, and returns it with its device.
+// controller settings, processes epochs, and returns it with its device.
 func adaptiveEngine(t *testing.T, shape types.RunShape, budget int64, force *adaptive.Strategy, epochs, epochSize int) (*Engine, *storage.Mem) {
+	t.Helper()
+	return hookedEngine(t, shape, budget, force, nil, epochs, epochSize)
+}
+
+// hookedEngine is adaptiveEngine with a FireHook installed.
+func hookedEngine(t *testing.T, shape types.RunShape, budget int64, force *adaptive.Strategy, hook func(*tpg.OpNode), epochs, epochSize int) (*Engine, *storage.Mem) {
 	t.Helper()
 	gen := slGen(42)
 	dev := storage.NewMem()
-	e := newEngine(t, ftapi.WAL, gen, dev, shape.CommitEvery, shape.SnapshotEvery)
-	e.cfg.RunShape = shape
-	// Rebuild through the public constructor so the adaptive wiring runs.
-	cfg := e.cfg
+	cfg := newEngine(t, ftapi.WAL, gen, dev, shape.CommitEvery, shape.SnapshotEvery).cfg
+	cfg.RunShape = shape
 	cfg.AdaptiveBudget = budget
 	cfg.AdaptiveForce = force
-	e2, err := New(cfg)
+	cfg.FireHook = hook
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(e2.Close)
+	t.Cleanup(e.Close)
 	for i := 0; i < epochs; i++ {
-		if err := e2.ProcessEpoch(workload.Batch(gen, epochSize)); err != nil {
+		if err := e.ProcessEpoch(workload.Batch(gen, epochSize)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return e2, dev
+	return e, dev
 }
 
 // TestAdaptiveDurableTranscriptPin: with commit morphing off (zero budget),
-// an adaptive run's durable write sequence is byte-identical to the static
-// run of the same shape — whatever strategies the controller morphed
-// through, the sealed records, group commits, and snapshots must not
-// betray it. This is the invariant that lets adaptivity coexist with
+// a controller-driven run's durable write sequence is byte-identical to the
+// same shape held on the work-stealing pool at full width every epoch
+// (AdaptiveForce{steal, Workers}) — whatever strategies the controller
+// morphed through, the sealed records, group commits, and snapshots must
+// not betray it. This is the invariant that lets adaptivity coexist with
 // crash recovery unchanged.
 func TestAdaptiveDurableTranscriptPin(t *testing.T) {
 	shape := types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}
-
-	static := shape
-	gen := slGen(42)
-	devS := storage.NewMem()
-	eS := newEngine(t, ftapi.WAL, gen, devS, static.CommitEvery, static.SnapshotEvery)
-	cfgS := eS.cfg
-	cfgS.RunShape = static
-	eS, err := New(cfgS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := eS.ProcessEpoch(workload.Batch(gen, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	adaptiveShape := shape
-	adaptiveShape.Adaptive = true
-	eA, devA := adaptiveEngine(t, adaptiveShape, 0, nil, 8, 64)
+	pool := &adaptive.Strategy{Impl: adaptive.ImplSteal, Workers: shape.Workers}
+	eS, devS := adaptiveEngine(t, shape, 0, pool, 8, 64)
+	eA, devA := adaptiveEngine(t, shape, 0, nil, 8, 64)
 
 	if got, want := transcript(t, devA), transcript(t, devS); got != want {
-		t.Fatalf("adaptive durable transcript diverges from static:\nadaptive:\n%s\nstatic:\n%s", got, want)
+		t.Fatalf("controller-driven durable transcript diverges from the pinned pool's:\ncontroller:\n%s\npinned:\n%s", got, want)
 	}
 	if !reflect.DeepEqual(eA.Delivered(), eS.Delivered()) {
-		t.Fatal("adaptive delivered outputs diverge from static")
+		t.Fatal("controller-driven delivered outputs diverge from the pinned pool's")
 	}
 	if !eA.Store().Equal(eS.Store()) {
-		t.Fatalf("adaptive final state diverges from static: %v", eA.Store().Diff(eS.Store(), 5))
+		t.Fatalf("controller-driven final state diverges from the pinned pool's: %v", eA.Store().Diff(eS.Store(), 5))
 	}
 }
 
-// TestAdaptiveDeterminism: two adaptive runs with commit morphing ON are
-// durably identical to each other. Strategy choices may differ run to run
-// (they react to wall-clock feedback), but the commit-granularity rule is
-// a pure function of buffered bytes — so the durable history cannot
-// flutter.
+// TestAdaptiveDeterminism: two runs with commit morphing ON are durably
+// identical to each other. Strategy choices may differ run to run (they
+// react to wall-clock feedback), but the commit-granularity rule is a pure
+// function of buffered bytes — so the durable history cannot flutter.
 func TestAdaptiveDeterminism(t *testing.T) {
-	shape := types.RunShape{Workers: 4, CommitEvery: 4, SnapshotEvery: 4, Adaptive: true}
+	shape := types.RunShape{Workers: 4, CommitEvery: 4, SnapshotEvery: 4}
 	_, dev1 := adaptiveEngine(t, shape, 1500, nil, 8, 64)
 	_, dev2 := adaptiveEngine(t, shape, 1500, nil, 8, 64)
 	if t1, t2 := transcript(t, dev1), transcript(t, dev2); t1 != t2 {
-		t.Fatalf("two adaptive runs diverge durably:\nrun1:\n%s\nrun2:\n%s", t1, t2)
+		t.Fatalf("two runs diverge durably:\nrun1:\n%s\nrun2:\n%s", t1, t2)
 	}
 }
 
 // TestAdaptiveCommitMorph: a tiny budget forces per-epoch commits, a huge
 // budget keeps the configured interval.
 func TestAdaptiveCommitMorph(t *testing.T) {
-	shape := types.RunShape{Workers: 2, CommitEvery: 4, SnapshotEvery: 4, Adaptive: true}
+	shape := types.RunShape{Workers: 2, CommitEvery: 4, SnapshotEvery: 4}
 
 	tight, _ := adaptiveEngine(t, shape, 1, nil, 1, 64)
 	if got := tight.CommittedEpoch(); got != 1 {
@@ -132,12 +124,10 @@ func TestAdaptiveCommitMorph(t *testing.T) {
 	}
 }
 
-// TestAdaptiveForce: the override pins the controller (and the run still
-// matches the oracle-by-proxy static transcript, since strategy never
-// affects durable bytes).
+// TestAdaptiveForce: the override pins the controller, on either executor.
 func TestAdaptiveForce(t *testing.T) {
-	shape := types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4, Adaptive: true}
-	for _, impl := range []string{adaptive.ImplSeq, adaptive.ImplChanRef, adaptive.ImplSteal} {
+	shape := types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}
+	for _, impl := range []string{adaptive.ImplSeq, adaptive.ImplSteal} {
 		force := &adaptive.Strategy{Impl: impl, Workers: 2}
 		e, _ := adaptiveEngine(t, shape, 0, force, 4, 64)
 		if got := e.Adaptive().Current(); got != *force {
@@ -146,5 +136,91 @@ func TestAdaptiveForce(t *testing.T) {
 		if n := e.Store().NumRecords(); n == 0 {
 			t.Fatalf("forced %s run left an empty store", impl)
 		}
+	}
+}
+
+// TestFireHookRunsOnPool: the sequential executor runs no hooks, so an
+// engine with a FireHook executes every epoch on the pool whatever the
+// controller decided — chaos injection and supervisor cancellation must not
+// lapse when the controller would have gone sequential — and the controller
+// is told what actually ran.
+func TestFireHookRunsOnPool(t *testing.T) {
+	shape := types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}
+	count := func(force *adaptive.Strategy, epochs int) (int64, *Engine) {
+		var fired atomic.Int64
+		e, _ := hookedEngine(t, shape, 0, force, func(*tpg.OpNode) { fired.Add(1) }, epochs, 64)
+		return fired.Load(), e
+	}
+
+	// Pinned sequential, the hook still sees every operation the pinned pool
+	// sees.
+	onPool, _ := count(&adaptive.Strategy{Impl: adaptive.ImplSteal, Workers: 4}, 4)
+	onSeq, _ := count(&adaptive.Strategy{Impl: adaptive.ImplSeq, Workers: 1}, 4)
+	if onPool < 4*64 || onSeq != onPool {
+		t.Fatalf("hook fired %d times under forced seq, %d under forced steal; want equal and >= %d", onSeq, onPool, 4*64)
+	}
+
+	// Unforced: every sequential grain probe the controller issues runs on
+	// the pool and is credited to the parallel side, so the sequential side
+	// never gets a sample — the controller keeps asking (a first-sample
+	// probe re-arms every other epoch, a sampled one only every ProbeEvery)
+	// and never morphs to seq. Crediting a hooked run to seq would show as
+	// a single probe, or as a morph on a pool measurement.
+	fired, e := count(nil, 12)
+	if fired == 0 {
+		t.Fatal("hook never fired on the controller-driven engine")
+	}
+	ctrl := e.Adaptive()
+	if ctrl.Probes() < 3 {
+		t.Fatalf("controller issued %d sequential probes in 12 hooked epochs, want >= 3 (none can have produced a sequential sample); decisions: %+v",
+			ctrl.Probes(), ctrl.Decisions())
+	}
+	if got := ctrl.Current().Impl; got != adaptive.ImplSteal {
+		t.Fatalf("hooked engine's controller settled on %q from pool-only measurements; decisions: %+v", got, ctrl.Decisions())
+	}
+}
+
+// TestCloseReleasesPoolWorkers counts goroutines across engine lifecycles
+// held on a four-worker pool: an engine that finishes cleanly and is closed
+// by its host, and one that is crashed, recovered from and continued, must
+// each give every parked worker back.
+func TestCloseReleasesPoolWorkers(t *testing.T) {
+	shape := types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}
+	pool := &adaptive.Strategy{Impl: adaptive.ImplSteal, Workers: 4}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		gen := slGen(int64(i))
+		dev := storage.NewMem()
+		cfg := newEngine(t, ftapi.WAL, gen, dev, shape.CommitEvery, shape.SnapshotEvery).cfg
+		cfg.RunShape, cfg.AdaptiveForce = shape, pool
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ep := 0; ep < 3; ep++ {
+			if err := e.ProcessEpoch(workload.Batch(gen, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := runtime.NumGoroutine(); got < base+4 {
+			t.Fatalf("lifecycle %d: %d goroutines with a live four-worker pool, baseline %d", i, got, base)
+		}
+		if i%2 == 0 {
+			e.Close()
+			continue
+		}
+		e.Crash()
+		cfg.Mechanism = wal.New(dev, cfg.Bytes)
+		e2, _, err := Recover(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e2.ProcessEpoch(workload.Batch(gen, 64)); err != nil {
+			t.Fatal(err)
+		}
+		e2.Close()
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after 8 closed lifecycles, baseline %d: pool workers leaked", got, base)
 	}
 }

@@ -79,16 +79,16 @@ type Config struct {
 	// Requires a mechanism implementing ftapi.AsyncCommitter; others fall
 	// back to synchronous commits.
 	AsyncCommit bool
-	// AdaptiveBudget, when positive and the RunShape's Adaptive knob is on,
-	// enables commit-granularity morphing: the adaptive controller targets
-	// group commits of about this many buffered log bytes, choosing a
-	// divisor of SnapshotEvery as the effective interval each epoch. Zero
-	// keeps the configured CommitEvery — the durable write sequence is then
-	// byte-identical to a non-adaptive run, which the crash-consistency
-	// suite pins.
+	// AdaptiveBudget, when positive, enables commit-granularity morphing:
+	// the adaptive controller targets group commits of about this many
+	// buffered log bytes, choosing a divisor of SnapshotEvery as the
+	// effective interval each epoch. Zero keeps the configured CommitEvery —
+	// the durable write sequence is then a function of the run shape alone,
+	// which the crash-consistency suite pins.
 	AdaptiveBudget int64
 	// AdaptiveForce pins the adaptive controller to one strategy (tests and
-	// A/B measurement). Nil lets the controller decide.
+	// A/B measurement): {steal, Workers} holds the engine on the pool at its
+	// full width every epoch. Nil lets the controller decide.
 	AdaptiveForce *adaptive.Strategy
 	// Bytes receives artifact-size accounting; nil allocates a fresh one.
 	Bytes *metrics.Bytes
@@ -207,14 +207,13 @@ type Engine struct {
 	commDepth *obs.Gauge
 	buffered  interface{ Buffered() int }
 
-	// Adaptive execution (nil unless Config.Adaptive): ctrl observes each
-	// epoch's structure and feedback and picks the execution strategy; pool
-	// is the persistent worker fleet it resizes (created on first use);
-	// rangesBy caches chain partitions per live worker count. commSize
-	// reads the mechanism's buffered group size for commit-granularity
-	// morphing (nil when disabled or unsupported by the mechanism).
-	ctrl     *adaptive.Controller
-	pool     *scheduler.Pool
+	// exec runs every epoch's graph: its controller observes the epoch's
+	// structure and the previous epoch's wall time and picks sequential or
+	// pool execution and the worker count; rangesBy caches the chain
+	// partitions per live worker count it asks for. commSize reads the
+	// mechanism's buffered group size for commit-granularity morphing (nil
+	// when disabled or unsupported by the mechanism).
+	exec     *scheduler.Executor
 	rangesBy map[int]*partition.Ranges
 	commSize interface {
 		Buffered() int
@@ -240,27 +239,19 @@ func New(cfg Config) (*Engine, error) {
 		builder:     tpg.NewBuilder(),
 	}
 	e.ranges = partition.NewRanges(cfg.App.Tables(), cfg.Workers)
+	e.rangesBy = map[int]*partition.Ranges{cfg.Workers: e.ranges}
 	if cfg.SnapshotBase > 1 {
 		// Incremental checkpoints: track written partitions per snapshot
 		// interval. Enabled before any processing (and before recovery
 		// replay), so the dirty map covers every post-marker write.
 		e.st.EnableDirtyTracking()
 	}
-	if cfg.Adaptive {
-		e.ctrl = adaptive.New(adaptive.Config{
-			MaxWorkers:  cfg.Workers,
-			GroupBudget: cfg.AdaptiveBudget,
-			Force:       cfg.AdaptiveForce,
-			Obs:         cfg.Obs,
-		})
-		e.rangesBy = map[int]*partition.Ranges{cfg.Workers: e.ranges}
-		if cfg.AdaptiveBudget > 0 {
-			if cs, ok := cfg.Mechanism.(interface {
-				Buffered() int
-				BufferedBytes() int64
-			}); ok {
-				e.commSize = cs
-			}
+	if cfg.AdaptiveBudget > 0 {
+		if cs, ok := cfg.Mechanism.(interface {
+			Buffered() int
+			BufferedBytes() int64
+		}); ok {
+			e.commSize = cs
 		}
 	}
 	if reg := cfg.Obs.Registry(); reg != nil {
@@ -273,6 +264,17 @@ func New(cfg Config) (*Engine, error) {
 			e.buffered = b
 			e.commDepth = reg.Gauge("committer.depth")
 		}
+	}
+	e.exec = &scheduler.Executor{
+		Ctrl: adaptive.New(adaptive.Config{
+			MaxWorkers:  cfg.Workers,
+			GroupBudget: cfg.AdaptiveBudget,
+			Force:       cfg.AdaptiveForce,
+			Obs:         cfg.Obs,
+		}),
+		AssignFor: e.assignFor,
+		FireHook:  cfg.FireHook,
+		Stats:     e.sched,
 	}
 	return e, nil
 }
@@ -545,20 +547,17 @@ func (e *Engine) finishEpoch(ep uint64, events []types.Event, g *tpg.Graph, proc
 		}
 	}
 
-	// Transaction processing phase: real parallel exploration of the graph.
+	// Transaction processing phase: the controller-chosen executor explores
+	// the graph. SealEpoch orders records by chain owner, so the chains are
+	// re-labelled to the canonical Config.Workers-way partition afterwards,
+	// whatever the strategy assigned: the durable record order never depends
+	// on how an epoch happened to be executed.
 	sp := e.cfg.Obs.Begin(0, obs.CatEpoch, "execute", ep)
-	var err error
-	if e.ctrl != nil {
-		err = e.executeAdaptive(ep, g)
-	} else {
-		_, err = scheduler.Run(g, e.st, scheduler.Options{
-			Workers:  e.cfg.Workers,
-			Assign:   func(c *tpg.Chain) int { return e.ranges.Of(c.Key) },
-			FireHook: e.cfg.FireHook,
-			Stats:    e.sched,
-		})
-	}
+	err := e.exec.Execute(ep, g, e.st)
 	sp.End()
+	for _, ch := range g.ChainList {
+		ch.Owner = e.ranges.Of(ch.Key)
+	}
 	if err != nil {
 		return fmt.Errorf("engine: epoch %d: %w", ep, err)
 	}
@@ -584,93 +583,6 @@ func (e *Engine) finishEpoch(ep uint64, events []types.Event, g *tpg.Graph, proc
 	return e.sealAndMark(ep, events, g)
 }
 
-// executeAdaptive runs one epoch under the adaptive controller: the graph's
-// structural signals pick the strategy (scheduler implementation and worker
-// count), execution feedback trains the controller for later epochs, and —
-// critically — the chain owners are re-labelled to the canonical
-// Config.Workers-way partition before the mechanism seals the epoch, so the
-// durable record order never depends on what strategy happened to execute
-// the epoch. Durable artifacts of an adaptive run are byte-identical to a
-// static run's (commit-granularity morphing, off by default, is the one
-// documented exception).
-func (e *Engine) executeAdaptive(ep uint64, g *tpg.Graph) error {
-	maxChain, heads := 0, 0
-	for _, ch := range g.ChainList {
-		if len(ch.Ops) > maxChain {
-			maxChain = len(ch.Ops)
-		}
-		for _, n := range ch.Ops {
-			if n.Pending() == 0 {
-				heads++
-			}
-		}
-	}
-	strat := e.ctrl.Decide(adaptive.Signals{
-		Epoch:    ep,
-		Ops:      g.NumOps,
-		Chains:   len(g.ChainList),
-		MaxChain: maxChain,
-		Heads:    heads,
-	})
-	impl := strat.Impl
-	if e.cfg.FireHook != nil && impl != adaptive.ImplSteal {
-		// The sequential and chanref paths do not run fire hooks; chaos
-		// injection and supervisor cancellation must not silently lapse, so
-		// hooked engines always execute on the (hook-aware) pool.
-		impl = adaptive.ImplSteal
-	}
-
-	var eps obs.SchedStats
-	t0 := time.Now()
-	var err error
-	switch impl {
-	case adaptive.ImplSeq:
-		_, err = scheduler.RunSequential(g, e.st, false)
-	case adaptive.ImplChanRef:
-		_, err = scheduler.RunChanRef(g, e.st, scheduler.Options{
-			Workers: strat.Workers,
-			Assign:  e.assignFor(strat.Workers),
-			Stats:   &eps,
-		})
-	default:
-		if e.pool == nil {
-			e.pool = scheduler.NewPool(e.cfg.Workers, e.sched)
-		}
-		_, err = e.pool.Run(g, e.st, scheduler.Options{
-			Workers:  strat.Workers,
-			Assign:   e.assignFor(strat.Workers),
-			FireHook: e.cfg.FireHook,
-			Stats:    &eps,
-		})
-	}
-	wall := time.Since(t0)
-
-	// Canonical re-labelling: SealEpoch orders records by chain owner, so
-	// restore the configured partition whatever the strategy assigned.
-	for _, ch := range g.ChainList {
-		ch.Owner = e.ranges.Of(ch.Key)
-	}
-	if err != nil {
-		return err
-	}
-	e.mergeSched(&eps)
-	// Feedback carries the impl that actually executed (a hook-forced pool
-	// run must not be credited to the sequential side's grain EWMA).
-	ran := strat
-	ran.Impl = impl
-	e.ctrl.Feedback(adaptive.Feedback{
-		Epoch:      ep,
-		Strategy:   ran,
-		Wall:       wall,
-		Ops:        g.NumOps,
-		Steals:     eps.Steals.Load(),
-		StealFails: eps.StealFails.Load(),
-		Parks:      eps.Parks.Load(),
-		Stalls:     eps.Stalls.Load(),
-	})
-	return nil
-}
-
 // assignFor returns the chain partitioner for a live worker count, caching
 // the range tables the controller's worker morphs alternate between.
 func (e *Engine) assignFor(w int) func(*tpg.Chain) int {
@@ -682,34 +594,15 @@ func (e *Engine) assignFor(w int) func(*tpg.Chain) int {
 	return func(c *tpg.Chain) int { return r.Of(c.Key) }
 }
 
-// mergeSched folds one adaptive epoch's scheduler counters into the
-// registry-attached block (the adaptive path needs per-epoch counters for
-// controller feedback, so it cannot hand e.sched to the scheduler
-// directly).
-func (e *Engine) mergeSched(eps *obs.SchedStats) {
-	if e.sched == nil {
-		return
-	}
-	e.sched.Steals.Add(eps.Steals.Load())
-	e.sched.StealFails.Add(eps.StealFails.Load())
-	e.sched.Parks.Add(eps.Parks.Load())
-	e.sched.Wakes.Add(eps.Wakes.Load())
-	e.sched.Stalls.Add(eps.Stalls.Load())
-	e.sched.Panics.Add(eps.Panics.Load())
-}
+// Adaptive exposes the engine's adaptive controller; tests and benchmarks
+// read its decision trace.
+func (e *Engine) Adaptive() *adaptive.Controller { return e.exec.Ctrl }
 
-// Adaptive exposes the engine's adaptive controller (nil unless the
-// Adaptive knob is on); tests and benchmarks read its decision trace.
-func (e *Engine) Adaptive() *adaptive.Controller { return e.ctrl }
-
-// Close releases the engine's background resources — today the adaptive
-// worker pool. It is safe on any engine and idempotent; a crashed or
-// recovered-from engine is closed automatically.
-func (e *Engine) Close() {
-	if e.pool != nil {
-		e.pool.Close()
-	}
-}
+// Close releases the engine's background resources — the executor's worker
+// pool. It is idempotent; an engine that fails or is crashed closes itself,
+// one that finishes cleanly is closed by its host. It waits for an epoch in
+// flight, so a host must not call it synchronously on a wedged engine.
+func (e *Engine) Close() { e.exec.Close() }
 
 // markCrashed transitions the engine to the crashed state and releases its
 // background resources (a crashed engine never executes again).
@@ -743,16 +636,16 @@ func (e *Engine) sealAndMark(ep uint64, events []types.Event, g *tpg.Graph) erro
 	// the outputs release when it completes (checked at the next marker or
 	// drained at snapshots); without it, both happen here.
 	//
-	// Commit-granularity morphing (adaptive, budgeted): the interval is a
+	// Commit-granularity morphing (budgeted): the interval is a
 	// stateless function of the buffered group's byte size, so a recovered
 	// engine reprocessing the tail recomputes the exact pre-crash commit
 	// cadence. Every candidate divides SnapshotEvery, so a snapshot epoch
 	// always commits first.
 	interval := uint64(e.commitEvery)
-	if e.ctrl != nil && e.commSize != nil {
+	if e.commSize != nil {
 		if n := e.commSize.Buffered(); n > 0 {
 			perEpoch := e.commSize.BufferedBytes() / int64(n)
-			interval = uint64(e.ctrl.CommitInterval(perEpoch, e.commitEvery, e.cfg.SnapshotEvery))
+			interval = uint64(e.exec.Ctrl.CommitInterval(perEpoch, e.commitEvery, e.cfg.SnapshotEvery))
 		}
 	}
 	if ep%interval == 0 {

@@ -3,25 +3,29 @@ package crashtest
 import (
 	"testing"
 
+	"morphstreamr/internal/adaptive"
 	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
 
-// TestSweepAdaptive: the exhaustive crash-point sweep with the adaptive
-// controller enabled. Adaptivity morphs the execution strategy per epoch
-// but must never change the durable write sequence (commit morphing stays
-// off — zero budget — exactly as the engine defaults it), so every
-// mechanism recovers to oracle-equivalent state from every write site just
-// as in the static sweeps. The recovered engine also runs adaptively
-// (recoverShape preserves the knob), proving a post-recovery incarnation
-// keeps morphing.
+// stealAt pins an engine on the work-stealing pool at w workers.
+func stealAt(w int) *adaptive.Strategy {
+	return &adaptive.Strategy{Impl: adaptive.ImplSteal, Workers: w}
+}
+
+// TestSweepAdaptive: the exhaustive crash-point sweep held on the
+// work-stealing pool. Every other sweep in this package leaves the strategy
+// to the engine's controller, which on a small host settles on sequential
+// execution within a few epochs; this one pins {steal, Workers} on the
+// crashed and the recovered engine alike, for every mechanism and fault
+// flavour, so the race detector still crosses the parallel scheduler under
+// crash injection — and a post-recovery incarnation is shown to run on it.
 func TestSweepAdaptive(t *testing.T) {
 	shape := DefaultSweepShape()
-	shape.Workers = 4 // give the controller a ladder to morph across
-	shape.Adaptive = true
-	for _, kind := range logBased {
+	shape.Workers = 4
+	for _, kind := range recoverable {
 		for _, mode := range modes {
 			kind, mode := kind, mode
 			t.Run(kind.String()+"/"+mode.String(), func(t *testing.T) {
@@ -30,6 +34,7 @@ func TestSweepAdaptive(t *testing.T) {
 					Kind:     kind,
 					NewGen:   func() workload.Generator { return fttest.SLGen(43) },
 					RunShape: shape,
+					Force:    stealAt(shape.Workers),
 					Mode:     mode,
 					Continue: true,
 				})
@@ -38,37 +43,35 @@ func TestSweepAdaptive(t *testing.T) {
 	}
 }
 
-// TestAdaptiveSweepMatchesStatic: the site enumeration of an adaptive run
-// is identical to the static run's — same writes, same order, same
-// targets. A durable-write count or reorder introduced by a morph would
-// shift every later crash point and show up here before any recovery even
-// runs.
+// TestAdaptiveSweepMatchesStatic: the site enumeration of a controller-
+// driven run is identical to that of the same shape pinned on the pool at
+// full width — same writes, same order, same targets. A durable-write count
+// or reorder introduced by a morph would shift every later crash point and
+// show up here before any recovery even runs.
 func TestAdaptiveSweepMatchesStatic(t *testing.T) {
-	base := Config{
-		Kind:   logBased[0],
-		NewGen: func() workload.Generator { return fttest.SLGen(44) },
-		Mode:   storage.FailStop,
+	driven := Config{
+		Kind:     logBased[0],
+		NewGen:   func() workload.Generator { return fttest.SLGen(44) },
+		Mode:     storage.FailStop,
+		RunShape: types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4},
 	}
-	static := base
-	static.RunShape = types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}
-	adaptiveCfg := base
-	adaptiveCfg.RunShape = static.RunShape
-	adaptiveCfg.Adaptive = true
+	pinned := driven
+	pinned.Force = stealAt(4)
 
-	sitesS, err := Enumerate(static)
+	sitesP, err := Enumerate(pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sitesA, err := Enumerate(adaptiveCfg)
+	sitesD, err := Enumerate(driven)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sitesS) != len(sitesA) {
-		t.Fatalf("adaptive run enumerates %d write sites, static %d", len(sitesA), len(sitesS))
+	if len(sitesP) != len(sitesD) {
+		t.Fatalf("controller-driven run enumerates %d write sites, pinned %d", len(sitesD), len(sitesP))
 	}
-	for i := range sitesS {
-		if sitesS[i] != sitesA[i] {
-			t.Fatalf("write site %d diverges: static %v, adaptive %v", i, sitesS[i], sitesA[i])
+	for i := range sitesP {
+		if sitesP[i] != sitesD[i] {
+			t.Fatalf("write site %d diverges: pinned %v, controller-driven %v", i, sitesP[i], sitesD[i])
 		}
 	}
 }

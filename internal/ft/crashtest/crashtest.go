@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sort"
 
+	"morphstreamr/internal/adaptive"
 	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
@@ -77,6 +78,13 @@ type Config struct {
 	// values force records across segment seals so torn writes land inside
 	// and astride sealed segments. Zero keeps the SegStore default.
 	SegmentBytes int
+	// Force pins every engine of the sweep — crashed and recovered — to one
+	// execution strategy (engine.Config.AdaptiveForce). Nil leaves the
+	// choice to each engine's controller, which on a small host settles on
+	// sequential execution; {steal, Workers} keeps a sweep on the
+	// work-stealing pool so the race detector crosses it under crash
+	// injection.
+	Force *adaptive.Strategy
 }
 
 // DefaultSweepShape is the run shape the sweep uses when the caller left
@@ -99,7 +107,6 @@ func (c *Config) normalize() error {
 		shape := DefaultSweepShape()
 		shape.AutoCommit = c.AutoCommit
 		shape.Pipeline = c.Pipeline
-		shape.Adaptive = c.Adaptive
 		c.RunShape = shape
 	}
 	if err := c.RunShape.Normalize(); err != nil {
@@ -260,11 +267,12 @@ func (r *oracleRef) checkOutputs(last uint64, delivered []types.Output, pending 
 func newEngine(cfg *Config, dev storage.Device, gen workload.Generator) (*engine.Engine, error) {
 	bytes := metrics.NewBytes()
 	return engine.New(engine.Config{
-		RunShape:  cfg.RunShape,
-		App:       gen.App(),
-		Device:    dev,
-		Mechanism: core.NewMechanism(cfg.Kind, dev, bytes, msr.Default()),
-		Bytes:     bytes,
+		RunShape:      cfg.RunShape,
+		App:           gen.App(),
+		Device:        dev,
+		Mechanism:     core.NewMechanism(cfg.Kind, dev, bytes, msr.Default()),
+		Bytes:         bytes,
+		AdaptiveForce: cfg.Force,
 	})
 }
 
@@ -305,6 +313,7 @@ func enumerate(cfg *Config, ref *oracleRef) ([]storage.WriteSite, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.Close()
 	if err := processAll(e, ref.batches); err != nil {
 		return nil, fmt.Errorf("crashtest: fault-free run failed: %w", err)
 	}
@@ -373,15 +382,17 @@ func runOne(cfg *Config, ref *oracleRef, k int) error {
 	// controller, same platters" restart.
 	bytes := metrics.NewBytes()
 	e2, report, err := engine.Recover(engine.Config{
-		RunShape:  recoverShape(cfg),
-		App:       gen.App(),
-		Device:    inner,
-		Mechanism: core.NewMechanism(cfg.Kind, inner, bytes, msr.Default()),
-		Bytes:     bytes,
+		RunShape:      recoverShape(cfg),
+		App:           gen.App(),
+		Device:        inner,
+		Mechanism:     core.NewMechanism(cfg.Kind, inner, bytes, msr.Default()),
+		Bytes:         bytes,
+		AdaptiveForce: cfg.Force,
 	})
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
+	defer e2.Close()
 	last := report.LastEpoch
 	if last > uint64(cfg.Epochs) {
 		return fmt.Errorf("recovered through epoch %d, beyond the %d run", last, cfg.Epochs)

@@ -12,7 +12,7 @@ import (
 // index-truncation formulas it replaces (`s[int(q*n)]`, `s[n*99/100]`),
 // it is unbiased at small n — the p99 of 100 samples is no longer simply
 // the maximum — and every caller in the repo (obs histograms, the serve
-// chaos harness, cmd/journeybench) shares this one definition.
+// chaos harness, `cmd/bench journey`) shares this one definition.
 //
 // An empty slice reads as 0.
 func Percentile(sorted []float64, q float64) float64 {
@@ -55,7 +55,7 @@ func PercentileNearest(sorted []float64, q float64) float64 {
 
 // DurPercentile sorts a copy of durs and returns the interpolated
 // q-quantile as a duration. It is the duration-typed convenience wrapper
-// the serve chaos harness and journeybench use on ack-lag samples.
+// the serve chaos harness and `cmd/bench journey` use on ack-lag samples.
 func DurPercentile(durs []time.Duration, q float64) time.Duration {
 	if len(durs) == 0 {
 		return 0

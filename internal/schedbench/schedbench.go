@@ -1,7 +1,7 @@
 // Package schedbench is the shared harness behind the scheduler
-// microbenchmarks: the Go benchmarks in internal/scheduler and the
-// cmd/schedbench binary (which writes BENCH_scheduler.json) both drive it,
-// so the committed numbers and `go test -bench` measure the same thing.
+// microbenchmarks: the Go benchmarks in internal/scheduler and `cmd/bench
+// sched` (which writes BENCH_scheduler.json) both drive it, so the
+// committed numbers and `go test -bench` measure the same thing.
 //
 // A benchmark case executes one prepared epoch graph repeatedly: the graph
 // is built once, and each run calls ResetExec to restore every dependency
@@ -9,13 +9,10 @@
 // measurement isolates scheduling cost (acquisition, stealing, resolution,
 // termination) from graph construction. The store evolves across runs and
 // captured dependency base values go stale; that is deliberate and fair,
-// since execution cost per operation does not depend on the values and
-// both implementations see the identical sequence of store states.
+// since execution cost per operation does not depend on the values.
 package schedbench
 
 import (
-	"fmt"
-
 	"morphstreamr/internal/obs"
 	"morphstreamr/internal/scheduler"
 	"morphstreamr/internal/store"
@@ -26,18 +23,6 @@ import (
 
 // EpochEvents is the batch size of every benchmark epoch.
 const EpochEvents = 2048
-
-// Implementations.
-const (
-	// ImplSteal is the work-stealing scheduler (scheduler.Run).
-	ImplSteal = "steal"
-	// ImplChanRef is the seed channel-based scheduler, preserved verbatim
-	// as the before side of the comparison (scheduler.RunChanRef).
-	ImplChanRef = "chanref"
-)
-
-// Impls lists both sides of the comparison.
-func Impls() []string { return []string{ImplChanRef, ImplSteal} }
 
 // Workers are the parallelism levels the trajectory sweeps.
 func Workers() []int { return []int{1, 2, 4, 8} }
@@ -90,10 +75,10 @@ func Prepare(w Workload) *Epoch {
 	return &Epoch{G: tpg.Build(txns, st.Get), St: st}
 }
 
-// Run resets the epoch's execution state and runs it once under the given
-// implementation.
-func Run(impl string, ep *Epoch, workers int) error {
-	return RunObserved(impl, ep, workers, nil, nil)
+// Run resets the epoch's execution state and runs it once on the
+// work-stealing scheduler.
+func Run(ep *Epoch, workers int) error {
+	return RunObserved(ep, workers, nil, nil)
 }
 
 // RunObserved is Run with the observability layer wired in: scheduler
@@ -101,19 +86,10 @@ func Run(impl string, ep *Epoch, workers int) error {
 // run is emitted through o. Both are nil-safe — nil o and stats reproduce
 // Run exactly, which is what the hot-path overhead budget is measured
 // against.
-func RunObserved(impl string, ep *Epoch, workers int, o *obs.Observer, stats *obs.SchedStats) error {
+func RunObserved(ep *Epoch, workers int, o *obs.Observer, stats *obs.SchedStats) error {
 	ep.G.ResetExec()
 	sp := o.Begin(0, obs.CatEpoch, "execute", 0)
 	defer sp.End()
-	opt := scheduler.Options{Workers: workers, Stats: stats}
-	switch impl {
-	case ImplSteal:
-		_, err := scheduler.Run(ep.G, ep.St, opt)
-		return err
-	case ImplChanRef:
-		_, err := scheduler.RunChanRef(ep.G, ep.St, opt)
-		return err
-	default:
-		return fmt.Errorf("schedbench: unknown implementation %q", impl)
-	}
+	_, err := scheduler.Run(ep.G, ep.St, scheduler.Options{Workers: workers, Stats: stats})
+	return err
 }

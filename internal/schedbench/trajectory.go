@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"morphstreamr/internal/adaptive"
-	"morphstreamr/internal/obs"
 	"morphstreamr/internal/scheduler"
 	"morphstreamr/internal/store"
 	"morphstreamr/internal/tpg"
@@ -15,8 +14,8 @@ import (
 // A Trajectory is the adaptive benchmark's unit of measurement: a fresh
 // multi-epoch run whose graphs evolve with the stream, unlike the static
 // grid's single ResetExec'd epoch. The controller's value shows up only
-// across epochs — it needs history to morph — so adaptive and static
-// strategies are compared on whole trajectories.
+// across epochs — it needs history to morph — so the controller and the
+// pinned strategies are compared on whole trajectories.
 type Trajectory struct {
 	Name   string
 	NewGen func() workload.Generator
@@ -54,7 +53,7 @@ type TrajectoryResult struct {
 	Wall time.Duration
 	// Ops is the total operation count across epochs.
 	Ops int
-	// Morphs counts controller strategy changes (adaptive runs only).
+	// Morphs counts controller decisions (zero on a pinned run).
 	Morphs int
 }
 
@@ -87,65 +86,21 @@ func runTrajectory(tr Trajectory, exec func(g *tpg.Graph, st *store.Store) error
 	return res, nil
 }
 
-// RunTrajectoryStatic executes a trajectory the way a non-adaptive engine
-// would: the work-stealing scheduler at one fixed worker count.
-func RunTrajectoryStatic(tr Trajectory, workers int) (TrajectoryResult, error) {
-	return runTrajectory(tr, func(g *tpg.Graph, st *store.Store) error {
-		_, err := scheduler.Run(g, st, scheduler.Options{Workers: workers})
-		return err
-	})
-}
-
-// RunTrajectoryAdaptive executes a trajectory under the adaptive
-// controller, mirroring the engine's adaptive path: per-epoch structural
-// signals pick the strategy, the persistent pool executes steal runs, and
-// wall/steal feedback trains the controller.
-func RunTrajectoryAdaptive(tr Trajectory, maxWorkers int) (TrajectoryResult, error) {
-	ctrl := adaptive.New(adaptive.Config{MaxWorkers: maxWorkers})
-	pool := scheduler.NewPool(maxWorkers, nil)
-	defer pool.Close()
+// RunTrajectory executes a trajectory the way an engine does: through a
+// scheduler.Executor whose controller sees each epoch's structure and the
+// previous epoch's wall time. A nil force lets the controller decide; a
+// non-nil one pins every epoch to that strategy — steal/wN is the static
+// side of the comparison, the pool at one fixed worker count.
+func RunTrajectory(tr Trajectory, maxWorkers int, force *adaptive.Strategy) (TrajectoryResult, error) {
+	x := &scheduler.Executor{Ctrl: adaptive.New(adaptive.Config{MaxWorkers: maxWorkers, Force: force})}
+	defer x.Close()
 	epoch := uint64(0)
 	res, err := runTrajectory(tr, func(g *tpg.Graph, st *store.Store) error {
 		epoch++
-		maxChain := 0
-		for _, ch := range g.ChainList {
-			if len(ch.Ops) > maxChain {
-				maxChain = len(ch.Ops)
-			}
-		}
-		strat := ctrl.Decide(adaptive.Signals{
-			Epoch:    epoch,
-			Ops:      g.NumOps,
-			Chains:   len(g.ChainList),
-			MaxChain: maxChain,
-			Heads:    len(g.Heads()),
-		})
-		var eps obs.SchedStats
-		t0 := time.Now()
-		var err error
-		switch strat.Impl {
-		case adaptive.ImplSeq:
-			_, err = scheduler.RunSequential(g, st, false)
-		case adaptive.ImplChanRef:
-			_, err = scheduler.RunChanRef(g, st, scheduler.Options{Workers: strat.Workers, Stats: &eps})
-		default:
-			_, err = pool.Run(g, st, scheduler.Options{Workers: strat.Workers, Stats: &eps})
-		}
-		if err != nil {
-			return err
-		}
-		ctrl.Feedback(adaptive.Feedback{
-			Epoch:      epoch,
-			Strategy:   strat,
-			Wall:       time.Since(t0),
-			Ops:        g.NumOps,
-			Steals:     eps.Steals.Load(),
-			StealFails: eps.StealFails.Load(),
-			Parks:      eps.Parks.Load(),
-			Stalls:     eps.Stalls.Load(),
-		})
-		return nil
+		return x.Execute(epoch, g, st)
 	})
-	res.Morphs = ctrl.Morphs()
+	if force == nil {
+		res.Morphs = x.Ctrl.Morphs()
+	}
 	return res, err
 }

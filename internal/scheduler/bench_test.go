@@ -7,27 +7,24 @@ import (
 	"morphstreamr/internal/schedbench"
 )
 
-// BenchmarkScheduler sweeps the work-stealing scheduler and the preserved
-// channel-based reference across workloads × implementations × worker
-// counts. cmd/schedbench runs the same grid and writes the committed
-// BENCH_scheduler.json; regenerate with `go run ./cmd/schedbench`.
+// BenchmarkScheduler sweeps the work-stealing scheduler across workloads ×
+// worker counts. `go run ./cmd/bench sched` runs the same grid and writes
+// the committed BENCH_scheduler.json.
 func BenchmarkScheduler(b *testing.B) {
 	for _, wl := range schedbench.Workloads() {
-		for _, impl := range schedbench.Impls() {
-			for _, workers := range schedbench.Workers() {
-				b.Run(fmt.Sprintf("%s/%s/w%d", wl.Name, impl, workers), func(b *testing.B) {
-					ep := schedbench.Prepare(wl)
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := schedbench.Run(impl, ep, workers); err != nil {
-							b.Fatal(err)
-						}
+		for _, workers := range schedbench.Workers() {
+			b.Run(fmt.Sprintf("%s/w%d", wl.Name, workers), func(b *testing.B) {
+				ep := schedbench.Prepare(wl)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := schedbench.Run(ep, workers); err != nil {
+						b.Fatal(err)
 					}
-					b.ReportMetric(
-						float64(ep.G.NumOps)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-				})
-			}
+				}
+				b.ReportMetric(
+					float64(ep.G.NumOps)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+			})
 		}
 	}
 }

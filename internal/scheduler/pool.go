@@ -16,12 +16,11 @@ import (
 // ErrPoolClosed is returned by Pool.Run after Close.
 var ErrPoolClosed = errors.New("scheduler: pool closed")
 
-// Pool is a persistent worker pool for epoch-at-a-time graph execution.
-// Where Run spawns fresh goroutines and deques per call, a Pool keeps both
-// alive across epochs: workers block on their task channel between runs and
-// the Chase-Lev rings (including any growth) are reused, which removes the
-// per-epoch spawn/allocate cost the adaptive engine would otherwise pay on
-// every small epoch.
+// Pool is the worker pool every parallel run executes on, and the one place
+// worker goroutines are started. Workers block on their task channel between
+// runs and the Chase-Lev rings (including any growth) are reused, so an
+// engine that keeps its Pool pays no per-epoch spawn or allocation; the
+// package-level Run wraps a Pool that lives for one call.
 //
 // The pool is also the resize point of the adaptive controller: Resize
 // changes the live worker count between epochs. Run and Resize serialise on
@@ -30,9 +29,9 @@ var ErrPoolClosed = errors.New("scheduler: pool closed")
 // pool: no worker is inside a run, no deque holds work, and the park/wake
 // machinery of the retiring run has fully terminated. Shrinking closes the
 // surplus workers' channels (their goroutines exit); growing spawns fresh
-// ones. Worker goroutines survive operation panics: the panic is recorded
-// against the failing run exactly like Run's isolation, and the worker
-// parks for the next epoch.
+// ones. An operation panic is confined to the failing run: the worker
+// records it, terminates the run, and parks for the next epoch, and Run
+// returns ErrOpPanic instead of crashing the process.
 type Pool struct {
 	mu     sync.Mutex
 	max    int
@@ -44,6 +43,9 @@ type Pool struct {
 	// residue), so reuse needs no reinitialisation.
 	deques []wsDeque
 	tasks  []chan poolTask
+	// workers counts live worker goroutines, so Close can return only once
+	// every one of them has exited.
+	workers sync.WaitGroup
 
 	// stats receives the Resizes counter (per-run counters come from each
 	// run's Options).
@@ -113,13 +115,15 @@ func (p *Pool) resizeLocked(n int) {
 	for len(p.tasks) < n {
 		ch := make(chan poolTask, 1)
 		p.tasks = append(p.tasks, ch)
-		go poolWorker(ch)
+		p.workers.Add(1)
+		go p.worker(ch)
 	}
 	p.size = n
 }
 
-// Close terminates every worker goroutine. Idempotent; Run afterwards
-// returns ErrPoolClosed.
+// Close terminates every worker goroutine and returns once they have
+// exited. It waits for a run in flight (the run mutex). Idempotent; Run
+// afterwards returns ErrPoolClosed.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -128,12 +132,14 @@ func (p *Pool) Close() {
 	}
 	p.resizeLocked(0)
 	p.closed = true
+	p.workers.Wait()
 }
 
-// poolWorker is one persistent worker goroutine: it executes its share of
-// each dispatched run, isolating operation panics so the goroutine itself
-// survives for the next epoch.
-func poolWorker(tasks <-chan poolTask) {
+// worker is one persistent worker goroutine: it executes its share of each
+// dispatched run, isolating operation panics so the goroutine itself
+// survives for the next epoch, and exits when its channel is closed.
+func (p *Pool) worker(tasks <-chan poolTask) {
+	defer p.workers.Done()
 	for t := range tasks {
 		runTask(t)
 	}
@@ -151,10 +157,10 @@ func runTask(t poolTask) {
 	t.run.worker(t.w, t.clock)
 }
 
-// Run executes the graph on the pool, resizing to opt.Workers first (the
-// adaptive engine's per-epoch worker morph — the resize is free when the
-// count is unchanged). Semantics match Run: same options, same clocks,
-// same error contract.
+// Run executes every node of the graph on the pool, resizing to opt.Workers
+// first (the adaptive controller's per-epoch worker morph — free when the
+// count is unchanged), and returns the per-worker clocks (all zero unless
+// Timing is set).
 func (p *Pool) Run(g *tpg.Graph, st *store.Store, opt Options) ([]metrics.WorkerClock, error) {
 	workers := types.NormalizeWorkers(opt.Workers)
 	if workers > p.max {

@@ -16,13 +16,16 @@
 // The sequential executor runs the graph on one thread in timestamp order;
 // it is the redo engine of WAL recovery and the one-core base case of the
 // scalability study.
+//
+// An engine chooses between the two through an Executor: the adaptive
+// controller picks sequential or pool execution, and the pool's worker
+// count, for every epoch.
 package scheduler
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +37,10 @@ import (
 	"morphstreamr/internal/types"
 )
 
-// ErrOpPanic is wrapped by Run's error when an operation panicked. The
-// panic is confined to the failing epoch: the worker pool shuts down
-// cleanly, Run returns instead of crashing the process, and the caller
-// (the supervisor) treats the epoch as failed and recovers.
+// ErrOpPanic is wrapped by a parallel run's error when an operation
+// panicked. The panic is confined to the failing epoch: the run terminates
+// cleanly, Run returns instead of crashing the process, and the caller (the
+// supervisor) treats the epoch as failed and recovers.
 var ErrOpPanic = errors.New("scheduler: operation panicked")
 
 // Options configures a parallel run.
@@ -66,61 +69,14 @@ type Options struct {
 	Stats *obs.SchedStats
 }
 
-// Run executes every node of the graph with the configured worker pool and
-// returns the per-worker clocks (all zero unless Timing is set).
+// Run executes every node of the graph on a transient Pool of opt.Workers
+// workers and returns the per-worker clocks (all zero unless Timing is set).
+// Callers that execute epoch after epoch keep a Pool (or an Executor)
+// instead and skip the per-call spawn.
 func Run(g *tpg.Graph, st *store.Store, opt Options) ([]metrics.WorkerClock, error) {
-	workers := types.NormalizeWorkers(opt.Workers)
-	clocks := make([]metrics.WorkerClock, workers)
-	if g.NumOps == 0 {
-		return clocks, nil
-	}
-	if err := assignOwners(g, workers, opt.Assign); err != nil {
-		return nil, err
-	}
-
-	run := &parallelRun{
-		st:     st,
-		deques: make([]wsDeque, workers),
-		timing: opt.Timing,
-		hook:   opt.FireHook,
-		stats:  opt.Stats,
-	}
-	run.pending.Store(int64(g.NumOps))
-	run.idleCond = sync.NewCond(&run.idleMu)
-	initDeques(run.deques)
-	// Seeding happens before any worker starts, so owner-only pushes from
-	// this goroutine are safe (goroutine start establishes happens-before).
-	for _, n := range g.Heads() {
-		run.deques[n.Chain.Owner].push(n)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			// Panic isolation: an operation panic fails the epoch, not the
-			// process. Record the first panic, terminate the pool, and let
-			// Run surface it; peers drain normally once done is set.
-			defer func() {
-				if pv := recover(); pv != nil {
-					run.recordPanic(pv, debug.Stack())
-					run.done.Store(true)
-					run.wakeAll()
-				}
-			}()
-			run.worker(w, &clocks[w])
-		}(w)
-	}
-	wg.Wait()
-	if pv := run.panicked.Load(); pv != nil {
-		p := pv.(*opPanic)
-		return clocks, fmt.Errorf("%w: %v\n%s", ErrOpPanic, p.value, p.stack)
-	}
-	if n := run.pending.Load(); n != 0 {
-		return clocks, fmt.Errorf("scheduler: %d operations never became ready (dependency cycle?)", n)
-	}
-	return clocks, nil
+	p := NewPool(opt.Workers, nil)
+	defer p.Close()
+	return p.Run(g, st, opt)
 }
 
 // assignOwners labels every chain with its owning worker in [0, workers).

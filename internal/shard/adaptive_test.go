@@ -9,15 +9,17 @@ import (
 )
 
 // TestAdaptiveGroupMatchesOracle: the adaptive controller coexists with
-// the sharded coordinator — every shard engine morphs independently, yet
-// the group still matches the sharded oracle and commits in lockstep. The
-// shard protocol's determinism rests on the durable-write-neutrality of
-// morphs, the same invariant the engine-level transcript pin checks.
+// the sharded coordinator — every shard engine morphs independently over a
+// four-worker ladder, yet the group still matches the sharded oracle and
+// commits in lockstep. The shard protocol's determinism rests on the
+// durable-write-neutrality of morphs, the invariant the engine-level
+// transcript pin checks against AdaptiveForce{steal, Workers} and
+// TestGoldenDurableTranscript pins byte for byte.
 func TestAdaptiveGroupMatchesOracle(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		app, batches := gsRun(9, 6, 24)
 		shape := types.GroupShape{
-			RunShape: types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4, Adaptive: true},
+			RunShape: types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4},
 			Shards:   n,
 		}
 		g, err := shard.NewGroup(shard.Config{

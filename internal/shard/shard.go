@@ -67,7 +67,7 @@ type Config struct {
 	// GroupShape is the shard fan-out plus the per-shard engine knobs.
 	// Pipeline is ignored: the coordinator feeds one epoch per barrier, so
 	// there is never a multi-epoch run to overlap. AutoCommit is ignored
-	// (one commit cadence per group) and Adaptive is always on.
+	// (one commit cadence per group).
 	types.GroupShape
 	// App is the (write-local) application; the coordinator wraps it with
 	// the replication-event handler.
@@ -159,7 +159,7 @@ func (e *ShardError) Error() string { return fmt.Sprintf("shard %d: %v", e.Shard
 func (e *ShardError) Unwrap() error { return e.Err }
 
 // EpochStat is one group epoch's timing: per-shard processing walls and
-// the barrier (delta extraction + frontier append) wall. cmd/shardbench
+// the barrier (delta extraction + frontier append) wall. `cmd/bench shard`
 // derives the simulated group ingest wall as Σ over epochs of
 // (max shard wall + barrier wall).
 type EpochStat struct {
@@ -289,13 +289,6 @@ func (g *Group) engineConfig(s *shardState) engine.Config {
 	// that every shard's markers land on the same epochs, so the MSR
 	// advisor must not retune CommitEvery per shard.
 	shape.AutoCommit = false
-	// Executor choice is a measurement, not a setting: the adaptive
-	// controller's grain probes decide per engine whether this host runs
-	// these operations faster sequentially or on the worker pool, instead of
-	// every epoch spawning Workers goroutines and fresh deques whether or not
-	// they pay. Durable bytes are invariant under it (chains are re-labelled
-	// with the canonical partitioning before each seal).
-	shape.Adaptive = true
 	var sink func([]types.Output)
 	if len(g.cfg.Sinks) > s.idx {
 		sink = g.cfg.Sinks[s.idx]

@@ -341,6 +341,12 @@ func (s *Supervisor) Run() error {
 	for {
 		fail, done := s.supervise(eng, next)
 		if done {
+			// The drive goroutine has returned, so Close cannot block. A
+			// failed incarnation needs no such call: an engine that returned
+			// an error has closed itself, and a stalled one must not be
+			// closed synchronously (Close waits for the wedged epoch) — it
+			// closes itself once OnStall un-wedges it into the fence.
+			eng.Close()
 			s.setState(Stopped)
 			return nil
 		}

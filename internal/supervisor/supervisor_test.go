@@ -2,10 +2,12 @@ package supervisor
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"morphstreamr/internal/adaptive"
 	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
@@ -119,6 +121,7 @@ func checkSameState(t *testing.T, app types.App, got, want *engine.Engine) {
 func TestCleanRunStops(t *testing.T) {
 	app, batches := fixedBatches(1)
 	ref, wantOuts := referenceRun(t, app, batches, ftapi.WAL)
+	base := runtime.NumGoroutine()
 	sup, err := New(Config{
 		App: app, Device: storage.NewMem(),
 		Mechanism: mechFactory(ftapi.WAL),
@@ -139,6 +142,21 @@ func TestCleanRunStops(t *testing.T) {
 	}
 	checkSameOutputs(t, sup.Outputs(), wantOuts)
 	checkSameState(t, app, sup.Engine(), ref)
+
+	// The last incarnation ran on the pool (its controller's first pick for
+	// this stream) and the stopped supervisor closed it: no worker outlives
+	// Run.
+	if first := sup.Engine().Adaptive().Decisions()[0].To; first.Impl != adaptive.ImplSteal {
+		t.Fatalf("premise: the engine never started a pool (first decision %v)", first)
+	}
+	// (The drive goroutine may still be returning; the workers are gone
+	// the moment Close returns.)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after a stopped run, %d before it: the engine's pool leaked", got, base)
+	}
 }
 
 // TestTransientStormAbsorbed: a storm shorter than the retry budget heals

@@ -13,7 +13,8 @@ import "fmt"
 //   - Workers      0 → 1. One rule everywhere: the scheduler historically
 //     treated zero as GOMAXPROCS while the engine documented "zero means
 //     1"; both now route through Normalize and zero means one worker.
-//     Parallelism is always an explicit decision.
+//     Parallelism is always an explicit decision: Workers is a ceiling,
+//     never a default taken from the host.
 //   - CommitEvery  0 → 1 (commit every epoch).
 //   - SnapshotEvery 0 → 8.
 //
@@ -21,7 +22,13 @@ import "fmt"
 // SnapshotEvery, so every snapshot marker lands on a commit boundary and
 // garbage collection never outruns an uncommitted group.
 type RunShape struct {
-	// Workers is the execution parallelism. Zero means 1.
+	// Workers is the execution parallelism ceiling: the engine's adaptive
+	// controller (internal/adaptive) picks, per epoch, sequential execution
+	// or the work-stealing pool at up to this many workers, from the graph's
+	// shape and the measured cost of earlier epochs. It is also the width of
+	// the canonical chain partitioning the fault-tolerance mechanisms record
+	// under, so durable artifacts depend on Workers but never on what the
+	// controller chose. Zero means 1.
 	Workers int
 	// CommitEvery is the log commitment interval in epochs (the paper's
 	// commit marker cadence). Zero means 1. Must divide SnapshotEvery.
@@ -42,16 +49,6 @@ type RunShape struct {
 	// Pipeline overlaps epoch N+1's stream-processing phase with epoch N's
 	// transaction processing when batches are submitted as one run.
 	Pipeline bool
-	// Adaptive enables the per-epoch scheduling controller
-	// (internal/adaptive): the engine observes each epoch's graph shape and
-	// the previous epoch's scheduler feedback, and morphs the execution
-	// strategy — worker count, work-stealing vs sequential execution, and
-	// log-commit granularity — between epochs. Workers becomes the
-	// controller's parallelism ceiling rather than a fixed degree. Durable
-	// artifacts are unaffected: chains are re-labelled with the canonical
-	// Workers-way partitioning before each epoch is sealed, so the write
-	// sequence is byte-identical to a static run of the same shape.
-	Adaptive bool
 }
 
 // Normalize applies the zero-value defaults in place and validates the
@@ -84,7 +81,7 @@ func (s RunShape) IsZero() bool { return s == RunShape{} }
 
 // GroupShape is RunShape lifted to a sharded deployment: the per-shard
 // engine knobs plus the shard fan-out. The shard coordinator
-// (internal/shard), the sharded crash-point sweep, and cmd/shardbench all
+// (internal/shard), the sharded crash-point sweep, and `cmd/bench shard` all
 // embed it instead of re-declaring a Shards field next to a RunShape.
 type GroupShape struct {
 	// RunShape configures every shard's engine identically; punctuation

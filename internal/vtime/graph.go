@@ -34,8 +34,10 @@ type blockRef struct {
 // receives one Op event per fired operation — start time, explore and
 // busy cost, the stall-causing edge and blocking operation, and the
 // operation's earliest finish on an unbounded machine (the critical-path
-// bound). A nil profiler dispatches to simulateGraphFast, the original
-// uninstrumented loop, so profiling off costs nothing on the hot path.
+// bound). There is one loop: a nil profiler skips the critical-path and
+// attribution bookkeeping (two maps and a label per operation) and nothing
+// else, so the schedule, and with it every virtual clock, is the same to
+// the nanosecond with and without a profiler.
 //
 // The critical-path recurrence ef[n] = max(ef[producers]) + Explore + op
 // cost deliberately excludes Sync charges: cross-worker synchronisation
@@ -43,9 +45,6 @@ type blockRef struct {
 // it would make the "lower bound" depend on the very assignment being
 // evaluated. Actual explore ≥ Explore always, so the bound stays valid.
 func SimulateGraphProf(g *tpg.Graph, st *store.Store, workers int, costs Costs, prof *Profiler) Result {
-	if prof == nil {
-		return simulateGraphFast(g, st, workers, costs)
-	}
 	clocks := make([]Clock, workers)
 	if g.NumOps == 0 {
 		return Finish(clocks)
@@ -55,8 +54,12 @@ func SimulateGraphProf(g *tpg.Graph, st *store.Store, workers int, costs Costs, 
 	// Deterministic sequence numbers for tie-breaking.
 	seq := make(map[*tpg.OpNode]int, g.NumOps)
 	readyAt := make(map[*tpg.OpNode]time.Duration, g.NumOps)
-	ef := make(map[*tpg.OpNode]time.Duration, g.NumOps)
-	blocked := make(map[*tpg.OpNode]blockRef, g.NumOps)
+	var ef map[*tpg.OpNode]time.Duration
+	var blocked map[*tpg.OpNode]blockRef
+	if prof != nil {
+		ef = make(map[*tpg.OpNode]time.Duration, g.NumOps)
+		blocked = make(map[*tpg.OpNode]blockRef, g.NumOps)
+	}
 	i := 0
 	for _, tn := range g.Txns {
 		for _, n := range tn.Ops {
@@ -114,22 +117,27 @@ func SimulateGraphProf(g *tpg.Graph, st *store.Store, workers int, costs Costs, 
 		fin := clocks[best].Advance(bestStart, explore, cost, aborted)
 		remaining--
 
-		efFin := ef[n] + costs.Explore + cost
-		ef[n] = efFin
-		edge, blockerLabel := EdgeNone, ""
-		if b, ok := blocked[n]; ok {
-			edge = b.edge
-			blockerLabel = b.src.Ref()
+		var efFin time.Duration
+		if prof != nil {
+			efFin = ef[n] + costs.Explore + cost
+			ef[n] = efFin
+			edge, blockerLabel := EdgeNone, ""
+			if b, ok := blocked[n]; ok {
+				edge = b.edge
+				blockerLabel = b.src.Ref()
+			}
+			prof.Op(best, n.Ref(), bestStart, explore, cost, aborted, edge, blockerLabel, efFin)
 		}
-		prof.Op(best, n.Ref(), bestStart, explore, cost, aborted, edge, blockerLabel, efFin)
 
 		notify := func(d *tpg.OpNode, edge EdgeKind) {
 			if fin > readyAt[d] {
 				readyAt[d] = fin
-				blocked[d] = blockRef{edge: edge, src: n}
+				if prof != nil {
+					blocked[d] = blockRef{edge: edge, src: n}
+				}
 			}
-			if e := ef[n]; e > ef[d] {
-				ef[d] = e
+			if prof != nil && efFin > ef[d] {
+				ef[d] = efFin
 			}
 			if d.AddPending(-1) == 0 {
 				heap.Push(&ready[d.Chain.Owner], opItem{node: d, readyAt: readyAt[d], seq: seq[d]})
@@ -143,93 +151,6 @@ func SimulateGraphProf(g *tpg.Graph, st *store.Store, workers int, costs Costs, 
 		}
 		for _, d := range n.PDOut {
 			notify(d, EdgePD)
-		}
-	}
-	return Finish(clocks)
-}
-
-// simulateGraphFast is the profiling-off hot path: the list scheduler
-// exactly as it runs with no profiler attached — no critical-path maps,
-// no attribution, no per-op labels. SimulateGraphProf dispatches here on a
-// nil profiler so that profiling off costs nothing over the original
-// simulator (cmd/recoverytrace measures this against a frozen replica and
-// budgets it at 2%). Keep the scheduling decisions in lockstep with the
-// instrumented loop above: both must produce identical clocks, or the
-// profiler would be observing a different schedule than the one reported.
-func simulateGraphFast(g *tpg.Graph, st *store.Store, workers int, costs Costs) Result {
-	clocks := make([]Clock, workers)
-	if g.NumOps == 0 {
-		return Finish(clocks)
-	}
-	ready := make([]opHeap, workers)
-	seq := make(map[*tpg.OpNode]int, g.NumOps)
-	readyAt := make(map[*tpg.OpNode]time.Duration, g.NumOps)
-	i := 0
-	for _, tn := range g.Txns {
-		for _, n := range tn.Ops {
-			seq[n] = i
-			i++
-		}
-	}
-	for _, ch := range g.ChainList {
-		for _, n := range ch.Ops {
-			if n.Pending() == 0 {
-				heap.Push(&ready[ch.Owner], opItem{node: n, readyAt: 0, seq: seq[n]})
-			}
-		}
-	}
-
-	remaining := g.NumOps
-	for remaining > 0 {
-		best, bestStart := -1, time.Duration(0)
-		for w := range ready {
-			if len(ready[w]) == 0 {
-				continue
-			}
-			start := clocks[w].Now
-			if ra := ready[w][0].readyAt; ra > start {
-				start = ra
-			}
-			if best == -1 || start < bestStart {
-				best, bestStart = w, start
-			}
-		}
-		if best == -1 {
-			panic("vtime: no runnable operations with work remaining (cyclic graph?)")
-		}
-		item := heap.Pop(&ready[best]).(opItem)
-		n := item.node
-
-		tpg.Fire(n, st)
-		explore := costs.Explore
-		for _, src := range n.PDSrc {
-			if src != nil && src.Chain.Owner != n.Chain.Owner {
-				explore += costs.Sync
-			}
-		}
-		if n.CondSrc != nil && n.CondSrc.Chain.Owner != n.Chain.Owner {
-			explore += costs.Sync
-		}
-		cost := costs.Op + time.Duration(len(n.DepVals))*costs.PerDep
-		fin := clocks[best].Advance(bestStart, explore, cost, n.Txn.Aborted())
-		remaining--
-
-		resolve := func(d *tpg.OpNode) {
-			if fin > readyAt[d] {
-				readyAt[d] = fin
-			}
-			if d.AddPending(-1) == 0 {
-				heap.Push(&ready[d.Chain.Owner], opItem{node: d, readyAt: readyAt[d], seq: seq[d]})
-			}
-		}
-		if nx := n.ChainNext; nx != nil {
-			resolve(nx)
-		}
-		for _, d := range n.LDOut {
-			resolve(d)
-		}
-		for _, d := range n.PDOut {
-			resolve(d)
 		}
 	}
 	return Finish(clocks)

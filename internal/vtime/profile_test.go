@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,8 +13,8 @@ import (
 )
 
 // TestSetCalibrationSeam: the determinism seam must make Calibrate return
-// the pinned model verbatim, and must be re-pinnable (the trace driver sets
-// FixedCosts once at startup; tests restore whatever was active before).
+// the pinned model verbatim, and must be re-pinnable (`cmd/bench recovery`
+// pins FixedCosts for its run; tests restore whatever was active before).
 func TestSetCalibrationSeam(t *testing.T) {
 	prev := Calibrate()
 	t.Cleanup(func() { SetCalibration(prev) })
@@ -225,53 +226,97 @@ func TestCritPathDiamond(t *testing.T) {
 	}
 }
 
-// TestSimulateGraphFastLockstep: the profiling-off fast path and the
-// instrumented loop must make identical scheduling decisions — same
-// makespan, same per-worker clocks — or the profiler would be reporting a
-// schedule that never runs.
-func TestSimulateGraphFastLockstep(t *testing.T) {
-	build := func() (*tpg.Graph, *store.Store) {
-		p := workload.DefaultSLParams()
-		p.Rows = 256
-		gen := workload.NewSL(p)
-		st := store.New(gen.App().Tables())
-		events := workload.Batch(gen, 600)
-		txns := make([]*types.Txn, len(events))
-		for i := range events {
-			txn := gen.App().Preprocess(events[i])
-			txns[i] = &txn
-		}
-		g := tpg.Build(txns, st.Get)
-		assign := scheduler.HashAssign(4)
-		for _, ch := range g.ChainList {
-			ch.Owner = assign(ch)
-		}
-		return g, st
+// slGraph builds one Streaming Ledger epoch (multi-op transfers: condition
+// guards that abort, parametric dependencies across keys) over a small hot
+// table, with chains hash-assigned to workers.
+func slGraph(seed int64, events, workers int) (*tpg.Graph, *store.Store) {
+	p := workload.DefaultSLParams()
+	p.Seed, p.Rows = seed, 256
+	gen := workload.NewSL(p)
+	st := store.New(gen.App().Tables())
+	batch := workload.Batch(gen, events)
+	txns := make([]*types.Txn, len(batch))
+	for i := range batch {
+		txn := gen.App().Preprocess(batch[i])
+		txns[i] = &txn
 	}
+	g := tpg.Build(txns, st.Get)
+	assign := scheduler.HashAssign(workers)
+	for _, ch := range g.ChainList {
+		ch.Owner = assign(ch)
+	}
+	return g, st
+}
+
+// TestSimulateGraphSameWithAndWithoutProfiler: the simulator is one loop
+// whose profiler bookkeeping is guarded, so attaching a profiler must not
+// move a single virtual clock — or the profile would describe a schedule
+// that never runs. Randomised multi-worker graphs; every one must contain
+// aborted transactions and cross-worker parametric edges, the two places
+// the profiler-only state (attribution, critical path) is touched.
+func TestSimulateGraphSameWithAndWithoutProfiler(t *testing.T) {
 	costs := Costs{Op: 128, PerDep: 16, Explore: 16, Sync: 128}
+	for seed := int64(1); seed <= 6; seed++ {
+		for _, workers := range []int{2, 4, 7} {
+			gOff, stOff := slGraph(seed, 600, workers)
+			off := SimulateGraphProf(gOff, stOff, workers, costs, nil)
 
-	gFast, stFast := build()
-	fast := SimulateGraphProf(gFast, stFast, 4, costs, nil) // dispatches to the fast path
+			gOn, stOn := slGraph(seed, 600, workers)
+			prof := NewProfiler(workers)
+			on := SimulateGraphProf(gOn, stOn, workers, costs, prof)
 
-	gProf, stProf := build()
-	prof := NewProfiler(4)
-	instrumented := SimulateGraphProf(gProf, stProf, 4, costs, prof)
-
-	if fast.Makespan != instrumented.Makespan {
-		t.Fatalf("fast makespan %v != instrumented %v", fast.Makespan, instrumented.Makespan)
-	}
-	for i := range fast.Clocks {
-		if fast.Clocks[i] != instrumented.Clocks[i] {
-			t.Fatalf("worker %d clock diverged: fast %+v vs instrumented %+v",
-				i, fast.Clocks[i], instrumented.Clocks[i])
+			if !reflect.DeepEqual(off, on) {
+				t.Fatalf("seed %d W=%d: results differ:\n off %+v\n on  %+v", seed, workers, off, on)
+			}
+			aborted, crossPD := 0, 0
+			for _, tn := range gOn.Txns {
+				if tn.Aborted() {
+					aborted++
+				}
+				for _, n := range tn.Ops {
+					for _, src := range n.PDSrc {
+						if src != nil && src.Chain.Owner != n.Chain.Owner {
+							crossPD++
+						}
+					}
+				}
+			}
+			if aborted == 0 || crossPD == 0 {
+				t.Fatalf("seed %d W=%d: graph has %d aborted transactions and %d cross-worker PD edges; the case needs both",
+					seed, workers, aborted, crossPD)
+			}
+			p := prof.Profile()
+			if err := p.Consistent(); err != nil {
+				t.Fatal(err)
+			}
+			if p.Timeline != on.Makespan {
+				t.Fatalf("seed %d W=%d: profile timeline %v != makespan %v", seed, workers, p.Timeline, on.Makespan)
+			}
 		}
 	}
-	p := prof.Profile()
-	if err := p.Consistent(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Timeline != instrumented.Makespan {
-		t.Fatalf("profile timeline %v != makespan %v", p.Timeline, instrumented.Makespan)
+}
+
+// BenchmarkSimulateGraph reports what one simulated SL epoch costs with the
+// profiler off and on (the graph build is outside the timer).
+func BenchmarkSimulateGraph(b *testing.B) {
+	costs := Costs{Op: 128, PerDep: 16, Explore: 16, Sync: 128}
+	for _, on := range []bool{false, true} {
+		name := "prof-off"
+		if on {
+			name = "prof-on"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g, st := slGraph(1, 4096, 8)
+				var prof *Profiler
+				if on {
+					prof = NewProfiler(8)
+				}
+				b.StartTimer()
+				SimulateGraphProf(g, st, 8, costs, prof)
+			}
+		})
 	}
 }
 

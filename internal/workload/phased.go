@@ -7,7 +7,7 @@ import (
 )
 
 // Phased is the phase-shifting Grep&Sum stream behind the adaptive
-// scheduling benchmark (cmd/schedbench's trajectory section): the stream
+// scheduling benchmark (`cmd/bench sched`'s trajectory section): the stream
 // alternates between a spread phase — uniform writes across the whole
 // table, where the TPG decomposes into thousands of short chains and
 // parallel execution shines — and a hot phase, where every write lands on

@@ -93,8 +93,8 @@ func TestGatesCanFail(t *testing.T) {
 		want  string
 		fails []string
 	}{
-		{"FAIL serve/exactly_once [serve]:", doctor(t, &serveSuite, func(r *ServeReport) {
-			r.Cells[1].ExactlyOnce = 1
+		{"FAIL chaos/offline_match [supervisor]:", doctor(t, &chaosSuite, func(r *ChaosReport) {
+			r.Entries[1].OfflineMatch = false
 		})},
 		{"FAIL shard/recovery_speedup_4x [shard]:", doctor(t, &shardSuite, func(r *ShardReport) {
 			for i := range r.Recovery {
@@ -135,14 +135,14 @@ func TestFullOnlyGatesSkipQuick(t *testing.T) {
 	}
 }
 
-// TestLiveQuickSuites is the live wiring: the four cheap suites run at
+// TestLiveQuickSuites is the live wiring: the three cheap suites run at
 // quick size in-process, write their reports, and pass their own gates —
 // including, for chaos, the shard-kill cells' derived fault site and the
 // gate that a supervised heal emits recovery-category spans.
 func TestLiveQuickSuites(t *testing.T) {
 	dir := t.TempDir()
 	env := &Env{Host: thisHost("test", Quick), OutDir: dir, TraceDir: dir, Obs: obs.NewObserver(2, 1<<16), Log: io.Discard}
-	for _, s := range []suite{&serveSuite, &storeSuite, &shardSuite, &chaosSuite} {
+	for _, s := range []suite{&storeSuite, &shardSuite, &chaosSuite} {
 		m := s.spec()
 		fails, err := s.exec(env, false)
 		if err != nil {

@@ -8,7 +8,7 @@
 //	go run ./cmd/bench -check all            # gate the reports already on disk, run nothing
 //	go run ./cmd/bench -o out trend          # fold the reports in out/ into BENCH_trend.json
 //
-// Suites: sched chaos shard serve store journey recovery; "all" runs them
+// Suites: sched chaos shard store journey recovery; "all" runs them
 // in that order. Full size is what produced the committed reports; -quick
 // is what CI runs. Grid sizes and seeds are constants in each suite.
 package main
@@ -29,7 +29,7 @@ import (
 // suites is the registry, in "all" order. recovery goes last: it holds the
 // process-wide virtual-time cost model pinned while it runs.
 var suites = []suite{
-	&schedSuite, &chaosSuite, &shardSuite, &serveSuite, &storeSuite, &journeySuite, &recoverySuite,
+	&schedSuite, &chaosSuite, &shardSuite, &storeSuite, &journeySuite, &recoverySuite,
 }
 
 func main() {

@@ -218,7 +218,7 @@ func recoveryRun(kind ftapi.Kind, shards, epochs, epochSize int, serial bool) (*
 	}
 	_, rep, err := shard.GroupRecover(shard.RecoverConfig{
 		Config:    cfg,
-		Source:    shard.BatchSource(batches),
+		Source:    types.BatchSource(batches),
 		Serial:    serial,
 		Profilers: profilers,
 	})

@@ -126,7 +126,6 @@ func main() {
 			AutoCommit:    *auto,
 		},
 		FT:               kind,
-		BatchSize:        *batch,
 		SSDModel:         true,
 		Obs:              observer,
 		RecoveryProfiler: prof,

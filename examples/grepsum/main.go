@@ -47,8 +47,7 @@ func main() {
 				SnapshotEvery: 16,
 				AutoCommit:    true, // let the advisor pick the commit epoch
 			},
-			FT:        core.MSR,
-			BatchSize: batch,
+			FT: core.MSR,
 		})
 		if err != nil {
 			log.Fatal(err)

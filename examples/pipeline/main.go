@@ -1,11 +1,10 @@
-// Pipeline: continuous operation through the stream layer — a Source
-// feeding the engine, a Sink receiving exactly-once outputs — with the
-// Section VII extensions enabled: asynchronous group commit (durable
+// Pipeline: continuous operation of one system fed epoch by epoch, with
+// the Section VII extensions enabled: asynchronous group commit (durable
 // writes off the critical path) and log compression.
 //
-// The run crashes mid-stream, re-attaches the pipeline to the recovered
-// system, and shows the sink's ledger ending up complete and
-// duplicate-free.
+// The run crashes mid-stream, resumes the stream on the recovered system
+// from the punctuation recovery reports, and shows the union of both
+// incarnations' released outputs ending up complete and duplicate-free.
 //
 // Run with: go run ./examples/pipeline
 package main
@@ -16,24 +15,26 @@ import (
 
 	"morphstreamr/internal/core"
 	"morphstreamr/internal/storage"
-	"morphstreamr/internal/stream"
+	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
 
 const (
-	batch       = 1024
-	totalEvents = 16 * batch
+	batch  = 1024
+	epochs = 16
 )
 
 func main() {
 	params := workload.DefaultTPParams()
 	gen := workload.NewTP(params)
-	events := workload.Batch(gen, totalEvents)
+	batches := make([][]types.Event, epochs)
+	for i := range batches {
+		batches[i] = workload.Batch(gen, batch)
+	}
 
 	sys, err := core.New(gen.App(), core.Config{
 		RunShape:    core.RunShape{Workers: 4, SnapshotEvery: 8},
 		FT:          core.MSR,
-		BatchSize:   batch,
 		AsyncCommit: true, // commit off the critical path
 		Compression: true, // DEFLATE the durable logs
 	})
@@ -41,15 +42,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sink := &stream.MemorySink{}
-	src := &stream.SliceSource{Events: events}
-	pipe := stream.NewPipeline(sys, src, sink)
-
-	// Run ten epochs, then lose power.
-	if err := pipe.Run(10); err != nil {
-		log.Fatal(err)
+	// Run ten epochs, then lose power. Only released outputs count as
+	// delivered: the crash discards whatever still awaited its commit.
+	for _, b := range batches[:10] {
+		if err := sys.ProcessBatch(b); err != nil {
+			log.Fatal(err)
+		}
 	}
-	fmt.Printf("pipeline delivered %d outputs, then the node dies\n", len(sink.Outputs))
+	delivered := sys.Engine.Delivered()
+	fmt.Printf("system delivered %d outputs, then the node dies\n", len(delivered))
 	sys.Crash()
 
 	recovered, report, err := sys.Recover()
@@ -60,17 +61,18 @@ func main() {
 	fmt.Printf("recovered: %d events replayed, simulated wall %v\n",
 		report.EventsReplayed, report.SimWall().Round(0))
 
-	// Re-attach: the source skips what the engine already persisted; the
-	// sink keeps its ledger and must see no duplicates.
-	resumeSrc := &stream.SliceSource{Events: events}
-	resumeSrc.Skip(int(report.LastEpoch) * batch)
-	if err := stream.NewPipeline(recovered, resumeSrc, sink).Run(0); err != nil {
-		log.Fatal(err)
+	// Resume after the last epoch recovery restored; the engine replayed
+	// everything before it from the durable logs.
+	for _, b := range batches[report.LastEpoch:] {
+		if err := recovered.ProcessBatch(b); err != nil {
+			log.Fatal(err)
+		}
 	}
+	delivered = append(delivered, recovered.Engine.Delivered()...)
 
-	seen := make(map[uint64]bool, len(sink.Outputs))
+	seen := make(map[uint64]bool, len(delivered))
 	var tolls int64
-	for _, out := range sink.Outputs {
+	for _, out := range delivered {
 		if seen[out.EventSeq] {
 			log.Fatalf("duplicate output for event %d", out.EventSeq)
 		}
@@ -79,8 +81,11 @@ func main() {
 			tolls += out.Vals[1]
 		}
 	}
-	fmt.Printf("sink holds %d/%d outputs, exactly once; total tolls %d\n",
-		len(sink.Outputs), totalEvents, tolls)
+	if len(delivered) != epochs*batch {
+		log.Fatalf("delivered %d outputs across the crash, want %d", len(delivered), epochs*batch)
+	}
+	fmt.Printf("delivered %d/%d outputs, exactly once; total tolls %d\n",
+		len(delivered), epochs*batch, tolls)
 
 	dev := sys.Cfg.Device
 	if th, ok := dev.(*storage.Throttled); ok {

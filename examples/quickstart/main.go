@@ -22,9 +22,8 @@ func main() {
 	// 2. A system: the engine wired to MorphStreamR (MSR) fault tolerance.
 	//    Epochs snapshot every 8 batches; logs group-commit every batch.
 	sys, err := core.New(gen.App(), core.Config{
-		RunShape:  core.RunShape{Workers: 4, SnapshotEvery: 8},
-		FT:        core.MSR,
-		BatchSize: 2048,
+		RunShape: core.RunShape{Workers: 4, SnapshotEvery: 8},
+		FT:       core.MSR,
 	})
 	if err != nil {
 		log.Fatal(err)

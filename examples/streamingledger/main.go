@@ -46,7 +46,7 @@ func main() {
 
 	sys, err := core.New(app, core.Config{
 		RunShape: core.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 8},
-		FT:       core.MSR, BatchSize: batch,
+		FT:       core.MSR,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -52,7 +52,7 @@ func run(kind ftapi.Kind, params workload.TPParams) (*engine.RecoveryReport, int
 	gen := workload.NewTP(params)
 	sys, err := core.New(gen.App(), core.Config{
 		RunShape: core.RunShape{Workers: 4, SnapshotEvery: 8},
-		FT:       kind, BatchSize: batch,
+		FT:       kind,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -13,15 +13,10 @@
 // Strategy decisions (worker count, work-stealing vs sequential execution)
 // may use both kinds: they change how an epoch is explored but never what it
 // writes, because the engine re-labels chains with the canonical
-// partitioning before sealing (see engine docs). The
-// log-commit granularity decision changes which epochs share a durable
-// group record, so it uses only structural byte accounting and is a
-// stateless function of the current epoch — a recovered engine that
-// replays the tail reaches the identical commit cadence without any state
-// that died with the crash.
+// partitioning before sealing (see engine docs).
 //
 // Every morph is hysteresis-damped: a candidate strategy must win for
-// Patience consecutive epochs, a fresh morph starts a cooldown, and worker
+// patience consecutive epochs, a fresh morph starts a cooldown, and worker
 // levels move only when the parallelism estimate clears a dead-band margin
 // around the current level — a signal sitting on a decision boundary
 // flutters the candidate, never the strategy.
@@ -34,7 +29,7 @@
 // grain probes: once the current strategy is stable it occasionally spends
 // a single epoch on the other side of the sequential/parallel divide,
 // folds the measured ns/op into a per-side EWMA, and morphs only when the
-// probed side wins by ProbeMargin. Probes re-arm every ProbeEvery epochs
+// probed side wins by probeMargin. Probes re-arm every probeEvery epochs
 // in both directions, so a stream whose operations grow heavier climbs
 // back onto the worker ladder. Probing requires wall feedback — a
 // controller that is never fed measurements never probes.
@@ -107,32 +102,33 @@ type Decision struct {
 	Reason string
 }
 
-// Config tunes one controller.
-type Config struct {
-	// MaxWorkers is the parallelism ceiling — the run shape's Workers.
-	MaxWorkers int
-	// Margin is the dead-band around the current worker level: the
-	// parallelism estimate must clear level*(1±Margin) before a resize
-	// becomes a candidate. Zero means 0.15.
-	Margin float64
-	// Patience is how many consecutive epochs a candidate strategy must
-	// persist before the controller morphs to it. Zero means 2.
-	Patience int
-	// Cooldown is how many epochs after a morph the controller holds still,
+// The hysteresis and grain-probe constants.
+const (
+	// margin is the dead-band around the current worker level: the
+	// parallelism estimate must clear level*(1±margin) before a resize
+	// becomes a candidate.
+	margin = 0.15
+	// patience is how many consecutive epochs a candidate strategy must
+	// persist before the controller morphs to it.
+	patience = 2
+	// cooldown is how many epochs after a morph the controller holds still,
 	// so the new strategy's feedback is measured before it can be revised.
-	// Zero means 2.
-	Cooldown int
-	// ProbeEvery is how many epochs between grain probes: single-epoch
+	cooldown = 2
+	// probeEvery is how many epochs between grain probes: single-epoch
 	// excursions across the sequential/parallel divide that measure what
 	// structure cannot — whether this machine's per-operation grain makes
-	// parallel coordination pay. Zero means 8; negative disables probing.
-	ProbeEvery int
-	// ProbeMargin is the measured ns/op advantage the probed side must show
-	// before the controller morphs to it. Zero means 0.10.
-	ProbeMargin float64
-	// GroupBudget is the target durable group-commit size in bytes for the
-	// commit-granularity rule. Zero means 256 KiB.
-	GroupBudget int64
+	// parallel coordination pay.
+	probeEvery = 8
+	// probeMargin is the measured ns/op advantage the probed side must show
+	// before the controller morphs to it.
+	probeMargin = 0.10
+)
+
+// Config configures one controller.
+type Config struct {
+	// MaxWorkers is the parallelism ceiling — the run shape's Workers.
+	// Zero means 1.
+	MaxWorkers int
 	// Force, when non-nil, pins every decision to the given strategy. Tests
 	// and A/B harnesses use it to hold the engine in a known configuration
 	// while keeping the controller's tracing live.
@@ -141,30 +137,6 @@ type Config struct {
 	// (adaptive.morphs counter, adaptive.workers gauge, ...). Nil disables
 	// tracing.
 	Obs *obs.Observer
-}
-
-func (c *Config) normalize() {
-	if c.MaxWorkers <= 0 {
-		c.MaxWorkers = 1
-	}
-	if c.Margin <= 0 {
-		c.Margin = 0.15
-	}
-	if c.Patience <= 0 {
-		c.Patience = 2
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2
-	}
-	if c.ProbeEvery == 0 {
-		c.ProbeEvery = 8
-	}
-	if c.ProbeMargin <= 0 {
-		c.ProbeMargin = 0.10
-	}
-	if c.GroupBudget <= 0 {
-		c.GroupBudget = 256 << 10
-	}
 }
 
 // CatAdaptive is the span category of controller morphs.
@@ -205,11 +177,9 @@ type Controller struct {
 	morphs    int
 
 	// registry series (nil when Obs is nil).
-	morphCtr   *obs.Counter
-	probeCtr   *obs.Counter
-	workersG   *obs.Gauge
-	commitG    *obs.Gauge
-	lastCommit int
+	morphCtr *obs.Counter
+	probeCtr *obs.Counter
+	workersG *obs.Gauge
 }
 
 // decisionRing bounds the kept decision history.
@@ -217,7 +187,9 @@ const decisionRing = 64
 
 // New creates a controller.
 func New(cfg Config) *Controller {
-	cfg.normalize()
+	if cfg.MaxWorkers <= 0 {
+		cfg.MaxWorkers = 1
+	}
 	c := &Controller{cfg: cfg}
 	for w := 1; w < cfg.MaxWorkers; w *= 2 {
 		c.levels = append(c.levels, w)
@@ -227,7 +199,6 @@ func New(cfg Config) *Controller {
 		c.morphCtr = reg.Counter("adaptive.morphs")
 		c.probeCtr = reg.Counter("adaptive.probes")
 		c.workersG = reg.Gauge("adaptive.workers")
-		c.commitG = reg.Gauge("adaptive.commit_every")
 		reg.Attach("adaptive", obs.ProviderFunc(c.view))
 	}
 	return c
@@ -275,7 +246,7 @@ func (c *Controller) Decide(sig Signals) Strategy {
 	want := c.candidate(sig)
 	if !c.started {
 		c.started = true
-		c.cooldownLeft = c.cfg.Cooldown
+		c.cooldownLeft = cooldown
 		c.record(sig, c.cur, want, "initial")
 		c.cur = want
 		return c.cur
@@ -306,7 +277,7 @@ func (c *Controller) Decide(sig Signals) Strategy {
 		return c.cur
 	}
 	c.pendingRuns++
-	if c.pendingRuns < c.cfg.Patience {
+	if c.pendingRuns < patience {
 		return c.cur
 	}
 	c.morph(sig, want, fmt.Sprintf("par=%.1f", sig.Par()))
@@ -333,24 +304,21 @@ func (c *Controller) candidate(sig Signals) Strategy {
 // decisively beats the parallel schedulers. False until both sides have
 // been measured.
 func (c *Controller) grainSeq() bool {
-	return c.seqN > 0 && c.parN > 0 && c.seqNs < c.parNs*(1-c.cfg.ProbeMargin)
+	return c.seqN > 0 && c.parN > 0 && c.seqNs < c.parNs*(1-probeMargin)
 }
 
 // probeCandidate decides whether the next epoch should be a grain probe,
 // and with what strategy. Called only when the hysteresis state is stable
 // (no cooldown, candidate == current).
 func (c *Controller) probeCandidate(sig Signals) (Strategy, bool) {
-	if c.cfg.ProbeEvery < 0 {
-		return Strategy{}, false
-	}
 	if c.cur.Impl != ImplSeq {
 		if c.parN == 0 {
 			return Strategy{}, false // nothing measured yet to compare against
 		}
 		// The first sequential probe fires as soon as the parallel side has a
 		// measurement and the sequential side has none; afterwards probes
-		// re-arm every ProbeEvery epochs.
-		if (c.seqN == 0 && c.sinceProbe >= 2) || c.sinceProbe >= c.cfg.ProbeEvery {
+		// re-arm every probeEvery epochs.
+		if (c.seqN == 0 && c.sinceProbe >= 2) || c.sinceProbe >= probeEvery {
 			return Strategy{Impl: ImplSeq, Workers: 1}, true
 		}
 		return Strategy{}, false
@@ -359,7 +327,7 @@ func (c *Controller) probeCandidate(sig Signals) (Strategy, bool) {
 	// whose operations grow heavier climbs back onto the worker ladder. Only
 	// when structure actually wants parallelism — probing a serial graph
 	// with a pool would measure nothing but overhead.
-	if c.seqN == 0 || c.sinceProbe < c.cfg.ProbeEvery {
+	if c.seqN == 0 || c.sinceProbe < probeEvery {
 		return Strategy{}, false
 	}
 	if w := c.ladder(sig.Par()); w > 1 {
@@ -374,7 +342,7 @@ func (c *Controller) probeVerdict() (Strategy, string, bool) {
 	if c.seqN == 0 || c.parN == 0 {
 		return Strategy{}, "", false
 	}
-	m := 1 - c.cfg.ProbeMargin
+	m := 1 - probeMargin
 	if c.probed.Impl == ImplSeq && c.cur.Impl != ImplSeq && c.seqNs < c.parNs*m {
 		return c.probed, fmt.Sprintf("grain: seq %.0fns/op < par %.0fns/op", c.seqNs, c.parNs), true
 	}
@@ -404,10 +372,10 @@ func (c *Controller) targetWorkers(par float64) int {
 		return raw
 	}
 	cur := c.cur.Workers
-	if raw > cur && par < float64(raw)*(1+c.cfg.Margin) {
+	if raw > cur && par < float64(raw)*(1+margin) {
 		return cur // above the level boundary, but not clear of the band
 	}
-	if raw < cur && par > float64(cur)*(1-c.cfg.Margin) {
+	if raw < cur && par > float64(cur)*(1-margin) {
 		return cur // below the current level, but still inside its band
 	}
 	return raw
@@ -440,7 +408,7 @@ func (c *Controller) morph(sig Signals, to Strategy, reason string) {
 	from := c.cur
 	c.cur = to
 	c.pendingRuns = 0
-	c.cooldownLeft = c.cfg.Cooldown
+	c.cooldownLeft = cooldown
 	c.record(sig, from, to, reason)
 }
 
@@ -489,33 +457,4 @@ func (c *Controller) Decisions() []Decision {
 	out := make([]Decision, len(c.decisions))
 	copy(out, c.decisions)
 	return out
-}
-
-// CommitInterval picks the log-commit granularity from one sealed epoch's
-// payload size: the largest divisor of snapshotEvery whose group would stay
-// within the byte budget, so small epochs batch into few durable writes and
-// large epochs flush promptly. The rule is a stateless function of the
-// current epoch — no controller state feeds it — so an engine recovered
-// mid-run recomputes the identical cadence for every reprocessed epoch, and
-// always a divisor of snapshotEvery, so snapshots still land on commit
-// boundaries. epochBytes <= 0 (no committer, or a NAT run) keeps the
-// configured interval.
-func (c *Controller) CommitInterval(epochBytes int64, configured, snapshotEvery int) int {
-	if epochBytes <= 0 || snapshotEvery <= 1 {
-		return configured
-	}
-	ce := 1
-	for d := 1; d <= snapshotEvery; d++ {
-		if snapshotEvery%d != 0 {
-			continue
-		}
-		if epochBytes*int64(d) <= c.cfg.GroupBudget {
-			ce = d
-		}
-	}
-	if ce != c.lastCommit {
-		c.lastCommit = ce
-		c.commitG.Set(int64(ce))
-	}
-	return ce
 }

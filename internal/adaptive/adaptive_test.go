@@ -47,7 +47,7 @@ func TestInitialPick(t *testing.T) {
 // phase, and back, asserting it morphs once per phase shift (after
 // cooldown+patience) and holds steady inside each phase.
 func TestPhaseMorph(t *testing.T) {
-	c := New(Config{MaxWorkers: 8, Patience: 2, Cooldown: 2})
+	c := New(Config{MaxWorkers: 8})
 	epoch := uint64(1)
 	run := func(par float64, n int) []Strategy {
 		var out []Strategy
@@ -69,7 +69,7 @@ func TestPhaseMorph(t *testing.T) {
 	if (last != Strategy{Impl: ImplSeq, Workers: 1}) {
 		t.Fatalf("serial phase did not converge to seq/1: got %v", last)
 	}
-	// The morph must be damped: the first Patience-1+cooldown epochs of the
+	// The morph must be damped: the first patience-1+cooldown epochs of the
 	// new phase still run the old strategy.
 	if (phaseB[0] != Strategy{Impl: ImplSteal, Workers: 8}) {
 		t.Fatalf("morphed without patience: first serial-phase decision %v", phaseB[0])
@@ -89,7 +89,7 @@ func TestPhaseMorph(t *testing.T) {
 // TestBoundaryNoOscillation feeds a signal fluttering across a worker-level
 // boundary every epoch; the hysteresis rule must never morph.
 func TestBoundaryNoOscillation(t *testing.T) {
-	c := New(Config{MaxWorkers: 8, Patience: 2, Cooldown: 1, Margin: 0.15})
+	c := New(Config{MaxWorkers: 8})
 	first := c.Decide(sigPar(1, 4.5)) // initial: steal/4
 	for i := 0; i < 40; i++ {
 		par := 3.9 // just below the 4 boundary
@@ -109,13 +109,13 @@ func TestBoundaryNoOscillation(t *testing.T) {
 // TestDeadband: a drift that stays inside the margin band around the
 // current level never becomes a candidate, even when persistent.
 func TestDeadband(t *testing.T) {
-	c := New(Config{MaxWorkers: 8, Patience: 2, Cooldown: 1, Margin: 0.15})
+	c := New(Config{MaxWorkers: 8})
 	want := c.Decide(sigPar(1, 4.2))
 	if (want != Strategy{Impl: ImplSteal, Workers: 4}) {
 		t.Fatalf("initial: got %v", want)
 	}
 	// 3.7 is below the level-4 threshold (raw target 2) but above
-	// 4*(1-0.15)=3.4, so the controller holds 4 workers indefinitely.
+	// 4*(1-margin)=3.4, so the controller holds 4 workers indefinitely.
 	for i := 0; i < 20; i++ {
 		if got := c.Decide(sigPar(uint64(i+2), 3.7)); got != want {
 			t.Fatalf("epoch %d: in-band drift morphed to %v", i+2, got)
@@ -147,48 +147,11 @@ func TestForceOverride(t *testing.T) {
 	}
 }
 
-func TestCommitInterval(t *testing.T) {
-	c := New(Config{MaxWorkers: 1, GroupBudget: 1000})
-	cases := []struct {
-		bytes int64
-		snap  int
-		conf  int
-		want  int
-	}{
-		{0, 8, 2, 2},    // no byte signal: keep configured
-		{-1, 8, 4, 4},   // NAT runs keep configured
-		{10, 8, 1, 8},   // tiny epochs batch to the snapshot interval
-		{200, 8, 1, 4},  // 200*4=800 <= 1000 < 200*8
-		{400, 8, 1, 2},  // 400*2 <= 1000 < 400*4
-		{600, 8, 1, 1},  // large epochs flush every epoch
-		{5000, 8, 1, 1}, // over budget alone: smallest divisor
-		{10, 6, 1, 6},   // non-power-of-two interval: divisors {1,2,3,6}
-		{250, 6, 1, 3},  // 250*3=750 <= 1000 < 250*6
-		{10, 1, 1, 1},   // snapshot every epoch: nothing to batch
-	}
-	for _, tc := range cases {
-		got := c.CommitInterval(tc.bytes, tc.conf, tc.snap)
-		if got != tc.want {
-			t.Fatalf("CommitInterval(%d, %d, %d) = %d, want %d",
-				tc.bytes, tc.conf, tc.snap, got, tc.want)
-		}
-		if tc.snap%got != 0 {
-			t.Fatalf("CommitInterval(%d, %d, %d) = %d does not divide the snapshot interval",
-				tc.bytes, tc.conf, tc.snap, got)
-		}
-		// Stateless: the same input always yields the same cadence — the
-		// property recovery's replay of the tail depends on.
-		if again := c.CommitInterval(tc.bytes, tc.conf, tc.snap); again != got {
-			t.Fatalf("CommitInterval not stateless: %d then %d", got, again)
-		}
-	}
-}
-
 // TestTracing: with an observer attached, decisions land in the registry
 // (morph counter, worker gauge, provider snapshot) and emit spans.
 func TestTracing(t *testing.T) {
 	o := obs.NewObserver(1, 128)
-	c := New(Config{MaxWorkers: 8, Patience: 1, Cooldown: 1, Obs: o})
+	c := New(Config{MaxWorkers: 8, Obs: o})
 	c.Decide(sigPar(1, 500))
 	for i := 0; i < 6; i++ {
 		c.Decide(sigPar(uint64(i+2), 1.0))

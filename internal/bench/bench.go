@@ -163,7 +163,6 @@ func executeOnce(s Scenario) (Run, error) {
 	cfg := core.Config{
 		RunShape:         s.Scale.RunShape,
 		FT:               s.Kind,
-		BatchSize:        s.Scale.BatchSize,
 		AsyncCommit:      s.AsyncCommit,
 		Compression:      s.Compression,
 		MSR:              s.MSR,

@@ -8,7 +8,7 @@
 //	gen := workload.NewSL(workload.DefaultSLParams())
 //	sys, _ := core.New(gen.App(), core.Config{
 //		RunShape: core.RunShape{Workers: 4},
-//		FT:       core.MSR, BatchSize: 4096,
+//		FT:       core.MSR,
 //	})
 //	for i := 0; i < 12; i++ {
 //		sys.ProcessBatch(workload.Batch(gen, 4096))
@@ -53,9 +53,6 @@ type Config struct {
 	RunShape
 	// FT is the fault-tolerance scheme (NAT, CKPT, WAL, DL, LV, MSR).
 	FT ftapi.Kind
-	// BatchSize is the punctuation interval in events; informational for
-	// callers that size their own batches (default 4096).
-	BatchSize int
 	// AsyncCommit moves durable group-commit writes off the critical path
 	// (Section VII's Lineage Stash-style direction); outputs still release
 	// only after their commit record lands, preserving exactly-once.
@@ -86,9 +83,6 @@ type Config struct {
 func (c *Config) normalize() error {
 	if err := c.RunShape.Normalize(); err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 4096
 	}
 	if c.MSR == nil {
 		d := msr.Default()

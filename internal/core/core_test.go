@@ -25,7 +25,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sys.Cfg
-	if cfg.Workers != 1 || cfg.BatchSize != 4096 || cfg.CommitEvery != 1 || cfg.SnapshotEvery != 8 {
+	if cfg.Workers != 1 || cfg.CommitEvery != 1 || cfg.SnapshotEvery != 8 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	if cfg.MSR == nil || *cfg.MSR != msr.Default() {

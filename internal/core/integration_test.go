@@ -24,9 +24,8 @@ const (
 
 func itConfig(kind ftapi.Kind) Config {
 	return Config{
-		RunShape:  RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4},
-		FT:        kind,
-		BatchSize: itBatch,
+		RunShape: RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4},
+		FT:       kind,
 	}
 }
 

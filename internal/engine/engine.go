@@ -79,13 +79,6 @@ type Config struct {
 	// Requires a mechanism implementing ftapi.AsyncCommitter; others fall
 	// back to synchronous commits.
 	AsyncCommit bool
-	// AdaptiveBudget, when positive, enables commit-granularity morphing:
-	// the adaptive controller targets group commits of about this many
-	// buffered log bytes, choosing a divisor of SnapshotEvery as the
-	// effective interval each epoch. Zero keeps the configured CommitEvery —
-	// the durable write sequence is then a function of the run shape alone,
-	// which the crash-consistency suite pins.
-	AdaptiveBudget int64
 	// AdaptiveForce pins the adaptive controller to one strategy (tests and
 	// A/B measurement): {steal, Workers} holds the engine on the pool at its
 	// full width every epoch. Nil lets the controller decide.
@@ -210,15 +203,9 @@ type Engine struct {
 	// exec runs every epoch's graph: its controller observes the epoch's
 	// structure and the previous epoch's wall time and picks sequential or
 	// pool execution and the worker count; rangesBy caches the chain
-	// partitions per live worker count it asks for. commSize reads the
-	// mechanism's buffered group size for commit-granularity morphing (nil
-	// when disabled or unsupported by the mechanism).
+	// partitions per live worker count it asks for.
 	exec     *scheduler.Executor
 	rangesBy map[int]*partition.Ranges
-	commSize interface {
-		Buffered() int
-		BufferedBytes() int64
-	}
 }
 
 // asyncCommit tracks one background group-commit write.
@@ -246,14 +233,6 @@ func New(cfg Config) (*Engine, error) {
 		// replay), so the dirty map covers every post-marker write.
 		e.st.EnableDirtyTracking()
 	}
-	if cfg.AdaptiveBudget > 0 {
-		if cs, ok := cfg.Mechanism.(interface {
-			Buffered() int
-			BufferedBytes() int64
-		}); ok {
-			e.commSize = cs
-		}
-	}
 	if reg := cfg.Obs.Registry(); reg != nil {
 		e.sched = &obs.SchedStats{}
 		e.sched.Register(reg)
@@ -267,10 +246,9 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.exec = &scheduler.Executor{
 		Ctrl: adaptive.New(adaptive.Config{
-			MaxWorkers:  cfg.Workers,
-			GroupBudget: cfg.AdaptiveBudget,
-			Force:       cfg.AdaptiveForce,
-			Obs:         cfg.Obs,
+			MaxWorkers: cfg.Workers,
+			Force:      cfg.AdaptiveForce,
+			Obs:        cfg.Obs,
 		}),
 		AssignFor: e.assignFor,
 		FireHook:  cfg.FireHook,
@@ -352,6 +330,23 @@ func (e *Engine) Throughput() float64 { return metrics.Throughput(e.events, e.to
 
 // ErrCrashed is returned by ProcessEpoch after Crash.
 var ErrCrashed = errors.New("engine: crashed; recover with engine.Recover")
+
+// Classify maps an error surfaced by ProcessEpoch to its incident cause
+// label: "panic", "poisoned", "io-transient-exhausted", or "io-fatal". The
+// supervisor, the shard coordinator's per-shard heal and the serving pump
+// share it, so incident logs read identically whichever layer healed.
+func Classify(err error) string {
+	switch {
+	case errors.Is(err, scheduler.ErrOpPanic):
+		return "panic"
+	case errors.Is(err, ftapi.ErrPoisoned):
+		return "poisoned"
+	case errors.Is(err, storage.ErrRetryExhausted), errors.Is(err, storage.ErrCircuitOpen):
+		return "io-transient-exhausted"
+	default:
+		return "io-fatal"
+	}
+}
 
 // ProcessEpoch ingests one punctuation interval's events. Event sequence
 // numbers must continue from the previous epoch (the spout's numbering).
@@ -635,20 +630,7 @@ func (e *Engine) sealAndMark(ep uint64, events []types.Event, g *tpg.Graph) erro
 	// AsyncCommit the durable write happens on a background goroutine and
 	// the outputs release when it completes (checked at the next marker or
 	// drained at snapshots); without it, both happen here.
-	//
-	// Commit-granularity morphing (budgeted): the interval is a
-	// stateless function of the buffered group's byte size, so a recovered
-	// engine reprocessing the tail recomputes the exact pre-crash commit
-	// cadence. Every candidate divides SnapshotEvery, so a snapshot epoch
-	// always commits first.
-	interval := uint64(e.commitEvery)
-	if e.commSize != nil {
-		if n := e.commSize.Buffered(); n > 0 {
-			perEpoch := e.commSize.BufferedBytes() / int64(n)
-			interval = uint64(e.exec.Ctrl.CommitInterval(perEpoch, e.commitEvery, e.cfg.SnapshotEvery))
-		}
-	}
-	if ep%interval == 0 {
+	if ep%uint64(e.commitEvery) == 0 {
 		if err := e.commitMarker(ep); err != nil {
 			return fmt.Errorf("engine: epoch %d: %w", ep, err)
 		}

@@ -14,6 +14,7 @@ import (
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/supervisor"
 	"morphstreamr/internal/tpg"
+	"morphstreamr/internal/types"
 )
 
 // Scenario names one chaos pattern driven through the supervisor. Where
@@ -164,7 +165,7 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 		Mechanism: func(dev storage.Device, bytes *metrics.Bytes) ftapi.Mechanism {
 			return core.NewMechanism(cfg.Kind, dev, bytes, msr.Default())
 		},
-		Source:       supervisor.BatchSource(ref.batches),
+		Source:       types.BatchSource(ref.batches),
 		Retry:        retry,
 		StallTimeout: cc.StallTimeout,
 		FireHook:     fireHook,

@@ -102,7 +102,7 @@ func ShardChaos(cc ShardChaosConfig) (*ShardChaosOutcome, error) {
 	}
 
 	out := &ShardChaosOutcome{KilledShard: cc.KillShard}
-	source := shard.BatchSource(ref.batches)
+	source := types.BatchSource(ref.batches)
 	for e := 0; e < scfg.Epochs; e++ {
 		err := g.ProcessEpoch(ref.batches[e])
 		if err == nil {

@@ -242,7 +242,7 @@ func shardRunOne(cfg *ShardConfig, ref *shardRef, d, k int) error {
 			Devices:    inner,
 			CoordDev:   coordInner,
 		},
-		Source: shard.BatchSource(ref.batches),
+		Source: types.BatchSource(ref.batches),
 	})
 	if err != nil {
 		return fmt.Errorf("group recover: %w", err)

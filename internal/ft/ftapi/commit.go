@@ -103,11 +103,6 @@ func (g *GroupCommitter) SealInto(epoch uint64, encode func(*codec.Buffer)) {
 // Buffered reports how many sealed epochs await commit.
 func (g *GroupCommitter) Buffered() int { return len(g.buffered) }
 
-// BufferedBytes reports the total encoded size of the epochs awaiting
-// commit. The adaptive controller's commit-granularity rule reads it to
-// decide, from durable bytes alone, whether to commit early.
-func (g *GroupCommitter) BufferedBytes() int64 { return g.bufBytes }
-
 // Commit synchronously persists the buffered group.
 func (g *GroupCommitter) Commit(hi uint64) error {
 	write, ok := g.PrepareCommit(hi)

@@ -29,7 +29,7 @@ type Backend interface {
 	// Heal recovers from a failed Feed using src to re-feed whatever the
 	// mechanisms did not replay. It returns the epoch the backend resumed
 	// from: every fed epoch above it was lost and must be re-fed.
-	Heal(procErr error, src shard.Source) (uint64, error)
+	Heal(procErr error, src types.Source) (uint64, error)
 	// Close releases backend resources.
 	Close()
 }
@@ -134,7 +134,7 @@ func (b *GroupBackend) Group() *shard.Group { return b.g }
 // single-shard heal (survivors keep their state, the interrupted barrier
 // completes); anything else — or a failed shard heal — falls back to a
 // group-wide parallel recovery from the durable logs.
-func (b *GroupBackend) Heal(procErr error, src shard.Source) (uint64, error) {
+func (b *GroupBackend) Heal(procErr error, src types.Source) (uint64, error) {
 	b.heals++
 	var serr *shard.ShardError
 	if errors.As(procErr, &serr) {

@@ -173,10 +173,13 @@ func (d *chaosDriver) session(c *Client, acked *uint64, total uint64, submitted 
 }
 
 // runRogue is the slow-consumer cell's misbehaving client: it submits its
-// whole stream but never reads acks, so the server's bounded ack buffer
-// fills and the session is evicted. It then redials (learning progress only
-// from HelloAck watermarks) and resumes — proving eviction loses no acks
-// and never wedges the pump.
+// whole stream but never reads acks. Its receive buffer is shrunk to the
+// kernel's minimum, so the acks it leaves unread back up into the server's
+// bounded ack buffer instead of a loopback socket's, and after the stream it
+// keeps replaying batch 1 — one dedupe ack per replay once that batch is
+// durable — until the server evicts the session. Only then does it redial,
+// learning progress from the HelloAck watermark alone, and resume — proving
+// eviction loses no acks and never wedges the pump.
 func runRogue(addr string, batches, batchEvents int, rows uint32, seed int64, stop <-chan struct{}) {
 	gen := workload.NewGS(workload.GSParams{
 		Seed: seed + 9973, Rows: rows, Partitions: 2,
@@ -210,28 +213,24 @@ func runRogue(addr string, batches, batchEvents int, rows uint32, seed int64, st
 			c.Close()
 			return
 		}
-		// Submit everything outstanding without ever reading an ack.
-		for seq := c.Watermark + 1; seq <= total; seq++ {
-			if err := c.Submit(seq, stream[seq-1]); err != nil {
-				break
-			}
+		// Best effort: should the kernel refuse, the replay loop below still
+		// ends in eviction, only after more replays.
+		_ = c.Conn().(*net.TCPConn).SetReadBuffer(1)
+		for seq := c.Watermark + 1; seq <= total && err == nil; seq++ {
+			err = c.Submit(seq, stream[seq-1])
 		}
-		// Blast replays of an already-acked batch, still without reading:
-		// each one triggers an immediate duplicate ack from the session's
-		// read loop, so the bounded ack buffer must fill and evict us.
-		if c.Watermark >= 1 {
-			for i := 0; i < 400; i++ {
-				if err := c.Submit(1, stream[0]); err != nil {
-					break
+		for n := 0; err == nil; n++ {
+			// Pause every 64 replays so the flood cannot starve the pump, whose
+			// commits it waits on, of a small host's CPU.
+			if n%64 == 0 {
+				select {
+				case <-stop:
+					c.Close()
+					return
+				case <-time.After(time.Millisecond):
 				}
 			}
-		}
-		// Linger briefly (still not reading), then reconnect for progress.
-		select {
-		case <-stop:
-			c.Close()
-			return
-		case <-time.After(30 * time.Millisecond):
+			err = c.Submit(1, stream[0])
 		}
 		c.Close()
 	}

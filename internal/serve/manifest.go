@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"morphstreamr/internal/codec"
-	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 )
@@ -142,7 +141,7 @@ type IngestState struct {
 	// assignment any manifest record ever made, durable or torn.
 	NextSeq uint64
 	// Epochs maps every fed epoch still in the log to its global
-	// pre-routing batch — the shard.Source recovery re-feeds from.
+	// pre-routing batch — the types.Source recovery re-feeds from.
 	Epochs map[uint64][]types.Event
 }
 
@@ -229,7 +228,7 @@ func RecoverIngest(dev storage.Device, durable uint64) (IngestState, error) {
 // truncated are reported unknown, which GroupRecover's counter restoration
 // tolerates; the alignment epoch always sits above the GC horizon because
 // GC never truncates past the committed frontier.
-func IngestSource(dev storage.Device, durable uint64) (shard.Source, error) {
+func IngestSource(dev storage.Device, durable uint64) (types.Source, error) {
 	st, err := RecoverIngest(dev, durable)
 	if err != nil {
 		return nil, err

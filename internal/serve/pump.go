@@ -8,11 +8,10 @@ import (
 	"sort"
 	"time"
 
+	"morphstreamr/internal/engine"
 	"morphstreamr/internal/journey"
 	"morphstreamr/internal/metrics"
-	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
-	"morphstreamr/internal/supervisor"
 	"morphstreamr/internal/types"
 )
 
@@ -197,7 +196,7 @@ func (s *Server) routeShards(b *batch) []int {
 // and both are pruned only below the committed frontier, so any epoch
 // recovery can ask for — the alignment epoch is never below the frontier —
 // is present.
-func (s *Server) memSource() shard.Source {
+func (s *Server) memSource() types.Source {
 	return func(ep uint64) ([]types.Event, bool) {
 		ev, ok := s.fedEpochs[ep]
 		return ev, ok
@@ -210,7 +209,7 @@ func (s *Server) memSource() shard.Source {
 // requeued (with their assigned sequences) and re-fed after the heal.
 func (s *Server) heal(procErr error) error {
 	detected := time.Now()
-	cause := supervisor.Classify(procErr)
+	cause := engine.Classify(procErr)
 	s.degraded.Store(true)
 	defer s.degraded.Store(false)
 	// Bracket the heal for the journey tracer: time any sampled in-flight

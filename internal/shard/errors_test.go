@@ -8,7 +8,6 @@ import (
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/shard"
-	"morphstreamr/internal/supervisor"
 )
 
 // TestShardErrorIdentity (satellite: error-identity plumbing): a shard
@@ -60,7 +59,7 @@ func TestShardErrorClassification(t *testing.T) {
 		{"crashed shard", &shard.ShardError{Shard: 2, Err: engine.ErrCrashed}, "io-fatal"},
 	}
 	for _, tc := range cases {
-		if got := supervisor.Classify(tc.err); got != tc.want {
+		if got := engine.Classify(tc.err); got != tc.want {
 			t.Errorf("%s: Classify = %q, want %q", tc.name, got, tc.want)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/metrics"
-	"morphstreamr/internal/supervisor"
 )
 
 // HealShard recovers a single dead shard in place after ProcessEpoch
@@ -44,7 +43,7 @@ func (g *Group) HealShard(procErr error, source Source) (*engine.RecoveryReport,
 		return nil, fmt.Errorf("shard: HealShard: no shard %d", serr.Shard)
 	}
 	detected := time.Now()
-	cause := supervisor.Classify(serr.Err)
+	cause := engine.Classify(serr.Err)
 	ep := g.epoch + 1
 	events, ok := source(ep)
 	if !ok {

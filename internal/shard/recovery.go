@@ -13,20 +13,13 @@ import (
 	"morphstreamr/internal/vtime"
 )
 
-// Source supplies the global (pre-routing) batch of a group epoch for
-// re-feeding during alignment, and reports whether it is known. It is the
-// group-level analogue of the supervisor's rewindable source contract.
-type Source func(epoch uint64) ([]types.Event, bool)
+// Source is types.Source under the name the nested benchmark module
+// compiles against: group recovery re-feeds the global (pre-routing) batch
+// of an epoch through it.
+type Source = types.Source
 
-// BatchSource adapts a fixed batch list (batches[e-1] is epoch e).
-func BatchSource(batches [][]types.Event) Source {
-	return func(epoch uint64) ([]types.Event, bool) {
-		if epoch == 0 || epoch > uint64(len(batches)) {
-			return nil, false
-		}
-		return batches[epoch-1], true
-	}
-}
+// BatchSource is types.BatchSource, kept for the same reason.
+var BatchSource = types.BatchSource
 
 // RecoverConfig parameterizes a group recovery.
 type RecoverConfig struct {

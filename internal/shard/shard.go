@@ -86,11 +86,6 @@ type Config struct {
 	// Health receives shard-death incidents from HealShard; nil allocates
 	// a fresh log.
 	Health *metrics.Health
-	// Sinks, when non-nil, receives each shard's released outputs
-	// (Sinks[i] for shard i) in addition to the engines' ledgers. A sink
-	// shares each slice with the ledger and must not mutate it (see
-	// engine.Config.Sink).
-	Sinks []func([]types.Output)
 	// LocalReads declares the application partition-local: every key a
 	// transaction reads lives in the shard that owns its routing key (GS
 	// with MultiPartitionRatio 0 and Partitions == Shards, for example).
@@ -289,10 +284,6 @@ func (g *Group) engineConfig(s *shardState) engine.Config {
 	// that every shard's markers land on the same epochs, so the MSR
 	// advisor must not retune CommitEvery per shard.
 	shape.AutoCommit = false
-	var sink func([]types.Output)
-	if len(g.cfg.Sinks) > s.idx {
-		sink = g.cfg.Sinks[s.idx]
-	}
 	return engine.Config{
 		RunShape:  shape,
 		App:       g.app,
@@ -300,7 +291,6 @@ func (g *Group) engineConfig(s *shardState) engine.Config {
 		Mechanism: core.NewMechanism(g.cfg.Kind, s.dev, s.bytes, msr.Default()),
 		Bytes:     s.bytes,
 		Obs:       g.cfg.Obs,
-		Sink:      sink,
 		Shard:     s.idx,
 		OfShards:  g.cfg.Shards,
 		OnWriteSet: func(ep uint64, keys []types.Key) {

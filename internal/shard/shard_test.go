@@ -133,7 +133,7 @@ func TestLocalReadsGroup(t *testing.T) {
 	g.Crash()
 
 	g2, rep, err := shard.GroupRecover(shard.RecoverConfig{
-		Config: cfg, Source: shard.BatchSource(batches),
+		Config: cfg, Source: types.BatchSource(batches),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestGroupCrashRecoverContinue(t *testing.T) {
 	}
 
 	g2, rep, err := shard.GroupRecover(shard.RecoverConfig{
-		Config: cfg, Source: shard.BatchSource(batches),
+		Config: cfg, Source: types.BatchSource(batches),
 	})
 	if err != nil {
 		t.Fatal(err)

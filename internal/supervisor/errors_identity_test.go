@@ -2,44 +2,16 @@ package supervisor
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 
+	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
+	"morphstreamr/internal/obs"
 	"morphstreamr/internal/scheduler"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/tpg"
+	"morphstreamr/internal/types"
 )
-
-// TestClassifyWrappedChains (satellite: error-identity plumbing): the
-// incident taxonomy must see through arbitrary fmt.Errorf %w nesting — the
-// layers between a device fault and the supervisor (mechanism, engine,
-// shard coordinator) all annotate errors, and a single %v anywhere in that
-// chain silently turns every cause into "io-fatal".
-func TestClassifyWrappedChains(t *testing.T) {
-	deep := func(err error) error {
-		return fmt.Errorf("engine: epoch 7: %w", fmt.Errorf("seal: %w", err))
-	}
-	cases := []struct {
-		name string
-		err  error
-		want string
-	}{
-		{"poisoned direct", ftapi.ErrPoisoned, "poisoned"},
-		{"poisoned nested", deep(fmt.Errorf("commit: %w: %w", ftapi.ErrPoisoned, errors.New("disk gone"))), "poisoned"},
-		{"exhausted nested", deep(fmt.Errorf("storage: append: %w after 4 attempts: %w", storage.ErrRetryExhausted, storage.Transient(errors.New("timeout")))), "io-transient-exhausted"},
-		{"circuit open nested", deep(storage.ErrCircuitOpen), "io-transient-exhausted"},
-		{"panic nested", deep(fmt.Errorf("worker 3: %w: boom", scheduler.ErrOpPanic)), "panic"},
-		{"plain fatal", deep(errors.New("device unplugged")), "io-fatal"},
-		{"bare transient is not exhausted", deep(storage.Transient(errors.New("timeout"))), "io-fatal"},
-	}
-	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("%s: Classify = %q, want %q (chain: %v)", tc.name, got, tc.want, tc.err)
-		}
-	}
-}
 
 // TestRecoveryBudgetPreservesCauseIdentity: the terminal budget error wraps
 // the last failure with %w, so callers can still errors.Is the root cause
@@ -49,7 +21,7 @@ func TestRecoveryBudgetPreservesCauseIdentity(t *testing.T) {
 	sup, err := New(Config{
 		App: app, Device: storage.NewMem(),
 		Mechanism:     mechFactory(ftapi.WAL),
-		Source:        BatchSource(batches),
+		Source:        types.BatchSource(batches),
 		RunShape:      tShape,
 		MaxRecoveries: 1,
 		FireHook:      func(n *tpg.OpNode) { panic("chaos: persistent fault") },
@@ -64,32 +36,27 @@ func TestRecoveryBudgetPreservesCauseIdentity(t *testing.T) {
 	if !errors.Is(err, scheduler.ErrOpPanic) {
 		t.Fatalf("budget error lost the root cause identity: %v", err)
 	}
-	if Classify(err) != "panic" {
-		t.Fatalf("budget error classifies as %q, want panic: %v", Classify(err), err)
+	if engine.Classify(err) != "panic" {
+		t.Fatalf("budget error classifies as %q, want panic: %v", engine.Classify(err), err)
 	}
 }
 
-// TestOnStateObservesTransitions: OnState sees the lifecycle as it happens —
-// Recovering during a heal, Running when the heal completes, Stopped at the
-// end — so a serving layer can shed load the moment a heal begins, not after
-// it ends. (The initial Running is the construction state, not a transition,
-// so OnState does not report it.)
+// TestOnStateObservesTransitions: the observer's timeline sees the
+// lifecycle as it happens — Recovering during a heal, Running when the heal
+// completes, Stopped at the end — and the supervisor.to_* counters agree
+// with it. (The initial Running is the construction state, not a
+// transition, so neither reports it.)
 func TestOnStateObservesTransitions(t *testing.T) {
 	app, batches := fixedBatches(32)
 	flaky := storage.NewFlaky(storage.NewMem())
 	flaky.AddOutage(6, 1)
-	var mu sync.Mutex
-	var seen []State
+	o := obs.NewObserver(1, 64)
 	sup, err := New(Config{
 		App: app, Device: flaky,
 		Mechanism: mechFactory(ftapi.WAL),
-		Source:    BatchSource(batches),
+		Source:    types.BatchSource(batches),
 		RunShape:  tShape,
-		OnState: func(st State) {
-			mu.Lock()
-			seen = append(seen, st)
-			mu.Unlock()
-		},
+		Obs:       o,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,24 +64,40 @@ func TestOnStateObservesTransitions(t *testing.T) {
 	if err := sup.Run(); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) == 0 || seen[len(seen)-1] != Stopped {
+	var seen []string
+	for _, ev := range o.Timeline().Events() {
+		if ev.Source == "supervisor" && ev.Kind == "state" {
+			seen = append(seen, ev.Detail)
+		}
+	}
+	if len(seen) == 0 || seen[len(seen)-1] != Stopped.String() {
 		t.Fatalf("transitions = %v, want Stopped last", seen)
 	}
 	var recovering, running bool
 	for i, st := range seen {
-		if st == Recovering {
+		if st == Recovering.String() {
 			recovering = true
 		}
-		if st == Running && recovering && i < len(seen)-1 {
+		if st == Running.String() && recovering && i < len(seen)-1 {
 			running = true // back to Running after the heal
 		}
 	}
 	if !recovering {
-		t.Fatalf("heal ran but OnState never saw Recovering: %v", seen)
+		t.Fatalf("heal ran but the timeline never saw Recovering: %v", seen)
 	}
 	if !running {
 		t.Fatalf("heal never returned to Running before Stopped: %v", seen)
+	}
+	reg := o.Registry()
+	for _, st := range []State{Recovering, Running, Stopped} {
+		n := 0
+		for _, s := range seen {
+			if s == st.String() {
+				n++
+			}
+		}
+		if got := reg.Counter("supervisor.to_" + st.String()).Value(); got != int64(n) {
+			t.Fatalf("supervisor.to_%s = %d, timeline saw %d: %v", st, got, n, seen)
+		}
 	}
 }

@@ -42,7 +42,6 @@ import (
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/obs"
-	"morphstreamr/internal/scheduler"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
@@ -88,25 +87,6 @@ var ErrStalled = errors.New("supervisor: epoch progress stalled")
 // MaxRecoveries: the fault is evidently not one healing can fix.
 var ErrRecoveryBudget = errors.New("supervisor: recovery budget exhausted")
 
-// Source feeds the stream: it returns the batch for a 1-based epoch, or
-// ok=false when the stream is exhausted. It must be rewindable — after a
-// recovery the supervisor re-reads from the last committed punctuation
-// onward, so repeated calls for the same epoch must return the same batch.
-// (Epochs the crashed incarnation persisted are replayed from the device,
-// not the source; the source re-supplies only what never became durable.)
-type Source func(epoch uint64) ([]types.Event, bool)
-
-// BatchSource adapts a fixed batch list into a (trivially rewindable)
-// Source: batch i serves epoch i+1.
-func BatchSource(batches [][]types.Event) Source {
-	return func(epoch uint64) ([]types.Event, bool) {
-		if epoch == 0 || epoch > uint64(len(batches)) {
-			return nil, false
-		}
-		return batches[epoch-1], true
-	}
-}
-
 // Config assembles a supervised engine.
 type Config struct {
 	// App is the transactional stream application.
@@ -122,8 +102,11 @@ type Config struct {
 	// it belonged to. Must not return a NAT mechanism (nothing to recover
 	// from).
 	Mechanism func(dev storage.Device, bytes *metrics.Bytes) ftapi.Mechanism
-	// Source feeds input batches; required.
-	Source Source
+	// Source feeds input batches; required. After a recovery the
+	// supervisor re-reads it from the last committed punctuation onward
+	// (epochs the crashed incarnation persisted are replayed from the
+	// device, so the source re-supplies only what never became durable).
+	Source types.Source
 
 	// RunShape carries the engine knobs (Workers, CommitEvery,
 	// SnapshotEvery, AutoCommit, Pipeline), passed through to every
@@ -138,19 +121,8 @@ type Config struct {
 	// epoch before declaring a stall (default 2s). It must comfortably
 	// exceed the slowest healthy epoch.
 	StallTimeout time.Duration
-	// PollInterval is the watchdog's check period (default StallTimeout/8,
-	// floor 5ms).
-	PollInterval time.Duration
 	// MaxRecoveries bounds in-process heals before giving up (default 4).
 	MaxRecoveries int
-	// OnState, when non-nil, observes every state transition as it
-	// happens, including the lock-free Degraded dips on the retry path and
-	// the Recovering window of an in-process heal. It is invoked from
-	// supervisor and engine goroutines, so implementations must be
-	// concurrency-safe and fast (a gauge store, a channel send). The
-	// serving layer uses the Recovering notification to shed load by
-	// tenant priority while a heal is in flight.
-	OnState func(State)
 	// OnStall, when non-nil, runs after the fence advances during a stall
 	// heal. It is the cancellation hook that un-wedges the stuck operation
 	// (chaos tests park an op on a channel; production hooks would cancel
@@ -163,7 +135,8 @@ type Config struct {
 	// Health receives incident records; nil allocates a fresh log.
 	Health *metrics.Health
 	// Obs, when non-nil, observes the supervised run: the incident log and
-	// state transitions are published to its registry, a "reseat" recovery
+	// state transitions (supervisor.to_* counters, supervisor/state
+	// timeline events) are published to it, a "reseat" recovery
 	// span brackets every heal, and each incarnation's engine emits its
 	// epoch/recovery telemetry through it.
 	Obs *obs.Observer
@@ -178,12 +151,6 @@ func (c *Config) normalize() error {
 	}
 	if c.StallTimeout <= 0 {
 		c.StallTimeout = 2 * time.Second
-	}
-	if c.PollInterval <= 0 {
-		c.PollInterval = c.StallTimeout / 8
-		if c.PollInterval < 5*time.Millisecond {
-			c.PollInterval = 5 * time.Millisecond
-		}
 	}
 	if c.MaxRecoveries <= 0 {
 		c.MaxRecoveries = 4
@@ -305,26 +272,6 @@ type failure struct {
 	detection  time.Duration
 }
 
-// Classify maps a surfaced engine error to its incident cause label
-// ("panic", "poisoned", "io-transient-exhausted", or "io-fatal"). The
-// shard coordinator's per-shard heal shares the supervisor's taxonomy so
-// incident logs read identically whether one engine or one shard died.
-func Classify(err error) string { return classify(err) }
-
-// classify maps a surfaced engine error to its incident cause.
-func classify(err error) string {
-	switch {
-	case errors.Is(err, scheduler.ErrOpPanic):
-		return "panic"
-	case errors.Is(err, ftapi.ErrPoisoned):
-		return "poisoned"
-	case errors.Is(err, storage.ErrRetryExhausted), errors.Is(err, storage.ErrCircuitOpen):
-		return "io-transient-exhausted"
-	default:
-		return "io-fatal"
-	}
-}
-
 // Run processes the stream to exhaustion, healing failures along the way.
 // It returns nil once the source is drained and everything committed, or
 // the terminal error when healing is impossible or the recovery budget is
@@ -407,9 +354,9 @@ func (s *Supervisor) stack() (storage.Device, *storage.Retrying) {
 	return st.MustBuild(), st.Retrying
 }
 
-// observeTransition accounts a state change that bypassed setState (the
-// lock-free Degraded dips on the retry and epoch paths) and notifies the
-// configured state listener.
+// observeTransition publishes a state change — including those that
+// bypassed setState (the lock-free Degraded dips on the retry and epoch
+// paths) — to the observer's registry and timeline.
 func (s *Supervisor) observeTransition(st State) {
 	if reg := s.cfg.Obs.Registry(); reg != nil {
 		reg.Gauge("supervisor.state").Set(int64(st))
@@ -417,9 +364,6 @@ func (s *Supervisor) observeTransition(st State) {
 		reg.Counter("supervisor.to_" + st.String()).Inc()
 	}
 	s.cfg.Obs.Timeline().Add("supervisor", "state", st.String(), nil)
-	if s.cfg.OnState != nil {
-		s.cfg.OnState(st)
-	}
 }
 
 // engineConfig assembles one incarnation's engine configuration. The
@@ -502,7 +446,8 @@ func (s *Supervisor) supervise(eng *engine.Engine, next uint64) (failure, bool) 
 	done := make(chan error, 1)
 	go func() { done <- s.drive(eng, next) }()
 
-	ticker := time.NewTicker(s.cfg.PollInterval)
+	// The watchdog checks eight times per stall timeout, at most every 5ms.
+	ticker := time.NewTicker(max(s.cfg.StallTimeout/8, 5*time.Millisecond))
 	defer ticker.Stop()
 	for {
 		select {
@@ -511,7 +456,7 @@ func (s *Supervisor) supervise(eng *engine.Engine, next uint64) (failure, bool) 
 				return failure{}, true
 			}
 			return failure{
-				cause:      classify(err),
+				cause:      engine.Classify(err),
 				err:        err,
 				detectedAt: time.Now(),
 			}, false

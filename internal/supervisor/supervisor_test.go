@@ -125,7 +125,7 @@ func TestCleanRunStops(t *testing.T) {
 	sup, err := New(Config{
 		App: app, Device: storage.NewMem(),
 		Mechanism: mechFactory(ftapi.WAL),
-		Source:    BatchSource(batches),
+		Source:    types.BatchSource(batches),
 		RunShape:  tShape,
 	})
 	if err != nil {
@@ -170,7 +170,7 @@ func TestTransientStormAbsorbed(t *testing.T) {
 	sup, err := New(Config{
 		App: app, Device: flaky,
 		Mechanism: mechFactory(ftapi.WAL),
-		Source:    BatchSource(batches),
+		Source:    types.BatchSource(batches),
 		RunShape:  tShape,
 		Retry: storage.RetryPolicy{
 			MaxAttempts: 6,
@@ -214,7 +214,7 @@ func TestFatalFaultHealsOnce(t *testing.T) {
 			sup, err := New(Config{
 				App: app, Device: flaky,
 				Mechanism: mechFactory(kind),
-				Source:    BatchSource(batches),
+				Source:    types.BatchSource(batches),
 				RunShape:  tShape,
 			})
 			if err != nil {
@@ -250,7 +250,7 @@ func TestPanicHeals(t *testing.T) {
 	sup, err := New(Config{
 		App: app, Device: storage.NewMem(),
 		Mechanism: mechFactory(ftapi.DL),
-		Source:    BatchSource(batches),
+		Source:    types.BatchSource(batches),
 		RunShape:  tShape,
 		FireHook: func(n *tpg.OpNode) {
 			// One-shot: panic mid-stream, well past the first commit.
@@ -293,7 +293,7 @@ func TestStallWatchdog(t *testing.T) {
 	sup, err := New(Config{
 		App: app, Device: storage.NewMem(),
 		Mechanism:    mechFactory(ftapi.WAL),
-		Source:       BatchSource(batches),
+		Source:       types.BatchSource(batches),
 		RunShape:     tShape,
 		StallTimeout: stallTimeout,
 		FireHook: func(n *tpg.OpNode) {
@@ -336,7 +336,7 @@ func TestRecoveryBudget(t *testing.T) {
 	sup, err := New(Config{
 		App: app, Device: storage.NewMem(),
 		Mechanism:     mechFactory(ftapi.WAL),
-		Source:        BatchSource(batches),
+		Source:        types.BatchSource(batches),
 		RunShape:      tShape,
 		MaxRecoveries: 2,
 		FireHook:      func(n *tpg.OpNode) { panic("chaos: persistent fault") },
@@ -364,7 +364,7 @@ func TestNATRejected(t *testing.T) {
 		Mechanism: func(dev storage.Device, bytes *metrics.Bytes) ftapi.Mechanism {
 			return core.NewMechanism(core.NAT, dev, bytes, msr.Default())
 		},
-		Source: BatchSource(batches),
+		Source: types.BatchSource(batches),
 	})
 	if err == nil {
 		t.Fatal("NAT mechanism accepted")
@@ -381,7 +381,7 @@ func TestPipelinedSupervision(t *testing.T) {
 	sup, err := New(Config{
 		App: app, Device: flaky,
 		Mechanism: mechFactory(ftapi.MSR),
-		Source:    BatchSource(batches),
+		Source:    types.BatchSource(batches),
 		RunShape:  pipeShape(),
 	})
 	if err != nil {

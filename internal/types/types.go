@@ -66,6 +66,23 @@ type Event struct {
 	Vals []Value
 }
 
+// Source feeds a stream by epoch: it returns the batch for a 1-based epoch,
+// or ok=false when the epoch is unknown or the stream is exhausted. It must
+// be rewindable — recovery re-reads from the last committed punctuation
+// onward, so repeated calls for the same epoch must return the same batch.
+type Source func(epoch uint64) ([]Event, bool)
+
+// BatchSource adapts a fixed batch list into a Source: batches[e-1] is
+// epoch e.
+func BatchSource(batches [][]Event) Source {
+	return func(epoch uint64) ([]Event, bool) {
+		if epoch == 0 || epoch > uint64(len(batches)) {
+			return nil, false
+		}
+		return batches[epoch-1], true
+	}
+}
+
 // Operation is one state access of a transaction (Definition 1).
 //
 // The operation writes Key with the value produced by Fn applied to the

@@ -17,14 +17,9 @@ type ShardDelta struct {
 	Vals []types.Value
 }
 
-// EncodeShardDeltas frames one frontier record's per-shard deltas
-// (deltas[i] belongs to shard i; empty deltas encode as zero counts).
-func EncodeShardDeltas(deltas []ShardDelta) []byte {
-	n := 0
-	for _, d := range deltas {
-		n += len(d.Keys)
-	}
-	w := NewBuffer(8 + n*10)
+// EncodeShardDeltasInto appends one frontier record's per-shard deltas to
+// w (deltas[i] belongs to shard i; empty deltas encode as zero counts).
+func EncodeShardDeltasInto(w *Buffer, deltas []ShardDelta) {
 	w.Uvarint(uint64(len(deltas)))
 	for _, d := range deltas {
 		w.Uvarint(uint64(len(d.Keys)))
@@ -33,10 +28,9 @@ func EncodeShardDeltas(deltas []ShardDelta) []byte {
 			w.Varint(d.Vals[i])
 		}
 	}
-	return w.Bytes()
 }
 
-// DecodeShardDeltas parses EncodeShardDeltas output.
+// DecodeShardDeltas parses EncodeShardDeltasInto output.
 func DecodeShardDeltas(payload []byte) ([]ShardDelta, error) {
 	r := NewReader(payload)
 	ns := r.Uvarint()

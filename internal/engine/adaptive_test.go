@@ -15,7 +15,6 @@ import (
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
-	"morphstreamr/internal/workload"
 )
 
 // transcript renders the full durable content of a Mem device — every log
@@ -63,11 +62,7 @@ func hookedEngine(t *testing.T, shape types.RunShape, force *adaptive.Strategy, 
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
-	for i := 0; i < epochs; i++ {
-		if err := e.ProcessEpoch(workload.Batch(gen, epochSize)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runEpochs(t, e, gen, epochs, epochSize)
 	return e, dev
 }
 
@@ -190,11 +185,7 @@ func TestCloseReleasesPoolWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ep := 0; ep < 3; ep++ {
-			if err := e.ProcessEpoch(workload.Batch(gen, 64)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		runEpochs(t, e, gen, 3, 64)
 		if got := runtime.NumGoroutine(); got < base+4 {
 			t.Fatalf("lifecycle %d: %d goroutines with a live four-worker pool, baseline %d", i, got, base)
 		}
@@ -208,9 +199,7 @@ func TestCloseReleasesPoolWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e2.ProcessEpoch(workload.Batch(gen, 64)); err != nil {
-			t.Fatal(err)
-		}
+		runEpochs(t, e2, gen, 1, 64)
 		e2.Close()
 	}
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {

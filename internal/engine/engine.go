@@ -171,7 +171,6 @@ type Engine struct {
 	delivered [][]types.Output
 
 	runtime   metrics.RuntimeBreakdown
-	procWall  time.Duration
 	totalWall time.Duration
 	events    int
 
@@ -182,8 +181,10 @@ type Engine struct {
 	// reports success, outputs up to its epoch may release.
 	inflight *asyncCommit
 
-	// writeSet is notifyWriteSet's key buffer, reused across epochs.
+	// writeSet is notifyWriteSet's key buffer and view completeEpoch's
+	// postprocessing view, both reused across epochs.
 	writeSet []types.Key
+	view     types.ExecutedTxn
 
 	// builder recycles TPG memory across epochs: a graph is released back
 	// to it once its epoch is sealed (mechanisms do not retain graphs),
@@ -280,11 +281,7 @@ func (e *Engine) DeliveredChunks() [][]types.Output { return e.delivered }
 
 // PendingOutputs returns how many outputs await their release marker.
 func (e *Engine) PendingOutputs() int {
-	n := 0
-	for _, p := range e.pending {
-		n += len(p.outs)
-	}
-	return n
+	return e.PendingOutputsMatching(func(types.Output) bool { return true })
 }
 
 // PendingOutputsMatching returns how many buffered outputs satisfy match.
@@ -316,10 +313,6 @@ func (e *Engine) Bytes() *metrics.Bytes { return e.cfg.Bytes }
 
 // Events returns the number of input events processed.
 func (e *Engine) Events() int { return e.events }
-
-// ProcessingWall returns wall time spent in pure stream/transaction
-// processing (excluding fault-tolerance work).
-func (e *Engine) ProcessingWall() time.Duration { return e.procWall }
 
 // TotalWall returns wall time spent in ProcessEpoch overall; events/second
 // against it is the runtime throughput of Figure 12a.
@@ -364,7 +357,7 @@ func (e *Engine) ProcessEpoch(events []types.Event) error {
 	}
 	start := time.Now()
 	e.epoch++
-	if err := e.processEpochAt(e.epoch, events, true, nil); err != nil {
+	if err := e.processEpoch(e.epoch, events, nil); err != nil {
 		e.markCrashed()
 		return err
 	}
@@ -394,144 +387,22 @@ func (e *Engine) observeEpoch(start time.Time, events int) {
 	}
 }
 
-// processEpochAt runs the full epoch pipeline. persistInput is false when
-// reprocessing already-persisted epochs during recovery; breakdown, when
-// non-nil, receives recovery-convention timing instead of the runtime
-// overhead accounting.
-func (e *Engine) processEpochAt(ep uint64, events []types.Event, persistInput bool, breakdown *metrics.RecoveryBreakdown) error {
-	if breakdown == nil {
-		if err := e.persistEpochInput(ep, events, persistInput); err != nil {
-			return err
-		}
-		// Stream processing phase: preprocessing builds state transactions
-		// and the structural task precedence graph on recycled memory;
-		// epoch-start dependency values come from the store afterwards
-		// (they are only valid once the previous epoch has fully executed,
-		// which also lets the pipelined path build structure early).
-		proc := time.Now()
-		g := e.construct(0, ep, events)
-		g.CaptureBases(e.st.Get)
-		return e.finishEpoch(ep, events, g, proc)
+// processEpoch runs the live epoch pipeline. The input persists first
+// (Figure 10 step 1), so the epoch survives a crash at any later point; the
+// pipelined path, which built g ahead on its builder goroutine, persists
+// here too, so the durable write sequence is the sequential one. Stream
+// processing builds the state transactions and the structural task
+// precedence graph on recycled memory (unless g is already built), and the
+// epoch-start dependency values come from the store afterwards: they are
+// only valid once the previous epoch has fully executed.
+func (e *Engine) processEpoch(ep uint64, events []types.Event, g *tpg.Graph) error {
+	if err := e.persistEpochInput(ep, events); err != nil {
+		return err
 	}
-	return e.reprocessEpoch(ep, events, breakdown)
-}
-
-// persistEpochInput persists input events before processing (Figure 10
-// step 1), so the epoch survives a crash at any later point.
-func (e *Engine) persistEpochInput(ep uint64, events []types.Event, persistInput bool) error {
-	if !persistInput || e.cfg.Mechanism.Kind() == ftapi.NAT {
-		return nil
+	if g == nil {
+		g = e.construct(0, ep, events)
 	}
-	t0 := time.Now()
-	// Pooled encode buffer: the device copies the payload on Append, so the
-	// buffer recycles as soon as the write returns.
-	w := codec.GetBuffer()
-	defer codec.PutBuffer(w)
-	codec.EncodeEventsInto(w, events)
-	payload := w.Bytes()
-	if err := e.cfg.Device.Append(storage.LogInput, storage.Record{Epoch: ep, Payload: payload}); err != nil {
-		return fmt.Errorf("engine: persist input: %w", err)
-	}
-	e.cfg.Bytes.Written("input", int64(len(payload)))
-	e.runtime.IO += time.Since(t0)
-	return nil
-}
-
-// construct runs the stream-processing phase of one epoch: preprocessing
-// turns the events into state transactions, written straight into a
-// recycled graph's own storage, and structural construction builds the
-// task precedence graph over them. It reads no engine state besides the
-// immutable App and the builder, so the pipelined path runs it on the
-// builder goroutine (lane 1; the submitting goroutine is lane 0). Bases are
-// not captured.
-func (e *Engine) construct(lane int, ep uint64, events []types.Event) *tpg.Graph {
-	sp := e.cfg.Obs.Begin(lane, obs.CatEpoch, "preprocess", ep)
-	g := e.builder.Begin(len(events))
-	for i := range events {
-		g.Input[i] = e.cfg.App.Preprocess(events[i])
-	}
-	sp.End()
-	sp = e.cfg.Obs.Begin(lane, obs.CatEpoch, "construct", ep)
-	g.BuildInput()
-	sp.End()
-	return g
-}
-
-// reprocessEpoch replays one epoch during recovery on the virtual W-worker
-// simulation (see package vtime), so that CKPT-style full reprocessing is
-// charged the stalls and load imbalance a real multicore would experience.
-func (e *Engine) reprocessEpoch(ep uint64, events []types.Event, breakdown *metrics.RecoveryBreakdown) error {
-	proc := time.Now()
-	g := e.construct(0, ep, events)
 	g.CaptureBases(e.st.Get)
-	// Preprocessing and graph construction parallelize across the
-	// stream-processing executors; charge aggregate thread-time.
-	costs := vtime.Calibrate()
-	breakdown.Construct += costs.GraphCost(len(events), g.NumOps)
-	prof := e.cfg.RecoveryProfiler
-	prof.SpreadPhase("construct", costs.GraphCost(len(events), g.NumOps))
-
-	for _, ch := range g.ChainList {
-		ch.Owner = e.ranges.Of(ch.Key)
-	}
-	prof.BeginPhase("reprocess")
-	result := vtime.SimulateGraphProf(g, e.st, e.cfg.Workers, costs, prof)
-	prof.EndPhase(result.Makespan)
-	result.Charge(breakdown, false)
-	// Full reprocessing replays the entire stream-processing dataflow —
-	// operator queues, postprocessing, output regeneration — which
-	// log-based redo paths bypass; charge it as parallelizable
-	// thread-time.
-	breakdown.Execute += time.Duration(len(events)) * (costs.Pipeline + costs.Postprocess)
-	prof.SpreadPhase("pipeline", time.Duration(len(events))*(costs.Pipeline+costs.Postprocess))
-
-	// Postprocessing: outputs are buffered until their release marker. One
-	// scratch view serves the whole loop (zero-copy record view — the
-	// Postprocess contract forbids retaining it).
-	outs := make([]types.Output, 0, len(g.Txns))
-	var view types.ExecutedTxn
-	for _, tn := range g.Txns {
-		outs = append(outs, e.cfg.App.Postprocess(tn.ExecutedInto(&view)))
-	}
-	e.pending = append(e.pending, epochOutputs{epoch: ep, outs: outs})
-	e.procWall += time.Since(proc)
-	e.events += len(events)
-	e.notifyWriteSet(ep, g)
-
-	if e.cfg.Mechanism.Kind() == ftapi.NAT {
-		e.release(ep)
-		return nil
-	}
-	return e.sealAndMark(ep, events, g)
-}
-
-// notifyWriteSet surfaces the epoch's chain keys to Config.OnWriteSet. It
-// runs on both the live path and the recovery tail reprocessing path, so a
-// coordinator sees the write set of every epoch executed through the
-// normal pipeline (mechanism-replayed committed epochs do not execute
-// through it; coordinators fall back to a conservative full delta there).
-func (e *Engine) notifyWriteSet(ep uint64, g *tpg.Graph) {
-	if e.cfg.OnWriteSet == nil {
-		return
-	}
-	// The chain list is in ascending key order, one chain per key, so the
-	// write set is sorted and duplicate-free — a guarantee coordinators
-	// build their barrier deltas on. The buffer is reused (the hook's
-	// contract: valid only for the duration of the call).
-	e.writeSet = e.writeSet[:0]
-	for _, ch := range g.ChainList {
-		e.writeSet = append(e.writeSet, ch.Key)
-	}
-	e.cfg.OnWriteSet(ep, e.writeSet)
-}
-
-// finishEpoch executes an already-built epoch graph and drives it through
-// postprocessing, sealing, and the commit/snapshot markers. proc is when
-// the epoch's stream-processing phase started (for procWall accounting).
-// The graph is handed back to the recycler once the mechanism has sealed
-// the epoch; on error the engine is crashing anyway, so it is simply
-// dropped.
-func (e *Engine) finishEpoch(ep uint64, events []types.Event, g *tpg.Graph, proc time.Time) error {
 	// Workload-aware log commitment: on the very first epoch, let the
 	// mechanism inspect the graph and pick the commit interval.
 	if e.cfg.AutoCommit && ep == 1 {
@@ -556,16 +427,115 @@ func (e *Engine) finishEpoch(ep uint64, events []types.Event, g *tpg.Graph, proc
 	if err != nil {
 		return fmt.Errorf("engine: epoch %d: %w", ep, err)
 	}
+	return e.completeEpoch(ep, events, g)
+}
 
+// persistEpochInput persists an epoch's input events.
+func (e *Engine) persistEpochInput(ep uint64, events []types.Event) error {
+	if e.cfg.Mechanism.Kind() == ftapi.NAT {
+		return nil
+	}
+	t0 := time.Now()
+	// Pooled encode buffer: the device copies the payload on Append, so the
+	// buffer recycles as soon as the write returns.
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	codec.EncodeEventsInto(w, events)
+	payload := w.Bytes()
+	if err := e.cfg.Device.Append(storage.LogInput, storage.Record{Epoch: ep, Payload: payload}); err != nil {
+		return fmt.Errorf("engine: persist input: %w", err)
+	}
+	e.cfg.Bytes.Written("input", int64(len(payload)))
+	e.runtime.IO += time.Since(t0)
+	return nil
+}
+
+// construct runs the stream-processing phase of one epoch: preprocessing
+// turns the events into state transactions, written straight into a
+// recycled graph's own storage (transactions into Input, their operations
+// into the Ops arena), and structural construction builds the task
+// precedence graph over them. It reads no engine state besides the
+// immutable App and the builder, so the pipelined path runs it on the
+// builder goroutine (lane 1; the submitting goroutine is lane 0). Bases are
+// not captured.
+func (e *Engine) construct(lane int, ep uint64, events []types.Event) *tpg.Graph {
+	sp := e.cfg.Obs.Begin(lane, obs.CatEpoch, "preprocess", ep)
+	g := e.builder.Begin(len(events))
+	for i, ev := range events {
+		n := len(g.Ops)
+		g.Ops = e.cfg.App.AppendOps(g.Ops, ev)
+		g.Input[i] = types.NewTxn(ev, g.Ops[n:len(g.Ops):len(g.Ops)])
+	}
+	sp.End()
+	sp = e.cfg.Obs.Begin(lane, obs.CatEpoch, "construct", ep)
+	g.BuildInput()
+	sp.End()
+	return g
+}
+
+// reprocessEpoch replays one epoch during recovery on the virtual W-worker
+// simulation (see package vtime), so that CKPT-style full reprocessing is
+// charged the stalls and load imbalance a real multicore would experience.
+func (e *Engine) reprocessEpoch(ep uint64, events []types.Event, breakdown *metrics.RecoveryBreakdown) error {
+	g := e.construct(0, ep, events)
+	g.CaptureBases(e.st.Get)
+	// Preprocessing and graph construction parallelize across the
+	// stream-processing executors; charge aggregate thread-time.
+	costs := vtime.Calibrate()
+	breakdown.Construct += costs.GraphCost(len(events), g.NumOps)
+	prof := e.cfg.RecoveryProfiler
+	prof.SpreadPhase("construct", costs.GraphCost(len(events), g.NumOps))
+
+	for _, ch := range g.ChainList {
+		ch.Owner = e.ranges.Of(ch.Key)
+	}
+	prof.BeginPhase("reprocess")
+	result := vtime.SimulateGraphProf(g, e.st, e.cfg.Workers, costs, prof)
+	prof.EndPhase(result.Makespan)
+	result.Charge(breakdown, false)
+	// Full reprocessing replays the entire stream-processing dataflow —
+	// operator queues, postprocessing, output regeneration — which
+	// log-based redo paths bypass; charge it as parallelizable
+	// thread-time.
+	breakdown.Execute += time.Duration(len(events)) * (costs.Pipeline + costs.Postprocess)
+	prof.SpreadPhase("pipeline", time.Duration(len(events))*(costs.Pipeline+costs.Postprocess))
+	return e.completeEpoch(ep, events, g)
+}
+
+// notifyWriteSet surfaces the epoch's chain keys to Config.OnWriteSet. It
+// runs on both the live path and the recovery tail reprocessing path, so a
+// coordinator sees the write set of every epoch executed through the
+// normal pipeline (mechanism-replayed committed epochs do not execute
+// through it; coordinators fall back to a conservative full delta there).
+func (e *Engine) notifyWriteSet(ep uint64, g *tpg.Graph) {
+	if e.cfg.OnWriteSet == nil {
+		return
+	}
+	// The chain list is in ascending key order, one chain per key, so the
+	// write set is sorted and duplicate-free — a guarantee coordinators
+	// build their barrier deltas on. The buffer is reused (the hook's
+	// contract: valid only for the duration of the call).
+	e.writeSet = e.writeSet[:0]
+	for _, ch := range g.ChainList {
+		e.writeSet = append(e.writeSet, ch.Key)
+	}
+	e.cfg.OnWriteSet(ep, e.writeSet)
+}
+
+// completeEpoch is the tail of every executed epoch, live or reprocessed
+// during recovery: postprocessing, the write-set hook, then sealing and the
+// markers (native execution releases at once). The graph is handed back to
+// the recycler once the epoch is sealed; on error the engine is crashing
+// anyway, so it is simply dropped.
+func (e *Engine) completeEpoch(ep uint64, events []types.Event, g *tpg.Graph) error {
 	// Postprocessing: outputs are buffered until their release marker. One
-	// scratch view serves the whole loop (see reprocessEpoch).
+	// scratch view serves every transaction (zero-copy record view — the
+	// Postprocess contract forbids retaining it).
 	outs := make([]types.Output, 0, len(g.Txns))
-	var view types.ExecutedTxn
 	for _, tn := range g.Txns {
-		outs = append(outs, e.cfg.App.Postprocess(tn.ExecutedInto(&view)))
+		outs = append(outs, e.cfg.App.Postprocess(tn.ExecutedInto(&e.view)))
 	}
 	e.pending = append(e.pending, epochOutputs{epoch: ep, outs: outs})
-	e.procWall += time.Since(proc)
 	e.events += len(events)
 	e.notifyWriteSet(ep, g)
 
@@ -841,18 +811,11 @@ func (e *Engine) Crash() {
 	e.markCrashed()
 }
 
-// encodeSnapshotBlob frames a snapshot with its covering epoch, making the
-// blob self-describing: recovery learns the restart epoch from the blob
-// itself, so blob and metadata can never disagree.
-func encodeSnapshotBlob(ep uint64, snap *store.Snapshot) []byte {
-	w := codec.NewBuffer(1024)
-	encodeSnapshotBlobInto(w, ep, snap)
-	return w.Bytes()
-}
-
-// encodeSnapshotBlobInto appends the encodeSnapshotBlob framing to w — the
-// snapshot writer's arena pass (the blob is the largest single allocation
-// of the epoch loop, so reusing its buffer matters most).
+// encodeSnapshotBlobInto appends a snapshot framed with its covering epoch
+// to w, making the blob self-describing: recovery learns the restart epoch
+// from the blob itself, so blob and metadata can never disagree. The
+// snapshot writer passes a pooled buffer (the blob is the largest single
+// allocation of the epoch loop, so reusing its buffer matters most).
 func encodeSnapshotBlobInto(w *codec.Buffer, ep uint64, snap *store.Snapshot) {
 	tables := make([]codec.SnapshotTable, 0, len(snap.Tables))
 	for _, t := range snap.Tables {
@@ -862,7 +825,7 @@ func encodeSnapshotBlobInto(w *codec.Buffer, ep uint64, snap *store.Snapshot) {
 	codec.EncodeSnapshotInto(w, tables)
 }
 
-// decodeSnapshotBlob parses encodeSnapshotBlob output and restores it into
+// decodeSnapshotBlob parses encodeSnapshotBlobInto output and restores it into
 // the store.
 func decodeSnapshotBlob(payload []byte, st *store.Store) (uint64, error) {
 	r := codec.NewReader(payload)

@@ -7,7 +7,6 @@ import (
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
-	"morphstreamr/internal/workload"
 )
 
 // TestLedgerChunksAndWriteSetOrder pins the two guarantees the shard layer
@@ -31,11 +30,7 @@ func TestLedgerChunksAndWriteSetOrder(t *testing.T) {
 		}
 	}
 	const epochs, size = 6, 80
-	for i := 0; i < epochs; i++ {
-		if err := e.ProcessEpoch(workload.Batch(gen, size)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	runEpochs(t, e, gen, epochs, size)
 	if writeSets != epochs {
 		t.Fatalf("OnWriteSet fired %d times, want %d", writeSets, epochs)
 	}

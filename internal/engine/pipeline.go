@@ -73,7 +73,7 @@ func (e *Engine) ProcessEpochs(batches [][]types.Event) error {
 		start := time.Now() // include any stall waiting on the builder
 		b := <-built
 		e.epoch++
-		err := e.pipelinedEpoch(e.epoch, batches[b.idx], b.g)
+		err := e.processEpoch(e.epoch, batches[b.idx], b.g)
 		if err != nil {
 			e.markCrashed()
 			close(stop)
@@ -88,21 +88,4 @@ func (e *Engine) ProcessEpochs(batches [][]types.Event) error {
 		}
 	}
 	return nil
-}
-
-// pipelinedEpoch is the barrier half of one pipelined epoch: everything
-// except preprocessing and structural graph construction, in the same
-// order the sequential path performs it. Input persistence deliberately
-// happens here (not on the builder goroutine) so the durable write
-// sequence is identical to ProcessEpoch's.
-func (e *Engine) pipelinedEpoch(ep uint64, events []types.Event, g *tpg.Graph) error {
-	if err := e.persistEpochInput(ep, events, true); err != nil {
-		return err
-	}
-	proc := time.Now()
-	// Barrier: the previous epoch has fully executed and sealed, so the
-	// store now holds this epoch's start-state; capture the dependency
-	// base values structural construction had to leave open.
-	g.CaptureBases(e.st.Get)
-	return e.finishEpoch(ep, events, g, proc)
 }

@@ -243,7 +243,7 @@ func Recover(cfg Config) (*Engine, *RecoveryReport, error) {
 				ee.Epoch, e.epoch+1)
 		}
 		ioBefore := e.runtime.IO
-		if err := e.processEpochAt(ee.Epoch, ee.Events, false, &report.Breakdown); err != nil {
+		if err := e.reprocessEpoch(ee.Epoch, ee.Events, &report.Breakdown); err != nil {
 			return nil, nil, fmt.Errorf("engine: recover tail epoch %d: %w", ee.Epoch, err)
 		}
 		report.CommitIO += e.runtime.IO - ioBefore
@@ -279,6 +279,6 @@ func Recover(cfg Config) (*Engine, *RecoveryReport, error) {
 	report.LastEpoch = e.epoch
 	// Runtime accounting restarts clean: recovery costs live in the report.
 	e.runtime = metrics.RuntimeBreakdown{}
-	e.procWall, e.totalWall, e.events = 0, 0, 0
+	e.totalWall, e.events = 0, 0
 	return e, report, nil
 }

@@ -20,8 +20,8 @@ type CommitGroup[T any] struct {
 	Epochs []DecodedEpoch[T]
 }
 
-// DecodeCommitted decodes a mechanism's group-commit log: for every record
-// within (snapEpoch, limit] it parses the group frame and runs the
+// DecodeCommittedCursor decodes a mechanism's group-commit log: for every
+// record within (snapEpoch, limit] it parses the group frame and runs the
 // mechanism's decode on each epoch section, returning the groups in log
 // order and the highest committed epoch seen.
 //
@@ -36,67 +36,14 @@ type CommitGroup[T any] struct {
 //
 // A limit of zero means no cap.
 //
-// DecodeCommitted is the slice-shaped shim kept for tests and materialised
-// callers; recovery paths stream through DecodeCommittedCursor instead.
-func DecodeCommitted[T any](recs []storage.Record, snapEpoch, limit uint64,
-	decode func(epoch uint64, payload []byte) (T, error)) (groups []CommitGroup[T], committed uint64, torn bool, err error) {
-
-	committed = snapEpoch
-	if limit == 0 {
-		limit = ^uint64(0)
-	}
-	for i, g := range recs {
-		if g.Epoch <= snapEpoch || g.Epoch > limit {
-			continue
-		}
-		tail := i == len(recs)-1
-		eps, err := DecodeGroup(g.Payload)
-		if err != nil {
-			if tail {
-				return groups, committed, true, nil
-			}
-			return nil, 0, false, fmt.Errorf("log record %d (epoch %d): %w", i, g.Epoch, err)
-		}
-		cg := CommitGroup[T]{}
-		ok := true
-		for _, ep := range eps {
-			rs, err := decode(ep.Epoch, ep.Payload)
-			if err != nil {
-				if tail {
-					ok = false // torn inside the group: drop it whole
-					break
-				}
-				return nil, 0, false, fmt.Errorf("log record %d epoch %d: %w", i, ep.Epoch, err)
-			}
-			cg.Epochs = append(cg.Epochs, DecodedEpoch[T]{Epoch: ep.Epoch, Recs: rs})
-			if cg.Lo == 0 || ep.Epoch < cg.Lo {
-				cg.Lo = ep.Epoch
-			}
-			if ep.Epoch > cg.Hi {
-				cg.Hi = ep.Epoch
-			}
-		}
-		if !ok {
-			return groups, committed, true, nil
-		}
-		groups = append(groups, cg)
-		if cg.Hi > committed {
-			committed = cg.Hi
-		}
-	}
-	return groups, committed, false, nil
-}
-
-// DecodeCommittedCursor is DecodeCommitted over a streaming log cursor —
-// the shape every mechanism's recovery path uses against the bounded
-// segment store, where the cursor has already seeked past the checkpoint-
-// covered prefix. Decode memory is bounded by one commit group at a time
-// plus the decoded results; the raw log is never materialised.
-//
-// Torn-tail detection needs to know whether a failing record is the log's
-// final one, which a stream learns by one-record lookahead: the cursor is
-// always one record ahead of the group being decoded. The cursor is closed
-// before returning.
+// The log streams through a cursor (the shape every mechanism's recovery
+// path uses against the bounded segment store, where the cursor has already
+// seeked past the checkpoint-covered prefix), so decode memory is bounded by
+// one commit group at a time plus the decoded results; the raw log is never
+// materialised. Torn-tail detection needs to know whether a failing record
+// is the log's final one, which a stream learns by one-record lookahead: the
+// cursor is always one record ahead of the group being decoded. The cursor
+// is closed before returning.
 func DecodeCommittedCursor[T any](cur storage.Cursor, snapEpoch, limit uint64,
 	decode func(epoch uint64, payload []byte) (T, error)) (groups []CommitGroup[T], committed uint64, torn bool, err error) {
 
@@ -155,4 +102,11 @@ func DecodeCommittedCursor[T any](cur storage.Cursor, snapEpoch, limit uint64,
 		rec, ok = next, nok
 	}
 	return groups, committed, false, nil
+}
+
+// DecodeCommitted is DecodeCommittedCursor over an already-materialised
+// record slice (tests and fuzzers).
+func DecodeCommitted[T any](recs []storage.Record, snapEpoch, limit uint64,
+	decode func(epoch uint64, payload []byte) (T, error)) ([]CommitGroup[T], uint64, bool, error) {
+	return DecodeCommittedCursor(storage.NewSliceCursor(recs, 0), snapEpoch, limit, decode)
 }

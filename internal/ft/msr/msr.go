@@ -21,6 +21,8 @@
 package msr
 
 import (
+	"slices"
+
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/metrics"
@@ -84,6 +86,10 @@ type Mech struct {
 	chainGroup []uint16
 	needGroup  []bool
 	views      codec.MSRViews
+	// PartitionChains' chain graph, rebuilt in place (see there).
+	weights, start []int
+	ends, nbrs     []int32
+	adj            [][]int32
 }
 
 // New creates the MSR mechanism writing to dev, accounting into bytes.
@@ -112,7 +118,7 @@ func (m *Mech) SealEpoch(ep *ftapi.EpochResult) {
 	if selective {
 		if m.groupCooldown <= 0 {
 			m.groups.Reset()
-			for i, group := range PartitionChains(g, ep.Workers) {
+			for i, group := range m.PartitionChains(g, ep.Workers) {
 				*m.groups.Slot(g.ChainList[i].Key) = uint16(group) + 1
 			}
 			m.groupCooldown = repartitionEvery
@@ -182,32 +188,49 @@ func (m *Mech) GC(uint64) {}
 // weight the number of logical plus parametric dependencies between two
 // chains. The result holds the group of each chain by its position in
 // g.ChainList. It is deterministic in the graph, which recovery relies on
-// to reproduce the runtime classification.
-func PartitionChains(g *tpg.Graph, k int) []int {
+// to reproduce the runtime classification. The chain graph is built in m's
+// scratch, so calls must not overlap.
+func (m *Mech) PartitionChains(g *tpg.Graph, k int) []int {
 	n := len(g.ChainList)
-	weights := make([]int, n)
-	for i, ch := range g.ChainList {
-		weights[i] = len(ch.Ops)
+	m.weights = m.weights[:0]
+	for _, ch := range g.ChainList {
+		m.weights = append(m.weights, len(ch.Ops))
 	}
-	adj := make([][]int32, n)
-	addEdge := func(a, b int) {
-		if a == b {
-			return
+	// Every cross-chain dependency as a pair of chain positions, counting
+	// degrees, then the adjacency lists as windows of one buffer.
+	ends, start := m.ends[:0], append(m.start[:0], make([]int, n+1)...)
+	edge := func(a, b *tpg.Chain) {
+		if a != b {
+			ends = append(ends, int32(a.Pos), int32(b.Pos))
+			start[a.Pos+1]++
+			start[b.Pos+1]++
 		}
-		adj[a] = append(adj[a], int32(b))
-		adj[b] = append(adj[b], int32(a))
 	}
 	for _, tn := range g.Txns {
 		for _, opn := range tn.Ops {
 			if opn.CondSrc != nil {
-				addEdge(opn.CondSrc.Chain.Pos, opn.Chain.Pos)
+				edge(opn.CondSrc.Chain, opn.Chain)
 			}
 			for _, src := range opn.PDSrc {
 				if src != nil {
-					addEdge(src.Chain.Pos, opn.Chain.Pos)
+					edge(src.Chain, opn.Chain)
 				}
 			}
 		}
 	}
-	return partition.GreedyAdj(weights, adj, k)
+	for v := 1; v <= n; v++ {
+		start[v] += start[v-1]
+	}
+	nbrs := slices.Grow(m.nbrs[:0], len(ends))
+	adj := slices.Grow(m.adj[:0], n)[:n]
+	for v := range adj {
+		adj[v] = nbrs[start[v]:start[v]:start[v+1]]
+	}
+	for i := 0; i < len(ends); i += 2 {
+		a, b := ends[i], ends[i+1]
+		adj[a] = append(adj[a], b)
+		adj[b] = append(adj[b], a)
+	}
+	m.ends, m.start, m.nbrs, m.adj = ends, start, nbrs, adj
+	return partition.GreedyAdj(m.weights, adj, k)
 }

@@ -149,13 +149,15 @@ func TestSelectiveLogsLess(t *testing.T) {
 }
 
 // TestPartitionChainsDeterministicAndInRange: recovery recomputes the
-// runtime partitioning, so it must be a pure function of the graph.
+// runtime partitioning, so it must be a pure function of the graph — the
+// second call runs over the scratch the first one left behind.
 func TestPartitionChainsDeterministic(t *testing.T) {
 	gen := slGen(5)
 	st := store.New(gen.App().Tables())
 	ep := runEpoch(t, gen, st, 1, 500, 4)
-	a := PartitionChains(ep.Graph, 4)
-	b := PartitionChains(ep.Graph, 4)
+	m := New(storage.NewMem(), metrics.NewBytes(), Default())
+	a := m.PartitionChains(ep.Graph, 4)
+	b := m.PartitionChains(ep.Graph, 4)
 	if len(a) != len(ep.Graph.ChainList) {
 		t.Fatalf("partitioning covers %d chains of %d", len(a), len(ep.Graph.ChainList))
 	}

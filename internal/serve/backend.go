@@ -51,8 +51,6 @@ type GroupBackend struct {
 	// incarnations across group-wide recoveries; AllDelivered joins them
 	// with the live group's union for exactly-once audits.
 	banked [][][]types.Output
-
-	heals int
 }
 
 // NewGroupBackend starts a fresh group. cfg.CoordDev doubles as the ingest
@@ -116,9 +114,6 @@ func (b *GroupBackend) Committed() uint64 { return b.g.Committed() }
 // Coord implements Backend.
 func (b *GroupBackend) Coord() storage.Device { return b.cfg.CoordDev }
 
-// Heals returns how many heals the backend has performed.
-func (b *GroupBackend) Heals() int { return b.heals }
-
 // ShardOf implements the server's shardRouter capability: the shard that
 // owns ev's routing key.
 func (b *GroupBackend) ShardOf(ev types.Event) int { return b.g.Router().Of(ev.Keys[0]) }
@@ -135,7 +130,6 @@ func (b *GroupBackend) Group() *shard.Group { return b.g }
 // completes); anything else — or a failed shard heal — falls back to a
 // group-wide parallel recovery from the durable logs.
 func (b *GroupBackend) Heal(procErr error, src types.Source) (uint64, error) {
-	b.heals++
 	var serr *shard.ShardError
 	if errors.As(procErr, &serr) {
 		if _, err := b.g.HealShard(procErr, src); err == nil {

@@ -107,26 +107,26 @@ type AckRecord struct {
 // output union, no batch was acked twice, and every tenant's ack stream
 // is contiguous.
 type ChaosReport struct {
-	Cell        string  `json:"cell"`
-	Tenants     int     `json:"tenants"`
-	Batches     int     `json:"batches_per_tenant"`
-	AckedBatches int    `json:"acked_batches"`
-	DupAcks     int     `json:"dup_acks"`
-	ExactlyOnce int     `json:"exactly_once_violations"`
-	OrderViol   int     `json:"ack_order_violations"`
-	Violations  int     `json:"violations"`
-	Kills       int     `json:"kills"`
-	Heals       int     `json:"heals"`
-	Evictions   int64   `json:"evictions"`
-	Slowdowns   int64   `json:"slowdowns"`
-	Reconnects  int64   `json:"reconnects"`
+	Cell         string  `json:"cell"`
+	Tenants      int     `json:"tenants"`
+	Batches      int     `json:"batches_per_tenant"`
+	AckedBatches int     `json:"acked_batches"`
+	DupAcks      int     `json:"dup_acks"`
+	ExactlyOnce  int     `json:"exactly_once_violations"`
+	OrderViol    int     `json:"ack_order_violations"`
+	Violations   int     `json:"violations"`
+	Kills        int     `json:"kills"`
+	Heals        int     `json:"heals"`
+	Evictions    int64   `json:"evictions"`
+	Slowdowns    int64   `json:"slowdowns"`
+	Reconnects   int64   `json:"reconnects"`
 	ClientMTTRMs float64 `json:"client_mttr_ms"`
-	P50AckLagMs float64 `json:"p50_ack_lag_ms"`
-	P99AckLagMs float64 `json:"p99_ack_lag_ms"`
-	MaxQueue    int     `json:"max_queue_depth"`
-	QueueCap    int     `json:"queue_cap"`
-	WallMs      float64 `json:"wall_ms"`
-	Err         string  `json:"err,omitempty"`
+	P50AckLagMs  float64 `json:"p50_ack_lag_ms"`
+	P99AckLagMs  float64 `json:"p99_ack_lag_ms"`
+	MaxQueue     int     `json:"max_queue_depth"`
+	QueueCap     int     `json:"queue_cap"`
+	WallMs       float64 `json:"wall_ms"`
+	Err          string  `json:"err,omitempty"`
 }
 
 // ackAudit collects the server's acknowledgement decisions thread-safely.
@@ -238,11 +238,7 @@ func Chaos(cfg ChaosConfig) (*ChaosReport, error) {
 		})
 		batches := make([][]types.Event, cfg.Batches)
 		for b := range batches {
-			evs := make([]types.Event, cfg.BatchEvents)
-			for e := range evs {
-				evs[e] = gen.Next()
-			}
-			batches[b] = evs
+			batches[b] = workload.Batch(gen, cfg.BatchEvents)
 		}
 		drivers[i] = newChaosDriver(srv.Addr(), fmt.Sprintf("t%d", i), batches)
 		drivers[i].sampleEvery = cfg.SampleFlagEvery

@@ -70,9 +70,6 @@ func (c *Client) SubmitFlags(batchSeq uint64, events []types.Event, flags uint64
 	return c.write(EncodeSubmitFlags(batchSeq, events, flags))
 }
 
-// Ping sends a liveness probe.
-func (c *Client) Ping() error { return c.write(EncodePing()) }
-
 // Next reads the next frame under the client timeout.
 func (c *Client) Next() (Frame, error) {
 	c.conn.SetReadDeadline(time.Now().Add(c.timeout))

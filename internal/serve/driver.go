@@ -187,11 +187,7 @@ func runRogue(addr string, batches, batchEvents int, rows uint32, seed int64, st
 	})
 	stream := make([][]types.Event, batches)
 	for b := range stream {
-		evs := make([]types.Event, batchEvents)
-		for e := range evs {
-			evs[e] = gen.Next()
-		}
-		stream[b] = evs
+		stream[b] = workload.Batch(gen, batchEvents)
 	}
 	total := uint64(batches)
 	for {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"morphstreamr/internal/codec"
@@ -59,20 +60,32 @@ type ManifestEntry struct {
 // entry per batch (named by tenant, values [batchSeq, firstSeq, events])
 // and the encoded event batch as the opaque payload.
 func encodeIngestRecord(entries []ManifestEntry, events []types.Event) []byte {
-	m := storage.Manifest{Kind: manifestKindIngest}
-	for _, e := range entries {
-		m.Entries = append(m.Entries, storage.ManifestEntry{
-			Name: e.Tenant, Vals: []uint64{e.BatchSeq, e.FirstSeq, e.Events},
-		})
+	return (&ingestEncoder{entries: entries}).encode(events)
+}
+
+// ingestEncoder is encodeIngestRecord over buffers it keeps: the pump fills
+// entries with the epoch's batches and encodes one record per fed epoch.
+// The device copies the record on Append, so the record, its event payload
+// and its entries' value vectors are all reused the next epoch.
+type ingestEncoder struct {
+	entries []ManifestEntry
+	m       []storage.ManifestEntry
+	vals    []uint64
+	payload codec.Buffer
+	rec     []byte
+}
+
+func (e *ingestEncoder) encode(events []types.Event) []byte {
+	e.payload.Reset()
+	codec.EncodeEventsInto(&e.payload, events)
+	e.m, e.vals = e.m[:0], slices.Grow(e.vals[:0], 3*len(e.entries))
+	for _, en := range e.entries {
+		e.vals = append(e.vals, en.BatchSeq, en.FirstSeq, en.Events)
+		e.m = append(e.m, storage.ManifestEntry{Name: en.Tenant, Vals: e.vals[len(e.vals)-3:]})
 	}
-	// The pooled buffer lends its bytes to the manifest for the duration of
-	// Encode, which copies them into the record; the device copies the
-	// record once more on Append. No private copy in between.
-	w := codec.GetBuffer()
-	defer codec.PutBuffer(w)
-	codec.EncodeEventsInto(w, events)
-	m.Payload = w.Bytes()
-	return m.Encode()
+	m := storage.Manifest{Kind: manifestKindIngest, Entries: e.m, Payload: e.payload.Bytes()}
+	e.rec = m.AppendTo(e.rec[:0])
+	return e.rec
 }
 
 // decodeIngestRecord decodes one manifest record.

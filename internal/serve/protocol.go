@@ -151,7 +151,12 @@ type Frame struct {
 
 // ReadFrame reads one length-prefixed frame payload (type byte + body) from
 // br, enforcing the size limit before any payload allocation.
-func ReadFrame(br *bufio.Reader, max int) ([]byte, error) {
+func ReadFrame(br *bufio.Reader, max int) ([]byte, error) { return readFrame(br, max, nil) }
+
+// readFrame is ReadFrame into buf's storage when it is large enough. A
+// session's read loop passes the payload it read last: DecodeFrame copies
+// everything it returns, so the previous payload is dead once it returns.
+func readFrame(br *bufio.Reader, max int, buf []byte) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
@@ -165,7 +170,10 @@ func ReadFrame(br *bufio.Reader, max int) ([]byte, error) {
 	if n > uint64(max) {
 		return nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, max)
 	}
-	buf := make([]byte, n)
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(br, buf); err != nil {
 		return nil, err
 	}

@@ -54,7 +54,7 @@ func (s *Server) tick() error {
 	// Feed even with no new batches while epochs are in flight: commit
 	// markers fire on epoch cadence, so pending acks need empty heartbeat
 	// epochs to reach their durability gate during traffic lulls.
-	if len(batches) == 0 && len(s.inflight) == 0 {
+	if len(batches) == 0 && s.unacked() == 0 {
 		s.flushAcks()
 		return nil
 	}
@@ -81,7 +81,7 @@ func (s *Server) tick() error {
 // event budget is reached. Shed-eligible tenants are skipped while
 // degraded (their queues keep their backlog; only new Submits bounce).
 func (s *Server) gather() []*batch {
-	if len(s.inflight) >= s.cfg.MaxInflightEpochs {
+	if s.unacked() >= uint64(s.cfg.MaxInflightEpochs) {
 		return nil // ack debt bound: stop feeding until commits catch up
 	}
 	degraded := s.degraded.Load()
@@ -104,15 +104,22 @@ func (s *Server) gather() []*batch {
 	return out
 }
 
+// unacked is how many fed epochs await their ack: every epoch above acked
+// that the backend holds was fed by this server.
+func (s *Server) unacked() uint64 {
+	if ep := s.be.Epoch(); ep > s.acked {
+		return ep - s.acked
+	}
+	return 0
+}
+
 // feed assigns sequences, writes the manifest record, and feeds one epoch.
+// The epoch's events are assembled in the pump's own buffer: the backend
+// retains nothing of a batch once Feed returns, and the heal path rebuilds
+// any fed epoch from its batches (memSource).
 func (s *Server) feed(batches []*batch) error {
 	ep := s.be.Epoch() + 1
-	total := 0
-	for _, b := range batches {
-		total += len(b.ev)
-	}
-	events := make([]types.Event, 0, total)
-	entries := make([]ManifestEntry, 0, len(batches))
+	s.ingest.entries = s.ingest.entries[:0]
 	for _, b := range batches {
 		if !b.seqed {
 			// Assign once; heal requeues keep the assignment so a re-fed
@@ -124,44 +131,29 @@ func (s *Server) feed(batches []*batch) error {
 			}
 			b.seqed = true
 		}
-		events = append(events, b.ev...)
-		entries = append(entries, ManifestEntry{
+		s.ingest.entries = append(s.ingest.entries, ManifestEntry{
 			Tenant: b.tn.cfg.Name, BatchSeq: b.seq,
 			FirstSeq: b.firstSeq, Events: uint64(len(b.ev)),
 		})
 	}
-	// Requeued batches carry older sequences than freshly gathered ones;
-	// feed the epoch in global sequence order. Unless a heal requeued, the
-	// batches were sequenced in gather order and are ascending already.
-	bySeq := func(a, b types.Event) int { return cmp.Compare(a.Seq, b.Seq) }
-	if !slices.IsSortedFunc(events, bySeq) {
-		slices.SortFunc(events, bySeq)
-	}
+	s.epoch = appendEpoch(s.epoch[:0], batches)
 
 	// Record the epoch before feeding it: the manifest is the write-ahead
 	// truth recovery re-feeds from, so it must cover every epoch the
-	// backend might have started. The in-memory mirrors serve the heal
-	// path without a device read.
-	s.inflight[ep] = batches
-	s.fedEpochs[ep] = events
-	if len(events) == 0 {
-		s.fedEpochs[ep] = []types.Event{} // present-but-empty: heartbeat
-	}
-	rec := storage.Record{Epoch: ep, Payload: encodeIngestRecord(entries, events)}
+	// backend might have started.
+	rec := storage.Record{Epoch: ep, Payload: s.ingest.encode(s.epoch)}
 	if err := s.be.Coord().Append(LogIngest, rec); err != nil {
-		// The epoch was never fed; unwind the mirrors and requeue.
-		delete(s.inflight, ep)
-		delete(s.fedEpochs, ep)
-		s.requeueBatches(batches)
+		s.requeueBatches(batches) // the epoch was never fed
 		return fmt.Errorf("%w: epoch %d: %v", errManifest, ep, err)
 	}
+	s.fed[ep] = batches
 	for _, b := range batches {
 		if b.j != nil {
 			b.j.Stamp(journey.StageRoute)
 			b.j.SetRoute(ep, s.routeShards(b))
 		}
 	}
-	if err := s.be.Feed(events); err != nil {
+	if err := s.be.Feed(s.epoch); err != nil {
 		return err
 	}
 	for _, b := range batches {
@@ -191,15 +183,33 @@ func (s *Server) routeShards(b *batch) []int {
 	return out
 }
 
-// memSource serves group recovery from the pump's in-memory epoch mirror,
-// which matches the durable manifest exactly: both record every fed epoch
-// and both are pruned only below the committed frontier, so any epoch
-// recovery can ask for — the alignment epoch is never below the frontier —
-// is present.
+// appendEpoch appends the events of one epoch's batches to dst, in global
+// sequence order. Requeued batches carry older sequences than freshly
+// gathered ones; unless a heal requeued, the batches were sequenced in
+// gather order and are ascending already.
+func appendEpoch(dst []types.Event, batches []*batch) []types.Event {
+	for _, b := range batches {
+		dst = append(dst, b.ev...)
+	}
+	bySeq := func(a, b types.Event) int { return cmp.Compare(a.Seq, b.Seq) }
+	if !slices.IsSortedFunc(dst, bySeq) {
+		slices.SortFunc(dst, bySeq)
+	}
+	return dst
+}
+
+// memSource serves group recovery from the pump's fed batches, which
+// match the durable manifest exactly: both record every fed epoch and both
+// are pruned only below the committed frontier, so any epoch recovery can
+// ask for — the alignment epoch is never below the frontier — is present.
+// Each call assembles a fresh copy of the epoch.
 func (s *Server) memSource() types.Source {
 	return func(ep uint64) ([]types.Event, bool) {
-		ev, ok := s.fedEpochs[ep]
-		return ev, ok
+		batches, ok := s.fed[ep]
+		if !ok {
+			return nil, false
+		}
+		return appendEpoch(nil, batches), true
 	}
 }
 
@@ -242,16 +252,15 @@ func (s *Server) heal(procErr error) error {
 	// their batches, ascending, at the front of their tenants' queues so
 	// re-feeding preserves per-tenant order and global sequence order.
 	var lost []uint64
-	for ep := range s.inflight {
+	for ep := range s.fed {
 		if ep > recovered {
 			lost = append(lost, ep)
 		}
 	}
 	sort.Slice(lost, func(a, b int) bool { return lost[a] > lost[b] })
 	for _, ep := range lost {
-		s.requeueBatches(s.inflight[ep])
-		delete(s.inflight, ep)
-		delete(s.fedEpochs, ep)
+		s.requeueBatches(s.fed[ep])
+		delete(s.fed, ep)
 	}
 
 	s.cfg.Health.Record(metrics.Incident{
@@ -292,15 +301,13 @@ func (s *Server) requeueBatches(batches []*batch) {
 func (s *Server) flushAcks() {
 	committed := s.be.Committed()
 	s.committed.Store(committed)
-	var done []uint64
-	for ep := range s.inflight {
-		if ep <= committed {
-			done = append(done, ep)
-		}
-	}
-	sort.Slice(done, func(a, b int) bool { return done[a] < done[b] })
 	ct, hasCT := s.be.(commitTimer)
-	for _, ep := range done {
+	for ; s.acked < committed; s.acked++ {
+		ep := s.acked + 1
+		batches, ok := s.fed[ep]
+		if !ok {
+			continue
+		}
 		// The commit stage boundary is when the frontier actually covered
 		// the epoch (recorded by the shard group on its coordinator
 		// goroutine — this one); epochs committed by a previous
@@ -311,7 +318,7 @@ func (s *Server) flushAcks() {
 				commitAt = t
 			}
 		}
-		for _, b := range s.inflight[ep] {
+		for _, b := range batches {
 			sess := b.tn.ack(b)
 			if s.cfg.AckLog != nil {
 				s.cfg.AckLog(b.tn.cfg.Name, b.seq, b.firstSeq, uint64(len(b.ev)), ep)
@@ -325,16 +332,15 @@ func (s *Server) flushAcks() {
 			b.j.StampAt(journey.StageCommit, commitAt)
 			b.j.Complete()
 		}
-		delete(s.inflight, ep)
 	}
 }
 
 // maybeGC checkpoints tenant watermarks and releases the ingest manifest's
 // segments below the committed frontier, blob first: a crash between the
-// two steps only leaves extra log records. The in-memory epoch mirror is
-// pruned to the same horizon. Epochs at or above committed are always
-// retained — group recovery's alignment epoch can never sit below the
-// frontier, and storage.Release only ever under-reclaims.
+// two steps only leaves extra log records. The fed batches are pruned to
+// the same horizon. Epochs at or above committed are always retained —
+// group recovery's alignment epoch can never sit below the frontier, and
+// storage.Release only ever under-reclaims.
 func (s *Server) maybeGC() {
 	committed := s.committed.Load()
 	if committed < 1 || committed-s.lastGC < s.cfg.GCEvery {
@@ -351,9 +357,9 @@ func (s *Server) maybeGC() {
 	if err := storage.Release(s.be.Coord(), LogIngest, upTo); err != nil {
 		return
 	}
-	for ep := range s.fedEpochs {
+	for ep := range s.fed {
 		if ep <= upTo {
-			delete(s.fedEpochs, ep)
+			delete(s.fed, ep)
 		}
 	}
 	s.lastGC = committed

@@ -142,10 +142,16 @@ type Server struct {
 	degraded  atomic.Bool
 	committed atomic.Uint64
 
-	// Pump-only state (single goroutine, no locks needed).
-	nextSeq   uint64
-	inflight  map[uint64][]*batch      // fed epoch → its batches, unacked
-	fedEpochs map[uint64][]types.Event // fed epoch → global batch (heal Source)
+	// Pump-only state (single goroutine, no locks needed). fed holds every
+	// fed epoch's batches, in feeding order, down to the manifest GC
+	// horizon: epochs above acked await their ack, and a heal re-reads any
+	// of them (memSource). epoch and ingest are the buffers each epoch's
+	// event batch and ingest record are assembled in, reused every tick.
+	nextSeq       uint64
+	fed           map[uint64][]*batch
+	acked         uint64
+	epoch         []types.Event
+	ingest        ingestEncoder
 	lastGC        uint64
 	manifestFails int
 	heals         atomic.Int64
@@ -175,16 +181,16 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:       cfg,
-		ln:        ln,
-		be:        be,
-		tenants:   map[string]*tenant{},
-		nextSeq:   st.NextSeq,
-		inflight:  map[uint64][]*batch{},
-		fedEpochs: map[uint64][]types.Event{},
-		lastGC:    be.Committed(),
-		sessions:  map[*session]struct{}{},
-		closedCh:  make(chan struct{}),
+		cfg:      cfg,
+		ln:       ln,
+		be:       be,
+		tenants:  map[string]*tenant{},
+		nextSeq:  st.NextSeq,
+		fed:      map[uint64][]*batch{},
+		acked:    be.Epoch(), // what a previous incarnation fed is not ours to ack
+		lastGC:   be.Committed(),
+		sessions: map[*session]struct{}{},
+		closedCh: make(chan struct{}),
 	}
 	now := time.Now()
 	for _, tc := range cfg.Tenants {

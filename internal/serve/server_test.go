@@ -3,7 +3,9 @@ package serve
 import (
 	"bufio"
 	"net"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -37,21 +39,34 @@ func newTestShardConfig(shards int) shard.Config {
 
 func newTestServer(t *testing.T, cfg Config, shardCfg shard.Config) *Server {
 	t.Helper()
-	be, err := NewGroupBackend(shardCfg)
-	if err != nil {
-		t.Fatalf("NewGroupBackend: %v", err)
+	if cfg.Backend == nil {
+		be, err := NewGroupBackend(shardCfg)
+		if err != nil {
+			t.Fatalf("NewGroupBackend: %v", err)
+		}
+		cfg.Backend = be
 	}
-	cfg.Backend = be
 	if cfg.EpochEvery == 0 {
 		cfg.EpochEvery = time.Millisecond
 	}
 	srv, err := New(cfg)
 	if err != nil {
-		be.Close()
+		cfg.Backend.Close()
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// dial connects a client as tenant for the rest of the test.
+func dial(t *testing.T, srv *Server, tenant string) *Client {
+	t.Helper()
+	c, err := Dial(srv.Addr(), tenant, 5*time.Second)
+	if err != nil {
+		t.Fatalf("Dial %s: %v", tenant, err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
 }
 
 func genBatches(seed int64, n, events int) [][]types.Event {
@@ -61,11 +76,7 @@ func genBatches(seed int64, n, events int) [][]types.Event {
 	})
 	out := make([][]types.Event, n)
 	for b := range out {
-		evs := make([]types.Event, events)
-		for e := range evs {
-			evs[e] = gen.Next()
-		}
-		out[b] = evs
+		out[b] = workload.Batch(gen, events)
 	}
 	return out
 }
@@ -97,11 +108,7 @@ func submitAndDrain(t *testing.T, c *Client, batches [][]types.Event, from, to u
 
 func TestAckFlowEndToEnd(t *testing.T) {
 	srv := newTestServer(t, Config{Tenants: []TenantConfig{{Name: "a"}}}, newTestShardConfig(2))
-	c, err := Dial(srv.Addr(), "a", 5*time.Second)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
+	c := dial(t, srv, "a")
 	if c.Watermark != 0 {
 		t.Fatalf("fresh tenant watermark = %d, want 0", c.Watermark)
 	}
@@ -114,11 +121,7 @@ func TestAckFlowEndToEnd(t *testing.T) {
 
 func TestDuplicateAckOnReplay(t *testing.T) {
 	srv := newTestServer(t, Config{Tenants: []TenantConfig{{Name: "a"}}}, newTestShardConfig(2))
-	c, err := Dial(srv.Addr(), "a", 5*time.Second)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
+	c := dial(t, srv, "a")
 	batches := genBatches(2, 3, 4)
 	submitAndDrain(t, c, batches, 1, 3)
 
@@ -138,11 +141,7 @@ func TestDuplicateAckOnReplay(t *testing.T) {
 
 func TestOutOfOrderSubmit(t *testing.T) {
 	srv := newTestServer(t, Config{Tenants: []TenantConfig{{Name: "a"}}}, newTestShardConfig(2))
-	c, err := Dial(srv.Addr(), "a", 5*time.Second)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
+	c := dial(t, srv, "a")
 	batches := genBatches(3, 3, 4)
 	if err := c.Submit(3, batches[2]); err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -176,11 +175,7 @@ func TestExplicitBackpressureVerdicts(t *testing.T) {
 	}, newTestShardConfig(1))
 	batches := genBatches(4, 3, 2)
 
-	rated, err := Dial(srv.Addr(), "rated", 2*time.Second)
-	if err != nil {
-		t.Fatalf("Dial rated: %v", err)
-	}
-	defer rated.Close()
+	rated := dial(t, srv, "rated")
 	if err := rated.Submit(1, batches[0]); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -195,11 +190,7 @@ func TestExplicitBackpressureVerdicts(t *testing.T) {
 		t.Fatalf("rate verdict = %+v, want Slowdown(rate) with retry hint", f)
 	}
 
-	queued, err := Dial(srv.Addr(), "queued", 2*time.Second)
-	if err != nil {
-		t.Fatalf("Dial queued: %v", err)
-	}
-	defer queued.Close()
+	queued := dial(t, srv, "queued")
 	if err := queued.Submit(1, batches[0]); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -234,11 +225,7 @@ func TestHalfOpenConnectionShed(t *testing.T) {
 	}
 
 	// And the accept loop is still serving real clients.
-	c, err := Dial(srv.Addr(), "a", 2*time.Second)
-	if err != nil {
-		t.Fatalf("Dial after half-open shed: %v", err)
-	}
-	c.Close()
+	dial(t, srv, "a")
 }
 
 func TestNonHelloFirstFrameRejected(t *testing.T) {
@@ -292,10 +279,7 @@ func TestColdRestartExactlyOnce(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	batches := genBatches(5, 8, 4)
-	c, err := Dial(srv.Addr(), "a", 5*time.Second)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
+	c := dial(t, srv, "a")
 	submitAndDrain(t, c, batches, 1, 6)
 	c.Close()
 	srv.Close() // kills the listener, the pump, and the backend
@@ -423,5 +407,51 @@ func TestRecoverIngestFromBlob(t *testing.T) {
 	}
 	if st.Watermarks["a"] != 7 || st.Watermarks["b"] != 2 || st.NextSeq != 42 {
 		t.Fatalf("blob state = %+v", st)
+	}
+}
+
+// healSourceProbe checks every epoch a heal reads from the pump's fed
+// batches against the durable ingest manifest, event for event.
+type healSourceProbe struct {
+	*GroupBackend
+	t     *testing.T
+	asked atomic.Int64
+}
+
+func (p *healSourceProbe) Heal(procErr error, src types.Source) (uint64, error) {
+	durable, err := IngestSource(p.Coord(), ^uint64(0))
+	if err != nil {
+		p.t.Error(err)
+	}
+	return p.GroupBackend.Heal(procErr, func(ep uint64) ([]types.Event, bool) {
+		got, ok := src(ep)
+		want, wok := durable(ep)
+		if ok != wok || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+			p.t.Errorf("epoch %d: the pump re-feeds %d events (%v), the manifest holds %d (%v)", ep, len(got), ok, len(want), wok)
+		}
+		p.asked.Add(1)
+		return got, ok
+	})
+}
+
+// TestHealSourceMatchesManifest: across a shard heal and a group heal,
+// every epoch a heal re-reads from the pump's fed batches equals the
+// durable ingest record of that epoch, sequence order included.
+func TestHealSourceMatchesManifest(t *testing.T) {
+	be, err := NewGroupBackend(newTestShardConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &healSourceProbe{GroupBackend: be, t: t}
+	srv := newTestServer(t, Config{Backend: probe, Tenants: []TenantConfig{{Name: "a"}}, GCEvery: 1 << 30}, shard.Config{})
+	c := dial(t, srv, "a")
+	batches := genBatches(11, 30, 16)
+	submitAndDrain(t, c, batches, 1, 10)
+	be.KillShard(1)
+	submitAndDrain(t, c, batches, 11, 20)
+	be.KillGroup()
+	submitAndDrain(t, c, batches, 21, 30)
+	if srv.Heals() != 2 || probe.asked.Load() == 0 {
+		t.Fatalf("%d heals read %d epochs, want 2 heals reading some", srv.Heals(), probe.asked.Load())
 	}
 }

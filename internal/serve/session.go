@@ -10,9 +10,9 @@ import (
 
 // Error frame codes.
 const (
-	errCodeProtocol     = 1
+	errCodeProtocol      = 1
 	errCodeUnknownTenant = 2
-	errCodeHelloFirst   = 3
+	errCodeHelloFirst    = 3
 )
 
 // session is one client connection: a read loop that admits Submits and a
@@ -122,7 +122,7 @@ func (s *session) readLoop() {
 
 	for {
 		s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.IdleTimeout))
-		payload, err := ReadFrame(br, s.srv.cfg.MaxFrame)
+		payload, err = readFrame(br, s.srv.cfg.MaxFrame, payload)
 		if err != nil {
 			return
 		}

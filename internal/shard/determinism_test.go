@@ -10,20 +10,14 @@ import (
 	"morphstreamr/internal/types"
 )
 
-// runOnce drives one full group run with routing recording on and returns
-// the observables determinism is asserted over: the routed-event
-// transcript, the committed-epoch vector, and the coordinator's frontier
-// log bytes (the byte-deterministic encoding of every barrier's per-shard
-// write-set deltas).
-func runOnce(t *testing.T, seed int64, shards int) ([][]int, []uint64, [][]byte) {
+// runOnce drives one full group run and returns the observables
+// determinism is asserted over: the committed-epoch vector and the
+// coordinator's frontier log bytes (the byte-deterministic encoding of every
+// barrier's per-shard write-set deltas).
+func runOnce(t *testing.T, seed int64, shards int) ([]uint64, [][]byte) {
 	t.Helper()
 	app, batches := gsRun(seed, 6, 24)
-	g, err := shard.NewGroup(shard.Config{
-		GroupShape:    sweepShape(shards),
-		App:           app,
-		Kind:          ftapi.WAL,
-		RecordRouting: true,
-	})
+	g, err := shard.NewGroup(shard.Config{GroupShape: sweepShape(shards), App: app, Kind: ftapi.WAL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,23 +32,19 @@ func runOnce(t *testing.T, seed int64, shards int) ([][]int, []uint64, [][]byte)
 	for i, rec := range recs {
 		frontier[i] = rec.Payload
 	}
-	return g.RouteLog(), g.CommittedVector(), frontier
+	return g.CommittedVector(), frontier
 }
 
 // TestCrossShardDeterminism reruns the same seeded workload and requires
-// bit-identical punctuation history: the same events route to the same
-// shards in the same order, every shard commits the same epochs, and the
-// coordinator's frontier log — the durable transcript of every barrier's
-// cross-shard deltas — is byte-for-byte identical, even though the shards
-// of each epoch execute concurrently. Run under -race in CI, this is also
-// the data-race probe for the barrier protocol.
+// bit-identical punctuation history: every shard commits the same epochs,
+// and the coordinator's frontier log — the durable transcript of every
+// barrier's cross-shard deltas — is byte-for-byte identical, even though
+// the shards of each epoch execute concurrently. Run under -race in CI,
+// this is also the data-race probe for the barrier protocol.
 func TestCrossShardDeterminism(t *testing.T) {
 	for _, shards := range []int{2, 4} {
-		routesA, commitsA, frontierA := runOnce(t, 13, shards)
-		routesB, commitsB, frontierB := runOnce(t, 13, shards)
-		if !reflect.DeepEqual(routesA, routesB) {
-			t.Fatalf("shards=%d: routed-event transcripts diverge", shards)
-		}
+		commitsA, frontierA := runOnce(t, 13, shards)
+		commitsB, frontierB := runOnce(t, 13, shards)
 		if !reflect.DeepEqual(commitsA, commitsB) {
 			t.Fatalf("shards=%d: committed vectors diverge: %v vs %v", shards, commitsA, commitsB)
 		}

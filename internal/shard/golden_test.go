@@ -70,11 +70,13 @@ func (a twoTableApp) Tables() []types.TableSpec {
 }
 
 func (a twoTableApp) Preprocess(ev types.Event) types.Txn {
-	r := ev.Keys[0].Row
-	return types.Txn{ID: ev.Seq, TS: ev.Seq, Event: ev, Ops: []types.Operation{
-		{TxnID: ev.Seq, TS: ev.Seq, Idx: 0, Key: ev.Keys[0], Fn: types.FnGuardedSubSelf, Const: ev.Vals[0]},
-		{TxnID: ev.Seq, TS: ev.Seq, Idx: 1, Key: types.Key{Table: 1, Row: r}, Fn: types.FnSum, Deps: ev.Keys[1:]},
-	}}
+	return types.NewTxn(ev, a.AppendOps(nil, ev))
+}
+
+func (a twoTableApp) AppendOps(ops []types.Operation, ev types.Event) []types.Operation {
+	return append(ops,
+		ev.Op(0, ev.Keys[0], types.FnGuardedSubSelf, ev.Vals[0]),
+		ev.Op(1, types.Key{Table: 1, Row: ev.Keys[0].Row}, types.FnSum, 0, ev.Keys[1:]...))
 }
 
 func (a twoTableApp) Postprocess(t *types.ExecutedTxn) types.Output {

@@ -83,11 +83,10 @@ func (g *Group) HealShard(procErr error, source Source) (*engine.RecoveryReport,
 				minSeq = ev.Seq
 			}
 		}
-		reps, err := s.stageReplication(g.lastDeltas, minSeq)
-		if err != nil {
+		if err := s.stageReplication(g.lastDeltas, minSeq); err != nil {
 			return fail(err)
 		}
-		batch := append(reps, g.subBatch(ep, serr.Shard, source)...)
+		batch := append(s.reps, g.subBatch(ep, serr.Shard, source)...)
 		if err := s.eng.ProcessEpoch(batch); err != nil {
 			return fail(fmt.Errorf("shard: heal shard %d: re-feed epoch %d: %w", serr.Shard, ep, err))
 		}

@@ -314,15 +314,3 @@ func (g *Group) restoreCounters(through uint64, src Source) {
 		}
 	}
 }
-
-// persistFullSync appends the full re-sync deltas under the current epoch
-// so alignment after a future crash can rebuild them from the frontier log
-// (the record they would otherwise come from may predate the recovery or
-// have been lost with the coordinator's crash).
-func (g *Group) persistFullSync(deltas []codec.ShardDelta) error {
-	payload := codec.EncodeShardDeltas(deltas)
-	if err := g.coord.Append(LogFrontier, storage.Record{Epoch: g.epoch, Payload: payload}); err != nil {
-		return fmt.Errorf("shard: full-sync frontier record epoch %d: %w", g.epoch, err)
-	}
-	return nil
-}

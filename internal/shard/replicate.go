@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/types"
@@ -35,31 +36,26 @@ type App struct {
 // WrapApp builds the shard-level view of an application.
 func WrapApp(inner types.App) *App { return &App{inner: inner} }
 
-// Inner returns the wrapped application.
-func (a *App) Inner() types.App { return a.inner }
-
 // Name implements types.App.
 func (a *App) Name() string { return a.inner.Name() + "+shard" }
 
 // Tables implements types.App.
 func (a *App) Tables() []types.TableSpec { return a.inner.Tables() }
 
-// Preprocess implements types.App. A replication event's transaction puts
+// Preprocess implements types.App.
+func (a *App) Preprocess(ev types.Event) types.Txn { return types.NewTxn(ev, a.AppendOps(nil, ev)) }
+
+// AppendOps implements types.App. A replication event's transaction puts
 // each carried key to its carried value; all ops after index 0 logically
 // depend on op 0, which is itself a put and can never abort.
-func (a *App) Preprocess(ev types.Event) types.Txn {
+func (a *App) AppendOps(ops []types.Operation, ev types.Event) []types.Operation {
 	if ev.Kind != KindReplicate {
-		return a.inner.Preprocess(ev)
+		return a.inner.AppendOps(ops, ev)
 	}
-	txn := types.Txn{ID: ev.Seq, TS: ev.Seq, Event: ev}
-	txn.Ops = make([]types.Operation, len(ev.Keys))
-	for i := range ev.Keys {
-		txn.Ops[i] = types.Operation{
-			TxnID: ev.Seq, TS: ev.Seq, Idx: uint8(i),
-			Key: ev.Keys[i], Fn: types.FnPut, Const: ev.Vals[i],
-		}
+	for i, k := range ev.Keys {
+		ops = append(ops, ev.Op(i, k, types.FnPut, ev.Vals[i]))
 	}
-	return txn
+	return ops
 }
 
 // Postprocess implements types.App. Replication events acknowledge with an
@@ -88,25 +84,27 @@ func RealOutputs(outs []types.Output) []types.Output {
 }
 
 // mergeForeign merges every shard's delta but dst's own into one delta in
-// ascending key order. Barrier deltas arrive sorted and ownership-disjoint
-// (each holds only keys its shard owns), so this is a k-way merge, not a
-// map and a sort — but not a concatenation either: with two tables, shard
-// 0's table-1 keys sort after shard 1's table-0 keys. Should two deltas
-// ever carry the same key (a frontier record from a foreign writer), the
-// later shard's value wins, as it did when the merge went through a map.
-func mergeForeign(dst int, deltas []codec.ShardDelta) codec.ShardDelta {
+// ascending key order, reusing out's storage. Barrier deltas arrive sorted
+// and ownership-disjoint (each holds only keys its shard owns), so this is a
+// k-way merge, not a map and a sort — but not a concatenation either: with
+// two tables, shard 0's table-1 keys sort after shard 1's table-0 keys.
+// Should two deltas ever carry the same key (a frontier record from a
+// foreign writer), the later shard's value wins, as it did when the merge
+// went through a map.
+func mergeForeign(out codec.ShardDelta, dst int, deltas []codec.ShardDelta) codec.ShardDelta {
 	total := 0
 	for src, d := range deltas {
 		if src != dst {
 			total += len(d.Keys)
 		}
 	}
-	if total == 0 {
-		return codec.ShardDelta{}
+	out.Keys, out.Vals = slices.Grow(out.Keys[:0], total), slices.Grow(out.Vals[:0], total)
+	var posBuf [16]int // wider groups take the heap
+	pos := posBuf[:]
+	if len(deltas) > len(pos) {
+		pos = make([]int, len(deltas))
 	}
-	out := codec.ShardDelta{Keys: make([]types.Key, 0, total), Vals: make([]types.Value, 0, total)}
-	pos := make([]int, len(deltas))
-	for {
+	for total > 0 {
 		best := -1
 		for src, d := range deltas {
 			if src == dst || pos[src] == len(d.Keys) {
@@ -117,7 +115,7 @@ func mergeForeign(dst int, deltas []codec.ShardDelta) codec.ShardDelta {
 			}
 		}
 		if best < 0 {
-			return out
+			break
 		}
 		k := deltas[best].Keys[pos[best]]
 		out.Keys = append(out.Keys, k)
@@ -128,43 +126,38 @@ func mergeForeign(dst int, deltas []codec.ShardDelta) codec.ShardDelta {
 			}
 		}
 	}
+	return out
 }
 
 // buildReplication turns the foreign portion of a barrier's deltas into
-// the replication events shard dst ingests next epoch; see
+// the replication events shard dst ingests next epoch, in fresh memory; see
 // replicationEvents for their shape.
 func buildReplication(dst int, deltas []codec.ShardDelta, minSeq uint64) ([]types.Event, error) {
-	return replicationEvents(mergeForeign(dst, deltas), minSeq)
+	return replicationEvents(nil, mergeForeign(codec.ShardDelta{}, dst, deltas), minSeq)
 }
 
-// replicationEvents chunks a merged foreign delta into replication events.
-// Sequence numbers occupy [minSeq-n, minSeq): strictly below the epoch's
-// first real sequence number, so every replicated put orders (by temporal
-// dependency) before every real operation of the epoch, and frontier reads
-// observe the consistent committed frontier. Sequence space below an epoch
-// is finite; an epoch too small to host its replication fan-in is an
-// error, not a silent reorder. The events alias flat's slices.
-func replicationEvents(flat codec.ShardDelta, minSeq uint64) ([]types.Event, error) {
-	if len(flat.Keys) == 0 {
-		return nil, nil
-	}
+// replicationEvents chunks a merged foreign delta into replication events,
+// appended to dst. Sequence numbers occupy [minSeq-n, minSeq): strictly
+// below the epoch's first real sequence number, so every replicated put
+// orders (by temporal dependency) before every real operation of the
+// epoch, and frontier reads observe the consistent committed frontier.
+// Sequence space below an epoch is finite; an epoch too small to host its
+// replication fan-in is an error, not a silent reorder. The events alias
+// flat's slices.
+func replicationEvents(dst []types.Event, flat codec.ShardDelta, minSeq uint64) ([]types.Event, error) {
 	n := (len(flat.Keys) + maxReplicateKeys - 1) / maxReplicateKeys
 	if uint64(n) > minSeq {
 		return nil, fmt.Errorf("shard: %d replication events do not fit below sequence %d (epoch too small for the replication fan-in)", n, minSeq)
 	}
-	events := make([]types.Event, 0, n)
 	for i := 0; i < n; i++ {
 		lo := i * maxReplicateKeys
-		hi := lo + maxReplicateKeys
-		if hi > len(flat.Keys) {
-			hi = len(flat.Keys)
-		}
-		events = append(events, types.Event{
+		hi := min(lo+maxReplicateKeys, len(flat.Keys))
+		dst = append(dst, types.Event{
 			Seq:  minSeq - uint64(n) + uint64(i),
 			Kind: KindReplicate,
-			Keys: flat.Keys[lo:hi],
-			Vals: flat.Vals[lo:hi],
+			Keys: flat.Keys[lo:hi:hi],
+			Vals: flat.Vals[lo:hi:hi],
 		})
 	}
-	return events, nil
+	return dst, nil
 }

@@ -3,11 +3,15 @@ package shard
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"morphstreamr/internal/codec"
+	"morphstreamr/internal/ft/ftapi"
+	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/types"
+	"morphstreamr/internal/workload"
 )
 
 // refMergeForeign is how buildReplication merged the other shards' deltas
@@ -59,7 +63,7 @@ func TestMergeForeignMatchesMapAndSort(t *testing.T) {
 			}
 		}
 		for dst := 0; dst < shards; dst++ {
-			got, want := mergeForeign(dst, deltas), refMergeForeign(dst, deltas)
+			got, want := mergeForeign(codec.ShardDelta{}, dst, deltas), refMergeForeign(dst, deltas)
 			if len(got.Keys) != len(want.Keys) || (len(want.Keys) > 0 && !reflect.DeepEqual(got, want)) {
 				t.Fatalf("round %d dst %d: merge diverges from the map-and-sort form (%d vs %d keys)", round, dst, len(got.Keys), len(want.Keys))
 			}
@@ -92,8 +96,61 @@ func TestMergeForeignDuplicateKeyLaterShardWins(t *testing.T) {
 		{},
 		{Keys: []types.Key{k(5), k(7)}, Vals: []types.Value{51, 70}},
 	}
-	got, want := mergeForeign(1, deltas), refMergeForeign(1, deltas)
+	got, want := mergeForeign(codec.ShardDelta{}, 1, deltas), refMergeForeign(1, deltas)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge = %+v, map-and-sort form = %+v", got, want)
+	}
+}
+
+// TestRecycledBuffersKeepLiveData: the group recycles its per-epoch
+// buffers, but never through memory something still reads. Epoch N's
+// delivered ledger chunk stays intact for good; the barrier deltas epoch
+// N+1 replicates from stay intact through that epoch, including a heal that
+// re-stages its replication from them (a delta set is rebuilt two barriers
+// later).
+func TestRecycledBuffersKeepLiveData(t *testing.T) {
+	gen := fttest.GSGen(23)
+	g, err := NewGroup(Config{GroupShape: types.GroupShape{
+		RunShape: types.RunShape{Workers: 2, CommitEvery: 2, SnapshotEvery: 4}, Shards: 2,
+	}, App: gen.App(), Kind: ftapi.MSR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := make([][]types.Event, 12)
+	for i := range batches {
+		batches[i] = workload.Batch(gen, 64)
+	}
+	for _, b := range batches[:4] {
+		if err := g.ProcessEpoch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chunks := g.DeliveredChunks(0)
+	chunk, deltas := chunks[len(chunks)-1], g.lastDeltas
+	wantChunk, wantDeltas := slices.Clone(chunk), slices.Clone(deltas)
+	for i := range wantChunk {
+		wantChunk[i].Vals = slices.Clone(chunk[i].Vals)
+	}
+	for i, d := range deltas {
+		wantDeltas[i] = codec.ShardDelta{Keys: slices.Clone(d.Keys), Vals: slices.Clone(d.Vals)}
+	}
+	if len(deltas[0].Keys)+len(deltas[1].Keys) == 0 {
+		t.Fatal("no barrier deltas to watch")
+	}
+
+	g.Engine(1).Crash() // epoch 5 dies on shard 1 and heals in place
+	if _, err := g.HealShard(g.ProcessEpoch(batches[4]), types.BatchSource(batches)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(deltas, wantDeltas) {
+		t.Fatal("the barrier deltas epoch 5 replicated from changed under its heal")
+	}
+	for _, b := range batches[5:] {
+		if err := g.ProcessEpoch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(chunk, wantChunk) {
+		t.Fatal("epoch 4's delivered ledger chunk changed under later epochs")
 	}
 }

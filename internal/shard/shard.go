@@ -57,9 +57,9 @@ import (
 )
 
 // LogFrontier is the coordinator's durable log of barrier frontier
-// records: one record per group epoch, payload EncodeShardDeltas. It lives
-// on the coordinator's own device, so shard logs and the group punctuation
-// agreement survive crashes independently.
+// records: one record per group epoch, payload EncodeShardDeltasInto. It
+// lives on the coordinator's own device, so shard logs and the group
+// punctuation agreement survive crashes independently.
 const LogFrontier = "frontier"
 
 // Config assembles one shard group.
@@ -101,9 +101,6 @@ type Config struct {
 	// of concurrently. Benchmarks use it to measure clean per-shard walls
 	// on oversubscribed hosts; the durable history is identical.
 	SerialEpochs bool
-	// RecordRouting retains the shard assignment of every routed event
-	// (the determinism test's routed-event transcript).
-	RecordRouting bool
 	// OnCommit, when non-nil, is called after a completed barrier whenever
 	// the group's committed punctuation frontier (see Committed) advances,
 	// with the new frontier. Epochs at or below the frontier have durably
@@ -189,8 +186,12 @@ type shardState struct {
 	// key that was not replicated.
 	repKeys []types.Key
 
-	// batch is the shard's epoch input buffer, reused across epochs.
-	batch []types.Event
+	// batch is the shard's epoch input buffer, reused across epochs. merged
+	// and reps are its replication payload, rebuilt in place every epoch:
+	// the merged foreign delta and the events that alias it (repKeys too).
+	batch  []types.Event
+	merged codec.ShardDelta
+	reps   []types.Event
 
 	fedReal int
 	// banked holds the ledger chunks of abandoned incarnations of this
@@ -215,8 +216,12 @@ type Group struct {
 	// lastDeltas is the previous barrier's per-shard delta — the next
 	// epoch's replication payload. fullSync replaces it with every shard's
 	// full owned partition for one epoch (set after a group recovery,
-	// whose mechanism-replayed epochs have no captured write sets).
+	// whose mechanism-replayed epochs have no captured write sets). A
+	// barrier builds its deltas into whichever of deltaSets lastDeltas does
+	// not hold, so the payload a heal restages from survives the barrier
+	// that replaces it.
 	lastDeltas []codec.ShardDelta
+	deltaSets  [2][]codec.ShardDelta
 	fullSync   bool
 
 	// notified is the last frontier surfaced through Config.OnCommit, so
@@ -229,10 +234,14 @@ type Group struct {
 	commitAt     map[uint64]time.Time
 	commitMarked uint64
 
-	stats  []EpochStat
-	routes [][]int
-	// dest is route's per-event shard scratch, reused across epochs.
-	dest []int32
+	stats []EpochStat
+	// Per-epoch scratch, reused across epochs: route's per-event shard and
+	// per-shard counts, and each shard's batch and error. (A shard's wall
+	// is kept by its EpochStat, so walls are not scratch.)
+	dest    []int32
+	counts  []int
+	batches [][]types.Event
+	errs    []error
 }
 
 // NewGroup builds a shard group with fresh engines over cfg's devices.
@@ -263,6 +272,9 @@ func newGroupShell(cfg Config) (*Group, error) {
 		router:   partition.NewRanges(cfg.App.Tables(), cfg.Shards),
 		coord:    cfg.CoordDev,
 		commitAt: map[uint64]time.Time{},
+		counts:   make([]int, cfg.Shards),
+		batches:  make([][]types.Event, cfg.Shards),
+		errs:     make([]error, cfg.Shards),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		g.shards = append(g.shards, &shardState{
@@ -310,13 +322,12 @@ func (g *Group) ProcessEpoch(events []types.Event) error {
 	}
 	ep := g.epoch + 1
 
-	dest, counts, minSeq, err := g.route(events)
+	dest, minSeq, err := g.route(events)
 	if err != nil {
 		g.crashed = true
 		return err
 	}
-	reps, err := g.replicationFor(minSeq)
-	if err != nil {
+	if err := g.replicationFor(minSeq); err != nil {
 		g.crashed = true
 		return err
 	}
@@ -325,15 +336,15 @@ func (g *Group) ProcessEpoch(events []types.Event) error {
 	// replication events first, then its share of the input in order. A
 	// group of one shard has nothing to split and no other shard to hear
 	// from, and feeds the caller's slice as it is.
-	batches := make([][]types.Event, len(g.shards))
+	batches, errs := g.batches, g.errs
 	if len(g.shards) == 1 {
 		batches[0] = events
 	} else {
 		for i, s := range g.shards {
-			if n := len(reps[i]) + counts[i]; cap(s.batch) < n {
+			if n := len(s.reps) + g.counts[i]; cap(s.batch) < n {
 				s.batch = make([]types.Event, 0, n)
 			}
-			s.batch = append(s.batch[:0], reps[i]...)
+			s.batch = append(s.batch[:0], s.reps...)
 		}
 		for j := range events {
 			s := g.shards[dest[j]]
@@ -345,7 +356,6 @@ func (g *Group) ProcessEpoch(events []types.Event) error {
 	}
 
 	walls := make([]time.Duration, len(g.shards))
-	errs := make([]error, len(g.shards))
 	run := func(i int) {
 		t0 := time.Now()
 		errs[i] = g.shards[i].eng.ProcessEpoch(batches[i])
@@ -370,7 +380,7 @@ func (g *Group) ProcessEpoch(events []types.Event) error {
 		}
 	}
 	for i, s := range g.shards {
-		s.fedReal += counts[i]
+		s.fedReal += g.counts[i]
 	}
 
 	t0 := time.Now()
@@ -395,26 +405,26 @@ func (g *Group) Run(batches [][]types.Event) error {
 }
 
 // route validates the global batch and assigns every event its shard by
-// its first key: dest[j] is event j's shard (scratch, valid until the next
-// call), counts[s] the number of events bound for shard s. It also returns
-// the epoch's minimum real sequence number (the replication sequence
-// ceiling).
-func (g *Group) route(events []types.Event) (dest []int32, counts []int, minSeq uint64, err error) {
+// its first key: dest[j] is event j's shard and g.counts[s] the number of
+// events bound for shard s (scratch, valid until the next call). It also
+// returns the epoch's minimum real sequence number (the replication
+// sequence ceiling).
+func (g *Group) route(events []types.Event) (dest []int32, minSeq uint64, err error) {
 	if cap(g.dest) < len(events) {
 		g.dest = make([]int32, len(events))
 	}
-	dest = g.dest[:len(events)]
-	counts = make([]int, len(g.shards))
+	dest, counts := g.dest[:len(events)], g.counts
+	clear(counts)
 	// An empty epoch anchors replication sequences just past the highest
 	// sequence ever routed (no real events to order against).
 	minSeq = g.seqFloor
 	for i := range events {
 		ev := &events[i]
 		if ev.Kind == KindReplicate {
-			return nil, nil, 0, fmt.Errorf("shard: input event %d uses reserved kind %d", ev.Seq, KindReplicate)
+			return nil, 0, fmt.Errorf("shard: input event %d uses reserved kind %d", ev.Seq, KindReplicate)
 		}
 		if len(ev.Keys) == 0 {
-			return nil, nil, 0, fmt.Errorf("shard: input event %d has no routing key", ev.Seq)
+			return nil, 0, fmt.Errorf("shard: input event %d has no routing key", ev.Seq)
 		}
 		s := g.router.Of(ev.Keys[0])
 		dest[i] = int32(s)
@@ -426,25 +436,19 @@ func (g *Group) route(events []types.Event) (dest []int32, counts []int, minSeq 
 			g.seqFloor = ev.Seq + 1
 		}
 	}
-	if g.cfg.RecordRouting {
-		route := make([]int, len(dest))
-		for i, s := range dest {
-			route[i] = int(s)
-		}
-		g.routes = append(g.routes, route)
-	}
-	return dest, counts, minSeq, nil
+	return dest, minSeq, nil
 }
 
-// replicationFor builds every shard's replication events for the next
+// replicationFor stages every shard's replication events for the next
 // epoch from the staged barrier deltas (or, after a group recovery, from
 // every shard's full owned partition — the conservative re-sync that
-// covers mechanism-replayed epochs whose write sets were never captured).
-func (g *Group) replicationFor(minSeq uint64) ([][]types.Event, error) {
-	reps := make([][]types.Event, len(g.shards))
+// covers mechanism-replayed epochs whose write sets were never captured,
+// persisted under the current epoch because the record alignment would
+// otherwise rebuild it from may predate the recovery or be lost).
+func (g *Group) replicationFor(minSeq uint64) error {
 	if g.cfg.LocalReads {
 		g.fullSync = false
-		return reps, nil
+		return nil
 	}
 	deltas := g.lastDeltas
 	if g.fullSync {
@@ -452,39 +456,54 @@ func (g *Group) replicationFor(minSeq uint64) ([][]types.Event, error) {
 		for i := range g.shards {
 			deltas[i] = g.fullDelta(i)
 		}
-		if err := g.persistFullSync(deltas); err != nil {
-			return nil, err
+		if err := g.appendFrontier(g.epoch, deltas); err != nil {
+			return fmt.Errorf("shard: full-sync frontier record epoch %d: %w", g.epoch, err)
 		}
 		g.fullSync = false
 		g.lastDeltas = deltas
 	}
 	// A fresh group's first epoch has no deltas yet; staging still runs, so
 	// every shard's exemptions are those of this epoch (here: none).
-	for i, s := range g.shards {
-		ev, err := s.stageReplication(deltas, minSeq)
-		if err != nil {
-			return nil, err
+	for _, s := range g.shards {
+		if err := s.stageReplication(deltas, minSeq); err != nil {
+			return err
 		}
-		reps[i] = ev
 	}
-	return reps, nil
+	return nil
 }
 
-// stageReplication builds the replication events shard s ingests this
-// epoch from the other shards' deltas, and remembers their keys as the
-// epoch's write-locality exemptions.
-func (s *shardState) stageReplication(deltas []codec.ShardDelta, minSeq uint64) ([]types.Event, error) {
-	flat := mergeForeign(s.idx, deltas)
-	s.repKeys = flat.Keys
-	return replicationEvents(flat, minSeq)
+// stageReplication rebuilds, in s's own buffers, the replication events
+// shard s ingests this epoch from the other shards' deltas, and remembers
+// their keys as the epoch's write-locality exemptions.
+func (s *shardState) stageReplication(deltas []codec.ShardDelta, minSeq uint64) error {
+	s.merged = mergeForeign(s.merged, s.idx, deltas)
+	s.repKeys = s.merged.Keys
+	var err error
+	s.reps, err = replicationEvents(s.reps[:0], s.merged, minSeq)
+	return err
+}
+
+// appendFrontier appends one frontier record to the coordinator's log. The
+// device copies the payload, so it is encoded into a pooled buffer.
+func (g *Group) appendFrontier(ep uint64, deltas []codec.ShardDelta) error {
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	codec.EncodeShardDeltasInto(w, deltas)
+	return g.coord.Append(LogFrontier, storage.Record{Epoch: ep, Payload: w.Bytes()})
 }
 
 // completeBarrier runs the barrier step of epoch ep: verify write
 // locality, extract per-shard deltas, append the frontier record, advance
 // the group epoch, and stage the deltas for the next epoch's replication.
 func (g *Group) completeBarrier(ep uint64) error {
-	deltas := make([]codec.ShardDelta, len(g.shards))
+	set := &g.deltaSets[ep%2] // lastDeltas, if staged by a barrier, is the other set
+	if len(*set) != len(g.shards) {
+		*set = make([]codec.ShardDelta, len(g.shards))
+	}
+	deltas := *set
 	for i, s := range g.shards {
+		d := &deltas[i]
+		d.Keys, d.Vals = d.Keys[:0], d.Vals[:0]
 		if g.cfg.LocalReads {
 			// No replication, so no delta extraction — but write locality
 			// is still the contract, and still checked.
@@ -502,7 +521,7 @@ func (g *Group) completeBarrier(ep uint64) error {
 			// exact write set is unknown, so publish the full owned
 			// partition — replication writes authoritative values, so
 			// over-publishing is deterministic and harmless.
-			deltas[i] = g.fullDelta(i)
+			*d = g.fullDelta(i)
 			continue
 		}
 		// The write set arrives ascending and duplicate-free (it is the
@@ -511,7 +530,7 @@ func (g *Group) completeBarrier(ep uint64) error {
 		// order, and foreign keys are checked off against repKeys in step.
 		// Every replicated key is written, so the owned count is exact.
 		owned := max(0, len(s.writeSet)-len(s.repKeys))
-		d := codec.ShardDelta{Keys: make([]types.Key, 0, owned), Vals: make([]types.Value, 0, owned)}
+		d.Keys, d.Vals = slices.Grow(d.Keys, owned), slices.Grow(d.Vals, owned)
 		st, rep := s.eng.Store(), s.repKeys
 		for _, k := range s.writeSet {
 			if owner := g.router.Of(k); owner != i {
@@ -527,10 +546,8 @@ func (g *Group) completeBarrier(ep uint64) error {
 			d.Keys = append(d.Keys, k)
 			d.Vals = append(d.Vals, st.Get(k))
 		}
-		deltas[i] = d
 	}
-	payload := codec.EncodeShardDeltas(deltas)
-	if err := g.coord.Append(LogFrontier, storage.Record{Epoch: ep, Payload: payload}); err != nil {
+	if err := g.appendFrontier(ep, deltas); err != nil {
 		return fmt.Errorf("shard: frontier record epoch %d: %w", ep, err)
 	}
 	g.lastDeltas = deltas
@@ -677,10 +694,6 @@ func (g *Group) CommittedVector() []uint64 {
 
 // EpochStats returns the per-epoch timing records.
 func (g *Group) EpochStats() []EpochStat { return g.stats }
-
-// RouteLog returns the routed-event transcript (RecordRouting only):
-// entry [e][j] is the shard of the e+1-th epoch's j-th event.
-func (g *Group) RouteLog() [][]int { return g.routes }
 
 // FrontierRecords reads the coordinator's durable frontier log through the
 // streaming cursor API (materialised, for inspection and tests).

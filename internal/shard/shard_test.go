@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -56,36 +57,42 @@ func verifyAgainstOracle(t *testing.T, g *shard.Group, orc *shard.GroupOracle, d
 }
 
 // TestGroupMatchesOracle runs the live (no-crash) group protocol at
-// several fan-outs and checks every shard against the sharded oracle.
+// several fan-outs and checks every shard against the sharded oracle. At
+// four workers the adaptive controller morphs every shard engine
+// independently, yet the group still matches the oracle and commits in
+// lockstep: the shard protocol's determinism rests on the
+// durable-write-neutrality of morphs, which TestGoldenDurableTranscript
+// pins byte for byte.
 func TestGroupMatchesOracle(t *testing.T) {
-	for _, n := range []int{1, 2, 4} {
-		app, batches := gsRun(7, 6, 24)
-		g, err := shard.NewGroup(shard.Config{
-			GroupShape: sweepShape(n), App: app, Kind: ftapi.WAL,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Run(batches); err != nil {
-			t.Fatalf("shards=%d: %v", n, err)
-		}
-		if got := g.Epoch(); got != 6 {
-			t.Fatalf("shards=%d: group at epoch %d, want 6", n, got)
-		}
-		for _, committed := range g.CommittedVector() {
-			if committed != 6 {
-				t.Fatalf("shards=%d: committed vector %v, want all 6", n, g.CommittedVector())
+	for _, workers := range []int{2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			for _, n := range []int{1, 2, 4} {
+				app, batches := gsRun(int64(5+workers), 6, 24)
+				shape := sweepShape(n)
+				shape.Workers = workers
+				g, err := shard.NewGroup(shard.Config{GroupShape: shape, App: app, Kind: ftapi.WAL})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := g.Run(batches); err != nil {
+					t.Fatalf("shards=%d: %v", n, err)
+				}
+				for _, committed := range g.CommittedVector() {
+					if g.Epoch() != 6 || committed != 6 {
+						t.Fatalf("shards=%d: group at epoch %d, committed vector %v, want all 6", n, g.Epoch(), g.CommittedVector())
+					}
+				}
+				orc, err := shard.NewGroupOracle(app, n, batches)
+				if err != nil {
+					t.Fatal(err)
+				}
+				delivered := make([][]types.Output, n)
+				for s := 0; s < n; s++ {
+					delivered[s] = g.DeliveredUnion(s)
+				}
+				verifyAgainstOracle(t, g, orc, delivered)
 			}
-		}
-		orc, err := shard.NewGroupOracle(app, n, batches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		delivered := make([][]types.Output, n)
-		for s := 0; s < n; s++ {
-			delivered[s] = g.DeliveredUnion(s)
-		}
-		verifyAgainstOracle(t, g, orc, delivered)
+		})
 	}
 }
 

@@ -58,10 +58,26 @@ func (m *Manifest) SetField(name string, v uint64) {
 	m.Fields[name] = v
 }
 
-// Encode serialises the manifest. Field names are sorted so the encoding
-// is deterministic — byte-level pinning tests rely on it.
-func (m *Manifest) Encode() []byte {
-	b := make([]byte, 0, 64+len(m.Payload))
+// Encode serialises the manifest into a buffer sized for it.
+func (m *Manifest) Encode() []byte { return m.AppendTo(make([]byte, 0, m.maxSize())) }
+
+// maxSize bounds the encoded size from above, every varint at full width.
+func (m *Manifest) maxSize() int {
+	n := len(manifestMagic) + 6*binary.MaxVarintLen64 + len(m.Kind) + len(m.Payload)
+	for name := range m.Fields {
+		n += len(name) + 2*binary.MaxVarintLen64
+	}
+	for _, e := range m.Entries {
+		n += len(e.Name) + (2+len(e.Vals))*binary.MaxVarintLen64
+	}
+	return n
+}
+
+// AppendTo appends the manifest's encoding to dst and returns the extended
+// slice, so a hot caller can encode into a buffer it reuses. Field names
+// are sorted so the encoding is deterministic — byte-level pinning tests
+// rely on it.
+func (m *Manifest) AppendTo(b []byte) []byte {
 	b = append(b, manifestMagic...)
 	b = binary.AppendUvarint(b, manifestVersion)
 	b = appendName(b, m.Kind)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrSegmentBudget is returned by Append when a log would need more live
@@ -431,31 +430,6 @@ func (s *SegStore) compact(lg *segLog) int {
 		}
 	}
 	return n
-}
-
-// StartCompactor runs background compaction over every log at the given
-// interval, returning a stop function. Deterministic harnesses call
-// CompactNow instead; the serving path uses this.
-func (s *SegStore) StartCompactor(every time.Duration) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				s.mu.Lock()
-				for _, lg := range s.logs {
-					s.compact(lg)
-				}
-				s.mu.Unlock()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 // BytesWritten implements Device.

@@ -153,7 +153,7 @@ func TestDenseBuildMatchesMapAndSort(t *testing.T) {
 	var prev []*types.Txn
 	for epoch := 0; epoch < 12; epoch++ {
 		txns := randomEpoch(rng, uint64(epoch)*1000+1, 150+rng.Intn(300))
-		checkAgainstReference(t, BuildStructure(txns), txns)
+		checkAgainstReference(t, NewBuilder().Build(txns), txns)
 
 		g := b.Build(txns)
 		checkAgainstReference(t, g, txns)
@@ -189,7 +189,7 @@ func TestDenseBuildMatchesMapAndSort(t *testing.T) {
 // untouched table, beyond the touched rows, at the top of the row space —
 // report no chain and do not grow the index.
 func TestChainOfAbsentKeys(t *testing.T) {
-	g := BuildStructure(fig3Txns(100, 30, 20))
+	g := NewBuilder().Build(fig3Txns(100, 30, 20))
 	for _, k := range []types.Key{
 		{Table: 0, Row: 2}, {Table: 0, Row: 1 << 20}, {Table: 0, Row: ^uint32(0)},
 		{Table: 1, Row: 0}, {Table: 255, Row: 77},

@@ -83,11 +83,12 @@ func (s *slab[T]) carve(n, c int) []T {
 	return out
 }
 
-// push appends v to list. A list with no capacity yet gets room for room
-// elements from the slab; one that outgrows what it has grows by append.
+// push appends v to list. A full list moves to a fresh carving of room
+// elements, or twice its length if that is more, so lists grow out of the
+// slab too.
 func (s *slab[T]) push(list []T, v T, room int) []T {
-	if cap(list) == 0 {
-		list = s.carve(0, room)
+	if len(list) == cap(list) {
+		list = append(s.carve(0, max(room, 2*len(list))), list...)
 	}
 	return append(list, v)
 }
@@ -122,8 +123,9 @@ type Builder struct {
 // NewBuilder creates an empty graph recycler.
 func NewBuilder() *Builder { return &Builder{} }
 
-// Build constructs the structural TPG for one epoch (see BuildStructure)
-// on recycled memory. The caller must CaptureBases before executing it.
+// Build constructs the TPG's vertices and edges for one epoch on recycled
+// memory, without touching the store: the caller must CaptureBases before
+// executing it.
 func (b *Builder) Build(txns []*types.Txn) *Graph {
 	g := b.take()
 	g.build(txns)

@@ -85,7 +85,7 @@ func TestBuilderRecyclesGraphs(t *testing.T) {
 func TestBuildStructureThenCapture(t *testing.T) {
 	readBase := func(k types.Key) types.Value { return types.Value(100 + int64(k.Row)) }
 	eager := Build(testTxns(1), readBase)
-	split := BuildStructure(testTxns(1))
+	split := NewBuilder().Build(testTxns(1))
 	split.CaptureBases(readBase)
 
 	for ti, tn := range eager.Txns {
@@ -107,7 +107,7 @@ func TestBuildStructureThenCapture(t *testing.T) {
 // TestResetExecRestoresCounters: after executing a graph, ResetExec brings
 // every dependency counter and flag back to its post-build state.
 func TestResetExecRestoresCounters(t *testing.T) {
-	g := BuildStructure(testTxns(1))
+	g := NewBuilder().Build(testTxns(1))
 	g.CaptureBases(func(types.Key) types.Value { return 0 })
 	want := make(map[*OpNode]int32)
 	for _, tn := range g.Txns {

@@ -160,6 +160,11 @@ type Graph struct {
 	Input []types.Txn
 	// inputPtrs[i] is &Input[i] over Input's whole capacity.
 	inputPtrs []*types.Txn
+	// Ops is the operation arena behind Input: the caller appends each
+	// transaction's operations to it (types.App.AppendOps) and points the
+	// transaction's Ops into it. Rewinding empties it and keeps its
+	// capacity, so steady-state epochs preprocess without allocating.
+	Ops []types.Operation
 
 	// index maps each accessed key to its chain. It is dense, grows with
 	// the rows an epoch touches rather than with declared table sizes, and
@@ -187,19 +192,9 @@ type ReadBase func(types.Key) types.Value
 // epoch-start base values. Transactions must arrive in ascending timestamp
 // order (the spout's event order).
 func Build(txns []*types.Txn, readBase ReadBase) *Graph {
-	g := BuildStructure(txns)
-	g.CaptureBases(readBase)
-	return g
-}
-
-// BuildStructure constructs the TPG's vertices and edges without touching
-// the store. The result is not executable until CaptureBases fills the
-// epoch-start dependency values; the split lets a pipelined engine build
-// epoch N+1's structure while epoch N is still mutating state, then
-// capture bases at the epoch barrier.
-func BuildStructure(txns []*types.Txn) *Graph {
 	g := &Graph{}
 	g.build(txns)
+	g.CaptureBases(readBase)
 	return g
 }
 
@@ -230,8 +225,8 @@ func (g *Graph) newNode(op *types.Operation, tn *TxnNode) *OpNode {
 	return n
 }
 
-// build is the structural construction shared by Build, BuildStructure,
-// and Builder.Build.
+// build is the structural construction shared by Build, BuildInput and
+// Builder.Build.
 func (g *Graph) build(txns []*types.Txn) {
 	if g.Txns == nil {
 		g.Txns = make([]*TxnNode, 0, len(txns))
@@ -378,6 +373,7 @@ func (g *Graph) ResetExec() {
 // touched are cleared).
 func (g *Graph) rewind() {
 	g.Txns = g.Txns[:0]
+	g.Ops = g.Ops[:0]
 	g.index.Reset()
 	g.ChainList = g.ChainList[:0]
 	g.NumOps = 0

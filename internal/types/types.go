@@ -59,11 +59,21 @@ type EventKind uint8
 // is interpreted by the application's Preprocess. Events are deterministic
 // and self-contained so that command logging (WAL) and input-event
 // persistence can replay them byte-for-byte.
+//
+// Keys and Vals are immutable once the event is admitted: transactions
+// (an operation's Deps) and replication events may alias them instead of
+// copying, so nothing may write through them afterwards.
 type Event struct {
 	Seq  uint64
 	Kind EventKind
 	Keys []Key
 	Vals []Value
+}
+
+// Op builds operation idx of ev's transaction: both its transaction ID and
+// its timestamp are ev.Seq. deps may alias ev.Keys.
+func (ev *Event) Op(idx int, key Key, fn FuncID, c Value, deps ...Key) Operation {
+	return Operation{TxnID: ev.Seq, TS: ev.Seq, Idx: uint8(idx), Key: key, Fn: fn, Const: c, Deps: deps}
 }
 
 // Source feeds a stream by epoch: it returns the batch for a 1-based epoch,
@@ -116,6 +126,9 @@ type Txn struct {
 	Ops   []Operation
 }
 
+// NewTxn is ev's transaction over ops.
+func NewTxn(ev Event, ops []Operation) Txn { return Txn{ID: ev.Seq, TS: ev.Seq, Event: ev, Ops: ops} }
+
 // Output is the downstream-visible product of postprocessing one event
 // (a balance statement, an invoice, a toll notification, ...). Outputs are
 // delivered exactly once: the engine suppresses re-delivery during replay.
@@ -157,8 +170,14 @@ type App interface {
 	Name() string
 	// Tables declares the shared mutable state the application uses.
 	Tables() []TableSpec
-	// Preprocess converts an input event into a state transaction.
+	// Preprocess converts an input event into a state transaction. It is
+	// NewTxn(ev, AppendOps(nil, ev)).
 	Preprocess(ev Event) Txn
+	// AppendOps appends the operations of ev's transaction to ops and
+	// returns the extended slice. The caller owns ops (the engine passes its
+	// graph's recycled operation arena); the appended operations may alias
+	// ev's Keys and Vals.
+	AppendOps(ops []Operation, ev Event) []Operation
 	// Postprocess converts an executed transaction into its output. The
 	// view is only valid for the duration of the call: the engine reuses
 	// one scratch ExecutedTxn across the epoch's transactions, so

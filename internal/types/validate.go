@@ -50,16 +50,3 @@ func ValidateTxn(t *Txn) error {
 	}
 	return nil
 }
-
-// CloneEvent deep-copies an event so that decoded log records and generator
-// outputs never alias caller-owned slices.
-func CloneEvent(ev Event) Event {
-	cp := ev
-	if ev.Keys != nil {
-		cp.Keys = append([]Key(nil), ev.Keys...)
-	}
-	if ev.Vals != nil {
-		cp.Vals = append([]Value(nil), ev.Vals...)
-	}
-	return cp
-}

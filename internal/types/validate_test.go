@@ -53,20 +53,6 @@ func TestValidateTxnRejections(t *testing.T) {
 	}
 }
 
-func TestCloneEventIsDeep(t *testing.T) {
-	ev := Event{Seq: 1, Keys: []Key{{Row: 1}}, Vals: []Value{10}}
-	cp := CloneEvent(ev)
-	cp.Keys[0].Row = 99
-	cp.Vals[0] = 99
-	if ev.Keys[0].Row != 1 || ev.Vals[0] != 10 {
-		t.Error("CloneEvent shares slices with the original")
-	}
-	empty := CloneEvent(Event{Seq: 2})
-	if empty.Keys != nil || empty.Vals != nil {
-		t.Error("CloneEvent invented slices for nil fields")
-	}
-}
-
 func TestKeyOrderingAndString(t *testing.T) {
 	a := Key{Table: 0, Row: 5}
 	b := Key{Table: 1, Row: 0}

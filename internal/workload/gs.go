@@ -80,26 +80,19 @@ func (a *GSApp) Tables() []types.TableSpec {
 }
 
 // Preprocess implements types.App.
-func (a *GSApp) Preprocess(ev types.Event) types.Txn {
-	txn := types.Txn{ID: ev.Seq, TS: ev.Seq, Event: ev}
+func (a *GSApp) Preprocess(ev types.Event) types.Txn { return types.NewTxn(ev, a.AppendOps(nil, ev)) }
+
+// AppendOps implements types.App. A sum's dependencies alias the event's
+// read keys.
+func (a *GSApp) AppendOps(ops []types.Operation, ev types.Event) []types.Operation {
 	switch ev.Kind {
 	case GSSum:
-		txn.Ops = []types.Operation{{
-			TxnID: ev.Seq, TS: ev.Seq, Idx: 0,
-			Key:   ev.Keys[0],
-			Fn:    types.FnSumAbortIf,
-			Const: ev.Vals[0],
-			Deps:  append([]types.Key(nil), ev.Keys[1:]...),
-		}}
+		return append(ops, ev.Op(0, ev.Keys[0], types.FnSumAbortIf, ev.Vals[0], ev.Keys[1:]...))
 	case GSPut:
-		txn.Ops = []types.Operation{{
-			TxnID: ev.Seq, TS: ev.Seq, Idx: 0,
-			Key: ev.Keys[0], Fn: types.FnPut, Const: ev.Vals[0],
-		}}
+		return append(ops, ev.Op(0, ev.Keys[0], types.FnPut, ev.Vals[0]))
 	default:
 		panic("workload: unknown GS event kind")
 	}
-	return txn
 }
 
 // Postprocess implements types.App: the output reports the written value

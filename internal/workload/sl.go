@@ -90,34 +90,31 @@ func (a *SLApp) Tables() []types.TableSpec {
 	}
 }
 
-// Preprocess implements types.App. A deposit tops up the account and asset
+// Preprocess implements types.App.
+func (a *SLApp) Preprocess(ev types.Event) types.Txn { return types.NewTxn(ev, a.AppendOps(nil, ev)) }
+
+// AppendOps implements types.App. A deposit tops up the account and asset
 // records; a transfer debits the source and credits the destination on
 // both tables, all four operations guarded by the source account balance
-// (the condition operation is the source-account debit).
-func (a *SLApp) Preprocess(ev types.Event) types.Txn {
-	txn := types.Txn{ID: ev.Seq, TS: ev.Seq, Event: ev}
+// (the condition operation is the source-account debit, and the guarded
+// operations' one dependency aliases the event's first key).
+func (a *SLApp) AppendOps(ops []types.Operation, ev types.Event) []types.Operation {
+	amount := ev.Vals[0]
 	switch ev.Kind {
 	case SLDeposit:
-		acc, ast := ev.Keys[0], ev.Keys[1]
-		amount := ev.Vals[0]
-		txn.Ops = []types.Operation{
-			{TxnID: ev.Seq, TS: ev.Seq, Idx: 0, Key: acc, Fn: types.FnAdd, Const: amount},
-			{TxnID: ev.Seq, TS: ev.Seq, Idx: 1, Key: ast, Fn: types.FnAdd, Const: amount},
-		}
+		return append(ops,
+			ev.Op(0, ev.Keys[0], types.FnAdd, amount),
+			ev.Op(1, ev.Keys[1], types.FnAdd, amount))
 	case SLTransfer:
-		accSrc, accDst, astSrc, astDst := ev.Keys[0], ev.Keys[1], ev.Keys[2], ev.Keys[3]
-		amount := ev.Vals[0]
-		src := accSrc
-		txn.Ops = []types.Operation{
-			{TxnID: ev.Seq, TS: ev.Seq, Idx: 0, Key: accSrc, Fn: types.FnGuardedSubSelf, Const: amount},
-			{TxnID: ev.Seq, TS: ev.Seq, Idx: 1, Key: accDst, Fn: types.FnGuardedAdd, Const: amount, Deps: []types.Key{src}},
-			{TxnID: ev.Seq, TS: ev.Seq, Idx: 2, Key: astSrc, Fn: types.FnGuardedSub, Const: amount, Deps: []types.Key{src}},
-			{TxnID: ev.Seq, TS: ev.Seq, Idx: 3, Key: astDst, Fn: types.FnGuardedAdd, Const: amount, Deps: []types.Key{src}},
-		}
+		src := ev.Keys[:1:1]
+		return append(ops,
+			ev.Op(0, ev.Keys[0], types.FnGuardedSubSelf, amount),
+			ev.Op(1, ev.Keys[1], types.FnGuardedAdd, amount, src...),
+			ev.Op(2, ev.Keys[2], types.FnGuardedSub, amount, src...),
+			ev.Op(3, ev.Keys[3], types.FnGuardedAdd, amount, src...))
 	default:
 		panic("workload: unknown SL event kind")
 	}
-	return txn
 }
 
 // Postprocess implements types.App. Deposits emit a balance statement,

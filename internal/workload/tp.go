@@ -77,18 +77,16 @@ func (a *TPApp) Tables() []types.TableSpec {
 	}
 }
 
-// Preprocess implements types.App. The speed update is the condition
+// Preprocess implements types.App.
+func (a *TPApp) Preprocess(ev types.Event) types.Txn { return types.NewTxn(ev, a.AppendOps(nil, ev)) }
+
+// AppendOps implements types.App. The speed update is the condition
 // operation: a negative report fails its guard and aborts the transaction,
 // so the vehicle count (logically dependent) stays untouched.
-func (a *TPApp) Preprocess(ev types.Event) types.Txn {
-	txn := types.Txn{ID: ev.Seq, TS: ev.Seq, Event: ev}
-	speedKey, cntKey := ev.Keys[0], ev.Keys[1]
-	speed := ev.Vals[0]
-	txn.Ops = []types.Operation{
-		{TxnID: ev.Seq, TS: ev.Seq, Idx: 0, Key: speedKey, Fn: types.FnEwmaGuard, Const: speed},
-		{TxnID: ev.Seq, TS: ev.Seq, Idx: 1, Key: cntKey, Fn: types.FnInc},
-	}
-	return txn
+func (a *TPApp) AppendOps(ops []types.Operation, ev types.Event) []types.Operation {
+	return append(ops,
+		ev.Op(0, ev.Keys[0], types.FnEwmaGuard, ev.Vals[0]),
+		ev.Op(1, ev.Keys[1], types.FnInc, 0))
 }
 
 // Postprocess implements types.App: computes the toll from the updated

@@ -161,8 +161,18 @@ func (w *Buffer) Event(ev types.Event) {
 	}
 }
 
-// Event reads one input event.
+// Event reads one input event into memory of its own.
 func (r *Reader) Event() types.Event {
+	var keys []types.Key
+	var vals []types.Value
+	return r.EventInto(&keys, &vals)
+}
+
+// EventInto reads one input event whose Keys and Vals are carved from the
+// free capacity of the caller's slabs, which grow only when short. Each
+// carved slice is capped at its own length, so an append to one event's
+// payload can never write into its neighbour's.
+func (r *Reader) EventInto(keys *[]types.Key, vals *[]types.Value) types.Event {
 	var ev types.Event
 	ev.Seq = r.Uvarint()
 	ev.Kind = types.EventKind(r.Byte())
@@ -172,7 +182,7 @@ func (r *Reader) Event() types.Event {
 		return ev
 	}
 	if nk > 0 {
-		ev.Keys = make([]types.Key, nk)
+		ev.Keys = carve(keys, int(nk))
 		for i := range ev.Keys {
 			ev.Keys[i] = r.Key()
 		}
@@ -183,12 +193,24 @@ func (r *Reader) Event() types.Event {
 		return ev
 	}
 	if nv > 0 {
-		ev.Vals = make([]types.Value, nv)
+		ev.Vals = carve(vals, int(nv))
 		for i := range ev.Vals {
 			ev.Vals[i] = r.Varint()
 		}
 	}
 	return ev
+}
+
+// carve extends *slab by n elements and returns them as a full slice. A
+// slab too short starts over in one twice its size: what was carved from
+// the old one stays where it is.
+func carve[T any](slab *[]T, n int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(2*cap(*slab), n))
+	}
+	lo := len(*slab)
+	*slab = (*slab)[:lo+n]
+	return (*slab)[lo : lo+n : lo+n]
 }
 
 // EncodeEvents frames a batch of events: count followed by each event.

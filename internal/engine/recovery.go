@@ -34,6 +34,9 @@ type RecoveryReport struct {
 	Shard int
 	// EventsReplayed counts input events between snapshot and failure point.
 	EventsReplayed int
+	// NextSeq is one past the highest event sequence among the inputs
+	// reloaded after the snapshot (0 when there were none).
+	NextSeq uint64
 	// SnapshotEpoch, CommittedEpoch, and LastEpoch locate the recovery:
 	// state restored from SnapshotEpoch, mechanism log replayed through
 	// CommittedEpoch, inputs reprocessed through LastEpoch.
@@ -189,6 +192,9 @@ func Recover(cfg Config) (*Engine, *RecoveryReport, error) {
 		}
 		inputs = append(inputs, ftapi.EpochEvents{Epoch: rec.Epoch, Events: events})
 		nEvents += len(events)
+		for _, ev := range events {
+			report.NextSeq = max(report.NextSeq, ev.Seq+1)
+		}
 		rec, okNext = next, nok
 	}
 	inCur.Close()

@@ -21,12 +21,12 @@ import (
 // budget. Pre-encoded GS Submit frames of 64 events go through the real
 // path — a session's frame read, DecodeFrame and admission, then the pump's
 // tick: ingest append, Group.ProcessEpoch on 2 shards, barrier and ack
-// flush — at 3072 events per epoch. What stays is what the batches
-// themselves are (their decoded events), what the ledger keeps (an output
-// per event) and the devices' own copies; everything whose lifetime is one
-// epoch or shorter is recycled.
+// flush — at 3072 events per epoch. What stays is what the ledger keeps (an
+// output per event) and the devices' own copies; everything whose lifetime
+// ends at or before its epoch's commit, decoded batches included, is
+// recycled.
 func TestServedPathAllocBudget(t *testing.T) {
-	const perEpoch, warm, measured, budget = 48, 20, 50, 300
+	const perEpoch, warm, measured, budget = 48, 20, 50, 130
 	seg := func() storage.Device { return storage.NewSegStore(storage.SegConfig{}) }
 	srv := newTestServer(t, Config{Tenants: []TenantConfig{{Name: "a"}}, EpochEvery: time.Hour}, shard.Config{
 		GroupShape: types.GroupShape{RunShape: types.RunShape{Workers: 2}, Shards: 2},
@@ -72,6 +72,19 @@ func TestServedPathAllocBudget(t *testing.T) {
 	t.Logf("served path: %.1f B/event allocated over %d warm epochs", perEvent, measured)
 	if perEvent > budget {
 		t.Fatalf("served path allocates %.1f B/event, budget %d", perEvent, budget)
+	}
+}
+
+// TestSubmitDecodeAllocFree: a 64-event Submit decodes into a warm batch
+// without allocating.
+func TestSubmitDecodeAllocFree(t *testing.T) {
+	payload := payloadOf(t, EncodeSubmit(1, genBatches(8, 1, 64)[0]))
+	into := new(batch)
+	if f, err := decodeFrame(payload, into); err != nil || len(f.Events) != 64 {
+		t.Fatalf("decoded %d events: %v", len(f.Events), err)
+	}
+	if got := testing.AllocsPerRun(100, func() { decodeFrame(payload, into) }); got != 0 {
+		t.Fatalf("Submit decode into a warm batch: %.1f allocs/op, want 0", got)
 	}
 }
 

@@ -18,7 +18,9 @@ import (
 // after Close.
 type Backend interface {
 	// Feed processes one epoch (the events carry server-assigned global
-	// sequences). A failure leaves the backend crashed until Heal.
+	// sequences and live in recycled batch memory, so nothing of them may
+	// be retained once Feed returns). A failure leaves the backend crashed
+	// until Heal.
 	Feed(events []types.Event) error
 	// Epoch is the number of epochs completed; Committed is the durably
 	// committed punctuation frontier acknowledgements key to.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"testing"
 
 	"morphstreamr/internal/types"
@@ -9,7 +10,9 @@ import (
 // FuzzDecodeFrame throws arbitrary payloads at the strict frame decoder:
 // it must never panic, never allocate past the wire limits (hostile counts
 // are checked against the remaining payload before allocation), and accept
-// only frames that decode exactly.
+// only frames that decode exactly. Decoding into a batch reused from the
+// previous input — what a session does — must yield the same frame and
+// verdict as a fresh decode.
 func FuzzDecodeFrame(f *testing.F) {
 	evs := []types.Event{
 		{Seq: 9, Kind: 1, Keys: []types.Key{{Row: 3}, {Row: 5}}, Vals: []types.Value{int64(7)}},
@@ -33,8 +36,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{byte(FrameHello), 0x7f})                             // length past end
 	f.Add([]byte{})                                                   // empty
 
+	dirty := new(batch)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeFrame(b)
+		if into, intoErr := decodeFrame(b, dirty); !reflect.DeepEqual(into, fr) || (intoErr == nil) != (err == nil) {
+			t.Fatalf("decode into a reused batch: %+v (%v), fresh decode: %+v (%v)", into, intoErr, fr, err)
+		}
 		if err != nil {
 			return
 		}

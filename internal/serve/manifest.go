@@ -238,9 +238,9 @@ func RecoverIngest(dev storage.Device, durable uint64) (IngestState, error) {
 
 // IngestSource builds the group-recovery Source from the coordinator
 // device's manifest: epoch → global pre-routing batch. Epochs GC already
-// truncated are reported unknown, which GroupRecover's counter restoration
-// tolerates; the alignment epoch always sits above the GC horizon because
-// GC never truncates past the committed frontier.
+// truncated are reported unknown; GroupRecover reads only the alignment
+// epoch, which always sits above the GC horizon because GC never truncates
+// past the committed frontier.
 func IngestSource(dev storage.Device, durable uint64) (types.Source, error) {
 	st, err := RecoverIngest(dev, durable)
 	if err != nil {

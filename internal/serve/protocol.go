@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/shard"
@@ -135,7 +136,8 @@ type Frame struct {
 	// BatchSeq is the Submit/Ack batch sequence, or the Slowdown
 	// resend-from sequence.
 	BatchSeq uint64
-	// Events is the Submit batch payload.
+	// Events is the Submit batch payload, carved from one batch's storage;
+	// a session's batches are pooled, valid until the server recycles them.
 	Events []types.Event
 	// Flags are the Submit frame's option bits (SubmitFlag*); 0 when the
 	// optional trailing flags field is absent.
@@ -154,7 +156,7 @@ type Frame struct {
 func ReadFrame(br *bufio.Reader, max int) ([]byte, error) { return readFrame(br, max, nil) }
 
 // readFrame is ReadFrame into buf's storage when it is large enough. A
-// session's read loop passes the payload it read last: DecodeFrame copies
+// session's read loop passes the payload it read last: decodeFrame copies
 // everything it returns, so the previous payload is dead once it returns.
 func readFrame(br *bufio.Reader, max int, buf []byte) ([]byte, error) {
 	if max <= 0 {
@@ -184,7 +186,11 @@ func readFrame(br *bufio.Reader, max int, buf []byte) ([]byte, error) {
 // consumed, every count must fit the remaining payload (so a hostile count
 // cannot force a large allocation), and Submit events must be routable
 // (at least one key, no reserved replication kind).
-func DecodeFrame(b []byte) (Frame, error) {
+func DecodeFrame(b []byte) (Frame, error) { return decodeFrame(b, new(batch)) }
+
+// decodeFrame is DecodeFrame with a Submit's events decoded into into's
+// storage, reusing whatever it already has.
+func decodeFrame(b []byte, into *batch) (Frame, error) {
 	var f Frame
 	if len(b) == 0 {
 		return f, fmt.Errorf("%w: empty frame", ErrBadFrame)
@@ -209,9 +215,9 @@ func DecodeFrame(b []byte) (Frame, error) {
 		if n > MaxBatchEvents || n > uint64(r.Remaining()) {
 			return f, fmt.Errorf("%w: batch of %d events exceeds limits", ErrBadFrame, n)
 		}
-		f.Events = make([]types.Event, 0, n)
+		f.Events, into.keys, into.vals = slices.Grow(into.ev[:0], int(n)), into.keys[:0], into.vals[:0]
 		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			ev := r.Event()
+			ev := r.EventInto(&into.keys, &into.vals)
 			if r.Err() != nil {
 				break
 			}
@@ -223,6 +229,7 @@ func DecodeFrame(b []byte) (Frame, error) {
 			}
 			f.Events = append(f.Events, ev)
 		}
+		into.ev = f.Events
 		if r.Err() == nil && r.Remaining() > 0 {
 			// Optional trailing flags uvarint: absent on frames from older
 			// encoders, consumed here so strict decode stays exact.

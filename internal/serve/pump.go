@@ -199,10 +199,11 @@ func appendEpoch(dst []types.Event, batches []*batch) []types.Event {
 }
 
 // memSource serves group recovery from the pump's fed batches, which
-// match the durable manifest exactly: both record every fed epoch and both
-// are pruned only below the committed frontier, so any epoch recovery can
-// ask for — the alignment epoch is never below the frontier — is present.
-// Each call assembles a fresh copy of the epoch.
+// match the durable manifest for every epoch they hold: both record every
+// fed epoch, fed is pruned below the committed frontier at every ack flush
+// and the manifest lazily below it. The epochs a heal reads — the
+// interrupted one and the alignment one — are never below the frontier, so
+// they are present. Each call assembles a fresh copy of the epoch.
 func (s *Server) memSource() types.Source {
 	return func(ep uint64) ([]types.Event, bool) {
 		batches, ok := s.fed[ep]
@@ -333,14 +334,24 @@ func (s *Server) flushAcks() {
 			b.j.Complete()
 		}
 	}
+	// Below the frontier nothing reads a fed epoch again: a heal re-feeds
+	// only the interrupted epoch and the alignment epoch, both at or above
+	// it. Those batches' memory goes back to the pool.
+	for ep, batches := range s.fed {
+		if ep < committed {
+			for _, b := range batches {
+				b.recycle()
+			}
+			delete(s.fed, ep)
+		}
+	}
 }
 
 // maybeGC checkpoints tenant watermarks and releases the ingest manifest's
 // segments below the committed frontier, blob first: a crash between the
-// two steps only leaves extra log records. The fed batches are pruned to
-// the same horizon. Epochs at or above committed are always retained —
-// group recovery's alignment epoch can never sit below the frontier, and
-// storage.Release only ever under-reclaims.
+// two steps only leaves extra log records. Epochs at or above committed are
+// always retained — group recovery's alignment epoch can never sit below
+// the frontier, and storage.Release only ever under-reclaims.
 func (s *Server) maybeGC() {
 	committed := s.committed.Load()
 	if committed < 1 || committed-s.lastGC < s.cfg.GCEvery {
@@ -356,11 +367,6 @@ func (s *Server) maybeGC() {
 	upTo := committed - 1
 	if err := storage.Release(s.be.Coord(), LogIngest, upTo); err != nil {
 		return
-	}
-	for ep := range s.fed {
-		if ep <= upTo {
-			delete(s.fed, ep)
-		}
 	}
 	s.lastGC = committed
 	s.count("serve.gcs")

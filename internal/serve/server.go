@@ -143,9 +143,9 @@ type Server struct {
 	committed atomic.Uint64
 
 	// Pump-only state (single goroutine, no locks needed). fed holds every
-	// fed epoch's batches, in feeding order, down to the manifest GC
-	// horizon: epochs above acked await their ack, and a heal re-reads any
-	// of them (memSource). epoch and ingest are the buffers each epoch's
+	// fed epoch's batches, in feeding order, down to the committed
+	// frontier: epochs above acked await their ack, and a heal re-reads the
+	// ones it needs (memSource). epoch and ingest are the buffers each epoch's
 	// event batch and ingest record are assembled in, reused every tick.
 	nextSeq       uint64
 	fed           map[uint64][]*batch

@@ -2,10 +2,11 @@ package serve
 
 import (
 	"bufio"
+	"cmp"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -410,12 +411,14 @@ func TestRecoverIngestFromBlob(t *testing.T) {
 	}
 }
 
-// healSourceProbe checks every epoch a heal reads from the pump's fed
-// batches against the durable ingest manifest, event for event.
+// healSourceProbe checks the pump's fed batches at every heal: they hold
+// every epoch from the committed frontier on, each epoch they hold equals
+// the durable ingest record of that epoch, event for event and in sequence
+// order, and the heal reads no epoch below the frontier.
 type healSourceProbe struct {
 	*GroupBackend
 	t     *testing.T
-	asked atomic.Int64
+	asked int
 }
 
 func (p *healSourceProbe) Heal(procErr error, src types.Source) (uint64, error) {
@@ -423,35 +426,106 @@ func (p *healSourceProbe) Heal(procErr error, src types.Source) (uint64, error) 
 	if err != nil {
 		p.t.Error(err)
 	}
-	return p.GroupBackend.Heal(procErr, func(ep uint64) ([]types.Event, bool) {
+	committed := p.Committed()
+	for ep := uint64(1); ep <= p.Epoch()+1; ep++ {
 		got, ok := src(ep)
 		want, wok := durable(ep)
-		if ok != wok || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-			p.t.Errorf("epoch %d: the pump re-feeds %d events (%v), the manifest holds %d (%v)", ep, len(got), ok, len(want), wok)
+		if ok != (ep >= committed) || ok && (!wok || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want))) {
+			p.t.Errorf("epoch %d (committed %d): the pump holds %d events (%v), the manifest %d (%v)", ep, committed, len(got), ok, len(want), wok)
 		}
-		p.asked.Add(1)
-		return got, ok
+	}
+	return p.GroupBackend.Heal(procErr, func(ep uint64) ([]types.Event, bool) {
+		if ep < committed {
+			p.t.Errorf("heal read epoch %d below committed frontier %d", ep, committed)
+		}
+		p.asked++
+		return src(ep)
 	})
 }
 
-// TestHealSourceMatchesManifest: across a shard heal and a group heal,
-// every epoch a heal re-reads from the pump's fed batches equals the
-// durable ingest record of that epoch, sequence order included.
+// TestHealSourceMatchesManifest drives traffic through a shard heal and a
+// group heal while decoded batches are recycled below the committed
+// frontier. The test ticks the pump itself, feeding each half of a phase's
+// ten batches as one epoch so the committed epoch holds batches at every
+// heal, and submits every batch twice (the copy is refused as a pending
+// duplicate). The heals read only what the pump still holds (the probe),
+// and afterwards every shard equals an oracle fed the client's own copies
+// of the batches in the epochs they were acked in, with every acked batch
+// delivered exactly once.
 func TestHealSourceMatchesManifest(t *testing.T) {
-	be, err := NewGroupBackend(newTestShardConfig(2))
+	cfg := newTestShardConfig(2)
+	be, err := NewGroupBackend(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var acks []AckRecord
 	probe := &healSourceProbe{GroupBackend: be, t: t}
-	srv := newTestServer(t, Config{Backend: probe, Tenants: []TenantConfig{{Name: "a"}}, GCEvery: 1 << 30}, shard.Config{})
+	srv := newTestServer(t, Config{Backend: probe, Tenants: []TenantConfig{{Name: "a"}}, EpochEvery: time.Hour,
+		AckLog: func(tenant string, batchSeq, firstSeq, events, epoch uint64) {
+			acks = append(acks, AckRecord{Tenant: tenant, BatchSeq: batchSeq, FirstSeq: firstSeq, Events: events, Epoch: epoch})
+		}}, shard.Config{})
 	c := dial(t, srv, "a")
 	batches := genBatches(11, 30, 16)
-	submitAndDrain(t, c, batches, 1, 10)
-	be.KillShard(1)
-	submitAndDrain(t, c, batches, 11, 20)
-	be.KillGroup()
-	submitAndDrain(t, c, batches, 21, 30)
-	if srv.Heals() != 2 || probe.asked.Load() == 0 {
-		t.Fatalf("%d heals read %d epochs, want 2 heals reading some", srv.Heals(), probe.asked.Load())
+	tick := func() {
+		if err := srv.tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, kill := range []func(){func() {}, func() { be.KillShard(1) }, be.KillGroup} {
+		kill()
+		for from := uint64(10*i + 1); from <= uint64(10*i+6); from += 5 {
+			var wire []byte
+			for seq := from; seq < from+5; seq++ {
+				frame := EncodeSubmit(seq, batches[seq-1])
+				wire = append(append(wire, frame...), frame...)
+			}
+			if _, err := c.Conn().Write(append(wire, EncodePing()...)); err != nil {
+				t.Fatal(err)
+			}
+			// Frames are handled in order: at the Pong, all are admitted.
+			for f, err := (Frame{}), error(nil); f.Type != FramePong; f, err = c.Next() {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			tick()
+		}
+		for n := 0; n < 4; n++ {
+			if wm, _ := srv.Tenant("a"); wm < uint64(10*i+10) {
+				tick()
+			}
+		}
+	}
+	srv.Close()
+	if srv.Heals() != 2 || probe.asked == 0 {
+		t.Fatalf("%d heals read %d epochs, want 2 heals reading some", srv.Heals(), probe.asked)
+	}
+
+	g := be.Group()
+	epochs := make([][]types.Event, g.Epoch())
+	for _, r := range acks {
+		for i, ev := range batches[r.BatchSeq-1] {
+			ev.Seq = r.FirstSeq + uint64(i)
+			epochs[r.Epoch-1] = append(epochs[r.Epoch-1], ev)
+		}
+	}
+	for _, evs := range epochs {
+		slices.SortFunc(evs, func(a, b types.Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	}
+	orc, err := shard.NewGroupOracle(cfg.App, g.Shards(), epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < g.Shards(); s++ {
+		if err := orc.CheckState(s, g.Epoch(), g.Engine(s).Store()); err != nil {
+			t.Fatal(err)
+		}
+		pending := g.Engine(s).PendingOutputsMatching(func(o types.Output) bool { return !shard.IsReplication(o) })
+		if err := orc.CheckOutputs(s, g.Epoch(), shard.RealOutputs(be.AllDelivered(s)), pending); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if dups, order := auditAckStream(acks); len(acks) != 30 || dups+order+auditExactlyOnce(be, acks) != 0 {
+		t.Fatalf("%d acks: %d duplicate, %d out of order, exactly-once violations %d", len(acks), dups, order, auditExactlyOnce(be, acks))
 	}
 }

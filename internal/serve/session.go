@@ -120,13 +120,17 @@ func (s *session) readLoop() {
 	wm := tn.attach(s)
 	s.trySend(EncodeHelloAck(wm, s.srv.Committed()))
 
+	var into *batch // what the next Submit decodes into; admission takes it
 	for {
 		s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.IdleTimeout))
 		payload, err = readFrame(br, s.srv.cfg.MaxFrame, payload)
 		if err != nil {
 			return
 		}
-		f, err := DecodeFrame(payload)
+		if into == nil {
+			into = batchPool.Get().(*batch)
+		}
+		f, err := decodeFrame(payload, into)
 		if err != nil {
 			s.trySend(EncodeError(errCodeProtocol, err.Error()))
 			time.Sleep(time.Millisecond)
@@ -134,7 +138,8 @@ func (s *session) readLoop() {
 		}
 		switch f.Type {
 		case FrameSubmit:
-			s.handleSubmit(tn, f)
+			s.handleSubmit(tn, f, into)
+			into = nil
 		case FramePing:
 			s.trySend(EncodePong())
 		case FrameHello:
@@ -150,11 +155,15 @@ func (s *session) readLoop() {
 
 // handleSubmit runs admission and answers with the protocol's explicit
 // verdicts. Accepted batches are acked later, by the pump, once their
-// epoch commits; everything else is answered here.
-func (s *session) handleSubmit(tn *tenant, f Frame) {
+// epoch commits; everything else is answered here, and its batch b (which
+// f's events live in) is recycled at once.
+func (s *session) handleSubmit(tn *tenant, f Frame, b *batch) {
 	rec := s.srv.cfg.Journeys
 	sampled := rec.ShouldSample(f.BatchSeq, f.Flags&SubmitFlagSampled != 0)
-	v := tn.admit(f.BatchSeq, f.Events, s.srv.degraded.Load(), s.srv.cfg.ShedBelow, time.Now(), rec, sampled)
+	v := tn.admit(f.BatchSeq, b, s.srv.degraded.Load(), s.srv.cfg.ShedBelow, time.Now(), rec, sampled)
+	if v != vAccept {
+		b.recycle()
+	}
 	switch v {
 	case vAccept:
 		// The ack comes from the pump when the covering epoch commits.

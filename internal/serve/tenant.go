@@ -44,7 +44,11 @@ func (c TenantConfig) withDefaults() TenantConfig {
 type batch struct {
 	tn  *tenant
 	seq uint64 // client batch sequence, contiguous per tenant
-	ev  []types.Event
+	// ev is the decoded Submit; its events' Keys and Vals are carved from
+	// the keys and vals slabs, which the batch keeps across recycling.
+	ev   []types.Event
+	keys []types.Key
+	vals []types.Value
 
 	// firstSeq is the assigned global event sequence; set once, kept
 	// across heal requeues so re-fed batches replay identically.
@@ -56,6 +60,18 @@ type batch struct {
 	// j is the batch's journey when sampled (nil otherwise; every stamp
 	// on it is nil-safe).
 	j *journey.J
+}
+
+// batchPool recycles batches with their decode memory. A batch goes back
+// exactly when nothing can read it again: at once when admission refuses
+// it, and otherwise once its epoch falls below the committed frontier (a
+// heal re-feeds only epochs at or above it).
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+// recycle returns b to batchPool, keeping only its storage.
+func (b *batch) recycle() {
+	*b = batch{ev: b.ev[:0], keys: b.keys[:0], vals: b.vals[:0]}
+	batchPool.Put(b)
 }
 
 // Admission verdicts.
@@ -158,8 +174,8 @@ func (t *tenant) refill(now time.Time) {
 // rec/sampled carry the journey tracer: a sampled batch's rejections note
 // the first-attempt time (so the eventual journey's admission stage covers
 // the token-bucket wait across retries) and its acceptance opens the
-// journey.
-func (t *tenant) admit(seq uint64, ev []types.Event, degraded bool, shedBelow int, now time.Time, rec *journey.Recorder, sampled bool) verdict {
+// journey. An accepted b joins the queue; the caller recycles a refused one.
+func (t *tenant) admit(seq uint64, b *batch, degraded bool, shedBelow int, now time.Time, rec *journey.Recorder, sampled bool) verdict {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if seq <= t.watermark {
@@ -204,7 +220,7 @@ func (t *tenant) admit(seq uint64, ev []types.Event, degraded bool, shedBelow in
 		t.tokens--
 	}
 	t.maxSeen = seq
-	b := &batch{tn: t, seq: seq, ev: ev, submitted: now}
+	b.tn, b.seq, b.submitted = t, seq, now
 	if sampled {
 		b.j = rec.Start(t.cfg.Name, seq)
 	}

@@ -13,7 +13,7 @@ func queueTenant(t *testing.T, sizes ...int) *tenant {
 	t.Helper()
 	tn := newTenant(TenantConfig{Name: "a", QueueCap: 1024}, 0, time.Now())
 	for i, n := range sizes {
-		if v := tn.admit(uint64(i+1), make([]types.Event, n), false, 0, time.Now(), nil, false); v != vAccept {
+		if v := tn.admit(uint64(i+1), &batch{ev: make([]types.Event, n)}, false, 0, time.Now(), nil, false); v != vAccept {
 			t.Fatalf("batch %d: verdict %d, want accept", i+1, v)
 		}
 	}

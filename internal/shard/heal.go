@@ -77,16 +77,10 @@ func (g *Group) HealShard(procErr error, source Source) (*engine.RecoveryReport,
 		// The interrupted epoch never completed on this shard: re-feed it
 		// through the live pipeline with the same replication payload the
 		// failed attempt was fed.
-		minSeq := g.seqFloor
-		for i, ev := range events {
-			if i == 0 || ev.Seq < minSeq {
-				minSeq = ev.Seq
-			}
-		}
-		if err := s.stageReplication(g.lastDeltas, minSeq); err != nil {
+		if err := s.stageReplication(g.lastDeltas, g.minSeqFor(events)); err != nil {
 			return fail(err)
 		}
-		batch := append(s.reps, g.subBatch(ep, serr.Shard, source)...)
+		batch := append(s.reps, g.subBatch(events, serr.Shard)...)
 		if err := s.eng.ProcessEpoch(batch); err != nil {
 			return fail(fmt.Errorf("shard: heal shard %d: re-feed epoch %d: %w", serr.Shard, ep, err))
 		}
@@ -94,13 +88,8 @@ func (g *Group) HealShard(procErr error, source Source) (*engine.RecoveryReport,
 		return fail(fmt.Errorf("shard: heal shard %d: recovered to epoch %d, interrupted epoch was %d", serr.Shard, rep.LastEpoch, ep))
 	}
 
-	// The failing ProcessEpoch bailed before crediting routed events or
-	// running the barrier; every shard is now at ep, so finish the round.
-	for _, ev := range events {
-		if len(ev.Keys) > 0 {
-			g.shards[g.router.Of(ev.Keys[0])].fedReal++
-		}
-	}
+	// The failing ProcessEpoch bailed before running the barrier; every
+	// shard is now at ep, so finish the round.
 	if err := g.completeBarrier(ep); err != nil {
 		return fail(fmt.Errorf("shard: heal shard %d: complete barrier %d: %w", serr.Shard, ep, err))
 	}

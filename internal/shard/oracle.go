@@ -34,9 +34,10 @@ type GroupOracle struct {
 	outputs map[uint64]types.Output
 	// realFed[s][e] is the cumulative count of real events routed to shard
 	// s through group epoch e+1.
-	realFed [][]int
-	deltas  []codec.ShardDelta
-	epochs  int
+	realFed  [][]int
+	deltas   []codec.ShardDelta
+	epochs   int
+	seqFloor uint64
 	// localReads mirrors Config.LocalReads: no replication between shards,
 	// so foreign rows stay at their Init values on every shard.
 	localReads bool
@@ -124,9 +125,10 @@ func (o *GroupOracle) fullState(s int) map[types.Key]types.Value {
 
 // Extend replays one more group epoch through the oracle protocol.
 func (o *GroupOracle) Extend(batch []types.Event) error {
-	// Route, tracking the epoch's minimum real sequence for replication.
+	// Route, tracking the epoch's minimum real sequence for replication (the
+	// floor past every sequence so far for an epoch without events).
 	subs := make([][]types.Event, len(o.oracles))
-	minSeq := uint64(0)
+	minSeq := o.seqFloor
 	for i, ev := range batch {
 		if len(ev.Keys) == 0 {
 			return fmt.Errorf("shard oracle: event %d has no routing key", ev.Seq)
@@ -135,6 +137,7 @@ func (o *GroupOracle) Extend(batch []types.Event) error {
 		if i == 0 || ev.Seq < minSeq {
 			minSeq = ev.Seq
 		}
+		o.seqFloor = max(o.seqFloor, ev.Seq+1)
 	}
 	// Feed replication then the sub-batch, serially per shard.
 	for s, orc := range o.oracles {

@@ -26,8 +26,8 @@ type RecoverConfig struct {
 	// Config must match the crashed group's, with Devices and CoordDev the
 	// surviving devices.
 	Config
-	// Source re-feeds the alignment epoch to lagging shards and
-	// reconstructs routing counters; it must cover every epoch of the run.
+	// Source re-feeds the alignment epoch to lagging shards. That epoch is
+	// the only one read, and it is never below the committed frontier.
 	Source Source
 	// Serial recovers the shards one at a time instead of in parallel —
 	// the baseline the recovery-speedup benchmark compares against.
@@ -145,12 +145,22 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 		return nil, nil, fmt.Errorf("shard: group recover: recovered epochs spread from %d to %d; lockstep invariant violated", lo, hi)
 	}
 	report.Target = hi
+	// The sequence floor is one past the highest sequence any shard reloaded:
+	// what the shards' logs replay since their snapshots is exactly what a
+	// replication sequence must order against.
+	for _, rep := range report.Reports {
+		g.seqFloor = max(g.seqFloor, rep.NextSeq)
+	}
 
 	// Re-align lagging shards: re-feed the alignment epoch through the
 	// normal pipeline (inputs re-persist, outputs deliver — the shard's
 	// durability gate for this epoch never fired before the crash).
 	if lo < hi {
-		reps, err := g.alignmentReplication(hi, cfg.Source)
+		events, ok := cfg.Source(hi)
+		if !ok {
+			return nil, nil, fmt.Errorf("shard: group recover: source has no batch for alignment epoch %d", hi)
+		}
+		reps, err := g.alignmentReplication(hi, g.minSeqFor(events))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -158,7 +168,7 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 			if report.Reports[i].LastEpoch == hi {
 				continue
 			}
-			batch := append(reps[i], g.subBatch(hi, i, cfg.Source)...)
+			batch := append(reps[i], g.subBatch(events, i)...)
 			if err := s.eng.ProcessEpoch(batch); err != nil {
 				return nil, nil, fmt.Errorf("shard: group recover: align shard %d to epoch %d: %w", i, hi, err)
 			}
@@ -166,7 +176,6 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 		}
 	}
 
-	g.restoreCounters(hi, cfg.Source)
 	g.epoch = hi
 	g.fullSync = true
 
@@ -197,12 +206,8 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	return g, report, nil
 }
 
-// subBatch routes epoch ep's global batch and returns shard i's slice.
-func (g *Group) subBatch(ep uint64, i int, src Source) []types.Event {
-	events, ok := src(ep)
-	if !ok {
-		return nil
-	}
+// subBatch routes an epoch's global batch and returns shard i's slice.
+func (g *Group) subBatch(events []types.Event, i int) []types.Event {
 	var sub []types.Event
 	for _, ev := range events {
 		if len(ev.Keys) > 0 && g.router.Of(ev.Keys[0]) == i {
@@ -213,9 +218,10 @@ func (g *Group) subBatch(ep uint64, i int, src Source) []types.Event {
 }
 
 // alignmentReplication rebuilds every shard's replication events for
-// epoch ep from the durable frontier record of ep-1, exactly as the live
-// coordinator built them before the crash.
-func (g *Group) alignmentReplication(ep uint64, src Source) ([][]types.Event, error) {
+// epoch ep, whose replication sequence ceiling is minSeq, from the durable
+// frontier record of ep-1, exactly as the live coordinator built them
+// before the crash.
+func (g *Group) alignmentReplication(ep, minSeq uint64) ([][]types.Event, error) {
 	reps := make([][]types.Event, len(g.shards))
 	if ep <= 1 {
 		return reps, nil
@@ -226,16 +232,6 @@ func (g *Group) alignmentReplication(ep uint64, src Source) ([][]types.Event, er
 	}
 	if !ok {
 		return nil, fmt.Errorf("shard: group recover: frontier record for epoch %d missing (needed to re-align epoch %d)", ep-1, ep)
-	}
-	events, ok := src(ep)
-	if !ok {
-		return nil, fmt.Errorf("shard: group recover: source has no batch for alignment epoch %d", ep)
-	}
-	minSeq := g.seqFloor
-	for i, ev := range events {
-		if i == 0 || ev.Seq < minSeq {
-			minSeq = ev.Seq
-		}
 	}
 	for i := range g.shards {
 		ev, err := buildReplication(i, deltas, minSeq)
@@ -293,24 +289,4 @@ func (g *Group) frontierDeltas(epoch uint64) ([]codec.ShardDelta, bool, error) {
 		return nil, false, fmt.Errorf("shard: frontier record epoch %d has %d shards, group has %d", epoch, len(deltas), len(g.shards))
 	}
 	return deltas, true, nil
-}
-
-// restoreCounters reconstructs the routed-event counters and the sequence
-// floor from the source, for epochs it covers.
-func (g *Group) restoreCounters(through uint64, src Source) {
-	for ep := uint64(1); ep <= through; ep++ {
-		events, ok := src(ep)
-		if !ok {
-			continue
-		}
-		for _, ev := range events {
-			if len(ev.Keys) == 0 {
-				continue
-			}
-			g.shards[g.router.Of(ev.Keys[0])].fedReal++
-			if ev.Seq+1 > g.seqFloor {
-				g.seqFloor = ev.Seq + 1
-			}
-		}
-	}
 }

@@ -136,16 +136,35 @@ func buildReplication(dst int, deltas []codec.ShardDelta, minSeq uint64) ([]type
 	return replicationEvents(nil, mergeForeign(codec.ShardDelta{}, dst, deltas), minSeq)
 }
 
+// minSeqFor returns the replication sequence ceiling of an epoch fed
+// events — their lowest sequence, or the sequence floor when there are
+// none — and raises the floor past them.
+func (g *Group) minSeqFor(events []types.Event) uint64 {
+	minSeq := g.seqFloor
+	for i, ev := range events {
+		if i == 0 || ev.Seq < minSeq {
+			minSeq = ev.Seq
+		}
+		g.seqFloor = max(g.seqFloor, ev.Seq+1)
+	}
+	return minSeq
+}
+
 // replicationEvents chunks a merged foreign delta into replication events,
 // appended to dst. Sequence numbers occupy [minSeq-n, minSeq): strictly
 // below the epoch's first real sequence number, so every replicated put
 // orders (by temporal dependency) before every real operation of the
-// epoch, and frontier reads observe the consistent committed frontier.
-// Sequence space below an epoch is finite; an epoch too small to host its
-// replication fan-in is an error, not a silent reorder. The events alias
-// flat's slices.
+// epoch, and frontier reads observe the consistent committed frontier. An
+// epoch without real events orders against the sequence floor instead; with
+// no floor either (a group recovered from shards that reloaded no events)
+// there is nothing to order against and it takes [1, n]. Sequence space
+// below an epoch is finite; an epoch too small to host its replication
+// fan-in is an error, not a silent reorder. The events alias flat's slices.
 func replicationEvents(dst []types.Event, flat codec.ShardDelta, minSeq uint64) ([]types.Event, error) {
 	n := (len(flat.Keys) + maxReplicateKeys - 1) / maxReplicateKeys
+	if minSeq == 0 {
+		minSeq = uint64(n) + 1
+	}
 	if uint64(n) > minSeq {
 		return nil, fmt.Errorf("shard: %d replication events do not fit below sequence %d (epoch too small for the replication fan-in)", n, minSeq)
 	}

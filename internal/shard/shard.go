@@ -193,7 +193,6 @@ type shardState struct {
 	merged codec.ShardDelta
 	reps   []types.Event
 
-	fedReal int
 	// banked holds the ledger chunks of abandoned incarnations of this
 	// shard (per-shard heals); DeliveredUnion joins them with the live
 	// engine's ledger.
@@ -209,8 +208,11 @@ type Group struct {
 	shards []*shardState
 	coord  storage.Device
 
-	epoch    uint64
-	crashed  bool
+	epoch   uint64
+	crashed bool
+	// seqFloor is one past the highest sequence routed (GroupRecover
+	// restores it from what the shards reloaded): an epoch without events
+	// sequences its replication just below it.
 	seqFloor uint64
 
 	// lastDeltas is the previous barrier's per-shard delta — the next
@@ -379,9 +381,6 @@ func (g *Group) ProcessEpoch(events []types.Event) error {
 			return &ShardError{Shard: i, Err: err}
 		}
 	}
-	for i, s := range g.shards {
-		s.fedReal += g.counts[i]
-	}
 
 	t0 := time.Now()
 	if err := g.completeBarrier(ep); err != nil {
@@ -407,17 +406,13 @@ func (g *Group) Run(batches [][]types.Event) error {
 // route validates the global batch and assigns every event its shard by
 // its first key: dest[j] is event j's shard and g.counts[s] the number of
 // events bound for shard s (scratch, valid until the next call). It also
-// returns the epoch's minimum real sequence number (the replication
-// sequence ceiling).
+// returns the epoch's replication sequence ceiling (see minSeqFor).
 func (g *Group) route(events []types.Event) (dest []int32, minSeq uint64, err error) {
 	if cap(g.dest) < len(events) {
 		g.dest = make([]int32, len(events))
 	}
 	dest, counts := g.dest[:len(events)], g.counts
 	clear(counts)
-	// An empty epoch anchors replication sequences just past the highest
-	// sequence ever routed (no real events to order against).
-	minSeq = g.seqFloor
 	for i := range events {
 		ev := &events[i]
 		if ev.Kind == KindReplicate {
@@ -429,14 +424,8 @@ func (g *Group) route(events []types.Event) (dest []int32, minSeq uint64, err er
 		s := g.router.Of(ev.Keys[0])
 		dest[i] = int32(s)
 		counts[s]++
-		if i == 0 || ev.Seq < minSeq {
-			minSeq = ev.Seq
-		}
-		if ev.Seq+1 > g.seqFloor {
-			g.seqFloor = ev.Seq + 1
-		}
 	}
-	return dest, minSeq, nil
+	return dest, g.minSeqFor(events), nil
 }
 
 // replicationFor stages every shard's replication events for the next
@@ -644,10 +633,6 @@ func (g *Group) App() *App { return g.app }
 
 // Health returns the group's incident log (shard heals).
 func (g *Group) Health() *metrics.Health { return g.cfg.Health }
-
-// FedReal returns how many application events have been routed to shard i
-// (replication events excluded).
-func (g *Group) FedReal(i int) int { return g.shards[i].fedReal }
 
 // DeliveredUnion returns every output shard i has released downstream
 // across all of its incarnations (heals bank the abandoned engine's

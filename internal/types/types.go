@@ -62,7 +62,9 @@ type EventKind uint8
 //
 // Keys and Vals are immutable once the event is admitted: transactions
 // (an operation's Deps) and replication events may alias them instead of
-// copying, so nothing may write through them afterwards.
+// copying, so nothing may write through them afterwards. A served event's
+// slices are valid until its epoch is pruned below the committed frontier
+// and recycled, so a serving Backend must not retain them past Feed.
 type Event struct {
 	Seq  uint64
 	Kind EventKind

@@ -93,7 +93,7 @@ func TestGatesCanFail(t *testing.T) {
 		want  string
 		fails []string
 	}{
-		{"FAIL chaos/offline_match [supervisor]:", doctor(t, &chaosSuite, func(r *ChaosReport) {
+		{"FAIL chaos/offline_match [heal]:", doctor(t, &chaosSuite, func(r *ChaosReport) {
 			r.Entries[1].OfflineMatch = false
 		})},
 		{"FAIL shard/recovery_speedup_4x [shard]:", doctor(t, &shardSuite, func(r *ShardReport) {
@@ -138,7 +138,7 @@ func TestFullOnlyGatesSkipQuick(t *testing.T) {
 // TestLiveQuickSuites is the live wiring: the three cheap suites run at
 // quick size in-process, write their reports, and pass their own gates —
 // including, for chaos, the shard-kill cells' derived fault site and the
-// gate that a supervised heal emits recovery-category spans.
+// gate that a group heal emits recovery-category spans.
 func TestLiveQuickSuites(t *testing.T) {
 	dir := t.TempDir()
 	env := &Env{Host: thisHost("test", Quick), OutDir: dir, TraceDir: dir, Obs: obs.NewObserver(2, 1<<16), Log: io.Discard}

@@ -7,39 +7,39 @@ import (
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/obs"
-	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
 
-// ChaosEntry is one measured (mechanism, scenario, pipelined) cell: the median
+// ChaosEntry is one measured (mechanism, scenario, victim) cell: the median
 // sample by MTTR, with detection/MTTR extremes across samples.
 type ChaosEntry struct {
-	Kind      string `json:"kind"`
-	Scenario  string `json:"scenario"`
-	Pipelined bool   `json:"pipelined"`
-	// Shards is the group fan-out of shard-kill cells (0 for single-engine
-	// scenarios).
-	Shards  int `json:"shards,omitempty"`
-	Samples int `json:"samples"`
+	Kind     string `json:"kind"`
+	Scenario string `json:"scenario"`
+	// Shards is the group fan-out and KillShard the shard whose device (or,
+	// for mid-epoch-panic, whose transaction) fails.
+	Shards    int `json:"shards"`
+	KillShard int `json:"kill_shard"`
+	Samples   int `json:"samples"`
 
+	// Recoveries counts the group's heals in the run.
 	Recoveries int `json:"recoveries"`
-	// DetectionUs is fault occurrence to supervisor detection (zero when
-	// the fault healed below the supervisor).
+	// DetectionUs is fault occurrence to the heal starting (zero when the
+	// fault was absorbed below the group).
 	DetectionUs    float64 `json:"detection_us"`
 	MinDetectionUs float64 `json:"min_detection_us"`
-	// MTTRUs is detection to recovery complete and the stream resumed.
+	// MTTRUs is the heal: failure detected to the group live again.
 	MTTRUs    float64 `json:"mttr_us"`
 	MinMTTRUs float64 `json:"min_mttr_us"`
 	MaxMTTRUs float64 `json:"max_mttr_us"`
 	// Retries and Absorbed count transient-retry work across the run.
 	Retries  int64 `json:"retries"`
 	Absorbed int64 `json:"absorbed"`
-	// EventsReplayed is the recovery's replay volume (fatal/panic heals).
+	// EventsReplayed is the victim's recovery replay volume.
 	EventsReplayed int `json:"events_replayed"`
-	// OfflineMatch reports supervised-vs-offline recovery agreement
-	// (meaningful for fatal-heal; vacuously true otherwise).
+	// OfflineMatch reports healed-vs-offline recovery agreement
+	// (meaningful for fatal-heal and shard-kill; vacuously true otherwise).
 	OfflineMatch bool `json:"offline_match"`
-	// WallUs is the whole supervised run's wall clock.
+	// WallUs is the whole run's wall clock.
 	WallUs float64 `json:"wall_us"`
 }
 
@@ -52,25 +52,61 @@ type ChaosReport struct {
 	Entries   []ChaosEntry `json:"entries"`
 }
 
-// measureChaos runs one chaos cell `repeat` times and keeps the median sample
-// by MTTR (wall-clock healing time on a shared host is noisy; the median
-// is the honest central estimate), plus min/max spread.
-func measureChaos(kind ftapi.Kind, sc crashtest.Scenario, pipelined bool, epochs, epochSize, repeat int, o *obs.Observer) (ChaosEntry, error) {
+// chaosCell is one point of the grid: a scenario on a group of shards,
+// with the victim shard.
+type chaosCell struct {
+	sc           crashtest.Scenario
+	shards, kill int
+}
+
+// Both sizes run the same 10 x 48 stream through every cell; quick takes
+// fewer samples per cell. The one-shard scenarios run Streaming Ledger;
+// shard-kill runs Grep&Sum, which is write-local at 4 shards, killing an
+// edge shard and an interior one.
+const (
+	chaosEpochs    = 10
+	chaosEpochSize = 48
+)
+
+var chaosCells = []chaosCell{
+	{crashtest.TransientStorm, 1, 0}, {crashtest.FatalHeal, 1, 0}, {crashtest.MidEpochPanic, 1, 0},
+	{crashtest.ShardKill, 4, 0}, {crashtest.ShardKill, 4, 2},
+}
+
+func chaosRepeat(quick bool) int {
+	if quick {
+		return 3
+	}
+	return 5
+}
+
+// measureChaos runs one chaos cell `repeat` times and keeps the median
+// sample by MTTR (wall-clock healing time on a shared host is noisy; the
+// median is the honest central estimate), plus min/max spread.
+func measureChaos(kind ftapi.Kind, c chaosCell, repeat int, o *obs.Observer) (ChaosEntry, error) {
+	gen := func() workload.Generator { return fttest.SLGen(79) }
+	if c.sc == crashtest.ShardKill {
+		gen = func() workload.Generator { return fttest.GSGen(43) }
+	}
 	outs := make([]*crashtest.ChaosOutcome, 0, repeat)
 	for i := 0; i < repeat; i++ {
 		out, err := crashtest.Chaos(crashtest.ChaosConfig{
 			Config: crashtest.Config{
-				Kind:      kind,
-				NewGen:    func() workload.Generator { return fttest.SLGen(79) },
-				Epochs:    epochs,
-				EpochSize: epochSize,
-				RunShape:  types.RunShape{Pipeline: pipelined},
+				Kind: kind, NewGen: gen, Epochs: chaosEpochs, EpochSize: chaosEpochSize,
 			},
-			Scenario: sc,
-			Obs:      o,
+			Shards:    c.shards,
+			Scenario:  c.sc,
+			KillShard: c.kill,
+			Obs:       o,
 		})
 		if err != nil {
 			return ChaosEntry{}, err
+		}
+		// Mid-run, so the heal has committed epochs to replay and the group
+		// has epochs left to prove it is live again.
+		if out.Heals > 0 && (out.FailedEpoch < 2 || out.FailedEpoch > chaosEpochs-1) {
+			return ChaosEntry{}, fmt.Errorf("%v %v kill=%d: died in epoch %d, want one of 2..%d",
+				kind, c.sc, c.kill, out.FailedEpoch, chaosEpochs-1)
 		}
 		outs = append(outs, out)
 	}
@@ -83,10 +119,11 @@ func measureChaos(kind ftapi.Kind, sc crashtest.Scenario, pipelined bool, epochs
 	med := outs[len(outs)/2]
 	e := ChaosEntry{
 		Kind:           kind.String(),
-		Scenario:       sc.String(),
-		Pipelined:      pipelined,
+		Scenario:       c.sc.String(),
+		Shards:         c.shards,
+		KillShard:      c.kill,
 		Samples:        len(outs),
-		Recoveries:     med.Recoveries,
+		Recoveries:     med.Heals,
 		DetectionUs:    us(med.Detection),
 		MinDetectionUs: us(med.Detection),
 		MTTRUs:         us(med.MTTR),
@@ -102,104 +139,28 @@ func measureChaos(kind ftapi.Kind, sc crashtest.Scenario, pipelined bool, epochs
 			e.MinDetectionUs = us(o.Detection)
 		}
 	}
-	if len(med.Reports) > 0 {
-		e.EventsReplayed = med.Reports[0].EventsReplayed
-	}
-	return e, nil
-}
-
-// measureShardKill runs the single-shard-kill cell `repeat` times and
-// keeps the median sample by group MTTR: one shard's device dies fatally
-// under sustained group ingestion, the survivors keep committing, and the
-// coordinator heals the dead shard in place (internal/ft/crashtest.ShardChaos,
-// which also verifies the whole run against the sharded oracle).
-func measureShardKill(kind ftapi.Kind, shards, kill, epochs, epochSize, repeat int) (ChaosEntry, error) {
-	outs := make([]*crashtest.ShardChaosOutcome, 0, repeat)
-	for i := 0; i < repeat; i++ {
-		out, err := crashtest.ShardChaos(crashtest.ShardChaosConfig{
-			Config: crashtest.Config{
-				Kind:      kind,
-				NewGen:    func() workload.Generator { return fttest.GSGen(43) },
-				Epochs:    epochs,
-				EpochSize: epochSize,
-			},
-			Shards:    shards,
-			KillShard: kill,
-			// FaultAt is left to ShardChaos, which kills at the midpoint of
-			// the shard's own write sequence whatever the run length.
-		})
-		if err != nil {
-			return ChaosEntry{}, err
-		}
-		// Mid-run, so the heal's recovery has committed epochs to replay and
-		// the group has epochs left to prove it is live again.
-		if out.FailedEpoch < 2 || out.FailedEpoch > uint64(epochs-1) {
-			return ChaosEntry{}, fmt.Errorf("shard-kill %v kill=%d: died in epoch %d, want one of 2..%d",
-				kind, kill, out.FailedEpoch, epochs-1)
-		}
-		outs = append(outs, out)
-	}
-	for i := 1; i < len(outs); i++ {
-		for j := i; j > 0 && outs[j].MTTR < outs[j-1].MTTR; j-- {
-			outs[j], outs[j-1] = outs[j-1], outs[j]
-		}
-	}
-	med := outs[len(outs)/2]
-	e := ChaosEntry{
-		Kind:         kind.String(),
-		Scenario:     "shard-kill",
-		Shards:       shards,
-		Samples:      len(outs),
-		Recoveries:   1,
-		MTTRUs:       us(med.MTTR),
-		MinMTTRUs:    us(outs[0].MTTR),
-		MaxMTTRUs:    us(outs[len(outs)-1].MTTR),
-		OfflineMatch: true, // ShardChaos verifies against the sharded oracle
-	}
 	if med.Report != nil {
 		e.EventsReplayed = med.Report.EventsReplayed
 	}
 	return e, nil
 }
 
-// Both sizes run the same 10 x 48 stream through every cell; quick takes
-// fewer samples per cell.
-const (
-	chaosEpochs    = 10
-	chaosEpochSize = 48
-	chaosShards    = 4
-)
-
-func chaosRepeat(quick bool) int {
-	if quick {
-		return 3
-	}
-	return 5
-}
-
-var (
-	chaosScenarios = []crashtest.Scenario{crashtest.TransientStorm, crashtest.FatalHeal, crashtest.MidEpochPanic}
-	// chaosKills are the shard-kill cells' victims in the 4-shard group: an
-	// edge shard and an interior one.
-	chaosKills = []int{0, 2}
-)
-
 var chaosSuite = Suite[ChaosReport]{
 	Spec: Spec{
 		Name:   "chaos",
 		File:   "BENCH_chaos.json",
-		Quick:  "5 mechanisms x 3 scenarios x pipelined on/off + 5 x 2 shard-kill cells, 10 epochs x 48 events, median of 3",
+		Quick:  "5 mechanisms x (3 one-shard scenarios + 2 shard-kill cells on 4 shards), 10 epochs x 48 events, median of 3",
 		Full:   "same grid, median of 5",
 		Traces: []Trace{{File: "chaos_trace.json", Cat: obs.CatRecovery}},
 	},
 	Run: runChaos,
 	Gates: []Gate[ChaosReport]{
-		countGate("cells", "supervisor", "mechanisms x scenarios x pipelined on/off, plus the shard-kill cells",
+		countGate("cells", "heal", "mechanisms x (one-shard scenarios + shard-kill cells)",
 			func(r *ChaosReport) int { return len(r.Entries) },
-			func(bool) int { return len(mechanisms) * (len(chaosScenarios)*2 + len(chaosKills)) }),
-		cellsGate("offline_match", "supervisor", "every supervised recovery report-equal to the offline crash-point recovery",
+			func(bool) int { return len(mechanisms) * len(chaosCells) }),
+		cellsGate("offline_match", "heal", "every healed recovery report-equal to the offline crash-point recovery",
 			chaosEntries, chaosLabel, func(e ChaosEntry) bool { return e.OfflineMatch }),
-		cellsGate("healed", "supervisor", "0 recoveries in transient-storm cells, exactly 1 with mttr_us > 0 in every other cell",
+		cellsGate("healed", "heal", "0 heals in transient-storm cells, exactly 1 with mttr_us > 0 in every other cell",
 			chaosEntries, chaosLabel, func(e ChaosEntry) bool {
 				if e.Scenario == crashtest.TransientStorm.String() {
 					return e.Recoveries == 0
@@ -212,57 +173,42 @@ var chaosSuite = Suite[ChaosReport]{
 
 func chaosEntries(r *ChaosReport) []ChaosEntry { return r.Entries }
 func chaosLabel(e ChaosEntry) string {
-	return fmt.Sprintf("%s/%s/pipelined=%v", e.Kind, e.Scenario, e.Pipelined)
+	return fmt.Sprintf("%s/%s/shards=%d/kill=%d", e.Kind, e.Scenario, e.Shards, e.KillShard)
 }
 
 func runChaos(env *Env, rep *ChaosReport) error {
 	repeat := chaosRepeat(env.quick())
 	rep.Epochs, rep.EpochSize = chaosEpochs, chaosEpochSize
-	rep.Note = "Each cell is one supervised chaos run (internal/ft/crashtest.Chaos): " +
-		"a scripted fault storm against a live engine, healed in-process by " +
-		"internal/supervisor. detection_us is fault injection to supervisor " +
-		"detection; mttr_us is detection to recovery complete and the stream " +
-		"resumed. transient-storm cells heal at the retry layer (0 recoveries, " +
-		"mttr 0); fatal-heal and mid-epoch-panic cells heal with exactly one " +
-		"in-process recovery, verified state- and output-equal to the oracle, " +
-		"and fatal-heal additionally verified report-equal to the offline " +
-		"crash-point recovery of the same write site. shard-kill cells run a " +
-		"4-shard group (internal/shard) with one shard's device dying fatally: " +
-		"mttr_us is the group MTTR — shard death detected to the interrupted " +
-		"barrier completed and the group live again — while the survivors keep " +
-		"committing; the run is verified per shard and globally against the " +
-		"sharded oracle."
+	rep.Note = "Each cell is one chaos run (internal/ft/crashtest.Chaos): a scripted " +
+		"fault against a live shard group (internal/shard), healed in place by " +
+		"shard.Group.Heal. detection_us is fault injection to the heal starting; " +
+		"mttr_us is the heal, failure detected to the group live again. " +
+		"transient-storm cells heal at the retry layer (0 heals, mttr 0); " +
+		"fatal-heal, mid-epoch-panic and shard-kill cells heal exactly once, " +
+		"and fatal-heal and shard-kill are additionally verified report-equal to " +
+		"the offline crash of the same group at the same write. The one-shard " +
+		"scenarios run Streaming Ledger; shard-kill cells run Grep&Sum on 4 " +
+		"shards, where the survivors keep committing while the dead shard heals " +
+		"and the interrupted barrier completes. Every run is verified per shard " +
+		"and globally against the sharded oracle."
 
 	for _, kind := range mechanisms {
-		for _, sc := range chaosScenarios {
-			for _, pipelined := range []bool{false, true} {
-				e, err := measureChaos(kind, sc, pipelined, chaosEpochs, chaosEpochSize, repeat, env.Obs)
-				if err != nil {
-					return err
-				}
-				rep.Entries = append(rep.Entries, e)
-				env.logf("%-5s %-16s pipelined=%-5v: detect %7.0f µs, mttr %7.0f µs, %d recoveries, %d retries\n",
-					e.Kind, e.Scenario, e.Pipelined, e.DetectionUs, e.MTTRUs, e.Recoveries, e.Retries)
-			}
-		}
-	}
-	for _, kind := range mechanisms {
-		for _, kill := range chaosKills {
-			e, err := measureShardKill(kind, chaosShards, kill, chaosEpochs, chaosEpochSize, repeat)
+		for _, c := range chaosCells {
+			e, err := measureChaos(kind, c, repeat, env.Obs)
 			if err != nil {
 				return err
 			}
 			rep.Entries = append(rep.Entries, e)
-			env.logf("%-5s %-16s shards=%d kill=%d: mttr %7.0f µs, %d replayed\n",
-				e.Kind, e.Scenario, chaosShards, kill, e.MTTRUs, e.EventsReplayed)
+			env.logf("%-5s %-16s shards=%d kill=%d: detect %7.0f µs, mttr %7.0f µs, %d heals, %d retries, %d replayed\n",
+				e.Kind, e.Scenario, e.Shards, e.KillShard, e.DetectionUs, e.MTTRUs, e.Recoveries, e.Retries, e.EventsReplayed)
 		}
 	}
 	return env.writeSpans("chaos_trace.json")
 }
 
-// summarizeChaos keeps the healing headline: recovery counts, the mean
-// MTTR over cells that actually recovered, and whether every cell's
-// recovered state matched the oracle.
+// summarizeChaos keeps the healing headline: heal counts, the mean MTTR
+// over cells that actually healed, and whether every healed report matched
+// its offline twin.
 func summarizeChaos(r *ChaosReport) map[string]any {
 	var recoveries, mttrCells int
 	var mttrSum float64

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,7 +12,6 @@ import (
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/wal"
 	"morphstreamr/internal/storage"
-	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
 )
 
@@ -45,18 +43,11 @@ func transcript(t *testing.T, dev *storage.Mem) string {
 // controller settings, processes epochs, and returns it with its device.
 func adaptiveEngine(t *testing.T, shape types.RunShape, force *adaptive.Strategy, epochs, epochSize int) (*Engine, *storage.Mem) {
 	t.Helper()
-	return hookedEngine(t, shape, force, nil, epochs, epochSize)
-}
-
-// hookedEngine is adaptiveEngine with a FireHook installed.
-func hookedEngine(t *testing.T, shape types.RunShape, force *adaptive.Strategy, hook func(*tpg.OpNode), epochs, epochSize int) (*Engine, *storage.Mem) {
-	t.Helper()
 	gen := slGen(42)
 	dev := storage.NewMem()
 	cfg := newEngine(t, ftapi.WAL, gen, dev, shape.CommitEvery, shape.SnapshotEvery).cfg
 	cfg.RunShape = shape
 	cfg.AdaptiveForce = force
-	cfg.FireHook = hook
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -117,47 +108,6 @@ func TestAdaptiveForce(t *testing.T) {
 		if n := e.Store().NumRecords(); n == 0 {
 			t.Fatalf("forced %s run left an empty store", impl)
 		}
-	}
-}
-
-// TestFireHookRunsOnPool: the sequential executor runs no hooks, so an
-// engine with a FireHook executes every epoch on the pool whatever the
-// controller decided — chaos injection and supervisor cancellation must not
-// lapse when the controller would have gone sequential — and the controller
-// is told what actually ran.
-func TestFireHookRunsOnPool(t *testing.T) {
-	shape := types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}
-	count := func(force *adaptive.Strategy, epochs int) (int64, *Engine) {
-		var fired atomic.Int64
-		e, _ := hookedEngine(t, shape, force, func(*tpg.OpNode) { fired.Add(1) }, epochs, 64)
-		return fired.Load(), e
-	}
-
-	// Pinned sequential, the hook still sees every operation the pinned pool
-	// sees.
-	onPool, _ := count(&adaptive.Strategy{Impl: adaptive.ImplSteal, Workers: 4}, 4)
-	onSeq, _ := count(&adaptive.Strategy{Impl: adaptive.ImplSeq, Workers: 1}, 4)
-	if onPool < 4*64 || onSeq != onPool {
-		t.Fatalf("hook fired %d times under forced seq, %d under forced steal; want equal and >= %d", onSeq, onPool, 4*64)
-	}
-
-	// Unforced: every sequential grain probe the controller issues runs on
-	// the pool and is credited to the parallel side, so the sequential side
-	// never gets a sample — the controller keeps asking (a first-sample
-	// probe re-arms every other epoch, a sampled one only every eight)
-	// and never morphs to seq. Crediting a hooked run to seq would show as
-	// a single probe, or as a morph on a pool measurement.
-	fired, e := count(nil, 12)
-	if fired == 0 {
-		t.Fatal("hook never fired on the controller-driven engine")
-	}
-	ctrl := e.Adaptive()
-	if ctrl.Probes() < 3 {
-		t.Fatalf("controller issued %d sequential probes in 12 hooked epochs, want >= 3 (none can have produced a sequential sample); decisions: %+v",
-			ctrl.Probes(), ctrl.Decisions())
-	}
-	if got := ctrl.Current().Impl; got != adaptive.ImplSteal {
-		t.Fatalf("hooked engine's controller settled on %q from pool-only measurements; decisions: %+v", got, ctrl.Decisions())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // TestClassifyWrappedChains (satellite: error-identity plumbing): the
 // incident taxonomy must see through arbitrary fmt.Errorf %w nesting — the
-// layers between a device fault and the supervisor (mechanism, engine,
+// layers between a device fault and the group's heal (mechanism, engine,
 // shard coordinator) all annotate errors, and a single %v anywhere in that
 // chain silently turns every cause into "io-fatal".
 func TestClassifyWrappedChains(t *testing.T) {

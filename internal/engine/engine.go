@@ -94,22 +94,6 @@ type Config struct {
 	// critical-path bounds (see vtime.Profiler). Nil disables profiling
 	// at the cost of a pointer check per replayed unit.
 	RecoveryProfiler *vtime.Profiler
-	// OnEpoch, when non-nil, is called after each successfully processed
-	// epoch with its number. The supervisor's watchdog uses it as the
-	// liveness signal for stall detection.
-	OnEpoch func(epoch uint64)
-	// Sink, when non-nil, receives every batch of outputs at the moment
-	// they are released downstream (in release order), in addition to the
-	// engine's internal delivered ledger. It lets a supervisor accumulate
-	// outputs across engine incarnations without reading an abandoned
-	// engine's ledger from another goroutine. The slice handed over is the
-	// ledger's own chunk for that epoch, not a copy: a sink may keep it but
-	// must not mutate it.
-	Sink func(outs []types.Output)
-	// FireHook, when non-nil, is passed to the scheduler and runs before
-	// every operation fires on the live parallel path. Chaos testing and
-	// the supervisor's cancellation hooks use it; nil costs nothing.
-	FireHook func(*tpg.OpNode)
 	// Shard and OfShards identify this engine as shard Shard of an
 	// OfShards-wide group (internal/shard). OfShards zero means an
 	// unsharded engine. The identity labels the engine's observer series
@@ -124,14 +108,6 @@ type Config struct {
 	// diffing snapshots or sorting. The slice is only valid for the duration
 	// of the call.
 	OnWriteSet func(epoch uint64, keys []types.Key)
-	// OnCommit, when non-nil, is called each time the engine's durability
-	// gate fires with the highest epoch whose outputs have just been
-	// released downstream: at every commit marker for log-based mechanisms,
-	// at every snapshot for CKPT (whose snapshot is its durability gate).
-	// It also fires during recovery's tail reprocessing, where the markers
-	// re-fire through the normal pipeline. The serving layer keys
-	// exactly-once client acknowledgements to this notification.
-	OnCommit func(epoch uint64)
 }
 
 func (c *Config) normalize() error {
@@ -252,7 +228,6 @@ func New(cfg Config) (*Engine, error) {
 			Obs:        cfg.Obs,
 		}),
 		AssignFor: e.assignFor,
-		FireHook:  cfg.FireHook,
 		Stats:     e.sched,
 	}
 	return e, nil
@@ -326,8 +301,8 @@ var ErrCrashed = errors.New("engine: crashed; recover with engine.Recover")
 
 // Classify maps an error surfaced by ProcessEpoch to its incident cause
 // label: "panic", "poisoned", "io-transient-exhausted", or "io-fatal". The
-// supervisor, the shard coordinator's per-shard heal and the serving pump
-// share it, so incident logs read identically whichever layer healed.
+// shard group's heal and the serving pump's heal timeline share it, so
+// incident records read identically whichever layer reports them.
 func Classify(err error) string {
 	switch {
 	case errors.Is(err, scheduler.ErrOpPanic):
@@ -363,9 +338,6 @@ func (e *Engine) ProcessEpoch(events []types.Event) error {
 	}
 	e.totalWall += time.Since(start)
 	e.observeEpoch(start, len(events))
-	if e.cfg.OnEpoch != nil {
-		e.cfg.OnEpoch(e.epoch)
-	}
 	return nil
 }
 
@@ -684,9 +656,6 @@ func (e *Engine) commitVisible(ep uint64) error {
 		e.runtime.IO += time.Since(t0)
 	}
 	e.release(ep)
-	if e.cfg.OnCommit != nil {
-		e.cfg.OnCommit(ep)
-	}
 	return nil
 }
 
@@ -708,17 +677,13 @@ func (e *Engine) drainInflight() error {
 	return e.commitVisible(ep)
 }
 
-// release moves pending outputs of epochs <= upTo to the delivered ledger
-// (and the configured Sink, if any).
+// release moves pending outputs of epochs <= upTo to the delivered ledger.
 func (e *Engine) release(upTo uint64) {
 	kept := e.pending[:0]
 	for _, p := range e.pending {
 		if p.epoch <= upTo {
 			if len(p.outs) > 0 {
 				e.delivered = append(e.delivered, p.outs)
-			}
-			if e.cfg.Sink != nil {
-				e.cfg.Sink(p.outs)
 			}
 		} else {
 			kept = append(kept, p)
@@ -771,9 +736,6 @@ func (e *Engine) snapshot(ep uint64) error {
 	t0 = time.Now()
 	if e.cfg.Mechanism.Kind() == ftapi.CKPT {
 		e.release(ep)
-		if e.cfg.OnCommit != nil {
-			e.cfg.OnCommit(ep)
-		}
 	}
 	e.lastSnap = ep
 	e.runtime.Sync += time.Since(t0)

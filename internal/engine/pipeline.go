@@ -83,9 +83,6 @@ func (e *Engine) ProcessEpochs(batches [][]types.Event) error {
 		}
 		e.totalWall += time.Since(start)
 		e.observeEpoch(start, len(batches[b.idx]))
-		if e.cfg.OnEpoch != nil {
-			e.cfg.OnEpoch(e.epoch)
-		}
 	}
 	return nil
 }

@@ -5,36 +5,38 @@ import (
 	"sync/atomic"
 	"time"
 
-	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
-	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/obs"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
-	"morphstreamr/internal/supervisor"
-	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
 )
 
-// Scenario names one chaos pattern driven through the supervisor. Where
-// the crash-point sweep proves offline recovery correct, a chaos run
-// proves the *online* story: the supervised engine keeps the exactly-once
-// ledger through live fault storms, heals in-process, and resumes.
+// Scenario names one chaos pattern driven through a live shard group.
+// Where the crash-point sweep proves offline recovery correct, a chaos run
+// proves the online story: the group keeps the exactly-once ledger through
+// live faults, heals in place through shard.Group.Heal, and resumes.
 type Scenario int
 
 // Chaos scenarios.
 const (
-	// TransientStorm scripts a short error storm the retry layer must
-	// absorb: the run completes with ZERO recoveries.
+	// TransientStorm scripts a short error storm on the victim's device,
+	// under a retry layer that must absorb it: the run completes with ZERO
+	// heals.
 	TransientStorm Scenario = iota
-	// FatalHeal scripts one fatal device fault: the supervisor must heal
-	// with EXACTLY ONE in-process recovery, and the recovery report must
-	// match the offline crashtest path for the same crash site.
+	// FatalHeal scripts one fatal write on the victim's device: the group
+	// heals EXACTLY ONCE, and the victim's recovery report must match an
+	// offline crash of the same group at the same write.
 	FatalHeal
-	// MidEpochPanic injects a worker panic mid-epoch: panic isolation
-	// converts it to a failed epoch and the supervisor heals once.
+	// MidEpochPanic makes one transaction carry an operation on a row
+	// outside its table, so the store panics mid-epoch: panic isolation
+	// fails the epoch and the group heals once.
 	MidEpochPanic
+	// ShardKill is FatalHeal on a group of several shards: the survivors
+	// keep committing while the dead shard heals in place and the
+	// interrupted barrier completes.
+	ShardKill
 )
 
 func (s Scenario) String() string {
@@ -45,242 +47,301 @@ func (s Scenario) String() string {
 		return "fatal-heal"
 	case MidEpochPanic:
 		return "mid-epoch-panic"
+	case ShardKill:
+		return "shard-kill"
 	default:
 		return fmt.Sprintf("scenario(%d)", int(s))
 	}
 }
 
-// ChaosConfig shapes one supervised chaos run: the sweep Config describes
-// the workload (so chaos runs and crash-point sweeps share one reference
-// execution), the scenario describes the fault.
+// ChaosConfig shapes one chaos run: the sweep Config describes the workload
+// (so chaos runs and crash-point sweeps share one reference execution),
+// Shards the group, the scenario the fault.
 type ChaosConfig struct {
 	// Config is the workload shape; its Mode and Target fields are unused
-	// here (chaos injects through Flaky, not Faulty).
+	// (chaos injects through Flaky, not Faulty).
 	Config
+	// Shards is the group fan-out. Zero means 1.
+	Shards   int
 	Scenario Scenario
-	// FaultAt is the 0-based durable-write index the device fault lands on
-	// (default 5 — mid-run for every mechanism at the default shape).
-	// Ignored for MidEpochPanic, whose site is an op-count threshold.
+	// KillShard is the shard whose device the storm or outage hits.
+	KillShard int
+	// FaultAt is the 0-based write index on that device where the storm or
+	// outage begins. Zero means the midpoint of the device's own write
+	// sequence, enumerated from a fault-free run of the same config —
+	// mid-run at every run length. Ignored for MidEpochPanic, whose bad
+	// operation rides the middle event of the run.
 	FaultAt int
 	// StormLen is the transient storm length (default 3).
 	StormLen int
-	// StallTimeout passes through to the supervisor (default 2s; chaos
-	// scenarios never stall, so this only bounds harness hangs).
-	StallTimeout time.Duration
-	// Obs, when non-nil, passes through to the supervisor: the chaos run's
-	// epochs, heals, and state transitions land in its registry and tracer,
-	// so a live /trace capture shows the incident end to end.
+	// Obs, when non-nil, observes the group: the run's epochs, the heal's
+	// recovery spans and the incident log land in its registry and tracer.
 	Obs *obs.Observer
 }
 
-func (c *ChaosConfig) normalizeChaos() error {
-	if err := c.Config.normalize(); err != nil {
-		return err
+func (c *ChaosConfig) normalizeChaos() (*ShardConfig, error) {
+	cfg := &ShardConfig{Config: c.Config, Shards: max(c.Shards, 1)}
+	if err := cfg.normalize(); err != nil {
+		return nil, err
 	}
-	if c.FaultAt <= 0 {
-		c.FaultAt = 5
+	if c.KillShard < 0 || c.KillShard >= cfg.Shards {
+		return nil, fmt.Errorf("crashtest: KillShard %d out of range for %d shards", c.KillShard, cfg.Shards)
 	}
 	if c.StormLen <= 0 {
 		c.StormLen = 3
 	}
-	return nil
+	return cfg, nil
 }
 
-// ChaosOutcome reports what one chaos run observed. Chaos verifies the
-// run against the oracle before returning it, so a non-error outcome
+// ChaosOutcome reports what one chaos run observed. Chaos verifies the run
+// against the sharded oracle before returning it, so a non-error outcome
 // means state equality and exactly-once delivery already held.
 type ChaosOutcome struct {
-	Scenario   Scenario
-	Kind       ftapi.Kind
-	Pipeline   bool
-	Recoveries int
-	// Detection is fault occurrence (first injection, or the panic) to
-	// supervisor detection; zero when nothing escalated.
+	Scenario Scenario
+	Kind     ftapi.Kind
+	// FailedEpoch is the epoch whose ProcessEpoch failed (zero when the
+	// fault never escalated).
+	FailedEpoch uint64
+	// Heals counts Group.Heal calls: 0 for a storm, 1 for every other
+	// scenario.
+	Heals int
+	// Cause is the heal incident's classification (engine.Classify).
+	Cause string
+	// Detection is fault occurrence (first injection, or the bad operation
+	// being built) to the heal starting; zero when nothing escalated.
 	Detection time.Duration
-	// MTTR is detection to recovery complete and the stream resumed; zero
-	// when the scenario healed below the supervisor (TransientStorm).
+	// MTTR is the heal's duration: failure detected to the group live
+	// again; zero when the storm was absorbed below the group.
 	MTTR time.Duration
-	// RetryStats aggregates transient absorption across incarnations.
+	// RetryStats is the victim's retry layer (TransientStorm only).
 	RetryStats storage.RetryStats
-	// Incidents is the supervisor's incident log.
-	Incidents []metrics.Incident
-	// Reports holds the recovery reports of any heals.
-	Reports []*engine.RecoveryReport
-	// OfflineMatch reports whether the supervised recovery report agreed
-	// with the offline crashtest recovery of the same crash site
-	// (FatalHeal only; vacuously true otherwise).
+	// SurvivorCommits is the committed-epoch vector at detection: the
+	// survivors' punctuation frontiers, proving they kept committing while
+	// one shard was dead.
+	SurvivorCommits []uint64
+	// Report is the victim shard's recovery report (nil when nothing
+	// healed).
+	Report *engine.RecoveryReport
+	// OfflineMatch reports whether Report agreed with the offline crash of
+	// the same group at the same write (FatalHeal and ShardKill; vacuously
+	// true otherwise).
 	OfflineMatch bool
-	// Wall is the whole supervised run's wall-clock time.
+	// Wall is the whole run's wall-clock time.
 	Wall time.Duration
 }
 
-// Chaos executes one supervised chaos run and verifies it: scenario-exact
-// recovery count, final state equal to the oracle, and exactly-once
-// outputs across every incarnation. Any divergence is the returned error.
+// Chaos executes one chaos run over a shard group and verifies it: the
+// scenario-exact heal count and classification, every shard's final state
+// equal to the oracle, exactly-once application outputs across every
+// incarnation of every shard, and every event surfacing on exactly one
+// shard. Any divergence is the returned error.
 func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
-	if err := cc.normalizeChaos(); err != nil {
-		return nil, err
-	}
-	cfg := &cc.Config
-	ref := buildOracle(cfg)
-
-	st := storage.NewStack(storage.NewMem()).WithFlaky()
-	flaky := st.Flaky
-	var fireHook func(*tpg.OpNode)
-	var panicAt atomic.Int64 // wall-clock ns of the injected panic
-	retry := storage.RetryPolicy{
-		BaseBackoff: 200 * time.Microsecond,
-		MaxBackoff:  2 * time.Millisecond,
-	}
-	switch cc.Scenario {
-	case TransientStorm:
-		flaky.AddStorm(cc.FaultAt, cc.StormLen)
-		// Each retried attempt consumes one storm arrival, so a storm of
-		// length n needs n+1 attempts; leave margin.
-		retry.MaxAttempts = cc.StormLen + 3
-	case FatalHeal:
-		flaky.AddOutage(cc.FaultAt, 1)
-	case MidEpochPanic:
-		// Panic once, mid-stream: ops fired ≥ events, so half the event
-		// count is always reached and always before the run ends.
-		threshold := int64(cfg.Epochs*cfg.EpochSize) / 2
-		var fired atomic.Int64
-		var armed atomic.Bool
-		armed.Store(true)
-		fireHook = func(*tpg.OpNode) {
-			if fired.Add(1) == threshold && armed.CompareAndSwap(true, false) {
-				panicAt.Store(time.Now().UnixNano())
-				panic("chaos: injected mid-epoch op panic")
-			}
-		}
-	default:
-		return nil, fmt.Errorf("chaos: unknown scenario %v", cc.Scenario)
-	}
-
-	gen := cfg.NewGen()
-	sup, err := supervisor.New(supervisor.Config{
-		RunShape: cfg.RunShape,
-		App:      gen.App(),
-		Device:   st.MustBuild(),
-		Mechanism: func(dev storage.Device, bytes *metrics.Bytes) ftapi.Mechanism {
-			return core.NewMechanism(cfg.Kind, dev, bytes, msr.Default())
-		},
-		Source:       types.BatchSource(ref.batches),
-		Retry:        retry,
-		StallTimeout: cc.StallTimeout,
-		FireHook:     fireHook,
-		Obs:          cc.Obs,
-	})
+	cfg, err := cc.normalizeChaos()
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	if err := sup.Run(); err != nil {
-		return nil, fmt.Errorf("chaos %v/%v: supervised run: %w", cfg.Kind, cc.Scenario, err)
+	ref, err := buildShardRef(cfg)
+	if err != nil {
+		return nil, err
 	}
-	out := &ChaosOutcome{
-		Scenario:     cc.Scenario,
-		Kind:         cfg.Kind,
-		Pipeline:     cfg.Pipeline,
-		Recoveries:   sup.Recoveries(),
-		RetryStats:   sup.RetryStats(),
-		Incidents:    sup.Health().Incidents(),
-		Reports:      sup.Reports(),
-		OfflineMatch: true,
-		Wall:         time.Since(start),
-	}
-
-	// Scenario-exact healing behaviour.
-	wantRecoveries := 1
-	if cc.Scenario == TransientStorm {
-		wantRecoveries = 0
-	}
-	if out.Recoveries != wantRecoveries {
-		return nil, fmt.Errorf("chaos %v/%v: %d recoveries, want %d",
-			cfg.Kind, cc.Scenario, out.Recoveries, wantRecoveries)
-	}
-	if cc.Scenario == TransientStorm && out.RetryStats.Absorbed == 0 {
-		return nil, fmt.Errorf("chaos %v/%v: storm never exercised the retry layer", cfg.Kind, cc.Scenario)
-	}
-
-	// Detection latency and MTTR from the incident log.
-	if len(out.Incidents) > 0 {
-		inc := out.Incidents[0]
-		out.MTTR = inc.MTTR
-		if at, ok := flaky.FirstInjectionAt(); ok {
-			out.Detection = inc.DetectedAt.Sub(at)
-		} else if ns := panicAt.Load(); ns != 0 {
-			out.Detection = inc.DetectedAt.Sub(time.Unix(0, ns))
-		} else {
-			out.Detection = inc.Detection
-		}
-	}
-
-	// Oracle verification: final state and exactly-once outputs across all
-	// incarnations.
-	last := uint64(cfg.Epochs)
-	if err := ref.checkState(last, sup.Engine().Store()); err != nil {
-		return nil, fmt.Errorf("chaos %v/%v: %w", cfg.Kind, cc.Scenario, err)
-	}
-	if err := ref.checkOutputs(last, sup.Outputs(), sup.Engine().PendingOutputs()); err != nil {
-		return nil, fmt.Errorf("chaos %v/%v: %w", cfg.Kind, cc.Scenario, err)
-	}
-
-	// FatalHeal: the supervised recovery must tell the same story as the
-	// offline crashtest path for the same crash site. Flaky's outage at
-	// write k and Faulty's budget k leave identical device content at
-	// recovery time, so the deterministic report fields must agree.
-	if cc.Scenario == FatalHeal {
-		offline, err := offlineReport(cfg, ref, cc.FaultAt)
+	if cc.FaultAt <= 0 && cc.Scenario != MidEpochPanic {
+		sites, err := shardEnumerate(cfg, ref)
 		if err != nil {
-			return nil, fmt.Errorf("chaos %v/%v: offline twin: %w", cfg.Kind, cc.Scenario, err)
+			return nil, err
 		}
-		if len(out.Reports) != 1 {
-			return nil, fmt.Errorf("chaos %v/%v: %d recovery reports, want 1", cfg.Kind, cc.Scenario, len(out.Reports))
+		cc.FaultAt = len(sites[deviceName(cfg.Shards, cc.KillShard)]) / 2
+	}
+
+	devs := make([]storage.Device, cfg.Shards)
+	for i := range devs {
+		devs[i] = storage.NewMem()
+	}
+	st := storage.NewStack(storage.NewMem()).WithFlaky()
+	app, pa := ref.app, (*panicApp)(nil)
+	switch cc.Scenario {
+	case TransientStorm:
+		st.Flaky.AddStorm(cc.FaultAt, cc.StormLen)
+		// Each retried attempt consumes one storm arrival, so a storm of
+		// length n needs n+1 attempts; leave margin.
+		st.WithRetry(storage.RetryPolicy{
+			BaseBackoff: 200 * time.Microsecond,
+			MaxBackoff:  2 * time.Millisecond,
+			MaxAttempts: cc.StormLen + 3,
+		})
+	case FatalHeal, ShardKill:
+		st.Flaky.AddOutage(cc.FaultAt, 1)
+	case MidEpochPanic:
+		pa = &panicApp{App: ref.app, at: int64(cfg.Epochs * cfg.EpochSize / 2)}
+		app = pa
+	default:
+		return nil, fmt.Errorf("chaos: unknown scenario %v", cc.Scenario)
+	}
+	devs[cc.KillShard] = st.MustBuild()
+	g, err := newShardGroup(cfg, app, devs, storage.NewMem(), cc.Obs)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		for i := 0; i < g.Shards(); i++ {
+			g.Engine(i).Close()
 		}
-		sr := out.Reports[0]
-		if sr.SnapshotEpoch != offline.SnapshotEpoch ||
-			sr.CommittedEpoch != offline.CommittedEpoch ||
-			sr.LastEpoch != offline.LastEpoch ||
-			sr.EventsReplayed != offline.EventsReplayed {
+	}()
+
+	label := fmt.Sprintf("chaos %v/%v", cfg.Kind, cc.Scenario)
+	out := &ChaosOutcome{Scenario: cc.Scenario, Kind: cfg.Kind, OfflineMatch: true}
+	src := types.BatchSource(ref.batches)
+	start := time.Now()
+	for g.Epoch() < uint64(cfg.Epochs) {
+		procErr := g.ProcessEpoch(ref.batches[g.Epoch()])
+		if procErr == nil {
+			continue
+		}
+		if out.Heals > 0 {
+			return nil, fmt.Errorf("%s: second failure at epoch %d: %w", label, g.Epoch()+1, procErr)
+		}
+		out.FailedEpoch = g.Epoch() + 1
+		out.SurvivorCommits = g.CommittedVector()
+		rep, err := g.Heal(procErr, src)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", label, err)
+		}
+		out.Heals++
+		out.Report = rep.Reports[cc.KillShard]
+	}
+	out.Wall = time.Since(start)
+	if st.Retrying != nil {
+		out.RetryStats = st.Retrying.Stats()
+	}
+
+	// Scenario-exact healing behaviour, from the group's incident log.
+	want, wantCause := 1, "io-fatal"
+	switch cc.Scenario {
+	case TransientStorm:
+		want = 0
+		if out.RetryStats.Absorbed == 0 {
+			return nil, fmt.Errorf("%s: storm never exercised the retry layer", label)
+		}
+	case MidEpochPanic:
+		wantCause = "panic"
+	}
+	incs := g.Health().Incidents()
+	if out.Heals != want || len(incs) != want {
+		return nil, fmt.Errorf("%s: %d heals and incidents %+v, want %d", label, out.Heals, incs, want)
+	}
+	if want == 1 {
+		inc := incs[0]
+		if !inc.Healed || inc.Cause != wantCause {
+			return nil, fmt.Errorf("%s: incident %+v, want a healed %q", label, inc, wantCause)
+		}
+		out.Cause, out.MTTR = inc.Cause, inc.MTTR
+		if at, ok := st.Flaky.FirstInjectionAt(); ok {
+			out.Detection = inc.DetectedAt.Sub(at)
+		} else if pa != nil {
+			out.Detection = inc.DetectedAt.Sub(time.Unix(0, pa.firedAt.Load()))
+		}
+	}
+
+	// Oracle verification at the end of the run: every shard's state, its
+	// exactly-once application outputs, and routing as a partition.
+	last := uint64(cfg.Epochs)
+	global := make(map[uint64]int)
+	for s := 0; s < cfg.Shards; s++ {
+		if err := ref.orc.CheckState(s, last, g.Engine(s).Store()); err != nil {
+			return nil, fmt.Errorf("%s: %w", label, err)
+		}
+		union := shard.RealOutputs(g.DeliveredUnion(s))
+		pending := g.Engine(s).PendingOutputsMatching(func(o types.Output) bool { return !shard.IsReplication(o) })
+		if err := ref.orc.CheckOutputs(s, last, union, pending); err != nil {
+			return nil, fmt.Errorf("%s: %w", label, err)
+		}
+		for _, o := range union {
+			if prev, dup := global[o.EventSeq]; dup {
+				return nil, fmt.Errorf("%s: event %d surfaced on shard %d and shard %d", label, o.EventSeq, prev, s)
+			}
+			global[o.EventSeq] = s
+		}
+	}
+
+	// A fatal heal must tell the same story as the offline crash of the
+	// same group at the same write: Flaky's outage at write k and Faulty's
+	// budget k leave identical device content at recovery time, so the
+	// deterministic report fields must agree.
+	if cc.Scenario == FatalHeal || cc.Scenario == ShardKill {
+		offline, err := offlineReport(cfg, ref, cc.KillShard, cc.FaultAt)
+		if err != nil {
+			return nil, fmt.Errorf("%s: offline twin: %w", label, err)
+		}
+		sr := out.Report
+		if sr == nil || sr.SnapshotEpoch != offline.SnapshotEpoch || sr.CommittedEpoch != offline.CommittedEpoch ||
+			sr.LastEpoch != offline.LastEpoch || sr.EventsReplayed != offline.EventsReplayed {
 			out.OfflineMatch = false
-			return nil, fmt.Errorf(
-				"chaos %v/%v: supervised recovery (snap=%d committed=%d last=%d replayed=%d) "+
-					"!= offline crashtest recovery (snap=%d committed=%d last=%d replayed=%d)",
-				cfg.Kind, cc.Scenario,
-				sr.SnapshotEpoch, sr.CommittedEpoch, sr.LastEpoch, sr.EventsReplayed,
-				offline.SnapshotEpoch, offline.CommittedEpoch, offline.LastEpoch, offline.EventsReplayed)
+			return nil, fmt.Errorf("%s: healed recovery %+v != offline crash-point recovery (snap=%d committed=%d last=%d replayed=%d)",
+				label, sr, offline.SnapshotEpoch, offline.CommittedEpoch, offline.LastEpoch, offline.EventsReplayed)
 		}
 	}
 	return out, nil
 }
 
-// offlineReport replays the workload against a Faulty device dying
-// fail-stop at 0-based write k — exactly the device content a Flaky
-// outage at write k leaves behind — and returns the offline recovery
-// report for comparison against the supervised one.
-func offlineReport(cfg *Config, ref *oracleRef, k int) (*engine.RecoveryReport, error) {
-	inner := storage.NewMem()
-	dev := storage.NewStack(inner).WithFaulty(k, storage.FailStop, "").MustBuild()
-	gen := cfg.NewGen()
-	e, err := newEngine(cfg, dev, gen)
+// offlineReport runs the workload over a group whose shard kill dies
+// fail-stop at its 0-based write k — exactly the device content a Flaky
+// outage at write k leaves behind — crashes the group, recovers it from the
+// surviving media with GroupRecover, and returns shard kill's report.
+func offlineReport(cfg *ShardConfig, ref *shardRef, kill, k int) (*engine.RecoveryReport, error) {
+	inner := make([]storage.Device, cfg.Shards)
+	devs := make([]storage.Device, cfg.Shards)
+	for i := range inner {
+		inner[i] = storage.NewMem()
+		devs[i] = inner[i]
+	}
+	devs[kill] = storage.NewStack(inner[kill]).WithFaulty(k, storage.FailStop, "").MustBuild()
+	coord := storage.NewMem()
+	g, err := newShardGroup(cfg, ref.app, devs, coord, nil)
 	if err != nil {
 		return nil, err
 	}
-	if procErr := processAll(e, ref.batches); procErr == nil {
+	if procErr := g.Run(ref.batches[:cfg.Epochs]); procErr == nil {
 		return nil, fmt.Errorf("budget %d never hit the injected fault", k)
 	}
-	e.Crash()
-	bytes := metrics.NewBytes()
-	_, report, err := engine.Recover(engine.Config{
-		RunShape:  recoverShape(cfg),
-		App:       gen.App(),
-		Device:    inner,
-		Mechanism: core.NewMechanism(cfg.Kind, inner, bytes, msr.Default()),
-		Bytes:     bytes,
+	g.Crash()
+	g2, rep, err := shard.GroupRecover(shard.RecoverConfig{
+		Config: shard.Config{
+			GroupShape: types.GroupShape{RunShape: cfg.RunShape, Shards: cfg.Shards},
+			App:        ref.app, Kind: cfg.Kind, Devices: inner, CoordDev: coord,
+		},
+		Source: types.BatchSource(ref.batches),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
-	return report, nil
+	for i := 0; i < g2.Shards(); i++ {
+		g2.Engine(i).Close()
+	}
+	return rep.Reports[kill], nil
+}
+
+// panicApp makes the at-th event it turns into operations carry one extra
+// operation on the row just past its first table's end, so the store panics
+// when that operation fires, mid-epoch. It fires once: the heal's recovery
+// turns the same event into its real operations.
+type panicApp struct {
+	types.App
+	at      int64
+	seen    atomic.Int64
+	firedAt atomic.Int64 // UnixNano when the bad operation was built
+}
+
+// Preprocess implements types.App over the wrapper's AppendOps.
+func (a *panicApp) Preprocess(ev types.Event) types.Txn {
+	return types.NewTxn(ev, a.AppendOps(nil, ev))
+}
+
+// AppendOps implements types.App.
+func (a *panicApp) AppendOps(ops []types.Operation, ev types.Event) []types.Operation {
+	n := len(ops)
+	ops = a.App.AppendOps(ops, ev)
+	if a.seen.Add(1) == a.at && a.firedAt.CompareAndSwap(0, time.Now().UnixNano()) {
+		sp := a.Tables()[0]
+		ops = append(ops, ev.Op(len(ops)-n, types.Key{Table: sp.ID, Row: sp.Rows}, types.FnPut, 0))
+	}
+	return ops
 }

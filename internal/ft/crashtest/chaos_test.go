@@ -1,54 +1,49 @@
 package crashtest
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"morphstreamr/internal/adaptive"
+	"morphstreamr/internal/core"
+	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
-	"morphstreamr/internal/types"
+	"morphstreamr/internal/ft/msr"
+	"morphstreamr/internal/metrics"
+	"morphstreamr/internal/scheduler"
+	"morphstreamr/internal/storage"
 	"morphstreamr/internal/workload"
 )
 
-// TestChaosMatrix drives the supervisor through every fault scenario for
-// every recoverable mechanism, pipelined and not: transient storms heal
-// with zero recoveries, fatal faults and mid-epoch panics with exactly
-// one, and every run's final state and output ledger match the oracle.
-// Chaos() itself performs the verification; a non-nil error is a failure.
+var chaosKinds = []ftapi.Kind{ftapi.CKPT, ftapi.WAL, ftapi.DL, ftapi.LV, ftapi.MSR}
+
+// TestChaosMatrix drives every one-shard fault scenario for every
+// recoverable mechanism through the group's heal: transient storms heal
+// with zero heals, fatal faults and mid-epoch panics with exactly one, and
+// every run's final state and output ledger match the oracle. Chaos()
+// itself performs the verification; a non-nil error is a failure.
 func TestChaosMatrix(t *testing.T) {
-	kinds := []ftapi.Kind{ftapi.CKPT, ftapi.WAL, ftapi.DL, ftapi.LV, ftapi.MSR}
-	scenarios := []Scenario{TransientStorm, FatalHeal, MidEpochPanic}
-	for _, kind := range kinds {
-		for _, sc := range scenarios {
-			for _, pipelined := range []bool{false, true} {
-				kind, sc, pipelined := kind, sc, pipelined
-				name := fmt.Sprintf("%v/%v/pipelined=%v", kind, sc, pipelined)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					out, err := Chaos(ChaosConfig{
-						Config: Config{
-							Kind:     kind,
-							NewGen:   func() workload.Generator { return fttest.SLGen(61) },
-							RunShape: types.RunShape{Pipeline: pipelined},
-						},
-						Scenario: sc,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if sc == FatalHeal {
-						if !out.OfflineMatch {
-							t.Fatal("supervised recovery diverged from the offline crashtest path")
-						}
-						if out.MTTR <= 0 {
-							t.Fatalf("MTTR not measured: %+v", out)
-						}
-					}
-					if sc == MidEpochPanic && len(out.Incidents) == 1 && out.Incidents[0].Cause != "panic" {
-						t.Fatalf("panic classified as %q", out.Incidents[0].Cause)
-					}
+	for _, kind := range chaosKinds {
+		for _, sc := range []Scenario{TransientStorm, FatalHeal, MidEpochPanic} {
+			kind, sc := kind, sc
+			t.Run(fmt.Sprintf("%v/%v", kind, sc), func(t *testing.T) {
+				t.Parallel()
+				out, err := Chaos(ChaosConfig{
+					Config: Config{
+						Kind:   kind,
+						NewGen: func() workload.Generator { return fttest.SLGen(61) },
+					},
+					Scenario: sc,
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sc != TransientStorm && out.MTTR <= 0 {
+					t.Fatalf("MTTR not measured: %+v", out)
+				}
+			})
 		}
 	}
 }
@@ -77,7 +72,7 @@ func TestChaosFaultSitePlacement(t *testing.T) {
 }
 
 // TestChaosLongStorm stretches the storm to many consecutive writes and
-// the retry budget with it: still zero recoveries, still oracle-equal.
+// the retry budget with it: still zero heals, still oracle-equal.
 func TestChaosLongStorm(t *testing.T) {
 	out, err := Chaos(ChaosConfig{
 		Config: Config{
@@ -92,5 +87,137 @@ func TestChaosLongStorm(t *testing.T) {
 	}
 	if out.RetryStats.Retries < 8 {
 		t.Fatalf("storm of 8 produced only %d retries", out.RetryStats.Retries)
+	}
+}
+
+// TestShardChaosSingleKill kills one shard's device under sustained
+// ingestion for each recoverable mechanism: the survivors must keep
+// committing, the group must heal the dead shard in place, and the whole
+// run must stay oracle-equivalent with gap-free exactly-once outputs on
+// every shard.
+func TestShardChaosSingleKill(t *testing.T) {
+	for _, kind := range chaosKinds {
+		for _, kill := range []int{0, 2} {
+			out, err := Chaos(ChaosConfig{
+				Config: Config{
+					Kind:   kind,
+					NewGen: func() workload.Generator { return fttest.GSGen(43) },
+				},
+				Shards:    4,
+				Scenario:  ShardKill,
+				KillShard: kill,
+				FaultAt:   8,
+			})
+			if err != nil {
+				t.Fatalf("%v kill=%d: %v", kind, kill, err)
+			}
+			if len(out.SurvivorCommits) != 4 {
+				t.Fatalf("%v kill=%d: committed vector %v", kind, kill, out.SurvivorCommits)
+			}
+			// Survivors completed the interrupted epoch's processing; their
+			// committed frontier is at most one commit interval behind it
+			// and never behind the previous commit point.
+			for s, committed := range out.SurvivorCommits {
+				if s != kill && committed+2 < out.FailedEpoch {
+					t.Errorf("%v kill=%d: survivor %d committed only through %d at a death in epoch %d",
+						kind, kill, s, committed, out.FailedEpoch)
+				}
+			}
+			t.Logf("%v kill=%d: died epoch %d, cause %s, MTTR %v, survivors %v",
+				kind, kill, out.FailedEpoch, out.Cause, out.MTTR, out.SurvivorCommits)
+		}
+	}
+}
+
+// TestShardChaosDefaultFaultSiteFollowsRunLength pins the derived fault
+// site: with FaultAt unset the shard must die strictly mid-run at every run
+// length, including runs too short for any fixed write index to land in.
+func TestShardChaosDefaultFaultSiteFollowsRunLength(t *testing.T) {
+	for _, epochs := range []int{3, 6, 10} {
+		out, err := Chaos(ChaosConfig{
+			Config: Config{
+				Kind:   ftapi.WAL,
+				NewGen: func() workload.Generator { return fttest.GSGen(43) },
+				Epochs: epochs,
+			},
+			Shards:    4,
+			Scenario:  ShardKill,
+			KillShard: 2,
+		})
+		if err != nil {
+			t.Fatalf("epochs=%d: %v", epochs, err)
+		}
+		if out.FailedEpoch < 2 || out.FailedEpoch > uint64(epochs-1) {
+			t.Errorf("epochs=%d: died in epoch %d, want strictly mid-run", epochs, out.FailedEpoch)
+		}
+	}
+}
+
+// TestShardChaosTransientIsInvisible pins the boundary between the retry
+// layer and the heal ladder at group scale: a transient storm on one
+// shard's device of a two-shard group is absorbed with no heal at all.
+func TestShardChaosTransientIsInvisible(t *testing.T) {
+	out, err := Chaos(ChaosConfig{
+		Config: Config{
+			Kind:   ftapi.WAL,
+			NewGen: func() workload.Generator { return fttest.GSGen(43) },
+		},
+		Shards:   2,
+		Scenario: TransientStorm,
+		StormLen: 2,
+	})
+	if err != nil {
+		t.Fatalf("transient storm leaked through the retry layer: %v", err)
+	}
+	if out.FailedEpoch != 0 || out.RetryStats.Absorbed == 0 {
+		t.Fatalf("storm escalated or was never absorbed: %+v", out)
+	}
+}
+
+// TestPanicIsolatedOnEveryExecutor pins panic isolation on both executors:
+// an engine held on the sequential path (AdaptiveForce{seq}) or on the pool
+// fails the epoch whose operation panics with ErrOpPanic — classified
+// "panic" — instead of the process, and after recovery from its device it
+// finishes the run equal to the oracle.
+func TestPanicIsolatedOnEveryExecutor(t *testing.T) {
+	for _, force := range []adaptive.Strategy{{Impl: adaptive.ImplSeq, Workers: 1}, {Impl: adaptive.ImplSteal, Workers: 2}} {
+		for _, kind := range chaosKinds {
+			t.Run(fmt.Sprintf("%s/%v", force.Impl, kind), func(t *testing.T) {
+				cfg := Config{Kind: kind, NewGen: func() workload.Generator { return fttest.SLGen(73) }, Force: &force}
+				if err := cfg.normalize(); err != nil {
+					t.Fatal(err)
+				}
+				ref := buildOracle(&cfg)
+				app := &panicApp{App: cfg.NewGen().App(), at: int64(cfg.Epochs * cfg.EpochSize / 2)}
+				dev := storage.NewMem()
+				ecfg := func() engine.Config {
+					bytes := metrics.NewBytes()
+					return engine.Config{
+						RunShape: recoverShape(&cfg), App: app, Device: dev, Bytes: bytes,
+						Mechanism: core.NewMechanism(kind, dev, bytes, msr.Default()), AdaptiveForce: cfg.Force,
+					}
+				}
+				e, err := engine.New(ecfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = processAll(e, ref.batches)
+				if !errors.Is(err, scheduler.ErrOpPanic) || engine.Classify(err) != "panic" {
+					t.Fatalf("want an ErrOpPanic epoch classified panic, got %q: %v", engine.Classify(err), err)
+				}
+				e.Crash()
+				e2, rep, err := engine.Recover(ecfg())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e2.Close()
+				if err := e2.ProcessEpochs(ref.batches[rep.LastEpoch:]); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.checkState(uint64(cfg.Epochs), e2.Store()); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package crashtest
 import (
 	"fmt"
 
+	"morphstreamr/internal/obs"
 	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
@@ -94,14 +95,16 @@ func buildShardRef(cfg *ShardConfig) (*shardRef, error) {
 	return &shardRef{app: app, batches: batches, orc: orc}, nil
 }
 
-// newShardGroup assembles a group of cfg's shape over the given devices.
-func newShardGroup(cfg *ShardConfig, ref *shardRef, devs []storage.Device, coord storage.Device) (*shard.Group, error) {
+// newShardGroup assembles a group of cfg's shape running app over the given
+// devices, observed by o (nil for none).
+func newShardGroup(cfg *ShardConfig, app types.App, devs []storage.Device, coord storage.Device, o *obs.Observer) (*shard.Group, error) {
 	return shard.NewGroup(shard.Config{
 		GroupShape: types.GroupShape{RunShape: cfg.RunShape, Shards: cfg.Shards},
-		App:        ref.app,
+		App:        app,
 		Kind:       cfg.Kind,
 		Devices:    devs,
 		CoordDev:   coord,
+		Obs:        o,
 	})
 }
 
@@ -134,7 +137,7 @@ func shardEnumerate(cfg *ShardConfig, ref *shardRef) (map[string][]storage.Write
 	coordStack := storage.NewStack(storage.NewMem()).WithTrace()
 	traces[cfg.Shards] = coordStack.Trace
 
-	g, err := newShardGroup(cfg, ref, devs, coordStack.MustBuild())
+	g, err := newShardGroup(cfg, ref.app, devs, coordStack.MustBuild(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +221,7 @@ func shardRunOne(cfg *ShardConfig, ref *shardRef, d, k int) error {
 		coord = storage.NewStack(coordInner).WithFaulty(k, cfg.Mode, cfg.Target).MustBuild()
 	}
 
-	g, err := newShardGroup(cfg, ref, devs, coord)
+	g, err := newShardGroup(cfg, ref.app, devs, coord, nil)
 	if err != nil {
 		return err
 	}

@@ -14,8 +14,9 @@ import (
 // earlier durable group-commit write failed, and committing anything after
 // the lost group would leave a silent gap in the log. Callers match it with
 // errors.Is (and reach the original write failure with errors.As/Is through
-// the chain); the supervisor uses it to classify the failure and, after a
-// successful recovery, calls Rearm on the replacement mechanism's committer.
+// the chain); engine.Classify reads it to label the incident the shard
+// group's heal records. A poisoned committer is never revived: the heal
+// builds a fresh mechanism from the durable log.
 var ErrPoisoned = errors.New("ftapi: group committer poisoned")
 
 // GroupCommitter is the buffered group-commit machinery shared by every
@@ -42,8 +43,7 @@ type GroupCommitter struct {
 
 	// owned tracks the pooled encode buffers backing SealInto payloads.
 	// They return to the codec pool when their bytes become durable (the
-	// write closure ran — devices copy payloads on Append) or when Rearm
-	// discards the buffer.
+	// write closure ran — devices copy payloads on Append).
 	owned []*codec.Buffer
 
 	// state is shared with prepared write closures (which may run on
@@ -88,9 +88,9 @@ func (g *GroupCommitter) Buffer(epoch uint64, payload []byte) {
 
 // SealInto is the arena-reuse variant of Buffer: the mechanism's encoder
 // writes the epoch payload directly into a pooled codec buffer that the
-// committer owns until the group's durable write completes (or Rearm drops
-// it). Steady-state sealing then recycles a handful of grown buffers
-// instead of allocating a fresh payload slice per epoch.
+// committer owns until the group's durable write completes. Steady-state
+// sealing then recycles a handful of grown buffers instead of allocating a
+// fresh payload slice per epoch.
 func (g *GroupCommitter) SealInto(epoch uint64, encode func(*codec.Buffer)) {
 	w := codec.GetBuffer()
 	encode(w)
@@ -117,25 +117,6 @@ func (g *GroupCommitter) Commit(hi uint64) error {
 // group's epochs are gone from the buffer, so anything written after them
 // would leave a silent gap in the log.
 func (g *GroupCommitter) Failed() error { return g.state.err() }
-
-// Rearm clears the poison after a successful recovery and drops anything
-// still buffered. It is only sound once recovery has re-established the
-// durable log as the source of truth: the poisoned committer's lost group
-// was replayed (or re-executed) from the last committed punctuation, so the
-// gap the poison guarded against no longer exists. Buffered epochs are
-// discarded for the same reason — the new incarnation reprocesses them.
-func (g *GroupCommitter) Rearm() {
-	g.state.mu.Lock()
-	g.state.failed = nil
-	g.state.mu.Unlock()
-	if g.bufBytes > 0 {
-		g.bytes.Free(g.bufCategory, g.bufBytes)
-	}
-	for _, w := range g.owned {
-		codec.PutBuffer(w)
-	}
-	g.buffered, g.bufBytes, g.owned = nil, 0, nil
-}
 
 // PrepareCommit snapshots and frames the buffered group, clears the
 // buffer, and returns the durable write as a closure. The closure touches

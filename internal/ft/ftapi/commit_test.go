@@ -142,8 +142,8 @@ func TestCommitFailurePoisons(t *testing.T) {
 }
 
 // TestPoisonSentinelMatchable: poison errors carry the exported sentinel
-// and the original device failure through the chain, so supervisors can
-// classify with errors.Is instead of string matching.
+// and the original device failure through the chain, so the incident
+// taxonomy can classify with errors.Is instead of string matching.
 func TestPoisonSentinelMatchable(t *testing.T) {
 	dev := storage.NewFaulty(storage.NewMem(), 0)
 	g := NewGroupCommitter(dev, metrics.NewBytes(), "buf", "log")
@@ -168,42 +168,5 @@ func TestPoisonSentinelMatchable(t *testing.T) {
 	}
 	if !errors.Is(g.Failed(), storage.ErrInjected) {
 		t.Fatalf("Failed() = %v", g.Failed())
-	}
-}
-
-// TestRearmClearsPoison: after recovery re-establishes the log as the
-// source of truth, Rearm restores the committer to a working state with an
-// empty buffer.
-func TestRearmClearsPoison(t *testing.T) {
-	inner := storage.NewMem()
-	dev := storage.NewFaulty(inner, 0)
-	bytes := metrics.NewBytes()
-	g := NewGroupCommitter(dev, bytes, "buf", "log")
-
-	g.Buffer(1, []byte("lost"))
-	if err := g.Commit(1); err == nil {
-		t.Fatal("injected failure not surfaced")
-	}
-	g.Buffer(2, []byte("stale")) // buffered while poisoned
-
-	g.dev = inner // device healed
-	g.Rearm()
-	if g.Failed() != nil {
-		t.Fatalf("Rearm left poison: %v", g.Failed())
-	}
-	if g.Buffered() != 0 {
-		t.Fatalf("Rearm left %d buffered epochs", g.Buffered())
-	}
-	if live := bytes.Live(); live != 0 {
-		t.Fatalf("Rearm leaked %d live buffered bytes", live)
-	}
-
-	g.Buffer(3, []byte("fresh"))
-	if err := g.Commit(3); err != nil {
-		t.Fatalf("rearmed commit failed: %v", err)
-	}
-	recs, _ := inner.ReadLog(storage.LogFT)
-	if len(recs) != 1 || recs[0].Epoch != 3 {
-		t.Fatalf("log after rearm = %+v", recs)
 	}
 }

@@ -5,32 +5,28 @@ import (
 	"time"
 )
 
-// Incident records one detected runtime failure and, if healing succeeded,
-// how long it took. Detection is fault-occurrence to detection (zero-ish
-// for surfaced errors, up to the stall timeout for wedged epochs); MTTR is
-// detection to resumed live processing — the end-to-end healing time that
-// fault-recovery benchmarking measures on top of the paper's replay speed.
+// Incident records one failure the shard group healed (or failed to heal)
+// and how long the heal took: MTTR is detection to resumed live processing
+// — the end-to-end healing time that fault-recovery benchmarking measures
+// on top of the paper's replay speed.
 type Incident struct {
-	// Cause classifies the failure: "io-transient-exhausted", "io-fatal",
-	// "poisoned", "panic", or "stall".
+	// Cause classifies the failure (engine.Classify):
+	// "io-transient-exhausted", "io-fatal", "poisoned", or "panic".
 	Cause string
-	// Err is the surfaced error text ("" for stalls).
+	// Err is the surfaced error text.
 	Err string
-	// DetectedAt is when the supervisor observed the failure.
+	// DetectedAt is when the heal began: the failed epoch had returned.
 	DetectedAt time.Time
-	// Detection is the latency from fault occurrence (first injection or
-	// last observed progress) to DetectedAt, when the baseline is known.
-	Detection time.Duration
-	// MTTR is DetectedAt to recovery completed and the stream resumed.
+	// MTTR is DetectedAt to recovery completed and the group live again.
 	MTTR time.Duration
-	// RecoveredEpoch is the epoch processing resumed from (last committed
-	// punctuation + 1). Zero when healing failed.
+	// RecoveredEpoch is the group epoch the heal resumed from: every epoch
+	// above it is fed again. Zero when healing failed.
 	RecoveredEpoch uint64
-	// Healed reports whether in-process recovery succeeded.
+	// Healed reports whether the heal succeeded.
 	Healed bool
 }
 
-// Health is a thread-safe incident log kept by the supervisor.
+// Health is a thread-safe incident log, kept by a shard group.
 type Health struct {
 	mu        sync.Mutex
 	incidents []Incident

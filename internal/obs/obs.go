@@ -8,7 +8,7 @@
 // *Tracer, or *Registry is the disabled instrument, and every method is
 // safe (and near-free) to call on it. Instrumented code therefore calls
 // unconditionally — there is no "if enabled" branching in the engine,
-// scheduler, or supervisor hot paths, and with observability off the cost
+// scheduler, or shard hot paths, and with observability off the cost
 // is a nil check.
 package obs
 

@@ -31,8 +31,8 @@ type Server struct {
 //	/slo            the current SLO snapshot (compliance, error budget,
 //	                multi-window burn rates), published via
 //	                SetView("slo", ...)
-//	/incidents      the reconstructed incident timeline (supervisor
-//	                transitions, heals, Slowdown bursts, SLO breach
+//	/incidents      the reconstructed incident timeline (serve-layer
+//	                heals, Slowdown bursts, SLO breach
 //	                edges, journey-derived stage latencies) as ordered
 //	                JSON; ?format=chrome for a Chrome trace; ?quiet_ms=N
 //	                tunes the incident clustering gap

@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// TimelineEvent is one entry in the process timeline: a supervisor state
-// transition, a serve-layer heal, an SLO breach edge, a Slowdown burst, a
+// TimelineEvent is one entry in the process timeline: a serve-layer heal,
+// an SLO breach edge, a Slowdown burst, a
 // journey-derived stage-latency sample — anything a human reconstructing
 // an incident wants on one ordered axis.
 type TimelineEvent struct {
@@ -17,10 +17,10 @@ type TimelineEvent struct {
 	AtMs float64 `json:"at_ms"`
 	// Wall is the wall-clock time, RFC3339Nano (for cross-host merges).
 	Wall string `json:"wall"`
-	// Source names the emitting subsystem ("supervisor", "serve", "slo",
-	// "journey", ...).
+	// Source names the emitting subsystem ("serve", "slo", "journey",
+	// ...).
 	Source string `json:"source"`
-	// Kind is the event class ("state", "heal-begin", "heal-end",
+	// Kind is the event class ("heal-begin", "heal-end", "heal-failed",
 	// "slowdown", "breach-begin", "breach-end", "stage-p99", ...).
 	Kind string `json:"kind"`
 	// Detail is the one-line human rendering.
@@ -39,7 +39,6 @@ var anomalyKinds = map[string]bool{
 	"heal-failed":  true,
 	"breach-begin": true,
 	"breach-end":   true,
-	"state":        true,
 	"kill":         true,
 	"shard-dead":   true,
 }

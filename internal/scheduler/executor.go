@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"fmt"
+	"runtime/debug"
 	"time"
 
 	"morphstreamr/internal/adaptive"
@@ -22,36 +24,31 @@ type Executor struct {
 	// AssignFor returns the chain-to-worker assignment for a live worker
 	// count; nil uses HashAssign.
 	AssignFor func(workers int) func(*tpg.Chain) int
-	// FireHook and Stats are passed to every pool run (see Options). The
-	// sequential executor runs no hooks, so a hooked Executor runs every
-	// epoch on the pool whatever the controller decided: chaos injection and
-	// supervisor cancellation must not silently lapse.
-	FireHook func(*tpg.OpNode)
-	Stats    *obs.SchedStats
+	// Stats is passed to every pool run (see Options).
+	Stats *obs.SchedStats
 
 	pool *Pool // created by the first parallel epoch
 }
 
-// Execute runs epoch's graph to completion against st.
+// Execute runs epoch's graph to completion against st. Whichever executor
+// runs it, an operation panic fails the epoch with ErrOpPanic instead of
+// the process, and a failed epoch trains nothing.
 func (x *Executor) Execute(epoch uint64, g *tpg.Graph, st *store.Store) error {
 	maxChain := 0
 	for _, ch := range g.ChainList {
 		maxChain = max(maxChain, len(ch.Ops))
 	}
 	strat := x.Ctrl.Decide(adaptive.Signals{Epoch: epoch, Ops: g.NumOps, MaxChain: maxChain})
-	if x.FireHook != nil {
-		strat.Impl = adaptive.ImplSteal
-	}
 
 	t0 := time.Now()
 	var err error
 	if strat.Impl == adaptive.ImplSeq {
-		_, err = RunSequential(g, st, false)
+		err = x.runSequential(g, st)
 	} else {
 		if x.pool == nil {
 			x.pool = NewPool(x.Ctrl.MaxWorkers(), x.Stats)
 		}
-		opt := Options{Workers: strat.Workers, FireHook: x.FireHook, Stats: x.Stats}
+		opt := Options{Workers: strat.Workers, Stats: x.Stats}
 		if x.AssignFor != nil {
 			opt.Assign = x.AssignFor(strat.Workers)
 		}
@@ -60,10 +57,23 @@ func (x *Executor) Execute(epoch uint64, g *tpg.Graph, st *store.Store) error {
 	if err != nil {
 		return err
 	}
-	// strat carries the impl that actually ran: a hook-forced pool run must
-	// not be credited to the sequential side's grain EWMA.
 	x.Ctrl.Feedback(adaptive.Feedback{Epoch: epoch, Strategy: strat, Wall: time.Since(t0), Ops: g.NumOps})
 	return nil
+}
+
+// runSequential is RunSequential under the pool's panic contract: one
+// deferred recover per epoch turns an operation panic into ErrOpPanic.
+func (x *Executor) runSequential(g *tpg.Graph, st *store.Store) (err error) {
+	defer func() {
+		if pv := recover(); pv != nil {
+			if x.Stats != nil {
+				x.Stats.Panics.Add(1)
+			}
+			err = fmt.Errorf("%w: %v\n%s", ErrOpPanic, pv, debug.Stack())
+		}
+	}()
+	_, err = RunSequential(g, st, false)
+	return err
 }
 
 // Close terminates the pool's workers, if any were ever started. Idempotent.

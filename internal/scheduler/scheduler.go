@@ -37,10 +37,11 @@ import (
 	"morphstreamr/internal/types"
 )
 
-// ErrOpPanic is wrapped by a parallel run's error when an operation
-// panicked. The panic is confined to the failing epoch: the run terminates
-// cleanly, Run returns instead of crashing the process, and the caller (the
-// supervisor) treats the epoch as failed and recovers.
+// ErrOpPanic is wrapped by a run's error when an operation panicked, on the
+// pool and, through Executor, on the sequential path. The panic is confined
+// to the failing epoch: the run terminates cleanly and returns instead of
+// crashing the process, the engine fails the epoch, and the shard group's
+// heal recovers it.
 var ErrOpPanic = errors.New("scheduler: operation panicked")
 
 // Options configures a parallel run.
@@ -59,9 +60,9 @@ type Options struct {
 	// runtime hot path; recovery turns it on to produce breakdowns.
 	Timing bool
 	// FireHook, when non-nil, runs before every operation fires on the
-	// parallel path. It exists for chaos testing — injecting panics or
-	// wedging a worker at a chosen operation — and for the supervisor's
-	// cancellation hooks; nil costs nothing on the hot path.
+	// parallel path. The scheduler's own tests use it to inject panics at a
+	// chosen operation and to count fired operations; nil costs nothing on
+	// the hot path.
 	FireHook func(*tpg.OpNode)
 	// Stats, when non-nil, receives steal/park/stall/panic counters
 	// (atomic increments off the fast path: only on steals, parking, and

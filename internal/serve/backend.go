@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"errors"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -48,21 +46,16 @@ type GroupBackend struct {
 
 	killGroup atomic.Bool
 	killShard atomic.Int64 // shard to crash at next Feed; <0 none
-
-	// banked collects, per shard, the ledger chunks of abandoned
-	// incarnations across group-wide recoveries; AllDelivered joins them
-	// with the live group's union for exactly-once audits.
-	banked [][][]types.Output
 }
 
 // NewGroupBackend starts a fresh group. cfg.CoordDev doubles as the ingest
-// manifest device; cfg.OnCommit is preserved and re-armed across heals.
+// manifest device.
 func NewGroupBackend(cfg shard.Config) (*GroupBackend, error) {
 	g, err := shard.NewGroup(cfg)
 	if err != nil {
 		return nil, err
 	}
-	b := &GroupBackend{cfg: cfg, g: g, banked: make([][][]types.Output, g.Shards())}
+	b := &GroupBackend{cfg: cfg, g: g}
 	b.killShard.Store(-1)
 	return b, nil
 }
@@ -82,7 +75,7 @@ func RecoverGroupBackend(cfg shard.Config) (*GroupBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &GroupBackend{cfg: cfg, g: g, banked: make([][][]types.Output, g.Shards())}
+	b := &GroupBackend{cfg: cfg, g: g}
 	b.killShard.Store(-1)
 	return b, nil
 }
@@ -120,6 +113,10 @@ func (b *GroupBackend) Coord() storage.Device { return b.cfg.CoordDev }
 // owns ev's routing key.
 func (b *GroupBackend) ShardOf(ev types.Event) int { return b.g.Router().Of(ev.Keys[0]) }
 
+// Tables implements the server's tableDecl capability: the tables the
+// group's application declares, which bound every admitted key.
+func (b *GroupBackend) Tables() []types.TableSpec { return b.g.App().Tables() }
+
 // CommittedAt implements the server's commitTimer capability: when epoch
 // ep was first covered by the committed frontier (pump goroutine only).
 func (b *GroupBackend) CommittedAt(ep uint64) (time.Time, bool) { return b.g.CommittedAt(ep) }
@@ -127,41 +124,18 @@ func (b *GroupBackend) CommittedAt(ep uint64) (time.Time, bool) { return b.g.Com
 // Group exposes the live group for tests.
 func (b *GroupBackend) Group() *shard.Group { return b.g }
 
-// Heal implements Backend: a *ShardError first tries the in-place
-// single-shard heal (survivors keep their state, the interrupted barrier
-// completes); anything else — or a failed shard heal — falls back to a
-// group-wide parallel recovery from the durable logs.
+// Heal implements Backend through the group's heal ladder (shard.Group.Heal).
 func (b *GroupBackend) Heal(procErr error, src types.Source) (uint64, error) {
-	var serr *shard.ShardError
-	if errors.As(procErr, &serr) {
-		if _, err := b.g.HealShard(procErr, src); err == nil {
-			// The interrupted epoch completed during the heal; nothing
-			// above the current epoch exists to re-feed.
-			return b.g.Epoch(), nil
-		}
-	}
-	// Group-wide: bank the dead incarnation's delivered outputs (they left
-	// the building; exactly-once accounting must keep them — recovery does
-	// not re-release outputs below each shard's delivery watermark) by
-	// moving its ledger's chunk list, stop its engines' worker pools, then
-	// rebuild the group from the surviving devices.
-	for i := 0; i < b.g.Shards(); i++ {
-		b.banked[i] = append(b.banked[i], b.g.DeliveredChunks(i)...)
-	}
-	b.Close()
-	g, _, err := shard.GroupRecover(shard.RecoverConfig{Config: b.cfg, Source: src})
+	rep, err := b.g.Heal(procErr, src)
 	if err != nil {
 		return 0, err
 	}
-	b.g = g
-	return g.Epoch(), nil
+	return rep.Target, nil
 }
 
-// AllDelivered returns every output shard i released across all backend
+// AllDelivered returns every output shard i released across all of its
 // incarnations — the union exactly-once audits run against.
-func (b *GroupBackend) AllDelivered(i int) []types.Output {
-	return slices.Concat(append(slices.Clip(b.banked[i]), b.g.DeliveredChunks(i)...)...)
-}
+func (b *GroupBackend) AllDelivered(i int) []types.Output { return b.g.DeliveredUnion(i) }
 
 // Close implements Backend.
 func (b *GroupBackend) Close() {

@@ -21,9 +21,10 @@ import (
 //     iff its epoch is at or below the recovered frontier, and admission's
 //     contiguity rule makes "highest seen" equal "contiguous prefix"), so a
 //     reconnecting client's re-sent batches are deduplicated, never re-fed;
-//   - group recovery's Source contract: GroupRecover and HealShard re-feed
-//     the alignment epoch from the *global pre-routing batch*, which no
-//     per-shard log retains. The manifest record is exactly that batch.
+//   - group recovery's Source contract: GroupRecover and Group.Heal re-feed
+//     the alignment (or interrupted) epoch from the *global pre-routing
+//     batch*, which no per-shard log retains. The manifest record is exactly
+//     that batch.
 //
 // GC runs blob-then-release: the tenant watermarks and the next global
 // sequence are checkpointed into BlobIngest, then the log's segments are

@@ -10,7 +10,6 @@ import (
 
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/journey"
-	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 )
@@ -217,7 +216,9 @@ func (s *Server) memSource() types.Source {
 // heal recovers the backend after a failed Feed. While it runs, admission
 // sheds tenants below the priority threshold; admitted work is never
 // dropped — batches from epochs the recovery could not preserve are
-// requeued (with their assigned sequences) and re-fed after the heal.
+// requeued (with their assigned sequences) and re-fed after the heal. The
+// backend records the incident; the server keeps the heal budget and the
+// heal-begin/heal-end/heal-failed timeline.
 func (s *Server) heal(procErr error) error {
 	detected := time.Now()
 	cause := engine.Classify(procErr)
@@ -232,19 +233,12 @@ func (s *Server) heal(procErr error) error {
 	s.heals.Add(1)
 	s.count("serve.heals")
 	if int(s.heals.Load()) > s.cfg.MaxHeals {
-		s.cfg.Health.Record(metrics.Incident{
-			Cause: cause, Err: procErr.Error(), DetectedAt: detected, Healed: false,
-		})
 		s.timeline().Add("serve", "heal-failed", "heal budget exhausted", nil)
 		return fmt.Errorf("serve: heal budget exhausted (%d): %w", s.cfg.MaxHeals, procErr)
 	}
 
 	recovered, err := s.be.Heal(procErr, s.memSource())
 	if err != nil {
-		s.cfg.Health.Record(metrics.Incident{
-			Cause: cause, Err: procErr.Error(), DetectedAt: detected,
-			MTTR: time.Since(detected), Healed: false,
-		})
 		s.timeline().Add("serve", "heal-failed", err.Error(), nil)
 		return fmt.Errorf("serve: heal: %w", err)
 	}
@@ -264,10 +258,6 @@ func (s *Server) heal(procErr error) error {
 		delete(s.fed, ep)
 	}
 
-	s.cfg.Health.Record(metrics.Incident{
-		Cause: cause, Err: procErr.Error(), DetectedAt: detected,
-		MTTR: time.Since(detected), RecoveredEpoch: recovered, Healed: true,
-	})
 	if reg := s.cfg.Obs.Registry(); reg != nil {
 		reg.Histogram("serve.heal_seconds").ObserveSince(detected)
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"morphstreamr/internal/journey"
-	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/obs"
 	"morphstreamr/internal/types"
 )
@@ -72,8 +71,6 @@ type Config struct {
 	// lag (admission to ack flush) against its latency objective; the
 	// server publishes it as the Obs view "slo" (the /slo endpoint).
 	SLO *obs.SLOMonitor
-	// Health receives heal incidents; nil allocates a fresh log.
-	Health *metrics.Health
 	// AckLog, when non-nil, observes every acknowledgement decision
 	// (tenant, batch sequence, assigned global range, covering epoch) —
 	// the chaos harness's exactly-once audit trail. Called from the pump
@@ -121,9 +118,6 @@ func (c *Config) normalize() error {
 	if c.MaxHeals <= 0 {
 		c.MaxHeals = 16
 	}
-	if c.Health == nil {
-		c.Health = metrics.NewHealth()
-	}
 	return nil
 }
 
@@ -135,6 +129,9 @@ type Server struct {
 
 	tenants map[string]*tenant
 	order   []*tenant // feeding order: priority desc, then name
+	// rows bounds admitted keys: rows[t] is table t's declared row count
+	// (zero for an undeclared table). Nil when the backend declares none.
+	rows []uint32
 
 	// degraded is set while a heal is in flight; admission sheds
 	// low-priority tenants. committed caches the backend's punctuation
@@ -213,6 +210,15 @@ func New(cfg Config) (*Server, error) {
 		}
 		return s.order[a].cfg.Name < s.order[b].cfg.Name
 	})
+	if td, ok := be.(tableDecl); ok {
+		s.rows = []uint32{}
+		for _, sp := range td.Tables() {
+			if int(sp.ID) >= len(s.rows) {
+				s.rows = append(s.rows, make([]uint32, int(sp.ID)+1-len(s.rows))...)
+			}
+			s.rows[sp.ID] = sp.Rows
+		}
+	}
 	s.committed.Store(be.Committed())
 	s.registerObs()
 	s.wg.Add(2)
@@ -229,9 +235,6 @@ func (s *Server) Committed() uint64 { return s.committed.Load() }
 
 // Degraded reports whether a heal is in flight.
 func (s *Server) Degraded() bool { return s.degraded.Load() }
-
-// Health returns the server's heal incident log.
-func (s *Server) Health() *metrics.Health { return s.cfg.Health }
 
 // Heals returns how many backend heals the server has performed.
 func (s *Server) Heals() int { return int(s.heals.Load()) }
@@ -387,6 +390,29 @@ func (s *Server) timeline() *obs.Timeline { return s.cfg.Obs.Timeline() }
 // to record which shards a sampled batch routed to.
 type shardRouter interface {
 	ShardOf(ev types.Event) int
+}
+
+// checkKeys refuses a Submit that addresses a key outside the application's
+// tables before it is admitted or logged: the store would panic on it
+// mid-epoch, and the ingest manifest would replay it on every restart.
+func (s *Server) checkKeys(events []types.Event) error {
+	if s.rows == nil {
+		return nil
+	}
+	for i := range events {
+		for _, k := range events[i].Keys {
+			if int(k.Table) >= len(s.rows) || k.Row >= s.rows[k.Table] {
+				return fmt.Errorf("%w: event %d key %v outside the application's tables", ErrBadFrame, i, k)
+			}
+		}
+	}
+	return nil
+}
+
+// tableDecl is the optional backend capability that declares the
+// application's tables, which bound every admitted key.
+type tableDecl interface {
+	Tables() []types.TableSpec
 }
 
 // commitTimer is the optional backend capability exposing when an epoch

@@ -529,3 +529,49 @@ func TestHealSourceMatchesManifest(t *testing.T) {
 		t.Fatalf("%d acks: %d duplicate, %d out of order, exactly-once violations %d", len(acks), dups, order, auditExactlyOnce(be, acks))
 	}
 }
+
+// TestOutOfRangeKeyRefused: a Submit addressing a row outside its table is
+// refused at admission with an Error frame, before the ingest manifest logs
+// it, so it can neither panic the engine mid-epoch nor replay on a restart.
+// The other tenant keeps getting acks and nothing heals.
+func TestOutOfRangeKeyRefused(t *testing.T) {
+	cfg := newTestShardConfig(1)
+	srv := newTestServer(t, Config{Tenants: []TenantConfig{{Name: "a"}, {Name: "b"}}}, cfg)
+	batches := genBatches(12, 4, 4)
+	a := dial(t, srv, "a")
+	submitAndDrain(t, a, batches, 1, 1)
+
+	bad := slices.Clone(batches[1])
+	bad[0].Keys = slices.Clone(bad[0].Keys)
+	bad[0].Keys[0].Row = 1 << 30
+	if err := a.Submit(2, bad); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	f, err := a.Next()
+	if err != nil {
+		t.Fatalf("Next: %v", err)
+	}
+	if f.Type != FrameError || !strings.Contains(f.Msg, "outside the application's tables") {
+		t.Fatalf("bad batch answered %+v, want an Error frame naming the key", f)
+	}
+
+	b := dial(t, srv, "b")
+	submitAndDrain(t, b, batches, 1, 4)
+	if srv.Heals() != 0 || srv.Err() != nil {
+		t.Fatalf("%d heals, terminal error %v; want none", srv.Heals(), srv.Err())
+	}
+	srv.Close()
+	st, err := RecoverIngest(cfg.CoordDev, ^uint64(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ep, evs := range st.Epochs {
+		for _, ev := range evs {
+			for _, k := range ev.Keys {
+				if k.Row >= testRows {
+					t.Fatalf("manifest epoch %d logged event %d with key %v", ep, ev.Seq, k)
+				}
+			}
+		}
+	}
+}

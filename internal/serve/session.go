@@ -131,6 +131,9 @@ func (s *session) readLoop() {
 			into = batchPool.Get().(*batch)
 		}
 		f, err := decodeFrame(payload, into)
+		if err == nil && f.Type == FrameSubmit {
+			err = s.srv.checkKeys(f.Events)
+		}
 		if err != nil {
 			s.trySend(EncodeError(errCodeProtocol, err.Error()))
 			time.Sleep(time.Millisecond)

@@ -13,7 +13,7 @@ import (
 // TestShardErrorIdentity (satellite: error-identity plumbing): a shard
 // failure surfaced by the coordinator must stay matchable end to end —
 // errors.As recovers the *ShardError (which shard died), and errors.Is sees
-// the engine's sentinel through it, so the supervisor's taxonomy and the
+// the engine's sentinel through it, so the group's heal taxonomy and the
 // serving layer's heal path both classify the real cause, not the wrapper.
 func TestShardErrorIdentity(t *testing.T) {
 	app, batches := gsRun(21, 4, 16)
@@ -47,7 +47,7 @@ func TestShardErrorIdentity(t *testing.T) {
 	}
 }
 
-// TestShardErrorClassification: the supervisor taxonomy reads the cause
+// TestShardErrorClassification: the incident taxonomy reads the cause
 // through a ShardError the same way it reads a bare engine error.
 func TestShardErrorClassification(t *testing.T) {
 	cases := []struct {

@@ -38,15 +38,16 @@ type RecoverConfig struct {
 	Profilers []*vtime.Profiler
 }
 
-// GroupReport quantifies one group recovery.
+// GroupReport quantifies one group recovery or heal.
 type GroupReport struct {
 	// Reports are the per-shard engine recovery reports, indexed by shard.
+	// A heal on the shard rung recovers one shard; the others are nil.
 	Reports []*engine.RecoveryReport
 	// Target is the punctuation frontier processing resumed from: the
 	// maximum recovered epoch across shards.
 	Target uint64
 	// AlignedShards counts shards that lagged one epoch behind Target and
-	// were re-fed to it.
+	// were re-fed to it (on the shard rung: the healed shard, if re-fed).
 	AlignedShards int
 	// SerialSim is the simulated wall of recovering the shards one after
 	// another (Σ per-shard SimWall); ParallelSim is the simulated wall of
@@ -71,22 +72,9 @@ func (r *GroupReport) Speedup() float64 {
 	return float64(r.SerialSim) / float64(r.ParallelSim)
 }
 
-// GroupRecover rebuilds a working group from the surviving devices after a
-// group-wide crash — the headline protocol of the shard layer:
-//
-//  1. recover every shard in parallel with stock engine.Recover (each
-//     shard's snapshot restore + mechanism replay + tail reprocessing is
-//     independent of every other shard's);
-//  2. verify the lockstep invariant: recovered epochs may spread by at
-//     most one (a shard is fed epoch e+1 only after every shard finished
-//     epoch e, and its inputs persist before processing);
-//  3. re-align lagging shards by re-feeding the alignment epoch from
-//     Source, with replication events rebuilt from the durable frontier
-//     log (the coordinator appended that record before any shard was fed
-//     the epoch);
-//  4. arm a full re-sync: the next live epoch replicates every shard's
-//     whole owned partition, covering mechanism-replayed epochs whose
-//     exact write sets were never captured.
+// GroupRecover rebuilds a working group from the surviving devices at a
+// cold start: a fresh group is assembled over cfg's devices and recovered
+// with recoverShards, the same body a live group's Heal runs in place.
 func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	if cfg.Source == nil {
 		return nil, nil, errors.New("shard: GroupRecover requires a Source")
@@ -95,24 +83,48 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	report, err := g.recoverShards(cfg.Source, cfg.Serial, cfg.Profilers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, report, nil
+}
+
+// recoverShards is the group recovery protocol, run over the group's
+// devices with every engine stopped:
+//
+//  1. recover every shard in parallel (or serially) with stock
+//     engine.Recover — each shard's snapshot restore + mechanism replay +
+//     tail reprocessing is independent of every other shard's — and seat
+//     the recovered engine, banking the dead one's ledger;
+//  2. verify the lockstep invariant: recovered epochs may spread by at
+//     most one (a shard is fed epoch e+1 only after every shard finished
+//     epoch e, and its inputs persist before processing);
+//  3. re-align lagging shards by re-feeding the alignment epoch from src,
+//     with replication events rebuilt from the durable frontier log (the
+//     coordinator appended that record before any shard was fed the epoch);
+//  4. arm a full re-sync: the next live epoch replicates every shard's
+//     whole owned partition, covering mechanism-replayed epochs whose exact
+//     write sets were never captured.
+func (g *Group) recoverShards(src Source, serial bool, profilers []*vtime.Profiler) (*GroupReport, error) {
 	start := time.Now()
 	report := &GroupReport{Reports: make([]*engine.RecoveryReport, len(g.shards))}
 
 	errs := make([]error, len(g.shards))
 	recoverShard := func(i int) {
 		ec := g.engineConfig(g.shards[i])
-		if len(cfg.Profilers) > i && cfg.Profilers[i] != nil {
-			ec.RecoveryProfiler = cfg.Profilers[i]
+		if len(profilers) > i && profilers[i] != nil {
+			ec.RecoveryProfiler = profilers[i]
 		}
 		eng, rep, err := engine.Recover(ec)
 		if err != nil {
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
 		}
-		g.shards[i].eng = eng
+		g.shards[i].seat(eng)
 		report.Reports[i] = rep
 	}
-	if cfg.Serial {
+	if serial {
 		for i := range g.shards {
 			recoverShard(i)
 		}
@@ -126,7 +138,7 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, fmt.Errorf("shard: group recover: %w", err)
+			return nil, fmt.Errorf("shard: group recover: %w", err)
 		}
 	}
 
@@ -134,15 +146,10 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	// epoch ahead of another.
 	lo, hi := report.Reports[0].LastEpoch, report.Reports[0].LastEpoch
 	for _, rep := range report.Reports[1:] {
-		if rep.LastEpoch < lo {
-			lo = rep.LastEpoch
-		}
-		if rep.LastEpoch > hi {
-			hi = rep.LastEpoch
-		}
+		lo, hi = min(lo, rep.LastEpoch), max(hi, rep.LastEpoch)
 	}
 	if hi-lo > 1 {
-		return nil, nil, fmt.Errorf("shard: group recover: recovered epochs spread from %d to %d; lockstep invariant violated", lo, hi)
+		return nil, fmt.Errorf("shard: group recover: recovered epochs spread from %d to %d; lockstep invariant violated", lo, hi)
 	}
 	report.Target = hi
 	// The sequence floor is one past the highest sequence any shard reloaded:
@@ -156,13 +163,13 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	// normal pipeline (inputs re-persist, outputs deliver — the shard's
 	// durability gate for this epoch never fired before the crash).
 	if lo < hi {
-		events, ok := cfg.Source(hi)
+		events, ok := src(hi)
 		if !ok {
-			return nil, nil, fmt.Errorf("shard: group recover: source has no batch for alignment epoch %d", hi)
+			return nil, fmt.Errorf("shard: group recover: source has no batch for alignment epoch %d", hi)
 		}
 		reps, err := g.alignmentReplication(hi, g.minSeqFor(events))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for i, s := range g.shards {
 			if report.Reports[i].LastEpoch == hi {
@@ -170,7 +177,7 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 			}
 			batch := append(reps[i], g.subBatch(events, i)...)
 			if err := s.eng.ProcessEpoch(batch); err != nil {
-				return nil, nil, fmt.Errorf("shard: group recover: align shard %d to epoch %d: %w", i, hi, err)
+				return nil, fmt.Errorf("shard: group recover: align shard %d to epoch %d: %w", i, hi, err)
 			}
 			report.AlignedShards++
 		}
@@ -178,15 +185,14 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 
 	g.epoch = hi
 	g.fullSync = true
+	g.crashed = false
 
 	for _, rep := range report.Reports {
 		sw := rep.SimWall()
 		report.SerialSim += sw
-		if sw > report.ParallelSim {
-			report.ParallelSim = sw
-		}
+		report.ParallelSim = max(report.ParallelSim, sw)
 	}
-	if len(cfg.Profilers) > 0 {
+	if len(profilers) > 0 {
 		var profs []vtime.Profile
 		for _, rep := range report.Reports {
 			if rep.Profile != nil {
@@ -203,7 +209,7 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 		reg.Counter("group.recoveries").Inc()
 		reg.Histogram("group.recovery_seconds").ObserveSince(start)
 	}
-	return g, report, nil
+	return report, nil
 }
 
 // subBatch routes an epoch's global batch and returns shard i's slice.

@@ -139,8 +139,12 @@ func TestRecycledBuffersKeepLiveData(t *testing.T) {
 	}
 
 	g.Engine(1).Crash() // epoch 5 dies on shard 1 and heals in place
-	if _, err := g.HealShard(g.ProcessEpoch(batches[4]), types.BatchSource(batches)); err != nil {
+	rep, err := g.Heal(g.ProcessEpoch(batches[4]), types.BatchSource(batches))
+	if err != nil {
 		t.Fatal(err)
+	}
+	if rep.Reports[0] != nil {
+		t.Fatal("a one-shard death took the group rung")
 	}
 	if !reflect.DeepEqual(deltas, wantDeltas) {
 		t.Fatal("the barrier deltas epoch 5 replicated from changed under its heal")

@@ -29,11 +29,12 @@
 //
 // # Recovery
 //
-// After a group crash, GroupRecover (see recovery.go) recovers every
-// shard in parallel with stock engine.Recover — per-shard TPG replay ×
-// shard fan-out — then re-aligns stragglers from the durable frontier log
-// and reports a group MTTR. A single dead shard heals without stopping
-// the survivors via Group.HealShard (see heal.go).
+// A live group heals through Group.Heal (see heal.go), the one heal in the
+// tree: a single dead shard heals in place without stopping the
+// survivors, and anything else recovers every shard in parallel with stock
+// engine.Recover — per-shard TPG replay × shard fan-out — then re-aligns
+// stragglers from the durable frontier log. GroupRecover (see recovery.go)
+// runs that same group recovery at a cold start, over a fresh group.
 package shard
 
 import (
@@ -83,8 +84,9 @@ type Config struct {
 	// Obs, when non-nil, observes every shard engine (per-shard series)
 	// and the group barriers.
 	Obs *obs.Observer
-	// Health receives shard-death incidents from HealShard; nil allocates
-	// a fresh log.
+	// Health receives one incident per Heal; nil allocates a fresh log.
+	// With Obs set, the log is published as the registry's "health"
+	// provider.
 	Health *metrics.Health
 	// LocalReads declares the application partition-local: every key a
 	// transaction reads lives in the shard that owns its routing key (GS
@@ -101,13 +103,6 @@ type Config struct {
 	// of concurrently. Benchmarks use it to measure clean per-shard walls
 	// on oversubscribed hosts; the durable history is identical.
 	SerialEpochs bool
-	// OnCommit, when non-nil, is called after a completed barrier whenever
-	// the group's committed punctuation frontier (see Committed) advances,
-	// with the new frontier. Epochs at or below the frontier have durably
-	// committed on every shard and released their outputs, so this is the
-	// signal the serving layer keys exactly-once client acks to. Called on
-	// the coordinator's feeding goroutine.
-	OnCommit func(frontier uint64)
 }
 
 func (c *Config) normalize() error {
@@ -136,7 +131,7 @@ func (c *Config) normalize() error {
 }
 
 // ErrCrashed is returned by ProcessEpoch after the group crashed.
-var ErrCrashed = errors.New("shard: group crashed; recover with GroupRecover")
+var ErrCrashed = errors.New("shard: group crashed; recover with Heal")
 
 // ShardError wraps a shard-local failure with the shard that died, so
 // callers can distinguish "heal shard 2" from a group-wide failure.
@@ -194,13 +189,23 @@ type shardState struct {
 	reps   []types.Event
 
 	// banked holds the ledger chunks of abandoned incarnations of this
-	// shard (per-shard heals); DeliveredUnion joins them with the live
-	// engine's ledger.
+	// shard (see seat); DeliveredUnion joins them with the live engine's
+	// ledger.
 	banked [][]types.Output
 }
 
+// seat installs eng as the shard's live engine. A replaced incarnation's
+// ledger is banked: its outputs left the building, and exactly-once
+// accounting must keep them.
+func (s *shardState) seat(eng *engine.Engine) {
+	if s.eng != nil {
+		s.banked = append(s.banked, s.eng.DeliveredChunks()...)
+	}
+	s.eng = eng
+}
+
 // Group is a running shard group. Create with NewGroup (or GroupRecover),
-// drive with ProcessEpoch.
+// drive with ProcessEpoch, heal with Heal.
 type Group struct {
 	cfg    Config
 	app    *App
@@ -225,10 +230,6 @@ type Group struct {
 	lastDeltas []codec.ShardDelta
 	deltaSets  [2][]codec.ShardDelta
 	fullSync   bool
-
-	// notified is the last frontier surfaced through Config.OnCommit, so
-	// the hook fires only on advancement.
-	notified uint64
 
 	// commitAt records when each epoch's commit became covered by the
 	// group frontier (coordinator goroutine only, like the rest of the
@@ -257,13 +258,14 @@ func NewGroup(cfg Config) (*Group, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.eng = eng
+		s.seat(eng)
 	}
 	return g, nil
 }
 
 // newGroupShell validates the config and builds everything except the
-// engines (GroupRecover seats recovered engines instead of fresh ones).
+// engines (GroupRecover seats recovered engines instead of fresh ones). The
+// group's incident log is published to Obs here.
 func newGroupShell(cfg Config) (*Group, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -277,6 +279,9 @@ func newGroupShell(cfg Config) (*Group, error) {
 		counts:   make([]int, cfg.Shards),
 		batches:  make([][]types.Event, cfg.Shards),
 		errs:     make([]error, cfg.Shards),
+	}
+	if reg := cfg.Obs.Registry(); reg != nil {
+		reg.AttachHealth("health", cfg.Health)
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		g.shards = append(g.shards, &shardState{
@@ -315,9 +320,9 @@ func (g *Group) engineConfig(s *shardState) engine.Config {
 }
 
 // ProcessEpoch ingests one group punctuation interval: route, replicate,
-// process all shards, barrier. A shard failure surfaces as a *ShardError
-// and crashes the group (HealShard can instead heal that one shard and
-// complete the epoch; see heal.go).
+// process all shards, barrier. Any failure crashes the group until Heal; a
+// shard failure surfaces as a *ShardError, which Heal can mend by healing
+// that one shard and completing the epoch (see heal.go).
 func (g *Group) ProcessEpoch(events []types.Event) error {
 	if g.crashed {
 		return ErrCrashed
@@ -569,12 +574,6 @@ func (g *Group) completeBarrier(ep uint64) error {
 			}
 		}
 	}
-	if g.cfg.OnCommit != nil {
-		if f := g.Committed(); f > g.notified {
-			g.notified = f
-			g.cfg.OnCommit(f)
-		}
-	}
 	return nil
 }
 
@@ -631,7 +630,7 @@ func (g *Group) Router() *partition.Ranges { return g.router }
 // App returns the replication-wrapped application every shard runs.
 func (g *Group) App() *App { return g.app }
 
-// Health returns the group's incident log (shard heals).
+// Health returns the group's incident log: one incident per Heal.
 func (g *Group) Health() *metrics.Health { return g.cfg.Health }
 
 // DeliveredUnion returns every output shard i has released downstream

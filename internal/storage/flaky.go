@@ -8,11 +8,10 @@ import (
 
 // Flaky wraps a Device and injects scripted fault windows into its write
 // traffic: transient error storms (the retry layer should absorb them),
-// fatal outages (the supervisor should heal them), and latency spikes (the
-// stall watchdog's territory). It complements Faulty, which models a
-// device that dies once and stays dead; Flaky models a device that
-// misbehaves and comes back — the failure mode end-to-end MTTR studies
-// care about.
+// fatal outages (the shard group's heal should recover them), and latency
+// spikes. It complements Faulty, which models a device that dies once and
+// stays dead; Flaky models a device that misbehaves and comes back — the
+// failure mode end-to-end MTTR studies care about.
 //
 // Writes are counted in arrival order across Append, WriteBlob, and
 // Truncate — the same op set Faulty counts — and each scripted window
@@ -59,7 +58,7 @@ func (f *Flaky) AddStorm(from, n int) {
 
 // AddOutage scripts a fatal window: writes [from, from+n) fail with
 // ErrInjected, not classified transient — the retry layer surfaces them
-// immediately and the supervisor must recover.
+// immediately and the shard group must heal.
 func (f *Flaky) AddOutage(from, n int) {
 	f.add(faultWindow{from: from, n: n, kind: faultFatal})
 }

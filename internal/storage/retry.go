@@ -10,8 +10,8 @@ import (
 // Transient-fault classification. A device (or an injector such as Flaky)
 // marks an error transient by wrapping it with Transient; the Retrying
 // wrapper retries exactly those errors and surfaces everything else
-// immediately. Fatal errors — ErrInjected fail-stops, ErrFenced writes,
-// real medium corruption — must not be retried: retrying a write the
+// immediately. Fatal errors — ErrInjected fail-stops, real medium
+// corruption — must not be retried: retrying a write the
 // medium half-applied is how logs grow silent gaps.
 var ErrTransient = errors.New("storage: transient fault")
 
@@ -34,7 +34,7 @@ var ErrRetryExhausted = errors.New("storage: retry budget exhausted")
 // ErrCircuitOpen is returned without touching the device while the circuit
 // breaker is cooling down after repeated exhausted operations: when the
 // device has been failing for several consecutive operations, hammering it
-// with more retries only delays the supervisor's verdict.
+// with more retries only delays the heal that has to follow.
 var ErrCircuitOpen = errors.New("storage: circuit breaker open")
 
 // ErrRetryCanceled is surfaced by a Retrying wrapper that was Closed: an
@@ -66,10 +66,6 @@ type RetryPolicy struct {
 	BreakerCooldown  time.Duration
 	// JitterSeed seeds the deterministic backoff jitter (default 1).
 	JitterSeed uint64
-	// OnRetry, when non-nil, observes every retried attempt — the
-	// supervisor uses it to flip its state gauge to Degraded while a storm
-	// is being absorbed. Called without internal locks held.
-	OnRetry func(op string, attempt int, err error)
 	// Sleep and Now are test seams (defaults time.Sleep and time.Now).
 	Sleep func(time.Duration)
 	Now   func() time.Time
@@ -131,8 +127,8 @@ type RetryStats struct {
 //
 // It is the first layer of the self-healing runtime: storms short enough
 // for the budget are invisible above it (no engine crash, no recovery);
-// anything longer surfaces exactly once as a fatal error for the
-// supervisor to heal. All methods are safe for concurrent use.
+// anything longer surfaces exactly once as a fatal error for the shard
+// group to heal. All methods are safe for concurrent use.
 type Retrying struct {
 	Inner Device
 	pol   RetryPolicy
@@ -163,8 +159,7 @@ func NewRetrying(inner Device, pol RetryPolicy) *Retrying {
 // Close cancels the wrapper: an in-flight backoff sleep is interrupted and
 // the operation surfaces ErrRetryCanceled promptly; later operations fail
 // fast the same way. Close is idempotent and safe to race with operations.
-// A fatal shutdown no longer has to wait out a full backoff window — the
-// fence makes the zombie's writes harmless, Close makes them finish now.
+// A shutdown never has to wait out a full backoff window.
 func (r *Retrying) Close() {
 	r.closeOnce.Do(func() { close(r.done) })
 }
@@ -226,9 +221,6 @@ func (r *Retrying) do(op string, fn func() error) error {
 			r.stats.Fatal++
 			r.mu.Unlock()
 			return err
-		}
-		if cb := r.pol.OnRetry; cb != nil {
-			cb(op, attempt, err)
 		}
 		if attempt >= r.pol.MaxAttempts || r.pol.Now().Sub(start) >= r.pol.OpDeadline {
 			r.exhaust(err)

@@ -4,10 +4,10 @@ import "fmt"
 
 // Stack assembles a device wrapper stack in the one legal order, replacing
 // the ad-hoc wrapping that used to be decided inline at every call site
-// (core.New, the supervisor, the crash-point sweep, chaos runs). From the
-// medium outward the canonical order is:
+// (core.New, the crash-point sweep, chaos runs). From the medium outward
+// the canonical order is:
 //
-//	base → Trace → Faulty/Flaky → Compressed → Throttled(SSD) → Fence view → Retrying
+//	base → Trace → Faulty/Flaky → Compressed → Throttled(SSD) → Retrying
 //
 // The order is load-bearing, not stylistic:
 //
@@ -17,11 +17,9 @@ import "fmt"
 //     (below compression and throttling, which are engine-side concerns).
 //   - Compressed sits below Throttled so the SSD model charges the bytes
 //     that actually reach the device, not the uncompressed payload.
-//   - The fence view sits above the performance model: a fenced zombie is
-//     rejected before it burns simulated bandwidth.
-//   - Retrying is outermost so each retry attempt re-takes the fence check
-//     individually — advancing the fence never waits out a backoff sleep,
-//     and a fenced retry loop dies on its next attempt.
+//   - Retrying is outermost, so every retry attempt is one full pass through
+//     the stack: each attempt is charged by the SSD model and counted by
+//     the injectors as the write it is.
 //
 // Wrapper methods record an error on out-of-order or duplicate use;
 // Build surfaces it. Handles to the wrappers that expose behaviour beyond
@@ -47,7 +45,6 @@ const (
 	rankInject
 	rankCompress
 	rankThrottle
-	rankFence
 	rankRetry
 )
 
@@ -61,8 +58,6 @@ func rankName(r int) string {
 		return "Compressed"
 	case rankThrottle:
 		return "Throttled"
-	case rankFence:
-		return "Fence view"
 	case rankRetry:
 		return "Retrying"
 	default:
@@ -143,17 +138,6 @@ func (s *Stack) WithSSD() *Stack {
 	}
 	if s.layer(rankThrottle) {
 		s.dev = DefaultSSD(s.dev)
-	}
-	return s
-}
-
-// WithFence binds writes to the fence's current live generation: the view
-// is rejected with ErrFenced once the fence advances past it. The fence
-// object itself persists across incarnations; the view forwards to the
-// stack built so far.
-func (s *Stack) WithFence(f *Fence) *Stack {
-	if s.layer(rankFence) {
-		s.dev = f.ViewOf(s.dev, f.Generation())
 	}
 	return s
 }

@@ -6,13 +6,11 @@ import (
 )
 
 func TestStackCanonicalOrderBuilds(t *testing.T) {
-	fence := NewFence(NewMem())
 	st := NewStack(NewMem()).
 		WithTrace().
 		WithFlaky().
 		WithCompression().
 		WithSSD().
-		WithFence(fence).
 		WithRetry(RetryPolicy{})
 	dev, err := st.Build()
 	if err != nil {
@@ -43,8 +41,8 @@ func TestStackRejectsIllegalOrder(t *testing.T) {
 		name  string
 		build func() *Stack
 	}{
-		{"retry below fence", func() *Stack {
-			return NewStack(NewMem()).WithRetry(RetryPolicy{}).WithFence(NewFence(NewMem()))
+		{"retry below throttle", func() *Stack {
+			return NewStack(NewMem()).WithRetry(RetryPolicy{}).WithSSD()
 		}},
 		{"compression above throttle", func() *Stack {
 			return NewStack(NewMem()).WithSSD().WithCompression()
@@ -101,29 +99,5 @@ func TestStackSkipsAlreadyWrappedBase(t *testing.T) {
 	}
 	if dev != Device(ssd) {
 		t.Fatalf("already-throttled base was re-wrapped: %T", dev)
-	}
-}
-
-func TestStackFenceAndRetryCompose(t *testing.T) {
-	// Retry must sit outside the fence: after the fence advances, the
-	// fenced view's writes fail with ErrFenced, which is fatal (never
-	// retried) — so the write surfaces immediately instead of burning the
-	// backoff budget.
-	fence := NewFence(NewMem())
-	st := NewStack(NewMem()).WithFence(fence).WithRetry(RetryPolicy{MaxAttempts: 4})
-	dev, err := st.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Append(LogInput, Record{Epoch: 1}); err != nil {
-		t.Fatalf("pre-advance write: %v", err)
-	}
-	fence.Advance()
-	err = dev.Append(LogInput, Record{Epoch: 2})
-	if err == nil {
-		t.Fatal("fenced write succeeded")
-	}
-	if got := st.Retrying.Stats().Retries; got != 0 {
-		t.Fatalf("fenced write was retried %d times; ErrFenced must be fatal", got)
 	}
 }

@@ -4,8 +4,8 @@ import "fmt"
 
 // RunShape is the one definition of the engine-facing run knobs shared by
 // every configuration surface in the tree: core.Config, engine.Config,
-// supervisor.Config, crashtest.Config (and its chaos variant), and
-// bench.Scale all embed it instead of re-declaring Workers/CommitEvery/
+// crashtest.Config (and through it the sharded sweep and the chaos kernel),
+// and bench.Scale all embed it instead of re-declaring Workers/CommitEvery/
 // SnapshotEvery with their own drifted zero-value defaults.
 //
 // Zero-value rule (the single defaulting path, applied by Normalize):

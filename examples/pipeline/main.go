@@ -3,8 +3,8 @@
 // writes off the critical path) and log compression.
 //
 // The run crashes mid-stream, resumes the stream on the recovered system
-// from the punctuation recovery reports, and shows the union of both
-// incarnations' released outputs ending up complete and duplicate-free.
+// from the punctuation recovery reports, and shows the outputs both
+// incarnations released ending up complete and duplicate-free.
 //
 // Run with: go run ./examples/pipeline
 package main
@@ -49,8 +49,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	delivered := sys.Engine.Delivered()
-	fmt.Printf("system delivered %d outputs, then the node dies\n", len(delivered))
+	fmt.Printf("system delivered %d outputs, then the node dies\n", len(sys.Delivered()))
 	sys.Crash()
 
 	recovered, report, err := sys.Recover()
@@ -68,7 +67,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	delivered = append(delivered, recovered.Engine.Delivered()...)
+	delivered := recovered.Delivered() // both incarnations' releases
 
 	seen := make(map[uint64]bool, len(delivered))
 	var tolls int64

@@ -38,7 +38,8 @@ func main() {
 		}
 	}
 	fmt.Printf("processed %d events at %.0f events/s; delivered %d outputs\n",
-		sys.Engine.Events(), sys.Engine.Throughput(), len(sys.Engine.Delivered()))
+		sys.Engine.Events(), sys.Engine.Throughput(), len(sys.Delivered()))
+	before := len(sys.Delivered())
 
 	// 4. Power failure. Everything volatile is gone.
 	sys.Crash()
@@ -60,5 +61,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("resumed at epoch %d; %d new outputs delivered after recovery\n",
-		recovered.Engine.Epoch(), len(recovered.Engine.Delivered()))
+		recovered.Engine.Epoch(), len(recovered.Delivered())-before)
 }

@@ -69,16 +69,8 @@ func run(kind ftapi.Kind, params workload.TPParams) (*engine.RecoveryReport, int
 	}
 	var tolls int64
 	aborted := 0
-	for _, out := range recovered.Engine.Delivered() {
-		if out.Vals[0] == 1 {
-			aborted++
-			continue
-		}
-		tolls += out.Vals[1]
-	}
-	// Outputs delivered before the crash live in the crashed engine's
-	// ledger; merge the tallies.
-	for _, out := range sys.Engine.Delivered() {
+	// The recovered system's ledger holds what both incarnations released.
+	for _, out := range recovered.Delivered() {
 		if out.Vals[0] == 1 {
 			aborted++
 			continue

@@ -6,7 +6,6 @@ import (
 
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/storage"
-	"morphstreamr/internal/types"
 )
 
 // Asynchronous commit (Section VII's off-critical-path logging direction)
@@ -39,7 +38,6 @@ func TestAsyncCommitCrashRecoveryEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					preCrash := append([]types.Output(nil), sys.Engine.Delivered()...)
 					sys.Crash()
 					recovered, _, err := sys.Recover()
 					if err != nil {
@@ -51,7 +49,7 @@ func TestAsyncCommitCrashRecoveryEquivalence(t *testing.T) {
 						}
 					}
 					checkState(t, recovered, o)
-					checkOutputs(t, append(preCrash, recovered.Engine.Delivered()...), wantOuts)
+					checkOutputs(t, recovered.Delivered(), wantOuts)
 				})
 			}
 		}
@@ -76,7 +74,7 @@ func TestAsyncCommitOutputGating(t *testing.T) {
 	if err := sys.ProcessBatch(epochSlices(gen, 1, itBatch)[0]); err != nil {
 		t.Fatal(err)
 	}
-	delivered1 := len(sys.Engine.Delivered())
+	delivered1 := len(sys.Delivered())
 	pending1 := sys.Engine.PendingOutputs()
 	if delivered1+pending1 != itBatch {
 		t.Fatalf("epoch 1 outputs: delivered %d + pending %d != %d", delivered1, pending1, itBatch)
@@ -86,7 +84,7 @@ func TestAsyncCommitOutputGating(t *testing.T) {
 	if err := sys.ProcessBatch(all[1]); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sys.Engine.Delivered()); got < itBatch {
+	if got := len(sys.Delivered()); got < itBatch {
 		t.Errorf("epoch 1 outputs still unreleased after the next marker: delivered %d", got)
 	}
 }
@@ -110,7 +108,6 @@ func TestCompressionEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pre := append([]types.Output(nil), sys.Engine.Delivered()...)
 	sys.Crash()
 	recovered, _, err := sys.Recover()
 	if err != nil {
@@ -122,7 +119,7 @@ func TestCompressionEndToEnd(t *testing.T) {
 		}
 	}
 	checkState(t, recovered, o)
-	checkOutputs(t, append(pre, recovered.Engine.Delivered()...), wantOuts)
+	checkOutputs(t, recovered.Delivered(), wantOuts)
 
 	comp, ok := sys.Cfg.Device.(*storage.Compressed)
 	if !ok {

@@ -134,6 +134,9 @@ type System struct {
 	Engine *engine.Engine
 
 	bytes *metrics.Bytes
+	// ledger records every released output; the systems Recover returns
+	// share it, so it spans crashes.
+	ledger *engine.Ledger
 }
 
 // New assembles a system with fresh state.
@@ -156,6 +159,7 @@ func New(app types.App, cfg Config) (*System, error) {
 	}
 	bytes := metrics.NewBytes()
 	mech := NewMechanism(cfg.FT, dev, bytes, *cfg.MSR)
+	ledger := &engine.Ledger{}
 	eng, err := engine.New(engine.Config{
 		RunShape:    cfg.RunShape,
 		App:         app,
@@ -164,6 +168,7 @@ func New(app types.App, cfg Config) (*System, error) {
 		AsyncCommit: cfg.AsyncCommit,
 		Bytes:       bytes,
 		Obs:         cfg.Obs,
+		Sink:        ledger.Sink,
 	})
 	if err != nil {
 		return nil, err
@@ -172,8 +177,13 @@ func New(app types.App, cfg Config) (*System, error) {
 	keep.Device = dev
 	keep.SSDModel = false    // already applied
 	keep.Compression = false // already applied
-	return &System{App: app, Cfg: keep, Engine: eng, bytes: bytes}, nil
+	return &System{App: app, Cfg: keep, Engine: eng, bytes: bytes, ledger: ledger}, nil
 }
+
+// Delivered returns every output the system released downstream, in release
+// order, across every crash and Recover since New (exactly once each: a
+// recovery releases only what never was). Callers must not mutate it.
+func (s *System) Delivered() []types.Output { return s.ledger.Outputs }
 
 // ProcessBatch ingests one punctuation interval's events.
 func (s *System) ProcessBatch(events []types.Event) error {
@@ -200,8 +210,8 @@ func (s *System) Crash() {
 }
 
 // Recover rebuilds a working system from the durable device, returning it
-// together with the recovery report. The crashed system's engine remains
-// readable (tests consult its delivered-output ledger).
+// together with the recovery report. The recovered system keeps recording
+// into the crashed one's ledger, so Delivered spans the crash.
 func (s *System) Recover() (*System, *engine.RecoveryReport, error) {
 	bytes := metrics.NewBytes()
 	mech := NewMechanism(s.Cfg.FT, s.Cfg.Device, bytes, *s.Cfg.MSR)
@@ -218,11 +228,12 @@ func (s *System) Recover() (*System, *engine.RecoveryReport, error) {
 		Bytes:            bytes,
 		Obs:              s.Cfg.Obs,
 		RecoveryProfiler: s.Cfg.RecoveryProfiler,
+		Sink:             s.ledger.Sink,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return &System{App: s.App, Cfg: s.Cfg, Engine: eng, bytes: bytes}, report, nil
+	return &System{App: s.App, Cfg: s.Cfg, Engine: eng, bytes: bytes, ledger: s.ledger}, report, nil
 }
 
 // Bytes exposes the artifact-size accounting of the current incarnation.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"reflect"
+	"slices"
 	"testing"
 
 	"morphstreamr/internal/ft/ftapi"
@@ -103,43 +105,16 @@ func checkState(t *testing.T, sys *System, o *oracle.Oracle) {
 // no duplicates, no losses, identical payloads.
 func checkOutputs(t *testing.T, delivered []types.Output, want []types.Output) {
 	t.Helper()
-	got := append([]types.Output(nil), delivered...)
-	sort.Slice(got, func(i, j int) bool { return got[i].EventSeq < got[j].EventSeq })
+	got := slices.Clone(delivered)
+	slices.SortFunc(got, func(a, b types.Output) int { return cmp.Compare(a.EventSeq, b.EventSeq) })
+	for i := range min(len(got), len(want)) {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("output %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
 	if len(got) != len(want) {
 		t.Errorf("delivered %d outputs, oracle produced %d", len(got), len(want))
 	}
-	seen := make(map[uint64]bool, len(got))
-	for _, o := range got {
-		if seen[o.EventSeq] {
-			t.Errorf("output for event %d delivered more than once", o.EventSeq)
-		}
-		seen[o.EventSeq] = true
-	}
-	n := len(got)
-	if len(want) < n {
-		n = len(want)
-	}
-	for i := 0; i < n; i++ {
-		if got[i].EventSeq != want[i].EventSeq {
-			t.Fatalf("output %d: got event %d, want %d", i, got[i].EventSeq, want[i].EventSeq)
-		}
-		if got[i].Kind != want[i].Kind || !valsEqual(got[i].Vals, want[i].Vals) {
-			t.Errorf("output for event %d differs: got kind=%d vals=%v, want kind=%d vals=%v",
-				got[i].EventSeq, got[i].Kind, got[i].Vals, want[i].Kind, want[i].Vals)
-		}
-	}
-}
-
-func valsEqual(a, b []types.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestNoCrashMatchesOracle runs every app under every mechanism without
@@ -167,7 +142,7 @@ func TestNoCrashMatchesOracle(t *testing.T) {
 				if p := sys.Engine.PendingOutputs(); p != 0 {
 					t.Errorf("%d outputs still pending at a snapshot boundary", p)
 				}
-				checkOutputs(t, sys.Engine.Delivered(), wantOuts)
+				checkOutputs(t, sys.Delivered(), wantOuts)
 			})
 		}
 	}
@@ -195,7 +170,6 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					preCrash := append([]types.Output(nil), sys.Engine.Delivered()...)
 					sys.Crash()
 					if err := sys.ProcessBatch(nil); err == nil {
 						t.Fatal("crashed engine accepted work")
@@ -222,8 +196,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 					if p := recovered.Engine.PendingOutputs(); p != 0 {
 						t.Errorf("%d outputs still pending at a snapshot boundary", p)
 					}
-					all := append(preCrash, recovered.Engine.Delivered()...)
-					checkOutputs(t, all, wantOuts)
+					checkOutputs(t, recovered.Delivered(), wantOuts)
 				})
 			}
 		}
@@ -246,7 +219,6 @@ func TestDoubleCrash(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var delivered []types.Output
 				next := 0
 				step := func(s *System, n int) *System {
 					for i := 0; i < n && next < itEpochs; i++ {
@@ -258,24 +230,21 @@ func TestDoubleCrash(t *testing.T) {
 					return s
 				}
 				sys = step(sys, 5)
-				delivered = append(delivered, sys.Engine.Delivered()...)
 				sys.Crash()
 				sys, _, err = sys.Recover()
 				if err != nil {
 					t.Fatal(err)
 				}
 				sys = step(sys, 1)
-				delivered = append(delivered, sys.Engine.Delivered()...)
 				sys.Crash()
 				sys, _, err = sys.Recover()
 				if err != nil {
 					t.Fatal(err)
 				}
 				sys = step(sys, itEpochs-next)
-				delivered = append(delivered, sys.Engine.Delivered()...)
 
 				checkState(t, sys, o)
-				checkOutputs(t, delivered, wantOuts)
+				checkOutputs(t, sys.Delivered(), wantOuts)
 			})
 		}
 	}

@@ -40,21 +40,24 @@ func transcript(t *testing.T, dev *storage.Mem) string {
 }
 
 // adaptiveEngine builds a WAL engine over a fresh Mem device with the given
-// controller settings, processes epochs, and returns it with its device.
-func adaptiveEngine(t *testing.T, shape types.RunShape, force *adaptive.Strategy, epochs, epochSize int) (*Engine, *storage.Mem) {
+// controller settings, processes epochs, and returns it with its device and
+// the ledger its sink recorded.
+func adaptiveEngine(t *testing.T, shape types.RunShape, force *adaptive.Strategy, epochs, epochSize int) (*Engine, *storage.Mem, *Ledger) {
 	t.Helper()
 	gen := slGen(42)
 	dev := storage.NewMem()
 	cfg := newEngine(t, ftapi.WAL, gen, dev, shape.CommitEvery, shape.SnapshotEvery).cfg
 	cfg.RunShape = shape
 	cfg.AdaptiveForce = force
+	ledger := &Ledger{}
+	cfg.Sink = ledger.Sink
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(e.Close)
 	runEpochs(t, e, gen, epochs, epochSize)
-	return e, dev
+	return e, dev, ledger
 }
 
 // TestAdaptiveDurableTranscriptPin: a controller-driven run's durable write
@@ -66,13 +69,13 @@ func adaptiveEngine(t *testing.T, shape types.RunShape, force *adaptive.Strategy
 func TestAdaptiveDurableTranscriptPin(t *testing.T) {
 	shape := types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}
 	pool := &adaptive.Strategy{Impl: adaptive.ImplSteal, Workers: shape.Workers}
-	eS, devS := adaptiveEngine(t, shape, pool, 8, 64)
-	eA, devA := adaptiveEngine(t, shape, nil, 8, 64)
+	eS, devS, outS := adaptiveEngine(t, shape, pool, 8, 64)
+	eA, devA, outA := adaptiveEngine(t, shape, nil, 8, 64)
 
 	if got, want := transcript(t, devA), transcript(t, devS); got != want {
 		t.Fatalf("controller-driven durable transcript diverges from the pinned pool's:\ncontroller:\n%s\npinned:\n%s", got, want)
 	}
-	if !reflect.DeepEqual(eA.Delivered(), eS.Delivered()) {
+	if !reflect.DeepEqual(outA, outS) {
 		t.Fatal("controller-driven delivered outputs diverge from the pinned pool's")
 	}
 	if !eA.Store().Equal(eS.Store()) {
@@ -89,7 +92,7 @@ func TestAdaptiveCommitMorph(t *testing.T) {
 		epochs int
 		want   uint64
 	}{{1, 0}, {3, 0}, {4, 4}, {7, 4}} {
-		e, _ := adaptiveEngine(t, shape, nil, tc.epochs, 64)
+		e, _, _ := adaptiveEngine(t, shape, nil, tc.epochs, 64)
 		if got := e.CommittedEpoch(); got != tc.want {
 			t.Fatalf("committed epoch %d after epoch %d, want %d (CommitEvery %d)", got, tc.epochs, tc.want, shape.CommitEvery)
 		}
@@ -101,7 +104,7 @@ func TestAdaptiveForce(t *testing.T) {
 	shape := types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}
 	for _, impl := range []string{adaptive.ImplSeq, adaptive.ImplSteal} {
 		force := &adaptive.Strategy{Impl: impl, Workers: 2}
-		e, _ := adaptiveEngine(t, shape, force, 4, 64)
+		e, _, _ := adaptiveEngine(t, shape, force, 4, 64)
 		if got := e.Adaptive().Current(); got != *force {
 			t.Fatalf("forced %v, controller reports %v", *force, got)
 		}

@@ -13,13 +13,13 @@
 // transaction-consistent snapshot, and garbage-collects everything the
 // snapshot covers.
 //
-// Exactly-once delivery: an epoch's outputs are released if and only if
-// its covering commit record (for log-based schemes) or snapshot (for
-// CKPT) is durable. Crash() models a power failure — every volatile
-// structure is abandoned, only the storage device survives — and Recover
-// rebuilds a working engine from the device, replaying committed epochs
-// with outputs suppressed and reprocessing uncommitted ones with outputs
-// delivered.
+// Exactly-once delivery: an epoch's outputs are released to the host's
+// Config.Sink if and only if its covering commit record (for log-based
+// schemes) or snapshot (for CKPT) is durable; the engine keeps nothing it
+// released. Crash() models a power failure — every volatile structure is
+// abandoned, only the storage device survives — and Recover rebuilds a
+// working engine from the device, replaying committed epochs with outputs
+// suppressed and reprocessing uncommitted ones with outputs delivered.
 package engine
 
 import (
@@ -108,6 +108,14 @@ type Config struct {
 	// diffing snapshots or sorting. The slice is only valid for the duration
 	// of the call.
 	OnWriteSet func(epoch uint64, keys []types.Key)
+	// Sink, when non-nil, receives each released epoch's outputs, once per
+	// epoch (an epoch without outputs included) and in release order: at the
+	// commit marker for log-based mechanisms, at the snapshot for CKPT, at
+	// once for NAT, and as the markers re-fire during recovery's tail
+	// reprocessing. outs and their Vals are engine memory, valid only for the
+	// duration of the call: the engine recycles them for a later epoch, so a
+	// sink that keeps outputs copies them (see Ledger). Nil drops them.
+	Sink func(epoch uint64, outs []types.Output)
 }
 
 func (c *Config) normalize() error {
@@ -123,10 +131,12 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// epochOutputs buffers one epoch's outputs until their release marker.
+// epochOutputs buffers one epoch's outputs until their release marker: outs,
+// whose Vals are carved from the epoch's value slab vals.
 type epochOutputs struct {
 	epoch uint64
 	outs  []types.Output
+	vals  []types.Value
 }
 
 // Engine is one running TSPE instance.
@@ -139,12 +149,11 @@ type Engine struct {
 	lastCommit uint64
 	lastSnap   uint64
 
+	// pending holds the unreleased epochs' outputs in epoch order; spare
+	// holds the buffers of released ones, emptied, for later epochs to fill
+	// (as many as epochs are ever pending at once).
 	pending []epochOutputs
-	// delivered is the ledger: one chunk per released epoch, each the very
-	// slice postprocessing filled. Appending an epoch's elements to one flat
-	// slice instead re-allocated, cleared and copied every output ever
-	// delivered about five times over a run.
-	delivered [][]types.Output
+	spare   []epochOutputs
 
 	runtime   metrics.RuntimeBreakdown
 	totalWall time.Duration
@@ -243,26 +252,14 @@ func (e *Engine) Epoch() uint64 { return e.epoch }
 // workload-aware adjustment).
 func (e *Engine) CommitEvery() int { return e.commitEvery }
 
-// Delivered returns the outputs released downstream so far, in release
-// order, flattened out of the ledger's chunks into a fresh slice on every
-// call (tests, audits and examples read it; nothing on the epoch path
-// does). The outputs' Vals are the ledger's; callers must not mutate them.
-func (e *Engine) Delivered() []types.Output { return slices.Concat(e.delivered...) }
-
-// DeliveredChunks returns the ledger as it is kept: one chunk per released
-// epoch, in release order. The slice and its chunks are the live ledger;
-// callers must not mutate them.
-func (e *Engine) DeliveredChunks() [][]types.Output { return e.delivered }
-
 // PendingOutputs returns how many outputs await their release marker.
 func (e *Engine) PendingOutputs() int {
 	return e.PendingOutputsMatching(func(types.Output) bool { return true })
 }
 
-// PendingOutputsMatching returns how many buffered outputs satisfy match.
-// Layered harnesses use it to account subsets of the pending ledger — the
-// shard coordinator's exactly-once check counts application outputs
-// separately from replication acknowledgements.
+// PendingOutputsMatching returns how many buffered outputs satisfy match:
+// the shard oracle's exactly-once check counts application outputs apart
+// from replication acknowledgements.
 func (e *Engine) PendingOutputsMatching(match func(types.Output) bool) int {
 	n := 0
 	for _, p := range e.pending {
@@ -500,14 +497,21 @@ func (e *Engine) notifyWriteSet(ep uint64, g *tpg.Graph) {
 // the recycler once the epoch is sealed; on error the engine is crashing
 // anyway, so it is simply dropped.
 func (e *Engine) completeEpoch(ep uint64, events []types.Event, g *tpg.Graph) error {
-	// Postprocessing: outputs are buffered until their release marker. One
-	// scratch view serves every transaction (zero-copy record view — the
-	// Postprocess contract forbids retaining it).
-	outs := make([]types.Output, 0, len(g.Txns))
-	for _, tn := range g.Txns {
-		outs = append(outs, e.cfg.App.Postprocess(tn.ExecutedInto(&e.view)))
+	// Postprocessing: outputs are buffered until their release marker, in a
+	// released epoch's recycled buffers when there is one. One scratch view
+	// serves every transaction (zero-copy record view — the Postprocess
+	// contract forbids retaining it).
+	var p epochOutputs
+	if n := len(e.spare); n > 0 {
+		p, e.spare = e.spare[n-1], e.spare[:n-1]
 	}
-	e.pending = append(e.pending, epochOutputs{epoch: ep, outs: outs})
+	p.epoch, p.outs = ep, slices.Grow(p.outs, len(g.Txns))
+	for _, tn := range g.Txns {
+		var out types.Output
+		out, p.vals = e.cfg.App.Postprocess(p.vals, tn.ExecutedInto(&e.view))
+		p.outs = append(p.outs, out)
+	}
+	e.pending = append(e.pending, p)
 	e.events += len(events)
 	e.notifyWriteSet(ep, g)
 
@@ -677,19 +681,44 @@ func (e *Engine) drainInflight() error {
 	return e.commitVisible(ep)
 }
 
-// release moves pending outputs of epochs <= upTo to the delivered ledger.
+// release hands the pending outputs of epochs <= upTo to the sink, epoch by
+// epoch, and recycles their buffers.
 func (e *Engine) release(upTo uint64) {
 	kept := e.pending[:0]
 	for _, p := range e.pending {
-		if p.epoch <= upTo {
-			if len(p.outs) > 0 {
-				e.delivered = append(e.delivered, p.outs)
-			}
-		} else {
+		if p.epoch > upTo {
 			kept = append(kept, p)
+			continue
 		}
+		if e.cfg.Sink != nil {
+			e.cfg.Sink(p.epoch, p.outs)
+		}
+		e.spare = append(e.spare, epochOutputs{outs: p.outs[:0], vals: p.vals[:0]})
 	}
 	e.pending = kept
+}
+
+// Ledger is a recording sink: its Sink copies each released epoch's outputs,
+// so what it holds stays valid after the engine recycles the memory it
+// released them from. Installed on an engine and on the engine Recover
+// rebuilds from the same device, one Ledger holds every output released
+// across both incarnations, in release order. Tests, crash sweeps and the
+// examples read one; nothing on the epoch path does. It is not synchronised:
+// one engine at a time feeds it.
+type Ledger struct {
+	// Epochs lists the released epochs, in release order.
+	Epochs []uint64
+	// Outputs lists the released outputs, in release order.
+	Outputs []types.Output
+}
+
+// Sink is a Config.Sink recording into l.
+func (l *Ledger) Sink(ep uint64, outs []types.Output) {
+	l.Epochs = append(l.Epochs, ep)
+	for _, o := range outs {
+		o.Vals = slices.Clone(o.Vals)
+		l.Outputs = append(l.Outputs, o)
+	}
 }
 
 // snapshot persists a transaction-consistent snapshot and garbage-collects
@@ -766,8 +795,8 @@ func (e *Engine) snapshot(ep uint64) error {
 }
 
 // Crash models a single-node stoppage: the engine becomes unusable and
-// only the storage device's content survives. The engine object remains
-// inspectable (its ledger tells tests what had been delivered), but
+// only the storage device's content survives (and whatever its sink kept of
+// the outputs it released). The engine object remains inspectable, but
 // rejects further processing.
 func (e *Engine) Crash() {
 	e.markCrashed()

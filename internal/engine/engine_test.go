@@ -77,25 +77,27 @@ func TestConfigValidation(t *testing.T) {
 func TestOutputReleasePolicies(t *testing.T) {
 	gen := slGen(2)
 	dev := storage.NewMem()
-	e := newEngine(t, ftapi.WAL, gen, dev, 2, 8)
+	e, out := newEngine(t, ftapi.WAL, gen, dev, 2, 8), &Ledger{}
+	e.cfg.Sink = out.Sink
 	runEpochs(t, e, gen, 1, 100)
-	if len(e.Delivered()) != 0 || e.PendingOutputs() != 100 {
-		t.Fatalf("epoch 1 (no marker): delivered=%d pending=%d", len(e.Delivered()), e.PendingOutputs())
+	if len(out.Outputs) != 0 || e.PendingOutputs() != 100 {
+		t.Fatalf("epoch 1 (no marker): delivered=%d pending=%d", len(out.Outputs), e.PendingOutputs())
 	}
 	runEpochs(t, e, gen, 1, 100)
-	if len(e.Delivered()) != 200 || e.PendingOutputs() != 0 {
-		t.Fatalf("epoch 2 (commit marker): delivered=%d pending=%d", len(e.Delivered()), e.PendingOutputs())
+	if len(out.Outputs) != 200 || e.PendingOutputs() != 0 {
+		t.Fatalf("epoch 2 (commit marker): delivered=%d pending=%d", len(out.Outputs), e.PendingOutputs())
 	}
 
 	genC := slGen(2)
-	ec := newEngine(t, ftapi.CKPT, genC, storage.NewMem(), 2, 4)
+	ec, outC := newEngine(t, ftapi.CKPT, genC, storage.NewMem(), 2, 4), &Ledger{}
+	ec.cfg.Sink = outC.Sink
 	runEpochs(t, ec, genC, 3, 50)
-	if len(ec.Delivered()) != 0 {
-		t.Fatalf("CKPT released %d outputs before any snapshot", len(ec.Delivered()))
+	if len(outC.Outputs) != 0 {
+		t.Fatalf("CKPT released %d outputs before any snapshot", len(outC.Outputs))
 	}
 	runEpochs(t, ec, genC, 1, 50)
-	if len(ec.Delivered()) != 200 {
-		t.Fatalf("CKPT at snapshot: delivered=%d, want 200", len(ec.Delivered()))
+	if len(outC.Outputs) != 200 {
+		t.Fatalf("CKPT at snapshot: delivered=%d, want 200", len(outC.Outputs))
 	}
 }
 
@@ -356,5 +358,28 @@ func TestWriteFailuresSurface(t *testing.T) {
 		if !failed {
 			t.Fatalf("budget %d: no failure surfaced", budget)
 		}
+	}
+}
+
+// TestWriteSetOrder pins the guarantee the shard layer's barrier deltas
+// build on: every epoch's write set reaches OnWriteSet in strictly
+// ascending key order (so sorted and duplicate-free), across both of
+// Streaming Ledger's tables.
+func TestWriteSetOrder(t *testing.T) {
+	gen := slGen(3)
+	e := newEngine(t, ftapi.WAL, gen, storage.NewMem(), 2, 4)
+	writeSets := 0
+	e.cfg.OnWriteSet = func(ep uint64, keys []types.Key) {
+		writeSets++
+		for i := 1; i < len(keys); i++ {
+			if !keys[i-1].Less(keys[i]) {
+				t.Fatalf("epoch %d: write set not strictly ascending at %d: %v then %v", ep, i, keys[i-1], keys[i])
+			}
+		}
+	}
+	const epochs, size = 6, 80
+	runEpochs(t, e, gen, epochs, size)
+	if writeSets != epochs {
+		t.Fatalf("OnWriteSet fired %d times, want %d", writeSets, epochs)
 	}
 }

@@ -24,13 +24,13 @@ func drawBatches(seed int64, epochs, size int) [][]types.Event {
 }
 
 // pipelineEngine assembles an engine over a tracing device with the
-// Pipeline flag set as requested.
-func pipelineEngine(t *testing.T, kind ftapi.Kind, pipeline bool) (*Engine, *storage.Trace) {
+// Pipeline flag set as requested, releasing into the returned ledger.
+func pipelineEngine(t *testing.T, kind ftapi.Kind, pipeline bool) (*Engine, *storage.Trace, *Ledger) {
 	t.Helper()
-	trace := storage.NewTrace(storage.NewMem())
+	trace, out := storage.NewTrace(storage.NewMem()), &Ledger{}
 	e := newEngine(t, kind, slGen(0), trace, 2, 4)
-	e.cfg.Pipeline = pipeline
-	return e, trace
+	e.cfg.Pipeline, e.cfg.Sink = pipeline, out.Sink
+	return e, trace, out
 }
 
 // TestPipelineEquivalence: a pipelined run is observably identical to the
@@ -44,11 +44,11 @@ func TestPipelineEquivalence(t *testing.T) {
 			const epochs, size = 10, 96 // crosses commit and snapshot markers
 			batches := drawBatches(11, epochs, size)
 
-			seq, seqTrace := pipelineEngine(t, kind, false)
+			seq, seqTrace, seqOut := pipelineEngine(t, kind, false)
 			if err := seq.ProcessEpochs(batches); err != nil {
 				t.Fatalf("sequential run: %v", err)
 			}
-			pip, pipTrace := pipelineEngine(t, kind, true)
+			pip, pipTrace, pipOut := pipelineEngine(t, kind, true)
 			if err := pip.ProcessEpochs(batches); err != nil {
 				t.Fatalf("pipelined run: %v", err)
 			}
@@ -59,9 +59,9 @@ func TestPipelineEquivalence(t *testing.T) {
 			if !seq.Store().Equal(pip.Store()) {
 				t.Fatalf("stores diverge: %v", seq.Store().Diff(pip.Store(), 5))
 			}
-			if !reflect.DeepEqual(seq.Delivered(), pip.Delivered()) {
-				t.Fatalf("delivered ledgers diverge: %d vs %d outputs",
-					len(seq.Delivered()), len(pip.Delivered()))
+			if !reflect.DeepEqual(seqOut, pipOut) {
+				t.Fatalf("released outputs diverge: %d vs %d outputs",
+					len(seqOut.Outputs), len(pipOut.Outputs))
 			}
 			if seq.PendingOutputs() != pip.PendingOutputs() {
 				t.Fatalf("pending outputs: sequential %d, pipelined %d",
@@ -86,7 +86,7 @@ func TestPipelineRecoveryEquivalence(t *testing.T) {
 
 	recovered := make(map[bool]*Engine)
 	for _, pipeline := range []bool{false, true} {
-		e, trace := pipelineEngine(t, ftapi.MSR, pipeline)
+		e, trace, _ := pipelineEngine(t, ftapi.MSR, pipeline)
 		if err := e.ProcessEpochs(batches); err != nil {
 			t.Fatalf("pipeline=%v: %v", pipeline, err)
 		}

@@ -15,7 +15,7 @@ import (
 
 // Scenario names one chaos pattern driven through a live shard group.
 // Where the crash-point sweep proves offline recovery correct, a chaos run
-// proves the online story: the group keeps the exactly-once ledger through
+// proves the online story: the group keeps its outputs exactly-once through
 // live faults, heals in place through shard.Group.Heal, and resumes.
 type Scenario int
 
@@ -140,7 +140,7 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref, err := buildShardRef(cfg)
+	ref, err := buildRef(&cfg.Config, cfg.Shards, cfg.Epochs+1)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +177,8 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 		return nil, fmt.Errorf("chaos: unknown scenario %v", cc.Scenario)
 	}
 	devs[cc.KillShard] = st.MustBuild()
-	g, err := newShardGroup(cfg, app, devs, storage.NewMem(), cc.Obs)
+	ledgers := make(shard.Ledgers, cfg.Shards)
+	g, err := newShardGroup(cfg, app, devs, storage.NewMem(), cc.Obs, ledgers)
 	if err != nil {
 		return nil, err
 	}
@@ -244,22 +245,13 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 	// Oracle verification at the end of the run: every shard's state, its
 	// exactly-once application outputs, and routing as a partition.
 	last := uint64(cfg.Epochs)
-	global := make(map[uint64]int)
 	for s := 0; s < cfg.Shards; s++ {
 		if err := ref.orc.CheckState(s, last, g.Engine(s).Store()); err != nil {
 			return nil, fmt.Errorf("%s: %w", label, err)
 		}
-		union := shard.RealOutputs(g.DeliveredUnion(s))
-		pending := g.Engine(s).PendingOutputsMatching(func(o types.Output) bool { return !shard.IsReplication(o) })
-		if err := ref.orc.CheckOutputs(s, last, union, pending); err != nil {
-			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-		for _, o := range union {
-			if prev, dup := global[o.EventSeq]; dup {
-				return nil, fmt.Errorf("%s: event %d surfaced on shard %d and shard %d", label, o.EventSeq, prev, s)
-			}
-			global[o.EventSeq] = s
-		}
+	}
+	if err := checkShardOutputs(ref, g, ledgers, last); err != nil {
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 
 	// A fatal heal must tell the same story as the offline crash of the
@@ -287,34 +279,14 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 // outage at write k leaves behind — crashes the group, recovers it from the
 // surviving media with GroupRecover, and returns shard kill's report.
 func offlineReport(cfg *ShardConfig, ref *shardRef, kill, k int) (*engine.RecoveryReport, error) {
-	inner := make([]storage.Device, cfg.Shards)
-	devs := make([]storage.Device, cfg.Shards)
-	for i := range inner {
-		inner[i] = storage.NewMem()
-		devs[i] = inner[i]
-	}
-	devs[kill] = storage.NewStack(inner[kill]).WithFaulty(k, storage.FailStop, "").MustBuild()
-	coord := storage.NewMem()
-	g, err := newShardGroup(cfg, ref.app, devs, coord, nil)
+	fc := *cfg
+	fc.Mode, fc.Target = storage.FailStop, ""
+	g, rep, _, err := shardCrash(&fc, ref, kill, k)
 	if err != nil {
 		return nil, err
 	}
-	if procErr := g.Run(ref.batches[:cfg.Epochs]); procErr == nil {
-		return nil, fmt.Errorf("budget %d never hit the injected fault", k)
-	}
-	g.Crash()
-	g2, rep, err := shard.GroupRecover(shard.RecoverConfig{
-		Config: shard.Config{
-			GroupShape: types.GroupShape{RunShape: cfg.RunShape, Shards: cfg.Shards},
-			App:        ref.app, Kind: cfg.Kind, Devices: inner, CoordDev: coord,
-		},
-		Source: types.BatchSource(ref.batches),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("recover: %w", err)
-	}
-	for i := 0; i < g2.Shards(); i++ {
-		g2.Engine(i).Close()
+	for i := 0; i < g.Shards(); i++ {
+		g.Engine(i).Close()
 	}
 	return rep.Reports[kill], nil
 }

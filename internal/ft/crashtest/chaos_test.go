@@ -6,12 +6,9 @@ import (
 	"testing"
 
 	"morphstreamr/internal/adaptive"
-	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
-	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/scheduler"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/workload"
@@ -187,26 +184,22 @@ func TestPanicIsolatedOnEveryExecutor(t *testing.T) {
 				if err := cfg.normalize(); err != nil {
 					t.Fatal(err)
 				}
-				ref := buildOracle(&cfg)
-				app := &panicApp{App: cfg.NewGen().App(), at: int64(cfg.Epochs * cfg.EpochSize / 2)}
-				dev := storage.NewMem()
-				ecfg := func() engine.Config {
-					bytes := metrics.NewBytes()
-					return engine.Config{
-						RunShape: recoverShape(&cfg), App: app, Device: dev, Bytes: bytes,
-						Mechanism: core.NewMechanism(kind, dev, bytes, msr.Default()), AdaptiveForce: cfg.Force,
-					}
-				}
-				e, err := engine.New(ecfg())
+				ref, err := buildRef(&cfg, 1, cfg.Epochs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				err = processAll(e, ref.batches)
+				app := &panicApp{App: cfg.NewGen().App(), at: int64(cfg.Epochs * cfg.EpochSize / 2)}
+				dev := storage.NewMem()
+				e, err := engine.New(engineConfig(&cfg, recoverShape(&cfg), dev, app, nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = e.ProcessEpochs(ref.batches)
 				if !errors.Is(err, scheduler.ErrOpPanic) || engine.Classify(err) != "panic" {
 					t.Fatalf("want an ErrOpPanic epoch classified panic, got %q: %v", engine.Classify(err), err)
 				}
 				e.Crash()
-				e2, rep, err := engine.Recover(ecfg())
+				e2, rep, err := engine.Recover(engineConfig(&cfg, recoverShape(&cfg), dev, app, nil))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,7 +207,7 @@ func TestPanicIsolatedOnEveryExecutor(t *testing.T) {
 				if err := e2.ProcessEpochs(ref.batches[rep.LastEpoch:]); err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.checkState(uint64(cfg.Epochs), e2.Store()); err != nil {
+				if err := ref.orc.CheckState(0, uint64(cfg.Epochs), e2.Store()); err != nil {
 					t.Fatal(err)
 				}
 			})

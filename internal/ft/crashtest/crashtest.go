@@ -15,8 +15,8 @@
 //     storage.Faulty device that dies exactly at write k (fail-stop, torn
 //     write, or dropped tail), crash the engine, recover from the
 //     surviving medium, and check the recovered store against the oracle
-//     state of the recovered epoch and the union of delivered outputs for
-//     exactly-once delivery.
+//     state of the recovered epoch and the outputs one recording sink kept
+//     across the crash for exactly-once delivery.
 //
 // A sweep failure pinpoints the write site, mechanism, and fault mode that
 // diverged — "WAL under torn-write dies at write 7: append[ft] epoch=4 and
@@ -26,7 +26,6 @@ package crashtest
 
 import (
 	"fmt"
-	"sort"
 
 	"morphstreamr/internal/adaptive"
 	"morphstreamr/internal/core"
@@ -34,7 +33,7 @@ import (
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
 	"morphstreamr/internal/metrics"
-	"morphstreamr/internal/oracle"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
@@ -156,124 +155,19 @@ type Result struct {
 	Failures []Failure
 }
 
-// oracleRef is the reference run: pre-generated per-epoch batches, the
-// oracle state after every epoch, and the oracle output of every event.
-type oracleRef struct {
-	specs   []types.TableSpec
-	batches [][]types.Event // batches[e-1] is epoch e's events
-	states  []map[types.Key]types.Value
-	inits   map[types.TableID]types.Value
-	outputs map[uint64]types.Output // by EventSeq
-	events  []int                   // events[e] = total events through epoch e
-}
-
-func buildOracle(cfg *Config) *oracleRef {
-	gen := cfg.NewGen()
-	ref := &oracleRef{
-		specs:   gen.App().Tables(),
-		inits:   make(map[types.TableID]types.Value),
-		outputs: make(map[uint64]types.Output),
-		states:  []map[types.Key]types.Value{{}}, // states[0]: initial
-		events:  []int{0},
-	}
-	for _, sp := range ref.specs {
-		ref.inits[sp.ID] = sp.Init
-	}
-	o := oracle.New(gen.App())
-	total := 0
-	for e := 1; e <= cfg.Epochs; e++ {
-		batch := workload.Batch(gen, cfg.EpochSize)
-		ref.batches = append(ref.batches, batch)
-		for _, ev := range batch {
-			ref.outputs[ev.Seq] = o.Apply(ev)
-		}
-		total += len(batch)
-		ref.states = append(ref.states, o.State())
-		ref.events = append(ref.events, total)
-	}
-	return ref
-}
-
-// value returns the reference value of k after epoch e.
-func (r *oracleRef) value(e uint64, k types.Key) types.Value {
-	if v, ok := r.states[e][k]; ok {
-		return v
-	}
-	return r.inits[k.Table]
-}
-
-// checkState compares a recovered store against the reference state after
-// epoch e, returning a description of the first divergences.
-func (r *oracleRef) checkState(e uint64, st storeReader) error {
-	var diffs []string
-	for _, sp := range r.specs {
-		for row := uint32(0); row < sp.Rows; row++ {
-			k := types.Key{Table: sp.ID, Row: row}
-			if got, want := st.Get(k), r.value(e, k); got != want {
-				if len(diffs) < 3 {
-					diffs = append(diffs, fmt.Sprintf("%v: got %d want %d", k, got, want))
-				} else {
-					diffs = append(diffs, "...")
-					goto done
-				}
-			}
-		}
-	}
-done:
-	if len(diffs) > 0 {
-		return fmt.Errorf("state diverges from oracle at epoch %d: %v", e, diffs)
-	}
-	return nil
-}
-
-// storeReader is the slice of store.Store the checker needs.
-type storeReader interface {
-	Get(types.Key) types.Value
-}
-
-// checkOutputs verifies exactly-once delivery: the union of outputs
-// delivered before the crash and during/after recovery must contain no
-// duplicates, match the oracle value-for-value, and together with the
-// still-pending outputs account for every event through epoch last.
-func (r *oracleRef) checkOutputs(last uint64, delivered []types.Output, pending int) error {
-	sort.Slice(delivered, func(i, j int) bool { return delivered[i].EventSeq < delivered[j].EventSeq })
-	seen := make(map[uint64]bool, len(delivered))
-	for _, out := range delivered {
-		if seen[out.EventSeq] {
-			return fmt.Errorf("output for event %d delivered twice", out.EventSeq)
-		}
-		seen[out.EventSeq] = true
-		want, ok := r.outputs[out.EventSeq]
-		if !ok {
-			return fmt.Errorf("output for unknown event %d delivered", out.EventSeq)
-		}
-		if out.Kind != want.Kind || len(out.Vals) != len(want.Vals) {
-			return fmt.Errorf("output for event %d diverges: got %+v want %+v", out.EventSeq, out, want)
-		}
-		for i := range out.Vals {
-			if out.Vals[i] != want.Vals[i] {
-				return fmt.Errorf("output for event %d diverges: got %+v want %+v", out.EventSeq, out, want)
-			}
-		}
-	}
-	if got, want := len(delivered)+pending, r.events[last]; got != want {
-		return fmt.Errorf("delivered %d + pending %d outputs != %d events through epoch %d",
-			len(delivered), pending, want, last)
-	}
-	return nil
-}
-
-// newEngine assembles an engine of cfg's shape over dev.
-func newEngine(cfg *Config, dev storage.Device, gen workload.Generator) (*engine.Engine, error) {
+// engineConfig assembles an engine of cfg's kind over dev with the given
+// shape (cfg's own, or recoverShape's), releasing to sink.
+func engineConfig(cfg *Config, shape types.RunShape, dev storage.Device, app types.App, sink func(uint64, []types.Output)) engine.Config {
 	bytes := metrics.NewBytes()
-	return engine.New(engine.Config{
-		RunShape:      cfg.RunShape,
-		App:           gen.App(),
+	return engine.Config{
+		RunShape:      shape,
+		App:           app,
 		Device:        dev,
 		Mechanism:     core.NewMechanism(cfg.Kind, dev, bytes, msr.Default()),
 		Bytes:         bytes,
 		AdaptiveForce: cfg.Force,
-	})
+		Sink:          sink,
+	}
 }
 
 // recoverShape is the crashed run's shape with the live-run-only knobs
@@ -286,13 +180,6 @@ func recoverShape(cfg *Config) types.RunShape {
 	return shape
 }
 
-// processAll drives the reference batches through the engine as one
-// ProcessEpochs run — pipelined when the engine was built with
-// Config.Pipeline — whose first failing epoch surfaces as the error.
-func processAll(e *engine.Engine, batches [][]types.Event) error {
-	return e.ProcessEpochs(batches)
-}
-
 // Enumerate runs the workload fault-free against a counting device and
 // returns every durable write site, filtered to cfg.Target. The fault-free
 // run doubles as a sanity check: it must complete and already match the
@@ -301,23 +188,26 @@ func Enumerate(cfg Config) ([]storage.WriteSite, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	ref := buildOracle(&cfg)
+	ref, err := buildRef(&cfg, 1, cfg.Epochs)
+	if err != nil {
+		return nil, err
+	}
 	return enumerate(&cfg, ref)
 }
 
-func enumerate(cfg *Config, ref *oracleRef) ([]storage.WriteSite, error) {
+func enumerate(cfg *Config, ref *shardRef) ([]storage.WriteSite, error) {
 	st := storage.NewStack(newBase(cfg)).WithTrace()
 	trace := st.Trace
 	gen := cfg.NewGen()
-	e, err := newEngine(cfg, st.MustBuild(), gen)
+	e, err := engine.New(engineConfig(cfg, cfg.RunShape, st.MustBuild(), gen.App(), nil))
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
-	if err := processAll(e, ref.batches); err != nil {
+	if err := e.ProcessEpochs(ref.batches); err != nil {
 		return nil, fmt.Errorf("crashtest: fault-free run failed: %w", err)
 	}
-	if err := ref.checkState(uint64(cfg.Epochs), e.Store()); err != nil {
+	if err := ref.orc.CheckState(0, uint64(cfg.Epochs), e.Store()); err != nil {
 		return nil, fmt.Errorf("crashtest: fault-free run already diverges: %w", err)
 	}
 	sites := trace.Sites()
@@ -343,7 +233,10 @@ func Sweep(cfg Config) (*Result, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	ref := buildOracle(&cfg)
+	ref, err := buildRef(&cfg, 1, cfg.Epochs)
+	if err != nil {
+		return nil, err
+	}
 	sites, err := enumerate(&cfg, ref)
 	if err != nil {
 		return nil, err
@@ -362,33 +255,26 @@ func Sweep(cfg Config) (*Result, error) {
 
 // runOne executes one crash-recover-verify cycle with the device dying at
 // the k-th (target-matching) write.
-func runOne(cfg *Config, ref *oracleRef, k int) error {
+func runOne(cfg *Config, ref *shardRef, k int) error {
 	inner := newBase(cfg)
 	dev := storage.NewStack(inner).WithFaulty(k, cfg.Mode, cfg.Target).MustBuild()
 	gen := cfg.NewGen()
-	e, err := newEngine(cfg, dev, gen)
+	// One ledger spans the crash: before it, the outputs whose durability
+	// gate fired in time; after it, what recovery released.
+	ledger := &engine.Ledger{}
+	e, err := engine.New(engineConfig(cfg, cfg.RunShape, dev, gen.App(), ledger.Sink))
 	if err != nil {
 		return err
 	}
-	if procErr := processAll(e, ref.batches); procErr == nil {
+	if procErr := e.ProcessEpochs(ref.batches); procErr == nil {
 		return fmt.Errorf("budget %d never hit the injected fault", k)
 	}
-	// The pre-crash ledger: outputs whose durability gate fired in time.
-	crashed := append([]types.Output(nil), e.Delivered()...)
 	e.Crash()
 
 	// Recover against the surviving medium. The Faulty wrapper stays dead,
 	// so recovery runs on the inner device directly — the usual "new disk
 	// controller, same platters" restart.
-	bytes := metrics.NewBytes()
-	e2, report, err := engine.Recover(engine.Config{
-		RunShape:      recoverShape(cfg),
-		App:           gen.App(),
-		Device:        inner,
-		Mechanism:     core.NewMechanism(cfg.Kind, inner, bytes, msr.Default()),
-		Bytes:         bytes,
-		AdaptiveForce: cfg.Force,
-	})
+	e2, report, err := engine.Recover(engineConfig(cfg, recoverShape(cfg), inner, gen.App(), ledger.Sink))
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -397,18 +283,17 @@ func runOne(cfg *Config, ref *oracleRef, k int) error {
 	if last > uint64(cfg.Epochs) {
 		return fmt.Errorf("recovered through epoch %d, beyond the %d run", last, cfg.Epochs)
 	}
-	if err := ref.checkState(last, e2.Store()); err != nil {
+	if err := ref.orc.CheckState(0, last, e2.Store()); err != nil {
 		return err
 	}
-	union := append(crashed, e2.Delivered()...)
-	if err := ref.checkOutputs(last, union, e2.PendingOutputs()); err != nil {
+	if err := ref.orc.CheckOutputs(0, last, ledger, e2); err != nil {
 		return err
 	}
 	if cfg.Continue && int(last) < len(ref.batches) {
 		if err := e2.ProcessEpoch(ref.batches[last]); err != nil {
 			return fmt.Errorf("post-recovery epoch %d: %w", last+1, err)
 		}
-		if err := ref.checkState(last+1, e2.Store()); err != nil {
+		if err := ref.orc.CheckState(0, last+1, e2.Store()); err != nil {
 			return fmt.Errorf("post-recovery: %w", err)
 		}
 	}
@@ -419,44 +304,33 @@ func runOne(cfg *Config, ref *oracleRef, k int) error {
 // of epochs, crashes it cleanly, recovers, and returns the recovered
 // engines — the cross-mechanism agreement check: on equivalent histories,
 // every mechanism must recover the identical store.
-func BoundaryStores(cfg Config, kinds []ftapi.Kind) (map[ftapi.Kind]*engine.Engine, *oracleRef, error) {
+func BoundaryStores(cfg Config, kinds []ftapi.Kind) (map[ftapi.Kind]*engine.Engine, *shard.GroupOracle, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, nil, err
 	}
-	ref := buildOracle(&cfg)
+	ref, err := buildRef(&cfg, 1, cfg.Epochs)
+	if err != nil {
+		return nil, nil, err
+	}
 	out := make(map[ftapi.Kind]*engine.Engine, len(kinds))
 	for _, kind := range kinds {
 		kcfg := cfg
 		kcfg.Kind = kind
 		dev := newBase(&kcfg)
 		gen := kcfg.NewGen()
-		e, err := newEngine(&kcfg, dev, gen)
+		e, err := engine.New(engineConfig(&kcfg, kcfg.RunShape, dev, gen.App(), nil))
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := processAll(e, ref.batches); err != nil {
+		if err := e.ProcessEpochs(ref.batches); err != nil {
 			return nil, nil, fmt.Errorf("%v: %w", kind, err)
 		}
 		e.Crash()
-		bytes := metrics.NewBytes()
-		e2, _, err := engine.Recover(engine.Config{
-			RunShape:  recoverShape(&kcfg),
-			App:       gen.App(),
-			Device:    dev,
-			Mechanism: core.NewMechanism(kind, dev, bytes, msr.Default()),
-			Bytes:     bytes,
-		})
+		e2, _, err := engine.Recover(engineConfig(&kcfg, recoverShape(&kcfg), dev, gen.App(), nil))
 		if err != nil {
 			return nil, nil, fmt.Errorf("%v recover: %w", kind, err)
 		}
 		out[kind] = e2
 	}
-	return out, ref, nil
+	return out, ref.orc, nil
 }
-
-// CheckState exposes the oracle comparison for tests that hold their own
-// recovered stores.
-func (r *oracleRef) CheckState(e uint64, st storeReader) error { return r.checkState(e, st) }
-
-// Epochs reports how many epochs the reference run covers.
-func (r *oracleRef) Epochs() int { return len(r.batches) }

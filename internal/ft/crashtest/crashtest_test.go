@@ -1,8 +1,10 @@
 package crashtest
 
 import (
+	"slices"
 	"testing"
 
+	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/storage"
@@ -149,12 +151,12 @@ func TestCrossMechanismAgreement(t *testing.T) {
 			NewGen: func() workload.Generator { return fttest.SLGen(59) },
 			Epochs: epochs,
 		}
-		engines, ref, err := BoundaryStores(cfg, recoverable)
+		engines, orc, err := BoundaryStores(cfg, recoverable)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for kind, e := range engines {
-			if err := ref.CheckState(uint64(epochs), e.Store()); err != nil {
+			if err := orc.CheckState(0, uint64(epochs), e.Store()); err != nil {
 				t.Errorf("epochs=%d %v: %v", epochs, kind, err)
 			}
 		}
@@ -223,6 +225,62 @@ func TestPipelinedWriteSequence(t *testing.T) {
 			if seqSites[i] != pipSites[i] {
 				t.Fatalf("%v: write %d diverges: %v vs %v", kind, i, seqSites[i], pipSites[i])
 			}
+		}
+	}
+}
+
+// TestSinkContract pins what a sink is promised, for every recoverable
+// mechanism: one sink installed on an engine and on the engine Recover
+// rebuilds after a crash mid commit group sees epochs 1..8 once each, in
+// order, and a recording ledger on it equals the oracle after three more
+// epochs have run through the recovered engine. The outputs it is handed
+// are engine memory, recycled once the call returns: a sink that keeps the
+// slices instead of copying them no longer matches the oracle.
+func TestSinkContract(t *testing.T) {
+	const crashAfter = 5
+	for _, kind := range recoverable {
+		cfg := Config{Kind: kind, NewGen: func() workload.Generator { return fttest.GSGen(67) }, Epochs: 8}
+		if err := cfg.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		ref, err := buildRef(&cfg, 1, cfg.Epochs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledger := &engine.Ledger{}
+		var kept [][]types.Output
+		sink := func(ep uint64, outs []types.Output) {
+			ledger.Sink(ep, outs)
+			kept = append(kept, outs)
+		}
+		dev := storage.NewMem()
+		gen := cfg.NewGen()
+		e, err := engine.New(engineConfig(&cfg, cfg.RunShape, dev, gen.App(), sink))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.ProcessEpochs(ref.batches[:crashAfter]); err != nil {
+			t.Fatal(err)
+		}
+		e.Crash()
+		e2, _, err := engine.Recover(engineConfig(&cfg, recoverShape(&cfg), dev, gen.App(), sink))
+		if err != nil {
+			t.Fatalf("%v: recover: %v", kind, err)
+		}
+		if err := e2.ProcessEpochs(ref.batches[crashAfter:]); err != nil {
+			t.Fatal(err)
+		}
+		e2.Close()
+		// Epoch 8 is a snapshot marker, so every mechanism has released it all.
+		if len(ledger.Epochs) != cfg.Epochs {
+			t.Fatalf("%v: sink saw epochs %v, want 1..%d", kind, ledger.Epochs, cfg.Epochs)
+		}
+		if err := ref.orc.CheckOutputs(0, uint64(cfg.Epochs), ledger, e2); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		aliased := &engine.Ledger{Epochs: ledger.Epochs, Outputs: slices.Concat(kept...)}
+		if ref.orc.CheckOutputs(0, uint64(cfg.Epochs), aliased, e2) == nil {
+			t.Fatalf("%v: the outputs a sink kept without copying still match the oracle; the engine does not recycle them", kind)
 		}
 	}
 }

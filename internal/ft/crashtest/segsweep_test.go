@@ -3,12 +3,9 @@ package crashtest
 import (
 	"testing"
 
-	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
-	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
@@ -122,7 +119,10 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 	if err := cfg.normalize(); err != nil {
 		return false, err
 	}
-	ref := buildOracle(&cfg)
+	ref, err := buildRef(&cfg, 1, cfg.Epochs)
+	if err != nil {
+		return false, err
+	}
 	seg := storage.NewSegStore(storage.SegConfig{SegmentBytes: cfg.SegmentBytes})
 	fired := 0
 	seg.SetHook(func(ev, _ string) {
@@ -134,7 +134,8 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 		}
 	})
 	gen := cfg.NewGen()
-	e, err := newEngine(&cfg, seg, gen)
+	ledger := &engine.Ledger{}
+	e, err := engine.New(engineConfig(&cfg, cfg.RunShape, seg, gen.App(), ledger.Sink))
 	if err != nil {
 		return false, err
 	}
@@ -148,34 +149,25 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 				crashed = true
 			}
 		}()
-		return processAll(e, ref.batches)
+		return e.ProcessEpochs(ref.batches)
 	}()
 	if !crashed {
 		// Fault-free completion: sanity-check it, then report the sweep done.
 		if err != nil {
 			return false, err
 		}
-		return false, ref.checkState(uint64(cfg.Epochs), e.Store())
+		return false, ref.orc.CheckState(0, uint64(cfg.Epochs), e.Store())
 	}
-	delivered := append([]types.Output(nil), e.Delivered()...)
 	e.Crash()
 	seg.SetHook(nil)
 
-	bytes := metrics.NewBytes()
-	e2, report, err := engine.Recover(engine.Config{
-		RunShape:  recoverShape(&cfg),
-		App:       gen.App(),
-		Device:    seg,
-		Mechanism: core.NewMechanism(cfg.Kind, seg, bytes, msr.Default()),
-		Bytes:     bytes,
-	})
+	e2, report, err := engine.Recover(engineConfig(&cfg, recoverShape(&cfg), seg, gen.App(), ledger.Sink))
 	if err != nil {
 		return true, err
 	}
 	last := report.LastEpoch
-	if err := ref.checkState(last, e2.Store()); err != nil {
+	if err := ref.orc.CheckState(0, last, e2.Store()); err != nil {
 		return true, err
 	}
-	union := append(delivered, e2.Delivered()...)
-	return true, ref.checkOutputs(last, union, e2.PendingOutputs())
+	return true, ref.orc.CheckOutputs(0, last, ledger, e2)
 }

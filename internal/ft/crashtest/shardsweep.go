@@ -73,22 +73,26 @@ func deviceName(shards, i int) string {
 	return fmt.Sprintf("shard%d", i)
 }
 
-// shardRef is the sharded sweep's reference run: the pre-generated global
-// batches (one extra for the Continue epoch) and the sharded oracle.
+// shardRef is a reference run: the pre-generated global batches and the
+// sharded oracle's replay of them. On one shard it is a single engine's
+// oracle (a group of one replicates nothing), which is what the
+// single-engine sweeps check against.
 type shardRef struct {
 	app     types.App
-	batches [][]types.Event
+	batches [][]types.Event // batches[e-1] is epoch e's events
 	orc     *shard.GroupOracle
 }
 
-func buildShardRef(cfg *ShardConfig) (*shardRef, error) {
+// buildRef generates epochs batches of cfg's workload and replays them on
+// shards shards.
+func buildRef(cfg *Config, shards, epochs int) (*shardRef, error) {
 	gen := cfg.NewGen()
 	app := gen.App()
-	batches := make([][]types.Event, cfg.Epochs+1)
+	batches := make([][]types.Event, epochs)
 	for i := range batches {
 		batches[i] = workload.Batch(gen, cfg.EpochSize)
 	}
-	orc, err := shard.NewGroupOracle(app, cfg.Shards, batches)
+	orc, err := shard.NewGroupOracle(app, shards, batches)
 	if err != nil {
 		return nil, err
 	}
@@ -96,16 +100,20 @@ func buildShardRef(cfg *ShardConfig) (*shardRef, error) {
 }
 
 // newShardGroup assembles a group of cfg's shape running app over the given
-// devices, observed by o (nil for none).
-func newShardGroup(cfg *ShardConfig, app types.App, devs []storage.Device, coord storage.Device, o *obs.Observer) (*shard.Group, error) {
-	return shard.NewGroup(shard.Config{
+// devices, observed by o and recording into ledgers (nil for none of either).
+func newShardGroup(cfg *ShardConfig, app types.App, devs []storage.Device, coord storage.Device, o *obs.Observer, ledgers shard.Ledgers) (*shard.Group, error) {
+	c := shard.Config{
 		GroupShape: types.GroupShape{RunShape: cfg.RunShape, Shards: cfg.Shards},
 		App:        app,
 		Kind:       cfg.Kind,
 		Devices:    devs,
 		CoordDev:   coord,
 		Obs:        o,
-	})
+	}
+	if ledgers != nil {
+		c.Sink = ledgers.Sink
+	}
+	return shard.NewGroup(c)
 }
 
 // ShardEnumerate runs the sharded workload fault-free with a counting
@@ -119,7 +127,7 @@ func ShardEnumerate(cfg ShardConfig) (map[string][]storage.WriteSite, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	ref, err := buildShardRef(&cfg)
+	ref, err := buildRef(&cfg.Config, cfg.Shards, cfg.Epochs+1)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +145,7 @@ func shardEnumerate(cfg *ShardConfig, ref *shardRef) (map[string][]storage.Write
 	coordStack := storage.NewStack(storage.NewMem()).WithTrace()
 	traces[cfg.Shards] = coordStack.Trace
 
-	g, err := newShardGroup(cfg, ref.app, devs, coordStack.MustBuild(), nil)
+	g, err := newShardGroup(cfg, ref.app, devs, coordStack.MustBuild(), nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -176,7 +184,7 @@ func ShardSweep(cfg ShardConfig) (*ShardResult, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	ref, err := buildShardRef(&cfg)
+	ref, err := buildRef(&cfg.Config, cfg.Shards, cfg.Epochs+1)
 	if err != nil {
 		return nil, err
 	}
@@ -202,53 +210,51 @@ func ShardSweep(cfg ShardConfig) (*ShardResult, error) {
 	return res, nil
 }
 
-// shardRunOne executes one sharded crash-recover-verify cycle with device
-// d (shard index, or Shards for the coordinator) dying at its k-th
-// target-matching write.
-func shardRunOne(cfg *ShardConfig, ref *shardRef, d, k int) error {
-	inner := make([]storage.Device, cfg.Shards)
-	devs := make([]storage.Device, cfg.Shards)
+// shardCrash runs the sharded workload with device d (shard index, or
+// Shards for the coordinator) dying at its k-th target-matching write,
+// crashes the group, and recovers it with GroupRecover from the surviving
+// media (the Faulty wrapper stays dead; the inner devices are the platters
+// that survived). One set of ledgers spans the crash and the recovery.
+func shardCrash(cfg *ShardConfig, ref *shardRef, d, k int) (*shard.Group, *shard.GroupReport, shard.Ledgers, error) {
+	inner := make([]storage.Device, cfg.Shards+1) // the coordinator's last
+	devs := make([]storage.Device, cfg.Shards+1)
 	for i := range inner {
 		inner[i] = storage.NewMem()
 		devs[i] = inner[i]
-		if i == d {
-			devs[i] = storage.NewStack(inner[i]).WithFaulty(k, cfg.Mode, cfg.Target).MustBuild()
-		}
 	}
-	coordInner := storage.NewMem()
-	coord := storage.Device(coordInner)
-	if d == cfg.Shards {
-		coord = storage.NewStack(coordInner).WithFaulty(k, cfg.Mode, cfg.Target).MustBuild()
-	}
-
-	g, err := newShardGroup(cfg, ref.app, devs, coord, nil)
+	devs[d] = storage.NewStack(inner[d]).WithFaulty(k, cfg.Mode, cfg.Target).MustBuild()
+	ledgers := make(shard.Ledgers, cfg.Shards)
+	g, err := newShardGroup(cfg, ref.app, devs[:cfg.Shards], devs[cfg.Shards], nil, ledgers)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
 	if procErr := g.Run(ref.batches[:cfg.Epochs]); procErr == nil {
-		return fmt.Errorf("budget %d never hit the injected fault", k)
-	}
-	// Bank each shard's pre-crash ledger before abandoning the group.
-	precrash := make([][]types.Output, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
-		precrash[s] = append([]types.Output(nil), g.Engine(s).Delivered()...)
+		return nil, nil, nil, fmt.Errorf("budget %d never hit the injected fault", k)
 	}
 	g.Crash()
-
-	// Parallel group recovery from the surviving media (the Faulty wrapper
-	// stays dead; the inner devices are the platters that survived).
 	g2, report, err := shard.GroupRecover(shard.RecoverConfig{
 		Config: shard.Config{
 			GroupShape: types.GroupShape{RunShape: recoverShape(&cfg.Config), Shards: cfg.Shards},
 			App:        ref.app,
 			Kind:       cfg.Kind,
-			Devices:    inner,
-			CoordDev:   coordInner,
+			Devices:    inner[:cfg.Shards],
+			CoordDev:   inner[cfg.Shards],
+			Sink:       ledgers.Sink,
 		},
 		Source: types.BatchSource(ref.batches),
 	})
 	if err != nil {
-		return fmt.Errorf("group recover: %w", err)
+		return nil, nil, nil, fmt.Errorf("group recover: %w", err)
+	}
+	return g2, report, ledgers, nil
+}
+
+// shardRunOne executes one sharded crash-recover-verify cycle with device
+// d dying at its k-th target-matching write (see shardCrash).
+func shardRunOne(cfg *ShardConfig, ref *shardRef, d, k int) error {
+	g2, report, ledgers, err := shardCrash(cfg, ref, d, k)
+	if err != nil {
+		return err
 	}
 	last := report.Target
 	if last > uint64(cfg.Epochs) {
@@ -259,7 +265,7 @@ func shardRunOne(cfg *ShardConfig, ref *shardRef, d, k int) error {
 			return err
 		}
 	}
-	if err := checkShardOutputs(cfg, ref, g2, precrash, last); err != nil {
+	if err := checkShardOutputs(ref, g2, ledgers, last); err != nil {
 		return err
 	}
 	if cfg.Continue && int(last) < len(ref.batches) {
@@ -271,7 +277,7 @@ func shardRunOne(cfg *ShardConfig, ref *shardRef, d, k int) error {
 				return fmt.Errorf("post-recovery: %w", err)
 			}
 		}
-		if err := checkShardOutputs(cfg, ref, g2, precrash, last+1); err != nil {
+		if err := checkShardOutputs(ref, g2, ledgers, last+1); err != nil {
 			return fmt.Errorf("post-recovery: %w", err)
 		}
 	}
@@ -279,22 +285,20 @@ func shardRunOne(cfg *ShardConfig, ref *shardRef, d, k int) error {
 }
 
 // checkShardOutputs verifies exactly-once application delivery per shard —
-// the union of each shard's pre-crash and post-recovery ledgers, with
-// replication acknowledgements filtered — and the cross-shard agreement
-// that the union over shards accounts for every event of the run exactly
-// once (routing is a partition: no event may surface on two shards).
-func checkShardOutputs(cfg *ShardConfig, ref *shardRef, g *shard.Group, precrash [][]types.Output, last uint64) error {
-	global := make(map[uint64]int, cfg.EpochSize*int(last))
-	for s := 0; s < cfg.Shards; s++ {
-		union := append(append([]types.Output(nil), precrash[s]...), g.DeliveredUnion(s)...)
-		union = shard.RealOutputs(union)
-		pending := g.Engine(s).PendingOutputsMatching(func(o types.Output) bool {
-			return !shard.IsReplication(o)
-		})
-		if err := ref.orc.CheckOutputs(s, last, union, pending); err != nil {
+// what each shard's ledger recorded across its incarnations, each released
+// epoch once and in order — and the cross-shard agreement that the shards
+// together account for every event of the run exactly once (routing is a
+// partition: no event may surface on two shards).
+func checkShardOutputs(ref *shardRef, g *shard.Group, ledgers shard.Ledgers, last uint64) error {
+	global := make(map[uint64]int)
+	for s := range ledgers {
+		if err := ref.orc.CheckOutputs(s, last, &ledgers[s], g.Engine(s)); err != nil {
 			return err
 		}
-		for _, out := range union {
+		for _, out := range ledgers[s].Outputs {
+			if shard.IsReplication(out) {
+				continue
+			}
 			if prev, dup := global[out.EventSeq]; dup {
 				return fmt.Errorf("event %d surfaced on shard %d and shard %d", out.EventSeq, prev, s)
 			}

@@ -46,7 +46,8 @@ func (o *Oracle) get(k types.Key) types.Value {
 func (o *Oracle) Apply(ev types.Event) types.Output {
 	txn := o.app.Preprocess(ev)
 	exec := o.ExecuteTxn(&txn)
-	return o.app.Postprocess(exec)
+	out, _ := o.app.Postprocess(nil, exec)
+	return out
 }
 
 // ExecuteTxn runs one transaction under the abort contract shared with the
@@ -102,12 +103,3 @@ func (o *Oracle) Run(events []types.Event) []types.Output {
 
 // Value exposes the oracle's view of one record for test assertions.
 func (o *Oracle) Value(k types.Key) types.Value { return o.get(k) }
-
-// State copies the oracle's materialised state (only keys ever written).
-func (o *Oracle) State() map[types.Key]types.Value {
-	cp := make(map[types.Key]types.Value, len(o.state))
-	for k, v := range o.state {
-		cp[k] = v
-	}
-	return cp
-}

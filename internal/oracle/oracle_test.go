@@ -91,25 +91,6 @@ func TestDepValuesCapturedAtTxnStart(t *testing.T) {
 	}
 }
 
-func TestStateSnapshotting(t *testing.T) {
-	app := workload.NewGSApp(8)
-	o := New(app)
-	o.Apply(types.Event{Seq: 0, Kind: workload.GSPut,
-		Keys: []types.Key{{Table: workload.GSTable, Row: 2}}, Vals: []types.Value{9}})
-	st := o.State()
-	if len(st) != 1 || st[types.Key{Table: workload.GSTable, Row: 2}] != 9 {
-		t.Errorf("State() = %v", st)
-	}
-	st[types.Key{Table: workload.GSTable, Row: 2}] = 0
-	if o.Value(types.Key{Table: workload.GSTable, Row: 2}) != 9 {
-		t.Error("State() must be a copy")
-	}
-	// Unwritten keys read as table Init (GS Init = 1).
-	if o.Value(types.Key{Table: workload.GSTable, Row: 5}) != 1 {
-		t.Error("unwritten key must read table Init")
-	}
-}
-
 func TestRunCollectsAllOutputs(t *testing.T) {
 	p := workload.DefaultTPParams()
 	p.Segments = 64

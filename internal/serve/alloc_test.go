@@ -17,61 +17,131 @@ import (
 	"morphstreamr/internal/workload"
 )
 
-// TestServedPathAllocBudget holds the served epoch path to its allocation
-// budget. Pre-encoded GS Submit frames of 64 events go through the real
-// path — a session's frame read, DecodeFrame and admission, then the pump's
-// tick: ingest append, Group.ProcessEpoch on 2 shards, barrier and ack
-// flush — at 3072 events per epoch. What stays is what the ledger keeps (an
-// output per event) and the devices' own copies; everything whose lifetime
-// ends at or before its epoch's commit, decoded batches included, is
-// recycled.
-func TestServedPathAllocBudget(t *testing.T) {
-	const perEpoch, warm, measured, budget = 48, 20, 50, 130
+// servedPath is the rig the served-path pins drive: GS Submit frames of 64
+// events go through the real path — a session's frame read, DecodeFrame and
+// admission, then the pump's tick: ingest append, Group.ProcessEpoch on 2
+// shards, barrier and ack flush — at 48 Submits, 3072 events, per epoch.
+// The test ticks the pump itself, and the ingest manifest is GC'd every 8
+// committed epochs, so its records are released within a short run as they
+// are in a long one. coord is the coordinator's device.
+type servedPath struct {
+	srv     *Server
+	c       *Client
+	batches [][]types.Event // cycled
+	next    int             // batches encoded
+	fed     int             // batches fed
+}
+
+const servedPerEpoch = 48
+
+func newServedPath(t *testing.T, coord storage.Device) *servedPath {
 	seg := func() storage.Device { return storage.NewSegStore(storage.SegConfig{}) }
-	srv := newTestServer(t, Config{Tenants: []TenantConfig{{Name: "a"}}, EpochEvery: time.Hour}, shard.Config{
+	srv := newTestServer(t, Config{Tenants: []TenantConfig{{Name: "a"}}, EpochEvery: time.Hour, GCEvery: 8}, shard.Config{
 		GroupShape: types.GroupShape{RunShape: types.RunShape{Workers: 2}, Shards: 2},
 		App:        workload.NewGSApp(4096), Kind: ftapi.MSR,
-		Devices: []storage.Device{seg(), seg()}, CoordDev: seg(),
-	}) // the test ticks the pump itself
-	c := dial(t, srv, "a")
+		Devices: []storage.Device{seg(), seg()}, CoordDev: coord,
+	})
 	p := workload.DefaultGSParams()
 	p.Rows, p.Theta = 4096, 0
 	gen := workload.NewGS(p)
-	// Each epoch's traffic is one write: its Submits, then a Ping. A session
-	// handles its frames in order, so once the Pong is back every Submit
-	// before it has been admitted.
+	sp := &servedPath{srv: srv, c: dial(t, srv, "a"), batches: make([][]types.Event, 4*servedPerEpoch)}
+	for i := range sp.batches {
+		sp.batches[i] = workload.Batch(gen, 64)
+	}
+	return sp
+}
+
+// traffic encodes the next epoch's traffic as one write: its Submits, then
+// a Ping.
+func (sp *servedPath) traffic() []byte {
+	var w []byte
+	for range servedPerEpoch {
+		sp.next++
+		w = append(w, EncodeSubmit(uint64(sp.next), sp.batches[sp.next%len(sp.batches)])...)
+	}
+	return append(w, EncodePing()...)
+}
+
+// feed writes one epoch's traffic, ticks the pump once the Pong is back (a
+// session handles its frames in order, so by then every Submit before it
+// has been admitted) and checks that the tick acked them all.
+func (sp *servedPath) feed(t *testing.T, traffic []byte) {
+	if _, err := sp.c.Conn().Write(traffic); err != nil {
+		t.Fatal(err)
+	}
+	for f, err := (Frame{}), error(nil); f.Type != FramePong; f, err = sp.c.Next() {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sp.srv.tick(); err != nil {
+		t.Fatal(err)
+	}
+	sp.fed += servedPerEpoch
+	if wm, _ := sp.srv.Tenant("a"); wm != uint64(sp.fed) {
+		t.Fatalf("acked through batch %d, want %d", wm, sp.fed)
+	}
+}
+
+// TestServedPathAllocBudget holds the served epoch path to its allocation
+// budget over 50 warm epochs of pre-encoded traffic. What stays is the
+// devices' own copies (the frontier log, which nothing releases yet, and
+// the snapshot blobs) and a few per-epoch structures; outputs go to the
+// group's sink from recycled engine memory, and everything whose lifetime
+// ends at or before its epoch's commit, decoded batches included, is
+// recycled.
+func TestServedPathAllocBudget(t *testing.T) {
+	const warm, measured, budget = 20, 50, 45
+	sp := newServedPath(t, storage.NewSegStore(storage.SegConfig{}))
 	epochs := make([][]byte, warm+measured)
 	for ep := range epochs {
-		for i := 1; i <= perEpoch; i++ {
-			epochs[ep] = append(epochs[ep], EncodeSubmit(uint64(ep*perEpoch+i), workload.Batch(gen, 64))...)
-		}
-		epochs[ep] = append(epochs[ep], EncodePing()...)
+		epochs[ep] = sp.traffic()
 	}
 	var m0, m1 runtime.MemStats
 	for ep, traffic := range epochs {
 		if ep == warm {
 			runtime.ReadMemStats(&m0)
 		}
-		if _, err := c.Conn().Write(traffic); err != nil {
-			t.Fatal(err)
-		}
-		for f, err := (Frame{}), error(nil); f.Type != FramePong; f, err = c.Next() {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := srv.tick(); err != nil {
-			t.Fatal(err)
-		}
+		sp.feed(t, traffic)
 	}
 	runtime.ReadMemStats(&m1)
-	if wm, _ := srv.Tenant("a"); wm != uint64(len(epochs)*perEpoch) {
-		t.Fatalf("acked through batch %d, want %d", wm, len(epochs)*perEpoch)
-	}
-	perEvent := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(measured*perEpoch*64)
+	perEvent := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(measured*servedPerEpoch*64)
 	t.Logf("served path: %.1f B/event allocated over %d warm epochs", perEvent, measured)
 	if perEvent > budget {
 		t.Fatalf("served path allocates %.1f B/event, budget %d", perEvent, budget)
+	}
+}
+
+// TestServedPathAllocHeapSlope pins what the served path keeps: between warm
+// epoch 300 and epoch 600 the live heap (after a collection) may grow by at
+// most 2 B per event beyond the frontier log's payload. The coordinator's
+// frontier log is durable state nothing releases yet, so its bytes are the
+// one growth by design; the coordinator runs on a Mem device, which keeps a
+// record's payload and no segment slack, so that growth is the payload. A
+// host-side ledger of released outputs grew the heap by ~56 B per event.
+func TestServedPathAllocHeapSlope(t *testing.T) {
+	const mid, end, slope = 300, 600, 2
+	coord := storage.NewMem()
+	sp := newServedPath(t, coord)
+	live := func() (heap, frontier int64) {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc), coord.BytesWritten()[shard.LogFrontier]
+	}
+	var h0, f0 int64
+	for ep := 0; ep < end; ep++ {
+		if ep == mid {
+			h0, f0 = live()
+		}
+		sp.feed(t, sp.traffic())
+	}
+	h1, f1 := live()
+	events := float64((end - mid) * servedPerEpoch * 64)
+	perEvent := float64(h1-h0-(f1-f0)) / events
+	t.Logf("served path: live heap +%.1f B/event, %.1f of them the frontier log", float64(h1-h0)/events, float64(f1-f0)/events)
+	if perEvent > slope {
+		t.Fatalf("served path keeps %.1f B/event besides the frontier log, want <= %d", perEvent, slope)
 	}
 }
 

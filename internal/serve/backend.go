@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -12,8 +14,9 @@ import (
 // Backend is the processing engine behind the server: the pump feeds it one
 // epoch per tick and keys acknowledgements to its committed punctuation
 // frontier. Feed, Heal, Epoch, and Committed are called only from the
-// pump goroutine; Coord and Delivered-style accessors only before start or
-// after Close.
+// pump goroutine; Coord only before start or after Close. Released outputs
+// are the backend's own business: GroupBackend hands them to its group's
+// sink, and the server reads none of them.
 type Backend interface {
 	// Feed processes one epoch (the events carry server-assigned global
 	// sequences and live in recycled batch memory, so nothing of them may
@@ -40,23 +43,43 @@ type Backend interface {
 // epoch boundary on the pump goroutine — exactly the fail-stop model the
 // group's recovery protocol is built for (a concurrent Crash mid-epoch
 // would race the engines' own crash bookkeeping).
+//
+// Its group's sink counts each shard's application outputs by sequence
+// (see AllDelivered) and then calls the sink of the config it was built
+// with, if any.
 type GroupBackend struct {
 	cfg shard.Config
 	g   *shard.Group
+	del []deliveries // per shard, written by the goroutine running it
 
 	killGroup atomic.Bool
 	killShard atomic.Int64 // shard to crash at next Feed; <0 none
 }
 
+// newGroupBackend returns a backend whose cfg installs its counting sink.
+func newGroupBackend(cfg shard.Config) *GroupBackend {
+	b := &GroupBackend{del: make([]deliveries, max(cfg.Shards, 1))}
+	host := cfg.Sink
+	cfg.Sink = func(s int, ep uint64, outs []types.Output) {
+		b.del[s].count(outs)
+		if host != nil {
+			host(s, ep, outs)
+		}
+	}
+	b.cfg = cfg
+	b.killShard.Store(-1)
+	return b
+}
+
 // NewGroupBackend starts a fresh group. cfg.CoordDev doubles as the ingest
 // manifest device.
 func NewGroupBackend(cfg shard.Config) (*GroupBackend, error) {
-	g, err := shard.NewGroup(cfg)
+	b := newGroupBackend(cfg)
+	g, err := shard.NewGroup(b.cfg)
 	if err != nil {
 		return nil, err
 	}
-	b := &GroupBackend{cfg: cfg, g: g}
-	b.killShard.Store(-1)
+	b.g = g
 	return b, nil
 }
 
@@ -71,12 +94,12 @@ func RecoverGroupBackend(cfg shard.Config) (*GroupBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, _, err := shard.GroupRecover(shard.RecoverConfig{Config: cfg, Source: src})
+	b := newGroupBackend(cfg)
+	g, _, err := shard.GroupRecover(shard.RecoverConfig{Config: b.cfg, Source: src})
 	if err != nil {
 		return nil, err
 	}
-	b := &GroupBackend{cfg: cfg, g: g}
-	b.killShard.Store(-1)
+	b.g = g
 	return b, nil
 }
 
@@ -133,9 +156,51 @@ func (b *GroupBackend) Heal(procErr error, src types.Source) (uint64, error) {
 	return rep.Target, nil
 }
 
-// AllDelivered returns every output shard i released across all of its
-// incarnations — the union exactly-once audits run against.
-func (b *GroupBackend) AllDelivered(i int) []types.Output { return b.g.DeliveredUnion(i) }
+// AllDelivered returns one Output{EventSeq} per delivery of an application
+// output shard i released across all of its incarnations since the backend
+// was built, a sequence delivered twice appearing twice: what exactly-once
+// audits count. Only sequences are kept: the outputs carry no Kind or Vals.
+func (b *GroupBackend) AllDelivered(i int) []types.Output {
+	var outs []types.Output
+	for w, word := range b.del[i].once {
+		for ; word != 0; word &= word - 1 {
+			seq := uint64(w*64 + bits.TrailingZeros64(word))
+			for range 1 + b.del[i].extra[seq] {
+				outs = append(outs, types.Output{EventSeq: seq})
+			}
+		}
+	}
+	return outs
+}
+
+// deliveries is one shard's exactly-once counter over server-assigned
+// sequences: a bit per sequence delivered, and the extra deliveries of any
+// sequence delivered more than once. Replication acknowledgements are not
+// counted.
+type deliveries struct {
+	once  []uint64
+	extra map[uint64]int
+}
+
+func (d *deliveries) count(outs []types.Output) {
+	for _, o := range outs {
+		if shard.IsReplication(o) {
+			continue
+		}
+		w, bit := int(o.EventSeq/64), uint64(1)<<(o.EventSeq%64)
+		if w >= len(d.once) {
+			d.once = slices.Grow(d.once, w+1-len(d.once))[:w+1]
+		}
+		if d.once[w]&bit == 0 {
+			d.once[w] |= bit
+			continue
+		}
+		if d.extra == nil {
+			d.extra = map[uint64]int{}
+		}
+		d.extra[o.EventSeq]++
+	}
+}
 
 // Close implements Backend.
 func (b *GroupBackend) Close() {

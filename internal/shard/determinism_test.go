@@ -7,6 +7,7 @@ import (
 
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/shard"
+	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 )
 
@@ -17,14 +18,15 @@ import (
 func runOnce(t *testing.T, seed int64, shards int) ([]uint64, [][]byte) {
 	t.Helper()
 	app, batches := gsRun(seed, 6, 24)
-	g, err := shard.NewGroup(shard.Config{GroupShape: sweepShape(shards), App: app, Kind: ftapi.WAL})
+	coord := storage.NewMem()
+	g, err := shard.NewGroup(shard.Config{GroupShape: sweepShape(shards), App: app, Kind: ftapi.WAL, CoordDev: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Run(batches); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := g.FrontierRecords()
+	recs, err := coord.ReadLog(shard.LogFrontier)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +67,9 @@ func TestCrossShardDeterminism(t *testing.T) {
 // claim the reserved kind.
 func TestReplicationSequencing(t *testing.T) {
 	app, batches := gsRun(17, 4, 24)
+	ledgers := make(shard.Ledgers, 2)
 	g, err := shard.NewGroup(shard.Config{
-		GroupShape: sweepShape(2), App: app, Kind: ftapi.DL,
+		GroupShape: sweepShape(2), App: app, Kind: ftapi.DL, Sink: ledgers.Sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +77,7 @@ func TestReplicationSequencing(t *testing.T) {
 	if err := g.Run(batches); err != nil {
 		t.Fatal(err)
 	}
-	// Replication acknowledgements ride the delivered ledger (sequences
+	// Replication acknowledgements reach the sink (sequences
 	// deliberately reuse the space below each epoch's real events, which
 	// is why every verifier filters them before sequence-keyed dedup).
 	// A 2-shard GS run must actually replicate, and filtering must leave
@@ -82,7 +85,7 @@ func TestReplicationSequencing(t *testing.T) {
 	repAcks := 0
 	for s := 0; s < g.Shards(); s++ {
 		seen := make(map[uint64]bool)
-		for _, out := range g.DeliveredUnion(s) {
+		for _, out := range ledgers[s].Outputs {
 			if shard.IsReplication(out) {
 				repAcks++
 				continue

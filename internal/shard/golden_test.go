@@ -79,8 +79,8 @@ func (a twoTableApp) AppendOps(ops []types.Operation, ev types.Event) []types.Op
 		ev.Op(1, types.Key{Table: 1, Row: ev.Keys[0].Row}, types.FnSum, 0, ev.Keys[1:]...))
 }
 
-func (a twoTableApp) Postprocess(t *types.ExecutedTxn) types.Output {
-	return types.Output{EventSeq: t.Txn.ID, Kind: t.Txn.Event.Kind, Vals: append([]types.Value(nil), t.Results...)}
+func (a twoTableApp) Postprocess(vals []types.Value, t *types.ExecutedTxn) (types.Output, []types.Value) {
+	return types.AppendOutput(vals, t.Txn.ID, t.Txn.Event.Kind, t.Results...)
 }
 
 func twoTableRun(seed int64, rows uint32, epochs, epochSize int) (types.App, [][]types.Event) {

@@ -22,11 +22,12 @@ import (
 //     runs at a cold start.
 //
 // Either way the failure is classified with engine.Classify and recorded as
-// exactly one incident in the group's health log, and each dead
-// incarnation's delivered ledger is banked for DeliveredUnion. Heal runs on
-// the feeding goroutine after ProcessEpoch returned, which it does only once
-// every shard's epoch has returned: no write of a dead incarnation can still
-// be in flight, so nothing needs fencing off.
+// exactly one incident in the group's health log. The recovered engines
+// release to the same Config.Sink the dead ones did, so no output needs
+// carrying over. Heal runs on the feeding goroutine after ProcessEpoch
+// returned, which it does only once every shard's epoch has returned: no
+// write of a dead incarnation can still be in flight, so nothing needs
+// fencing off.
 func (g *Group) Heal(procErr error, src Source) (*GroupReport, error) {
 	if !g.crashed {
 		return nil, errors.New("shard: Heal on a live group")
@@ -94,7 +95,7 @@ func (g *Group) healShard(i int, src Source) (*GroupReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("heal shard %d: %w", i, err)
 	}
-	s.seat(eng)
+	s.eng = eng
 	report := &GroupReport{
 		Reports: make([]*engine.RecoveryReport, len(g.shards)),
 		Target:  ep, SerialSim: rep.SimWall(), ParallelSim: rep.SimWall(),

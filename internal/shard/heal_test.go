@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/obs"
 	"morphstreamr/internal/shard"
@@ -109,8 +110,8 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 	const n, epochs, died = 2, 12, 8
 	app, batches := gsRun(29, epochs, 24)
 	shape := sweepShape(n)
-	group := func(kind ftapi.Kind, devs []traced, coord traced) shard.Config {
-		cfg := shard.Config{GroupShape: shape, App: app, Kind: kind, CoordDev: coord.dev}
+	group := func(kind ftapi.Kind, devs []traced, coord traced, ledgers shard.Ledgers) shard.Config {
+		cfg := shard.Config{GroupShape: shape, App: app, Kind: kind, CoordDev: coord.dev, Sink: ledgers.Sink}
 		for _, d := range devs {
 			cfg.Devices = append(cfg.Devices, d.dev)
 		}
@@ -120,7 +121,7 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 		// Where each shard's input append of epoch `died` sits, from a
 		// fault-free run.
 		free := []traced{newTraced(storage.NewMem(), -1), newTraced(storage.NewMem(), -1)}
-		g, err := shard.NewGroup(group(kind, free, newTraced(storage.NewMem(), -1)))
+		g, err := shard.NewGroup(group(kind, free, newTraced(storage.NewMem(), -1), make(shard.Ledgers, n)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,8 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 			}[flavour]
 			devs := []traced{newTraced(storage.NewMem(), outage[0]), newTraced(storage.NewMem(), outage[1])}
 			coord := newTraced(storage.NewMem(), -1)
-			g, err := shard.NewGroup(group(kind, devs, coord))
+			healed := make(shard.Ledgers, n)
+			g, err := shard.NewGroup(group(kind, devs, coord, healed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -168,9 +170,9 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 				mark[i] = len(d.trace.Sites())
 				copies[i] = newTraced(cloneMem(t, d.mem), -1)
 			}
-			precrash := make([][]types.Output, n)
-			for s := 0; s < n; s++ {
-				precrash[s] = g.DeliveredUnion(s)
+			rebuilt := make(shard.Ledgers, n) // (b) continues a copy of what (a) released
+			for s, l := range healed {
+				rebuilt[s] = engine.Ledger{Epochs: slices.Clone(l.Epochs), Outputs: slices.Clone(l.Outputs)}
 			}
 
 			// (a) in place.
@@ -186,7 +188,7 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 			}
 			// (b) a fresh group over byte copies of the same devices.
 			g2, rep2, err := shard.GroupRecover(shard.RecoverConfig{
-				Config: group(kind, copies[:n], copies[n]), Source: types.BatchSource(batches),
+				Config: group(kind, copies[:n], copies[n], rebuilt), Source: types.BatchSource(batches),
 			})
 			if err != nil {
 				t.Fatalf("%s: group recover: %v", name, err)
@@ -218,12 +220,6 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			healed := make([][]types.Output, n)
-			rebuilt := make([][]types.Output, n)
-			for s := 0; s < n; s++ {
-				healed[s] = g.DeliveredUnion(s)
-				rebuilt[s] = append(precrash[s], g2.DeliveredUnion(s)...)
-			}
 			verifyAgainstOracle(t, g, orc, healed)
 			verifyAgainstOracle(t, g2, orc, rebuilt)
 			for s := 0; s < n; s++ {
@@ -241,7 +237,8 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 func TestHealRecordsOneIncident(t *testing.T) {
 	app, batches := gsRun(31, 8, 24)
 	o := obs.NewObserver(1, 64)
-	g, err := shard.NewGroup(shard.Config{GroupShape: sweepShape(2), App: app, Kind: ftapi.WAL, Obs: o})
+	ledgers := make(shard.Ledgers, 2)
+	g, err := shard.NewGroup(shard.Config{GroupShape: sweepShape(2), App: app, Kind: ftapi.WAL, Obs: o, Sink: ledgers.Sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,5 +269,5 @@ func TestHealRecordsOneIncident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyAgainstOracle(t, g, orc, [][]types.Output{g.DeliveredUnion(0), g.DeliveredUnion(1)})
+	verifyAgainstOracle(t, g, orc, ledgers)
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"morphstreamr/internal/codec"
+	"morphstreamr/internal/engine"
 	"morphstreamr/internal/oracle"
 	"morphstreamr/internal/partition"
 	"morphstreamr/internal/store"
@@ -28,12 +29,12 @@ type GroupOracle struct {
 	// prev mirrors each shard's owned values as of the last barrier, for
 	// value-diff delta extraction.
 	prev []map[types.Key]types.Value
-	// states[s][e] is shard s's full state after group epoch e+1.
+	// states[s][e] is shard s's full state after group epoch e (0: initial).
 	states [][]map[types.Key]types.Value
 	// outputs maps real event sequence → expected output.
 	outputs map[uint64]types.Output
 	// realFed[s][e] is the cumulative count of real events routed to shard
-	// s through group epoch e+1.
+	// s through group epoch e.
 	realFed  [][]int
 	deltas   []codec.ShardDelta
 	epochs   int
@@ -86,8 +87,8 @@ func newGroupOracle(app types.App, shards int, batches [][]types.Event, localRea
 	for s := 0; s < shards; s++ {
 		o.oracles = append(o.oracles, oracle.New(wrapped))
 		o.prev = append(o.prev, o.ownedState(s))
-		o.states = append(o.states, nil)
-		o.realFed = append(o.realFed, nil)
+		o.states = append(o.states, []map[types.Key]types.Value{o.fullState(s)})
+		o.realFed = append(o.realFed, []int{0})
 	}
 	for _, batch := range batches {
 		if err := o.Extend(batch); err != nil {
@@ -171,49 +172,28 @@ func (o *GroupOracle) Extend(batch []types.Event) error {
 	o.deltas = deltas
 	for s := range o.oracles {
 		o.states[s] = append(o.states[s], o.fullState(s))
-		fed := len(subs[s])
-		if n := len(o.realFed[s]); n > 0 {
-			fed += o.realFed[s][n-1]
-		}
-		o.realFed[s] = append(o.realFed[s], fed)
+		o.realFed[s] = append(o.realFed[s], o.realFed[s][o.epochs]+len(subs[s]))
 	}
 	o.epochs++
 	return nil
 }
 
-// Epochs returns how many group epochs the oracle has replayed.
-func (o *GroupOracle) Epochs() int { return o.epochs }
-
-// Output returns the expected output of a real event.
-func (o *GroupOracle) Output(seq uint64) (types.Output, bool) {
-	out, ok := o.outputs[seq]
-	return out, ok
-}
-
-// RealEvents returns the cumulative count of real events routed to shard s
-// through group epoch ep.
-func (o *GroupOracle) RealEvents(s int, ep uint64) int {
-	if ep == 0 || len(o.realFed[s]) == 0 {
-		return 0
-	}
-	i := int(ep) - 1
-	if i >= len(o.realFed[s]) {
-		i = len(o.realFed[s]) - 1
-	}
-	return o.realFed[s][i]
-}
-
 // CheckOutputs verifies shard s's exactly-once delivery through group
-// epoch last: delivered (the union of application outputs across the
-// shard's incarnations, replication acknowledgements excluded) must be
-// duplicate-free and value-equal to the oracle, and together with the
-// still-pending application outputs account for every real event routed
-// to the shard.
-func (o *GroupOracle) CheckOutputs(s int, last uint64, delivered []types.Output, pending int) error {
-	seen := make(map[uint64]bool, len(delivered))
-	for _, out := range delivered {
+// epoch last, as ledger l recorded it across the shard's incarnations: the
+// sink saw each released epoch once, in order, and the application outputs
+// (replication acknowledgements are skipped) are duplicate-free, value-equal
+// to the oracle's and, with the application outputs e still has pending,
+// account for every real event routed to the shard.
+func (o *GroupOracle) CheckOutputs(s int, last uint64, l *engine.Ledger, e *engine.Engine) error {
+	for i, ep := range l.Epochs {
+		if ep != uint64(i)+1 {
+			return fmt.Errorf("shard %d: sink saw epochs %v, want each released epoch once, in order", s, l.Epochs)
+		}
+	}
+	seen := make(map[uint64]bool, len(l.Outputs))
+	for _, out := range l.Outputs {
 		if IsReplication(out) {
-			return fmt.Errorf("shard %d: replication output %d in application stream", s, out.EventSeq)
+			continue
 		}
 		if seen[out.EventSeq] {
 			return fmt.Errorf("shard %d: output for event %d delivered twice", s, out.EventSeq)
@@ -232,20 +212,21 @@ func (o *GroupOracle) CheckOutputs(s int, last uint64, delivered []types.Output,
 			}
 		}
 	}
-	if got, want := len(delivered)+pending, o.RealEvents(s, last); got != want {
+	pending := e.PendingOutputsMatching(func(o types.Output) bool { return !IsReplication(o) })
+	if got, want := len(seen)+pending, o.realFed[s][min(int(last), o.epochs)]; got != want {
 		return fmt.Errorf("shard %d: delivered %d + pending %d outputs != %d events through epoch %d",
-			s, len(delivered), pending, want, last)
+			s, len(seen), pending, want, last)
 	}
 	return nil
 }
 
 // CheckState compares shard s's store against the oracle state after group
-// epoch ep, reporting the first few divergent keys.
+// epoch ep (0: the initial state), reporting the first few divergent keys.
 func (o *GroupOracle) CheckState(s int, ep uint64, st *store.Store) error {
-	if ep == 0 || int(ep) > o.epochs {
-		return fmt.Errorf("shard oracle: no retained state for epoch %d (have 1..%d)", ep, o.epochs)
+	if int(ep) > o.epochs {
+		return fmt.Errorf("shard oracle: no retained state for epoch %d (have 0..%d)", ep, o.epochs)
 	}
-	want := o.states[s][ep-1]
+	want := o.states[s][ep]
 	var diffs []string
 	for _, sp := range o.app.Tables() {
 		for row := uint32(0); row < sp.Rows; row++ {

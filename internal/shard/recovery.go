@@ -96,7 +96,7 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 //  1. recover every shard in parallel (or serially) with stock
 //     engine.Recover — each shard's snapshot restore + mechanism replay +
 //     tail reprocessing is independent of every other shard's — and seat
-//     the recovered engine, banking the dead one's ledger;
+//     the recovered engine;
 //  2. verify the lockstep invariant: recovered epochs may spread by at
 //     most one (a shard is fed epoch e+1 only after every shard finished
 //     epoch e, and its inputs persist before processing);
@@ -121,7 +121,7 @@ func (g *Group) recoverShards(src Source, serial bool, profilers []*vtime.Profil
 			errs[i] = fmt.Errorf("shard %d: %w", i, err)
 			return
 		}
-		g.shards[i].seat(eng)
+		g.shards[i].eng = eng
 		report.Reports[i] = rep
 	}
 	if serial {
@@ -250,14 +250,19 @@ func (g *Group) alignmentReplication(ep, minSeq uint64) ([][]types.Event, error)
 }
 
 // frontierDeltas returns the last durable frontier record for the given
-// epoch. A decode failure on the log's final record is a torn tail (the
-// coordinator died mid-append; no shard can have been fed past it) and
-// reads as absent; earlier corruption is an error. Later records for the
+// epoch (at least 1). A decode failure on the log's final record is a torn
+// tail (the coordinator died mid-append; no shard can have been fed past it)
+// and reads as absent; earlier corruption is an error. Later records for the
 // same epoch win: the first live epoch after a recovery re-appends its
 // full-sync deltas under the current epoch so a future recovery never
 // depends on a record lost to a coordinator-device crash.
 func (g *Group) frontierDeltas(epoch uint64) ([]codec.ShardDelta, bool, error) {
-	cur, err := storage.ReadFrom(g.coord, LogFrontier, 0)
+	// The log is never released, so the cursor seeks past every earlier
+	// epoch: a re-alignment reads the records from epoch on, not the run.
+	// Records are appended in non-decreasing epoch order (a full sync goes
+	// under the recovered epoch, which no earlier record exceeds), so the
+	// last record the cursor yields is the log's last.
+	cur, err := storage.ReadFrom(g.coord, LogFrontier, epoch-1)
 	if err != nil {
 		return nil, false, fmt.Errorf("shard: frontier log: %w", err)
 	}

@@ -61,27 +61,16 @@ func (a *App) AppendOps(ops []types.Operation, ev types.Event) []types.Operation
 // Postprocess implements types.App. Replication events acknowledge with an
 // empty output of their kind; every downstream verifier filters these out
 // of the application output stream (see IsReplication).
-func (a *App) Postprocess(t *types.ExecutedTxn) types.Output {
+func (a *App) Postprocess(vals []types.Value, t *types.ExecutedTxn) (types.Output, []types.Value) {
 	if t.Txn.Event.Kind != KindReplicate {
-		return a.inner.Postprocess(t)
+		return a.inner.Postprocess(vals, t)
 	}
-	return types.Output{EventSeq: t.Txn.ID, Kind: KindReplicate}
+	return types.Output{EventSeq: t.Txn.ID, Kind: KindReplicate}, vals
 }
 
 // IsReplication reports whether an output is a replication acknowledgement
 // rather than an application output.
 func IsReplication(out types.Output) bool { return out.Kind == KindReplicate }
-
-// RealOutputs filters a ledger down to application outputs.
-func RealOutputs(outs []types.Output) []types.Output {
-	kept := make([]types.Output, 0, len(outs))
-	for _, out := range outs {
-		if !IsReplication(out) {
-			kept = append(kept, out)
-		}
-	}
-	return kept
-}
 
 // mergeForeign merges every shard's delta but dst's own into one delta in
 // ascending key order, reusing out's storage. Barrier deltas arrive sorted

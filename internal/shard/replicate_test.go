@@ -10,6 +10,7 @@ import (
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
+	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
@@ -102,35 +103,35 @@ func TestMergeForeignDuplicateKeyLaterShardWins(t *testing.T) {
 	}
 }
 
-// TestRecycledBuffersKeepLiveData: the group recycles its per-epoch
-// buffers, but never through memory something still reads. Epoch N's
-// delivered ledger chunk stays intact for good; the barrier deltas epoch
-// N+1 replicates from stay intact through that epoch, including a heal that
-// re-stages its replication from them (a delta set is rebuilt two barriers
-// later).
-func TestRecycledBuffersKeepLiveData(t *testing.T) {
-	gen := fttest.GSGen(23)
+// gsGroup builds a 2-shard Grep&Sum group of kind over coord (nil: a fresh
+// device) and n batches of size events for it.
+func gsGroup(t *testing.T, seed int64, kind ftapi.Kind, coord storage.Device, n, size int) (*Group, [][]types.Event) {
+	gen := fttest.GSGen(seed)
 	g, err := NewGroup(Config{GroupShape: types.GroupShape{
 		RunShape: types.RunShape{Workers: 2, CommitEvery: 2, SnapshotEvery: 4}, Shards: 2,
-	}, App: gen.App(), Kind: ftapi.MSR})
+	}, App: gen.App(), Kind: kind, CoordDev: coord})
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := make([][]types.Event, 12)
+	batches := make([][]types.Event, n)
 	for i := range batches {
-		batches[i] = workload.Batch(gen, 64)
+		batches[i] = workload.Batch(gen, size)
 	}
-	for _, b := range batches[:4] {
-		if err := g.ProcessEpoch(b); err != nil {
-			t.Fatal(err)
-		}
+	return g, batches
+}
+
+// TestRecycledBuffersKeepLiveData: the group recycles its per-epoch
+// buffers, but never through memory something still reads: the barrier
+// deltas epoch N+1 replicates from stay intact through that epoch, including
+// a heal that re-stages its replication from them (a delta set is rebuilt
+// two barriers later).
+func TestRecycledBuffersKeepLiveData(t *testing.T) {
+	g, batches := gsGroup(t, 23, ftapi.MSR, nil, 5, 64)
+	if err := g.Run(batches[:4]); err != nil {
+		t.Fatal(err)
 	}
-	chunks := g.DeliveredChunks(0)
-	chunk, deltas := chunks[len(chunks)-1], g.lastDeltas
-	wantChunk, wantDeltas := slices.Clone(chunk), slices.Clone(deltas)
-	for i := range wantChunk {
-		wantChunk[i].Vals = slices.Clone(chunk[i].Vals)
-	}
+	deltas := g.lastDeltas
+	wantDeltas := slices.Clone(deltas)
 	for i, d := range deltas {
 		wantDeltas[i] = codec.ShardDelta{Keys: slices.Clone(d.Keys), Vals: slices.Clone(d.Vals)}
 	}
@@ -149,12 +150,90 @@ func TestRecycledBuffersKeepLiveData(t *testing.T) {
 	if !reflect.DeepEqual(deltas, wantDeltas) {
 		t.Fatal("the barrier deltas epoch 5 replicated from changed under its heal")
 	}
-	for _, b := range batches[5:] {
-		if err := g.ProcessEpoch(b); err != nil {
+}
+
+// countingDev counts the records its log cursors hand out; whole makes
+// every cursor read its log from the start, as frontierDeltas did before it
+// sought.
+type countingDev struct {
+	storage.Device
+	read  int
+	whole bool
+}
+
+func (d *countingDev) ReadFrom(log string, from uint64) (storage.Cursor, error) {
+	if d.whole {
+		from = 0
+	}
+	cur, err := storage.ReadFrom(d.Device, log, from)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := storage.ReadAll(cur)
+	d.read += len(recs)
+	return storage.NewSliceCursor(recs, 0), err
+}
+
+// TestFrontierDeltasSeek: a re-alignment's frontier read seeks to the epoch
+// it needs, reading only the records from that epoch on however long the
+// run, and returns what a read of the whole log returned. The log is a
+// 2-shard run of 40 epochs healed on the group rung, so epoch 40 carries a
+// barrier record and the re-appended full sync after it, plus a torn record
+// closing the log (absent) and, once more is appended, a corrupt one inside
+// it (an error).
+func TestFrontierDeltasSeek(t *testing.T) {
+	coord := &countingDev{Device: storage.NewSegStore(storage.SegConfig{SegmentBytes: 1 << 10})}
+	g, batches := gsGroup(t, 71, ftapi.WAL, coord, 43, 24)
+	if err := g.Run(batches[:40]); err != nil {
+		t.Fatal(err)
+	}
+	g.Crash()
+	if _, err := g.Heal(g.ProcessEpoch(batches[40]), types.BatchSource(batches)); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Run(batches[40:]); err != nil {
+		t.Fatal(err)
+	}
+
+	// Every epoch reads what a whole-log read returned, from the records
+	// at and after it alone.
+	check := func(last uint64) {
+		t.Helper()
+		recs, err := coord.Device.ReadLog(LogFrontier)
+		if err != nil {
 			t.Fatal(err)
 		}
+		for ep := uint64(1); ep <= last; ep++ {
+			coord.whole = true
+			want, wantOK, wantErr := g.frontierDeltas(ep)
+			coord.whole, coord.read = false, 0
+			got, ok, err := g.frontierDeltas(ep)
+			if ok != wantOK || (err != nil) != (wantErr != nil) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("epoch %d read (ok %v, err %v), a whole-log read (ok %v, err %v)", ep, ok, err, wantOK, wantErr)
+			}
+			from := slices.IndexFunc(recs, func(r storage.Record) bool { return r.Epoch >= ep })
+			if coord.read != len(recs)-from {
+				t.Fatalf("epoch %d read %d records, want the %d from it on", ep, coord.read, len(recs)-from)
+			}
+		}
 	}
-	if !reflect.DeepEqual(chunk, wantChunk) {
-		t.Fatal("epoch 4's delivered ledger chunk changed under later epochs")
+	if recs, _ := coord.Device.ReadLog(LogFrontier); len(recs) != 44 || recs[40].Epoch != 40 {
+		t.Fatalf("frontier log holds %d records, want 43 barriers and epoch 40's full sync after its barrier", len(recs))
+	}
+	check(43)
+
+	if err := coord.Append(LogFrontier, storage.Record{Epoch: 44, Payload: []byte{0xff}}); err != nil {
+		t.Fatal(err)
+	}
+	check(44)
+	if _, ok, err := g.frontierDeltas(44); ok || err != nil {
+		t.Fatalf("torn tail record read ok=%v err=%v, want absent", ok, err)
+	}
+	if err := g.appendFrontier(45, g.lastDeltas); err != nil {
+		t.Fatal(err)
+	}
+	check(45)
+	if _, _, err := g.frontierDeltas(44); err == nil {
+		t.Fatal("a corrupt record inside the log read without error")
 	}
 }

@@ -103,6 +103,14 @@ type Config struct {
 	// of concurrently. Benchmarks use it to measure clean per-shard walls
 	// on oversubscribed hosts; the durable history is identical.
 	SerialEpochs bool
+	// Sink, when non-nil, is every shard engine's engine.Config.Sink, told
+	// the shard: it receives each epoch a shard releases, replication
+	// acknowledgements included, under the engine sink's contract (outs is
+	// valid only for the duration of the call), on the goroutine running
+	// that shard — different shards' calls may overlap, one shard's never
+	// do. It outlives every incarnation of every shard, so a heal has
+	// nothing to carry over. Ledgers is a recording one.
+	Sink func(shard int, epoch uint64, outs []types.Output)
 }
 
 func (c *Config) normalize() error {
@@ -187,22 +195,15 @@ type shardState struct {
 	batch  []types.Event
 	merged codec.ShardDelta
 	reps   []types.Event
-
-	// banked holds the ledger chunks of abandoned incarnations of this
-	// shard (see seat); DeliveredUnion joins them with the live engine's
-	// ledger.
-	banked [][]types.Output
 }
 
-// seat installs eng as the shard's live engine. A replaced incarnation's
-// ledger is banked: its outputs left the building, and exactly-once
-// accounting must keep them.
-func (s *shardState) seat(eng *engine.Engine) {
-	if s.eng != nil {
-		s.banked = append(s.banked, s.eng.DeliveredChunks()...)
-	}
-	s.eng = eng
-}
+// Ledgers is a recording Config.Sink, made with one engine.Ledger per
+// shard: each holds every output its shard released across all of its
+// incarnations, replication acknowledgements included.
+type Ledgers []engine.Ledger
+
+// Sink is a Config.Sink recording shard s's releases into l[s].
+func (l Ledgers) Sink(s int, ep uint64, outs []types.Output) { l[s].Sink(ep, outs) }
 
 // Group is a running shard group. Create with NewGroup (or GroupRecover),
 // drive with ProcessEpoch, heal with Heal.
@@ -258,7 +259,7 @@ func NewGroup(cfg Config) (*Group, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.seat(eng)
+		s.eng = eng
 	}
 	return g, nil
 }
@@ -303,6 +304,10 @@ func (g *Group) engineConfig(s *shardState) engine.Config {
 	// that every shard's markers land on the same epochs, so the MSR
 	// advisor must not retune CommitEvery per shard.
 	shape.AutoCommit = false
+	var sink func(uint64, []types.Output)
+	if g.cfg.Sink != nil {
+		sink = func(ep uint64, outs []types.Output) { g.cfg.Sink(s.idx, ep, outs) }
+	}
 	return engine.Config{
 		RunShape:  shape,
 		App:       g.app,
@@ -316,6 +321,7 @@ func (g *Group) engineConfig(s *shardState) engine.Config {
 			s.writeSet = append(s.writeSet[:0], keys...)
 			s.writeSetEpoch = ep
 		},
+		Sink: sink,
 	}
 }
 
@@ -633,23 +639,6 @@ func (g *Group) App() *App { return g.app }
 // Health returns the group's incident log: one incident per Heal.
 func (g *Group) Health() *metrics.Health { return g.cfg.Health }
 
-// DeliveredUnion returns every output shard i has released downstream
-// across all of its incarnations (heals bank the abandoned engine's
-// ledger), replication acknowledgements included.
-func (g *Group) DeliveredUnion(i int) []types.Output {
-	return slices.Concat(g.DeliveredChunks(i)...)
-}
-
-// DeliveredChunks is DeliveredUnion unflattened: the ledger chunks (one per
-// released epoch) of every incarnation of shard i, in release order. A
-// caller banking a group's ledger moves this list instead of copying every
-// output ever delivered. The chunks are shared with the engines' ledgers
-// and sinks; callers must not mutate them.
-func (g *Group) DeliveredChunks(i int) [][]types.Output {
-	s := g.shards[i]
-	return append(slices.Clip(s.banked), s.eng.DeliveredChunks()...)
-}
-
 // Committed returns the group's committed punctuation frontier: the
 // highest epoch durably committed on every shard (the minimum of the
 // committed vector). Every epoch at or below it has released its outputs
@@ -678,13 +667,3 @@ func (g *Group) CommittedVector() []uint64 {
 
 // EpochStats returns the per-epoch timing records.
 func (g *Group) EpochStats() []EpochStat { return g.stats }
-
-// FrontierRecords reads the coordinator's durable frontier log through the
-// streaming cursor API (materialised, for inspection and tests).
-func (g *Group) FrontierRecords() ([]storage.Record, error) {
-	cur, err := storage.ReadFrom(g.coord, LogFrontier, 0)
-	if err != nil {
-		return nil, err
-	}
-	return storage.ReadAll(cur)
-}

@@ -35,21 +35,17 @@ func gsRun(seed int64, epochs, epochSize int) (types.App, [][]types.Event) {
 	return gen.App(), batches
 }
 
-func realPending(g *shard.Group, s int) int {
-	return g.Engine(s).PendingOutputsMatching(func(o types.Output) bool { return !shard.IsReplication(o) })
-}
-
 // verifyAgainstOracle checks every shard's state and exactly-once
-// application outputs at the group's current epoch.
-func verifyAgainstOracle(t *testing.T, g *shard.Group, orc *shard.GroupOracle, delivered [][]types.Output) {
+// application outputs, as ledgers recorded them across the shard's
+// incarnations, at the group's current epoch.
+func verifyAgainstOracle(t *testing.T, g *shard.Group, orc *shard.GroupOracle, ledgers shard.Ledgers) {
 	t.Helper()
 	last := g.Epoch()
 	for s := 0; s < g.Shards(); s++ {
 		if err := orc.CheckState(s, last, g.Engine(s).Store()); err != nil {
 			t.Fatal(err)
 		}
-		outs := shard.RealOutputs(delivered[s])
-		if err := orc.CheckOutputs(s, last, outs, realPending(g, s)); err != nil {
+		if err := orc.CheckOutputs(s, last, &ledgers[s], g.Engine(s)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +70,8 @@ func TestGroupMatchesOracle(t *testing.T) {
 				}
 				shape := sweepShape(n)
 				shape.Workers = workers
-				g, err := shard.NewGroup(shard.Config{GroupShape: shape, App: app, Kind: ftapi.WAL})
+				ledgers := make(shard.Ledgers, n)
+				g, err := shard.NewGroup(shard.Config{GroupShape: shape, App: app, Kind: ftapi.WAL, Sink: ledgers.Sink})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -90,11 +87,7 @@ func TestGroupMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				delivered := make([][]types.Output, n)
-				for s := 0; s < n; s++ {
-					delivered[s] = g.DeliveredUnion(s)
-				}
-				verifyAgainstOracle(t, g, orc, delivered)
+				verifyAgainstOracle(t, g, orc, ledgers)
 			}
 		})
 	}
@@ -120,9 +113,10 @@ func TestLocalReadsGroup(t *testing.T) {
 	for i := range devs {
 		devs[i] = storage.NewMem()
 	}
+	ledgers := make(shard.Ledgers, n)
 	cfg := shard.Config{
 		GroupShape: sweepShape(n), App: app, Kind: ftapi.WAL,
-		Devices: devs, CoordDev: storage.NewMem(), LocalReads: true,
+		Devices: devs, CoordDev: storage.NewMem(), LocalReads: true, Sink: ledgers.Sink,
 	}
 	g, err := shard.NewGroup(cfg)
 	if err != nil {
@@ -131,11 +125,9 @@ func TestLocalReadsGroup(t *testing.T) {
 	if err := g.Run(batches[:6]); err != nil {
 		t.Fatal(err)
 	}
-	precrash := make([][]types.Output, n)
 	for s := 0; s < n; s++ {
-		precrash[s] = g.DeliveredUnion(s)
 		// The coordinator must not have built a single replication event.
-		for _, o := range precrash[s] {
+		for _, o := range ledgers[s].Outputs {
 			if shard.IsReplication(o) {
 				t.Fatalf("shard %d delivered replication ack %d in LocalReads mode", s, o.EventSeq)
 			}
@@ -159,11 +151,7 @@ func TestLocalReadsGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delivered := make([][]types.Output, n)
-	for s := 0; s < n; s++ {
-		delivered[s] = append(precrash[s], g2.DeliveredUnion(s)...)
-	}
-	verifyAgainstOracle(t, g2, orc, delivered)
+	verifyAgainstOracle(t, g2, orc, ledgers)
 }
 
 // TestWriteLocalityViolation proves the barrier rejects applications that
@@ -210,9 +198,10 @@ func TestGroupCrashRecoverContinue(t *testing.T) {
 		for i := range devs {
 			devs[i] = storage.NewMem()
 		}
+		ledgers := make(shard.Ledgers, n)
 		cfg := shard.Config{
 			GroupShape: sweepShape(n), App: app, Kind: ftapi.CKPT,
-			Devices: devs, CoordDev: storage.NewMem(),
+			Devices: devs, CoordDev: storage.NewMem(), Sink: ledgers.Sink,
 		}
 		g, err := shard.NewGroup(cfg)
 		if err != nil {
@@ -220,10 +209,6 @@ func TestGroupCrashRecoverContinue(t *testing.T) {
 		}
 		if err := g.Run(batches[:crash]); err != nil {
 			t.Fatal(err)
-		}
-		precrash := make([][]types.Output, n)
-		for s := 0; s < n; s++ {
-			precrash[s] = g.DeliveredUnion(s)
 		}
 		g.Crash()
 		if err := g.ProcessEpoch(nil); err != shard.ErrCrashed {
@@ -273,10 +258,6 @@ func TestGroupCrashRecoverContinue(t *testing.T) {
 		if err := g2.Run(batches[crash+1:]); err != nil {
 			t.Fatal(err)
 		}
-		delivered := make([][]types.Output, n)
-		for s := 0; s < n; s++ {
-			delivered[s] = append(precrash[s], g2.DeliveredUnion(s)...)
-		}
-		verifyAgainstOracle(t, g2, orc, delivered)
+		verifyAgainstOracle(t, g2, orc, ledgers)
 	}
 }

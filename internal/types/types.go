@@ -140,6 +140,16 @@ type Output struct {
 	Vals     []Value
 }
 
+// AppendOutput appends v to the value slab vals and returns event seq's
+// output of the given kind over the appended values, capacity-clipped so a
+// later append to the slab cannot write through it, together with the
+// extended slab. It is the body of an App.Postprocess.
+func AppendOutput(vals []Value, seq uint64, kind EventKind, v ...Value) (Output, []Value) {
+	n := len(vals)
+	vals = append(vals, v...)
+	return Output{EventSeq: seq, Kind: kind, Vals: vals[n:len(vals):len(vals)]}, vals
+}
+
 // ExecutedTxn is a transaction together with its execution outcome: the
 // post-operation value of each operation (aligned with Txn.Ops) and whether
 // the transaction aborted. Results of aborted operations are the unchanged
@@ -180,9 +190,13 @@ type App interface {
 	// graph's recycled operation arena); the appended operations may alias
 	// ev's Keys and Vals.
 	AppendOps(ops []Operation, ev Event) []Operation
-	// Postprocess converts an executed transaction into its output. The
-	// view is only valid for the duration of the call: the engine reuses
-	// one scratch ExecutedTxn across the epoch's transactions, so
-	// implementations must not retain t or its Results slice.
-	Postprocess(t *ExecutedTxn) Output
+	// Postprocess converts an executed transaction into its output, whose
+	// Vals it appends to vals, and returns the output and the extended
+	// slice (AppendOutput does both). The caller owns vals the way it owns
+	// AppendOps' ops: the engine passes an epoch's value slab, which it
+	// recycles once the sink has seen the epoch's outputs. The view is only
+	// valid for the duration of the call: the engine reuses one scratch
+	// ExecutedTxn across the epoch's transactions, so implementations must
+	// not retain t or its Results slice.
+	Postprocess(vals []Value, t *ExecutedTxn) (Output, []Value)
 }

@@ -97,16 +97,12 @@ func (a *GSApp) AppendOps(ops []types.Operation, ev types.Event) []types.Operati
 
 // Postprocess implements types.App: the output reports the written value
 // and the commit/abort status.
-func (a *GSApp) Postprocess(t *types.ExecutedTxn) types.Output {
+func (a *GSApp) Postprocess(vals []types.Value, t *types.ExecutedTxn) (types.Output, []types.Value) {
 	status := int64(0)
 	if t.Aborted {
 		status = 1
 	}
-	return types.Output{
-		EventSeq: t.Txn.ID,
-		Kind:     t.Txn.Event.Kind,
-		Vals:     []types.Value{status, t.Results[0]},
-	}
+	return types.AppendOutput(vals, t.Txn.ID, t.Txn.Event.Kind, status, t.Results[0])
 }
 
 // GSGen generates the GS event stream.

@@ -120,24 +120,16 @@ func (a *SLApp) AppendOps(ops []types.Operation, ev types.Event) []types.Operati
 // Postprocess implements types.App. Deposits emit a balance statement,
 // transfers an invoice carrying a commit/abort status and the two
 // post-transfer account balances.
-func (a *SLApp) Postprocess(t *types.ExecutedTxn) types.Output {
+func (a *SLApp) Postprocess(vals []types.Value, t *types.ExecutedTxn) (types.Output, []types.Value) {
 	status := int64(0)
 	if t.Aborted {
 		status = 1
 	}
 	switch t.Txn.Event.Kind {
 	case SLDeposit:
-		return types.Output{
-			EventSeq: t.Txn.ID,
-			Kind:     SLDeposit,
-			Vals:     []types.Value{t.Results[0], t.Results[1]},
-		}
+		return types.AppendOutput(vals, t.Txn.ID, SLDeposit, t.Results[0], t.Results[1])
 	case SLTransfer:
-		return types.Output{
-			EventSeq: t.Txn.ID,
-			Kind:     SLTransfer,
-			Vals:     []types.Value{status, t.Results[0], t.Results[1]},
-		}
+		return types.AppendOutput(vals, t.Txn.ID, SLTransfer, status, t.Results[0], t.Results[1])
 	default:
 		panic("workload: unknown SL event kind")
 	}

@@ -92,9 +92,9 @@ func (a *TPApp) AppendOps(ops []types.Operation, ev types.Event) []types.Operati
 // Postprocess implements types.App: computes the toll from the updated
 // average speed and vehicle count. Aborted reports emit a zero toll with
 // an error status.
-func (a *TPApp) Postprocess(t *types.ExecutedTxn) types.Output {
+func (a *TPApp) Postprocess(vals []types.Value, t *types.ExecutedTxn) (types.Output, []types.Value) {
 	if t.Aborted {
-		return types.Output{EventSeq: t.Txn.ID, Kind: TPReport, Vals: []types.Value{1, 0}}
+		return types.AppendOutput(vals, t.Txn.ID, TPReport, 1, 0)
 	}
 	avgSpeed, count := t.Results[0], t.Results[1]
 	toll := int64(0)
@@ -102,7 +102,7 @@ func (a *TPApp) Postprocess(t *types.ExecutedTxn) types.Output {
 		over := count - tpFreeVehicles
 		toll = 2 * over * over
 	}
-	return types.Output{EventSeq: t.Txn.ID, Kind: TPReport, Vals: []types.Value{0, toll}}
+	return types.AppendOutput(vals, t.Txn.ID, TPReport, 0, toll)
 }
 
 // TPGen generates the TP event stream.

@@ -58,8 +58,8 @@ type Env struct {
 	// Baseline is a prior scheduler report to ratio steal cells against.
 	Baseline string
 	// Obs is non-nil when -obs or -trace is given. Lane 0 carries engine
-	// drivers and the group heals, lane 1 the pipelined builder; the rings
-	// are sized for a full multi-cell chaos run.
+	// drivers and the group heals; the rings are sized for a full multi-cell
+	// chaos run.
 	Obs *obs.Observer
 	// Log receives per-cell progress lines.
 	Log io.Writer

@@ -3,8 +3,8 @@ package main
 import (
 	"fmt"
 
-	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
+	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
 	"morphstreamr/internal/metrics"
@@ -258,7 +258,7 @@ func replayCell(kind ftapi.Kind, n, epochSize, segBytes, segBudget int, seed int
 	bytes := metrics.NewBytes()
 	e, err := engine.New(engine.Config{
 		App: gen.App(), Device: seg, RunShape: shape, Bytes: bytes,
-		Mechanism: core.NewMechanism(kind, seg, bytes, msr.Default()),
+		Mechanism: ft.New(kind, seg, bytes, msr.Default()),
 	})
 	if err != nil {
 		return nil, err
@@ -284,7 +284,7 @@ func replayCell(kind ftapi.Kind, n, epochSize, segBytes, segBudget int, seed int
 	b2 := metrics.NewBytes()
 	_, report, err := engine.Recover(engine.Config{
 		App: gen.App(), Device: seg, RunShape: shape, Bytes: b2,
-		Mechanism: core.NewMechanism(kind, seg, b2, msr.Default()),
+		Mechanism: ft.New(kind, seg, b2, msr.Default()),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
@@ -316,7 +316,7 @@ func incrementalCell(rows uint32, epochSize int, seed int64) (*IncCell, error) {
 	bytes := metrics.NewBytes()
 	e, err := engine.New(engine.Config{
 		App: gen.App(), Device: dev, Bytes: bytes,
-		Mechanism: core.NewMechanism(ftapi.WAL, dev, bytes, msr.Default()),
+		Mechanism: ft.New(ftapi.WAL, dev, bytes, msr.Default()),
 		RunShape:  types.RunShape{Workers: 2, CommitEvery: 2, SnapshotEvery: snapEvery, SnapshotBase: snapBase},
 	})
 	if err != nil {

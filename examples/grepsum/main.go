@@ -42,12 +42,9 @@ func main() {
 		fmt.Printf("=== %s ===\n", cfg.name)
 		gen := workload.NewGS(cfg.p)
 		sys, err := core.New(gen.App(), core.Config{
-			RunShape: core.RunShape{
-				Workers:       4,
-				SnapshotEvery: 16,
-				AutoCommit:    true, // let the advisor pick the commit epoch
-			},
-			FT: core.MSR,
+			RunShape:   core.RunShape{Workers: 4, SnapshotEvery: 16},
+			AutoCommit: true, // let the advisor pick the commit epoch
+			FT:         core.MSR,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -37,8 +37,8 @@ import (
 type Scale struct {
 	// RunShape carries the engine knobs — Workers (runtime and recovery
 	// parallelism), SnapshotEvery (the checkpoint interval; the crash
-	// happens PostEpochs after the checkpoint), CommitEvery, AutoCommit,
-	// and Pipeline — under the tree-wide defaulting rules. Experiments that
+	// happens PostEpochs after the checkpoint), CommitEvery and
+	// SnapshotBase — under the tree-wide defaulting rules. Experiments that
 	// vary one knob copy the Scale and overwrite just that field.
 	types.RunShape
 	// BatchSize is the punctuation interval in events.
@@ -122,6 +122,9 @@ type Scenario struct {
 	Scale Scale
 	// MSR overrides MorphStreamR's options (nil = all optimizations on).
 	MSR *msr.Options
+	// AutoCommit lets the MSR advisor pick the commit interval from the
+	// first epoch (Figure 9's "advised" column).
+	AutoCommit bool
 	// AsyncCommit moves durable commits off the critical path (extension).
 	AsyncCommit bool
 	// Compression compresses durable payloads (extension).
@@ -163,6 +166,7 @@ func executeOnce(s Scenario) (Run, error) {
 	cfg := core.Config{
 		RunShape:         s.Scale.RunShape,
 		FT:               s.Kind,
+		AutoCommit:       s.AutoCommit,
 		AsyncCommit:      s.AsyncCommit,
 		Compression:      s.Compression,
 		MSR:              s.MSR,
@@ -176,17 +180,10 @@ func executeOnce(s Scenario) (Run, error) {
 		return Run{}, err
 	}
 	defer sys.Close()
-	total := s.Scale.SnapshotEvery + s.Scale.PostEpochs
-	// Batches are drawn up front (the generator stream is identical either
-	// way) and submitted as one run, so pipelined scenarios can overlap
-	// adjacent epochs; without Pipeline this degenerates to the sequential
-	// per-epoch loop.
-	batches := make([][]types.Event, total)
-	for i := range batches {
-		batches[i] = workload.Batch(gen, s.Scale.BatchSize)
-	}
-	if err := sys.ProcessBatches(batches); err != nil {
-		return Run{}, fmt.Errorf("process: %w", err)
+	for i := 0; i < s.Scale.SnapshotEvery+s.Scale.PostEpochs; i++ {
+		if err := sys.ProcessBatch(workload.Batch(gen, s.Scale.BatchSize)); err != nil {
+			return Run{}, fmt.Errorf("process: %w", err)
+		}
 	}
 	out := Run{
 		Kind:              s.Kind,

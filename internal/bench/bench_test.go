@@ -153,10 +153,9 @@ func TestAdvisorQuadrants(t *testing.T) {
 		p := workload.DefaultGSParams()
 		p.Theta, p.MultiPartitionRatio, p.Reads, p.AbortRatio = theta, mp, reads, 0
 		p.Partitions = scale.Workers
-		scale.AutoCommit = true
 		run, err := Execute(Scenario{
 			Gen:  func() workload.Generator { return workload.NewGS(p) },
-			Kind: ftapi.MSR, Scale: scale,
+			Kind: ftapi.MSR, Scale: scale, AutoCommit: true,
 		})
 		if err != nil {
 			t.Fatal(err)

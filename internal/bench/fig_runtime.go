@@ -89,11 +89,9 @@ func Fig9(scale Scale, epochs []int) (*Fig9Result, error) {
 		// What would workload-aware commitment have chosen?
 		p := fig9Class(class)
 		p.Partitions = scale.Workers
-		auto := scale
-		auto.AutoCommit = true
 		run, err := Execute(Scenario{
 			Gen:  func() workload.Generator { return workload.NewGS(p) },
-			Kind: ftapi.MSR, Scale: auto,
+			Kind: ftapi.MSR, Scale: scale, AutoCommit: true,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("fig9 %s/auto: %w", class, err)

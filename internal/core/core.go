@@ -22,12 +22,9 @@ import (
 	"fmt"
 
 	"morphstreamr/internal/engine"
-	"morphstreamr/internal/ft/checkpoint"
-	"morphstreamr/internal/ft/depgraph"
+	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
-	"morphstreamr/internal/ft/lsnvector"
 	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/ft/wal"
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/obs"
 	"morphstreamr/internal/storage"
@@ -36,7 +33,7 @@ import (
 )
 
 // RunShape is the shared run-configuration surface (Workers, CommitEvery,
-// SnapshotEvery, AutoCommit, Pipeline) with the tree's one zero-value and
+// SnapshotEvery, SnapshotBase) with the tree's one zero-value and
 // validation rule; see types.RunShape. Re-exported so example code only
 // imports core.
 type RunShape = types.RunShape
@@ -45,14 +42,13 @@ type RunShape = types.RunShape
 type Config struct {
 	// RunShape carries the run knobs: Workers (zero means 1), CommitEvery
 	// (zero means 1; must divide SnapshotEvery), SnapshotEvery (zero means
-	// 8), AutoCommit (workload-aware log commitment, MSR only), and
-	// Pipeline (overlap epoch N+1's preprocessing and graph construction
-	// with epoch N's execution when batches are submitted together via
-	// ProcessBatches; durable writes and output release stay in epoch
-	// order, so observable behaviour is unchanged).
+	// 8) and SnapshotBase (zero means every snapshot is a full one).
 	RunShape
 	// FT is the fault-tolerance scheme (NAT, CKPT, WAL, DL, LV, MSR).
 	FT ftapi.Kind
+	// AutoCommit lets the MSR advisor pick CommitEvery from the first
+	// epoch (workload-aware log commitment); see engine.Config.AutoCommit.
+	AutoCommit bool
 	// AsyncCommit moves durable group-commit writes off the critical path
 	// (Section VII's Lineage Stash-style direction); outputs still release
 	// only after their commit record lands, preserving exactly-once.
@@ -92,28 +88,6 @@ func (c *Config) normalize() error {
 		c.Device = storage.NewMem()
 	}
 	return nil
-}
-
-// NewMechanism constructs a fault-tolerance mechanism of the given kind
-// against a device and byte accounting. Exposed for callers that assemble
-// engines directly.
-func NewMechanism(kind ftapi.Kind, dev storage.Device, bytes *metrics.Bytes, opts msr.Options) ftapi.Mechanism {
-	switch kind {
-	case NAT:
-		return nativeMech{}
-	case ftapi.CKPT:
-		return checkpoint.New()
-	case ftapi.WAL:
-		return wal.New(dev, bytes)
-	case ftapi.DL:
-		return depgraph.New(dev, bytes)
-	case ftapi.LV:
-		return lsnvector.New(dev, bytes)
-	case ftapi.MSR:
-		return msr.New(dev, bytes, opts)
-	default:
-		panic(fmt.Sprintf("core: unknown fault-tolerance kind %v", kind))
-	}
 }
 
 // Re-exported scheme identifiers, so example code only imports core.
@@ -158,10 +132,11 @@ func New(app types.App, cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	bytes := metrics.NewBytes()
-	mech := NewMechanism(cfg.FT, dev, bytes, *cfg.MSR)
+	mech := ft.New(cfg.FT, dev, bytes, *cfg.MSR)
 	ledger := &engine.Ledger{}
 	eng, err := engine.New(engine.Config{
 		RunShape:    cfg.RunShape,
+		AutoCommit:  cfg.AutoCommit,
 		App:         app,
 		Device:      dev,
 		Mechanism:   mech,
@@ -190,14 +165,6 @@ func (s *System) ProcessBatch(events []types.Event) error {
 	return s.Engine.ProcessEpoch(events)
 }
 
-// ProcessBatches ingests a run of punctuation intervals, one batch per
-// epoch, in order — semantically a loop of ProcessBatch calls. With
-// Config.Pipeline set, adjacent epochs' stream and transaction processing
-// phases overlap (see engine.Config.Pipeline).
-func (s *System) ProcessBatches(batches [][]types.Event) error {
-	return s.Engine.ProcessEpochs(batches)
-}
-
 // Close releases the engine's worker pool. A system that is done — it
 // finished its stream, or was recovered from — is closed by its owner;
 // Crash closes too, and Close is idempotent.
@@ -214,13 +181,9 @@ func (s *System) Crash() {
 // into the crashed one's ledger, so Delivered spans the crash.
 func (s *System) Recover() (*System, *engine.RecoveryReport, error) {
 	bytes := metrics.NewBytes()
-	mech := NewMechanism(s.Cfg.FT, s.Cfg.Device, bytes, *s.Cfg.MSR)
-	shape := s.Cfg.RunShape
-	// Recovery never re-runs the commit-interval advisor: the advisor
-	// tunes on a live first epoch, which recovery does not have.
-	shape.AutoCommit = false
+	mech := ft.New(s.Cfg.FT, s.Cfg.Device, bytes, *s.Cfg.MSR)
 	eng, report, err := engine.Recover(engine.Config{
-		RunShape:         shape,
+		RunShape:         s.Cfg.RunShape,
 		App:              s.App,
 		Device:           s.Cfg.Device,
 		Mechanism:        mech,
@@ -238,14 +201,3 @@ func (s *System) Recover() (*System, *engine.RecoveryReport, error) {
 
 // Bytes exposes the artifact-size accounting of the current incarnation.
 func (s *System) Bytes() *metrics.Bytes { return s.bytes }
-
-// nativeMech is the no-op mechanism behind NAT.
-type nativeMech struct{}
-
-func (nativeMech) Kind() ftapi.Kind             { return ftapi.NAT }
-func (nativeMech) SealEpoch(*ftapi.EpochResult) {}
-func (nativeMech) Commit(uint64) error          { return nil }
-func (nativeMech) GC(uint64)                    {}
-func (nativeMech) Recover(*ftapi.RecoveryContext) (uint64, error) {
-	return 0, fmt.Errorf("native execution has no recovery")
-}

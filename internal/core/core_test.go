@@ -6,7 +6,6 @@ import (
 
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/workload"
 )
@@ -54,23 +53,6 @@ func TestSSDModelWrapsOnce(t *testing.T) {
 	if sys2.Cfg.Device != storage.Device(th) {
 		t.Error("SSDModel double-wrapped an already throttled device")
 	}
-}
-
-func TestNewMechanismKinds(t *testing.T) {
-	dev := storage.NewMem()
-	bytes := metrics.NewBytes()
-	for _, kind := range ftapi.Kinds() {
-		m := NewMechanism(kind, dev, bytes, msr.Default())
-		if m.Kind() != kind {
-			t.Errorf("NewMechanism(%v).Kind() = %v", kind, m.Kind())
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown kind must panic")
-		}
-	}()
-	NewMechanism(ftapi.Kind(99), dev, bytes, msr.Default())
 }
 
 func TestNativeCannotRecover(t *testing.T) {

@@ -52,18 +52,15 @@ type Advisor interface {
 // Config assembles one engine instance.
 type Config struct {
 	// RunShape is the shared run-configuration surface: Workers,
-	// CommitEvery, SnapshotEvery, AutoCommit, and Pipeline, with the one
+	// CommitEvery, SnapshotEvery and SnapshotBase, with the one
 	// zero-value/validation rule every configuration surface in the tree
-	// uses (see types.RunShape). Pipeline overlaps stream processing with
-	// transaction processing across epochs (the TStream-style
-	// compute/construct overlap): when a run of epochs is submitted
-	// together via ProcessEpochs, epoch N+1's preprocessing and structural
-	// graph construction happen on a builder goroutine while epoch N
-	// executes; every durable write and marker stays on the submitting
-	// goroutine in epoch order, so the observable history — including the
-	// exact durable write sequence — is identical to sequential
-	// processing.
+	// uses (see types.RunShape).
 	types.RunShape
+	// AutoCommit lets an advisor mechanism (MSR) pick CommitEvery from the
+	// first epoch's graph instead of the configured value. Recover clears
+	// it: the advisor tunes on a live first epoch, which recovery does not
+	// have.
+	AutoCommit bool
 	// App is the transactional stream application to run.
 	App types.App
 	// Device is the durable storage surviving crashes.
@@ -173,7 +170,7 @@ type Engine struct {
 
 	// builder recycles TPG memory across epochs: a graph is released back
 	// to it once its epoch is sealed (mechanisms do not retain graphs),
-	// so steady-state processing reuses two graphs' worth of arenas.
+	// so steady-state processing reuses one graph's worth of arenas.
 	builder *tpg.Builder
 
 	// sched receives the scheduler's steal/park/stall counters when
@@ -329,7 +326,7 @@ func (e *Engine) ProcessEpoch(events []types.Event) error {
 	}
 	start := time.Now()
 	e.epoch++
-	if err := e.processEpoch(e.epoch, events, nil); err != nil {
+	if err := e.processEpoch(e.epoch, events); err != nil {
 		e.markCrashed()
 		return err
 	}
@@ -356,22 +353,14 @@ func (e *Engine) observeEpoch(start time.Time, events int) {
 	}
 }
 
-// processEpoch runs the live epoch pipeline. The input persists first
-// (Figure 10 step 1), so the epoch survives a crash at any later point; the
-// pipelined path, which built g ahead on its builder goroutine, persists
-// here too, so the durable write sequence is the sequential one. Stream
-// processing builds the state transactions and the structural task
-// precedence graph on recycled memory (unless g is already built), and the
-// epoch-start dependency values come from the store afterwards: they are
-// only valid once the previous epoch has fully executed.
-func (e *Engine) processEpoch(ep uint64, events []types.Event, g *tpg.Graph) error {
+// processEpoch runs one live epoch. The input persists first (Figure 10
+// step 1), so the epoch survives a crash at any later point; stream
+// processing then builds the epoch's task precedence graph.
+func (e *Engine) processEpoch(ep uint64, events []types.Event) error {
 	if err := e.persistEpochInput(ep, events); err != nil {
 		return err
 	}
-	if g == nil {
-		g = e.construct(0, ep, events)
-	}
-	g.CaptureBases(e.st.Get)
+	g := e.construct(ep, events)
 	// Workload-aware log commitment: on the very first epoch, let the
 	// mechanism inspect the graph and pick the commit interval.
 	if e.cfg.AutoCommit && ep == 1 {
@@ -422,13 +411,10 @@ func (e *Engine) persistEpochInput(ep uint64, events []types.Event) error {
 // construct runs the stream-processing phase of one epoch: preprocessing
 // turns the events into state transactions, written straight into a
 // recycled graph's own storage (transactions into Input, their operations
-// into the Ops arena), and structural construction builds the task
-// precedence graph over them. It reads no engine state besides the
-// immutable App and the builder, so the pipelined path runs it on the
-// builder goroutine (lane 1; the submitting goroutine is lane 0). Bases are
-// not captured.
-func (e *Engine) construct(lane int, ep uint64, events []types.Event) *tpg.Graph {
-	sp := e.cfg.Obs.Begin(lane, obs.CatEpoch, "preprocess", ep)
+// into the Ops arena), and construction builds the task precedence graph
+// over them, with its epoch-start dependency values read from the store.
+func (e *Engine) construct(ep uint64, events []types.Event) *tpg.Graph {
+	sp := e.cfg.Obs.Begin(0, obs.CatEpoch, "preprocess", ep)
 	g := e.builder.Begin(len(events))
 	for i, ev := range events {
 		n := len(g.Ops)
@@ -436,9 +422,10 @@ func (e *Engine) construct(lane int, ep uint64, events []types.Event) *tpg.Graph
 		g.Input[i] = types.NewTxn(ev, g.Ops[n:len(g.Ops):len(g.Ops)])
 	}
 	sp.End()
-	sp = e.cfg.Obs.Begin(lane, obs.CatEpoch, "construct", ep)
+	sp = e.cfg.Obs.Begin(0, obs.CatEpoch, "construct", ep)
 	g.BuildInput()
 	sp.End()
+	g.CaptureBases(e.st.Get)
 	return g
 }
 
@@ -446,8 +433,7 @@ func (e *Engine) construct(lane int, ep uint64, events []types.Event) *tpg.Graph
 // simulation (see package vtime), so that CKPT-style full reprocessing is
 // charged the stalls and load imbalance a real multicore would experience.
 func (e *Engine) reprocessEpoch(ep uint64, events []types.Event, breakdown *metrics.RecoveryBreakdown) error {
-	g := e.construct(0, ep, events)
-	g.CaptureBases(e.st.Get)
+	g := e.construct(ep, events)
 	// Preprocessing and graph construction parallelize across the
 	// stream-processing executors; charge aggregate thread-time.
 	costs := vtime.Calibrate()

@@ -135,24 +135,39 @@ func TestRuntimeBreakdownPopulated(t *testing.T) {
 }
 
 // TestAutoCommitConsultsAdvisor: with AutoCommit on, an MSR engine tunes
-// its commit interval from the first epoch's profile.
+// its commit interval from the first epoch's profile; an engine Recover
+// builds never does, even when its first live epoch is epoch 1.
 func TestAutoCommitConsultsAdvisor(t *testing.T) {
 	p := workload.DefaultGSParams()
 	p.Rows, p.Theta, p.Reads = 4096, 0, 0 // LSFD: uniform, no deps
-	gen := workload.NewGS(p)
-	dev := storage.NewMem()
-	bytes := metrics.NewBytes()
-	e, err := New(Config{
-		App: gen.App(), Device: dev, Mechanism: msr.New(dev, bytes, msr.Default()),
-		RunShape: types.RunShape{Workers: 2, CommitEvery: 1, SnapshotEvery: 8, AutoCommit: true},
-		Bytes:    bytes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	runEpochs(t, e, gen, 1, 1000)
-	if got := e.CommitEvery(); got != 8 {
-		t.Errorf("LSFD auto commit interval = %d, want 8", got)
+	for _, recovered := range []bool{false, true} {
+		gen := workload.NewGS(p)
+		dev := storage.NewMem()
+		bytes := metrics.NewBytes()
+		cfg := Config{
+			App: gen.App(), Device: dev, Mechanism: msr.New(dev, bytes, msr.Default()),
+			RunShape:   types.RunShape{Workers: 2, CommitEvery: 1, SnapshotEvery: 8},
+			AutoCommit: true,
+			Bytes:      bytes,
+		}
+		var e *Engine
+		var err error
+		if recovered {
+			e, _, err = Recover(cfg) // an empty device: recovery lands at epoch 0
+		} else {
+			e, err = New(cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		runEpochs(t, e, gen, 1, 1000)
+		want := 8
+		if recovered {
+			want = 1
+		}
+		if got := e.CommitEvery(); got != want {
+			t.Errorf("recovered=%v: LSFD auto commit interval = %d, want %d", recovered, got, want)
+		}
 	}
 }
 

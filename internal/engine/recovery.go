@@ -79,8 +79,11 @@ func (r *RecoveryReport) Throughput() float64 {
 //
 // The configuration must match the crashed engine's (same application,
 // same worker count, a fresh Mechanism instance of the same kind), and
-// Device must be the surviving device.
+// Device must be the surviving device. Recovery never re-runs the
+// commit-interval advisor, so AutoCommit is ignored: the recovered engine
+// commits every CommitEvery epochs.
 func Recover(cfg Config) (*Engine, *RecoveryReport, error) {
+	cfg.AutoCommit = false
 	e, err := New(cfg)
 	if err != nil {
 		return nil, nil, err

@@ -190,21 +190,21 @@ func TestPanicIsolatedOnEveryExecutor(t *testing.T) {
 				}
 				app := &panicApp{App: cfg.NewGen().App(), at: int64(cfg.Epochs * cfg.EpochSize / 2)}
 				dev := storage.NewMem()
-				e, err := engine.New(engineConfig(&cfg, recoverShape(&cfg), dev, app, nil))
+				e, err := engine.New(engineConfig(&cfg, dev, app, nil))
 				if err != nil {
 					t.Fatal(err)
 				}
-				err = e.ProcessEpochs(ref.batches)
+				err = runEpochs(e, ref.batches)
 				if !errors.Is(err, scheduler.ErrOpPanic) || engine.Classify(err) != "panic" {
 					t.Fatalf("want an ErrOpPanic epoch classified panic, got %q: %v", engine.Classify(err), err)
 				}
 				e.Crash()
-				e2, rep, err := engine.Recover(engineConfig(&cfg, recoverShape(&cfg), dev, app, nil))
+				e2, rep, err := engine.Recover(engineConfig(&cfg, dev, app, nil))
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer e2.Close()
-				if err := e2.ProcessEpochs(ref.batches[rep.LastEpoch:]); err != nil {
+				if err := runEpochs(e2, ref.batches[rep.LastEpoch:]); err != nil {
 					t.Fatal(err)
 				}
 				if err := ref.orc.CheckState(0, uint64(cfg.Epochs), e2.Store()); err != nil {

@@ -28,8 +28,8 @@ import (
 	"fmt"
 
 	"morphstreamr/internal/adaptive"
-	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
+	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
 	"morphstreamr/internal/metrics"
@@ -52,13 +52,11 @@ type Config struct {
 	Epochs    int
 	EpochSize int
 	// RunShape carries the engine knobs (Workers, CommitEvery,
-	// SnapshotEvery, Pipeline — submitting batches as one ProcessEpochs run
-	// so epoch N+1 builds while N executes; the durable write sequence must
-	// be identical to the sequential schedule, so the same sweep invariants
-	// apply verbatim). When every numeric knob is left zero the sweep
-	// substitutes DefaultSweepShape, a compact shape that exercises both
-	// marker kinds several times per run; partial settings fall through to
-	// the tree-wide RunShape defaults.
+	// SnapshotEvery, SnapshotBase). When Workers, CommitEvery and
+	// SnapshotEvery are all left zero the sweep takes those three from
+	// DefaultSweepShape, a compact shape that exercises both marker kinds
+	// several times per run; partial settings fall through to the tree-wide
+	// RunShape defaults.
 	types.RunShape
 	// Mode is what the dying write leaves on the medium.
 	Mode storage.FaultMode
@@ -103,10 +101,8 @@ func (c *Config) normalize() error {
 		c.EpochSize = 24
 	}
 	if c.Workers == 0 && c.CommitEvery == 0 && c.SnapshotEvery == 0 {
-		shape := DefaultSweepShape()
-		shape.AutoCommit = c.AutoCommit
-		shape.Pipeline = c.Pipeline
-		c.RunShape = shape
+		d := DefaultSweepShape()
+		c.Workers, c.CommitEvery, c.SnapshotEvery = d.Workers, d.CommitEvery, d.SnapshotEvery
 	}
 	if err := c.RunShape.Normalize(); err != nil {
 		return fmt.Errorf("crashtest: %w", err)
@@ -155,29 +151,30 @@ type Result struct {
 	Failures []Failure
 }
 
-// engineConfig assembles an engine of cfg's kind over dev with the given
-// shape (cfg's own, or recoverShape's), releasing to sink.
-func engineConfig(cfg *Config, shape types.RunShape, dev storage.Device, app types.App, sink func(uint64, []types.Output)) engine.Config {
+// engineConfig assembles an engine of cfg's kind and shape over dev,
+// releasing to sink.
+func engineConfig(cfg *Config, dev storage.Device, app types.App, sink func(uint64, []types.Output)) engine.Config {
 	bytes := metrics.NewBytes()
 	return engine.Config{
-		RunShape:      shape,
+		RunShape:      cfg.RunShape,
 		App:           app,
 		Device:        dev,
-		Mechanism:     core.NewMechanism(cfg.Kind, dev, bytes, msr.Default()),
+		Mechanism:     ft.New(cfg.Kind, dev, bytes, msr.Default()),
 		Bytes:         bytes,
 		AdaptiveForce: cfg.Force,
 		Sink:          sink,
 	}
 }
 
-// recoverShape is the crashed run's shape with the live-run-only knobs
-// cleared: recovery neither pipelines (it replays one tail sequentially)
-// nor re-runs the commit-interval advisor.
-func recoverShape(cfg *Config) types.RunShape {
-	shape := cfg.RunShape
-	shape.Pipeline = false
-	shape.AutoCommit = false
-	return shape
+// runEpochs processes batches on e, one epoch each, stopping at the first
+// error.
+func runEpochs(e *engine.Engine, batches [][]types.Event) error {
+	for _, b := range batches {
+		if err := e.ProcessEpoch(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Enumerate runs the workload fault-free against a counting device and
@@ -199,12 +196,12 @@ func enumerate(cfg *Config, ref *shardRef) ([]storage.WriteSite, error) {
 	st := storage.NewStack(newBase(cfg)).WithTrace()
 	trace := st.Trace
 	gen := cfg.NewGen()
-	e, err := engine.New(engineConfig(cfg, cfg.RunShape, st.MustBuild(), gen.App(), nil))
+	e, err := engine.New(engineConfig(cfg, st.MustBuild(), gen.App(), nil))
 	if err != nil {
 		return nil, err
 	}
 	defer e.Close()
-	if err := e.ProcessEpochs(ref.batches); err != nil {
+	if err := runEpochs(e, ref.batches); err != nil {
 		return nil, fmt.Errorf("crashtest: fault-free run failed: %w", err)
 	}
 	if err := ref.orc.CheckState(0, uint64(cfg.Epochs), e.Store()); err != nil {
@@ -262,11 +259,11 @@ func runOne(cfg *Config, ref *shardRef, k int) error {
 	// One ledger spans the crash: before it, the outputs whose durability
 	// gate fired in time; after it, what recovery released.
 	ledger := &engine.Ledger{}
-	e, err := engine.New(engineConfig(cfg, cfg.RunShape, dev, gen.App(), ledger.Sink))
+	e, err := engine.New(engineConfig(cfg, dev, gen.App(), ledger.Sink))
 	if err != nil {
 		return err
 	}
-	if procErr := e.ProcessEpochs(ref.batches); procErr == nil {
+	if procErr := runEpochs(e, ref.batches); procErr == nil {
 		return fmt.Errorf("budget %d never hit the injected fault", k)
 	}
 	e.Crash()
@@ -274,7 +271,7 @@ func runOne(cfg *Config, ref *shardRef, k int) error {
 	// Recover against the surviving medium. The Faulty wrapper stays dead,
 	// so recovery runs on the inner device directly — the usual "new disk
 	// controller, same platters" restart.
-	e2, report, err := engine.Recover(engineConfig(cfg, recoverShape(cfg), inner, gen.App(), ledger.Sink))
+	e2, report, err := engine.Recover(engineConfig(cfg, inner, gen.App(), ledger.Sink))
 	if err != nil {
 		return fmt.Errorf("recover: %w", err)
 	}
@@ -318,15 +315,15 @@ func BoundaryStores(cfg Config, kinds []ftapi.Kind) (map[ftapi.Kind]*engine.Engi
 		kcfg.Kind = kind
 		dev := newBase(&kcfg)
 		gen := kcfg.NewGen()
-		e, err := engine.New(engineConfig(&kcfg, kcfg.RunShape, dev, gen.App(), nil))
+		e, err := engine.New(engineConfig(&kcfg, dev, gen.App(), nil))
 		if err != nil {
 			return nil, nil, err
 		}
-		if err := e.ProcessEpochs(ref.batches); err != nil {
+		if err := runEpochs(e, ref.batches); err != nil {
 			return nil, nil, fmt.Errorf("%v: %w", kind, err)
 		}
 		e.Crash()
-		e2, _, err := engine.Recover(engineConfig(&kcfg, recoverShape(&kcfg), dev, gen.App(), nil))
+		e2, _, err := engine.Recover(engineConfig(&kcfg, dev, gen.App(), nil))
 		if err != nil {
 			return nil, nil, fmt.Errorf("%v recover: %w", kind, err)
 		}

@@ -41,6 +41,9 @@ func sweep(t *testing.T, cfg Config) {
 		if cfg.Kind != ftapi.CKPT {
 			want = append(want, "append:"+storage.LogFT)
 		}
+		if cfg.SnapshotBase > 1 {
+			want = append(want, "append:"+storage.LogCkpt) // incremental deltas
+		}
 		for _, w := range want {
 			if !ops[w] {
 				t.Errorf("sweep never crossed a %q write; enumeration incomplete (sites: %v)", w, res.Sites)
@@ -142,6 +145,21 @@ func TestSweepTP(t *testing.T) {
 	}
 }
 
+// TestSweepKeepsSnapshotBase: a sweep that sets only SnapshotBase still
+// runs the compact preset's other knobs, and its incremental markers append
+// deltas to the checkpoint log that the sweep crosses (the sweep helper
+// requires an append:ckpt site once SnapshotBase > 1).
+func TestSweepKeepsSnapshotBase(t *testing.T) {
+	sweep(t, Config{
+		Kind:     ftapi.WAL,
+		NewGen:   func() workload.Generator { return fttest.SLGen(41) },
+		Epochs:   8, // the snapshot at epoch 4 is a delta, the one at 8 a base
+		Mode:     storage.FailStop,
+		Continue: true,
+		RunShape: types.RunShape{SnapshotBase: 2},
+	})
+}
+
 // TestCrossMechanismAgreement: on equivalent histories (same workload,
 // same crash boundary), all five mechanisms must recover the identical
 // store — each equals the oracle, and they pairwise agree.
@@ -165,65 +183,6 @@ func TestCrossMechanismAgreement(t *testing.T) {
 			if !base.Store().Equal(engines[kind].Store()) {
 				t.Errorf("epochs=%d: %v and %v disagree: %v", epochs, recoverable[0], kind,
 					base.Store().Diff(engines[kind].Store(), 3))
-			}
-		}
-	}
-}
-
-// TestSweepPipelined repeats a representative slice of the sweep with
-// epoch pipelining enabled: the overlap must leave the durable write
-// sequence — and therefore every crash point's recovery — untouched. MSR
-// under fail-stop and WAL under torn writes cover both the richest and the
-// most literal logging scheme against both clean and corrupted tails.
-func TestSweepPipelined(t *testing.T) {
-	cases := []struct {
-		kind ftapi.Kind
-		mode storage.FaultMode
-	}{
-		{ftapi.MSR, storage.FailStop},
-		{ftapi.WAL, storage.TornWrite},
-		{ftapi.CKPT, storage.DroppedTail},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.kind.String()+"/"+c.mode.String(), func(t *testing.T) {
-			t.Parallel()
-			sweep(t, Config{
-				Kind:     c.kind,
-				NewGen:   func() workload.Generator { return fttest.SLGen(41) },
-				Mode:     c.mode,
-				Continue: true,
-				RunShape: types.RunShape{Pipeline: true},
-			})
-		})
-	}
-}
-
-// TestPipelinedWriteSequence: the pipelined and sequential schedules must
-// enumerate the identical crash-point set — the premise TestSweepPipelined
-// relies on, checked explicitly so a divergence fails loudly here rather
-// than as a cryptic budget miss.
-func TestPipelinedWriteSequence(t *testing.T) {
-	for _, kind := range recoverable {
-		cfg := Config{
-			Kind:   kind,
-			NewGen: func() workload.Generator { return fttest.GSGen(61) },
-		}
-		seqSites, err := Enumerate(cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", kind, err)
-		}
-		cfg.Pipeline = true
-		pipSites, err := Enumerate(cfg)
-		if err != nil {
-			t.Fatalf("%v pipelined: %v", kind, err)
-		}
-		if len(seqSites) != len(pipSites) {
-			t.Fatalf("%v: %d sequential sites vs %d pipelined", kind, len(seqSites), len(pipSites))
-		}
-		for i := range seqSites {
-			if seqSites[i] != pipSites[i] {
-				t.Fatalf("%v: write %d diverges: %v vs %v", kind, i, seqSites[i], pipSites[i])
 			}
 		}
 	}
@@ -255,19 +214,19 @@ func TestSinkContract(t *testing.T) {
 		}
 		dev := storage.NewMem()
 		gen := cfg.NewGen()
-		e, err := engine.New(engineConfig(&cfg, cfg.RunShape, dev, gen.App(), sink))
+		e, err := engine.New(engineConfig(&cfg, dev, gen.App(), sink))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.ProcessEpochs(ref.batches[:crashAfter]); err != nil {
+		if err := runEpochs(e, ref.batches[:crashAfter]); err != nil {
 			t.Fatal(err)
 		}
 		e.Crash()
-		e2, _, err := engine.Recover(engineConfig(&cfg, recoverShape(&cfg), dev, gen.App(), sink))
+		e2, _, err := engine.Recover(engineConfig(&cfg, dev, gen.App(), sink))
 		if err != nil {
 			t.Fatalf("%v: recover: %v", kind, err)
 		}
-		if err := e2.ProcessEpochs(ref.batches[crashAfter:]); err != nil {
+		if err := runEpochs(e2, ref.batches[crashAfter:]); err != nil {
 			t.Fatal(err)
 		}
 		e2.Close()

@@ -135,7 +135,7 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 	})
 	gen := cfg.NewGen()
 	ledger := &engine.Ledger{}
-	e, err := engine.New(engineConfig(&cfg, cfg.RunShape, seg, gen.App(), ledger.Sink))
+	e, err := engine.New(engineConfig(&cfg, seg, gen.App(), ledger.Sink))
 	if err != nil {
 		return false, err
 	}
@@ -149,7 +149,7 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 				crashed = true
 			}
 		}()
-		return e.ProcessEpochs(ref.batches)
+		return runEpochs(e, ref.batches)
 	}()
 	if !crashed {
 		// Fault-free completion: sanity-check it, then report the sweep done.
@@ -161,7 +161,7 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 	e.Crash()
 	seg.SetHook(nil)
 
-	e2, report, err := engine.Recover(engineConfig(&cfg, recoverShape(&cfg), seg, gen.App(), ledger.Sink))
+	e2, report, err := engine.Recover(engineConfig(&cfg, seg, gen.App(), ledger.Sink))
 	if err != nil {
 		return true, err
 	}

@@ -234,7 +234,7 @@ func shardCrash(cfg *ShardConfig, ref *shardRef, d, k int) (*shard.Group, *shard
 	g.Crash()
 	g2, report, err := shard.GroupRecover(shard.RecoverConfig{
 		Config: shard.Config{
-			GroupShape: types.GroupShape{RunShape: recoverShape(&cfg.Config), Shards: cfg.Shards},
+			GroupShape: types.GroupShape{RunShape: cfg.RunShape, Shards: cfg.Shards},
 			App:        ref.app,
 			Kind:       cfg.Kind,
 			Devices:    inner[:cfg.Shards],

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"morphstreamr/internal/codec"
-	"morphstreamr/internal/core"
+	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
 	"morphstreamr/internal/metrics"
@@ -24,7 +24,7 @@ import (
 // minimal cases.
 func realCommitRecords(kind ftapi.Kind) []storage.Record {
 	dev := storage.NewMem()
-	mech := core.NewMechanism(kind, dev, metrics.NewBytes(), msr.Default())
+	mech := ft.New(kind, dev, metrics.NewBytes(), msr.Default())
 	p := workload.DefaultSLParams()
 	p.Rows, p.Seed, p.AbortRatio = 64, 7, 0.2
 	gen := workload.NewSL(p)

@@ -36,9 +36,9 @@ type SpanEvent struct {
 }
 
 // laneRing is one lane's fixed-capacity span buffer. Each lane has a
-// dedicated producer by convention (the engine driver, the pipeline
-// builder, one scheduler worker), so the mutex is essentially uncontended
-// except while /trace drains.
+// dedicated producer by convention (the engine driver, one scheduler
+// worker), so the mutex is essentially uncontended except while /trace
+// drains.
 type laneRing struct {
 	mu      sync.Mutex
 	buf     []SpanEvent

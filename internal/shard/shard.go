@@ -46,8 +46,8 @@ import (
 	"time"
 
 	"morphstreamr/internal/codec"
-	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
+	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
 	"morphstreamr/internal/metrics"
@@ -65,10 +65,10 @@ const LogFrontier = "frontier"
 
 // Config assembles one shard group.
 type Config struct {
-	// GroupShape is the shard fan-out plus the per-shard engine knobs.
-	// Pipeline is ignored: the coordinator feeds one epoch per barrier, so
-	// there is never a multi-epoch run to overlap. AutoCommit is ignored
-	// (one commit cadence per group).
+	// GroupShape is the shard fan-out plus the per-shard engine knobs. Every
+	// shard runs the same CommitEvery: the punctuation agreement is exactly
+	// that every shard's markers land on the same epochs, so no shard's
+	// engine consults the commit-interval advisor.
 	types.GroupShape
 	// App is the (write-local) application; the coordinator wraps it with
 	// the replication-event handler.
@@ -298,21 +298,15 @@ func newGroupShell(cfg Config) (*Group, error) {
 // closure captures into s only; during concurrent epochs each engine
 // goroutine therefore touches its own shard state exclusively.
 func (g *Group) engineConfig(s *shardState) engine.Config {
-	shape := g.cfg.RunShape
-	shape.Pipeline = false
-	// One commit cadence per group: the punctuation agreement is exactly
-	// that every shard's markers land on the same epochs, so the MSR
-	// advisor must not retune CommitEvery per shard.
-	shape.AutoCommit = false
 	var sink func(uint64, []types.Output)
 	if g.cfg.Sink != nil {
 		sink = func(ep uint64, outs []types.Output) { g.cfg.Sink(s.idx, ep, outs) }
 	}
 	return engine.Config{
-		RunShape:  shape,
+		RunShape:  g.cfg.RunShape,
 		App:       g.app,
 		Device:    s.dev,
-		Mechanism: core.NewMechanism(g.cfg.Kind, s.dev, s.bytes, msr.Default()),
+		Mechanism: ft.New(g.cfg.Kind, s.dev, s.bytes, msr.Default()),
 		Bytes:     s.bytes,
 		Obs:       g.cfg.Obs,
 		Shard:     s.idx,

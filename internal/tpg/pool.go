@@ -1,10 +1,6 @@
 package tpg
 
-import (
-	"sync"
-
-	"morphstreamr/internal/types"
-)
+import "morphstreamr/internal/types"
 
 // arena is a chunked bump allocator. take hands out pointers into large
 // backing slices (so they stay valid forever), and rewind makes every slot
@@ -109,14 +105,10 @@ func (s *slab[T]) resize(old []T, n int) []T {
 // graph whenever one is available, so steady-state epoch construction
 // allocates (almost) nothing; Release returns a graph once nothing
 // references it any more — in the engine, after the fault-tolerance
-// mechanism has sealed the epoch.
-//
-// Build and Release may be called from different goroutines (the pipelined
-// engine builds on a background goroutine and releases on the barrier
-// thread), but each is single-threaded with respect to itself, and a given
-// graph must not be used after Release.
+// mechanism has sealed the epoch. A Builder is not synchronised: one
+// goroutine at a time builds and releases, and a given graph must not be
+// used after Release.
 type Builder struct {
-	mu   sync.Mutex
 	free []*Graph
 }
 
@@ -152,8 +144,6 @@ func (b *Builder) Begin(n int) *Graph {
 
 // take pops a released graph, or makes a fresh one.
 func (b *Builder) take() *Graph {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if n := len(b.free); n > 0 {
 		g := b.free[n-1]
 		b.free = b.free[:n-1]
@@ -169,7 +159,5 @@ func (b *Builder) Release(g *Graph) {
 		return
 	}
 	g.rewind()
-	b.mu.Lock()
 	b.free = append(b.free, g)
-	b.mu.Unlock()
 }

@@ -319,7 +319,7 @@ func (g *Graph) build(txns []*types.Txn) {
 // CaptureBases fills the dependency values that have no in-epoch producer
 // with the store's current (epoch-start) content. It must run after the
 // previous epoch's execution has fully finished and before this graph's
-// execution starts — the epoch barrier of the pipelined engine.
+// execution starts.
 func (g *Graph) CaptureBases(readBase ReadBase) {
 	for _, tn := range g.Txns {
 		for _, n := range tn.Ops {

@@ -2,11 +2,13 @@ package types
 
 import "fmt"
 
-// RunShape is the one definition of the engine-facing run knobs shared by
-// every configuration surface in the tree: core.Config, engine.Config,
+// RunShape is the one definition of the engine-facing run knobs every host
+// honours: engine.Config, core.Config, shard.Config (through GroupShape),
 // crashtest.Config (and through it the sharded sweep and the chaos kernel),
 // and bench.Scale all embed it instead of re-declaring Workers/CommitEvery/
-// SnapshotEvery with their own drifted zero-value defaults.
+// SnapshotEvery with their own drifted zero-value defaults. Knobs only some
+// hosts can honour live on those hosts (AutoCommit on engine.Config,
+// core.Config and bench.Scenario).
 //
 // Zero-value rule (the single defaulting path, applied by Normalize):
 //
@@ -17,6 +19,7 @@ import "fmt"
 //     never a default taken from the host.
 //   - CommitEvery  0 → 1 (commit every epoch).
 //   - SnapshotEvery 0 → 8.
+//   - SnapshotBase 0 → 1 (every snapshot marker is a full snapshot).
 //
 // Validation (the single validation path): CommitEvery must divide
 // SnapshotEvery, so every snapshot marker lands on a commit boundary and
@@ -43,12 +46,6 @@ type RunShape struct {
 	// ordinal modulo SnapshotBase), so a recovered incarnation computes the
 	// same schedule without any carried state.
 	SnapshotBase int
-	// AutoCommit lets an advisor mechanism (MSR) pick CommitEvery from the
-	// first epoch's profile instead of the configured value.
-	AutoCommit bool
-	// Pipeline overlaps epoch N+1's stream-processing phase with epoch N's
-	// transaction processing when batches are submitted as one run.
-	Pipeline bool
 }
 
 // Normalize applies the zero-value defaults in place and validates the
@@ -73,11 +70,6 @@ func (s *RunShape) Normalize() error {
 	}
 	return nil
 }
-
-// IsZero reports whether no knob has been set, letting harnesses with an
-// explicit preset shape (the crash-point sweep's compact run) distinguish
-// "caller chose nothing" from "caller chose the defaults".
-func (s RunShape) IsZero() bool { return s == RunShape{} }
 
 // GroupShape is RunShape lifted to a sharded deployment: the per-shard
 // engine knobs plus the shard fan-out. The shard coordinator

@@ -21,8 +21,8 @@ func TestRunShapeNormalize(t *testing.T) {
 		},
 		{
 			name: "explicit values survive untouched",
-			in:   RunShape{Workers: 8, CommitEvery: 2, SnapshotEvery: 4, SnapshotBase: 4, AutoCommit: true, Pipeline: true},
-			want: RunShape{Workers: 8, CommitEvery: 2, SnapshotEvery: 4, SnapshotBase: 4, AutoCommit: true, Pipeline: true},
+			in:   RunShape{Workers: 8, CommitEvery: 2, SnapshotEvery: 4, SnapshotBase: 4},
+			want: RunShape{Workers: 8, CommitEvery: 2, SnapshotEvery: 4, SnapshotBase: 4},
 		},
 		{
 			name: "commit interval defaulted against explicit snapshot interval",
@@ -76,18 +76,6 @@ func TestRunShapeNormalizeIdempotent(t *testing.T) {
 	}
 	if s != first {
 		t.Fatalf("second Normalize changed the shape: %+v != %+v", s, first)
-	}
-}
-
-func TestRunShapeIsZero(t *testing.T) {
-	if !(RunShape{}).IsZero() {
-		t.Fatal("zero shape should report IsZero")
-	}
-	if (RunShape{Workers: 1}).IsZero() {
-		t.Fatal("non-zero shape should not report IsZero")
-	}
-	if (RunShape{Pipeline: true}).IsZero() {
-		t.Fatal("shape with a bool knob set should not report IsZero")
 	}
 }
 

@@ -92,9 +92,8 @@ func measureChaos(kind ftapi.Kind, c chaosCell, repeat int, o *obs.Observer) (Ch
 	for i := 0; i < repeat; i++ {
 		out, err := crashtest.Chaos(crashtest.ChaosConfig{
 			Config: crashtest.Config{
-				Kind: kind, NewGen: gen, Epochs: chaosEpochs, EpochSize: chaosEpochSize,
+				Kind: kind, NewGen: gen, Epochs: chaosEpochs, EpochSize: chaosEpochSize, Shards: c.shards,
 			},
-			Shards:    c.shards,
 			Scenario:  c.sc,
 			KillShard: c.kill,
 			Obs:       o,

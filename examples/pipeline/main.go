@@ -1,8 +1,8 @@
-// Pipeline: continuous operation of one system fed epoch by epoch, with
+// Pipeline: continuous operation of one engine fed epoch by epoch, with
 // the Section VII extensions enabled: asynchronous group commit (durable
 // writes off the critical path) and log compression.
 //
-// The run crashes mid-stream, resumes the stream on the recovered system
+// The run crashes mid-stream, resumes the stream on the recovered engine
 // from the punctuation recovery reports, and shows the outputs both
 // incarnations released ending up complete and duplicate-free.
 //
@@ -13,7 +13,11 @@ import (
 	"fmt"
 	"log"
 
-	"morphstreamr/internal/core"
+	"morphstreamr/internal/engine"
+	"morphstreamr/internal/ft"
+	"morphstreamr/internal/ft/ftapi"
+	"morphstreamr/internal/ft/msr"
+	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
@@ -32,12 +36,20 @@ func main() {
 		batches[i] = workload.Batch(gen, batch)
 	}
 
-	sys, err := core.New(gen.App(), core.Config{
-		RunShape:    core.RunShape{Workers: 4, SnapshotEvery: 8},
-		FT:          core.MSR,
+	// Asynchronous commit is an engine knob (a group's shards commit in
+	// lockstep), so the engine is built directly: MSR over a compressing
+	// device, one ledger recording what it and its recovery release.
+	dev := storage.NewCompressed(storage.NewMem()) // DEFLATE the durable logs
+	ledger := &engine.Ledger{}
+	ec := engine.Config{
+		RunShape:    types.RunShape{Workers: 4, SnapshotEvery: 8},
+		App:         gen.App(),
+		Device:      dev,
 		AsyncCommit: true, // commit off the critical path
-		Compression: true, // DEFLATE the durable logs
-	})
+		Sink:        ledger.Sink,
+	}
+	withMSR(&ec)
+	eng, err := engine.New(ec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,14 +57,15 @@ func main() {
 	// Run ten epochs, then lose power. Only released outputs count as
 	// delivered: the crash discards whatever still awaited its commit.
 	for _, b := range batches[:10] {
-		if err := sys.ProcessBatch(b); err != nil {
+		if err := eng.ProcessEpoch(b); err != nil {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("system delivered %d outputs, then the node dies\n", len(sys.Delivered()))
-	sys.Crash()
+	fmt.Printf("engine delivered %d outputs, then the node dies\n", len(ledger.Outputs))
+	eng.Crash()
 
-	recovered, report, err := sys.Recover()
+	withMSR(&ec) // recovery runs a fresh mechanism over the same device
+	recovered, report, err := engine.Recover(ec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,11 +76,11 @@ func main() {
 	// Resume after the last epoch recovery restored; the engine replayed
 	// everything before it from the durable logs.
 	for _, b := range batches[report.LastEpoch:] {
-		if err := recovered.ProcessBatch(b); err != nil {
+		if err := recovered.ProcessEpoch(b); err != nil {
 			log.Fatal(err)
 		}
 	}
-	delivered := recovered.Delivered() // both incarnations' releases
+	delivered := ledger.Outputs // both incarnations' releases
 
 	seen := make(map[uint64]bool, len(delivered))
 	var tolls int64
@@ -85,12 +98,11 @@ func main() {
 	}
 	fmt.Printf("delivered %d/%d outputs, exactly once; total tolls %d\n",
 		len(delivered), epochs*batch, tolls)
+	fmt.Printf("durable log compression ratio: %.2f\n", dev.Ratio())
+}
 
-	dev := sys.Cfg.Device
-	if th, ok := dev.(*storage.Throttled); ok {
-		dev = th.Inner
-	}
-	if c, ok := dev.(*storage.Compressed); ok {
-		fmt.Printf("durable log compression ratio: %.2f\n", c.Ratio())
-	}
+// withMSR gives ec a fresh MorphStreamR mechanism over its device.
+func withMSR(ec *engine.Config) {
+	ec.Bytes = metrics.NewBytes()
+	ec.Mechanism = ft.New(ftapi.MSR, ec.Device, ec.Bytes, msr.Default())
 }

@@ -17,7 +17,10 @@ import (
 	"fmt"
 	"log"
 
-	"morphstreamr/internal/core"
+	"morphstreamr/internal/engine"
+	"morphstreamr/internal/ft/ftapi"
+	"morphstreamr/internal/shard"
+	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
@@ -44,42 +47,46 @@ func main() {
 		stream[i] = workload.Batch(gen, batch)
 	}
 
-	sys, err := core.New(app, core.Config{
-		RunShape: core.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 8},
-		FT:       core.MSR,
-	})
+	// A group of one shard, the host the server runs, over durable devices
+	// that survive the crash. One ledger records what the group releases
+	// before the crash and after recovery.
+	ledgers := make(shard.Ledgers, 1)
+	cfg := shard.Config{
+		GroupShape: types.GroupShape{RunShape: types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 8}, Shards: 1},
+		App:        app,
+		Kind:       ftapi.MSR,
+		Devices:    []storage.Device{storage.NewMem()},
+		CoordDev:   storage.NewMem(),
+		Sink:       ledgers.Sink,
+	}
+	g, err := shard.NewGroup(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	for i := 0; i < crash; i++ {
-		if err := sys.ProcessBatch(stream[i]); err != nil {
-			log.Fatal(err)
-		}
+	if err := g.Run(stream[:crash]); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Printf("processed %d epochs, then the power goes out...\n", crash)
-	sys.Crash()
+	g.Crash()
 
-	recovered, report, err := sys.Recover()
+	g, rep, err := shard.GroupRecover(shard.RecoverConfig{Config: cfg, Source: types.BatchSource(stream)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer recovered.Close()
+	defer g.Engine(0).Close()
+	report := rep.Reports[0]
 	fmt.Printf("recovered to epoch %d: replayed %d events, simulated wall %v\n",
 		report.LastEpoch, report.EventsReplayed, report.SimWall().Round(0))
 
-	for i := crash; i < epochs; i++ {
-		if err := recovered.ProcessBatch(stream[i]); err != nil {
-			log.Fatal(err)
-		}
+	if err := g.Run(stream[g.Epoch():]); err != nil {
+		log.Fatal(err)
 	}
-	// The recovered system's ledger holds both incarnations' releases.
-	audit(recovered, params, recovered.Delivered())
+	audit(g.Engine(0), params, ledgers[0].Outputs)
 }
 
 // audit verifies the ledger invariants on the final state.
-func audit(sys *core.System, params workload.SLParams, delivered []types.Output) {
-	st := sys.Engine.Store()
+func audit(eng *engine.Engine, params workload.SLParams, delivered []types.Output) {
+	st := eng.Store()
 
 	// Conservation: accounts total = initial money + committed deposits.
 	var accounts, assets int64
@@ -107,6 +114,9 @@ func audit(sys *core.System, params workload.SLParams, delivered []types.Output)
 				aborted++
 			}
 		}
+	}
+	if got := len(delivered) + eng.PendingOutputs(); got != epochs*batch {
+		log.Fatalf("AUDIT FAIL: %d outputs delivered or pending, want one per event (%d)", got, epochs*batch)
 	}
 	initial := int64(params.Rows) * params.InitialBalance
 	depositTotal = accounts - initial // conservation implies this equality

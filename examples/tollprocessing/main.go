@@ -11,9 +11,11 @@ import (
 	"fmt"
 	"log"
 
-	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
+	"morphstreamr/internal/shard"
+	"morphstreamr/internal/storage"
+	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
 
@@ -46,36 +48,56 @@ func main() {
 	}
 }
 
-// run processes the stream under one scheme, crashes, recovers, and
-// tallies the delivered outputs.
+// run processes the stream under one scheme on a one-shard group, crashes
+// it, recovers it, and tallies the delivered outputs, auditing that each
+// event's output was delivered at most once and, with the ones still
+// pending, exactly once.
 func run(kind ftapi.Kind, params workload.TPParams) (*engine.RecoveryReport, int64, int, int) {
 	gen := workload.NewTP(params)
-	sys, err := core.New(gen.App(), core.Config{
-		RunShape: core.RunShape{Workers: 4, SnapshotEvery: 8},
-		FT:       kind,
-	})
+	stream := make([][]types.Event, epochs)
+	for i := range stream {
+		stream[i] = workload.Batch(gen, batch)
+	}
+	ledgers := make(shard.Ledgers, 1)
+	cfg := shard.Config{
+		GroupShape: types.GroupShape{RunShape: types.RunShape{Workers: 4, SnapshotEvery: 8}, Shards: 1},
+		App:        gen.App(),
+		Kind:       kind,
+		Devices:    []storage.Device{storage.NewMem()},
+		CoordDev:   storage.NewMem(),
+		Sink:       ledgers.Sink,
+	}
+	g, err := shard.NewGroup(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i := 0; i < epochs; i++ {
-		if err := sys.ProcessBatch(workload.Batch(gen, batch)); err != nil {
-			log.Fatal(err)
-		}
+	if err := g.Run(stream); err != nil {
+		log.Fatal(err)
 	}
-	sys.Crash()
-	recovered, report, err := sys.Recover()
+	g.Crash()
+	g, rep, err := shard.GroupRecover(shard.RecoverConfig{Config: cfg, Source: types.BatchSource(stream)})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer g.Engine(0).Close()
 	var tolls int64
 	aborted := 0
-	// The recovered system's ledger holds what both incarnations released.
-	for _, out := range recovered.Delivered() {
+	seen := make(map[uint64]bool, len(ledgers[0].Outputs))
+	// The ledger holds what both incarnations released.
+	for _, out := range ledgers[0].Outputs {
+		if seen[out.EventSeq] {
+			log.Fatalf("AUDIT FAIL: duplicate output for event %d", out.EventSeq)
+		}
+		seen[out.EventSeq] = true
 		if out.Vals[0] == 1 {
 			aborted++
 			continue
 		}
 		tolls += out.Vals[1]
 	}
-	return report, tolls, aborted, recovered.Engine.PendingOutputs()
+	pending := g.Engine(0).PendingOutputs()
+	if got := len(seen) + pending; got != epochs*batch {
+		log.Fatalf("AUDIT FAIL: %v: %d outputs delivered or pending, want %d", kind, got, epochs*batch)
+	}
+	return rep.Reports[0], tolls, aborted, pending
 }

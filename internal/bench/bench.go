@@ -20,8 +20,8 @@ import (
 	"sort"
 	"time"
 
-	"morphstreamr/internal/core"
 	"morphstreamr/internal/engine"
+	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
 	"morphstreamr/internal/metrics"
@@ -162,46 +162,68 @@ func Execute(s Scenario) (Run, error) {
 	return runs[len(runs)/2], nil
 }
 
+// executeOnce builds the scenario's engine — an in-memory device through
+// the storage stack (compression below the SSD model), the mechanism with
+// the scenario's MSR options — runs it, crashes it, and recovers it with a
+// fresh mechanism over the same device.
 func executeOnce(s Scenario) (Run, error) {
-	cfg := core.Config{
-		RunShape:         s.Scale.RunShape,
-		FT:               s.Kind,
-		AutoCommit:       s.AutoCommit,
-		AsyncCommit:      s.AsyncCommit,
-		Compression:      s.Compression,
-		MSR:              s.MSR,
-		SSDModel:         s.Scale.SSD,
-		Obs:              s.Scale.Obs,
-		RecoveryProfiler: s.Prof,
+	st := storage.NewStack(storage.NewMem())
+	if s.Compression {
+		st.WithCompression()
 	}
-	gen := s.Gen()
-	sys, err := core.New(gen.App(), cfg)
+	if s.Scale.SSD {
+		st.WithSSD()
+	}
+	dev, err := st.Build()
 	if err != nil {
 		return Run{}, err
 	}
-	defer sys.Close()
+	opts := msr.Default()
+	if s.MSR != nil {
+		opts = *s.MSR
+	}
+	gen := s.Gen()
+	cfg := engine.Config{
+		RunShape:    s.Scale.RunShape,
+		AutoCommit:  s.AutoCommit,
+		App:         gen.App(),
+		Device:      dev,
+		AsyncCommit: s.AsyncCommit,
+		Obs:         s.Scale.Obs,
+	}
+	bytes := metrics.NewBytes()
+	cfg.Mechanism, cfg.Bytes = ft.New(s.Kind, dev, bytes, opts), bytes
+	eng, err := engine.New(cfg)
+	if err != nil {
+		return Run{}, err
+	}
+	defer eng.Close()
 	for i := 0; i < s.Scale.SnapshotEvery+s.Scale.PostEpochs; i++ {
-		if err := sys.ProcessBatch(workload.Batch(gen, s.Scale.BatchSize)); err != nil {
+		if err := eng.ProcessEpoch(workload.Batch(gen, s.Scale.BatchSize)); err != nil {
 			return Run{}, fmt.Errorf("process: %w", err)
 		}
 	}
 	out := Run{
 		Kind:              s.Kind,
-		RuntimeThroughput: sys.Engine.Throughput(),
-		Runtime:           sys.Engine.Runtime(),
-		PeakLiveBytes:     sys.Bytes().PeakLive(),
-		LogBytes:          storage.SumBytes(sys.Cfg.Device.BytesWritten()),
-		CommitEvery:       sys.Engine.CommitEvery(),
-		Events:            sys.Engine.Events(),
+		RuntimeThroughput: eng.Throughput(),
+		Runtime:           eng.Runtime(),
+		PeakLiveBytes:     bytes.PeakLive(),
+		LogBytes:          storage.SumBytes(dev.BytesWritten()),
+		CommitEvery:       eng.CommitEvery(),
+		Events:            eng.Events(),
 	}
 	if s.Kind == ftapi.NAT {
 		return out, nil
 	}
-	sys.Crash()
-	_, report, err := sys.Recover()
+	eng.Crash()
+	bytes = metrics.NewBytes()
+	cfg.Mechanism, cfg.Bytes = ft.New(s.Kind, dev, bytes, opts), bytes
+	cfg.RecoveryProfiler = s.Prof
+	rec, report, err := engine.Recover(cfg)
 	if err != nil {
 		return Run{}, fmt.Errorf("recover: %w", err)
 	}
+	rec.Close()
 	out.Recovery = report
 	return out, nil
 }

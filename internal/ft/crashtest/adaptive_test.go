@@ -1,9 +1,11 @@
 package crashtest
 
 import (
+	"reflect"
 	"testing"
 
 	"morphstreamr/internal/adaptive"
+	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
@@ -21,7 +23,8 @@ func stealAt(w int) *adaptive.Strategy {
 // execution within a few epochs; this one pins {steal, Workers} on the
 // crashed and the recovered engine alike, for every mechanism and fault
 // flavour, so the race detector still crosses the parallel scheduler under
-// crash injection — and a post-recovery incarnation is shown to run on it.
+// crash injection — and the sweep's verification checks every post-recovery
+// incarnation ran on it.
 func TestSweepAdaptive(t *testing.T) {
 	shape := DefaultSweepShape()
 	shape.Workers = 4
@@ -34,7 +37,7 @@ func TestSweepAdaptive(t *testing.T) {
 					Kind:     kind,
 					NewGen:   func() workload.Generator { return fttest.SLGen(43) },
 					RunShape: shape,
-					Force:    stealAt(shape.Workers),
+					force:    stealAt(shape.Workers),
 					Mode:     mode,
 					Continue: true,
 				})
@@ -56,7 +59,7 @@ func TestAdaptiveSweepMatchesStatic(t *testing.T) {
 		RunShape: types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4},
 	}
 	pinned := driven
-	pinned.Force = stealAt(4)
+	pinned.force = stealAt(4)
 
 	sitesP, err := Enumerate(pinned)
 	if err != nil {
@@ -66,12 +69,34 @@ func TestAdaptiveSweepMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sitesP) != len(sitesD) {
-		t.Fatalf("controller-driven run enumerates %d write sites, pinned %d", len(sitesD), len(sitesP))
+	if !reflect.DeepEqual(sitesP, sitesD) {
+		t.Fatalf("controller-driven run enumerates write sites %v, pinned %v", sitesD, sitesP)
 	}
-	for i := range sitesP {
-		if sitesP[i] != sitesD[i] {
-			t.Fatalf("write site %d diverges: pinned %v, controller-driven %v", i, sitesP[i], sitesD[i])
-		}
+}
+
+// TestShardSweepPinsEveryEngine: a pinned two-shard sweep runs every shard
+// engine it verifies — the fault-free group's and, through its
+// post-recovery epoch, each group GroupRecover rebuilds — on the forced
+// strategy. The verification checks it, so a group that drops
+// shard.Config.AdaptiveForce on the way to its engines fails every run.
+func TestShardSweepPinsEveryEngine(t *testing.T) {
+	res, err := Sweep(Config{
+		Kind:        ftapi.WAL,
+		NewGen:      func() workload.Generator { return fttest.GSGen(43) },
+		RunShape:    types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4},
+		Shards:      2,
+		Mode:        storage.FailStop,
+		Continue:    true,
+		SampleEvery: 3,
+		force:       stealAt(4),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Runs == 0 {
+		t.Fatal("pinned sweep ran nothing")
+	}
+	for _, f := range res.Failures {
+		t.Errorf("%v", f)
 	}
 }

@@ -55,14 +55,13 @@ func (s Scenario) String() string {
 }
 
 // ChaosConfig shapes one chaos run: the sweep Config describes the workload
-// (so chaos runs and crash-point sweeps share one reference execution),
-// Shards the group, the scenario the fault.
+// and the group (so chaos runs and crash-point sweeps share one reference
+// execution), the scenario the fault.
 type ChaosConfig struct {
-	// Config is the workload shape; its Mode and Target fields are unused
-	// (chaos injects through Flaky, not Faulty).
+	// Config is the workload and group shape; its Mode, Target and
+	// SampleEvery fields are unused (chaos injects through Flaky, not
+	// Faulty).
 	Config
-	// Shards is the group fan-out. Zero means 1.
-	Shards   int
 	Scenario Scenario
 	// KillShard is the shard whose device the storm or outage hits.
 	KillShard int
@@ -79,18 +78,17 @@ type ChaosConfig struct {
 	Obs *obs.Observer
 }
 
-func (c *ChaosConfig) normalizeChaos() (*ShardConfig, error) {
-	cfg := &ShardConfig{Config: c.Config, Shards: max(c.Shards, 1)}
-	if err := cfg.normalize(); err != nil {
-		return nil, err
+func (c *ChaosConfig) normalize() error {
+	if err := c.Config.normalize(); err != nil {
+		return err
 	}
-	if c.KillShard < 0 || c.KillShard >= cfg.Shards {
-		return nil, fmt.Errorf("crashtest: KillShard %d out of range for %d shards", c.KillShard, cfg.Shards)
+	if c.KillShard < 0 || c.KillShard >= c.Shards {
+		return fmt.Errorf("crashtest: KillShard %d out of range for %d shards", c.KillShard, c.Shards)
 	}
 	if c.StormLen <= 0 {
 		c.StormLen = 3
 	}
-	return cfg, nil
+	return nil
 }
 
 // ChaosOutcome reports what one chaos run observed. Chaos verifies the run
@@ -136,27 +134,24 @@ type ChaosOutcome struct {
 // incarnation of every shard, and every event surfacing on exactly one
 // shard. Any divergence is the returned error.
 func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
-	cfg, err := cc.normalizeChaos()
-	if err != nil {
+	if err := cc.normalize(); err != nil {
 		return nil, err
 	}
-	ref, err := buildRef(&cfg.Config, cfg.Shards, cfg.Epochs+1)
+	cfg := &cc.Config
+	ref, err := buildRef(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cc.FaultAt <= 0 && cc.Scenario != MidEpochPanic {
-		sites, err := shardEnumerate(cfg, ref)
+		sites, err := enumerate(cfg, ref)
 		if err != nil {
 			return nil, err
 		}
 		cc.FaultAt = len(sites[deviceName(cfg.Shards, cc.KillShard)]) / 2
 	}
 
-	devs := make([]storage.Device, cfg.Shards)
-	for i := range devs {
-		devs[i] = storage.NewMem()
-	}
-	st := storage.NewStack(storage.NewMem()).WithFlaky()
+	devs := newBases(cfg)
+	st := storage.NewStack(devs[cc.KillShard]).WithFlaky()
 	app, pa := ref.app, (*panicApp)(nil)
 	switch cc.Scenario {
 	case TransientStorm:
@@ -178,15 +173,13 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 	}
 	devs[cc.KillShard] = st.MustBuild()
 	ledgers := make(shard.Ledgers, cfg.Shards)
-	g, err := newShardGroup(cfg, app, devs, storage.NewMem(), cc.Obs, ledgers)
+	gc := groupConfig(cfg, app, devs, ledgers.Sink)
+	gc.Obs = cc.Obs
+	g, err := shard.NewGroup(gc)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		for i := 0; i < g.Shards(); i++ {
-			g.Engine(i).Close()
-		}
-	}()
+	defer closeGroup(g)
 
 	label := fmt.Sprintf("chaos %v/%v", cfg.Kind, cc.Scenario)
 	out := &ChaosOutcome{Scenario: cc.Scenario, Kind: cfg.Kind, OfflineMatch: true}
@@ -244,13 +237,7 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 
 	// Oracle verification at the end of the run: every shard's state, its
 	// exactly-once application outputs, and routing as a partition.
-	last := uint64(cfg.Epochs)
-	for s := 0; s < cfg.Shards; s++ {
-		if err := ref.orc.CheckState(s, last, g.Engine(s).Store()); err != nil {
-			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-	}
-	if err := checkShardOutputs(ref, g, ledgers, last); err != nil {
+	if err := ref.check(cfg, g, ledgers, uint64(cfg.Epochs)); err != nil {
 		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 
@@ -278,16 +265,14 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 // fail-stop at its 0-based write k — exactly the device content a Flaky
 // outage at write k leaves behind — crashes the group, recovers it from the
 // surviving media with GroupRecover, and returns shard kill's report.
-func offlineReport(cfg *ShardConfig, ref *shardRef, kill, k int) (*engine.RecoveryReport, error) {
+func offlineReport(cfg *Config, ref *shardRef, kill, k int) (*engine.RecoveryReport, error) {
 	fc := *cfg
 	fc.Mode, fc.Target = storage.FailStop, ""
 	g, rep, _, err := shardCrash(&fc, ref, kill, k)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < g.Shards(); i++ {
-		g.Engine(i).Close()
-	}
+	closeGroup(g)
 	return rep.Reports[kill], nil
 }
 

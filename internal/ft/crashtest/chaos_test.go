@@ -10,7 +10,7 @@ import (
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/scheduler"
-	"morphstreamr/internal/storage"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/workload"
 )
 
@@ -99,8 +99,8 @@ func TestShardChaosSingleKill(t *testing.T) {
 				Config: Config{
 					Kind:   kind,
 					NewGen: func() workload.Generator { return fttest.GSGen(43) },
+					Shards: 4,
 				},
-				Shards:    4,
 				Scenario:  ShardKill,
 				KillShard: kill,
 				FaultAt:   8,
@@ -136,8 +136,8 @@ func TestShardChaosDefaultFaultSiteFollowsRunLength(t *testing.T) {
 				Kind:   ftapi.WAL,
 				NewGen: func() workload.Generator { return fttest.GSGen(43) },
 				Epochs: epochs,
+				Shards: 4,
 			},
-			Shards:    4,
 			Scenario:  ShardKill,
 			KillShard: 2,
 		})
@@ -158,8 +158,8 @@ func TestShardChaosTransientIsInvisible(t *testing.T) {
 		Config: Config{
 			Kind:   ftapi.WAL,
 			NewGen: func() workload.Generator { return fttest.GSGen(43) },
+			Shards: 2,
 		},
-		Shards:   2,
 		Scenario: TransientStorm,
 		StormLen: 2,
 	})
@@ -172,42 +172,42 @@ func TestShardChaosTransientIsInvisible(t *testing.T) {
 }
 
 // TestPanicIsolatedOnEveryExecutor pins panic isolation on both executors:
-// an engine held on the sequential path (AdaptiveForce{seq}) or on the pool
-// fails the epoch whose operation panics with ErrOpPanic — classified
-// "panic" — instead of the process, and after recovery from its device it
-// finishes the run equal to the oracle.
+// a one-shard group whose engine is held on the sequential path
+// (AdaptiveForce{seq}) or on the pool fails the epoch whose operation
+// panics with ErrOpPanic — classified "panic" — instead of the process, and
+// after recovery from its devices it finishes the run equal to the oracle.
 func TestPanicIsolatedOnEveryExecutor(t *testing.T) {
 	for _, force := range []adaptive.Strategy{{Impl: adaptive.ImplSeq, Workers: 1}, {Impl: adaptive.ImplSteal, Workers: 2}} {
 		for _, kind := range chaosKinds {
 			t.Run(fmt.Sprintf("%s/%v", force.Impl, kind), func(t *testing.T) {
-				cfg := Config{Kind: kind, NewGen: func() workload.Generator { return fttest.SLGen(73) }, Force: &force}
+				cfg := Config{Kind: kind, NewGen: func() workload.Generator { return fttest.SLGen(73) }, force: &force}
 				if err := cfg.normalize(); err != nil {
 					t.Fatal(err)
 				}
-				ref, err := buildRef(&cfg, 1, cfg.Epochs)
+				ref, err := buildRef(&cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				app := &panicApp{App: cfg.NewGen().App(), at: int64(cfg.Epochs * cfg.EpochSize / 2)}
-				dev := storage.NewMem()
-				e, err := engine.New(engineConfig(&cfg, dev, app, nil))
+				app := &panicApp{App: ref.app, at: int64(cfg.Epochs * cfg.EpochSize / 2)}
+				devs := newBases(&cfg)
+				g, err := shard.NewGroup(groupConfig(&cfg, app, devs, nil))
 				if err != nil {
 					t.Fatal(err)
 				}
-				err = runEpochs(e, ref.batches)
+				err = g.Run(ref.batches[:cfg.Epochs])
 				if !errors.Is(err, scheduler.ErrOpPanic) || engine.Classify(err) != "panic" {
 					t.Fatalf("want an ErrOpPanic epoch classified panic, got %q: %v", engine.Classify(err), err)
 				}
-				e.Crash()
-				e2, rep, err := engine.Recover(engineConfig(&cfg, dev, app, nil))
+				g.Crash()
+				g2, _, err := recoverGroup(&cfg, ref, app, devs, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer e2.Close()
-				if err := runEpochs(e2, ref.batches[rep.LastEpoch:]); err != nil {
+				defer closeGroup(g2)
+				if err := g2.Run(ref.batches[g2.Epoch():cfg.Epochs]); err != nil {
 					t.Fatal(err)
 				}
-				if err := ref.orc.CheckState(0, uint64(cfg.Epochs), e2.Store()); err != nil {
+				if err := ref.check(&cfg, g2, nil, uint64(cfg.Epochs)); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -1,12 +1,15 @@
 package crashtest
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
@@ -26,18 +29,22 @@ func sweep(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Sites) == 0 || res.Runs != len(res.Sites) {
-		t.Fatalf("swept %d runs over %d sites; expected one run per site", res.Runs, len(res.Sites))
+	if res.Sites() == 0 || res.Runs != res.Sites() {
+		t.Fatalf("swept %d runs over %d sites; expected one run per site", res.Runs, res.Sites())
 	}
 	// An untargeted sweep must have enumerated every write category the
-	// run performs: input appends, the snapshot blob, GC truncations, and
-	// (for log-based schemes) group-commit appends.
+	// run performs: input appends, the snapshot blob, GC truncations, the
+	// coordinator's frontier records, and (for log-based schemes)
+	// group-commit appends.
 	if cfg.Target == "" {
 		ops := map[string]bool{}
-		for _, s := range res.Sites {
-			ops[s.Op+":"+s.Name] = true
+		for _, sites := range res.SitesByDevice {
+			for _, s := range sites {
+				ops[s.Op+":"+s.Name] = true
+			}
 		}
-		want := []string{"append:" + storage.LogInput, "blob:" + storage.BlobSnapshot, "release:" + storage.LogInput}
+		want := []string{"append:" + storage.LogInput, "blob:" + storage.BlobSnapshot,
+			"release:" + storage.LogInput, "append:" + shard.LogFrontier}
 		if cfg.Kind != ftapi.CKPT {
 			want = append(want, "append:"+storage.LogFT)
 		}
@@ -46,7 +53,7 @@ func sweep(t *testing.T, cfg Config) {
 		}
 		for _, w := range want {
 			if !ops[w] {
-				t.Errorf("sweep never crossed a %q write; enumeration incomplete (sites: %v)", w, res.Sites)
+				t.Errorf("sweep never crossed a %q write; enumeration incomplete (sites: %v)", w, res.SitesByDevice)
 			}
 		}
 	}
@@ -113,12 +120,14 @@ func TestSweepTargetedFTLog(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Sites) == 0 {
+			if len(res.SitesByDevice["shard0"]) == 0 {
 				t.Fatalf("%v wrote nothing to the FT log; targeted sweep is vacuous", kind)
 			}
-			for _, s := range res.Sites {
-				if s.Name != storage.LogFT {
-					t.Fatalf("targeted sweep leaked site %v", s)
+			for _, sites := range res.SitesByDevice {
+				for _, s := range sites {
+					if s.Name != storage.LogFT {
+						t.Fatalf("targeted sweep leaked site %v", s)
+					}
 				}
 			}
 			for _, f := range res.Failures {
@@ -161,38 +170,36 @@ func TestSweepKeepsSnapshotBase(t *testing.T) {
 }
 
 // TestCrossMechanismAgreement: on equivalent histories (same workload,
-// same crash boundary), all five mechanisms must recover the identical
-// store — each equals the oracle, and they pairwise agree.
+// same clean crash boundary), all five mechanisms must recover every
+// processed epoch with exactly-once outputs and the identical store — each
+// equals the oracle (BoundaryStores checks both), and they pairwise agree.
 func TestCrossMechanismAgreement(t *testing.T) {
 	for _, epochs := range []int{3, 4, 6} { // mid-group, snapshot boundary, full run
 		cfg := Config{
 			NewGen: func() workload.Generator { return fttest.SLGen(59) },
 			Epochs: epochs,
 		}
-		engines, orc, err := BoundaryStores(cfg, recoverable)
+		groups, err := BoundaryStores(cfg, recoverable)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("epochs=%d: %v", epochs, err)
 		}
-		for kind, e := range engines {
-			if err := orc.CheckState(0, uint64(epochs), e.Store()); err != nil {
-				t.Errorf("epochs=%d %v: %v", epochs, kind, err)
-			}
-		}
-		base := engines[recoverable[0]]
+		base := groups[recoverable[0]].Engine(0).Store()
 		for _, kind := range recoverable[1:] {
-			if !base.Store().Equal(engines[kind].Store()) {
-				t.Errorf("epochs=%d: %v and %v disagree: %v", epochs, recoverable[0], kind,
-					base.Store().Diff(engines[kind].Store(), 3))
+			if st := groups[kind].Engine(0).Store(); !base.Equal(st) {
+				t.Errorf("epochs=%d: %v and %v disagree: %v", epochs, recoverable[0], kind, base.Diff(st, 3))
 			}
+		}
+		for _, g := range groups {
+			closeGroup(g)
 		}
 	}
 }
 
 // TestSinkContract pins what a sink is promised, for every recoverable
-// mechanism: one sink installed on an engine and on the engine Recover
+// mechanism: one sink installed on a group and on the group GroupRecover
 // rebuilds after a crash mid commit group sees epochs 1..8 once each, in
 // order, and a recording ledger on it equals the oracle after three more
-// epochs have run through the recovered engine. The outputs it is handed
+// epochs have run through the recovered group. The outputs it is handed
 // are engine memory, recycled once the call returns: a sink that keeps the
 // slices instead of copying them no longer matches the oracle.
 func TestSinkContract(t *testing.T) {
@@ -202,44 +209,116 @@ func TestSinkContract(t *testing.T) {
 		if err := cfg.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := buildRef(&cfg, 1, cfg.Epochs)
+		ref, err := buildRef(&cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ledger := &engine.Ledger{}
 		var kept [][]types.Output
-		sink := func(ep uint64, outs []types.Output) {
+		sink := func(_ int, ep uint64, outs []types.Output) {
 			ledger.Sink(ep, outs)
 			kept = append(kept, outs)
 		}
-		dev := storage.NewMem()
-		gen := cfg.NewGen()
-		e, err := engine.New(engineConfig(&cfg, dev, gen.App(), sink))
+		devs := newBases(&cfg)
+		g, err := shard.NewGroup(groupConfig(&cfg, ref.app, devs, sink))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := runEpochs(e, ref.batches[:crashAfter]); err != nil {
+		if err := g.Run(ref.batches[:crashAfter]); err != nil {
 			t.Fatal(err)
 		}
-		e.Crash()
-		e2, _, err := engine.Recover(engineConfig(&cfg, dev, gen.App(), sink))
+		g.Crash()
+		g2, _, err := recoverGroup(&cfg, ref, ref.app, devs, sink)
 		if err != nil {
 			t.Fatalf("%v: recover: %v", kind, err)
 		}
-		if err := runEpochs(e2, ref.batches[crashAfter:]); err != nil {
+		if err := g2.Run(ref.batches[crashAfter:cfg.Epochs]); err != nil {
 			t.Fatal(err)
 		}
-		e2.Close()
+		closeGroup(g2)
 		// Epoch 8 is a snapshot marker, so every mechanism has released it all.
 		if len(ledger.Epochs) != cfg.Epochs {
 			t.Fatalf("%v: sink saw epochs %v, want 1..%d", kind, ledger.Epochs, cfg.Epochs)
 		}
-		if err := ref.orc.CheckOutputs(0, uint64(cfg.Epochs), ledger, e2); err != nil {
+		if err := ref.orc.CheckOutputs(0, uint64(cfg.Epochs), ledger, g2.Engine(0)); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
 		aliased := &engine.Ledger{Epochs: ledger.Epochs, Outputs: slices.Concat(kept...)}
-		if ref.orc.CheckOutputs(0, uint64(cfg.Epochs), aliased, e2) == nil {
+		if ref.orc.CheckOutputs(0, uint64(cfg.Epochs), aliased, g2.Engine(0)) == nil {
 			t.Fatalf("%v: the outputs a sink kept without copying still match the oracle; the engine does not recycle them", kind)
+		}
+	}
+}
+
+// TestDoubleCrash exercises repeated failures of one group: crash cleanly
+// after epoch 5, recover, process one more epoch, crash again, recover, and
+// finish the run. A clean crash loses nothing: the crashed group refuses
+// work, each recovery resumes exactly at the crash epoch — on one shard
+// replaying exactly the events since the snapshot — and the run ends
+// oracle-equal with every output delivered once. This stresses the rebuilt
+// runtime state of the dependency-tracking mechanisms; the one-shard group
+// runs all three workloads, the two-shard group the write-local one.
+func TestDoubleCrash(t *testing.T) {
+	gens := map[string]func() workload.Generator{
+		"SL": func() workload.Generator { return fttest.SLGen(73) },
+		"GS": func() workload.Generator { return fttest.GSGen(73) },
+		"TP": func() workload.Generator { return fttest.TPGen(73) },
+	}
+	cases := []struct {
+		app    string
+		shards int
+	}{{"SL", 1}, {"GS", 1}, {"TP", 1}, {"GS", 2}}
+	for _, c := range cases {
+		for _, kind := range recoverable {
+			name := c.app + "/" + kind.String()
+			if c.shards > 1 {
+				name += fmt.Sprintf("/shards=%d", c.shards)
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				cfg := Config{Kind: kind, NewGen: gens[c.app], Epochs: 12, Shards: c.shards}
+				if err := cfg.normalize(); err != nil {
+					t.Fatal(err)
+				}
+				ref, err := buildRef(&cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				devs := newBases(&cfg)
+				ledgers := make(shard.Ledgers, cfg.Shards)
+				g, err := shard.NewGroup(groupConfig(&cfg, ref.app, devs, ledgers.Sink))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, crashAt := range []uint64{5, 6} {
+					if err := g.Run(ref.batches[g.Epoch():crashAt]); err != nil {
+						t.Fatal(err)
+					}
+					g.Crash()
+					if err := g.ProcessEpoch(ref.batches[crashAt]); !errors.Is(err, shard.ErrCrashed) {
+						t.Fatalf("crashed group accepted work: %v", err)
+					}
+					var rep *shard.GroupReport
+					if g, rep, err = recoverGroup(&cfg, ref, ref.app, devs, ledgers.Sink); err != nil {
+						t.Fatal(err)
+					}
+					if rep.Target != crashAt {
+						t.Fatalf("crash after epoch %d recovered to epoch %d", crashAt, rep.Target)
+					}
+					r := rep.Reports[0]
+					if want := int(crashAt-r.SnapshotEpoch) * cfg.EpochSize; cfg.Shards == 1 && r.EventsReplayed != want {
+						t.Errorf("crash after epoch %d replayed %d events, want %d (snapshot at %d)",
+							crashAt, r.EventsReplayed, want, r.SnapshotEpoch)
+					}
+				}
+				defer closeGroup(g)
+				if err := g.Run(ref.batches[g.Epoch():cfg.Epochs]); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.check(&cfg, g, ledgers, uint64(cfg.Epochs)); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
 	}
 }

@@ -3,9 +3,9 @@ package crashtest
 import (
 	"testing"
 
-	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
@@ -38,6 +38,20 @@ func TestSweepSegStore(t *testing.T) {
 			})
 		}
 	}
+	// Two shards: every shard's device and the coordinator's run on the
+	// segment store, and torn writes land in each of them.
+	t.Run("shards=2/"+storage.TornWrite.String(), func(t *testing.T) {
+		t.Parallel()
+		sweep(t, Config{
+			Kind:         ftapi.WAL,
+			NewGen:       func() workload.Generator { return fttest.GSGen(43) },
+			Shards:       2,
+			Mode:         storage.TornWrite,
+			Continue:     true,
+			Store:        "seg",
+			SegmentBytes: segSegmentBytes,
+		})
+	})
 }
 
 // TestSweepSegIncremental sweeps the incremental-checkpoint shape on the
@@ -104,11 +118,13 @@ func TestSegStoreCrashInsideRelease(t *testing.T) {
 	}
 }
 
-// runSegHookCrash runs the seeded workload on a bare segment store with a
-// hook that kills the engine at the k-th firing of the named seam event,
-// then recovers from the store and checks state and exactly-once outputs
-// against the oracle. Returns false when the run completes before the k-th
-// firing (the sweep over k is exhausted).
+// runSegHookCrash runs the seeded workload on a one-shard group whose shard
+// device is a bare segment store with a hook that kills the engine at the
+// k-th firing of the named seam event, then recovers the group from its
+// devices and checks state and exactly-once outputs against the oracle. A
+// one-shard group runs its engine on the caller's goroutine, so the hook's
+// panic reaches the caller. Returns false when the run completes before the
+// k-th firing (the sweep over k is exhausted).
 func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 	cfg := Config{
 		Kind:         kind,
@@ -119,11 +135,12 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 	if err := cfg.normalize(); err != nil {
 		return false, err
 	}
-	ref, err := buildRef(&cfg, 1, cfg.Epochs)
+	ref, err := buildRef(&cfg)
 	if err != nil {
 		return false, err
 	}
-	seg := storage.NewSegStore(storage.SegConfig{SegmentBytes: cfg.SegmentBytes})
+	devs := newBases(&cfg)
+	seg := devs[0].(*storage.SegStore)
 	fired := 0
 	seg.SetHook(func(ev, _ string) {
 		if ev != event {
@@ -133,9 +150,8 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 			panic(segCrash{})
 		}
 	})
-	gen := cfg.NewGen()
-	ledger := &engine.Ledger{}
-	e, err := engine.New(engineConfig(&cfg, seg, gen.App(), ledger.Sink))
+	ledgers := make(shard.Ledgers, 1)
+	g, err := shard.NewGroup(groupConfig(&cfg, ref.app, devs, ledgers.Sink))
 	if err != nil {
 		return false, err
 	}
@@ -149,25 +165,23 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 				crashed = true
 			}
 		}()
-		return runEpochs(e, ref.batches)
+		return g.Run(ref.batches[:cfg.Epochs])
 	}()
 	if !crashed {
 		// Fault-free completion: sanity-check it, then report the sweep done.
+		defer closeGroup(g)
 		if err != nil {
 			return false, err
 		}
-		return false, ref.orc.CheckState(0, uint64(cfg.Epochs), e.Store())
+		return false, ref.check(&cfg, g, nil, uint64(cfg.Epochs))
 	}
-	e.Crash()
+	g.Crash()
 	seg.SetHook(nil)
 
-	e2, report, err := engine.Recover(engineConfig(&cfg, seg, gen.App(), ledger.Sink))
+	g2, report, err := recoverGroup(&cfg, ref, ref.app, devs, ledgers.Sink)
 	if err != nil {
 		return true, err
 	}
-	last := report.LastEpoch
-	if err := ref.orc.CheckState(0, last, e2.Store()); err != nil {
-		return true, err
-	}
-	return true, ref.orc.CheckOutputs(0, last, ledger, e2)
+	defer closeGroup(g2)
+	return true, ref.check(&cfg, g2, ledgers, report.Target)
 }

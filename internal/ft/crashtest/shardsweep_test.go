@@ -17,15 +17,13 @@ var shardKinds = []ftapi.Kind{ftapi.CKPT, ftapi.WAL, ftapi.DL, ftapi.LV, ftapi.M
 // shardSweepConfig is the compact sharded run: Grep&Sum (write-local by
 // construction; StreamLedger's cross-shard transfers are rejected by the
 // barrier and covered by the shard package's locality test).
-func shardSweepConfig(kind ftapi.Kind, shards int, mode storage.FaultMode) ShardConfig {
-	return ShardConfig{
-		Config: Config{
-			Kind:     kind,
-			NewGen:   func() workload.Generator { return fttest.GSGen(43) },
-			Mode:     mode,
-			Continue: true,
-		},
-		Shards: shards,
+func shardSweepConfig(kind ftapi.Kind, shards int, mode storage.FaultMode) Config {
+	return Config{
+		Kind:     kind,
+		NewGen:   func() workload.Generator { return fttest.GSGen(43) },
+		Shards:   shards,
+		Mode:     mode,
+		Continue: true,
 	}
 }
 
@@ -40,7 +38,7 @@ func TestShardSweepAllMechanisms(t *testing.T) {
 	}
 	for _, shards := range []int{2, 4} {
 		for _, kind := range shardKinds {
-			res, err := ShardSweep(shardSweepConfig(kind, shards, storage.FailStop))
+			res, err := Sweep(shardSweepConfig(kind, shards, storage.FailStop))
 			if err != nil {
 				t.Fatalf("%v shards=%d: %v", kind, shards, err)
 			}
@@ -64,7 +62,7 @@ func TestShardSweepTornAndDropped(t *testing.T) {
 	}
 	for _, mode := range []storage.FaultMode{storage.TornWrite, storage.DroppedTail} {
 		for _, kind := range []ftapi.Kind{ftapi.CKPT, ftapi.WAL, ftapi.DL, ftapi.LV} {
-			res, err := ShardSweep(shardSweepConfig(kind, 2, mode))
+			res, err := Sweep(shardSweepConfig(kind, 2, mode))
 			if err != nil {
 				t.Fatalf("%v under %v: %v", kind, mode, err)
 			}
@@ -81,7 +79,7 @@ func TestShardSweepSampled(t *testing.T) {
 	for _, kind := range []ftapi.Kind{ftapi.WAL, ftapi.CKPT} {
 		cfg := shardSweepConfig(kind, 2, storage.FailStop)
 		cfg.SampleEvery = 5
-		res, err := ShardSweep(cfg)
+		res, err := Sweep(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -94,23 +92,24 @@ func TestShardSweepSampled(t *testing.T) {
 	}
 }
 
-// TestShardSweepNAT pins the native-execution contract at group scale:
-// the group runs (and matches its oracle fault-free via ShardEnumerate's
-// sanity pass), but a crash is unrecoverable.
+// TestShardSweepNAT pins the native-execution contract on one and two
+// shards: the group runs and matches its oracle fault-free, state and
+// outputs (Enumerate's sanity pass), but persists nothing to recover from.
 func TestShardSweepNAT(t *testing.T) {
-	cfg := shardSweepConfig(ftapi.NAT, 2, storage.FailStop)
-	sites, err := ShardEnumerate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// NAT persists nothing durable on shard devices, so only the
-	// coordinator's frontier log has write sites.
-	for name, s := range sites {
-		if name != "coord" && len(s) != 0 {
-			t.Fatalf("NAT wrote %d durable records on %s", len(s), name)
+	for _, shards := range []int{1, 2} {
+		sites, err := Enumerate(shardSweepConfig(ftapi.NAT, shards, storage.FailStop))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-	}
-	if len(sites["coord"]) == 0 {
-		t.Fatal("coordinator wrote no frontier records")
+		// NAT persists nothing durable on shard devices, so only the
+		// coordinator's frontier log has write sites.
+		for name, s := range sites {
+			if name != "coord" && len(s) != 0 {
+				t.Fatalf("shards=%d: NAT wrote %d durable records on %s", shards, len(s), name)
+			}
+		}
+		if len(sites["coord"]) == 0 {
+			t.Fatalf("shards=%d: coordinator wrote no frontier records", shards)
+		}
 	}
 }

@@ -129,25 +129,28 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 	// can start. The same pass re-seeds the runtime dependency tracker
 	// (records arrive in timestamp order), so post-recovery transactions
 	// depend correctly on replayed ones.
+	//
+	// A sequence number can name more than one record: a shard's replication
+	// events take the numbers just below their epoch's first event, which an
+	// earlier epoch's events may have used. An edge names its source by
+	// number only, so it is resolved to every earlier record of that number:
+	// the source is one of them, and an edge from an earlier record only
+	// holds the replay back, never reorders it.
 	m.deps.Reset()
 	nodes := make([]txnNode, len(recs))
-	index := make(map[uint64]int32, len(recs))
+	index := make(map[uint64][]int32, len(recs))
 	edges := 0
 	for i := range recs {
 		nodes[i].txn = rc.App.Preprocess(recs[i].Event)
-		index[recs[i].Event.Seq] = int32(i)
 		m.deps.Register(&nodes[i].txn, ftapi.WriterRef{TxnID: recs[i].Event.Seq})
-	}
-	for i := range recs {
 		for _, dep := range recs[i].In {
-			j, ok := index[dep]
-			if !ok {
-				continue
+			for _, j := range index[dep] {
+				nodes[j].out = append(nodes[j].out, int32(i))
+				nodes[i].indegree++
+				edges++
 			}
-			nodes[j].out = append(nodes[j].out, int32(i))
-			nodes[i].indegree++
-			edges++
 		}
+		index[recs[i].Event.Seq] = append(index[recs[i].Event.Seq], int32(i))
 	}
 	construct := time.Duration(len(recs))*(costs.Preprocess+2*costs.Record) +
 		time.Duration(edges)*costs.Edge

@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"morphstreamr/internal/adaptive"
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft"
@@ -103,6 +104,10 @@ type Config struct {
 	// of concurrently. Benchmarks use it to measure clean per-shard walls
 	// on oversubscribed hosts; the durable history is identical.
 	SerialEpochs bool
+	// AdaptiveForce pins every shard engine, on NewGroup and on every
+	// recovery, to one execution strategy (engine.Config.AdaptiveForce). Nil
+	// leaves the choice to each engine's controller.
+	AdaptiveForce *adaptive.Strategy
 	// Sink, when non-nil, is every shard engine's engine.Config.Sink, told
 	// the shard: it receives each epoch a shard releases, replication
 	// acknowledgements included, under the engine sink's contract (outs is
@@ -303,14 +308,15 @@ func (g *Group) engineConfig(s *shardState) engine.Config {
 		sink = func(ep uint64, outs []types.Output) { g.cfg.Sink(s.idx, ep, outs) }
 	}
 	return engine.Config{
-		RunShape:  g.cfg.RunShape,
-		App:       g.app,
-		Device:    s.dev,
-		Mechanism: ft.New(g.cfg.Kind, s.dev, s.bytes, msr.Default()),
-		Bytes:     s.bytes,
-		Obs:       g.cfg.Obs,
-		Shard:     s.idx,
-		OfShards:  g.cfg.Shards,
+		RunShape:      g.cfg.RunShape,
+		App:           g.app,
+		Device:        s.dev,
+		Mechanism:     ft.New(g.cfg.Kind, s.dev, s.bytes, msr.Default()),
+		Bytes:         s.bytes,
+		Obs:           g.cfg.Obs,
+		AdaptiveForce: g.cfg.AdaptiveForce,
+		Shard:         s.idx,
+		OfShards:      g.cfg.Shards,
 		OnWriteSet: func(ep uint64, keys []types.Key) {
 			s.writeSet = append(s.writeSet[:0], keys...)
 			s.writeSetEpoch = ep

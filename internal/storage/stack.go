@@ -4,7 +4,8 @@ import "fmt"
 
 // Stack assembles a device wrapper stack in the one legal order, replacing
 // the ad-hoc wrapping that used to be decided inline at every call site
-// (core.New, the crash-point sweep, chaos runs). From the medium outward
+// (the benchmark harness, the crash-point sweep, chaos runs). From the
+// medium outward
 // the canonical order is:
 //
 //	base → Trace → Faulty/Flaky → Compressed → Throttled(SSD) → Retrying
@@ -117,7 +118,7 @@ func (s *Stack) WithFaulty(budget int, mode FaultMode, target string) *Stack {
 
 // WithCompression DEFLATE-compresses every durable payload. A base device
 // that is already a *Compressed is left alone (re-wrapping would double-
-// compress), matching the guard core.New used to apply inline.
+// compress).
 func (s *Stack) WithCompression() *Stack {
 	if _, already := s.dev.(*Compressed); already {
 		s.layer(rankCompress) // consume the rank; duplicates above still fail
@@ -130,7 +131,8 @@ func (s *Stack) WithCompression() *Stack {
 }
 
 // WithSSD applies the paper's Optane SSD performance envelope. An already
-// throttled base device is left alone, matching core.New's former guard.
+// throttled base device is left alone (a recovery reusing the device must
+// not be charged twice).
 func (s *Stack) WithSSD() *Stack {
 	if _, already := s.dev.(*Throttled); already {
 		s.layer(rankThrottle)

@@ -81,8 +81,8 @@ func TestStackFirstErrorWins(t *testing.T) {
 }
 
 func TestStackSkipsAlreadyWrappedBase(t *testing.T) {
-	// A base device that is already compressed (a caller handed core.New a
-	// pre-built device) must not be double-wrapped.
+	// A base device that is already compressed or throttled (a caller
+	// stacks a device it built earlier) must not be double-wrapped.
 	pre := NewCompressed(NewMem())
 	dev, err := NewStack(pre).WithCompression().Build()
 	if err != nil {

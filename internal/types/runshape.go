@@ -3,12 +3,11 @@ package types
 import "fmt"
 
 // RunShape is the one definition of the engine-facing run knobs every host
-// honours: engine.Config, core.Config, shard.Config (through GroupShape),
-// crashtest.Config (and through it the sharded sweep and the chaos kernel),
-// and bench.Scale all embed it instead of re-declaring Workers/CommitEvery/
-// SnapshotEvery with their own drifted zero-value defaults. Knobs only some
-// hosts can honour live on those hosts (AutoCommit on engine.Config,
-// core.Config and bench.Scenario).
+// honours: engine.Config, shard.Config (through GroupShape),
+// crashtest.Config (and through it the chaos kernel), and bench.Scale all
+// embed it instead of re-declaring Workers/CommitEvery/SnapshotEvery with
+// their own drifted zero-value defaults. Knobs only some hosts can honour
+// live on those hosts (AutoCommit on engine.Config and bench.Scenario).
 //
 // Zero-value rule (the single defaulting path, applied by Normalize):
 //
@@ -73,8 +72,9 @@ func (s *RunShape) Normalize() error {
 
 // GroupShape is RunShape lifted to a sharded deployment: the per-shard
 // engine knobs plus the shard fan-out. The shard coordinator
-// (internal/shard), the sharded crash-point sweep, and `cmd/bench shard` all
-// embed it instead of re-declaring a Shards field next to a RunShape.
+// (internal/shard) embeds it instead of re-declaring a Shards field next to
+// a RunShape; the crash-point sweep and `cmd/bench shard` shape their groups
+// with it.
 type GroupShape struct {
 	// RunShape configures every shard's engine identically; punctuation
 	// alignment across shards requires equal CommitEvery/SnapshotEvery, so

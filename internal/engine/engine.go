@@ -371,11 +371,19 @@ func (e *Engine) processEpoch(ep uint64, events []types.Event) error {
 		}
 	}
 
-	// Transaction processing phase: the controller-chosen executor explores
-	// the graph. SealEpoch orders records by chain owner, so the chains are
-	// re-labelled to the canonical Config.Workers-way partition afterwards,
-	// whatever the strategy assigned: the durable record order never depends
-	// on how an epoch happened to be executed.
+	if err := e.execute(ep, g); err != nil {
+		return err
+	}
+	return e.completeEpoch(ep, events, g)
+}
+
+// execute is the transaction processing phase of every epoch, live or
+// reprocessed during recovery: the controller-chosen executor explores the
+// graph. SealEpoch orders records by chain owner, so the chains are
+// re-labelled to the canonical Config.Workers-way partition afterwards,
+// whatever the strategy assigned: the durable record order never depends on
+// how an epoch happened to be executed.
+func (e *Engine) execute(ep uint64, g *tpg.Graph) error {
 	sp := e.cfg.Obs.Begin(0, obs.CatEpoch, "execute", ep)
 	err := e.exec.Execute(ep, g, e.st)
 	sp.End()
@@ -385,7 +393,7 @@ func (e *Engine) processEpoch(ep uint64, events []types.Event) error {
 	if err != nil {
 		return fmt.Errorf("engine: epoch %d: %w", ep, err)
 	}
-	return e.completeEpoch(ep, events, g)
+	return nil
 }
 
 // persistEpochInput persists an epoch's input events.
@@ -429,23 +437,25 @@ func (e *Engine) construct(ep uint64, events []types.Event) *tpg.Graph {
 	return g
 }
 
-// reprocessEpoch replays one epoch during recovery on the virtual W-worker
-// simulation (see package vtime), so that CKPT-style full reprocessing is
-// charged the stalls and load imbalance a real multicore would experience.
+// reprocessEpoch replays one epoch of the uncommitted tail during
+// recovery through the live path — construct, execute on the engine's
+// executor, complete — and, before completing, prices the executed graph
+// in vtime on Config.Workers virtual workers under the canonical chain
+// partition, so CKPT-style full reprocessing is charged the stalls and
+// load imbalance a real multicore would experience.
 func (e *Engine) reprocessEpoch(ep uint64, events []types.Event, breakdown *metrics.RecoveryBreakdown) error {
 	g := e.construct(ep, events)
+	if err := e.execute(ep, g); err != nil {
+		return err
+	}
 	// Preprocessing and graph construction parallelize across the
 	// stream-processing executors; charge aggregate thread-time.
 	costs := vtime.Calibrate()
 	breakdown.Construct += costs.GraphCost(len(events), g.NumOps)
 	prof := e.cfg.RecoveryProfiler
 	prof.SpreadPhase("construct", costs.GraphCost(len(events), g.NumOps))
-
-	for _, ch := range g.ChainList {
-		ch.Owner = e.ranges.Of(ch.Key)
-	}
 	prof.BeginPhase("reprocess")
-	result := vtime.SimulateGraphProf(g, e.st, e.cfg.Workers, costs, prof)
+	result := vtime.SimulateGraphProf(g, e.cfg.Workers, costs, prof)
 	prof.EndPhase(result.Makespan)
 	result.Charge(breakdown, false)
 	// Full reprocessing replays the entire stream-processing dataflow —

@@ -11,6 +11,7 @@ import (
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/obs"
 	"morphstreamr/internal/storage"
+	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/vtime"
 )
 
@@ -24,8 +25,9 @@ type RecoveryReport struct {
 	// tail, outside the six-way decomposition.
 	CommitIO time.Duration
 	// Wall is the real wall-clock duration of the recovery run on this
-	// host (single-threaded replay plus simulation overhead); use
-	// SimWall for the recovery time a W-worker machine would take.
+	// host (replay on the engine's executor plus the virtual-time walk
+	// that prices it); use SimWall for the recovery time a W-worker
+	// machine would take.
 	Wall time.Duration
 	// Workers is the parallelism the recovery was simulated at.
 	Workers int
@@ -82,12 +84,17 @@ func (r *RecoveryReport) Throughput() float64 {
 // Device must be the surviving device. Recovery never re-runs the
 // commit-interval advisor, so AutoCommit is ignored: the recovered engine
 // commits every CommitEvery epochs.
-func Recover(cfg Config) (*Engine, *RecoveryReport, error) {
+func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 	cfg.AutoCommit = false
 	e, err := New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() {
+		if err != nil {
+			e.Close() // replay ran on the executor, whose pool must not leak
+		}
+	}()
 	if e.cfg.Mechanism.Kind() == ftapi.NAT {
 		return nil, nil, fmt.Errorf("engine: native execution persists nothing; recovery impossible")
 	}
@@ -219,6 +226,7 @@ func Recover(cfg Config) (*Engine, *RecoveryReport, error) {
 		SnapshotEpoch: snapEpoch,
 		Inputs:        inputs,
 		CommitLimit:   commitLimit,
+		Execute:       func(ep uint64, g *tpg.Graph) error { return e.exec.Execute(ep, g, e.st) },
 		Breakdown:     &report.Breakdown,
 		Prof:          prof,
 	}

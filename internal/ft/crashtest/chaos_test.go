@@ -11,6 +11,8 @@ import (
 	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/scheduler"
 	"morphstreamr/internal/shard"
+	"morphstreamr/internal/storage"
+	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
 
@@ -171,6 +173,38 @@ func TestShardChaosTransientIsInvisible(t *testing.T) {
 	}
 }
 
+// panicGroup runs cfg's workload on a fresh group over fresh devices with
+// the application app(ref) and requires the run to fail with an operation
+// panic. It returns the reference run, the application, the devices and the
+// failed group (closed when the test ends) with its error.
+func panicGroup(t *testing.T, cfg *Config, app func(*shardRef) types.App) (*shardRef, types.App, []storage.Device, *shard.Group, error) {
+	t.Helper()
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := buildRef(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, devs := app(ref), newBases(cfg)
+	g, err := shard.NewGroup(groupConfig(cfg, a, devs, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { closeGroup(g) })
+	err = g.Run(ref.batches[:cfg.Epochs])
+	wantPanic(t, "live epoch", err)
+	return ref, a, devs, g, err
+}
+
+// wantPanic requires err to wrap ErrOpPanic and classify as "panic".
+func wantPanic(t *testing.T, what string, err error) {
+	t.Helper()
+	if !errors.Is(err, scheduler.ErrOpPanic) || engine.Classify(err) != "panic" {
+		t.Fatalf("%s: want an ErrOpPanic error classified panic, got %q: %v", what, engine.Classify(err), err)
+	}
+}
+
 // TestPanicIsolatedOnEveryExecutor pins panic isolation on both executors:
 // a one-shard group whose engine is held on the sequential path
 // (AdaptiveForce{seq}) or on the pool fails the epoch whose operation
@@ -181,23 +215,9 @@ func TestPanicIsolatedOnEveryExecutor(t *testing.T) {
 		for _, kind := range chaosKinds {
 			t.Run(fmt.Sprintf("%s/%v", force.Impl, kind), func(t *testing.T) {
 				cfg := Config{Kind: kind, NewGen: func() workload.Generator { return fttest.SLGen(73) }, force: &force}
-				if err := cfg.normalize(); err != nil {
-					t.Fatal(err)
-				}
-				ref, err := buildRef(&cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				app := &panicApp{App: ref.app, at: int64(cfg.Epochs * cfg.EpochSize / 2)}
-				devs := newBases(&cfg)
-				g, err := shard.NewGroup(groupConfig(&cfg, app, devs, nil))
-				if err != nil {
-					t.Fatal(err)
-				}
-				err = g.Run(ref.batches[:cfg.Epochs])
-				if !errors.Is(err, scheduler.ErrOpPanic) || engine.Classify(err) != "panic" {
-					t.Fatalf("want an ErrOpPanic epoch classified panic, got %q: %v", engine.Classify(err), err)
-				}
+				ref, app, devs, g, _ := panicGroup(t, &cfg, func(ref *shardRef) types.App {
+					return &panicApp{App: ref.app, at: int64(cfg.Epochs * cfg.EpochSize / 2)}
+				})
 				g.Crash()
 				g2, _, err := recoverGroup(&cfg, ref, app, devs, nil)
 				if err != nil {
@@ -210,6 +230,62 @@ func TestPanicIsolatedOnEveryExecutor(t *testing.T) {
 				if err := ref.check(&cfg, g2, nil, uint64(cfg.Epochs)); err != nil {
 					t.Fatal(err)
 				}
+			})
+		}
+	}
+}
+
+// poisonApp makes the event numbered seq carry one extra operation on the
+// row just past its first table's end every time it is turned into
+// operations (panicApp's trick, applied on every execution), so no
+// recovery that reprocesses the event can succeed.
+type poisonApp struct {
+	types.App
+	seq uint64
+}
+
+// Preprocess implements types.App over the wrapper's AppendOps.
+func (a poisonApp) Preprocess(ev types.Event) types.Txn {
+	return types.NewTxn(ev, a.AppendOps(nil, ev))
+}
+
+// AppendOps implements types.App.
+func (a poisonApp) AppendOps(ops []types.Operation, ev types.Event) []types.Operation {
+	n := len(ops)
+	if ops = a.App.AppendOps(ops, ev); ev.Seq == a.seq {
+		sp := a.Tables()[0]
+		ops = append(ops, ev.Op(len(ops)-n, types.Key{Table: sp.ID, Row: sp.Rows}, types.FnPut, 0))
+	}
+	return ops
+}
+
+// TestPoisonEventFailsHealNotProcess: an event whose operation panics on
+// every execution fails its live epoch with ErrOpPanic. Its input persisted
+// first, so every recovery reprocesses it in the uncommitted tail — the
+// live group's Heal and a cold GroupRecover from the same devices alike —
+// and each must fail the same way, with an error classified "panic",
+// instead of killing the process. SL runs on one shard, GS on two (where
+// the survivor recovers too and the poisoned shard's failure still
+// surfaces).
+func TestPoisonEventFailsHealNotProcess(t *testing.T) {
+	for _, sh := range []struct {
+		name   string
+		shards int
+		gen    func(int64) workload.Generator
+	}{{"SL/1", 1, fttest.SLGen}, {"GS/2", 2, fttest.GSGen}} {
+		for _, kind := range chaosKinds {
+			t.Run(fmt.Sprintf("%s/%v", sh.name, kind), func(t *testing.T) {
+				cfg := Config{Kind: kind, Shards: sh.shards, NewGen: func() workload.Generator { return sh.gen(29) }}
+				ref, app, devs, g, procErr := panicGroup(t, &cfg, func(ref *shardRef) types.App {
+					return poisonApp{App: ref.app, seq: ref.batches[cfg.Epochs/2][cfg.EpochSize/2].Seq}
+				})
+				_, err := g.Heal(procErr, types.BatchSource(ref.batches))
+				wantPanic(t, "heal", err)
+				if incs := g.Health().Incidents(); len(incs) != 1 || incs[0].Healed || incs[0].Cause != "panic" {
+					t.Fatalf("incidents %+v, want one unhealed panic", incs)
+				}
+				_, _, err = recoverGroup(&cfg, ref, app, devs, nil)
+				wantPanic(t, "cold recovery", err)
 			})
 		}
 	}

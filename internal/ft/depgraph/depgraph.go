@@ -86,13 +86,6 @@ func (m *Mech) GC(uint64) {
 	m.accountTracker()
 }
 
-// txnNode is one vertex of the rebuilt recovery graph.
-type txnNode struct {
-	txn      types.Txn
-	out      []int32 // indices of dependent transactions
-	indegree int32
-}
-
 // Recover implements ftapi.Mechanism: reload records, rebuild the
 // dependency graph, then replay transactions in parallel as their
 // dependencies complete. A torn tail record (the group commit the device
@@ -137,54 +130,54 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 	// the source is one of them, and an edge from an earlier record only
 	// holds the replay back, never reorders it.
 	m.deps.Reset()
-	nodes := make([]txnNode, len(recs))
-	index := make(map[uint64][]int32, len(recs))
+	n := len(recs)
+	txns := make([]types.Txn, n)
+	vg := &vtime.TxnGraph{
+		Out:      make([][]int32, n),
+		Indegree: make([]int32, n),
+		Cost:     make([]time.Duration, n),
+		Explore:  make([]time.Duration, n),
+		Aborted:  make([]bool, n),
+	}
+	index := make(map[uint64][]int32, n)
 	edges := 0
 	for i := range recs {
-		nodes[i].txn = rc.App.Preprocess(recs[i].Event)
-		m.deps.Register(&nodes[i].txn, ftapi.WriterRef{TxnID: recs[i].Event.Seq})
+		txns[i] = rc.App.Preprocess(recs[i].Event)
+		m.deps.Register(&txns[i], ftapi.WriterRef{TxnID: recs[i].Event.Seq})
 		for _, dep := range recs[i].In {
 			for _, j := range index[dep] {
-				nodes[j].out = append(nodes[j].out, int32(i))
-				nodes[i].indegree++
+				vg.Out[j] = append(vg.Out[j], int32(i))
+				vg.Indegree[i]++
 				edges++
 			}
 		}
 		index[recs[i].Event.Seq] = append(index[recs[i].Event.Seq], int32(i))
 	}
-	construct := time.Duration(len(recs))*(costs.Preprocess+2*costs.Record) +
+	construct := time.Duration(n)*(costs.Preprocess+2*costs.Record) +
 		time.Duration(edges)*costs.Edge
 	metrics.ChargeSerial(&rc.Breakdown.Construct, construct, rc.Workers)
 	rc.Prof.SerialPhase("rebuild", construct)
 
-	if len(nodes) == 0 {
+	if n == 0 {
 		return committed, nil
 	}
 
-	// Replay on W virtual workers: a transaction becomes ready when all
-	// its logged dependencies have replayed, so parallelism is bounded by
-	// the rebuilt graph — the inherent-parallelism ceiling the paper
-	// contrasts MorphStreamR against. Transactions execute for real in
-	// the simulated order; the clocks are virtual.
-	vg := &vtime.TxnGraph{
-		Out:      make([][]int32, len(nodes)),
-		Indegree: make([]int32, len(nodes)),
-	}
-	indegree := make([]int32, len(nodes))
-	for i := range nodes {
-		vg.Out[i] = nodes[i].out
-		vg.Indegree[i] = nodes[i].indegree
-		indegree[i] = nodes[i].indegree
-	}
-	rc.Prof.BeginPhase("replay")
-	result := vtime.SimulateTxnGraphProf(vg, rc.Workers, func(i int32) (time.Duration, time.Duration, bool) {
-		aborted := ftapi.ExecuteTxnOnStore(rc.Store, &nodes[i].txn)
+	// Replay the records in log order, which is topological: every edge
+	// resolves to an earlier record. Then price the replay on W virtual
+	// workers: a transaction becomes ready when all its logged dependencies
+	// have replayed, so parallelism is bounded by the rebuilt graph — the
+	// inherent-parallelism ceiling the paper contrasts MorphStreamR
+	// against.
+	for i := range txns {
+		vg.Aborted[i] = ftapi.ExecuteTxnOnStore(rc.Store, &txns[i])
+		vg.Cost[i] = costs.TxnCost(&txns[i])
 		// Each incoming edge was resolved by a cross-thread
 		// notification during the graph replay.
-		explore := costs.Explore + time.Duration(indegree[i])*costs.Sync
-		return costs.TxnCost(&nodes[i].txn), explore, aborted
-	}, rc.Prof, func(i int32) string {
-		return "t" + strconv.FormatUint(nodes[i].txn.ID, 10)
+		vg.Explore[i] = costs.Explore + time.Duration(vg.Indegree[i])*costs.Sync
+	}
+	rc.Prof.BeginPhase("replay")
+	result := vtime.SimulateTxnGraphProf(vg, rc.Workers, rc.Prof, func(i int32) string {
+		return "t" + strconv.FormatUint(txns[i].ID, 10)
 	})
 	rc.Prof.EndPhase(result.Makespan)
 	result.Charge(rc.Breakdown, false)

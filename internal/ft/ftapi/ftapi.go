@@ -125,12 +125,19 @@ type RecoveryContext struct {
 	// released — those epochs must reprocess through the normal
 	// (output-delivering) path instead.
 	CommitLimit uint64
+	// Execute runs one replayed epoch's graph to completion against Store:
+	// the engine binds its own executor, so a replay runs on the scheduler
+	// the live epochs run on, under its panic contract (an operation panic
+	// is an error wrapping scheduler.ErrOpPanic). It may overwrite chain
+	// owners. Required for every mechanism that replays a graph.
+	Execute func(epoch uint64, g *tpg.Graph) error
 	// Breakdown accumulates the recovery-time decomposition of Figure 11.
 	Breakdown *metrics.RecoveryBreakdown
 	// Prof, when non-nil, receives the per-worker virtual-time span events
-	// of the replay (phase structure, op execution, stall attribution,
-	// critical-path bounds). A nil profiler is fully disabled — mechanisms
-	// call it unconditionally.
+	// of the replay's pricing (phase structure, one span per replayed unit,
+	// stall attribution, critical-path bounds): vtime walks each replay
+	// after it has run and fires nothing. A nil profiler is fully disabled
+	// — mechanisms call it unconditionally.
 	Prof *vtime.Profiler
 }
 

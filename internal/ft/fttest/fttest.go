@@ -6,6 +6,7 @@
 package fttest
 
 import (
+	"fmt"
 	"testing"
 
 	"morphstreamr/internal/ft/ftapi"
@@ -118,12 +119,32 @@ func (h *Harness) TryRecover(mech ftapi.Mechanism) (*store.Store, *metrics.Recov
 		Device:    h.Dev,
 		Workers:   h.Workers,
 		Inputs:    h.Inputs,
+		Execute:   Sequential(st),
 		Breakdown: &bd,
 	})
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	return st, &bd, committed, nil
+}
+
+// Sequential is a RecoveryContext.Execute for a bare mechanism: it runs
+// each replayed graph on one thread in timestamp order against st. First
+// it checks the premise of vtime's pricing walk on the graph a mechanism
+// hands over (restructured, for MSR): every operation's edge-derived
+// in-degree equals the pending count the executor is about to use up.
+func Sequential(st *store.Store) func(uint64, *tpg.Graph) error {
+	return func(ep uint64, g *tpg.Graph) error {
+		for _, tn := range g.Txns {
+			for _, n := range tn.Ops {
+				if n.Indegree() != n.Pending() {
+					return fmt.Errorf("fttest: epoch %d: %s has in-degree %d but %d pending", ep, n.Ref(), n.Indegree(), n.Pending())
+				}
+			}
+		}
+		_, err := scheduler.RunSequential(g, st, false)
+		return err
+	}
 }
 
 // Epoch reports the last completed epoch.

@@ -5,6 +5,7 @@ import (
 
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/ft/ftapi"
+	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/scheduler"
 	"morphstreamr/internal/storage"
@@ -189,6 +190,7 @@ func TestRecoverMissingViewsFails(t *testing.T) {
 	_, err := m.Recover(&ftapi.RecoveryContext{
 		App: gen.App(), Store: st, Device: dev, Workers: 2,
 		Inputs:    []ftapi.EpochEvents{{Epoch: 1, Events: events}},
+		Execute:   fttest.Sequential(st),
 		Breakdown: &bd,
 	})
 	if err == nil {

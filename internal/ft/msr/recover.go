@@ -190,22 +190,28 @@ func (m *Mech) replayEpoch(rc *ftapi.RecoveryContext, ee ftapi.EpochEvents, view
 		}
 	}
 
+	// Replay the restructured graph for real on the engine's executor.
+	if err := rc.Execute(ee.Epoch, g); err != nil {
+		return err
+	}
+
 	// Task assignment (Figure 7 step 7): co-locate each logged group's
 	// chains (their surviving dependencies are intra-group by the
-	// selective-logging contract) and spread tasks by LPT.
+	// selective-logging contract) and spread tasks by LPT. It runs after
+	// execution, whose executor labels chains with its own assignment.
 	assignChains(g, groups, rc.Workers, m.opts.OptTaskAssign)
 	rc.Breakdown.Construct += time.Duration(severed)*costs.Lookup +
 		time.Duration(len(g.ChainList))*costs.Compare
 	rc.Prof.SpreadPhase("restructure", time.Duration(severed)*costs.Lookup+
 		time.Duration(len(g.ChainList))*costs.Compare)
 
-	// Parallel replay, simulated in virtual time (see package vtime):
+	// Price the replay on W virtual workers (see package vtime):
 	// restructured chains carry no cross-worker edges, so workers run
 	// stall-free; whatever dependencies survive (intra-group shadow
 	// resolution, or everything under the Simple configuration) show up
 	// as stalls.
 	rc.Prof.BeginPhase("replay")
-	result := vtime.SimulateGraphProf(g, rc.Store, rc.Workers, costs, rc.Prof)
+	result := vtime.SimulateGraphProf(g, rc.Workers, costs, rc.Prof)
 	rc.Prof.EndPhase(result.Makespan)
 	result.Charge(rc.Breakdown, false)
 	return nil
@@ -269,19 +275,15 @@ func assignChains(g *tpg.Graph, groups map[types.Key]int, workers int, opt bool)
 		return
 	}
 	// Union chains along surviving LD/PD edges.
-	idx := make(map[*tpg.Chain]int, len(g.ChainList))
-	for i, ch := range g.ChainList {
-		idx[ch] = i
-	}
 	uf := newUnionFind(len(g.ChainList))
 	for _, tn := range g.Txns {
 		for _, opn := range tn.Ops {
 			if opn.CondSrc != nil {
-				uf.union(idx[opn.CondSrc.Chain], idx[opn.Chain])
+				uf.union(opn.CondSrc.Chain.Pos, opn.Chain.Pos)
 			}
 			for _, src := range opn.PDSrc {
 				if src != nil {
-					uf.union(idx[src.Chain], idx[opn.Chain])
+					uf.union(src.Chain.Pos, opn.Chain.Pos)
 				}
 			}
 		}

@@ -163,27 +163,12 @@ func SerialTimer(d *time.Duration, workers int) func() {
 }
 
 // WorkerClock accumulates the per-worker explore/execute/wait split of the
-// parallel schedulers. Each worker owns one slot; Merge folds the slots of
-// all workers into a breakdown after the scheduling barrier.
+// parallel schedulers. Each worker owns one slot.
 type WorkerClock struct {
 	Explore time.Duration
 	Execute time.Duration
 	Wait    time.Duration
 	Abort   time.Duration
-}
-
-// MergeWorkerClocks sums per-worker clocks into the corresponding fields of
-// a RecoveryBreakdown. Durations are summed across workers (total CPU time),
-// matching the paper's stacked per-operation accounting.
-func MergeWorkerClocks(clocks []WorkerClock) RecoveryBreakdown {
-	var out RecoveryBreakdown
-	for i := range clocks {
-		out.Explore += clocks[i].Explore
-		out.Execute += clocks[i].Execute
-		out.Wait += clocks[i].Wait
-		out.Abort += clocks[i].Abort
-	}
-	return out
 }
 
 // Bytes tracks durable and in-memory artifact sizes per category, feeding

@@ -57,17 +57,6 @@ func TestChargeSerial(t *testing.T) {
 	}
 }
 
-func TestMergeWorkerClocks(t *testing.T) {
-	clocks := []WorkerClock{
-		{Explore: 1, Execute: 2, Wait: 3, Abort: 4},
-		{Explore: 10, Execute: 20, Wait: 30, Abort: 40},
-	}
-	m := MergeWorkerClocks(clocks)
-	if m.Explore != 11 || m.Execute != 22 || m.Wait != 33 || m.Abort != 44 {
-		t.Errorf("merge = %+v", m)
-	}
-}
-
 func TestBytesAccounting(t *testing.T) {
 	b := NewBytes()
 	b.Written("wal", 100)

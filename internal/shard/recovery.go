@@ -138,6 +138,11 @@ func (g *Group) recoverShards(src Source, serial bool, profilers []*vtime.Profil
 	}
 	for _, err := range errs {
 		if err != nil {
+			for i, rep := range report.Reports { // the group stays down
+				if rep != nil {
+					g.shards[i].eng.Close()
+				}
+			}
 			return nil, fmt.Errorf("shard: group recover: %w", err)
 		}
 	}

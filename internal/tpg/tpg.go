@@ -42,6 +42,10 @@ type OpNode struct {
 	ChainPrev *OpNode
 	ChainNext *OpNode
 	Chain     *Chain
+	// Pos is the node's index in transaction order (Graph.Txns, then each
+	// transaction's Ops), so per-node scratch state can live in a slice of
+	// NumOps entries instead of a map keyed by node.
+	Pos int
 
 	// PDSrc[i] is the in-epoch producer of Op.Deps[i], or nil when the
 	// value was captured from the epoch-start store into DepVals[i].
@@ -81,6 +85,26 @@ func (n *OpNode) Pending() int32 { return n.pending.Load() }
 // means the node is ready.
 func (n *OpNode) AddPending(delta int32) int32 { return n.pending.Add(delta) }
 
+// Indegree counts the node's incoming edges from the edge lists: its chain
+// predecessor, its condition operation, and every non-nil parametric
+// source. On a graph not yet executed it equals Pending; an execution
+// counts Pending down to zero and leaves Indegree as it was.
+func (n *OpNode) Indegree() int32 {
+	in := int32(0)
+	if n.ChainPrev != nil {
+		in++
+	}
+	if n.CondSrc != nil {
+		in++
+	}
+	for _, src := range n.PDSrc {
+		if src != nil {
+			in++
+		}
+	}
+	return in
+}
+
 // Executed reports whether the node has run.
 func (n *OpNode) Executed() bool { return n.executed.Load() }
 
@@ -108,11 +132,6 @@ func (t *TxnNode) Aborted() bool { return t.aborted.Load() }
 // executor calls it; during MSR recovery, abort pushdown sets it before
 // execution starts.
 func (t *TxnNode) SetAborted() { t.aborted.Store(true) }
-
-// Executed assembles the post-execution view consumed by postprocessing.
-func (t *TxnNode) Executed() *types.ExecutedTxn {
-	return t.ExecutedInto(&types.ExecutedTxn{})
-}
 
 // ExecutedInto fills view with the post-execution state of the transaction
 // and returns it, reusing view's Results slice when it has capacity. The
@@ -247,6 +266,7 @@ func (g *Graph) build(txns []*types.Txn) {
 		for i := range txn.Ops {
 			op := &txn.Ops[i]
 			n := g.newNode(op, tn)
+			n.Pos = g.NumOps
 			tn.Ops[i] = n
 			slot := g.index.Slot(op.Key)
 			ch := *slot
@@ -342,28 +362,9 @@ func (g *Graph) ResetExec() {
 	for _, tn := range g.Txns {
 		tn.aborted.Store(false)
 		for _, n := range tn.Ops {
-			n.pending.Store(0)
+			n.pending.Store(n.Indegree())
 			n.executed.Store(false)
 			n.Base, n.Result = 0, 0
-		}
-	}
-	for _, ch := range g.ChainList {
-		for i := 1; i < len(ch.Ops); i++ {
-			ch.Ops[i].pending.Add(1)
-		}
-	}
-	for _, tn := range g.Txns {
-		if len(tn.Ops) > 1 {
-			for _, n := range tn.Ops[1:] {
-				n.pending.Add(1)
-			}
-		}
-		for _, n := range tn.Ops {
-			for _, src := range n.PDSrc {
-				if src != nil {
-					n.pending.Add(1)
-				}
-			}
 		}
 	}
 }
@@ -423,16 +424,6 @@ func (g *Graph) Heads() []*OpNode {
 				out = append(out, n)
 			}
 		}
-	}
-	return out
-}
-
-// ExecutedTxns assembles the post-execution views of all transactions in
-// input order.
-func (g *Graph) ExecutedTxns() []*types.ExecutedTxn {
-	out := make([]*types.ExecutedTxn, len(g.Txns))
-	for i, tn := range g.Txns {
-		out[i] = tn.Executed()
 	}
 	return out
 }

@@ -92,10 +92,11 @@ func TestBuildStructure(t *testing.T) {
 	}
 	// Pending counts: O1 ready; O2 waits TD; O3 waits LD+PD; O4 waits TD;
 	// O5 waits TD+LD+PD... O5: ChainPrev O2 (+1), CondSrc O4 (+1), PD O3 (+1).
-	wantPending := map[*OpNode]int32{o1: 0, o2: 1, o3: 2, o4: 1, o5: 3}
-	for n, want := range wantPending {
-		if got := n.Pending(); got != want {
-			t.Errorf("pending(%v ts=%d) = %d, want %d", n.Op.Key, n.Op.TS, got, want)
+	// The edge-derived in-degree agrees, and Pos is transaction order.
+	for pos, n := range []*OpNode{o1, o2, o3, o4, o5} {
+		want := []int32{0, 1, 2, 1, 3}[pos]
+		if got := n.Pending(); got != want || n.Indegree() != want || n.Pos != pos {
+			t.Errorf("%s: pending %d, in-degree %d, pos %d; want %d, %d, %d", n.Ref(), got, n.Indegree(), n.Pos, want, want, pos)
 		}
 	}
 	heads := g.Heads()
@@ -268,7 +269,7 @@ func TestEdgesPointForward(t *testing.T) {
 func TestEmptyGraph(t *testing.T) {
 	st := fig3Store()
 	g := Build(nil, st.Get)
-	if g.NumOps != 0 || len(g.Heads()) != 0 || len(g.ExecutedTxns()) != 0 {
+	if g.NumOps != 0 || len(g.Heads()) != 0 || len(g.Txns) != 0 {
 		t.Error("empty graph should be inert")
 	}
 }
@@ -276,11 +277,8 @@ func TestEmptyGraph(t *testing.T) {
 func TestExecutedTxnsViews(t *testing.T) {
 	g, st := buildFig3(t, 100, 30, 20)
 	execInOrder(g, st)
-	ex := g.ExecutedTxns()
-	if len(ex) != 3 {
-		t.Fatalf("executed views = %d, want 3", len(ex))
-	}
-	if ex[1].Aborted || ex[1].Results[0] != 70 || ex[1].Results[1] != 30 {
-		t.Errorf("txn2 executed view = %+v, want results [70 30]", ex[1])
+	ex := g.Txns[1].ExecutedInto(&types.ExecutedTxn{})
+	if ex.Aborted || ex.Txn != g.Txns[1].Txn || len(ex.Results) != 2 || ex.Results[0] != 70 || ex.Results[1] != 30 {
+		t.Errorf("txn2 executed view = %+v, want results [70 30]", ex)
 	}
 }

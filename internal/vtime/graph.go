@@ -4,23 +4,8 @@ import (
 	"container/heap"
 	"time"
 
-	"morphstreamr/internal/store"
 	"morphstreamr/internal/tpg"
 )
-
-// SimulateGraph replays a task precedence graph: operations execute for
-// real (via tpg.Fire, in a dependency-respecting order, so the store ends
-// up exactly as a parallel execution would leave it) while a W-worker
-// list schedule is simulated in virtual time.
-//
-// Chain ownership must already be set (Chain.Owner); an operation runs on
-// its chain's worker, starting no earlier than the virtual finish time of
-// every dependency. Stalls — a worker idle because its next operation
-// waits on another worker's unfinished producer — accumulate in Clock.
-// Stall, the quantity MorphStreamR's restructuring eliminates.
-func SimulateGraph(g *tpg.Graph, st *store.Store, workers int, costs Costs) Result {
-	return SimulateGraphProf(g, st, workers, costs, nil)
-}
 
 // blockRef remembers which producer last pushed a consumer's ready time
 // forward, and over which edge kind — the stall attribution the profiler
@@ -30,47 +15,53 @@ type blockRef struct {
 	src  *tpg.OpNode
 }
 
-// SimulateGraphProf is SimulateGraph with an attached profiler: it
-// receives one Op event per fired operation — start time, explore and
-// busy cost, the stall-causing edge and blocking operation, and the
-// operation's earliest finish on an unbounded machine (the critical-path
-// bound). There is one loop: a nil profiler skips the critical-path and
-// attribution bookkeeping (two maps and a label per operation) and nothing
-// else, so the schedule, and with it every virtual clock, is the same to
-// the nanosecond with and without a profiler.
+// SimulateGraphProf prices the replay of an already executed task
+// precedence graph: it fires nothing, and walks a W-worker list schedule of
+// the graph in virtual time instead.
+//
+// Chain ownership must be set (Chain.Owner); an operation runs on its
+// chain's worker, starting no earlier than the virtual finish time of every
+// dependency. Readiness comes from the edge lists (OpNode.Indegree), not
+// from the pending counters, which the execution has used up; an aborted
+// transaction's operations are read from Txn.Aborted, which the execution
+// has settled. Stalls — a worker idle because its next operation waits on
+// another worker's unfinished producer — accumulate in Clock.Stall, the
+// quantity MorphStreamR's restructuring eliminates.
+//
+// A non-nil profiler receives one Op event per operation — start time,
+// explore and busy cost, the stall-causing edge and blocking operation,
+// and the operation's earliest finish on an unbounded machine (the
+// critical-path bound). There is one loop: a nil profiler skips the
+// critical-path and attribution bookkeeping and nothing else, so the
+// schedule, and with it every virtual clock, is the same to the nanosecond
+// with and without a profiler.
 //
 // The critical-path recurrence ef[n] = max(ef[producers]) + Explore + op
 // cost deliberately excludes Sync charges: cross-worker synchronisation
 // depends on chain ownership (the schedule), not the graph, so including
 // it would make the "lower bound" depend on the very assignment being
 // evaluated. Actual explore ≥ Explore always, so the bound stays valid.
-func SimulateGraphProf(g *tpg.Graph, st *store.Store, workers int, costs Costs, prof *Profiler) Result {
+func SimulateGraphProf(g *tpg.Graph, workers int, costs Costs, prof *Profiler) Result {
 	clocks := make([]Clock, workers)
 	if g.NumOps == 0 {
 		return Finish(clocks)
 	}
 	ready := make([]opHeap, workers)
 
-	// Deterministic sequence numbers for tie-breaking.
-	seq := make(map[*tpg.OpNode]int, g.NumOps)
-	readyAt := make(map[*tpg.OpNode]time.Duration, g.NumOps)
-	var ef map[*tpg.OpNode]time.Duration
-	var blocked map[*tpg.OpNode]blockRef
+	// Per-operation state, indexed by OpNode.Pos (transaction order, which
+	// also breaks ties deterministically).
+	pending := make([]int32, g.NumOps)
+	readyAt := make([]time.Duration, g.NumOps)
+	var ef []time.Duration
+	var blocked []blockRef
 	if prof != nil {
-		ef = make(map[*tpg.OpNode]time.Duration, g.NumOps)
-		blocked = make(map[*tpg.OpNode]blockRef, g.NumOps)
-	}
-	i := 0
-	for _, tn := range g.Txns {
-		for _, n := range tn.Ops {
-			seq[n] = i
-			i++
-		}
+		ef = make([]time.Duration, g.NumOps)
+		blocked = make([]blockRef, g.NumOps)
 	}
 	for _, ch := range g.ChainList {
 		for _, n := range ch.Ops {
-			if n.Pending() == 0 {
-				heap.Push(&ready[ch.Owner], opItem{node: n, readyAt: 0, seq: seq[n]})
+			if pending[n.Pos] = n.Indegree(); pending[n.Pos] == 0 {
+				heap.Push(&ready[ch.Owner], opItem{node: n, readyAt: 0})
 			}
 		}
 	}
@@ -96,10 +87,8 @@ func SimulateGraphProf(g *tpg.Graph, st *store.Store, workers int, costs Costs, 
 			// acyclic graph whose producers resolve on finish.
 			panic("vtime: no runnable operations with work remaining (cyclic graph?)")
 		}
-		item := heap.Pop(&ready[best]).(opItem)
-		n := item.node
+		n := heap.Pop(&ready[best]).(opItem).node
 
-		tpg.Fire(n, st)
 		// Dependencies resolved across workers cost a synchronisation
 		// round-trip each; same-worker resolution is free beyond the
 		// regular explore overhead.
@@ -119,10 +108,10 @@ func SimulateGraphProf(g *tpg.Graph, st *store.Store, workers int, costs Costs, 
 
 		var efFin time.Duration
 		if prof != nil {
-			efFin = ef[n] + costs.Explore + cost
-			ef[n] = efFin
+			efFin = ef[n.Pos] + costs.Explore + cost
+			ef[n.Pos] = efFin
 			edge, blockerLabel := EdgeNone, ""
-			if b, ok := blocked[n]; ok {
+			if b := blocked[n.Pos]; b.src != nil {
 				edge = b.edge
 				blockerLabel = b.src.Ref()
 			}
@@ -130,17 +119,17 @@ func SimulateGraphProf(g *tpg.Graph, st *store.Store, workers int, costs Costs, 
 		}
 
 		notify := func(d *tpg.OpNode, edge EdgeKind) {
-			if fin > readyAt[d] {
-				readyAt[d] = fin
+			if fin > readyAt[d.Pos] {
+				readyAt[d.Pos] = fin
 				if prof != nil {
-					blocked[d] = blockRef{edge: edge, src: n}
+					blocked[d.Pos] = blockRef{edge: edge, src: n}
 				}
 			}
-			if prof != nil && efFin > ef[d] {
-				ef[d] = efFin
+			if prof != nil && efFin > ef[d.Pos] {
+				ef[d.Pos] = efFin
 			}
-			if d.AddPending(-1) == 0 {
-				heap.Push(&ready[d.Chain.Owner], opItem{node: d, readyAt: readyAt[d], seq: seq[d]})
+			if pending[d.Pos]--; pending[d.Pos] == 0 {
+				heap.Push(&ready[d.Chain.Owner], opItem{node: d, readyAt: readyAt[d.Pos]})
 			}
 		}
 		if nx := n.ChainNext; nx != nil {
@@ -157,11 +146,10 @@ func SimulateGraphProf(g *tpg.Graph, st *store.Store, workers int, costs Costs, 
 }
 
 // opItem orders a worker's ready operations by readiness time, then by
-// deterministic sequence.
+// transaction order (OpNode.Pos).
 type opItem struct {
 	node    *tpg.OpNode
 	readyAt time.Duration
-	seq     int
 }
 
 type opHeap []opItem
@@ -171,7 +159,7 @@ func (h opHeap) Less(i, j int) bool {
 	if h[i].readyAt != h[j].readyAt {
 		return h[i].readyAt < h[j].readyAt
 	}
-	return h[i].seq < h[j].seq
+	return h[i].node.Pos < h[j].node.Pos
 }
 func (h opHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
 func (h *opHeap) Push(x any)     { *h = append(*h, x.(opItem)) }

@@ -217,18 +217,18 @@ type Profile struct {
 	// CritPath and LowerBound sum the per-phase values; CPRatio is
 	// Timeline/LowerBound — 1.0 means the schedule is optimal under the
 	// cost model, W means one worker did everything.
-	CritPath   time.Duration `json:"critical_path_ns"`
-	LowerBound time.Duration `json:"lower_bound_ns"`
-	CPRatio    float64       `json:"cp_ratio"`
-	Work       time.Duration `json:"work_ns"`
-	Lanes      []LaneProfile `json:"lanes"`
+	CritPath   time.Duration  `json:"critical_path_ns"`
+	LowerBound time.Duration  `json:"lower_bound_ns"`
+	CPRatio    float64        `json:"cp_ratio"`
+	Work       time.Duration  `json:"work_ns"`
+	Lanes      []LaneProfile  `json:"lanes"`
 	Phases     []PhaseProfile `json:"phases"`
 	// StallByEdge totals stall time per attributed edge kind; TopStalls
 	// ranks individual (edge, blocker) pairs.
-	StallByEdge map[string]time.Duration `json:"stall_by_edge_ns"`
-	TopStalls   []StallCause             `json:"top_stalls"`
-	Spans       int                      `json:"spans"`
-	DroppedSpans uint64                  `json:"dropped_spans"`
+	StallByEdge  map[string]time.Duration `json:"stall_by_edge_ns"`
+	TopStalls    []StallCause             `json:"top_stalls"`
+	Spans        int                      `json:"spans"`
+	DroppedSpans uint64                   `json:"dropped_spans"`
 }
 
 // StallShare is the fraction of total lane-time spent stalled behind an
@@ -319,15 +319,15 @@ type phaseState struct {
 }
 
 // Profiler records per-worker virtual-timebase span events and critical
-// path bounds while a recovery replay is simulated. A nil *Profiler is the
+// path bounds while a recovery replay is priced. A nil *Profiler is the
 // disabled profiler: every method is a cheap no-op, so the recovery path
 // is instrumented unconditionally and pays only nil checks when profiling
 // is off (the virtual clocks themselves are never affected — the profiler
 // observes the simulation, it does not participate in it).
 //
 // Usage: the recovery driver brackets each parallel replay with BeginPhase
-// and EndPhase(makespan); the simulators (SimulateGraphProf,
-// SimulateTxnGraphProf, LV's replay loop) report each executed unit via
+// and EndPhase(makespan); the pricing walks (SimulateGraphProf,
+// SimulateTxnGraphProf, LV's replay loop) report each replayed unit via
 // Op. Bulk phases charge through SerialPhase/SpreadPhase. Phases
 // concatenate on one global virtual clock.
 type Profiler struct {
@@ -354,14 +354,6 @@ func NewProfiler(workers int) *Profiler {
 		totals:   make([]WorkerTotals, workers),
 		stalls:   make(map[stallKey]*stallAgg),
 	}
-}
-
-// Lanes returns the profiler's current lane count (0 when disabled).
-func (p *Profiler) Lanes() int {
-	if p == nil {
-		return 0
-	}
-	return p.workers
 }
 
 func (p *Profiler) growLane(w int) {

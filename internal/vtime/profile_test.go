@@ -29,71 +29,25 @@ func TestSetCalibrationSeam(t *testing.T) {
 	}
 }
 
-// TestFixedCostsRatios pins the component ratios of the host-independent
-// cost model. The ratios are the documented modelling assumptions
-// (DESIGN.md §1); if one changes, every committed BENCH_recovery.json
-// baseline silently shifts, so the change must be deliberate.
-func TestFixedCostsRatios(t *testing.T) {
-	c := FixedCosts()
-	base := c.Build
-	if base != 32*time.Nanosecond {
-		t.Fatalf("FixedCosts base = %v, want 32ns", base)
-	}
-	checks := []struct {
-		name string
-		got  time.Duration
-		want time.Duration
-	}{
-		{"Op", c.Op, ExecFactor * base},
-		{"PerDep", c.PerDep, ExecFactor * base / 8},
-		{"Sync", c.Sync, ExecFactor * base},
-		{"Explore", c.Explore, base / 2},
-		{"Record", c.Record, base},
-		{"Edge", c.Edge, base / 3},
-		{"Compare", c.Compare, base / 8},
-		{"Lookup", c.Lookup, base / 4},
-		{"Postprocess", c.Postprocess, c.Preprocess / 2},
-		{"Pipeline", c.Pipeline, 6 * c.Preprocess},
-	}
-	for _, ck := range checks {
-		if ck.got != ck.want {
-			t.Errorf("FixedCosts.%s = %v, want %v", ck.name, ck.got, ck.want)
-		}
-	}
-
-	// Derived quantities are exact integers under the fixed model — the
-	// property the committed benchmark baselines rely on.
-	if got := c.SortCost(1024); got != 1024*10*c.Compare {
-		t.Errorf("SortCost(1024) = %v, want %v", got, 1024*10*c.Compare)
-	}
-	if got := c.GraphCost(10, 25); got != 10*c.Preprocess+25*c.Build {
-		t.Errorf("GraphCost(10,25) = %v", got)
-	}
-	txn := &types.Txn{Ops: []types.Operation{
-		{Key: types.Key{Row: 0}, Fn: types.FnAdd},
-		{Key: types.Key{Row: 1}, Fn: types.FnGuardedAdd, Deps: []types.Key{{Row: 0}}},
-	}}
-	if got := c.TxnCost(txn); got != 2*c.Op+c.PerDep {
-		t.Errorf("TxnCost = %v, want %v", got, 2*c.Op+c.PerDep)
-	}
-}
-
 // tinyCosts is the analytic cost model for the hand-built TPG tests: every
 // op costs exactly 110ns (10 explore + 100 busy), cross-worker sync and
 // per-dependency charges are zero, so expected makespans are small exact
 // integers.
 var tinyCosts = Costs{Op: 100, Explore: 10}
 
-// buildTiny constructs a TPG from hand-written transactions and assigns
-// chain owners by key row (chains are listed in key order).
-func buildTiny(t *testing.T, txns []*types.Txn, rows uint32, owner func(row uint32) int) (*tpg.Graph, *store.Store) {
+// buildTiny constructs a TPG from hand-written transactions, executes it,
+// and assigns chain owners by key row (chains are listed in key order).
+func buildTiny(t *testing.T, txns []*types.Txn, rows uint32, owner func(row uint32) int) *tpg.Graph {
 	t.Helper()
 	st := store.New([]types.TableSpec{{ID: 0, Rows: rows, Init: 100}})
 	g := tpg.Build(txns, st.Get)
+	if _, err := scheduler.RunSequential(g, st, false); err != nil {
+		t.Fatal(err)
+	}
 	for _, ch := range g.ChainList {
 		ch.Owner = owner(ch.Key.Row)
 	}
-	return g, st
+	return g
 }
 
 func oneOp(id uint64, row uint32, deps ...types.Key) *types.Txn {
@@ -106,13 +60,13 @@ func oneOp(id uint64, row uint32, deps ...types.Key) *types.Txn {
 	}}
 }
 
-// runTiny simulates the graph under a fresh profiler and validates the
+// runTiny walks the graph under a fresh profiler and validates the
 // invariants every profile must satisfy before returning it.
 func runTiny(t *testing.T, txns []*types.Txn, rows uint32, workers int, owner func(row uint32) int) (Result, Profile) {
 	t.Helper()
-	g, st := buildTiny(t, txns, rows, owner)
+	g := buildTiny(t, txns, rows, owner)
 	prof := NewProfiler(workers)
-	r := SimulateGraphProf(g, st, workers, tinyCosts, prof)
+	r := SimulateGraphProf(g, workers, tinyCosts, prof)
 	p := prof.Profile()
 	if err := p.Consistent(); err != nil {
 		t.Fatalf("inconsistent decomposition: %v", err)
@@ -228,8 +182,10 @@ func TestCritPathDiamond(t *testing.T) {
 
 // slGraph builds one Streaming Ledger epoch (multi-op transfers: condition
 // guards that abort, parametric dependencies across keys) over a small hot
-// table, with chains hash-assigned to workers.
-func slGraph(seed int64, events, workers int) (*tpg.Graph, *store.Store) {
+// table, executes it — on the work-stealing pool at W=2 when pool is set,
+// sequentially otherwise — and hash-assigns its chains to workers: a graph
+// ready to walk.
+func slGraph(tb testing.TB, seed int64, events, workers int, pool bool) *tpg.Graph {
 	p := workload.DefaultSLParams()
 	p.Seed, p.Rows = seed, 256
 	gen := workload.NewSL(p)
@@ -241,32 +197,49 @@ func slGraph(seed int64, events, workers int) (*tpg.Graph, *store.Store) {
 		txns[i] = &txn
 	}
 	g := tpg.Build(txns, st.Get)
+	var err error
+	if pool {
+		_, err = scheduler.Run(g, st, scheduler.Options{Workers: 2})
+	} else {
+		_, err = scheduler.RunSequential(g, st, false)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
 	assign := scheduler.HashAssign(workers)
 	for _, ch := range g.ChainList {
 		ch.Owner = assign(ch)
 	}
-	return g, st
+	return g
 }
 
-// TestSimulateGraphSameWithAndWithoutProfiler: the simulator is one loop
-// whose profiler bookkeeping is guarded, so attaching a profiler must not
-// move a single virtual clock — or the profile would describe a schedule
-// that never runs. Randomised multi-worker graphs; every one must contain
-// aborted transactions and cross-worker parametric edges, the two places
-// the profiler-only state (attribution, critical path) is touched.
+// TestSimulateGraphSameWithAndWithoutProfiler: the walk is one loop whose
+// profiler bookkeeping is guarded, and it prices a graph from its edge
+// lists and settled abort flags alone. So neither attaching a profiler —
+// or the profile would describe a schedule that never runs — nor how the
+// graph ran (sequentially, or on the pool, which relabels every chain and
+// uses up the pending counters in a racy order) may move a single virtual
+// clock or profiler span. Randomised multi-worker graphs; every one must
+// contain aborted transactions and cross-worker parametric edges, the two
+// places the profiler-only state (attribution, critical path) is touched.
 func TestSimulateGraphSameWithAndWithoutProfiler(t *testing.T) {
 	costs := Costs{Op: 128, PerDep: 16, Explore: 16, Sync: 128}
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, workers := range []int{2, 4, 7} {
-			gOff, stOff := slGraph(seed, 600, workers)
-			off := SimulateGraphProf(gOff, stOff, workers, costs, nil)
+			off := SimulateGraphProf(slGraph(t, seed, 600, workers, false), workers, costs, nil)
 
-			gOn, stOn := slGraph(seed, 600, workers)
-			prof := NewProfiler(workers)
-			on := SimulateGraphProf(gOn, stOn, workers, costs, prof)
+			gOn := slGraph(t, seed, 600, workers, false)
+			prof, poolProf := NewProfiler(workers), NewProfiler(workers)
+			on := SimulateGraphProf(gOn, workers, costs, prof)
+			pooled := SimulateGraphProf(slGraph(t, seed, 600, workers, true), workers, costs, poolProf)
 
-			if !reflect.DeepEqual(off, on) {
-				t.Fatalf("seed %d W=%d: results differ:\n off %+v\n on  %+v", seed, workers, off, on)
+			if !reflect.DeepEqual(off, on) || !reflect.DeepEqual(on, pooled) {
+				t.Fatalf("seed %d W=%d: results differ:\n off    %+v\n on     %+v\n pooled %+v", seed, workers, off, on, pooled)
+			}
+			spans, _ := prof.Spans()
+			poolSpans, _ := poolProf.Spans()
+			if !reflect.DeepEqual(spans, poolSpans) {
+				t.Fatalf("seed %d W=%d: profiler spans differ between the sequential and the pool execution", seed, workers)
 			}
 			aborted, crossPD := 0, 0
 			for _, tn := range gOn.Txns {
@@ -296,8 +269,9 @@ func TestSimulateGraphSameWithAndWithoutProfiler(t *testing.T) {
 	}
 }
 
-// BenchmarkSimulateGraph reports what one simulated SL epoch costs with the
-// profiler off and on (the graph build is outside the timer).
+// BenchmarkSimulateGraph reports what walking one executed SL epoch costs
+// with the profiler off and on (building and executing the graph is
+// outside the timer).
 func BenchmarkSimulateGraph(b *testing.B) {
 	costs := Costs{Op: 128, PerDep: 16, Explore: 16, Sync: 128}
 	for _, on := range []bool{false, true} {
@@ -308,13 +282,13 @@ func BenchmarkSimulateGraph(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				g, st := slGraph(1, 4096, 8)
+				g := slGraph(b, 1, 4096, 8, false)
 				var prof *Profiler
 				if on {
 					prof = NewProfiler(8)
 				}
 				b.StartTimer()
-				SimulateGraphProf(g, st, 8, costs, prof)
+				SimulateGraphProf(g, 8, costs, prof)
 			}
 		})
 	}
@@ -402,9 +376,6 @@ func TestNilProfilerSafe(t *testing.T) {
 	p.EndPhase(10)
 	p.SerialPhase("s", 10)
 	p.SpreadPhase("sp", 10)
-	if p.Lanes() != 0 {
-		t.Error("nil profiler lanes != 0")
-	}
 	if spans, dropped := p.Spans(); spans != nil || dropped != 0 {
 		t.Error("nil profiler spans not empty")
 	}

@@ -14,27 +14,24 @@ type TxnGraph struct {
 	// unresolved dependencies.
 	Out      [][]int32
 	Indegree []int32
+	// Cost[i] and Explore[i] are node i's virtual execution and scheduling
+	// charges; Aborted[i] reports whether it aborted when it ran.
+	Cost, Explore []time.Duration
+	Aborted       []bool
 }
 
-// SimulateTxnGraph replays the graph on W virtual workers with greedy
-// earliest-start list scheduling: any free worker takes the longest-ready
-// transaction. exec(i) must execute node i for real and return its virtual
-// cost plus whether it aborted; it is called exactly once per node, in an
-// order that respects the graph.
-//
+// SimulateTxnGraphProf prices the replay of an already executed
+// transaction graph on W virtual workers with greedy earliest-start list
+// scheduling: any free worker takes the longest-ready transaction.
 // Parallelism is bounded by the graph itself — the paper's point about
 // dependency-logging recovery being limited to the workload's inherent
 // parallelism.
-func SimulateTxnGraph(g *TxnGraph, workers int, exec func(i int32) (cost, explore time.Duration, abort bool)) Result {
-	return SimulateTxnGraphProf(g, workers, exec, nil, nil)
-}
-
-// SimulateTxnGraphProf is SimulateTxnGraph with an attached profiler.
-// label names node i for the timeline (nil falls back to "t<i>"). Unlike
-// the operation-level simulator, a transaction node's explore charge here
-// is schedule-independent (DL prices its logged indegree, LV its vector
-// probes), so the critical-path recurrence includes it in full.
-func SimulateTxnGraphProf(g *TxnGraph, workers int, exec func(i int32) (cost, explore time.Duration, abort bool), prof *Profiler, label func(i int32) string) Result {
+//
+// label names node i for the profiler's timeline (nil falls back to
+// "t<i>"). Unlike the operation-level walk, a transaction node's explore
+// charge here is schedule-independent (DL prices its logged indegree), so
+// the critical-path recurrence includes it in full.
+func SimulateTxnGraphProf(g *TxnGraph, workers int, prof *Profiler, label func(i int32) string) Result {
 	clocks := make([]Clock, workers)
 	n := len(g.Indegree)
 	if n == 0 {
@@ -76,7 +73,7 @@ func SimulateTxnGraphProf(g *TxnGraph, workers int, exec func(i int32) (cost, ex
 		if clocks[best].Now > start {
 			start = clocks[best].Now
 		}
-		cost, explore, aborted := exec(item.idx)
+		cost, explore, aborted := g.Cost[item.idx], g.Explore[item.idx], g.Aborted[item.idx]
 		fin := clocks[best].Advance(start, explore, cost, aborted)
 		done++
 		var efFin time.Duration

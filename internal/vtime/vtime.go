@@ -8,13 +8,14 @@
 // effects on a machine with that many physical cores; on a small CI host,
 // goroutines time-slice and every scheme degenerates to its total serial
 // work. Following the reproduction ground rules (simulate hardware you do
-// not have), the recovery executors therefore run the replay *for real*
-// on one thread — so recovered state is exact — while a discrete-event
-// list scheduler computes, from the actual dependency structure and a
-// host-calibrated cost model, the per-worker busy/stall clocks and the
-// makespan a W-worker machine would achieve. Single-threaded phases (log
-// reload, sorting, graph rebuild, view indexing) stay real measured wall
-// time; only the parallel replay phase is virtual.
+// not have), recovery runs each replay *for real* first — a TPG on the
+// engine's own executor, log records in log order — so recovered state is
+// exact, and this package only prices it: a discrete-event list schedule
+// of the executed graph, which fires nothing, computes from the actual
+// dependency structure and a host-calibrated cost model the per-worker
+// busy/stall clocks and the makespan a W-worker machine would achieve.
+// Device reads stay real measured wall time; replay and the bulk phases
+// around it (decode, sort, graph rebuild, view indexing) are virtual.
 //
 // The simulation is deterministic: identical inputs produce identical
 // clocks on any host, which also makes the scalability sweeps (Figure 13)

@@ -1,17 +1,12 @@
 package vtime
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"morphstreamr/internal/metrics"
-
-	"morphstreamr/internal/oracle"
-	"morphstreamr/internal/scheduler"
-	"morphstreamr/internal/store"
-	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
-	"morphstreamr/internal/workload"
 )
 
 func TestCalibrateSane(t *testing.T) {
@@ -79,145 +74,33 @@ func TestFinishPadsToMakespan(t *testing.T) {
 	}
 }
 
-// TestSimulateGraphMatchesOracle: the virtual executor must leave exactly
-// the state a real parallel execution (and the oracle) would.
-func TestSimulateGraphMatchesOracle(t *testing.T) {
-	p := workload.DefaultSLParams()
-	p.Rows, p.AbortRatio = 512, 0.2
-	gen := workload.NewSL(p)
-	st := store.New(gen.App().Tables())
-	o := oracle.New(gen.App())
-	events := workload.Batch(gen, 1500)
-	txns := make([]*types.Txn, len(events))
-	for i := range events {
-		txn := gen.App().Preprocess(events[i])
-		txns[i] = &txn
-		o.Apply(events[i])
-	}
-	g := tpg.Build(txns, st.Get)
-	for _, ch := range g.ChainList {
-		ch.Owner = scheduler.HashAssign(4)(ch)
-	}
-	result := SimulateGraph(g, st, 4, Calibrate())
-	if result.Makespan <= 0 {
-		t.Fatal("zero makespan for non-empty graph")
-	}
-	for _, spec := range gen.App().Tables() {
-		for row := uint32(0); row < spec.Rows; row++ {
-			k := types.Key{Table: spec.ID, Row: row}
-			if st.Get(k) != o.Value(k) {
-				t.Fatalf("state diverged at %v: %d vs %d", k, st.Get(k), o.Value(k))
-			}
-		}
-	}
-}
-
 // TestSimulateGraphDeterministic: identical inputs must produce identical
 // clocks — the property that makes figures reproducible across hosts.
 func TestSimulateGraphDeterministic(t *testing.T) {
-	run := func() Result {
-		p := workload.DefaultGSParams()
-		p.Rows = 512
-		gen := workload.NewGS(p)
-		st := store.New(gen.App().Tables())
-		events := workload.Batch(gen, 800)
-		txns := make([]*types.Txn, len(events))
-		for i := range events {
-			txn := gen.App().Preprocess(events[i])
-			txns[i] = &txn
-		}
-		g := tpg.Build(txns, st.Get)
-		for _, ch := range g.ChainList {
-			ch.Owner = scheduler.HashAssign(4)(ch)
-		}
-		return SimulateGraph(g, st, 4, Costs{Op: 100, PerDep: 10, Explore: 5, Sync: 50})
-	}
-	a, b := run(), run()
-	if a.Makespan != b.Makespan {
-		t.Fatalf("nondeterministic makespan: %v vs %v", a.Makespan, b.Makespan)
-	}
-	for i := range a.Clocks {
-		if a.Clocks[i] != b.Clocks[i] {
-			t.Fatalf("clock %d differs: %+v vs %+v", i, a.Clocks[i], b.Clocks[i])
-		}
-	}
-}
-
-// TestSimulateGraphParallelismHelps: a dependency-free graph's makespan
-// must shrink roughly linearly with workers; a single serial chain's must
-// not shrink at all.
-func TestSimulateGraphParallelismHelps(t *testing.T) {
-	costs := Costs{Op: 1000, Explore: 0}
-	mkIndependent := func(owners int) time.Duration {
-		st := store.New([]types.TableSpec{{ID: 0, Rows: 1024}})
-		txns := make([]*types.Txn, 1024)
-		for i := range txns {
-			id := uint64(i)
-			txns[i] = &types.Txn{ID: id, TS: id, Ops: []types.Operation{
-				{TxnID: id, TS: id, Idx: 0, Key: types.Key{Row: uint32(i)}, Fn: types.FnAdd, Const: 1},
-			}}
-		}
-		g := tpg.Build(txns, st.Get)
-		for i, ch := range g.ChainList {
-			ch.Owner = i % owners
-		}
-		return SimulateGraph(g, st, owners, costs).Makespan
-	}
-	m1, m4 := mkIndependent(1), mkIndependent(4)
-	if m4 <= m1/5 || m4 >= m1/3 {
-		t.Errorf("independent ops: makespan w1=%v w4=%v, want ~4x speedup", m1, m4)
-	}
-
-	mkChain := func(workers int) time.Duration {
-		st := store.New([]types.TableSpec{{ID: 0, Rows: 1}})
-		txns := make([]*types.Txn, 512)
-		for i := range txns {
-			id := uint64(i)
-			txns[i] = &types.Txn{ID: id, TS: id, Ops: []types.Operation{
-				{TxnID: id, TS: id, Idx: 0, Key: types.Key{Row: 0}, Fn: types.FnAdd, Const: 1},
-			}}
-		}
-		g := tpg.Build(txns, st.Get)
-		for _, ch := range g.ChainList {
-			ch.Owner = 0
-		}
-		return SimulateGraph(g, st, workers, costs).Makespan
-	}
-	c1, c4 := mkChain(1), mkChain(4)
-	if c4 != c1 {
-		t.Errorf("serial chain: makespan w1=%v w4=%v; a chain cannot parallelize", c1, c4)
+	costs := Costs{Op: 100, PerDep: 10, Explore: 5, Sync: 50}
+	a := SimulateGraphProf(slGraph(t, 5, 800, 4, false), 4, costs, nil)
+	if b := SimulateGraphProf(slGraph(t, 5, 800, 4, false), 4, costs, nil); !reflect.DeepEqual(a, b) {
+		t.Fatalf("nondeterministic walk:\n %+v\n %+v", a, b)
 	}
 }
 
 // TestSimulateGraphSyncCharged: cross-worker dependencies cost Sync;
 // co-located ones do not.
 func TestSimulateGraphSyncCharged(t *testing.T) {
-	mk := func(sameWorker bool) time.Duration {
-		st := store.New([]types.TableSpec{{ID: 0, Rows: 2, Init: 100}})
-		a, b := types.Key{Row: 0}, types.Key{Row: 1}
-		txns := []*types.Txn{
-			{ID: 0, TS: 0, Ops: []types.Operation{{TxnID: 0, TS: 0, Idx: 0, Key: a, Fn: types.FnAdd, Const: 1}}},
-			{ID: 1, TS: 1, Ops: []types.Operation{{TxnID: 1, TS: 1, Idx: 0, Key: b, Fn: types.FnGuardedAdd, Const: 1, Deps: []types.Key{a}}}},
-		}
-		g := tpg.Build(txns, st.Get)
-		for i, ch := range g.ChainList {
-			if sameWorker {
-				ch.Owner = 0
-			} else {
-				ch.Owner = i % 2
-			}
-		}
-		r := SimulateGraph(g, st, 2, Costs{Op: 100, Sync: 77})
+	mk := func(workers uint32) time.Duration {
+		txns := []*types.Txn{oneOp(0, 0), oneOp(1, 1, types.Key{Row: 0})}
+		g := buildTiny(t, txns, 2, func(row uint32) int { return int(row % workers) })
+		r := SimulateGraphProf(g, 2, Costs{Op: 100, Sync: 77}, nil)
 		var explore time.Duration
 		for _, c := range r.Clocks {
 			explore += c.Explore
 		}
 		return explore
 	}
-	if got := mk(true); got != 0 {
+	if got := mk(1); got != 0 {
 		t.Errorf("co-located dependency charged %v explore, want 0", got)
 	}
-	if got := mk(false); got != 77 {
+	if got := mk(2); got != 77 {
 		t.Errorf("cross-worker dependency charged %v explore, want 77ns", got)
 	}
 }
@@ -229,23 +112,21 @@ func TestSimulateTxnGraph(t *testing.T) {
 	g := &TxnGraph{
 		Out:      [][]int32{{1}, {2}, {3}, nil, nil, nil, nil, nil},
 		Indegree: []int32{0, 1, 1, 1, 0, 0, 0, 0},
+		Cost:     []time.Duration{100, 100, 100, 100, 100, 100, 100, 100},
+		Explore:  make([]time.Duration, 8),
+		Aborted:  make([]bool, 8),
 	}
-	order := []int32{}
-	r := SimulateTxnGraph(g, 2, func(i int32) (time.Duration, time.Duration, bool) {
-		order = append(order, i)
-		return 100, 0, false
-	})
-	if len(order) != 8 {
-		t.Fatalf("executed %d of 8", len(order))
-	}
-	pos := map[int32]int{}
-	for p, i := range order {
-		pos[i] = p
-	}
-	for i := int32(0); i < 3; i++ {
-		if pos[i] > pos[i+1] {
-			t.Fatalf("dependency order violated: %d after %d", i, i+1)
+	prof := NewProfiler(2)
+	r := SimulateTxnGraphProf(g, 2, prof, nil)
+	spans, _ := prof.Spans()
+	end := map[string]time.Duration{}
+	for _, s := range spans {
+		if prev := map[string]string{"t1": "t0", "t2": "t1", "t3": "t2"}[s.Label]; prev != "" {
+			if e, ok := end[prev]; !ok || s.Start < e {
+				t.Fatalf("dependency order violated: %s starts at %v, before %s ends", s.Label, s.Start, prev)
+			}
 		}
+		end[s.Label] = s.Start + s.Dur
 	}
 	// Critical path = 4 chained txns = 400ns; greedy list scheduling may
 	// delay the chain behind already-ready work, but never beyond one
@@ -256,11 +137,7 @@ func TestSimulateTxnGraph(t *testing.T) {
 }
 
 func TestSimulateTxnGraphEmpty(t *testing.T) {
-	r := SimulateTxnGraph(&TxnGraph{}, 3, func(int32) (time.Duration, time.Duration, bool) {
-		t.Fatal("exec called on empty graph")
-		return 0, 0, false
-	})
-	if r.Makespan != 0 {
+	if r := SimulateTxnGraphProf(&TxnGraph{}, 3, nil, nil); r.Makespan != 0 {
 		t.Errorf("empty graph makespan = %v", r.Makespan)
 	}
 }

@@ -443,13 +443,6 @@ func (c *Controller) Morphs() int {
 	return c.morphs
 }
 
-// Probes returns how many grain-probe epochs the controller has issued.
-func (c *Controller) Probes() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.probes
-}
-
 // Decisions returns a copy of the recent decision history, oldest first.
 func (c *Controller) Decisions() []Decision {
 	c.mu.Lock()

@@ -162,21 +162,17 @@ func Execute(s Scenario) (Run, error) {
 	return runs[len(runs)/2], nil
 }
 
-// executeOnce builds the scenario's engine — an in-memory device through
-// the storage stack (compression below the SSD model), the mechanism with
-// the scenario's MSR options — runs it, crashes it, and recovers it with a
-// fresh mechanism over the same device.
+// executeOnce builds the scenario's engine — a fresh in-memory device,
+// compressed below the SSD model so the model charges the bytes that reach
+// the medium, and the mechanism with the scenario's MSR options — runs it,
+// crashes it, and recovers it with a fresh mechanism over the same device.
 func executeOnce(s Scenario) (Run, error) {
-	st := storage.NewStack(storage.NewMem())
+	var dev storage.Device = storage.NewMem()
 	if s.Compression {
-		st.WithCompression()
+		dev = storage.NewCompressed(dev)
 	}
 	if s.Scale.SSD {
-		st.WithSSD()
-	}
-	dev, err := st.Build()
-	if err != nil {
-		return Run{}, err
+		dev = storage.DefaultSSD(dev)
 	}
 	opts := msr.Default()
 	if s.MSR != nil {

@@ -26,11 +26,9 @@ func TestClassifyWrappedChains(t *testing.T) {
 	}{
 		{"poisoned direct", ftapi.ErrPoisoned, "poisoned"},
 		{"poisoned nested", deep(fmt.Errorf("commit: %w: %w", ftapi.ErrPoisoned, errors.New("disk gone"))), "poisoned"},
-		{"exhausted nested", deep(fmt.Errorf("storage: append: %w after 4 attempts: %w", storage.ErrRetryExhausted, storage.Transient(errors.New("timeout")))), "io-transient-exhausted"},
-		{"circuit open nested", deep(storage.ErrCircuitOpen), "io-transient-exhausted"},
 		{"panic nested", deep(fmt.Errorf("worker 3: %w: boom", scheduler.ErrOpPanic)), "panic"},
 		{"plain fatal", deep(errors.New("device unplugged")), "io-fatal"},
-		{"bare transient is not exhausted", deep(storage.Transient(errors.New("timeout"))), "io-fatal"},
+		{"injected device fault", deep(fmt.Errorf("commit: %w", storage.ErrInjected)), "io-fatal"},
 	}
 	for _, tc := range cases {
 		if got := Classify(tc.err); got != tc.want {

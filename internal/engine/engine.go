@@ -185,10 +185,10 @@ type Engine struct {
 
 	// exec runs every epoch's graph: its controller observes the epoch's
 	// structure and the previous epoch's wall time and picks sequential or
-	// pool execution and the worker count; rangesBy caches the chain
-	// partitions per live worker count it asks for.
+	// pool execution and the worker count; assignBy caches the chain
+	// assignment per live worker count it asks for.
 	exec     *scheduler.Executor
-	rangesBy map[int]*partition.Ranges
+	assignBy map[int]func(*tpg.Chain) int
 }
 
 // asyncCommit tracks one background group-commit write.
@@ -209,7 +209,7 @@ func New(cfg Config) (*Engine, error) {
 		builder:     tpg.NewBuilder(),
 	}
 	e.ranges = partition.NewRanges(cfg.App.Tables(), cfg.Workers)
-	e.rangesBy = map[int]*partition.Ranges{cfg.Workers: e.ranges}
+	e.assignBy = map[int]func(*tpg.Chain) int{}
 	if cfg.SnapshotBase > 1 {
 		// Incremental checkpoints: track written partitions per snapshot
 		// interval. Enabled before any processing (and before recovery
@@ -294,17 +294,16 @@ func (e *Engine) Throughput() float64 { return metrics.Throughput(e.events, e.to
 var ErrCrashed = errors.New("engine: crashed; recover with engine.Recover")
 
 // Classify maps an error surfaced by ProcessEpoch to its incident cause
-// label: "panic", "poisoned", "io-transient-exhausted", or "io-fatal". The
-// shard group's heal and the serving pump's heal timeline share it, so
-// incident records read identically whichever layer reports them.
+// label: "panic", "poisoned", or "io-fatal" (any device error, transient
+// or not: the heal is the one answer to both). The shard group's heal and
+// the serving pump's heal timeline share it, so incident records read
+// identically whichever layer reports them.
 func Classify(err error) string {
 	switch {
 	case errors.Is(err, scheduler.ErrOpPanic):
 		return "panic"
 	case errors.Is(err, ftapi.ErrPoisoned):
 		return "poisoned"
-	case errors.Is(err, storage.ErrRetryExhausted), errors.Is(err, storage.ErrCircuitOpen):
-		return "io-transient-exhausted"
 	default:
 		return "io-fatal"
 	}
@@ -521,14 +520,15 @@ func (e *Engine) completeEpoch(ep uint64, events []types.Event, g *tpg.Graph) er
 }
 
 // assignFor returns the chain partitioner for a live worker count, caching
-// the range tables the controller's worker morphs alternate between.
+// one per count the controller's worker morphs alternate between.
 func (e *Engine) assignFor(w int) func(*tpg.Chain) int {
-	r, ok := e.rangesBy[w]
+	f, ok := e.assignBy[w]
 	if !ok {
-		r = partition.NewRanges(e.cfg.App.Tables(), w)
-		e.rangesBy[w] = r
+		r := partition.NewRanges(e.cfg.App.Tables(), w)
+		f = func(c *tpg.Chain) int { return r.Of(c.Key) }
+		e.assignBy[w] = f
 	}
-	return func(c *tpg.Chain) int { return r.Of(c.Key) }
+	return f
 }
 
 // Adaptive exposes the engine's adaptive controller; tests and benchmarks

@@ -7,6 +7,7 @@ import (
 
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/ft/ftapi"
+	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/obs"
 	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
@@ -21,9 +22,9 @@ type Scenario int
 
 // Chaos scenarios.
 const (
-	// TransientStorm scripts a short error storm on the victim's device,
-	// under a retry layer that must absorb it: the run completes with ZERO
-	// heals.
+	// TransientStorm fails StormLen consecutive writes on the victim's
+	// device, after which the medium comes back: the group heals in place,
+	// retrying every heal the storm fails, and every incident is io-fatal.
 	TransientStorm Scenario = iota
 	// FatalHeal scripts one fatal write on the victim's device: the group
 	// heals EXACTLY ONCE, and the victim's recovery report must match an
@@ -59,8 +60,8 @@ func (s Scenario) String() string {
 // execution), the scenario the fault.
 type ChaosConfig struct {
 	// Config is the workload and group shape; its Mode, Target and
-	// SampleEvery fields are unused (chaos injects through Flaky, not
-	// Faulty).
+	// SampleEvery fields are unused (chaos injects a fail-stop outage,
+	// storage.NewOutage, on every write of the victim's device).
 	Config
 	Scenario Scenario
 	// KillShard is the shard whose device the storm or outage hits.
@@ -71,7 +72,8 @@ type ChaosConfig struct {
 	// mid-run at every run length. Ignored for MidEpochPanic, whose bad
 	// operation rides the middle event of the run.
 	FaultAt int
-	// StormLen is the transient storm length (default 3).
+	// StormLen is the transient storm length (default 3). A run calls
+	// Heal at most StormLen+2 times.
 	StormLen int
 	// Obs, when non-nil, observes the group: the run's epochs, the heal's
 	// recovery spans and the incident log land in its registry and tracer.
@@ -97,29 +99,29 @@ func (c *ChaosConfig) normalize() error {
 type ChaosOutcome struct {
 	Scenario Scenario
 	Kind     ftapi.Kind
-	// FailedEpoch is the epoch whose ProcessEpoch failed (zero when the
-	// fault never escalated).
+	// FailedEpoch is the epoch whose ProcessEpoch failed.
 	FailedEpoch uint64
-	// Heals counts Group.Heal calls: 0 for a storm, 1 for every other
-	// scenario.
+	// Heals counts Group.Heal calls: 1 for every scenario but a storm,
+	// which takes one more for each heal it fails.
 	Heals int
-	// Cause is the heal incident's classification (engine.Classify).
+	// Cause is the first heal incident's classification (engine.Classify).
 	Cause string
 	// Detection is fault occurrence (first injection, or the bad operation
-	// being built) to the heal starting; zero when nothing escalated.
+	// being built) to the first heal starting.
 	Detection time.Duration
-	// MTTR is the heal's duration: failure detected to the group live
-	// again; zero when the storm was absorbed below the group.
+	// MTTR is failure first detected to the end of the last heal, across
+	// every heal a storm takes.
 	MTTR time.Duration
-	// RetryStats is the victim's retry layer (TransientStorm only).
-	RetryStats storage.RetryStats
 	// SurvivorCommits is the committed-epoch vector at detection: the
 	// survivors' punctuation frontiers, proving they kept committing while
 	// one shard was dead.
 	SurvivorCommits []uint64
-	// Report is the victim shard's recovery report (nil when nothing
-	// healed).
+	// Report is the victim shard's recovery report from the last heal;
+	// Healed is that heal's whole report.
 	Report *engine.RecoveryReport
+	Healed *shard.GroupReport
+	// Incidents is the group's incident log, one per heal.
+	Incidents []metrics.Incident
 	// OfflineMatch reports whether Report agreed with the offline crash of
 	// the same group at the same write (FatalHeal and ShardKill; vacuously
 	// true otherwise).
@@ -129,7 +131,9 @@ type ChaosOutcome struct {
 }
 
 // Chaos executes one chaos run over a shard group and verifies it: the
-// scenario-exact heal count and classification, every shard's final state
+// scenario-exact heal count and classification (heals are retried the way a
+// host retries them: after every failed ProcessEpoch or Heal, Heal again
+// with the error it returned), every shard's final state
 // equal to the oracle, exactly-once application outputs across every
 // incarnation of every shard, and every event surfacing on exactly one
 // shard. Any divergence is the returned error.
@@ -151,27 +155,21 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 	}
 
 	devs := newBases(cfg)
-	st := storage.NewStack(devs[cc.KillShard]).WithFlaky()
-	app, pa := ref.app, (*panicApp)(nil)
+	app, pa, dev := ref.app, (*panicApp)(nil), (*storage.Faulty)(nil)
 	switch cc.Scenario {
 	case TransientStorm:
-		st.Flaky.AddStorm(cc.FaultAt, cc.StormLen)
-		// Each retried attempt consumes one storm arrival, so a storm of
-		// length n needs n+1 attempts; leave margin.
-		st.WithRetry(storage.RetryPolicy{
-			BaseBackoff: 200 * time.Microsecond,
-			MaxBackoff:  2 * time.Millisecond,
-			MaxAttempts: cc.StormLen + 3,
-		})
+		dev = storage.NewOutage(devs[cc.KillShard], cc.FaultAt, cc.StormLen)
 	case FatalHeal, ShardKill:
-		st.Flaky.AddOutage(cc.FaultAt, 1)
+		dev = storage.NewOutage(devs[cc.KillShard], cc.FaultAt, 1)
 	case MidEpochPanic:
 		pa = &panicApp{App: ref.app, at: int64(cfg.Epochs * cfg.EpochSize / 2)}
 		app = pa
 	default:
 		return nil, fmt.Errorf("chaos: unknown scenario %v", cc.Scenario)
 	}
-	devs[cc.KillShard] = st.MustBuild()
+	if dev != nil {
+		devs[cc.KillShard] = dev
+	}
 	ledgers := make(shard.Ledgers, cfg.Shards)
 	gc := groupConfig(cfg, app, devs, ledgers.Sink)
 	gc.Obs = cc.Obs
@@ -186,53 +184,43 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 	src := types.BatchSource(ref.batches)
 	start := time.Now()
 	for g.Epoch() < uint64(cfg.Epochs) {
-		procErr := g.ProcessEpoch(ref.batches[g.Epoch()])
-		if procErr == nil {
-			continue
+		err := g.ProcessEpoch(ref.batches[g.Epoch()])
+		if err != nil && out.Heals == 0 {
+			out.FailedEpoch = g.Epoch() + 1
+			out.SurvivorCommits = g.CommittedVector()
 		}
-		if out.Heals > 0 {
-			return nil, fmt.Errorf("%s: second failure at epoch %d: %w", label, g.Epoch()+1, procErr)
+		for ; err != nil; out.Heals++ {
+			if out.Heals == cc.StormLen+2 {
+				return nil, fmt.Errorf("%s: still failing after %d heals: %w", label, out.Heals, err)
+			}
+			out.Healed, err = g.Heal(err, src)
 		}
-		out.FailedEpoch = g.Epoch() + 1
-		out.SurvivorCommits = g.CommittedVector()
-		rep, err := g.Heal(procErr, src)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", label, err)
-		}
-		out.Heals++
-		out.Report = rep.Reports[cc.KillShard]
 	}
 	out.Wall = time.Since(start)
-	if st.Retrying != nil {
-		out.RetryStats = st.Retrying.Stats()
-	}
 
-	// Scenario-exact healing behaviour, from the group's incident log.
-	want, wantCause := 1, "io-fatal"
-	switch cc.Scenario {
-	case TransientStorm:
-		want = 0
-		if out.RetryStats.Absorbed == 0 {
-			return nil, fmt.Errorf("%s: storm never exercised the retry layer", label)
-		}
-	case MidEpochPanic:
+	// Scenario-exact healing behaviour, from the group's incident log: one
+	// healed incident, or for a storm as many as it takes, the last healed.
+	wantCause := "io-fatal"
+	if cc.Scenario == MidEpochPanic {
 		wantCause = "panic"
 	}
 	incs := g.Health().Incidents()
-	if out.Heals != want || len(incs) != want {
-		return nil, fmt.Errorf("%s: %d heals and incidents %+v, want %d", label, out.Heals, incs, want)
+	out.Incidents = incs
+	if out.Heals == 0 || len(incs) != out.Heals || (out.Heals > 1 && cc.Scenario != TransientStorm) {
+		return nil, fmt.Errorf("%s: %d heals and incidents %+v, want one heal", label, out.Heals, incs)
 	}
-	if want == 1 {
-		inc := incs[0]
-		if !inc.Healed || inc.Cause != wantCause {
-			return nil, fmt.Errorf("%s: incident %+v, want a healed %q", label, inc, wantCause)
+	for i, inc := range incs {
+		if inc.Cause != wantCause || i == len(incs)-1 && !inc.Healed {
+			return nil, fmt.Errorf("%s: incident %d of %d is %+v, want %q, the last healed", label, i+1, len(incs), inc, wantCause)
 		}
-		out.Cause, out.MTTR = inc.Cause, inc.MTTR
-		if at, ok := st.Flaky.FirstInjectionAt(); ok {
-			out.Detection = inc.DetectedAt.Sub(at)
-		} else if pa != nil {
-			out.Detection = inc.DetectedAt.Sub(time.Unix(0, pa.firedAt.Load()))
-		}
+	}
+	first, last := incs[0], incs[len(incs)-1]
+	out.Report = out.Healed.Reports[cc.KillShard]
+	out.Cause, out.MTTR = first.Cause, last.DetectedAt.Add(last.MTTR).Sub(first.DetectedAt)
+	if dev != nil {
+		out.Detection = first.DetectedAt.Sub(dev.InjectedAt())
+	} else {
+		out.Detection = first.DetectedAt.Sub(time.Unix(0, pa.firedAt.Load()))
 	}
 
 	// Oracle verification at the end of the run: every shard's state, its
@@ -242,9 +230,9 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 	}
 
 	// A fatal heal must tell the same story as the offline crash of the
-	// same group at the same write: Flaky's outage at write k and Faulty's
-	// budget k leave identical device content at recovery time, so the
-	// deterministic report fields must agree.
+	// same group at the same write: a one-write outage at write k and a
+	// Faulty that dies for good at write k leave identical device content
+	// at recovery time, so the deterministic report fields must agree.
 	if cc.Scenario == FatalHeal || cc.Scenario == ShardKill {
 		offline, err := offlineReport(cfg, ref, cc.KillShard, cc.FaultAt)
 		if err != nil {
@@ -262,7 +250,7 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 }
 
 // offlineReport runs the workload over a group whose shard kill dies
-// fail-stop at its 0-based write k — exactly the device content a Flaky
+// fail-stop at its 0-based write k — exactly the device content a one-write
 // outage at write k leaves behind — crashes the group, recovers it from the
 // surviving media with GroupRecover, and returns shard kill's report.
 func offlineReport(cfg *Config, ref *shardRef, kill, k int) (*engine.RecoveryReport, error) {

@@ -268,8 +268,8 @@ func enumerate(cfg *Config, ref *shardRef) (map[string][]storage.WriteSite, erro
 	devs := newBases(cfg)
 	traces := make([]*storage.Trace, len(devs))
 	for i := range devs {
-		st := storage.NewStack(devs[i]).WithTrace()
-		traces[i], devs[i] = st.Trace, st.MustBuild()
+		traces[i] = storage.NewTrace(devs[i])
+		devs[i] = traces[i]
 	}
 	ledgers := make(shard.Ledgers, cfg.Shards)
 	g, err := shard.NewGroup(groupConfig(cfg, ref.app, devs, ledgers.Sink))
@@ -346,7 +346,7 @@ func Sweep(cfg Config) (*Result, error) {
 func shardCrash(cfg *Config, ref *shardRef, d, k int) (*shard.Group, *shard.GroupReport, shard.Ledgers, error) {
 	inner := newBases(cfg)
 	devs := append([]storage.Device(nil), inner...)
-	devs[d] = storage.NewStack(inner[d]).WithFaulty(k, cfg.Mode, cfg.Target).MustBuild()
+	devs[d] = storage.NewFaultyMode(inner[d], k, cfg.Mode, cfg.Target)
 	ledgers := make(shard.Ledgers, cfg.Shards)
 	g, err := shard.NewGroup(groupConfig(cfg, ref.app, devs, ledgers.Sink))
 	if err != nil {

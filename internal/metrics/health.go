@@ -10,8 +10,10 @@ import (
 // — the end-to-end healing time that fault-recovery benchmarking measures
 // on top of the paper's replay speed.
 type Incident struct {
-	// Cause classifies the failure (engine.Classify):
-	// "io-transient-exhausted", "io-fatal", "poisoned", or "panic".
+	// Cause classifies the failure (engine.Classify): "io-fatal" (any
+	// device error, including one of a write storm the medium survives),
+	// "poisoned", or "panic". A retried heal is an incident of its own,
+	// classifying the error the failed heal returned.
 	Cause string
 	// Err is the surfaced error text.
 	Err string

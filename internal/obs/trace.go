@@ -151,14 +151,6 @@ func (s Span) End() {
 	})
 }
 
-// Lanes returns the tracer's lane count (0 for a nil tracer).
-func (t *Tracer) Lanes() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.lanes)
-}
-
 // Drain removes and returns every recorded span, ordered by start time,
 // together with the number of spans lost to ring overwrites since the
 // previous drain. Safe on a nil tracer (returns nothing).

@@ -50,6 +50,14 @@ type Pool struct {
 	// stats receives the Resizes counter (per-run counters come from each
 	// run's Options).
 	stats *obs.SchedStats
+
+	// run, wg, clocks and heads are one run's state, reset and reused by
+	// every Run (which holds mu until each worker is back), so a warm epoch
+	// allocates nothing here.
+	run    parallelRun
+	wg     sync.WaitGroup
+	clocks []metrics.WorkerClock
+	heads  []*tpg.OpNode
 }
 
 // poolTask is one worker's share of one epoch run.
@@ -65,7 +73,8 @@ type poolTask struct {
 // stats, when non-nil, receives resize counts; it may be nil.
 func NewPool(max int, stats *obs.SchedStats) *Pool {
 	max = types.NormalizeWorkers(max)
-	p := &Pool{max: max, deques: make([]wsDeque, max), stats: stats}
+	p := &Pool{max: max, deques: make([]wsDeque, max), stats: stats, clocks: make([]metrics.WorkerClock, max)}
+	p.run.idleCond, p.run.ready = sync.NewCond(&p.run.idleMu), make([][]*tpg.OpNode, max)
 	initDeques(p.deques)
 	p.mu.Lock()
 	p.resizeLocked(max)
@@ -79,9 +88,6 @@ func (p *Pool) Size() int {
 	defer p.mu.Unlock()
 	return p.size
 }
-
-// Max returns the worker-count ceiling.
-func (p *Pool) Max() int { return p.max }
 
 // Resize sets the live worker count, clamped to [1, max]. It blocks until
 // any in-flight run has quiesced (the run mutex is the barrier), then
@@ -160,7 +166,7 @@ func runTask(t poolTask) {
 // Run executes every node of the graph on the pool, resizing to opt.Workers
 // first (the adaptive controller's per-epoch worker morph — free when the
 // count is unchanged), and returns the per-worker clocks (all zero unless
-// Timing is set).
+// Timing is set; valid until the pool's next Run).
 func (p *Pool) Run(g *tpg.Graph, st *store.Store, opt Options) ([]metrics.WorkerClock, error) {
 	workers := types.NormalizeWorkers(opt.Workers)
 	if workers > p.max {
@@ -177,7 +183,8 @@ func (p *Pool) Run(g *tpg.Graph, st *store.Store, opt Options) ([]metrics.Worker
 			p.stats.Resizes.Add(1)
 		}
 	}
-	clocks := make([]metrics.WorkerClock, workers)
+	clocks := p.clocks[:workers]
+	clear(clocks)
 	if g.NumOps == 0 {
 		return clocks, nil
 	}
@@ -185,31 +192,26 @@ func (p *Pool) Run(g *tpg.Graph, st *store.Store, opt Options) ([]metrics.Worker
 		return nil, err
 	}
 
-	run := &parallelRun{
-		st:     st,
-		deques: p.deques[:workers],
-		timing: opt.Timing,
-		hook:   opt.FireHook,
-		stats:  opt.Stats,
-	}
+	run := &p.run
+	run.st, run.deques, run.timing, run.hook, run.stats = st, p.deques[:workers], opt.Timing, opt.FireHook, opt.Stats
+	run.panicked.Store(nil)
+	run.done.Store(false)
 	run.pending.Store(int64(g.NumOps))
-	run.idleCond = sync.NewCond(&run.idleMu)
 	// Seeding precedes the channel sends that start the workers, so
 	// owner-only pushes from this goroutine are safe.
-	for _, n := range g.Heads() {
+	p.heads = g.Heads(p.heads[:0])
+	for _, n := range p.heads {
 		run.deques[n.Chain.Owner].push(n)
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(workers)
+	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		p.tasks[w] <- poolTask{run: run, w: w, clock: &clocks[w], wg: &wg}
+		p.tasks[w] <- poolTask{run: run, w: w, clock: &clocks[w], wg: &p.wg}
 	}
-	wg.Wait()
+	p.wg.Wait()
 
-	if pv := run.panicked.Load(); pv != nil {
+	if pn := run.panicked.Load(); pn != nil {
 		p.drainDeques()
-		pn := pv.(*opPanic)
 		return clocks, fmt.Errorf("%w: %v\n%s", ErrOpPanic, pn.value, pn.stack)
 	}
 	if n := run.pending.Load(); n != 0 {

@@ -109,9 +109,11 @@ type parallelRun struct {
 	timing bool
 	hook   func(*tpg.OpNode)
 	stats  *obs.SchedStats
+	// ready holds each worker's Resolve buffer, stored back on return.
+	ready [][]*tpg.OpNode
 
-	// panicked holds the first *opPanic recovered from a worker.
-	panicked atomic.Value
+	// panicked holds the first panic recovered from a worker.
+	panicked atomic.Pointer[opPanic]
 
 	// pending counts unretired operations; the worker that moves it to
 	// zero sets done and wakes all parked workers.
@@ -126,7 +128,8 @@ type parallelRun struct {
 }
 
 func (r *parallelRun) worker(w int, clock *metrics.WorkerClock) {
-	var ready []*tpg.OpNode
+	ready := r.ready[w]
+	defer func() { r.ready[w] = ready }()
 	var n *tpg.OpNode
 	for {
 		if n == nil {

@@ -19,8 +19,9 @@ import (
 // epoch's ingest manifest record (write-ahead), feeds the backend, flushes
 // acks for newly committed epochs, and garbage-collects the manifest.
 // Backend failures are healed inline, with the degraded flag raised so
-// admission sheds by priority while the heal runs — the accept loop and
-// the session read loops never stall.
+// admission sheds by priority until a heal succeeds — the accept loop and
+// the session read loops never stall. A failed heal is retried on the next
+// tick, before anything is fed, until the heal budget runs out.
 func (s *Server) pump() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.EpochEvery)
@@ -49,6 +50,11 @@ func (s *Server) pump() {
 var errManifest = errors.New("serve: ingest manifest append failed")
 
 func (s *Server) tick() error {
+	if s.pending != nil {
+		if err := s.heal(s.pending); err != nil || s.pending != nil {
+			return err
+		}
+	}
 	batches := s.gather()
 	// Feed even with no new batches while epochs are in flight: commit
 	// markers fire on epoch cadence, so pending acks need empty heartbeat
@@ -65,8 +71,8 @@ func (s *Server) tick() error {
 			}
 			return nil
 		}
-		if herr := s.heal(err); herr != nil {
-			return herr
+		if err := s.heal(err); err != nil || s.pending != nil {
+			return err
 		}
 	}
 	s.manifestFails = 0
@@ -213,35 +219,41 @@ func (s *Server) memSource() types.Source {
 	}
 }
 
-// heal recovers the backend after a failed Feed. While it runs, admission
-// sheds tenants below the priority threshold; admitted work is never
-// dropped — batches from epochs the recovery could not preserve are
-// requeued (with their assigned sequences) and re-fed after the heal. The
-// backend records the incident; the server keeps the heal budget and the
-// heal-begin/heal-end/heal-failed timeline.
+// heal recovers the backend after a failed Feed or a failed heal. Until a
+// heal succeeds, admission sheds tenants below the priority threshold;
+// admitted work is never dropped — batches from epochs the recovery could
+// not preserve are requeued (with their assigned sequences) and re-fed
+// after the heal. A heal that fails leaves its error pending for the next
+// tick to retry; only an attempt past the heal budget is returned, and it
+// is terminal. The backend records the incident; the server keeps the
+// heal budget and the heal-begin/heal-end/heal-failed timeline.
 func (s *Server) heal(procErr error) error {
 	detected := time.Now()
 	cause := engine.Classify(procErr)
 	s.degraded.Store(true)
-	defer s.degraded.Store(false)
-	// Bracket the heal for the journey tracer: time any sampled in-flight
-	// batch spends inside this window is attributed to its RECOVERY stage,
-	// stitching the journey across the backend incarnations.
+	// Bracket the outage for the journey tracer, from the first attempt to
+	// the end of the last: time any sampled in-flight batch spends inside
+	// this window is attributed to its RECOVERY stage, stitching the
+	// journey across the backend incarnations.
 	s.cfg.Journeys.RecoveryBegin()
-	defer s.cfg.Journeys.RecoveryEnd()
 	s.timeline().Add("serve", "heal-begin", cause, map[string]any{"err": procErr.Error()})
 	s.heals.Add(1)
 	s.count("serve.heals")
 	if int(s.heals.Load()) > s.cfg.MaxHeals {
+		s.cfg.Journeys.RecoveryEnd()
 		s.timeline().Add("serve", "heal-failed", "heal budget exhausted", nil)
 		return fmt.Errorf("serve: heal budget exhausted (%d): %w", s.cfg.MaxHeals, procErr)
 	}
 
 	recovered, err := s.be.Heal(procErr, s.memSource())
 	if err != nil {
+		s.pending = err
 		s.timeline().Add("serve", "heal-failed", err.Error(), nil)
-		return fmt.Errorf("serve: heal: %w", err)
+		return nil
 	}
+	s.pending = nil
+	s.cfg.Journeys.RecoveryEnd()
+	s.degraded.Store(false)
 
 	// Epochs above the recovery point were lost with the crash: requeue
 	// their batches, ascending, at the front of their tenants' queues so

@@ -54,8 +54,9 @@ type Config struct {
 	// Submits from tenants with Priority below it are answered with
 	// Slowdown(degraded) instead of being queued (default 0: shed nobody).
 	ShedBelow int
-	// MaxHeals is the heal budget; one more backend failure turns the
-	// server terminal (default 16).
+	// MaxHeals is the heal budget: every heal attempt spends one, a retried
+	// one included, and an attempt past it turns the server terminal
+	// (default 16).
 	MaxHeals int
 
 	// Obs, when non-nil, receives per-tenant gauges, ack-lag histograms,
@@ -133,8 +134,8 @@ type Server struct {
 	// (zero for an undeclared table). Nil when the backend declares none.
 	rows []uint32
 
-	// degraded is set while a heal is in flight; admission sheds
-	// low-priority tenants. committed caches the backend's punctuation
+	// degraded is set from a backend failure until a heal succeeds;
+	// admission sheds low-priority tenants. committed caches the backend's punctuation
 	// frontier for lock-free reads off the pump goroutine.
 	degraded  atomic.Bool
 	committed atomic.Uint64
@@ -144,6 +145,8 @@ type Server struct {
 	// frontier: epochs above acked await their ack, and a heal re-reads the
 	// ones it needs (memSource). epoch and ingest are the buffers each epoch's
 	// event batch and ingest record are assembled in, reused every tick.
+	// pending is the error of a heal that failed: the backend is still
+	// crashed, and the next tick retries the heal with it.
 	nextSeq       uint64
 	fed           map[uint64][]*batch
 	acked         uint64
@@ -151,6 +154,7 @@ type Server struct {
 	ingest        ingestEncoder
 	lastGC        uint64
 	manifestFails int
+	pending       error
 	heals         atomic.Int64
 
 	mu       sync.Mutex
@@ -233,7 +237,8 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Committed returns the cached committed punctuation frontier.
 func (s *Server) Committed() uint64 { return s.committed.Load() }
 
-// Degraded reports whether a heal is in flight.
+// Degraded reports whether the backend is down: a heal is in flight or
+// will be retried.
 func (s *Server) Degraded() bool { return s.degraded.Load() }
 
 // Heals returns how many backend heals the server has performed.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"cmp"
+	"fmt"
 	"net"
 	"reflect"
 	"slices"
@@ -575,4 +576,77 @@ func TestOutOfRangeKeyRefused(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stormRun serves 20 batches from one tenant, one epoch per batch, ticking
+// the pump by hand, over a two-shard group whose shard 1 device fails its
+// writes 12 through 12+n-1. It returns the ack log, the server, the backend
+// and the first error a tick returned.
+func stormRun(t *testing.T, kind ftapi.Kind, n, maxHeals int) ([]AckRecord, *Server, *GroupBackend, error) {
+	t.Helper()
+	cfg := newTestShardConfig(2)
+	cfg.Kind = kind
+	cfg.Devices[1] = storage.NewOutage(cfg.Devices[1], 12, n)
+	be, err := NewGroupBackend(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acks []AckRecord
+	srv := newTestServer(t, Config{Backend: be, Tenants: []TenantConfig{{Name: "a"}}, EpochEvery: time.Hour, MaxHeals: maxHeals,
+		AckLog: func(tenant string, batchSeq, firstSeq, events, epoch uint64) {
+			acks = append(acks, AckRecord{Tenant: tenant, BatchSeq: batchSeq, FirstSeq: firstSeq, Events: events, Epoch: epoch})
+		}}, shard.Config{})
+	c := dial(t, srv, "a")
+	batches := genBatches(13, 20, 8)
+	for seq := uint64(1); seq <= 20; seq++ {
+		if _, err := c.Conn().Write(append(EncodeSubmit(seq, batches[seq-1]), EncodePing()...)); err != nil {
+			t.Fatal(err)
+		}
+		for f, err := (Frame{}), error(nil); f.Type != FramePong; f, err = c.Next() {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := srv.tick(); err != nil {
+			return acks, srv, be, err
+		}
+	}
+	for i := 0; i < 40 && len(acks) < 20; i++ {
+		if err := srv.tick(); err != nil {
+			return acks, srv, be, err
+		}
+	}
+	return acks, srv, be, nil
+}
+
+// TestWriteStormHealsInPlace: a storm of failing writes on one shard's
+// device is healed in place on the served path. A heal the storm fails is
+// retried on the next tick, so every batch is acked once and in order and
+// delivered exactly once, within the heal budget. A storm that outlasts the
+// budget still ends the server with "heal budget exhausted".
+func TestWriteStormHealsInPlace(t *testing.T) {
+	for _, kind := range []ftapi.Kind{ftapi.WAL, ftapi.MSR} {
+		for _, n := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("%v/storm=%d", kind, n), func(t *testing.T) {
+				acks, srv, be, err := stormRun(t, kind, n, 0)
+				if err != nil {
+					t.Fatalf("tick: %v (acked %d)", err, len(acks))
+				}
+				srv.Close()
+				dups, order := auditAckStream(acks)
+				if len(acks) != 20 || dups+order+auditExactlyOnce(be, acks) != 0 {
+					t.Fatalf("%d acks: %d duplicate, %d out of order, exactly-once violations %d", len(acks), dups, order, auditExactlyOnce(be, acks))
+				}
+				if srv.Heals() < 1 || srv.Heals() > srv.cfg.MaxHeals || srv.Degraded() {
+					t.Fatalf("%d heals (budget %d), degraded %v", srv.Heals(), srv.cfg.MaxHeals, srv.Degraded())
+				}
+				t.Logf("%d heals", srv.Heals())
+			})
+		}
+	}
+	t.Run("past-budget", func(t *testing.T) {
+		if _, _, _, err := stormRun(t, ftapi.WAL, 8, 2); err == nil || !strings.Contains(err.Error(), "heal budget exhausted") {
+			t.Fatalf("a storm longer than the heal budget ended with %v, want the budget exhausted", err)
+		}
+	})
 }

@@ -22,7 +22,11 @@ import (
 //     runs at a cold start.
 //
 // Either way the failure is classified with engine.Classify and recorded as
-// exactly one incident in the group's health log. The recovered engines
+// exactly one incident in the group's health log. A failed Heal leaves the
+// group crashed; calling Heal again, with the error the failed one returned,
+// is the retry. That error names no shard, so the retry takes the group
+// rung: the failed attempt already left every shard crashed or
+// half-recovered. The recovered engines
 // release to the same Config.Sink the dead ones did, so no output needs
 // carrying over. Heal runs on the feeding goroutine after ProcessEpoch
 // returned, which it does only once every shard's epoch has returned: no
@@ -66,8 +70,8 @@ func (g *Group) Heal(procErr error, src Source) (*GroupReport, error) {
 // away from completing the interrupted barrier. healShard:
 //
 //  1. recovers the shard from its own device with stock engine.Recover — a
-//     transient outage (storage.Flaky) has passed by now, a persistent fault
-//     fails the rung;
+//     write storm that has passed by now costs nothing more, one still
+//     raging fails the rung (and the host retries the heal);
 //  2. re-feeds the interrupted epoch if the mechanism did not already replay
 //     it, using the in-memory replication deltas the live epoch was fed with;
 //  3. completes the interrupted barrier and resumes.

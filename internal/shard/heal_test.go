@@ -24,11 +24,12 @@ type traced struct {
 }
 
 func newTraced(mem *storage.Mem, outageAt int) traced {
-	st := storage.NewStack(mem).WithTrace()
+	tr := traced{mem: mem, trace: storage.NewTrace(mem)}
+	tr.dev = tr.trace
 	if outageAt >= 0 {
-		st.WithFlaky().Flaky.AddOutage(outageAt, 1)
+		tr.dev = storage.NewOutage(tr.trace, outageAt, 1)
 	}
-	return traced{mem: mem, trace: st.Trace, dev: st.MustBuild()}
+	return tr
 }
 
 var (

@@ -3,7 +3,9 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"time"
 )
 
 // ErrInjected is returned by a Faulty device once its budget is exhausted.
@@ -86,23 +88,27 @@ func (s WriteSite) String() string {
 //
 // The fault mode decides what the first failing write leaves behind
 // (nothing, a torn prefix, or an empty record frame); every later matching
-// write fails with ErrInjected and persists nothing. A non-empty target
-// restricts both budget counting and injection to writes touching that log
-// or blob name; writes elsewhere always succeed, which lets tests aim a
-// fault at one log (say, the FT log's third group commit) while the rest of
-// the engine's write traffic proceeds.
+// write fails with ErrInjected and persists nothing, until the device has
+// failed as many writes as it was told to (forever, unless built by
+// NewOutage) and the medium comes back. A non-empty target restricts both
+// budget counting and injection to writes touching that log or blob name;
+// writes elsewhere always succeed, which lets tests aim a fault at one log
+// (say, the FT log's third group commit) while the rest of the engine's
+// write traffic proceeds.
 //
 // It exists for tests: every engine and mechanism write path must surface
 // the error instead of silently diverging state from the log.
 type Faulty struct {
 	Inner Device
 
-	mu       sync.Mutex
-	budget   int
-	mode     FaultMode
-	target   string
-	seen     int
-	injected *WriteSite
+	mu         sync.Mutex
+	budget     int
+	fails      int // failures left to inject
+	mode       FaultMode
+	target     string
+	seen       int
+	injected   *WriteSite
+	injectedAt time.Time
 }
 
 // NewFaulty allows budget successful writes before injecting fail-stop
@@ -115,13 +121,20 @@ func NewFaulty(inner Device, budget int) *Faulty {
 // target is empty), then injects one failure of the given mode; subsequent
 // matching writes fail-stop.
 func NewFaultyMode(inner Device, budget int, mode FaultMode, target string) *Faulty {
-	return &Faulty{Inner: inner, budget: budget, mode: mode, target: target}
+	return &Faulty{Inner: inner, budget: budget, fails: math.MaxInt, mode: mode, target: target}
+}
+
+// NewOutage fails writes at through at+n-1 (0-based, every write counted)
+// fail-stop, then passes writes again: a write storm the medium survives.
+func NewOutage(inner Device, at, n int) *Faulty {
+	return &Faulty{Inner: inner, budget: at, fails: n, mode: FailStop}
 }
 
 // spend consumes budget for one write to name. It returns inject=false
-// while the write should pass through; when the budget is exhausted it
-// records the site and returns inject=true with first=true exactly once
-// (the write that gets the mode-specific treatment).
+// while the write should pass through; past the budget it returns
+// inject=true for as many writes as the device fails, recording the first
+// one's site and returning first=true exactly once (the write that gets
+// the mode-specific treatment).
 func (f *Faulty) spend(site WriteSite) (inject, first bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -134,8 +147,12 @@ func (f *Faulty) spend(site WriteSite) (inject, first bool) {
 		f.budget--
 		return false, false
 	}
+	if f.fails == 0 {
+		return false, false
+	}
+	f.fails--
 	if f.injected == nil {
-		f.injected = &site
+		f.injected, f.injectedAt = &site, time.Now()
 		return true, true
 	}
 	return true, false
@@ -156,6 +173,15 @@ func (f *Faulty) Injected() (WriteSite, bool) {
 		return WriteSite{}, false
 	}
 	return *f.injected, true
+}
+
+// InjectedAt returns the wall-clock instant of the first injected failure
+// (zero if none yet): the fault occurrence a detection time is measured
+// from.
+func (f *Faulty) InjectedAt() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.injectedAt
 }
 
 // Append implements Device.

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -174,5 +175,41 @@ func TestFaultyTraceAgreement(t *testing.T) {
 		if !ok || got != sites[k] {
 			t.Fatalf("budget %d died at %+v, trace says %+v", k, got, sites[k])
 		}
+	}
+}
+
+// TestOutage: an outage fails writes [k, k+n) with ErrInjected, persisting
+// nothing of them, and passes every later write; reads work throughout, and
+// a Trace below sees the same write sequence minus the failed writes.
+func TestOutage(t *testing.T) {
+	const k, n = 2, 3
+	inner := NewMem()
+	trace := NewTrace(inner)
+	f := NewOutage(trace, k, n)
+	var want []WriteSite
+	for i := 0; i < k+n+2; i++ {
+		err := f.Append("log", Record{Epoch: uint64(i), Payload: []byte("x")})
+		if failed := i >= k && i < k+n; failed != errors.Is(err, ErrInjected) || !failed && err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		} else if !failed {
+			want = append(want, WriteSite{Seq: len(want), Op: "append", Name: "log", Epoch: uint64(i), Bytes: 1})
+		}
+		if _, err := f.ReadLog("log"); err != nil {
+			t.Fatalf("read after write %d: %v", i, err)
+		}
+	}
+	if err := f.WriteBlob("snap", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, WriteSite{Seq: len(want), Op: "blob", Name: "snap", Bytes: 1})
+	if got := trace.Sites(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace below the outage saw %+v, want %+v", got, want)
+	}
+	recs, _ := inner.ReadLog("log")
+	if len(recs) != k+2 || recs[k].Epoch != k+n {
+		t.Fatalf("medium holds %+v, want the writes outside the outage", recs)
+	}
+	if site, ok := f.Injected(); !ok || site.Seq != k || f.InjectedAt().IsZero() {
+		t.Fatalf("first injection %+v (ok=%v) at %v, want write %d", site, ok, f.InjectedAt(), k)
 	}
 }

@@ -354,11 +354,13 @@ func TestSegStoreOversizedRecord(t *testing.T) {
 	}
 }
 
-// TestSegStoreThroughStack: the full wrapper stack preserves the seek and
-// release capabilities down to a SegStore base.
+// TestSegStoreThroughStack: a stack of wrappers (a Trace under a Faulty
+// whose budget is never reached) preserves the seek and release
+// capabilities down to a SegStore base.
 func TestSegStoreThroughStack(t *testing.T) {
 	base := NewSegStore(SegConfig{SegmentBytes: 32})
-	dev := NewStack(base).WithRetry(RetryPolicy{}).MustBuild()
+	trace := NewTrace(base)
+	dev := NewFaulty(trace, 100)
 	for ep := uint64(1); ep <= 12; ep++ {
 		if err := dev.Append("log", Record{Epoch: ep, Payload: []byte("0123456789")}); err != nil {
 			t.Fatal(err)
@@ -377,5 +379,8 @@ func TestSegStoreThroughStack(t *testing.T) {
 	}
 	if base.Released("log") == 0 {
 		t.Fatal("release did not reach the segment store through the stack")
+	}
+	if sites := trace.Sites(); len(sites) != 13 || sites[12].Op != "release" {
+		t.Fatalf("trace saw %d writes, want 12 appends and the release", len(sites))
 	}
 }

@@ -3,17 +3,25 @@
 // events and fault-tolerance records, plus named blobs for snapshots and
 // recovery metadata.
 //
-// Three implementations are provided:
+// Three media are provided:
 //
 //   - Mem: an in-memory device. "Durable" within a process lifetime, which
 //     is exactly what the crash model needs: Engine.Crash discards all
 //     engine state but keeps the device, mimicking a machine whose SSD
 //     survives a power cut.
+//   - SegStore: in memory like Mem, each log a ring of fixed-size segments
+//     with an epoch index, so garbage collection reclaims whole segments
+//     and recovery seeks by epoch.
 //   - File: a directory-backed device with the same semantics across real
-//     process restarts, used by the examples.
-//   - Throttled: a wrapper that models a storage device with bounded write
-//     bandwidth and per-operation latency (the paper's 2 GB/s, 146 kIOPS
-//     Optane SSD), so that I/O overhead shapes reproduce on any host.
+//     process restarts.
+//
+// Wrappers are applied directly around a medium, each by its constructor:
+// Trace enumerates write sites, Faulty (NewFaulty, NewFaultyMode, NewOutage)
+// injects write faults, Compressed (NewCompressed) DEFLATEs payloads, and
+// Throttled (DefaultSSD) models the paper's 2 GB/s, 146 kIOPS Optane SSD,
+// so that I/O overhead shapes reproduce on any host. A fault injector sits
+// directly on the medium (or on a Trace), so the write it counts is the
+// write the medium sees.
 //
 // All writes are synchronously durable: when a method returns, the data
 // survives a crash. Group commit above this layer batches writes to

@@ -159,10 +159,6 @@ type Chain struct {
 	Pos int
 }
 
-// Weight is the chain's operation count, the task weight used by load
-// balancing and graph partitioning.
-func (c *Chain) Weight() int { return len(c.Ops) }
-
 // Graph is one epoch's TPG.
 type Graph struct {
 	Txns []*TxnNode
@@ -414,16 +410,16 @@ func latestEarlierWriter(ch *Chain, ts uint64) *OpNode {
 	return ch.Ops[lo-1]
 }
 
-// Heads returns the nodes with no unresolved dependencies: the initial
-// ready frontier for schedulers.
-func (g *Graph) Heads() []*OpNode {
-	var out []*OpNode
+// Heads appends the nodes with no unresolved dependencies, the initial
+// ready frontier for schedulers, to dst and returns it; a scheduler that
+// seeds epoch after epoch passes one buffer back each time.
+func (g *Graph) Heads(dst []*OpNode) []*OpNode {
 	for _, ch := range g.ChainList {
 		for _, n := range ch.Ops {
 			if n.Pending() == 0 {
-				out = append(out, n)
+				dst = append(dst, n)
 			}
 		}
 	}
-	return out
+	return dst
 }

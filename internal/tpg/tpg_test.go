@@ -99,7 +99,7 @@ func TestBuildStructure(t *testing.T) {
 			t.Errorf("%s: pending %d, in-degree %d, pos %d; want %d, %d, %d", n.Ref(), got, n.Indegree(), n.Pos, want, want, pos)
 		}
 	}
-	heads := g.Heads()
+	heads := g.Heads(nil)
 	if len(heads) != 1 || heads[0] != o1 {
 		t.Errorf("heads = %v, want [O1]", heads)
 	}
@@ -269,7 +269,7 @@ func TestEdgesPointForward(t *testing.T) {
 func TestEmptyGraph(t *testing.T) {
 	st := fig3Store()
 	g := Build(nil, st.Get)
-	if g.NumOps != 0 || len(g.Heads()) != 0 || len(g.Txns) != 0 {
+	if g.NumOps != 0 || len(g.Heads(nil)) != 0 || len(g.Txns) != 0 {
 		t.Error("empty graph should be inert")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/obs"
-	"morphstreamr/internal/vtime"
 	"morphstreamr/internal/workload"
 )
 
@@ -174,9 +173,6 @@ func chaosLabel(e ChaosEntry) string {
 func runChaos(env *Env, rep *ChaosReport) error {
 	repeat := chaosRepeat(env.quick())
 	rep.Epochs, rep.EpochSize = chaosEpochs, chaosEpochSize
-	// Recovery prices its work with the process-wide cost model; calibrate
-	// it before the grid so that no cell's heal pays the measurement.
-	vtime.Calibrate()
 	rep.Note = "Each cell is one chaos run (internal/ft/crashtest.Chaos): a scripted " +
 		"fault against a live shard group (internal/shard), healed in place by " +
 		"shard.Group.Heal. detection_us is fault injection to the heal starting; " +
@@ -190,8 +186,7 @@ func runChaos(env *Env, rep *ChaosReport) error {
 		"scenarios run Streaming Ledger; shard-kill cells run Grep&Sum on 4 " +
 		"shards, where the survivors keep committing while the dead shard heals " +
 		"and the interrupted barrier completes. Every run is verified per shard " +
-		"and globally against the sharded oracle. The cost model recovery prices " +
-		"with is calibrated once before the grid, so no heal's mttr_us includes it."
+		"and globally against the sharded oracle."
 
 	for _, kind := range mechanisms {
 		for _, c := range chaosCells {

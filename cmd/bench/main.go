@@ -26,8 +26,7 @@ import (
 	"morphstreamr/internal/obs"
 )
 
-// suites is the registry, in "all" order. recovery goes last: it holds the
-// process-wide virtual-time cost model pinned while it runs.
+// suites is the registry, in "all" order.
 var suites = []suite{
 	&schedSuite, &chaosSuite, &shardSuite, &storeSuite, &journeySuite, &recoverySuite,
 }

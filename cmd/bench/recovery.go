@@ -72,12 +72,14 @@ type RecoveryCell struct {
 // minimum recovery wall over the repeats with the profiler off and on.
 // This is the price of profiling, not an invariant: off and on run the
 // same simulator loop (vtime tests pin identical virtual clocks), so there
-// is no separate profiling-off path to budget.
+// is no separate profiling-off path to budget. UnpricedUs is the same
+// minimum unpriced, as a heal runs: off − unpriced is what pricing costs.
 type ProfilerCost struct {
-	Kind     string  `json:"kind"`
-	OffUs    float64 `json:"recovery_wall_off_us"`
-	OnUs     float64 `json:"recovery_wall_on_us"`
-	DeltaPct float64 `json:"delta_pct"`
+	Kind       string  `json:"kind"`
+	OffUs      float64 `json:"recovery_wall_off_us"`
+	OnUs       float64 `json:"recovery_wall_on_us"`
+	UnpricedUs float64 `json:"recovery_wall_unpriced_us"`
+	DeltaPct   float64 `json:"delta_pct"`
 }
 
 // RecoveryChecks is the invariant block: the structural verdicts the run
@@ -105,7 +107,6 @@ type RecoveryChecks struct {
 type RecoveryReport struct {
 	Host
 	Quick      bool           `json:"quick"`
-	FixedCosts bool           `json:"fixed_costs"`
 	Workers    int            `json:"workers"`
 	BatchSize  int            `json:"batch_size"`
 	PostEpochs int            `json:"post_epochs"`
@@ -174,21 +175,27 @@ func measureRecoveryCell(kind ftapi.Kind, sc bench.Scale, w int) (RecoveryCell, 
 	return c, prof, p, nil
 }
 
-// minWall runs the cell repeat times and returns the minimum recovery
-// wall — the least-perturbed estimate on a shared host.
-func minWall(kind ftapi.Kind, sc bench.Scale, w, repeat int, profiled bool) (time.Duration, error) {
-	var best time.Duration
+// minWalls runs the cell repeat times with the profiler off, on, and with
+// no pricing at all, interleaved so host drift lands on each alike, and
+// returns each one's minimum recovery wall — the least-perturbed estimate
+// on a shared host.
+func minWalls(kind ftapi.Kind, sc bench.Scale, w, repeat int) ([3]time.Duration, error) {
+	var best [3]time.Duration // off, on, unpriced
 	for i := 0; i < repeat; i++ {
-		var prof *vtime.Profiler
-		if profiled {
-			prof = vtime.NewProfiler(w)
-		}
-		run, err := bench.Execute(scenario(kind, sc, w, prof))
-		if err != nil {
-			return 0, err
-		}
-		if i == 0 || run.Recovery.Wall < best {
-			best = run.Recovery.Wall
+		for m := range best {
+			var prof *vtime.Profiler
+			if m == 1 {
+				prof = vtime.NewProfiler(w)
+			}
+			s := scenario(kind, sc, w, prof)
+			s.Unpriced = m == 2
+			run, err := bench.Execute(s)
+			if err != nil {
+				return best, err
+			}
+			if i == 0 || run.Recovery.Wall < best[m] {
+				best[m] = run.Recovery.Wall
+			}
 		}
 	}
 	return best, nil
@@ -275,17 +282,9 @@ func verdictGate(name, layer, want string, verdict func(RecoveryChecks) bool) Ga
 }
 
 func runRecovery(env *Env, rep *RecoveryReport) error {
-	// The committed numbers are host-independent virtual times under the
-	// fixed cost model; the process-wide calibration is put back afterwards
-	// so suites sharing the process see the host's own.
-	prev := vtime.Calibrate()
-	vtime.SetCalibration(vtime.FixedCosts())
-	defer vtime.SetCalibration(prev)
-
 	scale := recoveryScale(env.quick())
 	mainW := scale.Workers
 	rep.Quick = env.quick()
-	rep.FixedCosts = true
 	rep.Workers = mainW
 	rep.BatchSize = scale.BatchSize
 	rep.PostEpochs = scale.PostEpochs
@@ -300,7 +299,7 @@ func runRecovery(env *Env, rep *RecoveryReport) error {
 		"invariants (exact lane decomposition, WAL's single-lane redo, " +
 		"MSR's lowest stall share at the main worker count, makespan >= " +
 		"lower bound) and, informationally, the recovery-wall price of " +
-		"turning the profiler on."
+		"turning the profiler on and the wall of the same recovery unpriced."
 
 	ck := RecoveryChecks{
 		MainWorkers:        mainW,
@@ -364,22 +363,19 @@ func runRecovery(env *Env, rep *RecoveryReport) error {
 		}
 	}
 
-	// Informational: what profiling costs when it is ON.
+	// Informational: what profiling costs when it is ON, and pricing at all.
 	for _, kind := range mechanisms {
-		off, err := minWall(kind, scale, mainW, recoveryRepeat, false)
+		walls, err := minWalls(kind, scale, mainW, recoveryRepeat)
 		if err != nil {
 			return err
 		}
-		on, err := minWall(kind, scale, mainW, recoveryRepeat, true)
-		if err != nil {
-			return err
-		}
+		off, on, unpriced := walls[0], walls[1], walls[2]
 		delta := 100 * (float64(on) - float64(off)) / float64(off)
 		ck.ProfilerOnCost = append(ck.ProfilerOnCost, ProfilerCost{
-			Kind: kind.String(), OffUs: us(off), OnUs: us(on), DeltaPct: delta,
+			Kind: kind.String(), OffUs: us(off), OnUs: us(on), UnpricedUs: us(unpriced), DeltaPct: delta,
 		})
-		env.logf("%-5s profiler-on cost: off %7.0f µs, on %7.0f µs (%+.2f%%)\n",
-			kind, us(off), us(on), delta)
+		env.logf("%-5s profiler-on cost: off %7.0f µs, on %7.0f µs (%+.2f%%), unpriced %7.0f µs (%.2f x off)\n",
+			kind, us(off), us(on), delta, us(unpriced), float64(unpriced)/float64(off))
 	}
 	rep.Checks = ck
 	return nil

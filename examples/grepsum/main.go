@@ -19,6 +19,7 @@ import (
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
+	"morphstreamr/internal/vtime"
 	"morphstreamr/internal/workload"
 )
 
@@ -52,11 +53,12 @@ func main() {
 		// with one ledger recording what it and its recovery release.
 		ledger := &engine.Ledger{}
 		ec := engine.Config{
-			RunShape:   types.RunShape{Workers: 4, SnapshotEvery: 16},
-			AutoCommit: true, // let the advisor pick the commit epoch
-			App:        gen.App(),
-			Device:     storage.NewMem(),
-			Sink:       ledger.Sink,
+			RunShape:      types.RunShape{Workers: 4, SnapshotEvery: 16},
+			AutoCommit:    true, // let the advisor pick the commit epoch
+			App:           gen.App(),
+			Device:        storage.NewMem(),
+			Sink:          ledger.Sink,
+			RecoveryCosts: vtime.FixedCosts(),
 		}
 		withMSR(&ec)
 		eng, err := engine.New(ec)

@@ -20,6 +20,7 @@ import (
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
+	"morphstreamr/internal/vtime"
 	"morphstreamr/internal/workload"
 )
 
@@ -42,11 +43,12 @@ func main() {
 	dev := storage.NewCompressed(storage.NewMem()) // DEFLATE the durable logs
 	ledger := &engine.Ledger{}
 	ec := engine.Config{
-		RunShape:    types.RunShape{Workers: 4, SnapshotEvery: 8},
-		App:         gen.App(),
-		Device:      dev,
-		AsyncCommit: true, // commit off the critical path
-		Sink:        ledger.Sink,
+		RunShape:      types.RunShape{Workers: 4, SnapshotEvery: 8},
+		App:           gen.App(),
+		Device:        dev,
+		AsyncCommit:   true, // commit off the critical path
+		Sink:          ledger.Sink,
+		RecoveryCosts: vtime.FixedCosts(),
 	}
 	withMSR(&ec)
 	eng, err := engine.New(ec)

@@ -17,6 +17,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -139,6 +141,9 @@ type Scenario struct {
 	// Run.Recovery.Profile. Use with Repeat <= 1 — a profiler accumulates
 	// phases across every recovery it observes.
 	Prof *vtime.Profiler
+	// Unpriced recovers as a heal does, without the cost model; every
+	// other run prices its recovery with vtime.FixedCosts.
+	Unpriced bool
 }
 
 // Execute runs the scenario: process SnapshotEvery+PostEpochs epochs,
@@ -212,9 +217,14 @@ func executeOnce(s Scenario) (Run, error) {
 		return out, nil
 	}
 	eng.Crash()
+	runtime.GC() // recovery's device reads are wall-timed: keep GC out of them
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	bytes = metrics.NewBytes()
 	cfg.Mechanism, cfg.Bytes = ft.New(s.Kind, dev, bytes, opts), bytes
 	cfg.RecoveryProfiler = s.Prof
+	if !s.Unpriced {
+		cfg.RecoveryCosts = vtime.FixedCosts()
+	}
 	rec, report, err := engine.Recover(cfg)
 	if err != nil {
 		return Run{}, fmt.Errorf("recover: %w", err)

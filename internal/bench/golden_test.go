@@ -17,7 +17,8 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/recovery_profiles.golden from this tree")
 
 // TestRecoveryProfileGolden pins the virtual recovery model end to end:
-// under FixedCosts, every mechanism recovers an SL, GS and TP run at one and
+// under FixedCosts (what Execute prices every recovery with), every
+// mechanism recovers an SL, GS and TP run at one and
 // four workers, and each recovery profile — timeline, critical path and
 // lower bound, every lane's exec/explore/abort/phase/stall clock, every
 // phase's values, and the stall totals per edge kind — must equal the
@@ -25,10 +26,6 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/recovery_profile
 // engine's reprocess path is priced alongside each mechanism's replay.
 // Regenerate with -update only for a deliberate model change.
 func TestRecoveryProfileGolden(t *testing.T) {
-	prev := vtime.Calibrate()
-	vtime.SetCalibration(vtime.FixedCosts())
-	t.Cleanup(func() { vtime.SetCalibration(prev) })
-
 	var b strings.Builder
 	for _, kind := range []ftapi.Kind{ftapi.CKPT, ftapi.WAL, ftapi.DL, ftapi.LV, ftapi.MSR} {
 		for i, mk := range []func(int64) workload.Generator{fttest.SLGen, fttest.GSGen, fttest.TPGen} {

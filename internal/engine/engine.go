@@ -86,10 +86,15 @@ type Config struct {
 	// counters, and latency histograms. Nil disables observability at the
 	// cost of a pointer check per instrument call.
 	Obs *obs.Observer
+	// RecoveryCosts prices Recover in virtual time (see package vtime).
+	// Zero leaves it unpriced: the same replay, and a report without
+	// model terms.
+	RecoveryCosts vtime.Costs
 	// RecoveryProfiler, when non-nil, records the recovery replay's
 	// per-virtual-worker span timeline, stall attribution, and
-	// critical-path bounds (see vtime.Profiler). Nil disables profiling
-	// at the cost of a pointer check per replayed unit.
+	// critical-path bounds (see vtime.Profiler); set it only with
+	// RecoveryCosts. Nil disables profiling at the cost of a pointer check
+	// per replayed unit.
 	RecoveryProfiler *vtime.Profiler
 	// Shard and OfShards identify this engine as shard Shard of an
 	// OfShards-wide group (internal/shard). OfShards zero means an
@@ -439,30 +444,30 @@ func (e *Engine) construct(ep uint64, events []types.Event) *tpg.Graph {
 // reprocessEpoch replays one epoch of the uncommitted tail during
 // recovery through the live path — construct, execute on the engine's
 // executor, complete — and, before completing, prices the executed graph
-// in vtime on Config.Workers virtual workers under the canonical chain
-// partition, so CKPT-style full reprocessing is charged the stalls and
-// load imbalance a real multicore would experience.
-func (e *Engine) reprocessEpoch(ep uint64, events []types.Event, breakdown *metrics.RecoveryBreakdown) error {
+// (given rc.Costs) in vtime on Config.Workers virtual workers under the
+// canonical chain partition, so CKPT-style full reprocessing is charged the
+// stalls and load imbalance a real multicore would experience.
+func (e *Engine) reprocessEpoch(ep uint64, events []types.Event, rc *ftapi.RecoveryContext) error {
 	g := e.construct(ep, events)
 	if err := e.execute(ep, g); err != nil {
 		return err
 	}
+	costs := rc.Costs
+	if costs.IsZero() {
+		return e.completeEpoch(ep, events, g)
+	}
 	// Preprocessing and graph construction parallelize across the
 	// stream-processing executors; charge aggregate thread-time.
-	costs := vtime.Calibrate()
-	breakdown.Construct += costs.GraphCost(len(events), g.NumOps)
-	prof := e.cfg.RecoveryProfiler
-	prof.SpreadPhase("construct", costs.GraphCost(len(events), g.NumOps))
-	prof.BeginPhase("reprocess")
-	result := vtime.SimulateGraphProf(g, e.cfg.Workers, costs, prof)
-	prof.EndPhase(result.Makespan)
-	result.Charge(breakdown, false)
+	rc.Spread("construct", &rc.Breakdown.Construct, costs.GraphCost(len(events), g.NumOps))
+	rc.Prof.BeginPhase("reprocess")
+	result := vtime.SimulateGraphProf(g, e.cfg.Workers, costs, rc.Prof)
+	rc.Prof.EndPhase(result.Makespan)
+	result.Charge(rc.Breakdown, false)
 	// Full reprocessing replays the entire stream-processing dataflow —
 	// operator queues, postprocessing, output regeneration — which
 	// log-based redo paths bypass; charge it as parallelizable
 	// thread-time.
-	breakdown.Execute += time.Duration(len(events)) * (costs.Pipeline + costs.Postprocess)
-	prof.SpreadPhase("pipeline", time.Duration(len(events))*(costs.Pipeline+costs.Postprocess))
+	rc.Spread("pipeline", &rc.Breakdown.Execute, time.Duration(len(events))*(costs.Pipeline+costs.Postprocess))
 	return e.completeEpoch(ep, events, g)
 }
 

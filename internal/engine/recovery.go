@@ -25,9 +25,9 @@ type RecoveryReport struct {
 	// tail, outside the six-way decomposition.
 	CommitIO time.Duration
 	// Wall is the real wall-clock duration of the recovery run on this
-	// host (replay on the engine's executor plus the virtual-time walk
-	// that prices it); use SimWall for the recovery time a W-worker
-	// machine would take.
+	// host (replay on the engine's executor plus, if priced, the walk that
+	// prices it); use SimWall for the recovery time a W-worker machine
+	// would take.
 	Wall time.Duration
 	// Workers is the parallelism the recovery was simulated at.
 	Workers int
@@ -103,9 +103,18 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 
 	// Restore from checkpoint (Figure 7 steps 1-2). Device reads are real
 	// time (the throttle models the paper's SSD); state restore and input
-	// decode charge the calibrated virtual cost model so recovery times
-	// stay deterministic (see package vtime).
-	costs := vtime.Calibrate()
+	// decode charge Config.RecoveryCosts so recovery times stay
+	// deterministic (see package vtime).
+	rc := &ftapi.RecoveryContext{
+		App:       e.cfg.App,
+		Store:     e.st,
+		Device:    e.cfg.Device,
+		Workers:   e.cfg.Workers,
+		Execute:   func(ep uint64, g *tpg.Graph) error { return e.exec.Execute(ep, g, e.st) },
+		Breakdown: &report.Breakdown,
+		Costs:     e.cfg.RecoveryCosts,
+		Prof:      e.cfg.RecoveryProfiler,
+	}
 	logRead := e.cfg.Obs.Begin(0, obs.CatRecovery, "log-read", 0)
 	readStop := metrics.SerialTimer(&report.Breakdown.Reload, e.cfg.Workers)
 	blob, ok, err := e.cfg.Device.ReadBlob(storage.BlobSnapshot)
@@ -138,16 +147,13 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 	logRead.End()
 
 	rebuild := e.cfg.Obs.Begin(0, obs.CatRecovery, "rebuild", 0)
-	prof := e.cfg.RecoveryProfiler
 	var snapEpoch uint64
 	if ok {
 		snapEpoch, err = decodeSnapshotBlob(blob, e.st)
 		if err != nil {
 			return nil, nil, fmt.Errorf("engine: recover snapshot: %w", err)
 		}
-		metrics.ChargeSerial(&report.Breakdown.Reload,
-			time.Duration(e.st.NumRecords())*costs.Compare, e.cfg.Workers)
-		prof.SerialPhase("snapshot-restore", time.Duration(e.st.NumRecords())*costs.Compare)
+		rc.Serial("snapshot-restore", &report.Breakdown.Reload, time.Duration(e.st.NumRecords())*rc.Costs.Compare)
 	}
 
 	// Compose the delta chain on top of the base (or on the initial state
@@ -161,9 +167,7 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 		return nil, nil, err
 	}
 	if restored > 0 {
-		metrics.ChargeSerial(&report.Breakdown.Reload,
-			time.Duration(restored)*costs.Compare, e.cfg.Workers)
-		prof.SerialPhase("delta-restore", time.Duration(restored)*costs.Compare)
+		rc.Serial("delta-restore", &report.Breakdown.Reload, time.Duration(restored)*rc.Costs.Compare)
 	}
 
 	// Reload input events after the snapshot frontier (Figure 7 step 4),
@@ -209,27 +213,12 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 	}
 	inCur.Close()
 	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Epoch < inputs[j].Epoch })
-	report.Breakdown.Reload += time.Duration(nEvents) * costs.Record
-	prof.SpreadPhase("input-decode", time.Duration(nEvents)*costs.Record)
+	rc.Spread("input-decode", &report.Breakdown.Reload, time.Duration(nEvents)*rc.Costs.Record)
 	rebuild.End()
 
 	// Mechanism-specific replay of committed epochs (Figure 7 steps 3-7).
 	replay := e.cfg.Obs.Begin(0, obs.CatRecovery, "replay", 0)
-	if commitLimit < snapEpoch {
-		commitLimit = snapEpoch
-	}
-	rc := &ftapi.RecoveryContext{
-		App:           e.cfg.App,
-		Store:         e.st,
-		Device:        e.cfg.Device,
-		Workers:       e.cfg.Workers,
-		SnapshotEpoch: snapEpoch,
-		Inputs:        inputs,
-		CommitLimit:   commitLimit,
-		Execute:       func(ep uint64, g *tpg.Graph) error { return e.exec.Execute(ep, g, e.st) },
-		Breakdown:     &report.Breakdown,
-		Prof:          prof,
-	}
+	rc.SnapshotEpoch, rc.Inputs, rc.CommitLimit = snapEpoch, inputs, max(commitLimit, snapEpoch)
 	committed, err := e.cfg.Mechanism.Recover(rc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: recover (%v): %w", e.cfg.Mechanism.Kind(), err)
@@ -260,7 +249,7 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 				ee.Epoch, e.epoch+1)
 		}
 		ioBefore := e.runtime.IO
-		if err := e.reprocessEpoch(ee.Epoch, ee.Events, &report.Breakdown); err != nil {
+		if err := e.reprocessEpoch(ee.Epoch, ee.Events, rc); err != nil {
 			return nil, nil, fmt.Errorf("engine: recover tail epoch %d: %w", ee.Epoch, err)
 		}
 		report.CommitIO += e.runtime.IO - ioBefore
@@ -269,8 +258,8 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 	}
 
 	replay.End()
-	if prof != nil {
-		p := prof.Profile()
+	if rc.Prof != nil {
+		p := rc.Prof.Profile()
 		report.Profile = &p
 	}
 	if reg := e.cfg.Obs.Registry(); reg != nil {

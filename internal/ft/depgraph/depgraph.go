@@ -86,42 +86,46 @@ func (m *Mech) GC(uint64) {
 	m.accountTracker()
 }
 
-// Recover implements ftapi.Mechanism: reload records, rebuild the
-// dependency graph, then replay transactions in parallel as their
-// dependencies complete. A torn tail record (the group commit the device
-// died inside) is discarded; its epochs reprocess as uncommitted tail.
+// Recover implements ftapi.Mechanism: reload records and replay them in log
+// order; a priced recovery rebuilds the dependency graph and prices the
+// replay as transactions running in parallel as their dependencies
+// complete. A torn tail record (the group commit the device died inside)
+// is discarded; its epochs reprocess as uncommitted tail.
 func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
-	costs := vtime.Calibrate()
-	readStop := metrics.SerialTimer(&rc.Breakdown.Reload, rc.Workers)
-	cur, err := storage.ReadFrom(rc.Device, storage.LogFT, rc.SnapshotEpoch)
-	readStop()
+	costs := rc.Costs
+	groups, committed, err := ftapi.ReadCommitted(rc, codec.DecodeDL)
 	if err != nil {
 		return 0, fmt.Errorf("depgraph: recover: %w", err)
 	}
-	groups, committed, _, err := ftapi.DecodeCommittedCursor(cur, rc.SnapshotEpoch, rc.CommitLimit,
-		func(_ uint64, payload []byte) ([]codec.DLRecord, error) { return codec.DecodeDL(payload) })
-	if err != nil {
-		return 0, fmt.Errorf("depgraph: recover: %w", err)
-	}
-	var recs []codec.DLRecord
-	for _, cg := range groups {
-		for _, ep := range cg.Epochs {
-			recs = append(recs, ep.Recs...)
-		}
-	}
+	recs := ftapi.Flatten(groups)
 	// Decoding the fine-grained dependency records is part of reload;
 	// group segments decode independently.
-	rc.Breakdown.Reload += time.Duration(len(recs)) * costs.Record
-	rc.Prof.SpreadPhase("decode", time.Duration(len(recs))*costs.Record)
+	rc.Spread("decode", &rc.Breakdown.Reload, time.Duration(len(recs))*costs.Record)
 
-	// Rebuild the dependency graph: index transactions, then translate
+	// Replay the records in log order, which is topological (every edge
+	// resolves to an earlier record), re-seeding the runtime dependency
+	// tracker on the way so post-recovery transactions depend correctly on
+	// replayed ones.
+	m.deps.Reset()
+	n := len(recs)
+	txns := make([]types.Txn, n)
+	aborted := make([]bool, n)
+	for i := range recs {
+		txns[i] = rc.App.Preprocess(recs[i].Event)
+		m.deps.Register(&txns[i], ftapi.WriterRef{TxnID: recs[i].Event.Seq})
+		aborted[i] = ftapi.ExecuteTxnOnStore(rc.Store, &txns[i])
+	}
+	if costs.IsZero() {
+		return committed, nil
+	}
+
+	// Rebuild the dependency graph the paper's DL replays on: translate
 	// incoming-edge ID lists into adjacency and indegree counts. Edges to
 	// transactions outside the recovery set are pre-satisfied by the
 	// snapshot. This is DL's dominant recovery cost — every record must be
 	// re-preprocessed and indexed, every edge inserted, before any replay
-	// can start. The same pass re-seeds the runtime dependency tracker
-	// (records arrive in timestamp order), so post-recovery transactions
-	// depend correctly on replayed ones.
+	// can start. Only the pricing reads the graph, so an unpriced recovery
+	// does not build it.
 	//
 	// A sequence number can name more than one record: a shard's replication
 	// events take the numbers just below their epoch's first event, which an
@@ -129,21 +133,16 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 	// number only, so it is resolved to every earlier record of that number:
 	// the source is one of them, and an edge from an earlier record only
 	// holds the replay back, never reorders it.
-	m.deps.Reset()
-	n := len(recs)
-	txns := make([]types.Txn, n)
 	vg := &vtime.TxnGraph{
 		Out:      make([][]int32, n),
 		Indegree: make([]int32, n),
 		Cost:     make([]time.Duration, n),
 		Explore:  make([]time.Duration, n),
-		Aborted:  make([]bool, n),
+		Aborted:  aborted,
 	}
 	index := make(map[uint64][]int32, n)
 	edges := 0
 	for i := range recs {
-		txns[i] = rc.App.Preprocess(recs[i].Event)
-		m.deps.Register(&txns[i], ftapi.WriterRef{TxnID: recs[i].Event.Seq})
 		for _, dep := range recs[i].In {
 			for _, j := range index[dep] {
 				vg.Out[j] = append(vg.Out[j], int32(i))
@@ -153,23 +152,18 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 		}
 		index[recs[i].Event.Seq] = append(index[recs[i].Event.Seq], int32(i))
 	}
-	construct := time.Duration(n)*(costs.Preprocess+2*costs.Record) +
-		time.Duration(edges)*costs.Edge
-	metrics.ChargeSerial(&rc.Breakdown.Construct, construct, rc.Workers)
-	rc.Prof.SerialPhase("rebuild", construct)
+	rc.Serial("rebuild", &rc.Breakdown.Construct,
+		time.Duration(n)*(costs.Preprocess+2*costs.Record)+time.Duration(edges)*costs.Edge)
 
 	if n == 0 {
 		return committed, nil
 	}
 
-	// Replay the records in log order, which is topological: every edge
-	// resolves to an earlier record. Then price the replay on W virtual
-	// workers: a transaction becomes ready when all its logged dependencies
-	// have replayed, so parallelism is bounded by the rebuilt graph — the
-	// inherent-parallelism ceiling the paper contrasts MorphStreamR
-	// against.
+	// Price the replay on W virtual workers: a transaction becomes ready
+	// when all its logged dependencies have replayed, so parallelism is
+	// bounded by the rebuilt graph — the inherent-parallelism ceiling the
+	// paper contrasts MorphStreamR against.
 	for i := range txns {
-		vg.Aborted[i] = ftapi.ExecuteTxnOnStore(rc.Store, &txns[i])
 		vg.Cost[i] = costs.TxnCost(&txns[i])
 		// Each incoming edge was resolved by a cross-thread
 		// notification during the graph replay.

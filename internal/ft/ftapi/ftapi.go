@@ -19,6 +19,7 @@ package ftapi
 
 import (
 	"fmt"
+	"time"
 
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/storage"
@@ -133,12 +134,27 @@ type RecoveryContext struct {
 	Execute func(epoch uint64, g *tpg.Graph) error
 	// Breakdown accumulates the recovery-time decomposition of Figure 11.
 	Breakdown *metrics.RecoveryBreakdown
+	// Costs prices the replay: vtime walks it after it has run. Zero
+	// leaves it unpriced — it executes and checks everything, charges only
+	// device reads, and skips the work only the walk reads.
+	Costs vtime.Costs
 	// Prof, when non-nil, receives the per-worker virtual-time span events
-	// of the replay's pricing (phase structure, one span per replayed unit,
-	// stall attribution, critical-path bounds): vtime walks each replay
-	// after it has run and fires nothing. A nil profiler is fully disabled
+	// of the pricing (phase structure, one span per replayed unit, stall
+	// attribution, critical-path bounds). A nil profiler is fully disabled
 	// — mechanisms call it unconditionally.
 	Prof *vtime.Profiler
+}
+
+// Spread charges d, work spread over all workers, to into and profiles it.
+func (rc *RecoveryContext) Spread(name string, into *time.Duration, d time.Duration) {
+	*into += d
+	rc.Prof.SpreadPhase(name, d)
+}
+
+// Serial charges d, one worker's work the rest wait out, to into likewise.
+func (rc *RecoveryContext) Serial(name string, into *time.Duration, d time.Duration) {
+	metrics.ChargeSerial(into, d, rc.Workers)
+	rc.Prof.SerialPhase(name, d)
 }
 
 // InputsThrough returns the prefix of rc.Inputs with Epoch <= hi.

@@ -107,7 +107,7 @@ func FuzzDecodeCommitted(f *testing.F) {
 		}
 		const snapEpoch, limit = 1, 10
 		for i, recs := range cases {
-			groups, committed, torn, err := ftapi.DecodeCommitted(recs, snapEpoch, limit,
+			groups, committed, torn, err := ftapi.DecodeCommittedCursor(storage.NewSliceCursor(recs, 0), snapEpoch, limit,
 				func(epoch uint64, payload []byte) ([]codec.WALRecord, error) {
 					return codec.DecodeWAL(payload)
 				})

@@ -3,6 +3,7 @@ package ftapi
 import (
 	"fmt"
 
+	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/storage"
 )
 
@@ -104,9 +105,28 @@ func DecodeCommittedCursor[T any](cur storage.Cursor, snapEpoch, limit uint64,
 	return groups, committed, false, nil
 }
 
-// DecodeCommitted is DecodeCommittedCursor over an already-materialised
-// record slice (tests and fuzzers).
-func DecodeCommitted[T any](recs []storage.Record, snapEpoch, limit uint64,
-	decode func(epoch uint64, payload []byte) (T, error)) ([]CommitGroup[T], uint64, bool, error) {
-	return DecodeCommittedCursor(storage.NewSliceCursor(recs, 0), snapEpoch, limit, decode)
+// ReadCommitted is every mechanism's reload: it reads the FT log past the
+// snapshot epoch, charging the read to rc's Reload as a serial phase, and
+// decodes it with DecodeCommittedCursor under rc's commit limit.
+func ReadCommitted[T any](rc *RecoveryContext, decode func([]byte) (T, error)) ([]CommitGroup[T], uint64, error) {
+	readStop := metrics.SerialTimer(&rc.Breakdown.Reload, rc.Workers)
+	cur, err := storage.ReadFrom(rc.Device, storage.LogFT, rc.SnapshotEpoch)
+	readStop()
+	if err != nil {
+		return nil, 0, err
+	}
+	groups, committed, _, err := DecodeCommittedCursor(cur, rc.SnapshotEpoch, rc.CommitLimit,
+		func(_ uint64, payload []byte) (T, error) { return decode(payload) })
+	return groups, committed, err
+}
+
+// Flatten concatenates the records of every epoch of groups, in log order.
+func Flatten[R any](groups []CommitGroup[[]R]) []R {
+	var recs []R
+	for _, cg := range groups {
+		for _, ep := range cg.Epochs {
+			recs = append(recs, ep.Recs...)
+		}
+	}
+	return recs
 }

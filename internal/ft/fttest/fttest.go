@@ -17,6 +17,7 @@ import (
 	"morphstreamr/internal/store"
 	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
+	"morphstreamr/internal/vtime"
 	"morphstreamr/internal/workload"
 )
 
@@ -98,8 +99,8 @@ func (h *Harness) TryCommit() error {
 	return h.Mech.Commit(h.epoch)
 }
 
-// Recover replays the mechanism's committed epochs onto a fresh store and
-// returns it with the breakdown.
+// Recover replays the mechanism's committed epochs onto a fresh store,
+// priced with vtime.FixedCosts, and returns it with the breakdown.
 func (h *Harness) Recover(mech ftapi.Mechanism) (*store.Store, *metrics.RecoveryBreakdown, uint64) {
 	h.T.Helper()
 	st, bd, committed, err := h.TryRecover(mech)
@@ -121,6 +122,7 @@ func (h *Harness) TryRecover(mech ftapi.Mechanism) (*store.Store, *metrics.Recov
 		Inputs:    h.Inputs,
 		Execute:   Sequential(st),
 		Breakdown: &bd,
+		Costs:     vtime.FixedCosts(),
 	})
 	if err != nil {
 		return nil, nil, 0, err

@@ -114,37 +114,24 @@ type replayRec struct {
 // each record spinning until the recovered-LSN vector dominates its
 // dependency vector.
 func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
-	costs := vtime.Calibrate()
-	readStop := metrics.SerialTimer(&rc.Breakdown.Reload, rc.Workers)
-	cur, err := storage.ReadFrom(rc.Device, storage.LogFT, rc.SnapshotEpoch)
-	readStop()
-	if err != nil {
-		return 0, fmt.Errorf("lsnvector: recover: %w", err)
-	}
+	costs := rc.Costs
 	// A torn tail record — the group commit the device died inside — is
 	// discarded; its epochs reprocess through the uncommitted-tail path.
-	groups, committed, _, err := ftapi.DecodeCommittedCursor(cur, rc.SnapshotEpoch, rc.CommitLimit,
-		func(_ uint64, payload []byte) ([]codec.LVRecord, error) { return codec.DecodeLV(payload) })
+	groups, committed, err := ftapi.ReadCommitted(rc, codec.DecodeLV)
 	if err != nil {
 		return 0, fmt.Errorf("lsnvector: recover: %w", err)
 	}
-	var recs []codec.LVRecord
-	for _, cg := range groups {
-		for _, ep := range cg.Epochs {
-			recs = append(recs, ep.Recs...)
-		}
-	}
+	recs := ftapi.Flatten(groups)
 	// Decoding a worker-count-sized vector per record is part of reload;
 	// group segments decode independently.
-	rc.Breakdown.Reload += time.Duration(len(recs)) * (costs.Record + time.Duration(rc.Workers)*costs.Compare)
-	rc.Prof.SpreadPhase("decode", time.Duration(len(recs))*(costs.Record+time.Duration(rc.Workers)*costs.Compare))
+	rc.Spread("decode", &rc.Breakdown.Reload, time.Duration(len(recs))*(costs.Record+time.Duration(rc.Workers)*costs.Compare))
 	if len(recs) == 0 {
 		return committed, nil
 	}
 
 	// Construct: bucket records per logging worker, re-seed the runtime
 	// dependency tracker and LSN counters (records arrive in timestamp
-	// order), and pre-build the transactions to replay.
+	// order), and replay each record.
 	buckets := 0
 	for i := range recs {
 		if int(recs[i].Worker)+1 > buckets {
@@ -161,26 +148,28 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 	for i := range m.nextLSN {
 		m.nextLSN[i] = 1
 	}
+	// Records execute for real in global timestamp order, which respects
+	// every dependency. They were appended in commit order, so each bucket
+	// is already in ascending LSN order; verify rather than trust the log.
 	perWorker := make([][]replayRec, buckets)
-	for _, rec := range recs {
+	aborted := make([]bool, len(recs))
+	for i, rec := range recs {
 		txn := rc.App.Preprocess(rec.Event)
 		m.deps.Register(&txn, ftapi.WriterRef{TxnID: rec.Event.Seq, Worker: rec.Worker, LSN: rec.LSN})
 		if next := rec.LSN + 1; next > m.nextLSN[rec.Worker] {
 			m.nextLSN[rec.Worker] = next
 		}
-		perWorker[rec.Worker] = append(perWorker[rec.Worker], replayRec{rec: rec, txn: txn})
-	}
-	// Records were appended in commit order, so each bucket is already in
-	// ascending LSN order; verify rather than trust the log.
-	for w := range perWorker {
-		for i := 1; i < len(perWorker[w]); i++ {
-			if perWorker[w][i-1].rec.LSN >= perWorker[w][i].rec.LSN {
-				return 0, fmt.Errorf("lsnvector: worker %d log out of LSN order", w)
-			}
+		b := perWorker[rec.Worker]
+		if len(b) > 0 && b[len(b)-1].rec.LSN >= rec.LSN {
+			return 0, fmt.Errorf("lsnvector: worker %d log out of LSN order", rec.Worker)
 		}
+		perWorker[rec.Worker] = append(b, replayRec{rec: rec, txn: txn})
+		aborted[i] = ftapi.ExecuteTxnOnStore(rc.Store, &perWorker[rec.Worker][len(b)].txn)
 	}
-	rc.Breakdown.Construct += time.Duration(len(recs)) * (costs.Preprocess + costs.Record)
-	rc.Prof.SpreadPhase("bucket", time.Duration(len(recs))*(costs.Preprocess+costs.Record))
+	rc.Spread("bucket", &rc.Breakdown.Construct, time.Duration(len(recs))*(costs.Preprocess+costs.Record))
+	if costs.IsZero() {
+		return committed, nil
+	}
 
 	// Virtual replay: each logging worker drains its bucket in LSN order;
 	// a record starts once the recovered-LSN vector dominates its
@@ -188,8 +177,6 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 	// virtual finish time. The time a worker spends blocked is *explore*
 	// time — Taurus workers actively poll the shared vector — and it grows
 	// with the workload's dependency density, LV's weakness on SL.
-	// Records execute for real in global timestamp order (which respects
-	// every dependency), while the clocks are simulated.
 	clocks := make([]vtime.Clock, buckets)
 	// finishes[w][lsn-1] is the virtual finish time of (w, lsn); LSN
 	// numbering restarts at 1 after every snapshot, so buckets index
@@ -198,7 +185,7 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 	for w := range finishes {
 		finishes[w] = make([]time.Duration, len(perWorker[w]))
 	}
-	pos := make([]int, buckets) // next unexecuted record per bucket
+	pos := make([]int, buckets) // next record per bucket
 	// Critical-path bookkeeping (profiler only): LV's replay schedule is
 	// fully determined by its log — records are pinned to their logging
 	// worker and ordered by LSN — so a record's earliest finish chains
@@ -213,7 +200,7 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 		}
 		rc.Prof.BeginPhase("replay")
 	}
-	for _, rec := range recs {
+	for i, rec := range recs {
 		w := int(rec.Worker)
 		rr := &perWorker[w][pos[w]]
 		pos[w]++
@@ -235,9 +222,8 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 				blockV, blockLSN = v, lsn
 			}
 		}
-		aborted := ftapi.ExecuteTxnOnStore(rc.Store, &rr.txn)
 		cost := costs.TxnCost(&rr.txn)
-		fin := clocks[w].Advance(start, explore, cost, aborted)
+		fin := clocks[w].Advance(start, explore, cost, aborted[i])
 		finishes[w][rr.rec.LSN-1] = fin
 		if rc.Prof != nil {
 			var ef time.Duration
@@ -261,7 +247,7 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 			ef += explore + cost
 			efFin[w][rr.rec.LSN-1] = ef
 			rc.Prof.Op(w, "t"+strconv.FormatUint(rr.rec.Event.Seq, 10),
-				start, explore, cost, aborted, edge, blocker, ef)
+				start, explore, cost, aborted[i], edge, blocker, ef)
 		}
 	}
 	result := vtime.Finish(clocks)

@@ -6,10 +6,8 @@ import (
 
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/ft/ftapi"
-	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/partition"
 	"morphstreamr/internal/scheduler"
-	"morphstreamr/internal/storage"
 	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/vtime"
@@ -28,24 +26,17 @@ type viewKey struct {
 // replay each committed epoch's input events with abort pushdown,
 // operation restructuring, and optimized task assignment applied.
 func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
-	// Reload the view log.
-	costs := vtime.Calibrate()
-	readStop := metrics.SerialTimer(&rc.Breakdown.Reload, rc.Workers)
-	cur, err := storage.ReadFrom(rc.Device, storage.LogFT, rc.SnapshotEpoch)
-	readStop()
-	if err != nil {
-		return 0, fmt.Errorf("msr: recover: %w", err)
-	}
-	// Views stay segmented per commit group: each group commits (and was
-	// group-committed) atomically, so its epochs replay as one merged
-	// batch. Longer log commitment epochs therefore hand recovery larger
-	// batches — more chains to balance, fewer scheduling rounds — which is
-	// the recovery-side benefit the workload-aware commitment of Section
-	// VI-B trades against runtime overhead. A torn tail record (the group
-	// commit the device died inside) is discarded whole; its epochs
-	// reprocess through the engine's uncommitted-tail path.
-	decoded, committed, _, err := ftapi.DecodeCommittedCursor(cur, rc.SnapshotEpoch, rc.CommitLimit,
-		func(_ uint64, payload []byte) (codec.MSRViews, error) { return codec.DecodeMSR(payload) })
+	costs := rc.Costs
+	// Reload the view log. Views stay segmented per commit group: each
+	// group commits (and was group-committed) atomically, so its epochs
+	// replay as one merged batch. Longer log commitment epochs therefore
+	// hand recovery larger batches — more chains to balance, fewer
+	// scheduling rounds — which is the recovery-side benefit the
+	// workload-aware commitment of Section VI-B trades against runtime
+	// overhead. A torn tail record (the group commit the device died
+	// inside) is discarded whole; its epochs reprocess through the
+	// engine's uncommitted-tail path.
+	decoded, committed, err := ftapi.ReadCommitted(rc, codec.DecodeMSR)
 	if err != nil {
 		return 0, fmt.Errorf("msr: recover: %w", err)
 	}
@@ -70,8 +61,7 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 	}
 	// Decoding the (selectively small) view entries is part of reload;
 	// group segments decode independently, so the work parallelizes.
-	rc.Breakdown.Reload += time.Duration(entries) * costs.Record
-	rc.Prof.SpreadPhase("view-decode", time.Duration(entries)*costs.Record)
+	rc.Spread("view-decode", &rc.Breakdown.Reload, time.Duration(entries)*costs.Record)
 
 	inputs := rc.InputsThrough(committed)
 	for _, cg := range merged {
@@ -100,7 +90,7 @@ func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
 // optimizations. Outputs are suppressed: they were delivered before the
 // crash (the epoch is committed).
 func (m *Mech) replayEpoch(rc *ftapi.RecoveryContext, ee ftapi.EpochEvents, views codec.MSRViews) error {
-	costs := vtime.Calibrate()
+	costs := rc.Costs
 	// Index the views (Figure 7 step 3: construct intermediate results).
 	abortSet := make(map[uint64]struct{}, len(views.Aborted))
 	for _, id := range views.Aborted {
@@ -120,8 +110,7 @@ func (m *Mech) replayEpoch(rc *ftapi.RecoveryContext, ee ftapi.EpochEvents, view
 			groups[e.Key] = int(e.Group)
 		}
 	}
-	rc.Breakdown.Construct += time.Duration(len(views.Aborted)+len(views.Parametric)+len(views.Groups)) * costs.Record
-	rc.Prof.SpreadPhase("index", time.Duration(len(views.Aborted)+len(views.Parametric)+len(views.Groups))*costs.Record)
+	rc.Spread("index", &rc.Breakdown.Construct, time.Duration(len(views.Aborted)+len(views.Parametric)+len(views.Groups))*costs.Record)
 
 	// Abort pushdown (Figure 7 step 5): discard doomed input events before
 	// preprocessing, eliminating their whole pipeline cost.
@@ -136,8 +125,7 @@ func (m *Mech) replayEpoch(rc *ftapi.RecoveryContext, ee ftapi.EpochEvents, view
 		}
 		events = kept
 		// One AbortView probe per input event.
-		rc.Breakdown.Abort += time.Duration(len(ee.Events)) * costs.Lookup
-		rc.Prof.SpreadPhase("abort-scan", time.Duration(len(ee.Events))*costs.Lookup)
+		rc.Spread("abort-scan", &rc.Breakdown.Abort, time.Duration(len(ee.Events))*costs.Lookup)
 	}
 
 	// Preprocess and build the replay graph.
@@ -147,8 +135,7 @@ func (m *Mech) replayEpoch(rc *ftapi.RecoveryContext, ee ftapi.EpochEvents, view
 		txns = append(txns, &txn)
 	}
 	g := tpg.Build(txns, rc.Store.Get)
-	rc.Breakdown.Construct += costs.GraphCost(len(events), g.NumOps)
-	rc.Prof.SpreadPhase("build", costs.GraphCost(len(events), g.NumOps))
+	rc.Spread("build", &rc.Breakdown.Construct, costs.GraphCost(len(events), g.NumOps))
 
 	// Operation restructuring (Figure 7 step 6): inject recorded
 	// intermediate results to sever parametric edges, and — when abort
@@ -194,16 +181,18 @@ func (m *Mech) replayEpoch(rc *ftapi.RecoveryContext, ee ftapi.EpochEvents, view
 	if err := rc.Execute(ee.Epoch, g); err != nil {
 		return err
 	}
+	if costs.IsZero() {
+		return nil
+	}
 
 	// Task assignment (Figure 7 step 7): co-locate each logged group's
 	// chains (their surviving dependencies are intra-group by the
 	// selective-logging contract) and spread tasks by LPT. It runs after
-	// execution, whose executor labels chains with its own assignment.
+	// execution, whose executor labels chains with its own assignment, and
+	// only for the walk, which schedules by the owners it sets.
 	assignChains(g, groups, rc.Workers, m.opts.OptTaskAssign)
-	rc.Breakdown.Construct += time.Duration(severed)*costs.Lookup +
-		time.Duration(len(g.ChainList))*costs.Compare
-	rc.Prof.SpreadPhase("restructure", time.Duration(severed)*costs.Lookup+
-		time.Duration(len(g.ChainList))*costs.Compare)
+	rc.Spread("restructure", &rc.Breakdown.Construct,
+		time.Duration(severed)*costs.Lookup+time.Duration(len(g.ChainList))*costs.Compare)
 
 	// Price the replay on W virtual workers (see package vtime):
 	// restructured chains carry no cross-worker edges, so workers run

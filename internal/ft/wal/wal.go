@@ -67,32 +67,18 @@ func (m *Mech) GC(uint64) {}
 // its epochs never acknowledged, so they reprocess through the engine's
 // uncommitted-tail path instead.
 func (m *Mech) Recover(rc *ftapi.RecoveryContext) (uint64, error) {
-	costs := vtime.Calibrate()
-	readStop := metrics.SerialTimer(&rc.Breakdown.Reload, rc.Workers)
-	cur, err := storage.ReadFrom(rc.Device, storage.LogFT, rc.SnapshotEpoch)
-	readStop()
+	costs := rc.Costs
+	groups, committed, err := ftapi.ReadCommitted(rc, codec.DecodeWAL)
 	if err != nil {
 		return 0, fmt.Errorf("wal: recover: %w", err)
 	}
-	groups, committed, _, err := ftapi.DecodeCommittedCursor(cur, rc.SnapshotEpoch, rc.CommitLimit,
-		func(_ uint64, payload []byte) ([]codec.WALRecord, error) { return codec.DecodeWAL(payload) })
-	if err != nil {
-		return 0, fmt.Errorf("wal: recover: %w", err)
-	}
-	var recs []codec.WALRecord
-	for _, cg := range groups {
-		for _, ep := range cg.Epochs {
-			recs = append(recs, ep.Recs...)
-		}
-	}
+	recs := ftapi.Flatten(groups)
 	// Global ordering: the logs are per-worker ordered, and command redo
 	// is only correct in timestamp order, so everything must be sorted —
 	// the reload cost the paper highlights (all threads blocked behind
 	// decode plus an n·log n sort).
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Event.Seq < recs[j].Event.Seq })
-	reloadVirtual := time.Duration(len(recs))*costs.Record + costs.SortCost(len(recs))
-	metrics.ChargeSerial(&rc.Breakdown.Reload, reloadVirtual, rc.Workers)
-	rc.Prof.SerialPhase("decode+sort", reloadVirtual)
+	rc.Serial("decode+sort", &rc.Breakdown.Reload, time.Duration(len(recs))*costs.Record+costs.SortCost(len(recs)))
 
 	// Sequential redo: command logs admit no safe parallelism, so one
 	// virtual worker replays everything (executed for real here) while

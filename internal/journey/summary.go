@@ -25,11 +25,11 @@ type StageStats struct {
 // Summary aggregates a drained record set for reports and /journeys-style
 // views.
 type Summary struct {
-	Journeys  int                   `json:"journeys"`
-	Shed      int                   `json:"shed"`
-	Recovered int                   `json:"recovered"`
-	Stages    map[Stage]StageStats  `json:"stages"`
-	Total     StageStats            `json:"total"`
+	Journeys  int                  `json:"journeys"`
+	Shed      int                  `json:"shed"`
+	Recovered int                  `json:"recovered"`
+	Stages    map[Stage]StageStats `json:"stages"`
+	Total     StageStats           `json:"total"`
 	// MaxDecompErrMs is the largest |sum(stages) − total| across the set:
 	// the decomposition-consistency invariant says it is 0 up to float
 	// rounding.

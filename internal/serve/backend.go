@@ -85,7 +85,8 @@ func NewGroupBackend(cfg shard.Config) (*GroupBackend, error) {
 
 // RecoverGroupBackend cold-starts a backend from surviving devices: the
 // group recovers in parallel from its shard logs, re-feeding alignment
-// epochs from the ingest manifest on cfg.CoordDev.
+// epochs from the ingest manifest on cfg.CoordDev. It prices the recovery
+// (shard.GroupRecover does), once per process; heals are unpriced.
 func RecoverGroupBackend(cfg shard.Config) (*GroupBackend, error) {
 	// The manifest covers every fed epoch; recovery decides durability, so
 	// the source is built with no durable cutoff (watermarks are cut by the

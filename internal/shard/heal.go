@@ -7,6 +7,7 @@ import (
 
 	"morphstreamr/internal/engine"
 	"morphstreamr/internal/metrics"
+	"morphstreamr/internal/vtime"
 )
 
 // Heal recovers the group after ProcessEpoch failed with procErr, re-feeding
@@ -21,17 +22,17 @@ import (
 //     every shard in place from its own device with the body GroupRecover
 //     runs at a cold start.
 //
-// Either way the failure is classified with engine.Classify and recorded as
-// exactly one incident in the group's health log. A failed Heal leaves the
-// group crashed; calling Heal again, with the error the failed one returned,
-// is the retry. That error names no shard, so the retry takes the group
-// rung: the failed attempt already left every shard crashed or
-// half-recovered. The recovered engines
-// release to the same Config.Sink the dead ones did, so no output needs
-// carrying over. Heal runs on the feeding goroutine after ProcessEpoch
-// returned, which it does only once every shard's epoch has returned: no
-// write of a dead incarnation can still be in flight, so nothing needs
-// fencing off.
+// Neither rung prices its recovery (see package vtime): a heal runs only the
+// replay. Either way the failure is classified with engine.Classify
+// and recorded as exactly one incident in the group's health log. A failed
+// Heal leaves the group crashed; calling Heal again, with the error the
+// failed one returned, is the retry. That error names no shard, so the
+// retry takes the group rung: the failed attempt already left every shard
+// crashed or half-recovered. The recovered engines release to the same
+// Config.Sink the dead ones did, so no output needs carrying over. Heal
+// runs on the feeding goroutine after ProcessEpoch returned, which it does
+// only once every shard's epoch has returned: no write of a dead
+// incarnation can still be in flight, so nothing needs fencing off.
 func (g *Group) Heal(procErr error, src Source) (*GroupReport, error) {
 	if !g.crashed {
 		return nil, errors.New("shard: Heal on a live group")
@@ -102,7 +103,7 @@ func (g *Group) healShard(i int, src Source) (*GroupReport, error) {
 	s.eng = eng
 	report := &GroupReport{
 		Reports: make([]*engine.RecoveryReport, len(g.shards)),
-		Target:  ep, SerialSim: rep.SimWall(), ParallelSim: rep.SimWall(),
+		Target:  ep,
 	}
 	report.Reports[i] = rep
 
@@ -150,5 +151,5 @@ func (g *Group) healGroup(src Source) (*GroupReport, error) {
 		s.eng.Crash()
 	}
 	g.seqFloor = 0
-	return g.recoverShards(src, false, nil)
+	return g.recoverShards(src, vtime.Costs{}, false, nil)
 }

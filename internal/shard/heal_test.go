@@ -234,7 +234,9 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 // TestHealRecordsOneIncident: each Heal records exactly one classified
 // incident in the group's health log, whichever rung healed, a group built
 // with Obs publishes that log as the registry's "health" provider, and the
-// twice-healed group still ends equal to the oracle, exactly once.
+// twice-healed group still ends equal to the oracle, exactly once. Neither
+// rung prices its recovery: no report carries a model term, a profile or a
+// simulated wall.
 func TestHealRecordsOneIncident(t *testing.T) {
 	app, batches := gsRun(31, 8, 24)
 	o := obs.NewObserver(1, 64)
@@ -244,11 +246,22 @@ func TestHealRecordsOneIncident(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := types.BatchSource(batches)
+	var healed []int // shards each heal recovered
+	var priced bool  // whether any heal charged a model term or a simulated wall
 	run := func(to uint64) {
 		for g.Epoch() < to {
 			if err := g.ProcessEpoch(batches[g.Epoch()]); err != nil {
-				if _, err := g.Heal(err, src); err != nil {
+				rep, err := g.Heal(err, src)
+				if err != nil {
 					t.Fatal(err)
+				}
+				healed = append(healed, 0)
+				priced = priced || rep.SerialSim != 0 || rep.ParallelSim != 0
+				for _, r := range rep.Reports {
+					if r != nil {
+						healed[len(healed)-1]++
+						priced = priced || r.Breakdown.Total() != r.Breakdown.Reload || r.Profile != nil
+					}
 				}
 			}
 		}
@@ -261,6 +274,9 @@ func TestHealRecordsOneIncident(t *testing.T) {
 	incs := g.Health().Incidents()
 	if len(incs) != 2 || !incs[0].Healed || !incs[1].Healed || incs[0].RecoveredEpoch != 3 || incs[1].RecoveredEpoch != 5 {
 		t.Fatalf("incidents %+v, want two healed at epochs 3 and 5", incs)
+	}
+	if priced || !slices.Equal(healed, []int{1, 2}) {
+		t.Fatalf("heals recovered %v shards (want 1, then 2), priced %v", healed, priced)
 	}
 	h := o.Registry().Snapshot().Providers["health"]
 	if h["incidents"] != 2 || h["last_cause"] != "io-fatal" || h["last_recovered_epoch"] != uint64(5) {

@@ -53,6 +53,7 @@ type GroupReport struct {
 	// another (Σ per-shard SimWall); ParallelSim is the simulated wall of
 	// the parallel recovery (max per-shard SimWall). Their ratio is the
 	// parallel recovery speedup — the headline number of the shard layer.
+	// Zero for a heal.
 	SerialSim   time.Duration
 	ParallelSim time.Duration
 	// Wall is the real wall-clock duration of the whole group recovery on
@@ -75,6 +76,7 @@ func (r *GroupReport) Speedup() float64 {
 // GroupRecover rebuilds a working group from the surviving devices at a
 // cold start: a fresh group is assembled over cfg's devices and recovered
 // with recoverShards, the same body a live group's Heal runs in place.
+// Unlike a heal, it prices every shard's recovery with vtime.FixedCosts.
 func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	if cfg.Source == nil {
 		return nil, nil, errors.New("shard: GroupRecover requires a Source")
@@ -83,7 +85,7 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	report, err := g.recoverShards(cfg.Source, cfg.Serial, cfg.Profilers)
+	report, err := g.recoverShards(cfg.Source, vtime.FixedCosts(), cfg.Serial, cfg.Profilers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,9 +96,9 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 // devices with every engine stopped:
 //
 //  1. recover every shard in parallel (or serially) with stock
-//     engine.Recover — each shard's snapshot restore + mechanism replay +
-//     tail reprocessing is independent of every other shard's — and seat
-//     the recovered engine;
+//     engine.Recover, priced with costs unless they are zero — each
+//     shard's snapshot restore + mechanism replay + tail reprocessing is
+//     independent of every other shard's — and seat the recovered engine;
 //  2. verify the lockstep invariant: recovered epochs may spread by at
 //     most one (a shard is fed epoch e+1 only after every shard finished
 //     epoch e, and its inputs persist before processing);
@@ -106,13 +108,14 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 //  4. arm a full re-sync: the next live epoch replicates every shard's
 //     whole owned partition, covering mechanism-replayed epochs whose exact
 //     write sets were never captured.
-func (g *Group) recoverShards(src Source, serial bool, profilers []*vtime.Profiler) (*GroupReport, error) {
+func (g *Group) recoverShards(src Source, costs vtime.Costs, serial bool, profilers []*vtime.Profiler) (*GroupReport, error) {
 	start := time.Now()
 	report := &GroupReport{Reports: make([]*engine.RecoveryReport, len(g.shards))}
 
 	errs := make([]error, len(g.shards))
 	recoverShard := func(i int) {
 		ec := g.engineConfig(g.shards[i])
+		ec.RecoveryCosts = costs
 		if len(profilers) > i && profilers[i] != nil {
 			ec.RecoveryProfiler = profilers[i]
 		}
@@ -192,10 +195,12 @@ func (g *Group) recoverShards(src Source, serial bool, profilers []*vtime.Profil
 	g.fullSync = true
 	g.crashed = false
 
-	for _, rep := range report.Reports {
-		sw := rep.SimWall()
-		report.SerialSim += sw
-		report.ParallelSim = max(report.ParallelSim, sw)
+	if !costs.IsZero() {
+		for _, rep := range report.Reports {
+			sw := rep.SimWall()
+			report.SerialSim += sw
+			report.ParallelSim = max(report.ParallelSim, sw)
+		}
 	}
 	if len(profilers) > 0 {
 		var profs []vtime.Profile

@@ -207,7 +207,8 @@ type LaneProfile struct {
 
 // Profile is the complete recovery profile: the per-worker decomposition,
 // the phase table, and the critical-path analysis. All durations are
-// virtual-timebase nanoseconds (the calibrated cost model's axis).
+// virtual-timebase nanoseconds (the axis of the cost model the recovery
+// was priced with, vtime.FixedCosts).
 type Profile struct {
 	Workers int `json:"workers"`
 	// Timeline is the total virtual recovery length: the sum of phase

@@ -12,20 +12,18 @@ import (
 	"morphstreamr/internal/workload"
 )
 
-// TestSetCalibrationSeam: the determinism seam must make Calibrate return
-// the pinned model verbatim, and must be re-pinnable (`cmd/bench recovery`
-// pins FixedCosts for its run; tests restore whatever was active before).
-func TestSetCalibrationSeam(t *testing.T) {
-	prev := Calibrate()
-	t.Cleanup(func() { SetCalibration(prev) })
-
-	fixed := FixedCosts()
-	SetCalibration(fixed)
-	if got := Calibrate(); got != fixed {
-		t.Fatalf("Calibrate after SetCalibration = %+v, want the pinned %+v", got, fixed)
-	}
-	if got := Calibrate(); got != fixed {
-		t.Fatal("pinned calibration must stay stable across calls")
+// TestSetCalibrationShim: the deprecated setter takes FixedCosts as a no-op
+// and panics on any other model, so no caller can mean another one.
+func TestSetCalibrationShim(t *testing.T) {
+	SetCalibration(FixedCosts())
+	scaled := FixedCosts()
+	scaled.Op *= 2
+	for _, c := range []Costs{{}, scaled} {
+		func() {
+			defer func() { _ = recover() }()
+			SetCalibration(c)
+			t.Errorf("SetCalibration(%+v) did not panic", c)
+		}()
 	}
 }
 

@@ -12,10 +12,14 @@
 // engine's own executor, log records in log order — so recovered state is
 // exact, and this package only prices it: a discrete-event list schedule
 // of the executed graph, which fires nothing, computes from the actual
-// dependency structure and a host-calibrated cost model the per-worker
+// dependency structure and a fixed cost model (FixedCosts) the per-worker
 // busy/stall clocks and the makespan a W-worker machine would achieve.
 // Device reads stay real measured wall time; replay and the bulk phases
 // around it (decode, sort, graph rebuild, view indexing) are virtual.
+//
+// Pricing is opt-in: a recovery is priced only when its caller passes costs
+// (engine.Config.RecoveryCosts). shard.GroupRecover prices with FixedCosts;
+// a live heal passes none and runs only the replay.
 //
 // The simulation is deterministic: identical inputs produce identical
 // clocks on any host, which also makes the scalability sweeps (Figure 13)
@@ -23,28 +27,22 @@
 package vtime
 
 import (
-	"sync"
 	"time"
 
 	"morphstreamr/internal/metrics"
-	"morphstreamr/internal/store"
-	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
 )
 
 // ExecFactor models the ratio between the cost of performing one state
 // access (big-table random access + user function + execution bookkeeping)
-// and the cost of inserting one operation into the precedence graph. See
-// Calibrate.
+// and the cost of inserting one operation into the precedence graph.
 const ExecFactor = 4
 
 // Costs is the virtual cost model. Every recovery-side charge — execution,
 // preprocessing, graph construction, log decoding, sorting — is expressed
 // in these units so that the components of a recovery breakdown are
-// mutually consistent and host-independent in *ratio*; the absolute scale
-// is calibrated once per process from the host's real per-operation
-// pipeline cost, so virtual durations sit on the same axis as the real
-// measured device I/O they are reported next to.
+// mutually consistent; FixedCosts is the model, and the zero value prices
+// nothing.
 type Costs struct {
 	// Op is the cost of one state access: apply the function, read/write
 	// the record, update execution bookkeeping.
@@ -85,31 +83,13 @@ type Costs struct {
 	Pipeline time.Duration
 }
 
-var (
-	calMu   sync.Mutex
-	calDone bool
-	calCost Costs
-)
-
-// SetCalibration overrides the process-wide cost model, bypassing the
-// micro-benchmark. It exists as a determinism seam: profiler and
-// critical-path tests pin FixedCosts so their expected virtual durations
-// are exact integers on every host. Subsequent Calibrate calls return c
-// verbatim.
-func SetCalibration(c Costs) {
-	calMu.Lock()
-	defer calMu.Unlock()
-	calCost = c
-	calDone = true
-}
-
-// FixedCosts is a host-independent cost model with the same component
-// ratios as a calibrated one (op = ExecFactor × build, sync = op, and the
-// documented divisors), on a clean power-of-two base so derived quantities
-// divide without remainder.
+// FixedCosts is the cost model: the paper's machine at fixed component
+// ratios (op = ExecFactor × build, sync = op, and the documented divisors)
+// on a clean power-of-two base, so derived quantities divide without
+// remainder and every virtual duration is the same on every host.
 func FixedCosts() Costs {
-	const base = 32 * time.Nanosecond // stands in for the measured tBuild
-	const pre = 64 * time.Nanosecond  // stands in for the measured tPre
+	const base = 32 * time.Nanosecond // graph insertion of one operation
+	const pre = 64 * time.Nanosecond  // turning one event into a transaction
 	return Costs{
 		Op:          ExecFactor * base,
 		PerDep:      ExecFactor * base / 8,
@@ -126,98 +106,20 @@ func FixedCosts() Costs {
 	}
 }
 
-// Calibrate measures the host's real pipeline costs once — transaction
-// construction, graph building, and operation execution over a synthetic
-// epoch — and derives the cost model. The component ratios are documented
-// assumptions (DESIGN.md §1); the measured base adapts the scale to the
-// host. SetCalibration pre-empts the measurement entirely.
-func Calibrate() Costs {
-	calMu.Lock()
-	defer calMu.Unlock()
-	if !calDone {
-		const (
-			nTxns  = 4000
-			rounds = 5
-		)
-		// Per-event preprocessing cost: allocating a two-op transaction.
-		mkTxn := func(i uint64) *types.Txn {
-			src := types.Key{Table: 0, Row: uint32(i % 1024)}
-			dst := types.Key{Table: 0, Row: uint32((i + 7) % 1024)}
-			return &types.Txn{ID: i, TS: i, Ops: []types.Operation{
-				{TxnID: i, TS: i, Idx: 0, Key: src, Fn: types.FnGuardedSubSelf, Const: 1},
-				{TxnID: i, TS: i, Idx: 1, Key: dst, Fn: types.FnGuardedAdd, Const: 1,
-					Deps: []types.Key{src}},
-			}}
-		}
-		// Take the best of several rounds: the minimum is the standard
-		// micro-benchmark estimator, immune to GC pauses and scheduler
-		// preemption that would otherwise scale every virtual duration of
-		// this process by a noise factor.
-		tPre, tBuild, tFire := time.Hour, time.Hour, time.Hour
-		for r := 0; r < rounds; r++ {
-			st := store.New([]types.TableSpec{{ID: 0, Rows: 1024, Init: 100}})
-			t0 := time.Now()
-			txns := make([]*types.Txn, nTxns)
-			for i := range txns {
-				txns[i] = mkTxn(uint64(i))
-			}
-			if d := time.Since(t0) / nTxns; d < tPre {
-				tPre = d
-			}
-			t0 = time.Now()
-			g := tpg.Build(txns, st.Get)
-			if d := time.Since(t0) / time.Duration(g.NumOps); d < tBuild {
-				tBuild = d
-			}
-			t0 = time.Now()
-			for _, tn := range g.Txns {
-				for _, n := range tn.Ops {
-					tpg.Fire(n, st)
-				}
-			}
-			if d := time.Since(t0) / time.Duration(g.NumOps); d < tFire {
-				tFire = d
-			}
-		}
+// IsZero reports whether c is the zero model: a recovery given it is
+// unpriced — it replays everything and charges only measured device reads.
+func (c Costs) IsZero() bool { return c == Costs{} }
 
-		clamp := func(d, min time.Duration) time.Duration {
-			if d < min {
-				return min
-			}
-			return d
-		}
-		tPre = clamp(tPre, 20*time.Nanosecond)
-		tBuild = clamp(tBuild, 20*time.Nanosecond)
-		tFire = clamp(tFire, 10*time.Nanosecond)
-
-		// Execution cost model: one state access in the reproduced system
-		// is dominated by a DRAM-miss-prone table access, model
-		// maintenance, and the user function — in MorphStream's reported
-		// profiles several times the cost of inserting the operation into
-		// the precedence graph. We model it as ExecFactor times the
-		// measured graph-insert cost (the raw in-cache types.Apply cost,
-		// tFire, is far below either and serves only as a floor).
-		op := ExecFactor * tBuild
-		if op < tFire {
-			op = tFire
-		}
-		calCost = Costs{
-			Op:          op,
-			PerDep:      op / 8,
-			Preprocess:  tPre,
-			Postprocess: tPre / 2,
-			Build:       tBuild,
-			Explore:     tBuild / 2,
-			Record:      tBuild,
-			Edge:        tBuild / 3,
-			Compare:     tBuild / 8,
-			Sync:        ExecFactor * tBuild,
-			Lookup:      tBuild / 4,
-			Pipeline:    6 * tPre,
-		}
-		calDone = true
+// SetCalibration accepts only FixedCosts, the one model, and panics on any
+// other value.
+//
+// Deprecated: there is no process-wide model to set; recovery is priced
+// with the costs its caller passes. Kept only for benchmark/main.go,
+// which ROADMAP item 2 rewrites together with this shim.
+func SetCalibration(c Costs) {
+	if c != FixedCosts() {
+		panic("vtime: SetCalibration: FixedCosts is the only cost model")
 	}
-	return calCost
 }
 
 // SortCost returns the virtual cost of sorting n log records into global

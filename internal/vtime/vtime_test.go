@@ -9,19 +9,6 @@ import (
 	"morphstreamr/internal/types"
 )
 
-func TestCalibrateSane(t *testing.T) {
-	c := Calibrate()
-	if c.Op <= 0 || c.Build <= 0 || c.Preprocess <= 0 {
-		t.Fatalf("calibration produced non-positive costs: %+v", c)
-	}
-	if c.Op < c.Build {
-		t.Errorf("Op (%v) must not be below Build (%v): the exec-factor model", c.Op, c.Build)
-	}
-	if c2 := Calibrate(); c2 != c {
-		t.Error("Calibrate must be cached and stable within a process")
-	}
-}
-
 func TestSortCost(t *testing.T) {
 	c := Costs{Compare: 10}
 	if got := c.SortCost(0); got != 0 {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"morphstreamr/internal/bench"
 	"morphstreamr/internal/obs"
 )
 
@@ -85,9 +86,9 @@ func doctor[R any](t *testing.T, s *Suite[R], edit func(*R)) []string {
 	return s.evaluate(checkEnv(), r)
 }
 
-// TestGatesCanFail doctors one number in each of four committed reports
-// and requires exactly the matching gate to fail, naming suite, gate and
-// layer.
+// TestGatesCanFail doctors one number or verdict in each of five
+// committed reports and requires exactly the matching gate to fail, naming
+// suite, gate and layer.
 func TestGatesCanFail(t *testing.T) {
 	cases := []struct {
 		want  string
@@ -108,6 +109,9 @@ func TestGatesCanFail(t *testing.T) {
 		})},
 		{"FAIL journey/decomposition_exact [journey]:", doctor(t, &journeySuite, func(r *JourneyReport) {
 			r.Cells[0].MaxDecompErrMs = 0.1
+		})},
+		{"FAIL figures/scaling_shapes [ft/msr]:", doctor(t, &figuresSuite, func(r *FiguresReport) {
+			r.Claims["scaling_shapes"] = bench.Verdict{Detail: "not MSR 1 >= 2 x 1 ev/s"}
 		})},
 	}
 	for _, c := range cases {

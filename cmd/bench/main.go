@@ -8,8 +8,9 @@
 //	go run ./cmd/bench -check all            # gate the reports already on disk, run nothing
 //	go run ./cmd/bench -o out trend          # fold the reports in out/ into BENCH_trend.json
 //
-// Suites: sched chaos shard store journey recovery; "all" runs them
-// in that order. Full size is what produced the committed reports; -quick
+// Suites: sched chaos shard store journey recovery figures; "all" runs
+// them in that order. figures is the paper's evaluation (Section VIII) and
+// gates its claims. Full size is what produced the committed reports; -quick
 // is what CI runs. Grid sizes and seeds are constants in each suite.
 package main
 
@@ -28,7 +29,7 @@ import (
 
 // suites is the registry, in "all" order.
 var suites = []suite{
-	&schedSuite, &chaosSuite, &shardSuite, &storeSuite, &journeySuite, &recoverySuite,
+	&schedSuite, &chaosSuite, &shardSuite, &storeSuite, &journeySuite, &recoverySuite, &figuresSuite,
 }
 
 func main() {

@@ -201,8 +201,9 @@ func minWalls(kind ftapi.Kind, sc bench.Scale, w, repeat int) ([3]time.Duration,
 	return best, nil
 }
 
-// recoveryScale is the bench scale the recovery suite profiles at one size.
-func recoveryScale(quick bool) bench.Scale {
+// benchScale is the bench scale the recovery and figures suites run at one
+// size.
+func benchScale(quick bool) bench.Scale {
 	if quick {
 		return bench.QuickScale()
 	}
@@ -236,7 +237,7 @@ var recoverySuite = Suite[RecoveryReport]{
 	Gates: []Gate[RecoveryReport]{
 		countGate("cells", "vtime", "mechanisms x swept worker counts",
 			func(r *RecoveryReport) int { return len(r.Cells) },
-			func(quick bool) int { return len(mechanisms) * len(recoverySweep(recoveryScale(quick))) }),
+			func(quick bool) int { return len(mechanisms) * len(recoverySweep(benchScale(quick))) }),
 		gate("kinds", "vtime", "all five mechanisms profiled", func(r *RecoveryReport) (bool, string) {
 			return allMechanisms(r.Cells, func(c RecoveryCell) string { return c.Kind })
 		}),
@@ -282,7 +283,7 @@ func verdictGate(name, layer, want string, verdict func(RecoveryChecks) bool) Ga
 }
 
 func runRecovery(env *Env, rep *RecoveryReport) error {
-	scale := recoveryScale(env.quick())
+	scale := benchScale(env.quick())
 	mainW := scale.Workers
 	rep.Quick = env.quick()
 	rep.Workers = mainW

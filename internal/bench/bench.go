@@ -16,10 +16,11 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"time"
 
 	"morphstreamr/internal/engine"
@@ -34,8 +35,8 @@ import (
 	"morphstreamr/internal/workload"
 )
 
-// Scale sizes an experiment run. The defaults match the harness binary;
-// the root bench_test.go shrinks them so `go test -bench` stays fast.
+// Scale sizes an experiment run: DefaultScale is what `cmd/bench figures`
+// runs, QuickScale what it runs under -quick and what the tests run.
 type Scale struct {
 	// RunShape carries the engine knobs — Workers (runtime and recovery
 	// parallelism), SnapshotEvery (the checkpoint interval; the crash
@@ -57,7 +58,7 @@ type Scale struct {
 	Obs *obs.Observer
 }
 
-// DefaultScale returns the harness binary's configuration. Eight workers
+// DefaultScale returns the full-size configuration. Eight workers
 // is deliberately above the low-core regime: the paper observes (and
 // Figure 13 here reproduces) that WAL/DL/LV are competitive with
 // MorphStreamR at very low core counts, with the separation appearing as
@@ -69,8 +70,7 @@ func DefaultScale() Scale {
 	}
 }
 
-// QuickScale returns a reduced configuration for Go benchmarks and smoke
-// tests.
+// QuickScale returns the reduced configuration for CI and the tests.
 func QuickScale() Scale {
 	return Scale{
 		RunShape:  types.RunShape{Workers: 4, SnapshotEvery: 4},
@@ -99,7 +99,7 @@ type Run struct {
 }
 
 // RecoveryThroughput returns events recovered per second, or 0 for NAT.
-func (r *Run) RecoveryThroughput() float64 {
+func (r Run) RecoveryThroughput() float64 {
 	if r.Recovery == nil {
 		return 0
 	}
@@ -108,7 +108,7 @@ func (r *Run) RecoveryThroughput() float64 {
 
 // RecoveryTime returns the (simulated W-worker) recovery duration, or 0
 // for NAT.
-func (r *Run) RecoveryTime() time.Duration {
+func (r Run) RecoveryTime() time.Duration {
 	if r.Recovery == nil {
 		return 0
 	}
@@ -149,21 +149,15 @@ type Scenario struct {
 // Execute runs the scenario: process SnapshotEvery+PostEpochs epochs,
 // crash, recover. With Repeat > 1 the median-throughput run is reported.
 func Execute(s Scenario) (Run, error) {
-	n := s.Repeat
-	if n < 1 {
-		n = 1
-	}
-	runs := make([]Run, 0, n)
-	for i := 0; i < n; i++ {
+	var runs []Run
+	for range max(s.Repeat, 1) {
 		r, err := executeOnce(s)
 		if err != nil {
 			return Run{}, err
 		}
 		runs = append(runs, r)
 	}
-	sort.Slice(runs, func(i, j int) bool {
-		return runs[i].RuntimeThroughput < runs[j].RuntimeThroughput
-	})
+	slices.SortFunc(runs, func(a, b Run) int { return cmp.Compare(a.RuntimeThroughput, b.RuntimeThroughput) })
 	return runs[len(runs)/2], nil
 }
 
@@ -236,10 +230,10 @@ func executeOnce(s Scenario) (Run, error) {
 
 // Table is a printable experiment result.
 type Table struct {
-	Title  string
-	Note   string
-	Header []string
-	Rows   [][]string
+	Title  string     `json:"title"`
+	Note   string     `json:"note,omitempty"`
+	Header []string   `json:"header"`
+	Rows   [][]string `json:"rows"`
 }
 
 // fnum formats a float compactly.
@@ -256,11 +250,24 @@ func fnum(v float64) string {
 	}
 }
 
+// fnums formats a series compactly.
+func fnums(vs []float64) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fnum(v)
+	}
+	return out
+}
+
 // ms formats a duration in milliseconds.
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
 }
 
-// defaultMSR returns the fully enabled MorphStreamR options (a fresh copy
-// callers may mutate).
-func defaultMSR() msr.Options { return msr.Default() }
+// orDefault is a figure's sweep: the points given, or its default ones.
+func orDefault[T any](points, def []T) []T {
+	if len(points) == 0 {
+		return def
+	}
+	return points
+}

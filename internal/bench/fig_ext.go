@@ -14,9 +14,8 @@ import (
 // the async-commit variant, and the compressed variant.
 type ExtResult struct {
 	Kinds []ftapi.Kind
-	// Tput[kind][variant] in events/s; Bytes[kind][variant] durable bytes.
-	Tput  map[ftapi.Kind]map[string]float64
-	Bytes map[ftapi.Kind]map[string]int64
+	// Runs[kind][variant]: their runtime throughput and durable bytes.
+	Runs map[ftapi.Kind]map[string]Run
 }
 
 // ExtVariants lists the measured configurations.
@@ -24,38 +23,26 @@ func ExtVariants() []string { return []string{"baseline", "async", "compressed"}
 
 // Ext runs the extension ablation on Streaming Ledger.
 func Ext(scale Scale) (*ExtResult, error) {
-	res := &ExtResult{
-		Kinds: []ftapi.Kind{ftapi.WAL, ftapi.LV, ftapi.MSR},
-		Tput:  make(map[ftapi.Kind]map[string]float64),
-		Bytes: make(map[ftapi.Kind]map[string]int64),
-	}
+	res := &ExtResult{Kinds: []ftapi.Kind{ftapi.WAL, ftapi.LV, ftapi.MSR}, Runs: make(map[ftapi.Kind]map[string]Run)}
 	for _, kind := range res.Kinds {
-		res.Tput[kind] = make(map[string]float64)
-		res.Bytes[kind] = make(map[string]int64)
+		res.Runs[kind] = make(map[string]Run)
 		for _, variant := range ExtVariants() {
-			s := Scenario{
+			run, err := Execute(Scenario{
 				Gen:  func() workload.Generator { return SLFor(scale, 1) },
 				Kind: kind, Scale: scale, Repeat: 3,
-			}
-			switch variant {
-			case "async":
-				s.AsyncCommit = true
-			case "compressed":
-				s.Compression = true
-			}
-			run, err := Execute(s)
+				AsyncCommit: variant == "async", Compression: variant == "compressed",
+			})
 			if err != nil {
 				return nil, fmt.Errorf("ext %v/%s: %w", kind, variant, err)
 			}
-			res.Tput[kind][variant] = run.RuntimeThroughput
-			res.Bytes[kind][variant] = run.LogBytes
+			res.Runs[kind][variant] = run
 		}
 	}
 	return res, nil
 }
 
-// Table renders the ablation.
-func (r *ExtResult) Table() Table {
+// Tables renders the ablation.
+func (r *ExtResult) Tables() []Table {
 	t := Table{
 		Title: "Extensions (Section VII): async commit and log compression (SL)",
 		Note:  "runtime events/s and durable KiB per scheme and variant",
@@ -66,12 +53,12 @@ func (r *ExtResult) Table() Table {
 	for _, kind := range r.Kinds {
 		row := []string{kind.String()}
 		for _, v := range ExtVariants() {
-			row = append(row, fnum(r.Tput[kind][v]))
+			row = append(row, fnum(r.Runs[kind][v].RuntimeThroughput))
 		}
 		for _, v := range ExtVariants() {
-			row = append(row, fmt.Sprintf("%d", r.Bytes[kind][v]/1024))
+			row = append(row, fmt.Sprintf("%d", r.Runs[kind][v].LogBytes/1024))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return []Table{t}
 }

@@ -22,21 +22,43 @@ type Fig2Result struct {
 	Runs map[ftapi.Kind]Run
 }
 
-// Fig2 runs the experiment.
-func Fig2(scale Scale) (*Fig2Result, error) {
-	res := &Fig2Result{Runs: make(map[ftapi.Kind]Run)}
-	for _, kind := range ftapi.Kinds() {
-		run, err := Execute(Scenario{Gen: func() workload.Generator { return SLFor(scale, 1) }, Kind: kind, Scale: scale, Repeat: 3})
+// kindRuns runs each kind on one application, the median of repeat runs.
+func kindRuns(fig string, scale Scale, app AppFactory, kinds []ftapi.Kind, repeat int) (map[ftapi.Kind]Run, error) {
+	runs := make(map[ftapi.Kind]Run)
+	for _, kind := range kinds {
+		run, err := Execute(Scenario{Gen: func() workload.Generator { return app.Make(scale, 1) }, Kind: kind, Scale: scale, Repeat: repeat})
 		if err != nil {
-			return nil, fmt.Errorf("fig2 %v: %w", kind, err)
+			return nil, fmt.Errorf("%s %s/%v: %w", fig, app.Name, kind, err)
 		}
-		res.Runs[kind] = run
+		runs[kind] = run
 	}
-	return res, nil
+	return runs, nil
 }
 
-// Table renders the figure.
-func (r *Fig2Result) Table() Table {
+// appRuns is kindRuns on every application, by name.
+func appRuns(fig string, scale Scale, kinds []ftapi.Kind, repeat int) (map[string]map[ftapi.Kind]Run, error) {
+	runs := make(map[string]map[ftapi.Kind]Run)
+	for _, app := range Apps() {
+		r, err := kindRuns(fig, scale, app, kinds, repeat)
+		if err != nil {
+			return nil, err
+		}
+		runs[app.Name] = r
+	}
+	return runs, nil
+}
+
+// Fig2 runs the experiment.
+func Fig2(scale Scale) (*Fig2Result, error) {
+	runs, err := kindRuns("fig2", scale, slApp, ftapi.Kinds(), 3)
+	if err != nil {
+		return nil, err
+	}
+	return &Fig2Result{Runs: runs}, nil
+}
+
+// Tables renders the figure.
+func (r *Fig2Result) Tables() []Table {
 	nat := r.Runs[ftapi.NAT].RuntimeThroughput
 	t := Table{
 		Title:  "Figure 2: fault tolerance approaches on Streaming Ledger",
@@ -57,31 +79,24 @@ func (r *Fig2Result) Table() Table {
 			rec, recT,
 		})
 	}
-	return t
+	return []Table{t}
 }
 
 // Fig11 reproduces the recovery-time breakdown (Figure 11a-c): per
 // application and scheme, the six-way decomposition of recovery time.
 type Fig11Result struct {
-	// Breakdowns[app][kind] is normalized per worker (≈ wall-clock).
+	// Runs[app][kind]; Tables divides each breakdown by Scale's workers.
 	Runs  map[string]map[ftapi.Kind]Run
 	Scale Scale
 }
 
 // Fig11 runs the experiment.
 func Fig11(scale Scale) (*Fig11Result, error) {
-	res := &Fig11Result{Runs: make(map[string]map[ftapi.Kind]Run), Scale: scale}
-	for _, app := range Apps() {
-		res.Runs[app.Name] = make(map[ftapi.Kind]Run)
-		for _, kind := range recoveryKinds() {
-			run, err := Execute(Scenario{Gen: func() workload.Generator { return app.Make(scale, 1) }, Kind: kind, Scale: scale})
-			if err != nil {
-				return nil, fmt.Errorf("fig11 %s/%v: %w", app.Name, kind, err)
-			}
-			res.Runs[app.Name][kind] = run
-		}
+	runs, err := appRuns("fig11", scale, recoveryKinds(), 0)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig11Result{Runs: runs, Scale: scale}, nil
 }
 
 // Tables renders one table per application.
@@ -148,8 +163,8 @@ func Fig11d(scale Scale) (*Fig11dResult, error) {
 	return res, nil
 }
 
-// Table renders the figure.
-func (r *Fig11dResult) Table() Table {
+// Tables renders the figure.
+func (r *Fig11dResult) Tables() []Table {
 	t := Table{
 		Title:  "Figure 11d: factor analysis of MorphStreamR recovery (ms, lower is better)",
 		Note:   "optimizations added incrementally left to right",
@@ -162,7 +177,7 @@ func (r *Fig11dResult) Table() Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return []Table{t}
 }
 
 // Fig13 reproduces the scalability study (Figure 13): recovery throughput
@@ -175,9 +190,7 @@ type Fig13Result struct {
 
 // Fig13 runs the experiment.
 func Fig13(scale Scale, workers []int) (*Fig13Result, error) {
-	if len(workers) == 0 {
-		workers = []int{1, 2, 4, 8}
-	}
+	workers = orDefault(workers, []int{1, 2, 4, 8})
 	res := &Fig13Result{Workers: workers, Tput: make(map[string]map[ftapi.Kind][]float64)}
 	for _, app := range Apps() {
 		res.Tput[app.Name] = make(map[ftapi.Kind][]float64)
@@ -209,11 +222,7 @@ func (r *Fig13Result) Tables() []Table {
 			t.Header = append(t.Header, fmt.Sprintf("w=%d", w))
 		}
 		for _, kind := range recoveryKinds() {
-			row := []string{kind.String()}
-			for _, v := range r.Tput[app.Name][kind] {
-				row = append(row, fnum(v))
-			}
-			t.Rows = append(t.Rows, row)
+			t.Rows = append(t.Rows, append([]string{kind.String()}, fnums(r.Tput[app.Name][kind])...))
 		}
 		out = append(out, t)
 	}
@@ -224,104 +233,72 @@ func (r *Fig13Result) Tables() []Table {
 // multi-partition ratio (a), state access skewness (b), and aborting
 // transactions (c), each reporting recovery throughput per scheme.
 type Fig14Result struct {
+	Title  string
 	Axis   string
 	Points []string
 	// Tput[kind][i] aligns with Points.
 	Tput map[ftapi.Kind][]float64
 }
 
-func fig14Run(scale Scale, p workload.GSParams, kind ftapi.Kind) (float64, error) {
-	p.Partitions = scale.Workers
-	run, err := Execute(Scenario{Gen: func() workload.Generator { return workload.NewGS(p) }, Kind: kind, Scale: scale})
-	if err != nil {
-		return 0, err
+// fig14 runs one sweep: set moves the default GS parameters to each value,
+// label names its point.
+func fig14(scale Scale, res Fig14Result, values []float64, label func(float64) string, set func(*workload.GSParams, float64)) (*Fig14Result, error) {
+	res.Tput = make(map[ftapi.Kind][]float64)
+	for _, v := range values {
+		res.Points = append(res.Points, label(v))
 	}
-	return run.RecoveryThroughput(), nil
+	for _, kind := range recoveryKinds() {
+		for i, v := range values {
+			p := workload.DefaultGSParams()
+			set(&p, v)
+			p.Partitions = scale.Workers
+			run, err := Execute(Scenario{Gen: func() workload.Generator { return workload.NewGS(p) }, Kind: kind, Scale: scale})
+			if err != nil {
+				return nil, fmt.Errorf("%s %v/%s: %w", res.Title, kind, res.Points[i], err)
+			}
+			res.Tput[kind] = append(res.Tput[kind], run.RecoveryThroughput())
+		}
+	}
+	return &res, nil
 }
+
+func percent(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }
 
 // Fig14a sweeps the multi-partition transaction ratio with skew 0 and no
 // aborts.
 func Fig14a(scale Scale, ratios []float64) (*Fig14Result, error) {
-	if len(ratios) == 0 {
-		ratios = []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
-	}
-	res := &Fig14Result{Axis: "multi-partition ratio", Tput: make(map[ftapi.Kind][]float64)}
-	for _, r := range ratios {
-		res.Points = append(res.Points, fmt.Sprintf("%.0f%%", 100*r))
-	}
-	for _, kind := range recoveryKinds() {
-		for _, ratio := range ratios {
-			p := workload.DefaultGSParams()
-			p.Theta, p.AbortRatio, p.MultiPartitionRatio = 0, 0, ratio
-			v, err := fig14Run(scale, p, kind)
-			if err != nil {
-				return nil, fmt.Errorf("fig14a %v/%.1f: %w", kind, ratio, err)
-			}
-			res.Tput[kind] = append(res.Tput[kind], v)
-		}
-	}
-	return res, nil
+	return fig14(scale, Fig14Result{Title: "Figure 14a: impact of multi-partition state transactions", Axis: "multi-partition ratio"},
+		orDefault(ratios, []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}), percent, func(p *workload.GSParams, v float64) {
+			p.Theta, p.AbortRatio, p.MultiPartitionRatio = 0, 0, v
+		})
 }
 
 // Fig14b sweeps state access skewness on a write-only workload.
 func Fig14b(scale Scale, thetas []float64) (*Fig14Result, error) {
-	if len(thetas) == 0 {
-		thetas = []float64{0, 0.4, 0.8, 1.2}
-	}
-	res := &Fig14Result{Axis: "state access skew (theta)", Tput: make(map[ftapi.Kind][]float64)}
-	for _, th := range thetas {
-		res.Points = append(res.Points, fmt.Sprintf("%.1f", th))
-	}
-	for _, kind := range recoveryKinds() {
-		for _, th := range thetas {
-			p := workload.DefaultGSParams()
-			p.Theta, p.AbortRatio, p.MultiPartitionRatio, p.WriteOnly = th, 0, 0, true
-			v, err := fig14Run(scale, p, kind)
-			if err != nil {
-				return nil, fmt.Errorf("fig14b %v/%.1f: %w", kind, th, err)
-			}
-			res.Tput[kind] = append(res.Tput[kind], v)
-		}
-	}
-	return res, nil
+	return fig14(scale, Fig14Result{Title: "Figure 14b: impact of state access skewness", Axis: "state access skew (theta)"},
+		orDefault(thetas, []float64{0, 0.4, 0.8, 1.2}), func(v float64) string { return fmt.Sprintf("%.1f", v) },
+		func(p *workload.GSParams, v float64) {
+			p.Theta, p.AbortRatio, p.MultiPartitionRatio, p.WriteOnly = v, 0, 0, true
+		})
 }
 
 // Fig14c sweeps the percentage of events that trigger aborts.
 func Fig14c(scale Scale, ratios []float64) (*Fig14Result, error) {
-	if len(ratios) == 0 {
-		ratios = []float64{0, 0.2, 0.4, 0.6, 0.8}
-	}
-	res := &Fig14Result{Axis: "aborting transactions", Tput: make(map[ftapi.Kind][]float64)}
-	for _, r := range ratios {
-		res.Points = append(res.Points, fmt.Sprintf("%.0f%%", 100*r))
-	}
-	for _, kind := range recoveryKinds() {
-		for _, ratio := range ratios {
-			p := workload.DefaultGSParams()
-			p.Theta, p.MultiPartitionRatio, p.AbortRatio = 0, 0.3, ratio
-			v, err := fig14Run(scale, p, kind)
-			if err != nil {
-				return nil, fmt.Errorf("fig14c %v/%.1f: %w", kind, ratio, err)
-			}
-			res.Tput[kind] = append(res.Tput[kind], v)
-		}
-	}
-	return res, nil
+	return fig14(scale, Fig14Result{Title: "Figure 14c: impact of aborting transactions", Axis: "aborting transactions"},
+		orDefault(ratios, []float64{0, 0.2, 0.4, 0.6, 0.8}), percent, func(p *workload.GSParams, v float64) {
+			p.Theta, p.MultiPartitionRatio, p.AbortRatio = 0, 0.3, v
+		})
 }
 
-// Table renders a sensitivity sweep.
-func (r *Fig14Result) Table(title string) Table {
+// Tables renders a sensitivity sweep.
+func (r *Fig14Result) Tables() []Table {
 	t := Table{
-		Title:  title,
+		Title:  r.Title,
 		Note:   "recovery throughput (events/s) on Grep&Sum, axis: " + r.Axis,
 		Header: append([]string{"scheme"}, r.Points...),
 	}
 	for _, kind := range recoveryKinds() {
-		row := []string{kind.String()}
-		for _, v := range r.Tput[kind] {
-			row = append(row, fnum(v))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, append([]string{kind.String()}, fnums(r.Tput[kind])...))
 	}
-	return t
+	return []Table{t}
 }

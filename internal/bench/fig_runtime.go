@@ -5,7 +5,6 @@ import (
 
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/workload"
 )
 
@@ -39,25 +38,37 @@ func fig9Class(name string) workload.GSParams {
 	return p
 }
 
-// Fig9 runs the experiment. Commit epochs must divide the scale's
-// snapshot interval.
-func Fig9(scale Scale, epochs []int) (*Fig9Result, error) {
-	if len(epochs) == 0 {
-		epochs = []int{1, 2, 4, 8}
-	}
-	// Crash on a boundary every commit-epoch setting shares — but not on
-	// a snapshot boundary — so no configuration is punished with a longer
-	// uncommitted tail and every run actually recovers something.
+// fig9Epochs is Figure 9's default commit-epoch sweep.
+var fig9Epochs = []int{1, 2, 4, 8}
+
+// fig9Scale adjusts scale to a sweep of commit epochs (ascending). The
+// crash lands on a boundary every setting shares, so no configuration is
+// punished with a longer uncommitted tail, and never on a snapshot
+// boundary, so every run recovers something.
+func fig9Scale(scale Scale, epochs []int) (Scale, error) {
 	maxCE := epochs[len(epochs)-1]
 	if scale.PostEpochs%maxCE != 0 {
 		scale.PostEpochs = maxCE
 	}
-	if (scale.SnapshotEvery+scale.PostEpochs)%scale.SnapshotEvery == 0 {
+	for scale.SnapshotEvery > 0 && scale.PostEpochs%scale.SnapshotEvery == 0 {
 		scale.SnapshotEvery *= 2
 	}
-	if scale.SnapshotEvery%maxCE != 0 {
-		return nil, fmt.Errorf("fig9: snapshot interval %d incompatible with commit epochs %v",
-			scale.SnapshotEvery, epochs)
+	for _, ce := range epochs {
+		if scale.SnapshotEvery <= 0 || scale.SnapshotEvery%ce != 0 {
+			return scale, fmt.Errorf("fig9: snapshot interval %d incompatible with commit epochs %v",
+				scale.SnapshotEvery, epochs)
+		}
+	}
+	return scale, nil
+}
+
+// Fig9 runs the experiment over the commit epochs given (ascending; nil
+// is fig9Epochs).
+func Fig9(scale Scale, epochs []int) (*Fig9Result, error) {
+	epochs = orDefault(epochs, fig9Epochs)
+	scale, err := fig9Scale(scale, epochs)
+	if err != nil {
+		return nil, err
 	}
 	res := &Fig9Result{
 		Epochs:   epochs,
@@ -68,10 +79,6 @@ func Fig9(scale Scale, epochs []int) (*Fig9Result, error) {
 	}
 	for _, class := range res.Classes {
 		for _, ce := range epochs {
-			if scale.SnapshotEvery%ce != 0 {
-				return nil, fmt.Errorf("fig9: commit epoch %d does not divide snapshot interval %d",
-					ce, scale.SnapshotEvery)
-			}
 			p := fig9Class(class)
 			p.Partitions = scale.Workers
 			sc := scale
@@ -114,10 +121,7 @@ func (r *Fig9Result) Tables() []Table {
 		}
 		t.Header = append(t.Header, "advised")
 		for _, class := range r.Classes {
-			row := []string{class}
-			for _, v := range data[class] {
-				row = append(row, fnum(v))
-			}
+			row := append([]string{class}, fnums(data[class])...)
 			row = append(row, fmt.Sprintf("%d", r.Advised[class]))
 			t.Rows = append(t.Rows, row)
 		}
@@ -131,28 +135,21 @@ func (r *Fig9Result) Tables() []Table {
 
 // Fig12a reproduces the runtime throughput comparison (Figure 12a).
 type Fig12aResult struct {
-	// Tput[app][kind] in events/s.
-	Tput map[string]map[ftapi.Kind]float64
+	// Runs[app][kind]; their runtime throughput is the figure.
+	Runs map[string]map[ftapi.Kind]Run
 }
 
 // Fig12a runs the experiment.
 func Fig12a(scale Scale) (*Fig12aResult, error) {
-	res := &Fig12aResult{Tput: make(map[string]map[ftapi.Kind]float64)}
-	for _, app := range Apps() {
-		res.Tput[app.Name] = make(map[ftapi.Kind]float64)
-		for _, kind := range ftapi.Kinds() {
-			run, err := Execute(Scenario{Gen: func() workload.Generator { return app.Make(scale, 1) }, Kind: kind, Scale: scale, Repeat: 3})
-			if err != nil {
-				return nil, fmt.Errorf("fig12a %s/%v: %w", app.Name, kind, err)
-			}
-			res.Tput[app.Name][kind] = run.RuntimeThroughput
-		}
+	runs, err := appRuns("fig12a", scale, ftapi.Kinds(), 3)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig12aResult{Runs: runs}, nil
 }
 
-// Table renders the figure.
-func (r *Fig12aResult) Table() Table {
+// Tables renders the figure.
+func (r *Fig12aResult) Tables() []Table {
 	t := Table{
 		Title:  "Figure 12a: runtime throughput (events/s, % of native in parentheses)",
 		Header: []string{"app"},
@@ -161,15 +158,15 @@ func (r *Fig12aResult) Table() Table {
 		t.Header = append(t.Header, kind.String())
 	}
 	for _, app := range Apps() {
-		nat := r.Tput[app.Name][ftapi.NAT]
+		nat := r.Runs[app.Name][ftapi.NAT].RuntimeThroughput
 		row := []string{app.Name}
 		for _, kind := range ftapi.Kinds() {
-			v := r.Tput[app.Name][kind]
+			v := r.Runs[app.Name][kind].RuntimeThroughput
 			row = append(row, fmt.Sprintf("%s (%.0f%%)", fnum(v), 100*v/nat))
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return []Table{t}
 }
 
 // Fig12b reproduces the selective-logging effectiveness study
@@ -186,9 +183,7 @@ type Fig12bResult struct {
 
 // Fig12b runs the experiment.
 func Fig12b(scale Scale, ratios []float64) (*Fig12bResult, error) {
-	if len(ratios) == 0 {
-		ratios = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	}
+	ratios = orDefault(ratios, []float64{0.1, 0.3, 0.5, 0.7, 0.9})
 	res := &Fig12bResult{
 		Ratios:     ratios,
 		Efficiency: make(map[string][]float64),
@@ -225,8 +220,8 @@ func Fig12b(scale Scale, ratios []float64) (*Fig12bResult, error) {
 	return res, nil
 }
 
-// Table renders the figure.
-func (r *Fig12bResult) Table() Table {
+// Tables renders the figure.
+func (r *Fig12bResult) Tables() []Table {
 	t := Table{
 		Title:  "Figure 12b: logging efficiency of selective logging (SL)",
 		Note:   "efficiency = (recovery tput / CKPT recovery tput) / (NAT tput / runtime tput); higher is better",
@@ -242,36 +237,28 @@ func (r *Fig12bResult) Table() Table {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	return t
+	return []Table{t}
 }
 
 // Fig12c reproduces the memory footprint study (Figure 12c): peak live
-// fault-tolerance artifact bytes per scheme on SL.
+// fault-tolerance artifact bytes and durable log bytes per scheme on SL.
 type Fig12cResult struct {
-	Peak map[ftapi.Kind]int64
-	Log  map[ftapi.Kind]int64
+	Runs map[ftapi.Kind]Run
 }
 
-// Fig12c runs the experiment.
+// Fig12c runs the experiment. Commit groups of two epochs expose the
+// artifacts each mechanism buffers until its commit.
 func Fig12c(scale Scale) (*Fig12cResult, error) {
-	res := &Fig12cResult{Peak: make(map[ftapi.Kind]int64), Log: make(map[ftapi.Kind]int64)}
-	// Longer commit groups expose buffering; keep the default grouping but
-	// skip recovery cost by measuring the runtime phase only.
-	sc := scale
-	sc.CommitEvery = 2
-	for _, kind := range recoveryKinds() {
-		run, err := Execute(Scenario{Gen: func() workload.Generator { return SLFor(sc, 1) }, Kind: kind, Scale: sc})
-		if err != nil {
-			return nil, fmt.Errorf("fig12c %v: %w", kind, err)
-		}
-		res.Peak[kind] = run.PeakLiveBytes
-		res.Log[kind] = run.LogBytes
+	scale.CommitEvery = 2
+	runs, err := kindRuns("fig12c", scale, slApp, recoveryKinds(), 0)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig12cResult{Runs: runs}, nil
 }
 
-// Table renders the figure.
-func (r *Fig12cResult) Table() Table {
+// Tables renders the figure.
+func (r *Fig12cResult) Tables() []Table {
 	t := Table{
 		Title:  "Figure 12c: fault-tolerance artifact footprint (SL)",
 		Note:   "peak live in-memory bytes and cumulative durable log bytes (KiB)",
@@ -280,46 +267,40 @@ func (r *Fig12cResult) Table() Table {
 	for _, kind := range recoveryKinds() {
 		t.Rows = append(t.Rows, []string{
 			kind.String(),
-			fmt.Sprintf("%d", r.Peak[kind]/1024),
-			fmt.Sprintf("%d", r.Log[kind]/1024),
+			fmt.Sprintf("%d", r.Runs[kind].PeakLiveBytes/1024),
+			fmt.Sprintf("%d", r.Runs[kind].LogBytes/1024),
 		})
 	}
-	return t
+	return []Table{t}
 }
 
 // Fig12d reproduces the runtime overhead breakdown (Figure 12d): I/O,
 // tracking, and sync time per scheme on SL, relative to native execution.
 type Fig12dResult struct {
-	Overhead map[ftapi.Kind]metrics.RuntimeBreakdown
-	Events   int
+	Runs map[ftapi.Kind]Run
 }
 
 // Fig12d runs the experiment.
 func Fig12d(scale Scale) (*Fig12dResult, error) {
-	res := &Fig12dResult{Overhead: make(map[ftapi.Kind]metrics.RuntimeBreakdown)}
-	for _, kind := range recoveryKinds() {
-		run, err := Execute(Scenario{Gen: func() workload.Generator { return SLFor(scale, 1) }, Kind: kind, Scale: scale, Repeat: 3})
-		if err != nil {
-			return nil, fmt.Errorf("fig12d %v: %w", kind, err)
-		}
-		res.Overhead[kind] = run.Runtime
-		res.Events = run.Events
+	runs, err := kindRuns("fig12d", scale, slApp, recoveryKinds(), 3)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Fig12dResult{Runs: runs}, nil
 }
 
-// Table renders the figure.
-func (r *Fig12dResult) Table() Table {
+// Tables renders the figure.
+func (r *Fig12dResult) Tables() []Table {
 	t := Table{
 		Title:  "Figure 12d: runtime overhead breakdown (SL)",
 		Note:   "milliseconds of fault-tolerance work added over native execution",
 		Header: []string{"scheme", "io(ms)", "tracking(ms)", "sync(ms)", "total(ms)"},
 	}
 	for _, kind := range recoveryKinds() {
-		o := r.Overhead[kind]
+		o := r.Runs[kind].Runtime
 		t.Rows = append(t.Rows, []string{
 			kind.String(), ms(o.IO), ms(o.Tracking), ms(o.Sync), ms(o.Total()),
 		})
 	}
-	return t
+	return []Table{t}
 }

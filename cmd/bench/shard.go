@@ -229,7 +229,7 @@ func recoveryRun(kind ftapi.Kind, shards, epochs, epochSize int, serial bool) (*
 }
 
 // measureRecovery runs the serial-baseline and parallel recoveries for one
-// fan-out (one fresh ingest each — alignment appends to the devices, so
+// fan-out (one fresh ingest each — a re-feed appends to the devices, so
 // recoveries do not share media) and combines them into the entry. The
 // speedup is SimWall-based and identical in both runs; the two real walls
 // are informational.

@@ -17,9 +17,11 @@ type ShardDelta struct {
 	Vals []types.Value
 }
 
-// EncodeShardDeltasInto appends one frontier record's per-shard deltas to
-// w (deltas[i] belongs to shard i; empty deltas encode as zero counts).
-func EncodeShardDeltasInto(w *Buffer, deltas []ShardDelta) {
+// EncodeFrontierInto appends one frontier record to w: the per-shard deltas
+// (deltas[i] belongs to shard i; empty deltas encode as zero counts), then
+// the group's sequence floor after the epoch, which an event-less next
+// epoch sequences its replication below.
+func EncodeFrontierInto(w *Buffer, deltas []ShardDelta, floor uint64) {
 	w.Uvarint(uint64(len(deltas)))
 	for _, d := range deltas {
 		w.Uvarint(uint64(len(d.Keys)))
@@ -28,20 +30,21 @@ func EncodeShardDeltasInto(w *Buffer, deltas []ShardDelta) {
 			w.Varint(d.Vals[i])
 		}
 	}
+	w.Uvarint(floor)
 }
 
-// DecodeShardDeltas parses EncodeShardDeltasInto output.
-func DecodeShardDeltas(payload []byte) ([]ShardDelta, error) {
+// DecodeFrontier parses EncodeFrontierInto output.
+func DecodeFrontier(payload []byte) ([]ShardDelta, uint64, error) {
 	r := NewReader(payload)
 	ns := r.Uvarint()
 	if r.Err() == nil && ns > uint64(r.Remaining())+1 {
-		return nil, fmt.Errorf("codec: frontier shard count %d exceeds input: %w", ns, ErrShortBuffer)
+		return nil, 0, fmt.Errorf("codec: frontier shard count %d exceeds input: %w", ns, ErrShortBuffer)
 	}
 	deltas := make([]ShardDelta, ns)
 	for s := range deltas {
 		nk := r.Uvarint()
 		if r.Err() == nil && nk > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("codec: frontier key count %d exceeds input: %w", nk, ErrShortBuffer)
+			return nil, 0, fmt.Errorf("codec: frontier key count %d exceeds input: %w", nk, ErrShortBuffer)
 		}
 		if nk == 0 {
 			continue
@@ -53,11 +56,12 @@ func DecodeShardDeltas(payload []byte) ([]ShardDelta, error) {
 			deltas[s].Vals[i] = r.Varint()
 		}
 	}
+	floor := r.Uvarint()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("codec: frontier: %w", err)
+		return nil, 0, fmt.Errorf("codec: frontier: %w", err)
 	}
 	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("codec: frontier: %d trailing bytes", r.Remaining())
+		return nil, 0, fmt.Errorf("codec: frontier: %d trailing bytes", r.Remaining())
 	}
-	return deltas, nil
+	return deltas, floor, nil
 }

@@ -110,6 +110,13 @@ type Config struct {
 	// diffing snapshots or sorting. The slice is only valid for the duration
 	// of the call.
 	OnWriteSet func(epoch uint64, keys []types.Key)
+	// Inputs, when non-nil, is where Recover reads the inputs it replays,
+	// and the engine persists none: its host keeps them (shard.Group).
+	// Given the snapshot epoch, it returns the epochs after it in order and
+	// the last one Recover reprocesses through; a later one the mechanism
+	// did not commit is the host's to re-feed. Nil keeps an input log on
+	// the device, appended before each epoch is processed.
+	Inputs func(after uint64) (inputs []ftapi.EpochEvents, through uint64, err error)
 	// Sink, when non-nil, receives each released epoch's outputs, once per
 	// epoch (an epoch without outputs included) and in release order: at the
 	// commit marker for log-based mechanisms, at the snapshot for CKPT, at
@@ -279,6 +286,10 @@ func (e *Engine) PendingOutputsMatching(match func(types.Output) bool) int {
 // determinism test records this vector after every aligned epoch.
 func (e *Engine) CommittedEpoch() uint64 { return e.lastCommit }
 
+// SnapshotEpoch returns the epoch of the latest snapshot marker: a
+// recovery restores its state and replays the epochs above it.
+func (e *Engine) SnapshotEpoch() uint64 { return e.lastSnap }
+
 // Runtime returns the accumulated fault-tolerance overhead breakdown.
 func (e *Engine) Runtime() metrics.RuntimeBreakdown { return e.runtime }
 
@@ -400,9 +411,10 @@ func (e *Engine) execute(ep uint64, g *tpg.Graph) error {
 	return nil
 }
 
-// persistEpochInput persists an epoch's input events.
+// persistEpochInput persists an epoch's input events, unless nothing
+// replays them (NAT) or the host keeps them (Config.Inputs).
 func (e *Engine) persistEpochInput(ep uint64, events []types.Event) error {
-	if e.cfg.Mechanism.Kind() == ftapi.NAT {
+	if e.cfg.Mechanism.Kind() == ftapi.NAT || e.cfg.Inputs != nil {
 		return nil
 	}
 	t0 := time.Now()
@@ -784,8 +796,10 @@ func (e *Engine) snapshot(ep uint64) error {
 			return fmt.Errorf("snapshot gc: %w", err)
 		}
 	}
-	if err := storage.Release(e.cfg.Device, storage.LogInput, ep); err != nil {
-		return fmt.Errorf("snapshot gc: %w", err)
+	if e.cfg.Inputs == nil {
+		if err := storage.Release(e.cfg.Device, storage.LogInput, ep); err != nil {
+			return fmt.Errorf("snapshot gc: %w", err)
+		}
 	}
 	if err := storage.Release(e.cfg.Device, storage.LogFT, ep); err != nil {
 		return fmt.Errorf("snapshot gc: %w", err)

@@ -36,9 +36,6 @@ type RecoveryReport struct {
 	Shard int
 	// EventsReplayed counts input events between snapshot and failure point.
 	EventsReplayed int
-	// NextSeq is one past the highest event sequence among the inputs
-	// reloaded after the snapshot (0 when there were none).
-	NextSeq uint64
 	// SnapshotEpoch, CommittedEpoch, and LastEpoch locate the recovery:
 	// state restored from SnapshotEpoch, mechanism log replayed through
 	// CommittedEpoch, inputs reprocessed through LastEpoch.
@@ -171,48 +168,20 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 	}
 
 	// Reload input events after the snapshot frontier (Figure 7 step 4),
-	// streamed through the log cursor: the segment store seeks past the
-	// checkpoint-covered prefix instead of materialising the whole log. A
-	// decode failure on the log's final record is a torn tail: the device
-	// died mid-append, the epoch never processed to completion and nothing
-	// downstream can reference it, so it is logically truncated here.
-	// Failures anywhere earlier are real corruption.
-	inCur, err := storage.ReadFrom(e.cfg.Device, storage.LogInput, snapEpoch)
+	// from the host (Config.Inputs) or the device's input log.
+	read := e.cfg.Inputs
+	if read == nil {
+		read = e.readInputLog
+	}
+	inputs, through, err := read(snapEpoch)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: recover inputs: %w", err)
 	}
-	var inputs []ftapi.EpochEvents
-	nEvents := 0
-	tornInput := uint64(0)
-	rec, okNext, err := inCur.Next()
-	if err != nil {
-		inCur.Close()
-		return nil, nil, fmt.Errorf("engine: recover inputs: %w", err)
+	supplied, nEvents := snapEpoch, 0
+	for _, ee := range inputs {
+		supplied = ee.Epoch
+		nEvents += len(ee.Events)
 	}
-	for okNext {
-		next, nok, nerr := inCur.Next()
-		if nerr != nil {
-			inCur.Close()
-			return nil, nil, fmt.Errorf("engine: recover inputs: %w", nerr)
-		}
-		events, derr := codec.DecodeEvents(rec.Payload)
-		if derr != nil {
-			if !nok {
-				tornInput = rec.Epoch
-				break
-			}
-			inCur.Close()
-			return nil, nil, fmt.Errorf("engine: recover inputs epoch %d: %w", rec.Epoch, derr)
-		}
-		inputs = append(inputs, ftapi.EpochEvents{Epoch: rec.Epoch, Events: events})
-		nEvents += len(events)
-		for _, ev := range events {
-			report.NextSeq = max(report.NextSeq, ev.Seq+1)
-		}
-		rec, okNext = next, nok
-	}
-	inCur.Close()
-	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Epoch < inputs[j].Epoch })
 	rc.Spread("input-decode", &report.Breakdown.Reload, time.Duration(nEvents)*rc.Costs.Record)
 	rebuild.End()
 
@@ -223,15 +192,13 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: recover (%v): %w", e.cfg.Mechanism.Kind(), err)
 	}
-	if committed < snapEpoch {
-		committed = snapEpoch
-	}
-	// A torn input record can only be the epoch the crash interrupted —
-	// input persists before processing, so no commit record may cover it.
-	// A mechanism claiming otherwise replayed state whose inputs are gone.
-	if tornInput != 0 && committed >= tornInput {
-		return nil, nil, fmt.Errorf("engine: recover: input log torn at epoch %d but %v committed through %d",
-			tornInput, e.cfg.Mechanism.Kind(), committed)
+	committed = max(committed, snapEpoch)
+	// Input is kept before it is processed (a torn input record can only be
+	// the epoch the crash interrupted), so a mechanism claiming a commit
+	// past the inputs replayed state whose inputs are lost.
+	if committed > supplied {
+		return nil, nil, fmt.Errorf("engine: recover: inputs end at epoch %d but %v committed through %d",
+			supplied, e.cfg.Mechanism.Kind(), committed)
 	}
 
 	// Reprocess the uncommitted tail through the normal pipeline. Inputs
@@ -243,6 +210,9 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 		if ee.Epoch <= committed {
 			report.EventsReplayed += len(ee.Events)
 			continue
+		}
+		if ee.Epoch > through {
+			break
 		}
 		if ee.Epoch != e.epoch+1 {
 			return nil, nil, fmt.Errorf("engine: recover: input log gap: have epoch %d, expected %d",
@@ -287,4 +257,34 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 	e.runtime = metrics.RuntimeBreakdown{}
 	e.totalWall, e.events = 0, 0
 	return e, report, nil
+}
+
+// readInputLog is Recover's input reader for an engine that keeps its own
+// input log: the records after epoch after (the segment store's cursor
+// seeks past the checkpoint-covered prefix), reprocessed through the last.
+// A decode failure on the log's final record is a torn tail: the device
+// died mid-append, the epoch never processed to completion and nothing
+// downstream can reference it, so it is logically truncated here. Failures
+// anywhere earlier are real corruption.
+func (e *Engine) readInputLog(after uint64) ([]ftapi.EpochEvents, uint64, error) {
+	cur, err := storage.ReadFrom(e.cfg.Device, storage.LogInput, after)
+	if err != nil {
+		return nil, 0, err
+	}
+	recs, err := storage.ReadAll(cur)
+	if err != nil {
+		return nil, 0, err
+	}
+	inputs := make([]ftapi.EpochEvents, 0, len(recs))
+	for i, rec := range recs {
+		events, err := codec.DecodeEvents(rec.Payload)
+		if err != nil && i == len(recs)-1 {
+			break
+		} else if err != nil {
+			return nil, 0, fmt.Errorf("epoch %d: %w", rec.Epoch, err)
+		}
+		inputs = append(inputs, ftapi.EpochEvents{Epoch: rec.Epoch, Events: events})
+	}
+	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Epoch < inputs[j].Epoch })
+	return inputs, ^uint64(0), nil
 }

@@ -64,7 +64,8 @@ type ChaosConfig struct {
 	// storage.NewOutage, on every write of the victim's device).
 	Config
 	Scenario Scenario
-	// KillShard is the shard whose device the storm or outage hits.
+	// KillShard is the shard whose device the storm or outage hits; a
+	// TransientStorm may name Shards, the coordinator's device.
 	KillShard int
 	// FaultAt is the 0-based write index on that device where the storm or
 	// outage begins. Zero means the midpoint of the device's own write
@@ -84,8 +85,8 @@ func (c *ChaosConfig) normalize() error {
 	if err := c.Config.normalize(); err != nil {
 		return err
 	}
-	if c.KillShard < 0 || c.KillShard >= c.Shards {
-		return fmt.Errorf("crashtest: KillShard %d out of range for %d shards", c.KillShard, c.Shards)
+	if c.KillShard < 0 || c.KillShard > c.Shards || c.KillShard == c.Shards && c.Scenario != TransientStorm {
+		return fmt.Errorf("crashtest: KillShard %d out of range for %d shards and %v", c.KillShard, c.Shards, c.Scenario)
 	}
 	if c.StormLen <= 0 {
 		c.StormLen = 3
@@ -215,7 +216,9 @@ func Chaos(cc ChaosConfig) (*ChaosOutcome, error) {
 		}
 	}
 	first, last := incs[0], incs[len(incs)-1]
-	out.Report = out.Healed.Reports[cc.KillShard]
+	if cc.KillShard < cfg.Shards {
+		out.Report = out.Healed.Reports[cc.KillShard]
+	}
 	out.Cause, out.MTTR = first.Cause, last.DetectedAt.Add(last.MTTR).Sub(first.DetectedAt)
 	if dev != nil {
 		out.Detection = first.DetectedAt.Sub(dev.InjectedAt())

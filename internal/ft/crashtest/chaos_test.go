@@ -48,9 +48,10 @@ func TestChaosMatrix(t *testing.T) {
 	}
 }
 
-// TestChaosFaultSitePlacement moves the fatal fault across the write
-// sequence — early (before the first commit), middle, and late — to cover
-// heals that resume from different punctuations.
+// TestChaosFaultSitePlacement moves the fatal fault across the shard's
+// write sequence of a 12-epoch run — early (the second commit), middle (the
+// first snapshot's GC), and late (the second snapshot's GC) — to cover heals
+// that resume from different punctuations.
 func TestChaosFaultSitePlacement(t *testing.T) {
 	for _, at := range []int{1, 4, 9} {
 		at := at
@@ -60,6 +61,7 @@ func TestChaosFaultSitePlacement(t *testing.T) {
 				Config: Config{
 					Kind:   ftapi.WAL,
 					NewGen: func() workload.Generator { return fttest.SLGen(67) },
+					Epochs: 12,
 				},
 				Scenario: FatalHeal,
 				FaultAt:  at,
@@ -87,7 +89,6 @@ func TestShardChaosSingleKill(t *testing.T) {
 				},
 				Scenario:  ShardKill,
 				KillShard: kill,
-				FaultAt:   8,
 			})
 			if err != nil {
 				t.Fatalf("%v kill=%d: %v", kind, kill, err)
@@ -134,16 +135,16 @@ func TestShardChaosDefaultFaultSiteFollowsRunLength(t *testing.T) {
 	}
 }
 
-// shardStorm runs a storm of n writes on one shard's device of a two-shard
-// group for every mechanism. Chaos() checks each healed run against the
-// oracle; want judges its outcome and how many of its heals failed.
+// shardStorm storms n writes of a two-shard group's device — shard 0's, or
+// for a long CKPT storm the coordinator's — for every mechanism. Chaos()
+// checks each run against the oracle; want judges it and its failed heals.
 func shardStorm(t *testing.T, n int, want func(out *ChaosOutcome, unhealed int) bool) {
 	for _, kind := range chaosKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			t.Parallel()
 			out, err := Chaos(ChaosConfig{
 				Config:   Config{Kind: kind, NewGen: func() workload.Generator { return fttest.GSGen(43) }, Shards: 2},
-				Scenario: TransientStorm, StormLen: n,
+				Scenario: TransientStorm, StormLen: n, KillShard: map[bool]int{true: 2}[kind == ftapi.CKPT && n > 2],
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -172,7 +173,9 @@ func TestShardChaosTransientIsInvisible(t *testing.T) {
 }
 
 // TestChaosLongStorm stretches the storm to 8 writes: it also fails heals,
-// and the host's retried heal goes on until the medium is back.
+// and the host's retried heal goes on until the medium is back. A CKPT heal
+// writes nothing to a shard's device (it keeps no log), so its storm hits
+// the coordinator's, where the heal completes the barrier the storm broke.
 func TestChaosLongStorm(t *testing.T) {
 	shardStorm(t, 8, func(_ *ChaosOutcome, unhealed int) bool { return unhealed > 0 })
 }
@@ -264,13 +267,13 @@ func (a poisonApp) AppendOps(ops []types.Operation, ev types.Event) []types.Oper
 }
 
 // TestPoisonEventFailsHealNotProcess: an event whose operation panics on
-// every execution fails its live epoch with ErrOpPanic. Its input persisted
-// first, so every recovery reprocesses it in the uncommitted tail — the
-// live group's Heal and a cold GroupRecover from the same devices alike —
-// and each must fail the same way, with an error classified "panic",
-// instead of killing the process. SL runs on one shard, GS on two (where
-// the survivor recovers too and the poisoned shard's failure still
-// surfaces).
+// every execution fails its live epoch with ErrOpPanic, and so does every
+// recovery that feeds it again — the live group's Heal and a cold
+// GroupRecover from the same devices alike — with an error classified
+// "panic", instead of killing the process. On two shards (GS) the survivor
+// committed the epoch, so recovery must re-feed it to the poisoned shard
+// and fails. On one (SL) no durable record holds the epoch: recovery
+// resumes before it, and the host's re-feed of it fails.
 func TestPoisonEventFailsHealNotProcess(t *testing.T) {
 	for _, sh := range []struct {
 		name   string
@@ -283,12 +286,22 @@ func TestPoisonEventFailsHealNotProcess(t *testing.T) {
 				ref, app, devs, g, procErr := panicGroup(t, &cfg, func(ref *shardRef) types.App {
 					return poisonApp{App: ref.app, seq: ref.batches[cfg.Epochs/2][cfg.EpochSize/2].Seq}
 				})
-				_, err := g.Heal(procErr, types.BatchSource(ref.batches))
-				wantPanic(t, "heal", err)
-				if incs := g.Health().Incidents(); len(incs) != 1 || incs[0].Healed || incs[0].Cause != "panic" {
-					t.Fatalf("incidents %+v, want one unhealed panic", incs)
+				refeed := func(g *shard.Group, err error) error {
+					if err == nil && sh.shards == 1 && g.Epoch() == uint64(cfg.Epochs/2) {
+						err = g.ProcessEpoch(ref.batches[g.Epoch()])
+					}
+					return err
 				}
-				_, _, err = recoverGroup(&cfg, ref, app, devs, nil)
+				_, err := g.Heal(procErr, types.BatchSource(ref.batches))
+				wantPanic(t, "heal", refeed(g, err))
+				if incs := g.Health().Incidents(); len(incs) != 1 || incs[0].Healed != (err == nil) || incs[0].Cause != "panic" {
+					t.Fatalf("incidents %+v, want one panic", incs)
+				}
+				g2, _, err := recoverGroup(&cfg, ref, app, devs, nil)
+				if err == nil {
+					t.Cleanup(func() { closeGroup(g2) })
+					err = refeed(g2, err)
+				}
 				wantPanic(t, "cold recovery", err)
 			})
 		}

@@ -10,9 +10,8 @@
 // order for it, however the shards interleave, so the sweep can:
 //
 //  1. run the workload once with a counting wrapper (storage.Trace) on every
-//     device to enumerate its durable writes — input appends, group
-//     commits, snapshot blobs, GC truncations, frontier records — as
-//     storage.WriteSite values;
+//     device to enumerate its durable writes — group commits, snapshot
+//     blobs, GC releases, frontier records — as storage.WriteSite values;
 //  2. replay the whole run through the sharded oracle, capturing the
 //     reference state after every epoch and the reference output of every
 //     event;
@@ -233,7 +232,7 @@ func groupConfig(cfg *Config, app types.App, devs []storage.Device, sink func(in
 }
 
 // recoverGroup recovers a group of cfg's shape from devs, the surviving
-// media of a crashed one, re-feeding alignment epochs from ref.
+// media of a crashed one, rebuilding the epochs it replays from ref.
 func recoverGroup(cfg *Config, ref *shardRef, app types.App, devs []storage.Device, sink func(int, uint64, []types.Output)) (*shard.Group, *shard.GroupReport, error) {
 	return shard.GroupRecover(shard.RecoverConfig{
 		Config: groupConfig(cfg, app, devs, sink),

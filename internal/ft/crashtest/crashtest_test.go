@@ -33,9 +33,9 @@ func sweep(t *testing.T, cfg Config) {
 		t.Fatalf("swept %d runs over %d sites; expected one run per site", res.Runs, res.Sites())
 	}
 	// An untargeted sweep must have enumerated every write category the
-	// run performs: input appends, the snapshot blob, GC truncations, the
-	// coordinator's frontier records, and (for log-based schemes)
-	// group-commit appends.
+	// run performs: the snapshot blob, the coordinator's frontier records
+	// and their release, and (for log-based schemes) group-commit appends
+	// and their GC. Shard engines keep no input log.
 	if cfg.Target == "" {
 		ops := map[string]bool{}
 		for _, sites := range res.SitesByDevice {
@@ -43,10 +43,9 @@ func sweep(t *testing.T, cfg Config) {
 				ops[s.Op+":"+s.Name] = true
 			}
 		}
-		want := []string{"append:" + storage.LogInput, "blob:" + storage.BlobSnapshot,
-			"release:" + storage.LogInput, "append:" + shard.LogFrontier}
+		want := []string{"blob:" + storage.BlobSnapshot, "append:" + shard.LogFrontier, "release:" + shard.LogFrontier}
 		if cfg.Kind != ftapi.CKPT {
-			want = append(want, "append:"+storage.LogFT)
+			want = append(want, "append:"+storage.LogFT, "release:"+storage.LogFT)
 		}
 		if cfg.SnapshotBase > 1 {
 			want = append(want, "append:"+storage.LogCkpt) // incremental deltas

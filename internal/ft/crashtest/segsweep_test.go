@@ -119,9 +119,10 @@ func TestSegStoreCrashInsideRelease(t *testing.T) {
 }
 
 // runSegHookCrash runs the seeded workload on a one-shard group whose shard
-// device is a bare segment store with a hook that kills the engine at the
-// k-th firing of the named seam event, then recovers the group from its
-// devices and checks state and exactly-once outputs against the oracle. A
+// and coordinator devices are bare segment stores with a hook that kills
+// the group at the k-th firing of the named seam event on either (the
+// coordinator's frontier log is released too), then recovers the group from
+// its devices and checks state and exactly-once outputs against the oracle. A
 // one-shard group runs its engine on the caller's goroutine, so the hook's
 // panic reaches the caller. Returns false when the run completes before the
 // k-th firing (the sweep over k is exhausted).
@@ -140,16 +141,17 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 		return false, err
 	}
 	devs := newBases(&cfg)
-	seg := devs[0].(*storage.SegStore)
 	fired := 0
-	seg.SetHook(func(ev, _ string) {
-		if ev != event {
-			return
-		}
-		if fired++; fired == k {
-			panic(segCrash{})
-		}
-	})
+	for _, d := range devs {
+		d.(*storage.SegStore).SetHook(func(ev, _ string) {
+			if ev != event {
+				return
+			}
+			if fired++; fired == k {
+				panic(segCrash{})
+			}
+		})
+	}
 	ledgers := make(shard.Ledgers, 1)
 	g, err := shard.NewGroup(groupConfig(&cfg, ref.app, devs, ledgers.Sink))
 	if err != nil {
@@ -176,7 +178,9 @@ func runSegHookCrash(kind ftapi.Kind, event string, k int) (bool, error) {
 		return false, ref.check(&cfg, g, nil, uint64(cfg.Epochs))
 	}
 	g.Crash()
-	seg.SetHook(nil)
+	for _, d := range devs {
+		d.(*storage.SegStore).SetHook(nil)
+	}
 
 	g2, report, err := recoverGroup(&cfg, ref, ref.app, devs, ledgers.Sink)
 	if err != nil {

@@ -35,24 +35,6 @@ func Percentile(sorted []float64, q float64) float64 {
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
-// PercentileNearest is the standard nearest-rank definition — the
-// ⌈q·n⌉-th smallest sample — for callers that must report an actually
-// observed value rather than an interpolated one.
-func PercentileNearest(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	idx := int(q*float64(n)+0.9999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
-}
-
 // DurPercentile sorts a copy of durs and returns the interpolated
 // q-quantile as a duration. It is the duration-typed convenience wrapper
 // the serve chaos harness and `cmd/bench journey` use on ack-lag samples.

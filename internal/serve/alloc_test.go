@@ -51,30 +51,21 @@ func newServedPath(t *testing.T, coord storage.Device) *servedPath {
 	return sp
 }
 
-// traffic encodes the next epoch's traffic as one write: its Submits, then
-// a Ping.
+// traffic encodes the next epoch's Submits as one write.
 func (sp *servedPath) traffic() []byte {
 	var w []byte
 	for range servedPerEpoch {
 		sp.next++
 		w = append(w, EncodeSubmit(uint64(sp.next), sp.batches[sp.next%len(sp.batches)])...)
 	}
-	return append(w, EncodePing()...)
+	return w
 }
 
 // feed writes one epoch's traffic, ticks the pump once the Pong is back (a
 // session handles its frames in order, so by then every Submit before it
 // has been admitted) and checks that the tick acked them all.
 func (sp *servedPath) feed(t *testing.T, traffic []byte) {
-	if _, err := sp.c.Conn().Write(traffic); err != nil {
-		t.Fatal(err)
-	}
-	for f, err := (Frame{}), error(nil); f.Type != FramePong; f, err = sp.c.Next() {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sp.srv.tick(); err != nil {
+	if err := tickAfter(t, sp.srv, sp.c, traffic); err != nil {
 		t.Fatal(err)
 	}
 	sp.fed += servedPerEpoch
@@ -85,7 +76,7 @@ func (sp *servedPath) feed(t *testing.T, traffic []byte) {
 
 // TestServedPathAllocBudget holds the served epoch path to its allocation
 // budget over 50 warm epochs of pre-encoded traffic. What stays is the
-// devices' own copies (the frontier log, which nothing releases yet, and
+// devices' own copies (the ingest manifest, FT and frontier records, and
 // the snapshot blobs) and a few per-epoch structures; outputs go to the
 // group's sink from recycled engine memory, and everything whose lifetime
 // ends at or before its epoch's commit, decoded batches included, is
@@ -114,34 +105,75 @@ func TestServedPathAllocBudget(t *testing.T) {
 
 // TestServedPathAllocHeapSlope pins what the served path keeps: between warm
 // epoch 300 and epoch 600 the live heap (after a collection) may grow by at
-// most 2 B per event beyond the frontier log's payload. The coordinator's
-// frontier log is durable state nothing releases yet, so its bytes are the
-// one growth by design; the coordinator runs on a Mem device, which keeps a
-// record's payload and no segment slack, so that growth is the payload. A
-// host-side ledger of released outputs grew the heap by ~56 B per event.
+// most 2 B per event. Every durable log the path writes is released below
+// the replay horizon, the frontier log included, so nothing grows by
+// design. A host-side ledger of released outputs grew the heap by ~56 B per
+// event, and the unreleased frontier log by ~8.
 func TestServedPathAllocHeapSlope(t *testing.T) {
 	const mid, end, slope = 300, 600, 2
-	coord := storage.NewMem()
-	sp := newServedPath(t, coord)
-	live := func() (heap, frontier int64) {
+	sp := newServedPath(t, storage.NewMem())
+	live := func() int64 {
 		var m runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc), coord.BytesWritten()[shard.LogFrontier]
+		return int64(m.HeapAlloc)
 	}
-	var h0, f0 int64
+	var h0 int64
 	for ep := 0; ep < end; ep++ {
 		if ep == mid {
-			h0, f0 = live()
+			h0 = live()
 		}
 		sp.feed(t, sp.traffic())
 	}
-	h1, f1 := live()
-	events := float64((end - mid) * servedPerEpoch * 64)
-	perEvent := float64(h1-h0-(f1-f0)) / events
-	t.Logf("served path: live heap +%.1f B/event, %.1f of them the frontier log", float64(h1-h0)/events, float64(f1-f0)/events)
+	perEvent := float64(live()-h0) / float64((end-mid)*servedPerEpoch*64)
+	t.Logf("served path: live heap +%.1f B/event", perEvent)
 	if perEvent > slope {
-		t.Fatalf("served path keeps %.1f B/event besides the frontier log, want <= %d", perEvent, slope)
+		t.Fatalf("served path keeps %.1f B/event, want <= %d", perEvent, slope)
+	}
+}
+
+// TestHealAllocIndependentOfManifestLength: a heal allocates for the epochs
+// it replays, never for the length of the ingest manifest. A group-rung heal
+// after 44 epochs and one after 252, with the manifest never released in
+// between, allocate within 10% of each other: both kills land 4 epochs past
+// a snapshot, so both heals replay the same span. So do two heals right
+// after a cold start (RecoverGroupBackend, then New), which read that span
+// from the manifest because the new pump never fed it.
+func TestHealAllocIndependentOfManifestLength(t *testing.T) {
+	heal := func(epochs int, cold bool) uint64 {
+		sp := newServedPath(t, storage.NewSegStore(storage.SegConfig{}))
+		sp.srv.cfg.GCEvery = 1 << 30
+		for range epochs {
+			sp.feed(t, sp.traffic())
+		}
+		if cold {
+			sp.srv.Close()
+			be, err := RecoverGroupBackend(sp.srv.be.(*GroupBackend).cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sp.srv = newTestServer(t, Config{Backend: be, Tenants: sp.srv.cfg.Tenants, EpochEvery: time.Hour, GCEvery: 1 << 30}, shard.Config{})
+			sp.c = dial(t, sp.srv, "a")
+		}
+		sp.srv.be.(*GroupBackend).KillGroup()
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if err := tickAfter(t, sp.srv, sp.c, sp.traffic()); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		if sp.srv.Heals() != 1 || sp.srv.be.Epoch() != uint64(epochs) {
+			t.Fatalf("%d heals resumed at epoch %d, want one at %d", sp.srv.Heals(), sp.srv.be.Epoch(), epochs)
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	for _, cold := range []bool{false, true} {
+		short, long := heal(44, cold), heal(252, cold)
+		t.Logf("cold start %v: heal after 44 epochs: %d B; after 252: %d B", cold, short, long)
+		if r := float64(long) / float64(short); r > 1.1 || r < 1/1.1 {
+			t.Fatalf("cold start %v: a heal after 252 epochs allocates %.2fx one after 44", cold, r)
+		}
 	}
 }
 

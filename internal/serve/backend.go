@@ -24,14 +24,17 @@ type Backend interface {
 	// until Heal.
 	Feed(events []types.Event) error
 	// Epoch is the number of epochs completed; Committed is the durably
-	// committed punctuation frontier acknowledgements key to.
+	// committed punctuation frontier acknowledgements key to; Horizon is the
+	// replay horizon: a heal replays only epochs above it.
 	Epoch() uint64
 	Committed() uint64
+	Horizon() uint64
 	// Coord is the coordinator device the ingest manifest lives on.
 	Coord() storage.Device
-	// Heal recovers from a failed Feed using src to re-feed whatever the
-	// mechanisms did not replay. It returns the epoch the backend resumed
-	// from: every fed epoch above it was lost and must be re-fed.
+	// Heal recovers from a failed Feed, rebuilding from src every epoch
+	// from the replay horizon on that it replays or re-feeds. It returns the
+	// epoch the backend resumed from: every fed epoch above it was lost and
+	// must be re-fed.
 	Heal(procErr error, src types.Source) (uint64, error)
 	// Close releases backend resources.
 	Close()
@@ -84,19 +87,12 @@ func NewGroupBackend(cfg shard.Config) (*GroupBackend, error) {
 }
 
 // RecoverGroupBackend cold-starts a backend from surviving devices: the
-// group recovers in parallel from its shard logs, re-feeding alignment
-// epochs from the ingest manifest on cfg.CoordDev. It prices the recovery
+// group recovers in parallel from its shard logs, rebuilding the epochs it
+// replays from the ingest manifest on cfg.CoordDev. It prices the recovery
 // (shard.GroupRecover does), once per process; heals are unpriced.
 func RecoverGroupBackend(cfg shard.Config) (*GroupBackend, error) {
-	// The manifest covers every fed epoch; recovery decides durability, so
-	// the source is built with no durable cutoff (watermarks are cut by the
-	// caller once the recovered frontier is known).
-	src, err := IngestSource(cfg.CoordDev, ^uint64(0))
-	if err != nil {
-		return nil, err
-	}
 	b := newGroupBackend(cfg)
-	g, _, err := shard.GroupRecover(shard.RecoverConfig{Config: b.cfg, Source: src})
+	g, _, err := shard.GroupRecover(shard.RecoverConfig{Config: b.cfg, Source: manifestSource(cfg.CoordDev)})
 	if err != nil {
 		return nil, err
 	}
@@ -129,6 +125,9 @@ func (b *GroupBackend) Epoch() uint64 { return b.g.Epoch() }
 
 // Committed implements Backend.
 func (b *GroupBackend) Committed() uint64 { return b.g.Committed() }
+
+// Horizon implements Backend.
+func (b *GroupBackend) Horizon() uint64 { return b.g.Horizon() }
 
 // Coord implements Backend.
 func (b *GroupBackend) Coord() storage.Device { return b.cfg.CoordDev }

@@ -21,17 +21,17 @@ import (
 //     iff its epoch is at or below the recovered frontier, and admission's
 //     contiguity rule makes "highest seen" equal "contiguous prefix"), so a
 //     reconnecting client's re-sent batches are deduplicated, never re-fed;
-//   - group recovery's Source contract: GroupRecover and Group.Heal re-feed
-//     the alignment (or interrupted) epoch from the *global pre-routing
-//     batch*, which no per-shard log retains. The manifest record is exactly
-//     that batch.
+//   - group recovery's Source contract: shard engines keep no input log, so
+//     GroupRecover and Group.Heal rebuild every epoch they replay above the
+//     replay horizon from the *global pre-routing batch*. The manifest
+//     record is exactly that batch: it is the served path's only input log.
 //
 // GC runs blob-then-release: the tenant watermarks and the next global
 // sequence are checkpointed into BlobIngest, then the log's segments are
-// reclaimed below the committed frontier through storage.Release. A crash
-// between the two steps only leaves extra log records, which recovery
-// tolerates — as does the segment store's conservative retention of a
-// straddling segment.
+// reclaimed below the committed frontier and the replay horizon through
+// storage.Release. A crash between the two steps only leaves extra log
+// records, which recovery tolerates — as does the segment store's
+// conservative retention of a straddling segment.
 const (
 	// LogIngest is the per-epoch manifest log on the coordinator device.
 	LogIngest = "ingest"
@@ -155,7 +155,7 @@ type IngestState struct {
 	// assignment any manifest record ever made, durable or torn.
 	NextSeq uint64
 	// Epochs maps every fed epoch still in the log to its global
-	// pre-routing batch — the types.Source recovery re-feeds from.
+	// pre-routing batch (a recovery reads them through manifestSource).
 	Epochs map[uint64][]types.Event
 }
 
@@ -187,7 +187,10 @@ func RecoverIngest(dev storage.Device, durable uint64) (IngestState, error) {
 	if err != nil {
 		return st, fmt.Errorf("serve: read %s: %w", LogIngest, err)
 	}
-	defer cur.Close()
+	recs, err := storage.ReadAll(cur)
+	if err != nil {
+		return st, fmt.Errorf("serve: read %s: %w", LogIngest, err)
+	}
 	// Latest record wins per epoch: an incarnation that died between the
 	// manifest append and the feed leaves a record for an epoch it never
 	// processed, and its successor re-appends that epoch number with
@@ -196,24 +199,14 @@ func RecoverIngest(dev storage.Device, durable uint64) (IngestState, error) {
 	// never fed, and acking it would punch a hole in the tenant's stream.
 	// NextSeq, by contrast, folds every record including superseded ones:
 	// skipping sequence numbers is always safe, reusing them never is.
-	// The log streams through a cursor with one record of lookahead: a
-	// record that fails to decode is a torn tail only when nothing follows.
+	// A record that fails to decode is a torn tail only when it is the last.
 	latest := map[uint64][]ManifestEntry{}
-	rec, ok, err := cur.Next()
-	if err != nil {
-		return st, fmt.Errorf("serve: read %s: %w", LogIngest, err)
-	}
-	for ok {
-		next, nok, nerr := cur.Next()
-		if nerr != nil {
-			return st, fmt.Errorf("serve: read %s: %w", LogIngest, nerr)
-		}
-		entries, events, derr := decodeIngestRecord(rec.Payload)
-		if derr != nil {
-			if !nok {
-				break // torn tail: the append this record belongs to died
-			}
-			return st, fmt.Errorf("serve: %s epoch %d: %w", LogIngest, rec.Epoch, derr)
+	for i, rec := range recs {
+		entries, events, err := decodeIngestRecord(rec.Payload)
+		if err != nil && i == len(recs)-1 {
+			break // torn tail: the append this record belongs to died
+		} else if err != nil {
+			return st, fmt.Errorf("serve: %s epoch %d: %w", LogIngest, rec.Epoch, err)
 		}
 		st.Epochs[rec.Epoch] = events
 		latest[rec.Epoch] = entries
@@ -222,7 +215,6 @@ func RecoverIngest(dev storage.Device, durable uint64) (IngestState, error) {
 				st.NextSeq = end
 			}
 		}
-		rec, ok = next, nok
 	}
 	for ep, entries := range latest {
 		if ep > durable {
@@ -237,18 +229,28 @@ func RecoverIngest(dev storage.Device, durable uint64) (IngestState, error) {
 	return st, nil
 }
 
-// IngestSource builds the group-recovery Source from the coordinator
-// device's manifest: epoch → global pre-routing batch. Epochs GC already
-// truncated are reported unknown; GroupRecover reads only the alignment
-// epoch, which always sits above the GC horizon because GC never truncates
-// past the committed frontier.
-func IngestSource(dev storage.Device, durable uint64) (types.Source, error) {
-	st, err := RecoverIngest(dev, durable)
-	if err != nil {
-		return nil, err
+// manifestSource is a group-recovery Source over the coordinator device's
+// manifest. The first epoch asked for starts one cursor pass from it to the
+// log's end (an epoch's latest record wins: a re-fed epoch is appended
+// again), and only the epochs asked for are decoded. GC keeps every epoch
+// from the replay horizon on, the only ones a recovery asks for.
+func manifestSource(dev storage.Device) types.Source {
+	var raw map[uint64][]byte
+	return func(ep uint64) ([]types.Event, bool) {
+		if raw == nil {
+			raw = map[uint64][]byte{}
+			if cur, err := storage.ReadFrom(dev, LogIngest, max(ep, 1)-1); err == nil {
+				recs, _ := storage.ReadAll(cur)
+				for _, rec := range recs {
+					raw[rec.Epoch] = rec.Payload
+				}
+			}
+		}
+		payload, ok := raw[ep]
+		if !ok {
+			return nil, false
+		}
+		_, events, err := decodeIngestRecord(payload)
+		return events, err == nil
 	}
-	return func(epoch uint64) ([]types.Event, bool) {
-		ev, ok := st.Epochs[epoch]
-		return ev, ok
-	}, nil
 }

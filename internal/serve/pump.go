@@ -121,7 +121,7 @@ func (s *Server) unacked() uint64 {
 // feed assigns sequences, writes the manifest record, and feeds one epoch.
 // The epoch's events are assembled in the pump's own buffer: the backend
 // retains nothing of a batch once Feed returns, and the heal path rebuilds
-// any fed epoch from its batches (memSource).
+// any fed epoch from its batches (healSource).
 func (s *Server) feed(batches []*batch) error {
 	ep := s.be.Epoch() + 1
 	s.ingest.entries = s.ingest.entries[:0]
@@ -203,19 +203,17 @@ func appendEpoch(dst []types.Event, batches []*batch) []types.Event {
 	return dst
 }
 
-// memSource serves group recovery from the pump's fed batches, which
-// match the durable manifest for every epoch they hold: both record every
-// fed epoch, fed is pruned below the committed frontier at every ack flush
-// and the manifest lazily below it. The epochs a heal reads — the
-// interrupted one and the alignment one — are never below the frontier, so
-// they are present. Each call assembles a fresh copy of the epoch.
-func (s *Server) memSource() types.Source {
+// healSource is what a heal rebuilds the epochs it replays from: fed, which
+// holds every epoch this incarnation fed down to the replay horizon, or the
+// manifest for older ones (fed before a cold start), read once per heal.
+// Each call assembles a fresh copy.
+func (s *Server) healSource() types.Source {
+	manifest := manifestSource(s.be.Coord())
 	return func(ep uint64) ([]types.Event, bool) {
-		batches, ok := s.fed[ep]
-		if !ok {
-			return nil, false
+		if batches, ok := s.fed[ep]; ok {
+			return appendEpoch(nil, batches), true
 		}
-		return appendEpoch(nil, batches), true
+		return manifest(ep)
 	}
 }
 
@@ -245,7 +243,7 @@ func (s *Server) heal(procErr error) error {
 		return fmt.Errorf("serve: heal budget exhausted (%d): %w", s.cfg.MaxHeals, procErr)
 	}
 
-	recovered, err := s.be.Heal(procErr, s.memSource())
+	recovered, err := s.be.Heal(procErr, s.healSource())
 	if err != nil {
 		s.pending = err
 		s.timeline().Add("serve", "heal-failed", err.Error(), nil)
@@ -336,11 +334,12 @@ func (s *Server) flushAcks() {
 			b.j.Complete()
 		}
 	}
-	// Below the frontier nothing reads a fed epoch again: a heal re-feeds
-	// only the interrupted epoch and the alignment epoch, both at or above
-	// it. Those batches' memory goes back to the pool.
+	// A heal reads only epochs from the replay horizon on, which never
+	// passes the frontier: nothing reads an acked epoch below it again, and
+	// its batches' memory goes back to the pool.
+	horizon := min(s.be.Horizon(), committed)
 	for ep, batches := range s.fed {
-		if ep < committed {
+		if ep < horizon {
 			for _, b := range batches {
 				b.recycle()
 			}
@@ -350,10 +349,10 @@ func (s *Server) flushAcks() {
 }
 
 // maybeGC checkpoints tenant watermarks and releases the ingest manifest's
-// segments below the committed frontier, blob first: a crash between the
-// two steps only leaves extra log records. Epochs at or above committed are
-// always retained — group recovery's alignment epoch can never sit below
-// the frontier, and storage.Release only ever under-reclaims.
+// segments below both the committed frontier and the replay horizon, blob
+// first: a crash between the two steps only leaves extra log records. Every
+// epoch from the horizon on is retained — a recovery rebuilds what the
+// shards replay from it — and storage.Release only ever under-reclaims.
 func (s *Server) maybeGC() {
 	committed := s.committed.Load()
 	if committed < 1 || committed-s.lastGC < s.cfg.GCEvery {
@@ -366,9 +365,10 @@ func (s *Server) maybeGC() {
 	if err := s.be.Coord().WriteBlob(BlobIngest, encodeWatermarks(wm, s.nextSeq)); err != nil {
 		return // skip this round; the log still has everything
 	}
-	upTo := committed - 1
-	if err := storage.Release(s.be.Coord(), LogIngest, upTo); err != nil {
-		return
+	if upTo := min(committed, s.be.Horizon()); upTo > 1 {
+		if err := storage.Release(s.be.Coord(), LogIngest, upTo-1); err != nil {
+			return
+		}
 	}
 	s.lastGC = committed
 	s.count("serve.gcs")

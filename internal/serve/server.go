@@ -141,9 +141,9 @@ type Server struct {
 	committed atomic.Uint64
 
 	// Pump-only state (single goroutine, no locks needed). fed holds every
-	// fed epoch's batches, in feeding order, down to the committed
-	// frontier: epochs above acked await their ack, and a heal re-reads the
-	// ones it needs (memSource). epoch and ingest are the buffers each epoch's
+	// fed epoch's batches, in feeding order, from the replay horizon on:
+	// epochs above acked await their ack, and a heal re-reads the ones it
+	// replays (healSource). epoch and ingest are the buffers each epoch's
 	// event batch and ingest record are assembled in, reused every tick.
 	// pending is the error of a heal that failed: the backend is still
 	// crashed, and the next tick retries the heal with it.

@@ -108,6 +108,19 @@ func submitAndDrain(t *testing.T, c *Client, batches [][]types.Event, from, to u
 	}
 }
 
+// submitNext submits batch seq on c and returns the next frame c reads.
+func submitNext(t *testing.T, c *Client, seq uint64, b []types.Event) Frame {
+	t.Helper()
+	if err := c.Submit(seq, b); err != nil {
+		t.Fatalf("Submit(%d): %v", seq, err)
+	}
+	f, err := c.Next()
+	if err != nil {
+		t.Fatalf("Next after Submit(%d): %v", seq, err)
+	}
+	return f
+}
+
 func TestAckFlowEndToEnd(t *testing.T) {
 	srv := newTestServer(t, Config{Tenants: []TenantConfig{{Name: "a"}}}, newTestShardConfig(2))
 	c := dial(t, srv, "a")
@@ -129,14 +142,7 @@ func TestDuplicateAckOnReplay(t *testing.T) {
 
 	// Replaying an acked batch answers an immediate duplicate ack and never
 	// feeds the batch again (the watermark dedupe path).
-	if err := c.Submit(2, batches[1]); err != nil {
-		t.Fatalf("replay Submit: %v", err)
-	}
-	f, err := c.Next()
-	if err != nil {
-		t.Fatalf("Next after replay: %v", err)
-	}
-	if f.Type != FrameAck || f.BatchSeq != 2 {
+	if f := submitNext(t, c, 2, batches[1]); f.Type != FrameAck || f.BatchSeq != 2 {
 		t.Fatalf("replay answer = %+v, want Ack(2)", f)
 	}
 }
@@ -145,14 +151,7 @@ func TestOutOfOrderSubmit(t *testing.T) {
 	srv := newTestServer(t, Config{Tenants: []TenantConfig{{Name: "a"}}}, newTestShardConfig(2))
 	c := dial(t, srv, "a")
 	batches := genBatches(3, 3, 4)
-	if err := c.Submit(3, batches[2]); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	f, err := c.Next()
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if f.Type != FrameSlowdown || f.Reason != SlowOrder || f.BatchSeq != 1 {
+	if f := submitNext(t, c, 3, batches[2]); f.Type != FrameSlowdown || f.Reason != SlowOrder || f.BatchSeq != 1 {
 		t.Fatalf("gap answer = %+v, want Slowdown(order, resend from 1)", f)
 	}
 }
@@ -181,14 +180,7 @@ func TestExplicitBackpressureVerdicts(t *testing.T) {
 	if err := rated.Submit(1, batches[0]); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if err := rated.Submit(2, batches[1]); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	f, err := rated.Next()
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if f.Type != FrameSlowdown || f.Reason != SlowRate || f.RetryAfterMs == 0 {
+	if f := submitNext(t, rated, 2, batches[1]); f.Type != FrameSlowdown || f.Reason != SlowRate || f.RetryAfterMs == 0 {
 		t.Fatalf("rate verdict = %+v, want Slowdown(rate) with retry hint", f)
 	}
 
@@ -196,14 +188,7 @@ func TestExplicitBackpressureVerdicts(t *testing.T) {
 	if err := queued.Submit(1, batches[0]); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	if err := queued.Submit(2, batches[1]); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	f, err = queued.Next()
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if f.Type != FrameSlowdown || f.Reason != SlowQueue {
+	if f := submitNext(t, queued, 2, batches[1]); f.Type != FrameSlowdown || f.Reason != SlowQueue {
 		t.Fatalf("queue verdict = %+v, want Slowdown(queue)", f)
 	}
 }
@@ -254,85 +239,119 @@ func TestNonHelloFirstFrameRejected(t *testing.T) {
 	}
 }
 
-// TestColdRestartExactlyOnce kills the whole stack and recovers a second
-// server from the surviving devices: the reconnecting client's replays are
-// deduplicated against the recovered watermark, and new batches flow.
-func TestColdRestartExactlyOnce(t *testing.T) {
-	shardCfg := newTestShardConfig(2)
-	type ackKey struct {
-		tenant string
-		seq    uint64
+// ackRecorder is a Config.AckLog appending every decision to acks.
+func ackRecorder(acks *[]AckRecord) func(string, uint64, uint64, uint64, uint64) {
+	return func(tenant string, batchSeq, firstSeq, events, epoch uint64) {
+		*acks = append(*acks, AckRecord{Tenant: tenant, BatchSeq: batchSeq, FirstSeq: firstSeq, Events: events, Epoch: epoch})
 	}
-	ackCounts := map[ackKey]int{}
-	ackLog := func(tenant string, batchSeq, firstSeq, events, epoch uint64) {
-		ackCounts[ackKey{tenant, batchSeq}]++
-	}
+}
 
-	be, err := NewGroupBackend(shardCfg)
-	if err != nil {
-		t.Fatalf("NewGroupBackend: %v", err)
-	}
-	srv, err := New(Config{
-		Backend: be, EpochEvery: time.Millisecond,
-		Tenants: []TenantConfig{{Name: "a"}},
-		AckLog:  ackLog,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	batches := genBatches(5, 8, 4)
-	c := dial(t, srv, "a")
-	submitAndDrain(t, c, batches, 1, 6)
-	c.Close()
-	srv.Close() // kills the listener, the pump, and the backend
-
-	// Second incarnation: recover the group from the shard logs and the
-	// ingest manifest, then a fresh server over it.
-	be2, err := RecoverGroupBackend(shardCfg)
-	if err != nil {
-		t.Fatalf("RecoverGroupBackend: %v", err)
-	}
-	srv2, err := New(Config{
-		Backend: be2, EpochEvery: time.Millisecond,
-		Tenants: []TenantConfig{{Name: "a"}},
-		AckLog:  ackLog,
-	})
-	if err != nil {
-		t.Fatalf("New (recovered): %v", err)
-	}
-	defer srv2.Close()
-
-	c2, err := Dial(srv2.Addr(), "a", 5*time.Second)
-	if err != nil {
-		t.Fatalf("Dial (recovered): %v", err)
-	}
-	defer c2.Close()
-	if c2.Watermark != 6 {
-		t.Fatalf("recovered watermark = %d, want 6", c2.Watermark)
-	}
-	// A replayed survivor is answered with a duplicate ack, not re-fed.
-	if err := c2.Submit(4, batches[3]); err != nil {
-		t.Fatalf("replay Submit: %v", err)
-	}
-	f, err := c2.Next()
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if f.Type != FrameAck || f.BatchSeq != 4 {
-		t.Fatalf("replay answer = %+v, want Ack(4)", f)
-	}
-	// New traffic continues from the watermark.
-	submitAndDrain(t, c2, batches, 7, 8)
-
-	// The server-side audit trail saw each batch acked exactly once across
-	// both incarnations (the duplicate ack above bypasses AckLog by design).
-	for k, n := range ackCounts {
-		if n != 1 {
-			t.Errorf("batch %+v acked %d times across incarnations", k, n)
+// checkAcked checks every shard of g against an oracle fed the batches in
+// the epochs they were acked in (the client's own copies, with the acked
+// sequences), in sequence order: state, and exactly-once outputs as
+// ledgers recorded them across the group's incarnations.
+func checkAcked(t *testing.T, g *shard.Group, app types.App, batches [][]types.Event, acks []AckRecord, ledgers shard.Ledgers) {
+	t.Helper()
+	epochs := make([][]types.Event, g.Epoch())
+	for _, r := range acks {
+		for i, ev := range batches[r.BatchSeq-1] {
+			ev.Seq = r.FirstSeq + uint64(i)
+			epochs[r.Epoch-1] = append(epochs[r.Epoch-1], ev)
 		}
 	}
-	if len(ackCounts) != 8 {
-		t.Errorf("acked %d distinct batches, want 8", len(ackCounts))
+	for _, evs := range epochs {
+		slices.SortFunc(evs, func(a, b types.Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	}
+	orc, err := shard.NewGroupOracle(app, g.Shards(), epochs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < g.Shards(); s++ {
+		if err := orc.CheckState(s, g.Epoch(), g.Engine(s).Store()); err != nil {
+			t.Fatal(err)
+		}
+		if err := orc.CheckOutputs(s, g.Epoch(), &ledgers[s], g.Engine(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// tickAfter writes wire and a Ping to c, and ticks srv's pump once the Pong
+// is back: frames are handled in order, so by then every Submit is admitted.
+func tickAfter(t *testing.T, srv *Server, c *Client, wire []byte) error {
+	t.Helper()
+	if _, err := c.Conn().Write(append(wire, EncodePing()...)); err != nil {
+		t.Fatal(err)
+	}
+	for f, err := (Frame{}), error(nil); f.Type != FramePong; f, err = c.Next() {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv.tick()
+}
+
+// TestColdRestartExactlyOnce kills the whole stack and recovers a second
+// server from the surviving devices (RecoverGroupBackend, then New): the
+// reconnecting client's replays are deduplicated against the recovered
+// watermark, and new batches flow. Its group is then killed before its next
+// snapshot, and heals from epochs the first server fed, read from the ingest
+// manifest because the new pump never held them. Every batch is acked once
+// and in order, and delivered exactly once across the group's three
+// incarnations.
+func TestColdRestartExactlyOnce(t *testing.T) {
+	cfg := newTestShardConfig(2)
+	ledgers := make(shard.Ledgers, 2)
+	cfg.Sink = ledgers.Sink
+	var acks []AckRecord
+	batches := genBatches(17, 14, 8)
+	// run feeds batches from..to, one epoch each (killing the group before
+	// the last when kill is set), then ticks until every one is acked.
+	run := func(be *GroupBackend, from, to uint64, kill bool) *Server {
+		srv := newTestServer(t, Config{Backend: be, Tenants: []TenantConfig{{Name: "a"}}, EpochEvery: time.Hour, AckLog: ackRecorder(&acks)}, shard.Config{})
+		c := dial(t, srv, "a")
+		if c.Watermark != from-1 {
+			t.Fatalf("recovered watermark = %d, want %d", c.Watermark, from-1)
+		}
+		if from > 1 { // a replayed survivor is answered with a duplicate ack, not re-fed
+			if f := submitNext(t, c, from-1, batches[from-2]); f.Type != FrameAck || f.BatchSeq != from-1 {
+				t.Fatalf("replay answer = %+v, want Ack(%d)", f, from-1)
+			}
+		}
+		for seq := from; seq <= to; seq++ {
+			if kill && seq == to {
+				be.KillGroup()
+			}
+			if err := tickAfter(t, srv, c, EncodeSubmit(seq, batches[seq-1])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8 && uint64(len(acks)) < to; i++ {
+			if err := srv.tick(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv.Close()
+		return srv
+	}
+	be, err := NewGroupBackend(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(be, 1, 11, false)
+	be2, err := RecoverGroupBackend(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if be2.Horizon() >= be2.Epoch() || be2.Epoch()+2 >= 16 {
+		t.Fatalf("recovered to epoch %d over horizon %d: want epochs to replay, and room before the snapshot at 16", be2.Epoch(), be2.Horizon())
+	}
+	if srv := run(be2, 12, 14, true); srv.Heals() != 1 {
+		t.Fatalf("%d heals, want 1", srv.Heals())
+	}
+	checkAcked(t, be2.Group(), cfg.App, batches, acks, ledgers)
+	if dups, order := auditAckStream(acks); len(acks) != 14 || dups+order != 0 {
+		t.Fatalf("%d acks: %d duplicate, %d out of order", len(acks), dups, order)
 	}
 }
 
@@ -413,31 +432,30 @@ func TestRecoverIngestFromBlob(t *testing.T) {
 }
 
 // healSourceProbe checks the pump's fed batches at every heal: they hold
-// every epoch from the committed frontier on, each epoch they hold equals
-// the durable ingest record of that epoch, event for event and in sequence
-// order, and the heal reads no epoch below the frontier.
+// every epoch from the replay horizon through the interrupted one, each
+// equal to the durable ingest record of that epoch, event for event and in
+// sequence order, so the heal never falls back to the manifest; and the
+// heal reads no epoch below the horizon.
 type healSourceProbe struct {
 	*GroupBackend
 	t     *testing.T
+	srv   *Server
 	asked int
 }
 
 func (p *healSourceProbe) Heal(procErr error, src types.Source) (uint64, error) {
-	durable, err := IngestSource(p.Coord(), ^uint64(0))
-	if err != nil {
-		p.t.Error(err)
-	}
-	committed := p.Committed()
-	for ep := uint64(1); ep <= p.Epoch()+1; ep++ {
-		got, ok := src(ep)
+	durable, horizon := manifestSource(p.Coord()), p.Horizon()
+	for ep := horizon; ep <= p.Epoch()+1; ep++ {
+		_, fed := p.srv.fed[ep]
+		got, _ := src(ep)
 		want, wok := durable(ep)
-		if ok != (ep >= committed) || ok && (!wok || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want))) {
-			p.t.Errorf("epoch %d (committed %d): the pump holds %d events (%v), the manifest %d (%v)", ep, committed, len(got), ok, len(want), wok)
+		if ep > 0 && (!fed || !wok || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want))) {
+			p.t.Errorf("epoch %d (horizon %d): the pump holds %d events (%v), the manifest %d (%v)", ep, horizon, len(got), fed, len(want), wok)
 		}
 	}
 	return p.GroupBackend.Heal(procErr, func(ep uint64) ([]types.Event, bool) {
-		if ep < committed {
-			p.t.Errorf("heal read epoch %d below committed frontier %d", ep, committed)
+		if ep < horizon {
+			p.t.Errorf("heal read epoch %d below the replay horizon %d", ep, horizon)
 		}
 		p.asked++
 		return src(ep)
@@ -445,8 +463,7 @@ func (p *healSourceProbe) Heal(procErr error, src types.Source) (uint64, error) 
 }
 
 // TestHealSourceMatchesManifest drives traffic through a shard heal and a
-// group heal while decoded batches are recycled below the committed
-// frontier. The test ticks the pump itself, feeding each half of a phase's
+// group heal while decoded batches are recycled below the replay horizon. The test ticks the pump itself, feeding each half of a phase's
 // ten batches as one epoch so the committed epoch holds batches at every
 // heal, and submits every batch twice (the copy is refused as a pending
 // duplicate). The heals read only what the pump still holds (the probe),
@@ -464,16 +481,10 @@ func TestHealSourceMatchesManifest(t *testing.T) {
 	var acks []AckRecord
 	probe := &healSourceProbe{GroupBackend: be, t: t}
 	srv := newTestServer(t, Config{Backend: probe, Tenants: []TenantConfig{{Name: "a"}}, EpochEvery: time.Hour,
-		AckLog: func(tenant string, batchSeq, firstSeq, events, epoch uint64) {
-			acks = append(acks, AckRecord{Tenant: tenant, BatchSeq: batchSeq, FirstSeq: firstSeq, Events: events, Epoch: epoch})
-		}}, shard.Config{})
+		AckLog: ackRecorder(&acks)}, shard.Config{})
+	probe.srv = srv
 	c := dial(t, srv, "a")
 	batches := genBatches(11, 30, 16)
-	tick := func() {
-		if err := srv.tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for i, kill := range []func(){func() {}, func() { be.KillShard(1) }, be.KillGroup} {
 		kill()
 		for from := uint64(10*i + 1); from <= uint64(10*i+6); from += 5 {
@@ -482,20 +493,15 @@ func TestHealSourceMatchesManifest(t *testing.T) {
 				frame := EncodeSubmit(seq, batches[seq-1])
 				wire = append(append(wire, frame...), frame...)
 			}
-			if _, err := c.Conn().Write(append(wire, EncodePing()...)); err != nil {
+			if err := tickAfter(t, srv, c, wire); err != nil {
 				t.Fatal(err)
 			}
-			// Frames are handled in order: at the Pong, all are admitted.
-			for f, err := (Frame{}), error(nil); f.Type != FramePong; f, err = c.Next() {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			tick()
 		}
 		for n := 0; n < 4; n++ {
-			if wm, _ := srv.Tenant("a"); wm < uint64(10*i+10) {
-				tick()
+			if wm, _ := srv.Tenant("a"); wm >= uint64(10*i+10) {
+				break
+			} else if err := srv.tick(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -504,29 +510,7 @@ func TestHealSourceMatchesManifest(t *testing.T) {
 		t.Fatalf("%d heals read %d epochs, want 2 heals reading some", srv.Heals(), probe.asked)
 	}
 
-	g := be.Group()
-	epochs := make([][]types.Event, g.Epoch())
-	for _, r := range acks {
-		for i, ev := range batches[r.BatchSeq-1] {
-			ev.Seq = r.FirstSeq + uint64(i)
-			epochs[r.Epoch-1] = append(epochs[r.Epoch-1], ev)
-		}
-	}
-	for _, evs := range epochs {
-		slices.SortFunc(evs, func(a, b types.Event) int { return cmp.Compare(a.Seq, b.Seq) })
-	}
-	orc, err := shard.NewGroupOracle(cfg.App, g.Shards(), epochs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < g.Shards(); s++ {
-		if err := orc.CheckState(s, g.Epoch(), g.Engine(s).Store()); err != nil {
-			t.Fatal(err)
-		}
-		if err := orc.CheckOutputs(s, g.Epoch(), &ledgers[s], g.Engine(s)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkAcked(t, be.Group(), cfg.App, batches, acks, ledgers)
 	if dups, order := auditAckStream(acks); len(acks) != 30 || dups+order+auditExactlyOnce(be, acks) != 0 {
 		t.Fatalf("%d acks: %d duplicate, %d out of order, exactly-once violations %d", len(acks), dups, order, auditExactlyOnce(be, acks))
 	}
@@ -546,14 +530,7 @@ func TestOutOfRangeKeyRefused(t *testing.T) {
 	bad := slices.Clone(batches[1])
 	bad[0].Keys = slices.Clone(bad[0].Keys)
 	bad[0].Keys[0].Row = 1 << 30
-	if err := a.Submit(2, bad); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	f, err := a.Next()
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if f.Type != FrameError || !strings.Contains(f.Msg, "outside the application's tables") {
+	if f := submitNext(t, a, 2, bad); f.Type != FrameError || !strings.Contains(f.Msg, "outside the application's tables") {
 		t.Fatalf("bad batch answered %+v, want an Error frame naming the key", f)
 	}
 
@@ -593,21 +570,11 @@ func stormRun(t *testing.T, kind ftapi.Kind, n, maxHeals int) ([]AckRecord, *Ser
 	}
 	var acks []AckRecord
 	srv := newTestServer(t, Config{Backend: be, Tenants: []TenantConfig{{Name: "a"}}, EpochEvery: time.Hour, MaxHeals: maxHeals,
-		AckLog: func(tenant string, batchSeq, firstSeq, events, epoch uint64) {
-			acks = append(acks, AckRecord{Tenant: tenant, BatchSeq: batchSeq, FirstSeq: firstSeq, Events: events, Epoch: epoch})
-		}}, shard.Config{})
+		AckLog: ackRecorder(&acks)}, shard.Config{})
 	c := dial(t, srv, "a")
 	batches := genBatches(13, 20, 8)
 	for seq := uint64(1); seq <= 20; seq++ {
-		if _, err := c.Conn().Write(append(EncodeSubmit(seq, batches[seq-1]), EncodePing()...)); err != nil {
-			t.Fatal(err)
-		}
-		for f, err := (Frame{}), error(nil); f.Type != FramePong; f, err = c.Next() {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := srv.tick(); err != nil {
+		if err := tickAfter(t, srv, c, EncodeSubmit(seq, batches[seq-1])); err != nil {
 			return acks, srv, be, err
 		}
 	}

@@ -33,54 +33,51 @@ func newTraced(mem *storage.Mem, outageAt int) traced {
 }
 
 var (
-	durableLogs  = []string{storage.LogInput, storage.LogFT, storage.LogCkpt, shard.LogFrontier}
+	durableLogs  = []string{storage.LogFT, storage.LogCkpt, shard.LogFrontier}
 	durableBlobs = []string{storage.BlobSnapshot, storage.BlobMeta}
 )
 
-// cloneMem copies every log record and blob a group writes into a fresh Mem.
-func cloneMem(t *testing.T, m *storage.Mem) *storage.Mem {
+// eachDurable calls rec for every log record and blob for every blob on m
+// a group writes, logs first.
+func eachDurable(t *testing.T, m *storage.Mem, rec func(log string, r storage.Record), blob func(name string, b []byte)) {
 	t.Helper()
-	c := storage.NewMem()
 	for _, log := range durableLogs {
 		recs, err := m.ReadLog(log)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			if err := c.Append(log, r); err != nil {
-				t.Fatal(err)
-			}
+			rec(log, r)
 		}
 	}
 	for _, name := range durableBlobs {
 		if b, ok, err := m.ReadBlob(name); err != nil {
 			t.Fatal(err)
 		} else if ok {
-			if err := c.WriteBlob(name, b); err != nil {
-				t.Fatal(err)
-			}
+			blob(name, b)
 		}
 	}
+}
+
+// cloneMem copies every log record and blob a group writes into a fresh Mem.
+func cloneMem(t *testing.T, m *storage.Mem) *storage.Mem {
+	c := storage.NewMem()
+	eachDurable(t, m, func(log string, r storage.Record) {
+		if err := c.Append(log, r); err != nil {
+			t.Fatal(err)
+		}
+	}, func(name string, b []byte) {
+		if err := c.WriteBlob(name, b); err != nil {
+			t.Fatal(err)
+		}
+	})
 	return c
 }
 
 // dump renders a Mem's surviving records and blobs.
-func dump(t *testing.T, m *storage.Mem) string {
-	t.Helper()
-	var s string
-	for _, log := range durableLogs {
-		recs, err := m.ReadLog(log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			s += fmt.Sprintf("%s@%d:%x\n", log, r.Epoch, r.Payload)
-		}
-	}
-	for _, name := range durableBlobs {
-		b, ok, _ := m.ReadBlob(name)
-		s += fmt.Sprintf("%s:%v:%x\n", name, ok, b)
-	}
+func dump(t *testing.T, m *storage.Mem) (s string) {
+	eachDurable(t, m, func(log string, r storage.Record) { s += fmt.Sprintf("%s@%d:%x\n", log, r.Epoch, r.Payload) },
+		func(name string, b []byte) { s += fmt.Sprintf("%s:%x\n", name, b) })
 	return s
 }
 
@@ -97,10 +94,11 @@ func siteDigest(sites []storage.WriteSite) string {
 // a group in place writes what rebuilding it with GroupRecover wrote. For
 // every mechanism, two shards of Grep&Sum die mid-run in three ways: a
 // group kill between epochs; both shards dying inside one epoch on
-// different writes, so they recover to different epochs and one is
-// re-aligned; and both losing that epoch's input, after which an
-// event-less epoch is fed (its replication orders against the sequence
-// floor the shards reloaded, not against the lost epoch's events). The
+// different writes, one after its commit of the epoch and one on it, so
+// they recover to different epochs and one is re-fed; and both dying on
+// that commit, after which an event-less epoch is fed (its replication
+// orders against the sequence floor the frontier log recorded, not against
+// the lost epoch's events). The
 // group is then recovered two ways: (a) g.Heal in place, whose shard rung
 // is refused, and (b) GroupRecover into a fresh group over byte copies of
 // the same devices. Fed the rest of the run, both write the same sites in
@@ -119,32 +117,24 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 		return cfg
 	}
 	for _, kind := range []ftapi.Kind{ftapi.CKPT, ftapi.WAL, ftapi.DL, ftapi.LV, ftapi.MSR} {
-		// Where each shard's input append of epoch `died` sits, from a
-		// fault-free run.
+		// Each shard's first write of epoch `died` — its commit (for CKPT:
+		// its snapshot) — from a fault-free run.
 		free := []traced{newTraced(storage.NewMem(), -1), newTraced(storage.NewMem(), -1)}
 		g, err := shard.NewGroup(group(kind, free, newTraced(storage.NewMem(), -1), make(shard.Ledgers, n)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Run(batches); err != nil {
+		if err := g.Run(batches[:died-1]); err != nil {
 			t.Fatal(err)
 		}
-		inputAt := func(d int) int {
-			for i, s := range free[d].trace.Sites() {
-				if s.Op == "append" && s.Name == storage.LogInput && s.Epoch == died {
-					return i
-				}
-			}
-			t.Fatalf("%v: shard %d never persisted epoch %d", kind, d, died)
-			return 0
-		}
+		commitAt := func(d int) int { return len(free[d].trace.Sites()) }
 
-		for _, flavour := range []string{"kill", "both-die", "both-lose-input"} {
+		for _, flavour := range []string{"kill", "both-die", "both-lose-commit"} {
 			name := fmt.Sprintf("%v/%s", kind, flavour)
 			outage := map[string][]int{
-				"kill":            {-1, -1},
-				"both-die":        {inputAt(0) + 1, inputAt(1)},
-				"both-lose-input": {inputAt(0), inputAt(1)},
+				"kill":             {-1, -1},
+				"both-die":         {commitAt(0) + 1, commitAt(1)},
+				"both-lose-commit": {commitAt(0), commitAt(1)},
 			}[flavour]
 			devs := []traced{newTraced(storage.NewMem(), outage[0]), newTraced(storage.NewMem(), outage[1])}
 			coord := newTraced(storage.NewMem(), -1)
@@ -199,7 +189,7 @@ func TestHealGroupRungWritesWhatGroupRecoverWrites(t *testing.T) {
 					name, rep.Target, rep.AlignedShards, rep2.Target, rep2.AlignedShards)
 			}
 			rest := batches[rep.Target:]
-			if flavour == "both-lose-input" {
+			if flavour == "both-lose-commit" {
 				rest = append([][]types.Event{nil}, rest...)
 			}
 			if err := g.Run(rest); err != nil {

@@ -19,7 +19,7 @@ import (
 // does), for 5 mechanisms × SL/GS/TP × 1/2 shards. Each run crashes after 11
 // epochs (epoch 11 is an uncommitted tail that reprocesses) and is fed a 12th
 // after recovery, whose commit seals that tail. Both give the same epochs,
-// replayed volume, next sequence, stores, device writes and bytes, and
+// replayed volume, sequence floor, stores, device writes and bytes, and
 // outputs; only the priced reports carry model terms and simulated walls.
 func TestPricingChangesNothingRecoveryDoes(t *testing.T) {
 	recoverCrashed := func(kind ftapi.Kind, gen workload.Generator, shards int, costs vtime.Costs) ([]any, *GroupReport) {
@@ -45,14 +45,14 @@ func TestPricingChangesNothingRecoveryDoes(t *testing.T) {
 		}
 		g.Crash()
 		g, _ = newGroupShell(cfg) // cannot fail: NewGroup accepted cfg
-		rep, err := g.recoverShards(types.BatchSource(batches), costs, false, nil)
+		rep, err := g.recoverShards(types.BatchSource(batches), nil, costs, false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		state := []any{rep.Target, rep.AlignedShards}
+		state := []any{rep.Target, rep.AlignedShards, g.seqFloor}
 		for i, s := range g.shards {
 			e := rep.Reports[i]
-			state = append(state, e.SnapshotEpoch, e.CommittedEpoch, e.LastEpoch, e.EventsReplayed, e.NextSeq, s.eng.Store().Snapshot())
+			state = append(state, e.SnapshotEpoch, e.CommittedEpoch, e.LastEpoch, e.EventsReplayed, s.eng.Store().Snapshot())
 		}
 		if err := g.ProcessEpoch(batches[11]); err != nil {
 			t.Fatal(err)

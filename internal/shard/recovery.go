@@ -3,19 +3,21 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
 	"morphstreamr/internal/codec"
 	"morphstreamr/internal/engine"
+	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/vtime"
 )
 
 // Source is types.Source under the name the nested benchmark module
-// compiles against: group recovery re-feeds the global (pre-routing) batch
-// of an epoch through it.
+// compiles against: group recovery reads the global (pre-routing) batch of
+// every epoch it rebuilds through it.
 type Source = types.Source
 
 // BatchSource is types.BatchSource, kept for the same reason.
@@ -26,8 +28,9 @@ type RecoverConfig struct {
 	// Config must match the crashed group's, with Devices and CoordDev the
 	// surviving devices.
 	Config
-	// Source re-feeds the alignment epoch to lagging shards. That epoch is
-	// the only one read, and it is never below the committed frontier.
+	// Source holds the global batch of every epoch from the replay horizon
+	// (Group.Horizon) on: shards keep no input log, so every epoch they
+	// replay or are re-fed is rebuilt from it and the frontier log.
 	Source Source
 	// Serial recovers the shards one at a time instead of in parallel —
 	// the baseline the recovery-speedup benchmark compares against.
@@ -44,10 +47,11 @@ type GroupReport struct {
 	// A heal on the shard rung recovers one shard; the others are nil.
 	Reports []*engine.RecoveryReport
 	// Target is the punctuation frontier processing resumed from: the
-	// maximum recovered epoch across shards.
+	// epoch of the frontier log's last record, or the epoch after it if a
+	// shard committed that one before the barrier died.
 	Target uint64
-	// AlignedShards counts shards that lagged one epoch behind Target and
-	// were re-fed to it (on the shard rung: the healed shard, if re-fed).
+	// AlignedShards counts shards the recovery left behind Target and
+	// re-fed to it (on the shard rung: the healed shard, if re-fed).
 	AlignedShards int
 	// SerialSim is the simulated wall of recovering the shards one after
 	// another (Σ per-shard SimWall); ParallelSim is the simulated wall of
@@ -57,7 +61,7 @@ type GroupReport struct {
 	SerialSim   time.Duration
 	ParallelSim time.Duration
 	// Wall is the real wall-clock duration of the whole group recovery on
-	// this host (the group MTTR), including alignment.
+	// this host (the group MTTR), re-feeds included.
 	Wall time.Duration
 	// Profile is the per-shard virtual-time rollup (nil unless Profilers
 	// were supplied).
@@ -85,36 +89,37 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	report, err := g.recoverShards(cfg.Source, vtime.FixedCosts(), cfg.Serial, cfg.Profilers)
+	report, err := g.recoverShards(cfg.Source, nil, vtime.FixedCosts(), cfg.Serial, cfg.Profilers)
 	if err != nil {
 		return nil, nil, err
 	}
 	return g, report, nil
 }
 
-// recoverShards is the group recovery protocol, run over the group's
-// devices with every engine stopped:
+// recoverShards is the group recovery protocol, run with the engines of the
+// dead shards stopped (every shard's when dead is nil):
 //
-//  1. recover every shard in parallel (or serially) with stock
-//     engine.Recover, priced with costs unless they are zero — each
-//     shard's snapshot restore + mechanism replay + tail reprocessing is
-//     independent of every other shard's — and seat the recovered engine;
-//  2. verify the lockstep invariant: recovered epochs may spread by at
-//     most one (a shard is fed epoch e+1 only after every shard finished
-//     epoch e, and its inputs persist before processing);
-//  3. re-align lagging shards by re-feeding the alignment epoch from src,
-//     with replication events rebuilt from the durable frontier log (the
-//     coordinator appended that record before any shard was fed the epoch);
-//  4. arm a full re-sync: the next live epoch replicates every shard's
-//     whole owned partition, covering mechanism-replayed epochs whose exact
-//     write sets were never captured.
-func (g *Group) recoverShards(src Source, costs vtime.Costs, serial bool, profilers []*vtime.Profiler) (*GroupReport, error) {
+//  1. recover every dead shard in parallel (or serially) with stock
+//     engine.Recover, priced with costs unless they are zero, over the
+//     inputs the replay rebuilds from src and the frontier log;
+//  2. verify the lockstep invariant: epoch e+1 is fed only once the barrier
+//     of e appended its frontier record, so no shard can have committed
+//     past the epoch after the log's last record;
+//  3. resume at Target, the later of that record's epoch and the highest
+//     committed one: re-feed every shard the epochs it did not reach, and
+//     stand where the live group stood after Target's barrier.
+func (g *Group) recoverShards(src Source, dead []bool, costs vtime.Costs, serial bool, profilers []*vtime.Profiler) (*GroupReport, error) {
 	start := time.Now()
 	report := &GroupReport{Reports: make([]*engine.RecoveryReport, len(g.shards))}
+	rp, err := g.newReplay(src)
+	if err != nil {
+		return nil, fmt.Errorf("shard: group recover: %w", err)
+	}
 
 	errs := make([]error, len(g.shards))
 	recoverShard := func(i int) {
-		ec := g.engineConfig(g.shards[i])
+		g.shards[i].writeSetEpoch = 0 // a replayed epoch's write set is unknown
+		ec := g.engineConfig(g.shards[i], rp)
 		ec.RecoveryCosts = costs
 		if len(profilers) > i && profilers[i] != nil {
 			ec.RecoveryProfiler = profilers[i]
@@ -127,18 +132,18 @@ func (g *Group) recoverShards(src Source, costs vtime.Costs, serial bool, profil
 		g.shards[i].eng = eng
 		report.Reports[i] = rep
 	}
-	if serial {
-		for i := range g.shards {
+	var wg sync.WaitGroup
+	for i := range g.shards {
+		switch {
+		case dead != nil && !dead[i]:
+		case serial:
 			recoverShard(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range g.shards {
+		default:
 			wg.Add(1)
 			go func(i int) { defer wg.Done(); recoverShard(i) }(i)
 		}
-		wg.Wait()
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			for i, rep := range report.Reports { // the group stays down
@@ -150,52 +155,28 @@ func (g *Group) recoverShards(src Source, costs vtime.Costs, serial bool, profil
 		}
 	}
 
-	// Lockstep invariant: the barrier never lets a shard run more than one
-	// epoch ahead of another.
-	lo, hi := report.Reports[0].LastEpoch, report.Reports[0].LastEpoch
-	for _, rep := range report.Reports[1:] {
-		lo, hi = min(lo, rep.LastEpoch), max(hi, rep.LastEpoch)
-	}
-	if hi-lo > 1 {
-		return nil, fmt.Errorf("shard: group recover: recovered epochs spread from %d to %d; lockstep invariant violated", lo, hi)
-	}
-	report.Target = hi
-	// The sequence floor is one past the highest sequence any shard reloaded:
-	// what the shards' logs replay since their snapshots is exactly what a
-	// replication sequence must order against.
-	for _, rep := range report.Reports {
-		g.seqFloor = max(g.seqFloor, rep.NextSeq)
-	}
-
-	// Re-align lagging shards: re-feed the alignment epoch through the
-	// normal pipeline (inputs re-persist, outputs deliver — the shard's
-	// durability gate for this epoch never fired before the crash).
-	if lo < hi {
-		events, ok := src(hi)
-		if !ok {
-			return nil, fmt.Errorf("shard: group recover: source has no batch for alignment epoch %d", hi)
+	report.Target = rp.last
+	for i, s := range g.shards {
+		if rep := report.Reports[i]; rep != nil && rep.CommittedEpoch > rp.last+1 {
+			return nil, fmt.Errorf("shard: group recover: shard %d committed epoch %d but the frontier log ends at %d; lockstep invariant violated",
+				i, rep.CommittedEpoch, rp.last)
 		}
-		reps, err := g.alignmentReplication(hi, g.minSeqFor(events))
-		if err != nil {
-			return nil, err
-		}
-		for i, s := range g.shards {
-			if report.Reports[i].LastEpoch == hi {
-				continue
-			}
-			batch := append(reps[i], g.subBatch(events, i)...)
-			if err := s.eng.ProcessEpoch(batch); err != nil {
-				return nil, fmt.Errorf("shard: group recover: align shard %d to epoch %d: %w", i, hi, err)
+		report.Target = max(report.Target, s.eng.Epoch())
+	}
+	for i, s := range g.shards {
+		if last := s.eng.Epoch(); last < report.Target {
+			if err := rp.refeed(i, last, report.Target); err != nil {
+				return nil, fmt.Errorf("shard: group recover: %w", err)
 			}
 			report.AlignedShards++
 		}
 	}
-
-	g.epoch = hi
-	g.fullSync = true
+	if err := rp.resume(report.Target); err != nil {
+		return nil, fmt.Errorf("shard: group recover: %w", err)
+	}
 	g.crashed = false
 
-	if !costs.IsZero() {
+	if !costs.IsZero() && dead == nil {
 		for _, rep := range report.Reports {
 			sw := rep.SimWall()
 			report.SerialSim += sw
@@ -205,7 +186,7 @@ func (g *Group) recoverShards(src Source, costs vtime.Costs, serial bool, profil
 	if len(profilers) > 0 {
 		var profs []vtime.Profile
 		for _, rep := range report.Reports {
-			if rep.Profile != nil {
+			if rep != nil && rep.Profile != nil {
 				profs = append(profs, *rep.Profile)
 			}
 		}
@@ -222,92 +203,154 @@ func (g *Group) recoverShards(src Source, costs vtime.Costs, serial bool, profil
 	return report, nil
 }
 
-// subBatch routes an epoch's global batch and returns shard i's slice.
-func (g *Group) subBatch(events []types.Event, i int) []types.Event {
-	var sub []types.Event
-	for _, ev := range events {
-		if len(ev.Keys) > 0 && g.router.Of(ev.Keys[0]) == i {
-			sub = append(sub, ev)
-		}
-	}
-	return sub
+// replay rebuilds, for one recovery, every epoch from the replay horizon
+// on as the live coordinator fed it: the global batch from the recovery
+// source, read once per epoch, and each shard's replication events from
+// the previous epoch's frontier record, read in one pass over the log.
+// It is read-only while the shards recover. frontier holds each epoch's
+// latest record and last the epoch of the log's last one; epochs holds
+// every epoch the source has from the first record through last+1.
+type replay struct {
+	g        *Group
+	frontier map[uint64]frontierRecord
+	last     uint64
+	epochs   map[uint64]*replayEpoch
 }
 
-// alignmentReplication rebuilds every shard's replication events for
-// epoch ep, whose replication sequence ceiling is minSeq, from the durable
-// frontier record of ep-1, exactly as the live coordinator built them
-// before the crash.
-func (g *Group) alignmentReplication(ep, minSeq uint64) ([][]types.Event, error) {
-	reps := make([][]types.Event, len(g.shards))
-	if ep <= 1 {
-		return reps, nil
+// frontierRecord is one decoded frontier record: the barrier's per-shard
+// deltas and the sequence floor after its epoch.
+type frontierRecord struct {
+	deltas []codec.ShardDelta
+	floor  uint64
+}
+
+// replayEpoch is one epoch's input: the global batch, each shard's share of
+// it in order, the barrier deltas it replicates and its replication
+// sequence ceiling.
+type replayEpoch struct {
+	events  []types.Event
+	subs    [][]types.Event
+	deltas  []codec.ShardDelta
+	ceiling uint64
+}
+
+// newReplay reads the frontier log once, from the record before the replay
+// horizon (of the engines the group holds; a group assembled for
+// GroupRecover holds none yet and reads what the log retains). A shard
+// snapshots epoch h only once the barrier of h-1 appended its record, so
+// that record is there, and it closes the log if the barrier of h died.
+// The latest record of an epoch wins. A decode failure on the log's final
+// record is a torn tail (the coordinator died mid-append; no shard was fed
+// past it) and reads as absent; earlier corruption is an error.
+func (g *Group) newReplay(src Source) (*replay, error) {
+	from := uint64(0)
+	if !slices.ContainsFunc(g.shards, func(s *shardState) bool { return s.eng == nil }) {
+		from = g.Horizon()
 	}
-	deltas, ok, err := g.frontierDeltas(ep - 1)
+	cur, err := storage.ReadFrom(g.coord, LogFrontier, max(from, 2)-2)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("frontier log: %w", err)
 	}
-	if !ok {
-		return nil, fmt.Errorf("shard: group recover: frontier record for epoch %d missing (needed to re-align epoch %d)", ep-1, ep)
+	recs, err := storage.ReadAll(cur)
+	if err != nil {
+		return nil, fmt.Errorf("frontier log: %w", err)
 	}
-	for i := range g.shards {
-		ev, err := buildReplication(i, deltas, minSeq)
+	rp := &replay{g: g, frontier: map[uint64]frontierRecord{}, epochs: map[uint64]*replayEpoch{}}
+	for i, rec := range recs {
+		deltas, floor, err := codec.DecodeFrontier(rec.Payload)
+		if err != nil && i == len(recs)-1 {
+			break
+		} else if err == nil && len(deltas) != len(g.shards) {
+			err = fmt.Errorf("%d shards, group has %d", len(deltas), len(g.shards))
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("frontier record epoch %d: %w", rec.Epoch, err)
 		}
-		reps[i] = ev
+		rp.frontier[rec.Epoch], rp.last = frontierRecord{deltas: deltas, floor: floor}, max(rp.last, rec.Epoch)
 	}
-	return reps, nil
+	first := uint64(0) // a log never released holds epoch 1, which needs no record
+	if len(recs) > 0 && recs[0].Epoch > 1 {
+		first = recs[0].Epoch
+	}
+	for ep := first + 1; ep <= rp.last+1; ep++ {
+		events, ok := src(ep)
+		if !ok {
+			continue
+		}
+		prev, ok := rp.frontier[ep-1]
+		if !ok && ep > 1 {
+			return nil, fmt.Errorf("frontier record for epoch %d missing (needed to rebuild epoch %d)", ep-1, ep)
+		}
+		e := &replayEpoch{events: events, subs: make([][]types.Event, len(g.shards)), deltas: prev.deltas, ceiling: ceiling(events, prev.floor)}
+		for _, ev := range events {
+			s := g.router.Of(ev.Keys[0])
+			e.subs[s] = append(e.subs[s], ev)
+		}
+		rp.epochs[ep] = e
+	}
+	return rp, nil
 }
 
-// frontierDeltas returns the last durable frontier record for the given
-// epoch (at least 1). A decode failure on the log's final record is a torn
-// tail (the coordinator died mid-append; no shard can have been fed past it)
-// and reads as absent; earlier corruption is an error. Later records for the
-// same epoch win: the first live epoch after a recovery re-appends its
-// full-sync deltas under the current epoch so a future recovery never
-// depends on a record lost to a coordinator-device crash.
-func (g *Group) frontierDeltas(epoch uint64) ([]codec.ShardDelta, bool, error) {
-	// The log is never released, so the cursor seeks past every earlier
-	// epoch: a re-alignment reads the records from epoch on, not the run.
-	// Records are appended in non-decreasing epoch order (a full sync goes
-	// under the recovered epoch, which no earlier record exceeds), so the
-	// last record the cursor yields is the log's last.
-	cur, err := storage.ReadFrom(g.coord, LogFrontier, epoch-1)
-	if err != nil {
-		return nil, false, fmt.Errorf("shard: frontier log: %w", err)
-	}
-	defer cur.Close()
-	// Stream with one record of lookahead, keeping the latest record for the
-	// requested epoch and whether it closed the log (only then may a decode
-	// failure read as a torn tail).
-	var payload []byte
-	found, foundIsTail := false, false
-	rec, ok, err := cur.Next()
-	if err != nil {
-		return nil, false, fmt.Errorf("shard: frontier log: %w", err)
-	}
-	for ok {
-		next, nok, nerr := cur.Next()
-		if nerr != nil {
-			return nil, false, fmt.Errorf("shard: frontier log: %w", nerr)
+// inputs is engine.Config.Inputs for shard i: every epoch after the
+// shard's snapshot that the replay holds, each its replication events (in
+// fresh memory) then its share of the batch. The engine reprocesses its
+// tail through the log's last record; the group re-feeds the epoch after.
+func (rp *replay) inputs(i int, after uint64) ([]ftapi.EpochEvents, uint64, error) {
+	var out []ftapi.EpochEvents
+	for ep := after + 1; rp.epochs[ep] != nil; ep++ {
+		e := rp.epochs[ep]
+		reps, err := buildReplication(i, e.deltas, e.ceiling)
+		if err != nil {
+			return nil, 0, err
 		}
-		if rec.Epoch == epoch {
-			payload, found, foundIsTail = rec.Payload, true, !nok
+		out = append(out, ftapi.EpochEvents{Epoch: ep, Events: append(reps, e.subs[i]...)})
+	}
+	return out, rp.last, nil
+}
+
+// refeed feeds shard i epochs from+1 through to through the live pipeline
+// (outputs deliver: the shard's durability gate for them never fired),
+// staging each epoch's replication as the live coordinator staged it.
+func (rp *replay) refeed(i int, from, to uint64) error {
+	s := rp.g.shards[i]
+	for ep := from + 1; ep <= to; ep++ {
+		e := rp.epochs[ep]
+		if e == nil {
+			return fmt.Errorf("source has no batch for epoch %d (re-feeding shard %d)", ep, i)
 		}
-		rec, ok = next, nok
-	}
-	if !found {
-		return nil, false, nil
-	}
-	deltas, err := codec.DecodeShardDeltas(payload)
-	if err != nil {
-		if foundIsTail {
-			return nil, false, nil
+		if err := s.stageReplication(e.deltas, e.ceiling); err != nil {
+			return err
 		}
-		return nil, false, fmt.Errorf("shard: frontier record epoch %d: %w", epoch, err)
+		s.batch = append(append(s.batch[:0], s.reps...), e.subs[i]...)
+		if err := s.eng.ProcessEpoch(s.batch); err != nil {
+			return fmt.Errorf("re-feed shard %d epoch %d: %w", i, ep, err)
+		}
 	}
-	if len(deltas) != len(g.shards) {
-		return nil, false, fmt.Errorf("shard: frontier record epoch %d has %d shards, group has %d", epoch, len(deltas), len(g.shards))
+	return nil
+}
+
+// resume leaves the group as the live one stood after epoch ep's barrier:
+// its frontier record, if durable, is the next epoch's replication payload
+// and holds the sequence floor. If the group died inside that barrier
+// after a shard committed the epoch, the barrier is finished here, on the
+// sequence floor the live epoch left; a shard whose mechanism replayed the
+// epoch publishes its full owned partition, its write set being unknown.
+func (rp *replay) resume(ep uint64) error {
+	g := rp.g
+	g.epoch = ep
+	if f, ok := rp.frontier[ep]; ok || ep == 0 { // before epoch 1: no deltas, no floor
+		g.lastDeltas, g.seqFloor = f.deltas, f.floor
+		return nil
 	}
-	return deltas, true, nil
+	e := rp.epochs[ep]
+	if e == nil {
+		return fmt.Errorf("source has no batch for epoch %d", ep)
+	}
+	g.seqFloor = rp.frontier[ep-1].floor
+	g.minSeqFor(e.events)
+	if err := g.completeBarrier(ep); err != nil {
+		return err
+	}
+	g.stats = append(g.stats, EpochStat{Epoch: ep, Events: len(e.events), ShardWalls: make([]time.Duration, len(g.shards))})
+	return nil
 }

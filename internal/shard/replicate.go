@@ -25,10 +25,11 @@ const maxReplicateKeys = 100
 //
 // Replication-as-events is the load-bearing trick of the shard layer:
 // because frontier propagation rides the ordinary event path, it is
-// persisted by input logging, covered by every fault-tolerance mechanism's
-// records, and replayed by stock engine recovery — per-shard recovery
-// needs no shard-specific durability at all, which is what lets the group
-// recover every shard in parallel with unmodified engine.Recover calls.
+// covered by every fault-tolerance mechanism's records and replayed by
+// stock engine recovery, which is what lets the group recover every shard
+// in parallel with unmodified engine.Recover calls. Its only durable form
+// is the frontier log: a recovery rebuilds each epoch's replication events
+// from the previous epoch's record (see replay in recovery.go).
 type App struct {
 	inner types.App
 }
@@ -126,17 +127,23 @@ func buildReplication(dst int, deltas []codec.ShardDelta, minSeq uint64) ([]type
 }
 
 // minSeqFor returns the replication sequence ceiling of an epoch fed
-// events — their lowest sequence, or the sequence floor when there are
-// none — and raises the floor past them.
+// events and raises the sequence floor past them.
 func (g *Group) minSeqFor(events []types.Event) uint64 {
-	minSeq := g.seqFloor
-	for i, ev := range events {
-		if i == 0 || ev.Seq < minSeq {
-			minSeq = ev.Seq
-		}
+	for _, ev := range events {
 		g.seqFloor = max(g.seqFloor, ev.Seq+1)
 	}
-	return minSeq
+	return ceiling(events, g.seqFloor)
+}
+
+// ceiling is the replication sequence ceiling of an epoch fed events over
+// sequence floor: their lowest sequence, or the floor when there are none.
+func ceiling(events []types.Event, floor uint64) uint64 {
+	for i, ev := range events {
+		if i == 0 || ev.Seq < floor {
+			floor = ev.Seq
+		}
+	}
+	return floor
 }
 
 // replicationEvents chunks a merged foreign delta into replication events,

@@ -123,8 +123,8 @@ func gsGroup(t *testing.T, seed int64, kind ftapi.Kind, coord storage.Device, n,
 // TestRecycledBuffersKeepLiveData: the group recycles its per-epoch
 // buffers, but never through memory something still reads: the barrier
 // deltas epoch N+1 replicates from stay intact through that epoch, including
-// a heal that re-stages its replication from them (a delta set is rebuilt
-// two barriers later).
+// a heal of it on the shard rung (a delta set is rebuilt two barriers
+// later).
 func TestRecycledBuffersKeepLiveData(t *testing.T) {
 	g, batches := gsGroup(t, 23, ftapi.MSR, nil, 5, 64)
 	if err := g.Run(batches[:4]); err != nil {
@@ -152,19 +152,13 @@ func TestRecycledBuffersKeepLiveData(t *testing.T) {
 	}
 }
 
-// countingDev counts the records its log cursors hand out; whole makes
-// every cursor read its log from the start, as frontierDeltas did before it
-// sought.
+// countingDev counts the records its log cursors hand out.
 type countingDev struct {
 	storage.Device
-	read  int
-	whole bool
+	read int
 }
 
 func (d *countingDev) ReadFrom(log string, from uint64) (storage.Cursor, error) {
-	if d.whole {
-		from = 0
-	}
 	cur, err := storage.ReadFrom(d.Device, log, from)
 	if err != nil {
 		return nil, err
@@ -174,13 +168,12 @@ func (d *countingDev) ReadFrom(log string, from uint64) (storage.Cursor, error) 
 	return storage.NewSliceCursor(recs, 0), err
 }
 
-// TestFrontierDeltasSeek: a re-alignment's frontier read seeks to the epoch
-// it needs, reading only the records from that epoch on however long the
-// run, and returns what a read of the whole log returned. The log is a
-// 2-shard run of 40 epochs healed on the group rung, so epoch 40 carries a
-// barrier record and the re-appended full sync after it, plus a torn record
-// closing the log (absent) and, once more is appended, a corrupt one inside
-// it (an error).
+// TestFrontierDeltasSeek: a recovery reads the frontier log once, from the
+// record before the replay horizon on — only those, however long the run —
+// and holds each epoch's latest record, as a whole-log read does. The log is a
+// 2-shard run of 43 epochs healed on the group rung at epoch 41, released
+// below its horizon as it ran. A torn record closing the log reads as
+// absent, and once more is appended it is an error.
 func TestFrontierDeltasSeek(t *testing.T) {
 	coord := &countingDev{Device: storage.NewSegStore(storage.SegConfig{SegmentBytes: 1 << 10})}
 	g, batches := gsGroup(t, 71, ftapi.WAL, coord, 43, 24)
@@ -195,45 +188,45 @@ func TestFrontierDeltasSeek(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every epoch reads what a whole-log read returned, from the records
-	// at and after it alone.
 	check := func(last uint64) {
 		t.Helper()
 		recs, err := coord.Device.ReadLog(LogFrontier)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ep := uint64(1); ep <= last; ep++ {
-			coord.whole = true
-			want, wantOK, wantErr := g.frontierDeltas(ep)
-			coord.whole, coord.read = false, 0
-			got, ok, err := g.frontierDeltas(ep)
-			if ok != wantOK || (err != nil) != (wantErr != nil) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("epoch %d read (ok %v, err %v), a whole-log read (ok %v, err %v)", ep, ok, err, wantOK, wantErr)
+		if recs[0].Epoch == 1 {
+			t.Fatal("the frontier log was never released")
+		}
+		h, read, latest := g.Horizon(), 0, map[uint64][]byte{}
+		for _, r := range recs {
+			if r.Epoch+1 >= h {
+				read, latest[r.Epoch] = read+1, r.Payload
 			}
-			from := slices.IndexFunc(recs, func(r storage.Record) bool { return r.Epoch >= ep })
-			if coord.read != len(recs)-from {
-				t.Fatalf("epoch %d read %d records, want the %d from it on", ep, coord.read, len(recs)-from)
+		}
+		coord.read = 0
+		rp, err := g.newReplay(types.BatchSource(batches))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if coord.read != read || rp.last != last {
+			t.Fatalf("read %d records up to epoch %d, want the %d from the one before horizon %d, up to %d", coord.read, rp.last, read, h, last)
+		}
+		for ep, p := range latest {
+			deltas, floor, _ := codec.DecodeFrontier(p)
+			if f := rp.frontier[ep]; ep <= last && (f.floor != floor || !reflect.DeepEqual(f.deltas, deltas)) {
+				t.Fatalf("epoch %d: holds %+v, the log's latest record is %x", ep, f, p)
 			}
 		}
 	}
-	if recs, _ := coord.Device.ReadLog(LogFrontier); len(recs) != 44 || recs[40].Epoch != 40 {
-		t.Fatalf("frontier log holds %d records, want 43 barriers and epoch 40's full sync after its barrier", len(recs))
-	}
 	check(43)
-
 	if err := coord.Append(LogFrontier, storage.Record{Epoch: 44, Payload: []byte{0xff}}); err != nil {
 		t.Fatal(err)
 	}
-	check(44)
-	if _, ok, err := g.frontierDeltas(44); ok || err != nil {
-		t.Fatalf("torn tail record read ok=%v err=%v, want absent", ok, err)
-	}
+	check(43) // a torn tail record reads as absent
 	if err := g.appendFrontier(45, g.lastDeltas); err != nil {
 		t.Fatal(err)
 	}
-	check(45)
-	if _, _, err := g.frontierDeltas(44); err == nil {
+	if _, err := g.newReplay(types.BatchSource(batches)); err == nil {
 		t.Fatal("a corrupt record inside the log read without error")
 	}
 }

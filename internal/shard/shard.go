@@ -29,12 +29,17 @@
 //
 // # Recovery
 //
+// Shard engines keep no input log: the host persists each event once (the
+// serving layer's ingest manifest), and a recovery rebuilds every epoch a
+// shard replays from the host's Source and the frontier log, reading both
+// from the replay horizon (Horizon) on.
+//
 // A live group heals through Group.Heal (see heal.go), the one heal in the
 // tree: a single dead shard heals in place without stopping the
 // survivors, and anything else recovers every shard in parallel with stock
-// engine.Recover — per-shard TPG replay × shard fan-out — then re-aligns
-// stragglers from the durable frontier log. GroupRecover (see recovery.go)
-// runs that same group recovery at a cold start, over a fresh group.
+// engine.Recover — per-shard TPG replay × shard fan-out — then re-feeds
+// stragglers. GroupRecover (see recovery.go) runs that same group recovery
+// at a cold start, over a fresh group.
 package shard
 
 import (
@@ -59,9 +64,11 @@ import (
 )
 
 // LogFrontier is the coordinator's durable log of barrier frontier
-// records: one record per group epoch, payload EncodeShardDeltasInto. It
-// lives on the coordinator's own device, so shard logs and the group
-// punctuation agreement survive crashes independently.
+// records: one record per group epoch, payload codec.EncodeFrontierInto
+// (the barrier deltas and the sequence floor after the epoch). It lives on
+// the coordinator's own device, so shard logs and the group punctuation
+// agreement survive crashes independently. Records below the one before
+// the replay horizon are released as the horizon moves.
 const LogFrontier = "frontier"
 
 // Config assembles one shard group.
@@ -221,21 +228,19 @@ type Group struct {
 
 	epoch   uint64
 	crashed bool
-	// seqFloor is one past the highest sequence routed (GroupRecover
-	// restores it from what the shards reloaded): an epoch without events
-	// sequences its replication just below it.
+	// seqFloor is one past the highest sequence routed: an epoch without
+	// events sequences its replication just below it. A recovery restores
+	// it from the target epoch's frontier record, or from the one before
+	// when it completes a barrier that died (replay.resume).
 	seqFloor uint64
 
 	// lastDeltas is the previous barrier's per-shard delta — the next
-	// epoch's replication payload. fullSync replaces it with every shard's
-	// full owned partition for one epoch (set after a group recovery,
-	// whose mechanism-replayed epochs have no captured write sets). A
-	// barrier builds its deltas into whichever of deltaSets lastDeltas does
-	// not hold, so the payload a heal restages from survives the barrier
-	// that replaces it.
+	// epoch's replication payload (after a recovery: the last frontier
+	// record's). A barrier builds its deltas into whichever of deltaSets
+	// lastDeltas does not hold, so the payload epoch N+1 replicates from
+	// survives until that epoch's own barrier replaces it.
 	lastDeltas []codec.ShardDelta
 	deltaSets  [2][]codec.ShardDelta
-	fullSync   bool
 
 	// commitAt records when each epoch's commit became covered by the
 	// group frontier (coordinator goroutine only, like the rest of the
@@ -260,7 +265,7 @@ func NewGroup(cfg Config) (*Group, error) {
 		return nil, err
 	}
 	for _, s := range g.shards {
-		eng, err := engine.New(g.engineConfig(s))
+		eng, err := engine.New(g.engineConfig(s, nil))
 		if err != nil {
 			return nil, err
 		}
@@ -299,10 +304,11 @@ func newGroupShell(cfg Config) (*Group, error) {
 	return g, nil
 }
 
-// engineConfig assembles shard s's engine configuration. The OnWriteSet
-// closure captures into s only; during concurrent epochs each engine
-// goroutine therefore touches its own shard state exclusively.
-func (g *Group) engineConfig(s *shardState) engine.Config {
+// engineConfig assembles shard s's engine configuration, recovering from
+// rp (nil outside a recovery). The OnWriteSet closure captures into s only;
+// during concurrent epochs each engine goroutine therefore touches its own
+// shard state exclusively.
+func (g *Group) engineConfig(s *shardState, rp *replay) engine.Config {
 	var sink func(uint64, []types.Output)
 	if g.cfg.Sink != nil {
 		sink = func(ep uint64, outs []types.Output) { g.cfg.Sink(s.idx, ep, outs) }
@@ -317,6 +323,9 @@ func (g *Group) engineConfig(s *shardState) engine.Config {
 		AdaptiveForce: g.cfg.AdaptiveForce,
 		Shard:         s.idx,
 		OfShards:      g.cfg.Shards,
+		Inputs: func(after uint64) ([]ftapi.EpochEvents, uint64, error) {
+			return rp.inputs(s.idx, after) // only a group recovery recovers an engine
+		},
 		OnWriteSet: func(ep uint64, keys []types.Key) {
 			s.writeSet = append(s.writeSet[:0], keys...)
 			s.writeSetEpoch = ep
@@ -440,32 +449,15 @@ func (g *Group) route(events []types.Event) (dest []int32, minSeq uint64, err er
 }
 
 // replicationFor stages every shard's replication events for the next
-// epoch from the staged barrier deltas (or, after a group recovery, from
-// every shard's full owned partition — the conservative re-sync that
-// covers mechanism-replayed epochs whose write sets were never captured,
-// persisted under the current epoch because the record alignment would
-// otherwise rebuild it from may predate the recovery or be lost).
+// epoch from the staged barrier deltas.
 func (g *Group) replicationFor(minSeq uint64) error {
 	if g.cfg.LocalReads {
-		g.fullSync = false
 		return nil
-	}
-	deltas := g.lastDeltas
-	if g.fullSync {
-		deltas = make([]codec.ShardDelta, len(g.shards))
-		for i := range g.shards {
-			deltas[i] = g.fullDelta(i)
-		}
-		if err := g.appendFrontier(g.epoch, deltas); err != nil {
-			return fmt.Errorf("shard: full-sync frontier record epoch %d: %w", g.epoch, err)
-		}
-		g.fullSync = false
-		g.lastDeltas = deltas
 	}
 	// A fresh group's first epoch has no deltas yet; staging still runs, so
 	// every shard's exemptions are those of this epoch (here: none).
 	for _, s := range g.shards {
-		if err := s.stageReplication(deltas, minSeq); err != nil {
+		if err := s.stageReplication(g.lastDeltas, minSeq); err != nil {
 			return err
 		}
 	}
@@ -483,18 +475,20 @@ func (s *shardState) stageReplication(deltas []codec.ShardDelta, minSeq uint64) 
 	return err
 }
 
-// appendFrontier appends one frontier record to the coordinator's log. The
-// device copies the payload, so it is encoded into a pooled buffer.
+// appendFrontier appends epoch ep's frontier record, with the current
+// sequence floor, to the coordinator's log. The device copies the payload,
+// so it is encoded into a pooled buffer.
 func (g *Group) appendFrontier(ep uint64, deltas []codec.ShardDelta) error {
 	w := codec.GetBuffer()
 	defer codec.PutBuffer(w)
-	codec.EncodeShardDeltasInto(w, deltas)
+	codec.EncodeFrontierInto(w, deltas, g.seqFloor)
 	return g.coord.Append(LogFrontier, storage.Record{Epoch: ep, Payload: w.Bytes()})
 }
 
 // completeBarrier runs the barrier step of epoch ep: verify write
-// locality, extract per-shard deltas, append the frontier record, advance
-// the group epoch, and stage the deltas for the next epoch's replication.
+// locality, extract per-shard deltas, append the frontier record (and
+// release the records below a replay horizon that moved), advance the
+// group epoch, and stage the deltas for the next epoch's replication.
 func (g *Group) completeBarrier(ep uint64) error {
 	set := &g.deltaSets[ep%2] // lastDeltas, if staged by a barrier, is the other set
 	if len(*set) != len(g.shards) {
@@ -549,6 +543,13 @@ func (g *Group) completeBarrier(ep uint64) error {
 	}
 	if err := g.appendFrontier(ep, deltas); err != nil {
 		return fmt.Errorf("shard: frontier record epoch %d: %w", ep, err)
+	}
+	// No recovery reads a record below the one before the replay horizon,
+	// which moves to a snapshot's epoch once per snapshot interval.
+	if h := g.Horizon(); h == ep && h > 2 {
+		if err := storage.Release(g.coord, LogFrontier, h-2); err != nil {
+			return fmt.Errorf("shard: frontier release below epoch %d: %w", h-1, err)
+		}
 	}
 	g.lastDeltas = deltas
 	g.epoch = ep
@@ -653,6 +654,16 @@ func (g *Group) Committed() uint64 {
 		}
 	}
 	return frontier
+}
+
+// Horizon returns the replay horizon, the oldest snapshot epoch across
+// shards: a recovery rebuilds only the epochs from it on.
+func (g *Group) Horizon() uint64 {
+	h := g.shards[0].eng.SnapshotEpoch()
+	for _, s := range g.shards[1:] {
+		h = min(h, s.eng.SnapshotEpoch())
+	}
+	return h
 }
 
 // CommittedVector returns each shard's punctuation frontier — the highest

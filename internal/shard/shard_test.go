@@ -2,11 +2,11 @@ package shard_test
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
-	"morphstreamr/internal/codec"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/fttest"
 	"morphstreamr/internal/shard"
@@ -181,83 +181,89 @@ func TestWriteLocalityViolation(t *testing.T) {
 	t.Fatal("no write-locality violation in 6 epochs of cross-partition transfers")
 }
 
-// TestGroupCrashRecoverContinue is the smoke version of the sharded sweep:
-// crash the whole group after a full run, recover all shards in parallel,
-// verify oracle equivalence, then keep processing and verify again. Epochs
-// 6–9 carry no events and the crash lands after epoch 6 or, on a snapshot,
-// after epoch 8. Recovery's source answers only epochs at or above the
-// committed frontier, as a GC'd ingest manifest does: the sequence floor an
-// event-less epoch orders its replication against comes from what the
-// shards reloaded, and from the epoch itself when they reloaded nothing.
+// ftAfter records the FT-log appends of epochs above after.
+type ftAfter struct {
+	storage.Device
+	after uint64
+	recs  []storage.Record
+}
+
+func (d *ftAfter) Append(log string, rec storage.Record) error {
+	if log == storage.LogFT && rec.Epoch > d.after {
+		d.recs = append(d.recs, storage.Record{Epoch: rec.Epoch, Payload: slices.Clone(rec.Payload)})
+	}
+	return d.Device.Append(log, rec)
+}
+
+// TestGroupCrashRecoverContinue: a recovery rebuilds the replication
+// events of the epochs it replays, and leaves the sequence floor, exactly as
+// the live group had them. Grep&Sum on 2 and 4 shards, every mechanism:
+// epochs 1–8 carry events (8 is a snapshot), 9 and 10 none, so epoch 9
+// replicates epoch 8's writes below a floor set before the snapshot. The
+// group crashes after epoch 8 (epoch 9's replication then orders against
+// the recovered floor) or after epoch 10 (recovery rebuilds epoch 9's),
+// recovers from a source holding only the epochs from the replay horizon
+// on, runs 4 more epochs, and must then equal a group that never
+// crashed: stores, every output released (replication acknowledgements
+// carry their sequences) and every FT record appended after the crash.
 func TestGroupCrashRecoverContinue(t *testing.T) {
-	const n = 4
-	app, batches := gsRun(11, 6, 24)
-	batches = slices.Insert(batches, 5, nil, nil, nil, nil)
-	for _, crash := range []int{6, 8} {
-		devs := make([]storage.Device, n)
-		for i := range devs {
-			devs[i] = storage.NewMem()
-		}
-		ledgers := make(shard.Ledgers, n)
-		cfg := shard.Config{
-			GroupShape: sweepShape(n), App: app, Kind: ftapi.CKPT,
-			Devices: devs, CoordDev: storage.NewMem(), Sink: ledgers.Sink,
-		}
-		g, err := shard.NewGroup(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Run(batches[:crash]); err != nil {
-			t.Fatal(err)
-		}
-		g.Crash()
-		if err := g.ProcessEpoch(nil); err != shard.ErrCrashed {
-			t.Fatalf("crashed group accepted an epoch: %v", err)
-		}
-
-		all, committed := types.BatchSource(batches), g.Committed()
-		g2, rep, err := shard.GroupRecover(shard.RecoverConfig{Config: cfg, Source: func(ep uint64) ([]types.Event, bool) {
-			if ep < committed {
-				return nil, false
+	app, batches := gsRun(37, 14, 24)
+	batches[8], batches[9] = nil, nil
+	for _, n := range []int{2, 4} {
+		for _, kind := range []ftapi.Kind{ftapi.CKPT, ftapi.WAL, ftapi.DL, ftapi.LV, ftapi.MSR} {
+			for _, crash := range []uint64{8, 10} {
+				name := fmt.Sprintf("%v/shards=%d/crash=%d", kind, n, crash)
+				// run feeds a fresh group the epochs through to.
+				run := func(to uint64) (*shard.Group, shard.Config, []*ftAfter, shard.Ledgers) {
+					out := make(shard.Ledgers, n)
+					cfg := shard.Config{GroupShape: sweepShape(n), App: app, Kind: kind, CoordDev: storage.NewMem(), Sink: out.Sink}
+					devs := make([]*ftAfter, n)
+					for i := range devs {
+						devs[i] = &ftAfter{Device: storage.NewMem(), after: crash}
+						cfg.Devices = append(cfg.Devices, devs[i])
+					}
+					g, err := shard.NewGroup(cfg)
+					if err == nil {
+						err = g.Run(batches[:to])
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					return g, cfg, devs, out
+				}
+				ref, _, refDevs, refOut := run(crash + 4)
+				g, cfg, devs, out := run(crash)
+				g.Crash()
+				all, horizon := types.BatchSource(batches), g.Horizon()
+				g2, _, err := shard.GroupRecover(shard.RecoverConfig{Config: cfg, Source: func(ep uint64) ([]types.Event, bool) {
+					if ep < horizon {
+						return nil, false // released, as a GC'd ingest manifest's are
+					}
+					return all(ep)
+				}})
+				if err == nil {
+					err = g2.Run(batches[crash : crash+4])
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for s := 0; s < n; s++ {
+					if !reflect.DeepEqual(g2.Engine(s).Store().Snapshot(), ref.Engine(s).Store().Snapshot()) {
+						t.Errorf("%s: shard %d's store differs from the uncrashed group's", name, s)
+					}
+					if !reflect.DeepEqual(out[s], refOut[s]) {
+						t.Errorf("%s: shard %d released other outputs than the uncrashed group", name, s)
+					}
+					// MSR's selective logging repartitions every 8 epochs from
+					// its own start, so a recovered MSR logs what an uncrashed
+					// one does only from a crash on that cadence.
+					if (kind != ftapi.MSR || crash%8 == 0) && !reflect.DeepEqual(devs[s].recs, refDevs[s].recs) {
+						t.Errorf("%s: shard %d's FT records after the crash differ from the uncrashed group's", name, s)
+					}
+					ref.Engine(s).Close()
+					g2.Engine(s).Close()
+				}
 			}
-			return all(ep)
-		}})
-		if err != nil {
-			t.Fatal(err)
 		}
-		if rep.Target != uint64(crash) {
-			t.Fatalf("recovered to epoch %d, want %d", rep.Target, crash)
-		}
-		if rep.SerialSim < rep.ParallelSim {
-			t.Fatalf("serial sim %v < parallel sim %v", rep.SerialSim, rep.ParallelSim)
-		}
-
-		orc, err := shard.NewGroupOracle(app, n, batches)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The first epoch after the recovery has no events. Its replication
-		// ends just below the reloaded floor (epoch 5's last sequence, 119,
-		// plus one), or at n after a snapshot that left nothing to reload.
-		if err := g2.ProcessEpoch(batches[crash]); err != nil {
-			t.Fatalf("crash after epoch %d: %v", crash, err)
-		}
-		cur, err := storage.ReadFrom(devs[0], storage.LogInput, uint64(crash))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec, _, _ := cur.Next()
-		cur.Close()
-		evs, err := codec.DecodeEvents(rec.Payload)
-		if err != nil || len(evs) == 0 {
-			t.Fatalf("crash after epoch %d: epoch %d input holds %d events: %v", crash, crash+1, len(evs), err)
-		}
-		if last, want := evs[len(evs)-1].Seq, map[int]uint64{6: 119, 8: uint64(len(evs))}[crash]; last != want {
-			t.Fatalf("crash after epoch %d: epoch %d replication ends at sequence %d, want %d", crash, crash+1, last, want)
-		}
-		if err := g2.Run(batches[crash+1:]); err != nil {
-			t.Fatal(err)
-		}
-		verifyAgainstOracle(t, g2, orc, ledgers)
 	}
 }

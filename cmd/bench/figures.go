@@ -58,7 +58,7 @@ func fig[R interface{ Tables() []bench.Table }](name string, run func(bench.Scal
 }
 
 // evaluation is the paper's Section VIII in figure order, each sweep at
-// its default points, plus the Section VII extensions.
+// its default points, plus the Section VII extension.
 var evaluation = []figure{
 	fig("fig2", bench.Fig2),
 	fig("fig9", func(sc bench.Scale) (*bench.Fig9Result, error) { return bench.Fig9(sc, nil) }, bench.AdvisorQuadrants),

@@ -3,11 +3,8 @@ package main
 import (
 	"fmt"
 
-	"morphstreamr/internal/engine"
-	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
-	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/metrics"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
@@ -34,8 +31,8 @@ type ReplayCell struct {
 	EventsReplayed int    `json:"events_replayed"`
 	SnapshotEpoch  uint64 `json:"snapshot_epoch"`
 	LastEpoch      uint64 `json:"last_epoch"`
-	// LiveSegments is the max live (unreleased) segment count over the
-	// input, ft, and checkpoint logs at the crash point; SegmentBudget is
+	// LiveSegments is the max live (unreleased) segment count over the ft
+	// and checkpoint logs at the crash point; SegmentBudget is
 	// the device's configured per-log cap, which the run ran under without
 	// ever hitting ErrSegmentBudget.
 	LiveSegments     int `json:"live_segments"`
@@ -248,47 +245,48 @@ func slGen(seed int64, rows uint32) workload.Generator {
 	return workload.NewSL(p)
 }
 
+// storeGroup configures a one-shard group running kind over dev.
+func storeGroup(gen workload.Generator, kind ftapi.Kind, dev storage.Device, shape types.RunShape) shard.Config {
+	return shard.Config{
+		GroupShape: types.GroupShape{RunShape: shape},
+		App:        gen.App(),
+		Kind:       kind,
+		Devices:    []storage.Device{dev},
+		CoordDev:   storage.NewMem(),
+	}
+}
+
 // replayCell runs one mechanism for n epochs plus the tail on the bounded
 // segment store, crashes, recovers, and measures the replay volume and the
 // live-segment high-water mark.
 func replayCell(kind ftapi.Kind, n, epochSize, segBytes, segBudget int, seed int64) (*ReplayCell, error) {
 	seg := storage.NewSegStore(storage.SegConfig{SegmentBytes: segBytes, MaxSegments: segBudget})
 	gen := slGen(seed, 512)
-	shape := types.RunShape{Workers: 2, CommitEvery: commitEvery, SnapshotEvery: snapshotEvery}
-	bytes := metrics.NewBytes()
-	e, err := engine.New(engine.Config{
-		App: gen.App(), Device: seg, RunShape: shape, Bytes: bytes,
-		Mechanism: ft.New(kind, seg, bytes, msr.Default()),
-	})
+	cfg := storeGroup(gen, kind, seg, types.RunShape{Workers: 2, CommitEvery: commitEvery, SnapshotEvery: snapshotEvery})
+	g, err := shard.NewGroup(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer e.Close()
+	defer g.Engine(0).Close()
+	batches := make([][]types.Event, n+tailEpochs)
 	total := 0
-	for i := 0; i < n+tailEpochs; i++ {
-		batch := workload.Batch(gen, epochSize)
-		total += len(batch)
-		if err := e.ProcessEpoch(batch); err != nil {
+	for i := range batches {
+		batches[i] = workload.Batch(gen, epochSize)
+		total += len(batches[i])
+		if err := g.ProcessEpoch(batches[i]); err != nil {
 			return nil, err
 		}
 	}
-	live := 0
-	for _, log := range []string{storage.LogInput, storage.LogFT, storage.LogCkpt} {
-		if s := seg.Segments(log); s > live {
-			live = s
-		}
-	}
-	released := seg.Released(storage.LogInput) + seg.Released(storage.LogFT) + seg.Released(storage.LogCkpt)
-	e.Crash()
+	live := max(seg.Segments(storage.LogFT), seg.Segments(storage.LogCkpt))
+	released := seg.Released(storage.LogFT) + seg.Released(storage.LogCkpt)
+	g.Crash()
 
-	b2 := metrics.NewBytes()
-	_, report, err := engine.Recover(engine.Config{
-		App: gen.App(), Device: seg, RunShape: shape, Bytes: b2,
-		Mechanism: ft.New(kind, seg, b2, msr.Default()),
-	})
+	rg, rep, err := shard.GroupRecover(shard.RecoverConfig{Config: cfg, Source: types.BatchSource(batches), Unpriced: true})
 	if err != nil {
 		return nil, fmt.Errorf("recover: %w", err)
 	}
+	rg.Engine(0).Close()
+	report := rep.Reports[0]
 	return &ReplayCell{
 		Kind:             kind.String(),
 		Epochs:           n + tailEpochs,
@@ -313,18 +311,14 @@ func incrementalCell(rows uint32, epochSize int, seed int64) (*IncCell, error) {
 	)
 	dev := storage.NewSegStore(storage.SegConfig{SegmentBytes: 4096})
 	gen := slGen(seed, rows)
-	bytes := metrics.NewBytes()
-	e, err := engine.New(engine.Config{
-		App: gen.App(), Device: dev, Bytes: bytes,
-		Mechanism: ft.New(ftapi.WAL, dev, bytes, msr.Default()),
-		RunShape:  types.RunShape{Workers: 2, CommitEvery: 2, SnapshotEvery: snapEvery, SnapshotBase: snapBase},
-	})
+	g, err := shard.NewGroup(storeGroup(gen, ftapi.WAL, dev,
+		types.RunShape{Workers: 2, CommitEvery: 2, SnapshotEvery: snapEvery, SnapshotBase: snapBase}))
 	if err != nil {
 		return nil, err
 	}
-	defer e.Close()
+	defer g.Engine(0).Close()
 	for i := 0; i < epochs; i++ {
-		if err := e.ProcessEpoch(workload.Batch(gen, epochSize)); err != nil {
+		if err := g.ProcessEpoch(workload.Batch(gen, epochSize)); err != nil {
 			return nil, err
 		}
 	}

@@ -12,20 +12,20 @@ import (
 	"fmt"
 	"log"
 
-	"morphstreamr/internal/engine"
-	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/metrics"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
+	"morphstreamr/internal/store"
+	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
-	"morphstreamr/internal/vtime"
 	"morphstreamr/internal/workload"
 )
 
 const (
-	batch  = 4096
-	epochs = 24 // snapshots at 16; crash at 24 leaves 8 epochs to recover
+	batch         = 4096
+	epochs        = 24 // snapshots at 16; crash at 24 leaves 8 epochs to recover
+	snapshotEvery = 16
 )
 
 func main() {
@@ -45,57 +45,56 @@ func main() {
 		}()},
 	}
 
-	for _, cfg := range configs {
-		fmt.Printf("=== %s ===\n", cfg.name)
-		gen := workload.NewGS(cfg.p)
-		// The advisor is an engine knob (a group's shards share one commit
-		// cadence, so a group never consults it): build the engine directly,
-		// with one ledger recording what it and its recovery release.
-		ledger := &engine.Ledger{}
-		ec := engine.Config{
-			RunShape:      types.RunShape{Workers: 4, SnapshotEvery: 16},
-			AutoCommit:    true, // let the advisor pick the commit epoch
-			App:           gen.App(),
-			Device:        storage.NewMem(),
-			Sink:          ledger.Sink,
-			RecoveryCosts: vtime.FixedCosts(),
+	for _, c := range configs {
+		fmt.Printf("=== %s ===\n", c.name)
+		gen := workload.NewGS(c.p)
+		stream := make([][]types.Event, epochs)
+		for i := range stream {
+			stream[i] = workload.Batch(gen, batch)
 		}
-		withMSR(&ec)
-		eng, err := engine.New(ec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < epochs; i++ {
-			if err := eng.ProcessEpoch(workload.Batch(gen, batch)); err != nil {
-				log.Fatal(err)
-			}
-		}
-		fmt.Printf("advisor chose a log commitment epoch of %d batch(es)\n", eng.CommitEvery())
-		fmt.Printf("runtime: %.0f events/s; ft overhead: %v\n", eng.Throughput(), eng.Runtime())
+		// The advisor profiles the first batch's graph; the host configures
+		// the group's commit interval with its advice before feeding it.
+		first := tpg.BuildEvents(gen.App(), stream[0], store.New(gen.App().Tables()).Get)
+		commitEvery := msr.Advise(first, snapshotEvery)
+		fmt.Printf("advisor chose a log commitment epoch of %d batch(es)\n", commitEvery)
 
-		before := len(ledger.Outputs)
-		eng.Crash()
-		withMSR(&ec) // recovery runs a fresh mechanism over the same device
-		recovered, report, err := engine.Recover(ec)
+		// A one-shard group, with one ledger recording what it and its
+		// recovery release.
+		ledgers := make(shard.Ledgers, 1)
+		cfg := shard.Config{
+			GroupShape: types.GroupShape{RunShape: types.RunShape{Workers: 4, CommitEvery: commitEvery, SnapshotEvery: snapshotEvery}},
+			App:        gen.App(),
+			Kind:       ftapi.MSR,
+			Devices:    []storage.Device{storage.NewMem()},
+			CoordDev:   storage.NewMem(),
+			Sink:       ledgers.Sink,
+		}
+		g, err := shard.NewGroup(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		if err := g.Run(stream); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("runtime: %.0f events/s; ft overhead: %v\n", g.Engine(0).Throughput(), g.Engine(0).Runtime())
+
+		before := len(ledgers[0].Outputs)
+		g.Crash()
+		g, rep, err := shard.GroupRecover(shard.RecoverConfig{Config: cfg, Source: types.BatchSource(stream)})
+		if err != nil {
+			log.Fatal(err)
+		}
+		report := rep.Reports[0]
 		fmt.Printf("recovery: %d events in simulated %v (%.0f events/s)\n",
 			report.EventsReplayed, report.SimWall().Round(0), report.Throughput())
 
 		// Show the skew the engine just survived: top records by write count
 		// are unavailable post-hoc, but the delivered sums tell the story.
-		fmt.Printf("outputs delivered after recovery: %d\n", len(ledger.Outputs)-before)
-		audit(ledger.Outputs, recovered.PendingOutputs())
-		recovered.Close()
+		fmt.Printf("outputs delivered after recovery: %d\n", len(ledgers[0].Outputs)-before)
+		audit(ledgers[0].Outputs, g.Engine(0).PendingOutputs())
+		g.Engine(0).Close()
 		fmt.Println()
 	}
-}
-
-// withMSR gives ec a fresh MorphStreamR mechanism over its device.
-func withMSR(ec *engine.Config) {
-	ec.Bytes = metrics.NewBytes()
-	ec.Mechanism = ft.New(ftapi.MSR, ec.Device, ec.Bytes, msr.Default())
 }
 
 // audit fails the run unless every event's output was delivered at most once

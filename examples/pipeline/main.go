@@ -1,8 +1,8 @@
-// Pipeline: continuous operation of one engine fed epoch by epoch, with
-// the Section VII extensions enabled: asynchronous group commit (durable
-// writes off the critical path) and log compression.
+// Pipeline: continuous operation of a one-shard group fed epoch by epoch,
+// with the Section VII log-compression extension: every durable log is
+// DEFLATE-compressed below the device interface.
 //
-// The run crashes mid-stream, resumes the stream on the recovered engine
+// The run crashes mid-stream, resumes the stream on the recovered group
 // from the punctuation recovery reports, and shows the outputs both
 // incarnations released ending up complete and duplicate-free.
 //
@@ -13,14 +13,10 @@ import (
 	"fmt"
 	"log"
 
-	"morphstreamr/internal/engine"
-	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
-	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/metrics"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
-	"morphstreamr/internal/vtime"
 	"morphstreamr/internal/workload"
 )
 
@@ -37,52 +33,46 @@ func main() {
 		batches[i] = workload.Batch(gen, batch)
 	}
 
-	// Asynchronous commit is an engine knob (a group's shards commit in
-	// lockstep), so the engine is built directly: MSR over a compressing
-	// device, one ledger recording what it and its recovery release.
+	// MSR over a compressing device, one ledger recording what the group
+	// and its recovery release.
 	dev := storage.NewCompressed(storage.NewMem()) // DEFLATE the durable logs
-	ledger := &engine.Ledger{}
-	ec := engine.Config{
-		RunShape:      types.RunShape{Workers: 4, SnapshotEvery: 8},
-		App:           gen.App(),
-		Device:        dev,
-		AsyncCommit:   true, // commit off the critical path
-		Sink:          ledger.Sink,
-		RecoveryCosts: vtime.FixedCosts(),
+	ledgers := make(shard.Ledgers, 1)
+	cfg := shard.Config{
+		GroupShape: types.GroupShape{RunShape: types.RunShape{Workers: 4, SnapshotEvery: 8}},
+		App:        gen.App(),
+		Kind:       ftapi.MSR,
+		Devices:    []storage.Device{dev},
+		CoordDev:   storage.NewMem(),
+		Sink:       ledgers.Sink,
 	}
-	withMSR(&ec)
-	eng, err := engine.New(ec)
+	g, err := shard.NewGroup(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Run ten epochs, then lose power. Only released outputs count as
 	// delivered: the crash discards whatever still awaited its commit.
-	for _, b := range batches[:10] {
-		if err := eng.ProcessEpoch(b); err != nil {
-			log.Fatal(err)
-		}
+	if err := g.Run(batches[:10]); err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("engine delivered %d outputs, then the node dies\n", len(ledger.Outputs))
-	eng.Crash()
+	fmt.Printf("group delivered %d outputs, then the node dies\n", len(ledgers[0].Outputs))
+	g.Crash()
 
-	withMSR(&ec) // recovery runs a fresh mechanism over the same device
-	recovered, report, err := engine.Recover(ec)
+	g, rep, err := shard.GroupRecover(shard.RecoverConfig{Config: cfg, Source: types.BatchSource(batches)})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer recovered.Close()
+	defer g.Engine(0).Close()
+	report := rep.Reports[0]
 	fmt.Printf("recovered: %d events replayed, simulated wall %v\n",
 		report.EventsReplayed, report.SimWall().Round(0))
 
-	// Resume after the last epoch recovery restored; the engine replayed
+	// Resume after the last epoch recovery restored; the group replayed
 	// everything before it from the durable logs.
-	for _, b := range batches[report.LastEpoch:] {
-		if err := recovered.ProcessEpoch(b); err != nil {
-			log.Fatal(err)
-		}
+	if err := g.Run(batches[g.Epoch():]); err != nil {
+		log.Fatal(err)
 	}
-	delivered := ledger.Outputs // both incarnations' releases
+	delivered := ledgers[0].Outputs // both incarnations' releases
 
 	seen := make(map[uint64]bool, len(delivered))
 	var tolls int64
@@ -101,10 +91,4 @@ func main() {
 	fmt.Printf("delivered %d/%d outputs, exactly once; total tolls %d\n",
 		len(delivered), epochs*batch, tolls)
 	fmt.Printf("durable log compression ratio: %.2f\n", dev.Ratio())
-}
-
-// withMSR gives ec a fresh MorphStreamR mechanism over its device.
-func withMSR(ec *engine.Config) {
-	ec.Bytes = metrics.NewBytes()
-	ec.Mechanism = ft.New(ftapi.MSR, ec.Device, ec.Bytes, msr.Default())
 }

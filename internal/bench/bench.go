@@ -1,8 +1,9 @@
 // Package bench is the experiment harness behind every table and figure of
 // the paper's evaluation (Section VIII). Each FigNN function reproduces one
-// figure: it builds the paper's workload configuration, runs the engine
-// through a snapshot-then-crash protocol under each fault-tolerance
-// mechanism, and returns the measured series as a printable table.
+// figure: it builds the paper's workload configuration, runs it on the
+// host clients use — a shard.Group, here of one shard — through a
+// snapshot-then-crash protocol under each fault-tolerance mechanism, and
+// returns the measured series as a printable table.
 //
 // The crash protocol mirrors the paper's definition of recovery time
 // ("the duration in which an application recovers from the latest
@@ -23,12 +24,13 @@ import (
 	"slices"
 	"time"
 
+	"morphstreamr/internal/codec"
 	"morphstreamr/internal/engine"
-	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/obs"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/vtime"
@@ -84,7 +86,8 @@ type Run struct {
 	Kind ftapi.Kind
 	// RuntimeThroughput is events/second during normal processing.
 	RuntimeThroughput float64
-	// Runtime is the fault-tolerance overhead breakdown (Figure 12d).
+	// Runtime is the fault-tolerance overhead breakdown (Figure 12d); its
+	// IO includes the host's input appends.
 	Runtime metrics.RuntimeBreakdown
 	// Recovery is nil for NAT (native execution cannot recover).
 	Recovery *engine.RecoveryReport
@@ -92,8 +95,6 @@ type Run struct {
 	// (Figure 12c); LogBytes the cumulative durable log volume.
 	PeakLiveBytes int64
 	LogBytes      int64
-	// CommitEvery is the effective log commitment interval.
-	CommitEvery int
 	// Events is the total number of input events processed pre-crash.
 	Events int
 }
@@ -124,11 +125,6 @@ type Scenario struct {
 	Scale Scale
 	// MSR overrides MorphStreamR's options (nil = all optimizations on).
 	MSR *msr.Options
-	// AutoCommit lets the MSR advisor pick the commit interval from the
-	// first epoch (Figure 9's "advised" column).
-	AutoCommit bool
-	// AsyncCommit moves durable commits off the critical path (extension).
-	AsyncCommit bool
 	// Compression compresses durable payloads (extension).
 	Compression bool
 	// Repeat runs the scenario several times and reports the run with the
@@ -161,10 +157,12 @@ func Execute(s Scenario) (Run, error) {
 	return runs[len(runs)/2], nil
 }
 
-// executeOnce builds the scenario's engine — a fresh in-memory device,
-// compressed below the SSD model so the model charges the bytes that reach
-// the medium, and the mechanism with the scenario's MSR options — runs it,
-// crashes it, and recovers it with a fresh mechanism over the same device.
+// executeOnce builds the scenario's host — a one-shard group over a fresh
+// in-memory device, compressed below the SSD model so the model charges the
+// bytes that reach the medium — runs it, crashes it, and recovers it over
+// the same device. As the host, it persists each epoch's input to the
+// device's input log before feeding it (Figure 10 step 1), and recovery
+// reads the inputs back from that log.
 func executeOnce(s Scenario) (Run, error) {
 	var dev storage.Device = storage.NewMem()
 	if s.Compression {
@@ -173,59 +171,110 @@ func executeOnce(s Scenario) (Run, error) {
 	if s.Scale.SSD {
 		dev = storage.DefaultSSD(dev)
 	}
-	opts := msr.Default()
-	if s.MSR != nil {
-		opts = *s.MSR
-	}
 	gen := s.Gen()
-	cfg := engine.Config{
-		RunShape:    s.Scale.RunShape,
-		AutoCommit:  s.AutoCommit,
-		App:         gen.App(),
-		Device:      dev,
-		AsyncCommit: s.AsyncCommit,
-		Obs:         s.Scale.Obs,
+	cfg := shard.Config{
+		GroupShape: types.GroupShape{RunShape: s.Scale.RunShape},
+		App:        gen.App(),
+		Kind:       s.Kind,
+		MSR:        s.MSR,
+		Devices:    []storage.Device{dev},
+		CoordDev:   storage.NewMem(),
+		Obs:        s.Scale.Obs,
+		LocalReads: true, // one shard: every read is local
 	}
-	bytes := metrics.NewBytes()
-	cfg.Mechanism, cfg.Bytes = ft.New(s.Kind, dev, bytes, opts), bytes
-	eng, err := engine.New(cfg)
+	g, err := shard.NewGroup(cfg)
 	if err != nil {
 		return Run{}, err
 	}
-	defer eng.Close()
+	defer g.Engine(0).Close()
+	var wall, inputIO time.Duration
 	for i := 0; i < s.Scale.SnapshotEvery+s.Scale.PostEpochs; i++ {
-		if err := eng.ProcessEpoch(workload.Batch(gen, s.Scale.BatchSize)); err != nil {
+		batch := workload.Batch(gen, s.Scale.BatchSize)
+		t0 := time.Now()
+		if err := persistInput(g, dev, s.Kind, batch); err != nil {
+			return Run{}, fmt.Errorf("persist input: %w", err)
+		}
+		inputIO += time.Since(t0)
+		if err := g.ProcessEpoch(batch); err != nil {
 			return Run{}, fmt.Errorf("process: %w", err)
 		}
+		wall += time.Since(t0)
 	}
+	eng := g.Engine(0)
 	out := Run{
 		Kind:              s.Kind,
-		RuntimeThroughput: eng.Throughput(),
+		RuntimeThroughput: metrics.Throughput(eng.Events(), wall),
 		Runtime:           eng.Runtime(),
-		PeakLiveBytes:     bytes.PeakLive(),
+		PeakLiveBytes:     eng.Bytes().PeakLive(),
 		LogBytes:          storage.SumBytes(dev.BytesWritten()),
-		CommitEvery:       eng.CommitEvery(),
 		Events:            eng.Events(),
 	}
+	out.Runtime.IO += inputIO
 	if s.Kind == ftapi.NAT {
 		return out, nil
 	}
-	eng.Crash()
+	g.Crash()
+	src, err := inputSource(dev)
+	if err != nil {
+		return Run{}, fmt.Errorf("recover inputs: %w", err)
+	}
 	runtime.GC() // recovery's device reads are wall-timed: keep GC out of them
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	bytes = metrics.NewBytes()
-	cfg.Mechanism, cfg.Bytes = ft.New(s.Kind, dev, bytes, opts), bytes
-	cfg.RecoveryProfiler = s.Prof
-	if !s.Unpriced {
-		cfg.RecoveryCosts = vtime.FixedCosts()
+	rc := shard.RecoverConfig{Config: cfg, Source: src, Unpriced: s.Unpriced}
+	if s.Prof != nil {
+		rc.Profilers = []*vtime.Profiler{s.Prof}
 	}
-	rec, report, err := engine.Recover(cfg)
+	rg, report, err := shard.GroupRecover(rc)
 	if err != nil {
 		return Run{}, fmt.Errorf("recover: %w", err)
 	}
-	rec.Close()
-	out.Recovery = report
+	rg.Engine(0).Close()
+	out.Recovery = report.Reports[0]
 	return out, nil
+}
+
+// persistInput appends the batch g's next epoch processes to dev's input
+// log, once the records at and below a replay horizon that just moved are
+// released: no recovery reads them. Native execution recovers nothing and
+// persists nothing.
+func persistInput(g *shard.Group, dev storage.Device, kind ftapi.Kind, batch []types.Event) error {
+	if kind == ftapi.NAT {
+		return nil
+	}
+	if h := g.Horizon(); h > 0 && h == g.Epoch() {
+		if err := storage.Release(dev, storage.LogInput, h); err != nil {
+			return err
+		}
+	}
+	// Pooled encode buffer: the device copies the payload on Append, so the
+	// buffer recycles as soon as the write returns.
+	w := codec.GetBuffer()
+	defer codec.PutBuffer(w)
+	codec.EncodeEventsInto(w, batch)
+	g.Engine(0).Bytes().Written("input", int64(w.Len()))
+	return dev.Append(storage.LogInput, storage.Record{Epoch: g.Epoch() + 1, Payload: w.Bytes()})
+}
+
+// inputSource decodes dev's input log into the recovery Source.
+func inputSource(dev storage.Device) (shard.Source, error) {
+	cur, err := storage.ReadFrom(dev, storage.LogInput, 0)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := storage.ReadAll(cur)
+	if err != nil {
+		return nil, err
+	}
+	batches := map[uint64][]types.Event{}
+	for _, rec := range recs {
+		if batches[rec.Epoch], err = codec.DecodeEvents(rec.Payload); err != nil {
+			return nil, fmt.Errorf("epoch %d: %w", rec.Epoch, err)
+		}
+	}
+	return func(ep uint64) ([]types.Event, bool) {
+		b, ok := batches[ep]
+		return b, ok
+	}, nil
 }
 
 // Table is a printable experiment result.

@@ -7,11 +7,10 @@ import (
 	"morphstreamr/internal/workload"
 )
 
-// Ext benchmarks the two Section VII extensions this repository
-// implements beyond the paper's evaluation: asynchronous log commitment
-// (off the critical path) and durable-log compression. For each logging
-// scheme it reports runtime throughput and durable bytes for the baseline,
-// the async-commit variant, and the compressed variant.
+// Ext benchmarks the Section VII extension this repository implements
+// beyond the paper's evaluation: durable-log compression. For each logging
+// scheme it reports runtime throughput and durable bytes for the baseline
+// and the compressed variant.
 type ExtResult struct {
 	Kinds []ftapi.Kind
 	// Runs[kind][variant]: their runtime throughput and durable bytes.
@@ -19,7 +18,7 @@ type ExtResult struct {
 }
 
 // ExtVariants lists the measured configurations.
-func ExtVariants() []string { return []string{"baseline", "async", "compressed"} }
+func ExtVariants() []string { return []string{"baseline", "compressed"} }
 
 // Ext runs the extension ablation on Streaming Ledger.
 func Ext(scale Scale) (*ExtResult, error) {
@@ -29,8 +28,7 @@ func Ext(scale Scale) (*ExtResult, error) {
 		for _, variant := range ExtVariants() {
 			run, err := Execute(Scenario{
 				Gen:  func() workload.Generator { return SLFor(scale, 1) },
-				Kind: kind, Scale: scale, Repeat: 3,
-				AsyncCommit: variant == "async", Compression: variant == "compressed",
+				Kind: kind, Scale: scale, Repeat: 3, Compression: variant == "compressed",
 			})
 			if err != nil {
 				return nil, fmt.Errorf("ext %v/%s: %w", kind, variant, err)
@@ -44,11 +42,9 @@ func Ext(scale Scale) (*ExtResult, error) {
 // Tables renders the ablation.
 func (r *ExtResult) Tables() []Table {
 	t := Table{
-		Title: "Extensions (Section VII): async commit and log compression (SL)",
-		Note:  "runtime events/s and durable KiB per scheme and variant",
-		Header: []string{"scheme",
-			"base(ev/s)", "async(ev/s)", "compressed(ev/s)",
-			"base(KiB)", "async(KiB)", "compressed(KiB)"},
+		Title:  "Extensions (Section VII): log compression (SL)",
+		Note:   "runtime events/s and durable KiB per scheme and variant",
+		Header: []string{"scheme", "base(ev/s)", "compressed(ev/s)", "base(KiB)", "compressed(KiB)"},
 	}
 	for _, kind := range r.Kinds {
 		row := []string{kind.String()}

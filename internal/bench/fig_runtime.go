@@ -5,6 +5,8 @@ import (
 
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/ft/msr"
+	"morphstreamr/internal/store"
+	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/workload"
 )
 
@@ -93,17 +95,13 @@ func Fig9(scale Scale, epochs []int) (*Fig9Result, error) {
 			res.Runtime[class] = append(res.Runtime[class], run.RuntimeThroughput)
 			res.Recovery[class] = append(res.Recovery[class], run.RecoveryThroughput())
 		}
-		// What would workload-aware commitment have chosen?
+		// What would workload-aware commitment have chosen? The advisor
+		// reads the first batch's graph, as a host asks it before feeding.
 		p := fig9Class(class)
 		p.Partitions = scale.Workers
-		run, err := Execute(Scenario{
-			Gen:  func() workload.Generator { return workload.NewGS(p) },
-			Kind: ftapi.MSR, Scale: scale, AutoCommit: true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fig9 %s/auto: %w", class, err)
-		}
-		res.Advised[class] = run.CommitEvery
+		gen := workload.NewGS(p)
+		g := tpg.BuildEvents(gen.App(), workload.Batch(gen, scale.BatchSize), store.New(gen.App().Tables()).Get)
+		res.Advised[class] = msr.Advise(g, scale.SnapshotEvery)
 	}
 	return res, nil
 }

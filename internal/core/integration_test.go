@@ -1,12 +1,11 @@
-// Package core holds the end-to-end integration tests of one bare engine:
-// under every fault-tolerance mechanism and every workload it must produce
-// exactly the oracle's final state and output set — with and without
-// crashes, at every epoch boundary, across repeated crashes, with the
-// commit written asynchronously, and over compressed and file-backed
-// devices. These are the paper's delivery and correctness guarantees
-// (Section II-C) stated as executable checks. The directory holds no
-// library code: hosts build an engine.Config or a shard.Group themselves,
-// and the per-write crash sweeps live in internal/ft/crashtest.
+// Package core holds the end-to-end integration tests of one engine on its
+// host, a one-shard group: under every fault-tolerance mechanism and every
+// workload it must produce exactly the oracle's final state and output set —
+// with and without crashes, at every epoch boundary, across repeated
+// crashes, and over compressed and file-backed devices. These are the
+// paper's delivery and correctness guarantees (Section II-C) stated as
+// executable checks. The directory holds no library code, and the
+// per-write crash sweeps live in internal/ft/crashtest.
 package core
 
 import (
@@ -17,12 +16,9 @@ import (
 	"strings"
 	"testing"
 
-	"morphstreamr/internal/engine"
-	"morphstreamr/internal/ft"
 	"morphstreamr/internal/ft/ftapi"
-	"morphstreamr/internal/ft/msr"
-	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/oracle"
+	"morphstreamr/internal/shard"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
@@ -61,61 +57,54 @@ func itGenerators() map[string]func() workload.Generator {
 	}
 }
 
-// system is one engine over a durable device with every output it released
-// recorded in one ledger, across every crash and recovery.
+// system is a one-shard group over a durable device, with every output it
+// released recorded in one ledger across every crash and recovery, and
+// every batch it was fed kept as the recovery source.
 type system struct {
 	app    types.App
-	kind   ftapi.Kind
-	dev    storage.Device
-	shape  types.RunShape
-	async  bool
-	ledger engine.Ledger
-	*engine.Engine
+	cfg    shard.Config
+	ledger shard.Ledgers
+	fed    [][]types.Event
+	*shard.Group
 }
 
 // newSystem describes kind over dev (nil means an in-memory device) with
 // commit markers every 2 epochs and snapshots every 4; start builds it.
-func newSystem(app types.App, kind ftapi.Kind, dev storage.Device, async bool) *system {
+func newSystem(app types.App, kind ftapi.Kind, dev storage.Device) *system {
 	if dev == nil {
 		dev = storage.NewMem()
 	}
-	return &system{app: app, kind: kind, dev: dev, async: async,
-		shape: types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}}
-}
-
-// config is the engine configuration with a fresh mechanism over s.dev.
-func (s *system) config() engine.Config {
-	bytes := metrics.NewBytes()
-	return engine.Config{
-		RunShape:    s.shape,
-		App:         s.app,
-		Device:      s.dev,
-		Mechanism:   ft.New(s.kind, s.dev, bytes, msr.Default()),
-		AsyncCommit: s.async,
-		Bytes:       bytes,
-		Sink:        s.ledger.Sink,
+	s := &system{app: app, ledger: make(shard.Ledgers, 1)}
+	s.cfg = shard.Config{
+		GroupShape: types.GroupShape{RunShape: types.RunShape{Workers: 4, CommitEvery: 2, SnapshotEvery: 4}},
+		App:        app,
+		Kind:       kind,
+		Devices:    []storage.Device{dev},
+		CoordDev:   storage.NewMem(),
+		Sink:       s.ledger.Sink,
 	}
+	return s
 }
 
-// start builds the first engine; the test closes whichever engine s holds
+// start builds the first group; the test closes whichever engine s holds
 // last.
 func (s *system) start(t *testing.T) {
 	t.Helper()
-	e, err := engine.New(s.config())
+	g, err := shard.NewGroup(s.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Engine = e
-	t.Cleanup(func() { s.Close() })
+	s.Group = g
+	t.Cleanup(func() { s.Engine(0).Close() })
 }
 
-// recover rebuilds the engine from the durable device after a crash.
-func (s *system) recover() (*engine.RecoveryReport, error) {
-	e, report, err := engine.Recover(s.config())
+// recover rebuilds the group from the durable devices after a crash.
+func (s *system) recover() (*shard.GroupReport, error) {
+	g, report, err := shard.GroupRecover(shard.RecoverConfig{Config: s.cfg, Source: types.BatchSource(s.fed)})
 	if err != nil {
 		return nil, err
 	}
-	s.Engine = e
+	s.Group = g
 	return report, nil
 }
 
@@ -123,6 +112,7 @@ func (s *system) recover() (*engine.RecoveryReport, error) {
 func (s *system) run(t *testing.T, epochs [][]types.Event) {
 	t.Helper()
 	for _, evs := range epochs {
+		s.fed = append(s.fed, evs)
 		if err := s.ProcessEpoch(evs); err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +149,7 @@ func checkState(t *testing.T, s *system, o *oracle.Oracle) {
 	for _, spec := range s.app.Tables() {
 		for row := uint32(0); row < spec.Rows; row++ {
 			k := types.Key{Table: spec.ID, Row: row}
-			got, want := s.Store().Get(k), o.Value(k)
+			got, want := s.Engine(0).Store().Get(k), o.Value(k)
 			if got != want {
 				mismatches++
 				if mismatches <= 5 {
@@ -199,14 +189,14 @@ func TestNoCrashMatchesOracle(t *testing.T) {
 				epochs := epochSlices(gen, itEpochs, itBatch)
 				o, wantOuts := oracleRun(gen.App(), epochs)
 
-				sys := newSystem(gen.App(), kind, nil, false)
+				sys := newSystem(gen.App(), kind, nil)
 				sys.start(t)
 				sys.run(t, epochs)
 				checkState(t, sys, o)
-				if p := sys.PendingOutputs(); p != 0 {
+				if p := sys.Engine(0).PendingOutputs(); p != 0 {
 					t.Errorf("%d outputs still pending at a snapshot boundary", p)
 				}
-				checkOutputs(t, sys.ledger.Outputs, wantOuts)
+				checkOutputs(t, sys.ledger[0].Outputs, wantOuts)
 			})
 		}
 	}
@@ -224,18 +214,19 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 					epochs := epochSlices(gen, itEpochs, itBatch)
 					o, wantOuts := oracleRun(gen.App(), epochs)
 
-					sys := newSystem(gen.App(), kind, nil, false)
+					sys := newSystem(gen.App(), kind, nil)
 					sys.start(t)
 					sys.run(t, epochs[:crashAfter])
 					sys.Crash()
 					if err := sys.ProcessEpoch(nil); err == nil {
-						t.Fatal("crashed engine accepted work")
+						t.Fatal("crashed group accepted work")
 					}
 
-					report, err := sys.recover()
+					rep, err := sys.recover()
 					if err != nil {
 						t.Fatal(err)
 					}
+					report := rep.Reports[0]
 					if got, want := sys.Epoch(), uint64(crashAfter); got != want {
 						t.Fatalf("recovered to epoch %d, want %d", got, want)
 					}
@@ -246,10 +237,10 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 					}
 					sys.run(t, epochs[crashAfter:])
 					checkState(t, sys, o)
-					if p := sys.PendingOutputs(); p != 0 {
+					if p := sys.Engine(0).PendingOutputs(); p != 0 {
 						t.Errorf("%d outputs still pending at a snapshot boundary", p)
 					}
-					checkOutputs(t, sys.ledger.Outputs, wantOuts)
+					checkOutputs(t, sys.ledger[0].Outputs, wantOuts)
 				})
 			}
 		}
@@ -267,7 +258,7 @@ func TestDoubleCrash(t *testing.T) {
 				epochs := epochSlices(gen, itEpochs, itBatch)
 				o, wantOuts := oracleRun(gen.App(), epochs)
 
-				sys := newSystem(gen.App(), kind, nil, false)
+				sys := newSystem(gen.App(), kind, nil)
 				sys.start(t)
 				next := 0
 				for _, n := range []int{5, 1} {
@@ -280,7 +271,7 @@ func TestDoubleCrash(t *testing.T) {
 				}
 				sys.run(t, epochs[next:])
 				checkState(t, sys, o)
-				checkOutputs(t, sys.ledger.Outputs, wantOuts)
+				checkOutputs(t, sys.ledger[0].Outputs, wantOuts)
 			})
 		}
 	}
@@ -290,7 +281,7 @@ func TestDoubleCrash(t *testing.T) {
 // refuses rather than resuming from an empty state.
 func TestNativeCannotRecover(t *testing.T) {
 	gen := itGenerators()["SL"]()
-	sys := newSystem(gen.App(), ftapi.NAT, nil, false)
+	sys := newSystem(gen.App(), ftapi.NAT, nil)
 	sys.start(t)
 	sys.run(t, epochSlices(gen, 1, 100))
 	sys.Crash()
@@ -300,7 +291,7 @@ func TestNativeCannotRecover(t *testing.T) {
 }
 
 // crashOnce runs s through itEpochs epochs of gen's stream, crashing after
-// epoch crashAfter and finishing on the recovered engine, then checks state
+// epoch crashAfter and finishing on the recovered group, then checks state
 // and outputs against the oracle.
 func crashOnce(t *testing.T, s *system, gen workload.Generator, crashAfter int) {
 	t.Helper()
@@ -314,7 +305,7 @@ func crashOnce(t *testing.T, s *system, gen workload.Generator, crashAfter int) 
 	}
 	s.run(t, epochs[crashAfter:])
 	checkState(t, s, o)
-	checkOutputs(t, s.ledger.Outputs, wantOuts)
+	checkOutputs(t, s.ledger[0].Outputs, wantOuts)
 }
 
 // TestFileDeviceEndToEnd: the crash/recover protocol works over a real
@@ -326,45 +317,7 @@ func TestFileDeviceEndToEnd(t *testing.T) {
 	}
 	defer dev.Close()
 	gen := itGenerators()["SL"]()
-	crashOnce(t, newSystem(gen.App(), ftapi.MSR, dev, false), gen, 5)
-}
-
-// Asynchronous commit (Section VII's off-critical-path logging direction)
-// must preserve every guarantee the synchronous path has: exactly-once
-// delivery across crashes at any epoch, and oracle-equal state. Crashing
-// right after an epoch whose commit may still be in flight — a window
-// unobservable from outside ProcessEpoch — exercises the
-// delivery-watermark capping.
-func TestAsyncCommitCrashRecoveryEquivalence(t *testing.T) {
-	gens := itGenerators()
-	for _, name := range []string{"SL", "TP"} {
-		for _, kind := range []ftapi.Kind{ftapi.WAL, ftapi.DL, ftapi.LV, ftapi.MSR} {
-			for crashAfter := 1; crashAfter <= itEpochs; crashAfter += 3 {
-				t.Run(fmt.Sprintf("%s/%v/crash@%d", name, kind, crashAfter), func(t *testing.T) {
-					gen := gens[name]()
-					crashOnce(t, newSystem(gen.App(), kind, nil, true), gen, crashAfter)
-				})
-			}
-		}
-	}
-}
-
-// TestAsyncCommitOutputGating: outputs of an epoch whose commit is still in
-// flight must not be visible; they appear once the next marker drains the
-// write.
-func TestAsyncCommitOutputGating(t *testing.T) {
-	gen := itGenerators()["SL"]()
-	sys := newSystem(gen.App(), ftapi.MSR, nil, true)
-	sys.shape.CommitEvery = 1
-	sys.start(t)
-	sys.run(t, epochSlices(gen, 1, itBatch))
-	if d, p := len(sys.ledger.Outputs), sys.PendingOutputs(); d+p != itBatch {
-		t.Fatalf("epoch 1 outputs: delivered %d + pending %d != %d", d, p, itBatch)
-	}
-	sys.run(t, epochSlices(gen, 1, itBatch))
-	if got := len(sys.ledger.Outputs); got < itBatch {
-		t.Errorf("epoch 1 outputs still unreleased after the next marker: delivered %d", got)
-	}
+	crashOnce(t, newSystem(gen.App(), ftapi.MSR, dev), gen, 5)
 }
 
 // TestCompressionEndToEnd: the compression wrapper (Section VII's log
@@ -373,7 +326,7 @@ func TestAsyncCommitOutputGating(t *testing.T) {
 func TestCompressionEndToEnd(t *testing.T) {
 	gen := itGenerators()["SL"]()
 	dev := storage.NewCompressed(storage.NewMem())
-	crashOnce(t, newSystem(gen.App(), ftapi.MSR, dev, false), gen, 7)
+	crashOnce(t, newSystem(gen.App(), ftapi.MSR, dev), gen, 7)
 	if r := dev.Ratio(); r >= 1 {
 		t.Errorf("compression ratio %.3f; event logs should compress", r)
 	}

@@ -20,21 +20,17 @@ import (
 func transcript(t *testing.T, dev *storage.Mem) string {
 	t.Helper()
 	var b strings.Builder
-	for _, log := range []string{storage.LogInput, storage.LogFT} {
-		recs, err := dev.ReadLog(log)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			fmt.Fprintf(&b, "%s@%d:%x\n", log, r.Epoch, r.Payload)
-		}
+	recs, err := dev.ReadLog(storage.LogFT)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, blob := range []string{storage.BlobSnapshot, storage.BlobMeta} {
-		if p, ok, err := dev.ReadBlob(blob); err != nil {
-			t.Fatal(err)
-		} else if ok {
-			fmt.Fprintf(&b, "%s:%x\n", blob, p)
-		}
+	for _, r := range recs {
+		fmt.Fprintf(&b, "%s@%d:%x\n", storage.LogFT, r.Epoch, r.Payload)
+	}
+	if p, ok, err := dev.ReadBlob(storage.BlobSnapshot); err != nil {
+		t.Fatal(err)
+	} else if ok {
+		fmt.Fprintf(&b, "%s:%x\n", storage.BlobSnapshot, p)
 	}
 	return b.String()
 }
@@ -138,7 +134,7 @@ func TestCloseReleasesPoolWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runEpochs(t, e, gen, 3, 64)
+		batches := runEpochs(t, e, gen, 3, 64)
 		if got := runtime.NumGoroutine(); got < base+4 {
 			t.Fatalf("lifecycle %d: %d goroutines with a live four-worker pool, baseline %d", i, got, base)
 		}
@@ -147,7 +143,7 @@ func TestCloseReleasesPoolWorkers(t *testing.T) {
 			continue
 		}
 		e.Crash()
-		cfg.Mechanism = wal.New(dev, cfg.Bytes)
+		cfg.Mechanism, cfg.Inputs = wal.New(dev, cfg.Bytes), keptInputs(batches)
 		e2, _, err := Recover(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,10 @@
 // Package engine implements the transactional stream processing engine of
 // Figure 4: Execution Managers (stream + transaction processing over a
 // task precedence graph), a Logging Manager (the pluggable fault-tolerance
-// mechanism), and a Fault-tolerance Manager (punctuation markers, input
-// persistence, snapshots, garbage collection, and the recovery driver).
+// mechanism), and a Fault-tolerance Manager (punctuation markers,
+// snapshots, garbage collection, and the recovery driver). The inputs are
+// persisted by the engine's host, a shard.Group, which serves them back to
+// Recover.
 //
 // Processing is epoch-based: each call to ProcessEpoch handles one
 // punctuation interval. Three marker kinds structure the run (Section
@@ -42,13 +44,6 @@ import (
 	"morphstreamr/internal/vtime"
 )
 
-// Advisor is implemented by mechanisms that support workload-aware log
-// commitment (MSR): given the first epoch's graph, recommend a commit
-// interval.
-type Advisor interface {
-	AdviseCommitEvery(g *tpg.Graph, snapshotEvery int) int
-}
-
 // Config assembles one engine instance.
 type Config struct {
 	// RunShape is the shared run-configuration surface: Workers,
@@ -56,11 +51,6 @@ type Config struct {
 	// zero-value/validation rule every configuration surface in the tree
 	// uses (see types.RunShape).
 	types.RunShape
-	// AutoCommit lets an advisor mechanism (MSR) pick CommitEvery from the
-	// first epoch's graph instead of the configured value. Recover clears
-	// it: the advisor tunes on a live first epoch, which recovery does not
-	// have.
-	AutoCommit bool
 	// App is the transactional stream application to run.
 	App types.App
 	// Device is the durable storage surviving crashes.
@@ -68,14 +58,6 @@ type Config struct {
 	// Mechanism is the fault-tolerance scheme; it must have been created
 	// against the same Device and Bytes.
 	Mechanism ftapi.Mechanism
-	// AsyncCommit moves the durable group-commit write off the critical
-	// path (the Lineage Stash-style direction of Section VII): the commit
-	// is prepared synchronously, written on a background goroutine, and
-	// its epochs' outputs release only once the write completes — so
-	// exactly-once delivery is preserved while processing overlaps I/O.
-	// Requires a mechanism implementing ftapi.AsyncCommitter; others fall
-	// back to synchronous commits.
-	AsyncCommit bool
 	// AdaptiveForce pins the adaptive controller to one strategy (tests and
 	// A/B measurement): {steal, Workers} holds the engine on the pool at its
 	// full width every epoch. Nil lets the controller decide.
@@ -110,12 +92,11 @@ type Config struct {
 	// diffing snapshots or sorting. The slice is only valid for the duration
 	// of the call.
 	OnWriteSet func(epoch uint64, keys []types.Key)
-	// Inputs, when non-nil, is where Recover reads the inputs it replays,
-	// and the engine persists none: its host keeps them (shard.Group).
-	// Given the snapshot epoch, it returns the epochs after it in order and
-	// the last one Recover reprocesses through; a later one the mechanism
-	// did not commit is the host's to re-feed. Nil keeps an input log on
-	// the device, appended before each epoch is processed.
+	// Inputs is where Recover reads the inputs it replays: the engine
+	// persists none, its host keeps them (shard.Group). Given the snapshot
+	// epoch, it returns the epochs after it in order and the last one
+	// Recover reprocesses through; a later one the mechanism did not commit
+	// is the host's to re-feed. Recover requires it.
 	Inputs func(after uint64) (inputs []ftapi.EpochEvents, through uint64, err error)
 	// Sink, when non-nil, receives each released epoch's outputs, once per
 	// epoch (an epoch without outputs included) and in release order: at the
@@ -168,12 +149,7 @@ type Engine struct {
 	totalWall time.Duration
 	events    int
 
-	commitEvery int // may be tuned by AutoCommit on the first epoch
-	crashed     bool
-
-	// inflight is the pending asynchronous commit, if any: once done
-	// reports success, outputs up to its epoch may release.
-	inflight *asyncCommit
+	crashed bool
 
 	// writeSet is notifyWriteSet's key buffer and view completeEpoch's
 	// postprocessing view, both reused across epochs.
@@ -203,22 +179,15 @@ type Engine struct {
 	assignBy map[int]func(*tpg.Chain) int
 }
 
-// asyncCommit tracks one background group-commit write.
-type asyncCommit struct {
-	epoch uint64
-	done  chan error
-}
-
 // New creates an engine with fresh application state.
 func New(cfg Config) (*Engine, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	e := &Engine{
-		cfg:         cfg,
-		st:          store.New(cfg.App.Tables()),
-		commitEvery: cfg.CommitEvery,
-		builder:     tpg.NewBuilder(),
+		cfg:     cfg,
+		st:      store.New(cfg.App.Tables()),
+		builder: tpg.NewBuilder(),
 	}
 	e.ranges = partition.NewRanges(cfg.App.Tables(), cfg.Workers)
 	e.assignBy = map[int]func(*tpg.Chain) int{}
@@ -256,10 +225,6 @@ func (e *Engine) Store() *store.Store { return e.st }
 
 // Epoch returns the number of epochs processed so far.
 func (e *Engine) Epoch() uint64 { return e.epoch }
-
-// CommitEvery returns the effective log commitment interval (after any
-// workload-aware adjustment).
-func (e *Engine) CommitEvery() int { return e.commitEvery }
 
 // PendingOutputs returns how many outputs await their release marker.
 func (e *Engine) PendingOutputs() int {
@@ -328,10 +293,10 @@ func Classify(err error) string {
 // ProcessEpoch ingests one punctuation interval's events. Event sequence
 // numbers must continue from the previous epoch (the spout's numbering).
 //
-// An error from the epoch pipeline — a failed input append, group commit,
-// snapshot, or garbage collection — leaves volatile state that no longer
-// matches the durable log (the epoch counter advanced, outputs may be
-// buffered against a commit that never landed), so the engine marks itself
+// An error from the epoch pipeline — a failed group commit, snapshot, or
+// garbage collection — leaves volatile state that no longer matches the
+// durable log (the epoch counter advanced, outputs may be buffered against
+// a commit that never landed), so the engine marks itself
 // crashed: the error surfaces to the caller exactly once and every further
 // call returns ErrCrashed. The only way forward is engine.Recover against
 // the surviving device, which is precisely what a real stoppage requires.
@@ -368,24 +333,11 @@ func (e *Engine) observeEpoch(start time.Time, events int) {
 	}
 }
 
-// processEpoch runs one live epoch. The input persists first (Figure 10
-// step 1), so the epoch survives a crash at any later point; stream
-// processing then builds the epoch's task precedence graph.
+// processEpoch runs one live epoch. Its input is the host's to persist
+// before feeding it (Figure 10 step 1); stream processing builds the
+// epoch's task precedence graph.
 func (e *Engine) processEpoch(ep uint64, events []types.Event) error {
-	if err := e.persistEpochInput(ep, events); err != nil {
-		return err
-	}
 	g := e.construct(ep, events)
-	// Workload-aware log commitment: on the very first epoch, let the
-	// mechanism inspect the graph and pick the commit interval.
-	if e.cfg.AutoCommit && ep == 1 {
-		if adv, ok := e.cfg.Mechanism.(Advisor); ok {
-			if ce := adv.AdviseCommitEvery(g, e.cfg.SnapshotEvery); ce > 0 {
-				e.commitEvery = ce
-			}
-		}
-	}
-
 	if err := e.execute(ep, g); err != nil {
 		return err
 	}
@@ -408,27 +360,6 @@ func (e *Engine) execute(ep uint64, g *tpg.Graph) error {
 	if err != nil {
 		return fmt.Errorf("engine: epoch %d: %w", ep, err)
 	}
-	return nil
-}
-
-// persistEpochInput persists an epoch's input events, unless nothing
-// replays them (NAT) or the host keeps them (Config.Inputs).
-func (e *Engine) persistEpochInput(ep uint64, events []types.Event) error {
-	if e.cfg.Mechanism.Kind() == ftapi.NAT || e.cfg.Inputs != nil {
-		return nil
-	}
-	t0 := time.Now()
-	// Pooled encode buffer: the device copies the payload on Append, so the
-	// buffer recycles as soon as the write returns.
-	w := codec.GetBuffer()
-	defer codec.PutBuffer(w)
-	codec.EncodeEventsInto(w, events)
-	payload := w.Bytes()
-	if err := e.cfg.Device.Append(storage.LogInput, storage.Record{Epoch: ep, Payload: payload}); err != nil {
-		return fmt.Errorf("engine: persist input: %w", err)
-	}
-	e.cfg.Bytes.Written("input", int64(len(payload)))
-	e.runtime.IO += time.Since(t0)
 	return nil
 }
 
@@ -585,22 +516,15 @@ func (e *Engine) sealAndMark(ep uint64, events []types.Event, g *tpg.Graph) erro
 		e.commDepth.Set(int64(e.buffered.Buffered()))
 	}
 
-	// Commit marker: group commit, then release the covered outputs. With
-	// AsyncCommit the durable write happens on a background goroutine and
-	// the outputs release when it completes (checked at the next marker or
-	// drained at snapshots); without it, both happen here.
-	if ep%uint64(e.commitEvery) == 0 {
+	// Commit marker: group commit, then release the covered outputs.
+	if ep%uint64(e.cfg.CommitEvery) == 0 {
 		if err := e.commitMarker(ep); err != nil {
 			return fmt.Errorf("engine: epoch %d: %w", ep, err)
 		}
 	}
 
-	// Snapshot marker. Any in-flight commit must land first: the snapshot
-	// garbage-collects the log the write appends to.
+	// Snapshot marker.
 	if ep%uint64(e.cfg.SnapshotEvery) == 0 {
-		if err := e.drainInflight(); err != nil {
-			return fmt.Errorf("engine: epoch %d: %w", ep, err)
-		}
 		if err := e.snapshot(ep); err != nil {
 			return fmt.Errorf("engine: epoch %d: %w", ep, err)
 		}
@@ -619,79 +543,20 @@ func (e *Engine) commitMarker(ep uint64) error {
 			reg.Histogram("commit.seconds").ObserveSince(t)
 		}()
 	}
-	ac, _ := e.cfg.Mechanism.(ftapi.AsyncCommitter)
-	if e.cfg.AsyncCommit && ac != nil {
-		// The previous in-flight write must finish first: group
-		// commits are ordered, and the device is one channel.
-		if err := e.drainInflight(); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		write, ok := ac.PrepareCommit(ep)
-		e.runtime.IO += time.Since(t0)
-		if ok {
-			fl := &asyncCommit{epoch: ep, done: make(chan error, 1)}
-			e.inflight = fl
-			go func() { fl.done <- write() }()
-			return nil
-		}
-		return e.commitVisible(ep)
-	}
 	t0 := time.Now()
 	if err := e.cfg.Mechanism.Commit(ep); err != nil {
 		return err
 	}
 	e.runtime.IO += time.Since(t0)
+	// The covered epochs are durably committed: the watermark moves and,
+	// for log-gated mechanisms, their outputs release downstream.
 	t0 = time.Now()
-	if err := e.commitVisible(ep); err != nil {
-		return err
-	}
-	e.runtime.Sync += time.Since(t0)
-	return nil
-}
-
-// commitVisible marks epochs <= ep durably committed: the watermark moves
-// and, for log-gated mechanisms, their outputs release downstream.
-//
-// Under asynchronous commit the release is decoupled from the commit
-// record, so a durable delivery watermark records how far outputs have
-// actually been released; recovery caps mechanism replay at the watermark
-// and reprocesses the rest with outputs delivered. The watermark write and
-// the release model one atomic step (a transactional sink), the same
-// assumption the synchronous path makes about commit+release.
-func (e *Engine) commitVisible(ep uint64) error {
 	e.lastCommit = ep
-	if e.cfg.Mechanism.Kind() == ftapi.CKPT {
-		return nil
+	if e.cfg.Mechanism.Kind() != ftapi.CKPT {
+		e.release(ep)
 	}
-	if e.cfg.AsyncCommit {
-		t0 := time.Now()
-		m := storage.Manifest{Kind: manifestKindDelivery, Epoch: ep}
-		if err := e.cfg.Device.WriteBlob(storage.BlobMeta, m.Encode()); err != nil {
-			return fmt.Errorf("delivery watermark: %w", err)
-		}
-		e.runtime.IO += time.Since(t0)
-	}
-	e.release(ep)
-	return nil
-}
-
-// drainInflight waits for the pending asynchronous commit, if any, and
-// makes its epochs visible. The wait is synchronisation at a marker.
-func (e *Engine) drainInflight() error {
-	if e.inflight == nil {
-		return nil
-	}
-	t0 := time.Now()
-	err := <-e.inflight.done
 	e.runtime.Sync += time.Since(t0)
-	if err != nil {
-		e.inflight = nil
-		return err
-	}
-	ep := e.inflight.epoch
-	e.inflight = nil
-	return e.commitVisible(ep)
+	return nil
 }
 
 // release hands the pending outputs of epochs <= upTo to the sink, epoch by
@@ -782,9 +647,8 @@ func (e *Engine) snapshot(ep uint64) error {
 	e.lastSnap = ep
 	e.runtime.Sync += time.Since(t0)
 
-	// Garbage collection: input events and log records covered by the
-	// snapshot are dead (Figure 10: "deleted upon the completion of the
-	// current checkpoint").
+	// Garbage collection: log records covered by the snapshot are dead
+	// (Figure 10: "deleted upon the completion of the current checkpoint").
 	t0 = time.Now()
 	if e.snapshotIsBase(ep) {
 		// Deltas at or below the base are composed into it; their segments
@@ -793,11 +657,6 @@ func (e *Engine) snapshot(ep uint64) error {
 		// commit point, and no device write may come between it and the
 		// release for CKPT, whose snapshot is the durability gate.
 		if err := storage.Release(e.cfg.Device, storage.LogCkpt, ep); err != nil {
-			return fmt.Errorf("snapshot gc: %w", err)
-		}
-	}
-	if e.cfg.Inputs == nil {
-		if err := storage.Release(e.cfg.Device, storage.LogInput, ep); err != nil {
 			return fmt.Errorf("snapshot gc: %w", err)
 		}
 	}

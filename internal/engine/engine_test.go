@@ -13,6 +13,7 @@ import (
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/store"
+	"morphstreamr/internal/tpg"
 	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
@@ -23,13 +24,29 @@ func slGen(seed int64) workload.Generator {
 	return workload.NewSL(p)
 }
 
-// runEpochs feeds e n generated epochs of size events each.
-func runEpochs(t *testing.T, e *Engine, gen workload.Generator, n, size int) {
+// runEpochs feeds e n generated epochs of size events each and returns
+// them.
+func runEpochs(t *testing.T, e *Engine, gen workload.Generator, n, size int) [][]types.Event {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		if err := e.ProcessEpoch(workload.Batch(gen, size)); err != nil {
+	batches := make([][]types.Event, n)
+	for i := range batches {
+		batches[i] = workload.Batch(gen, size)
+		if err := e.ProcessEpoch(batches[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return batches
+}
+
+// keptInputs is a Config.Inputs serving batches as a host keeps what it
+// fed: epoch i+1 is batches[i].
+func keptInputs(batches [][]types.Event) func(uint64) ([]ftapi.EpochEvents, uint64, error) {
+	return func(after uint64) ([]ftapi.EpochEvents, uint64, error) {
+		var out []ftapi.EpochEvents
+		for ep := after + 1; ep <= uint64(len(batches)); ep++ {
+			out = append(out, ftapi.EpochEvents{Epoch: ep, Events: batches[ep-1]})
+		}
+		return out, ^uint64(0), nil
 	}
 }
 
@@ -101,17 +118,15 @@ func TestOutputReleasePolicies(t *testing.T) {
 	}
 }
 
-// TestGCShrinksLogs: after a snapshot, covered input and FT records are
-// truncated from the device.
+// TestGCShrinksLogs: after a snapshot, covered FT records are truncated
+// from the device.
 func TestGCShrinksLogs(t *testing.T) {
 	gen := slGen(3)
 	dev := storage.NewMem()
 	e := newEngine(t, ftapi.WAL, gen, dev, 1, 4)
 	runEpochs(t, e, gen, 4, 50)
-	inputs, _ := dev.ReadLog(storage.LogInput)
-	ftrecs, _ := dev.ReadLog(storage.LogFT)
-	if len(inputs) != 0 || len(ftrecs) != 0 {
-		t.Errorf("after snapshot: %d input records, %d ft records; GC failed", len(inputs), len(ftrecs))
+	if ftrecs, _ := dev.ReadLog(storage.LogFT); len(ftrecs) != 0 {
+		t.Errorf("after snapshot: %d ft records; GC failed", len(ftrecs))
 	}
 	blob, ok, _ := dev.ReadBlob(storage.BlobSnapshot)
 	if !ok || len(blob) == 0 {
@@ -134,40 +149,52 @@ func TestRuntimeBreakdownPopulated(t *testing.T) {
 	}
 }
 
-// TestAutoCommitConsultsAdvisor: with AutoCommit on, an MSR engine tunes
-// its commit interval from the first epoch's profile; an engine Recover
-// builds never does, even when its first live epoch is epoch 1.
+// TestAutoCommitConsultsAdvisor: an MSR engine whose host configured it
+// with the advisor's pick for the first epoch's graph commits at that
+// interval, and so does the engine Recover builds from the same config:
+// every commit record on the device, before and after a crash off a commit
+// boundary, lands on a multiple of the advice.
 func TestAutoCommitConsultsAdvisor(t *testing.T) {
+	const snapshotEvery, crashAfter = 16, 10
 	p := workload.DefaultGSParams()
 	p.Rows, p.Theta, p.Reads = 4096, 0, 0 // LSFD: uniform, no deps
-	for _, recovered := range []bool{false, true} {
-		gen := workload.NewGS(p)
-		dev := storage.NewMem()
-		bytes := metrics.NewBytes()
-		cfg := Config{
-			App: gen.App(), Device: dev, Mechanism: msr.New(dev, bytes, msr.Default()),
-			RunShape:   types.RunShape{Workers: 2, CommitEvery: 1, SnapshotEvery: 8},
-			AutoCommit: true,
-			Bytes:      bytes,
+	gen := workload.NewGS(p)
+	first := workload.Batch(gen, 1000)
+	advised := msr.Advise(tpg.BuildEvents(gen.App(), first, store.New(gen.App().Tables()).Get), snapshotEvery)
+	if advised != 8 {
+		t.Fatalf("LSFD advice %d, want 8", advised)
+	}
+	dev := storage.NewTrace(storage.NewMem())
+	e := newEngine(t, ftapi.MSR, gen, dev, advised, snapshotEvery)
+	if err := e.ProcessEpoch(first); err != nil {
+		t.Fatal(err)
+	}
+	batches := append([][]types.Event{first}, runEpochs(t, e, gen, crashAfter-1, 1000)...)
+	e.Crash()
+	crashed := len(dev.Sites())
+
+	cfg := e.cfg
+	cfg.Bytes = metrics.NewBytes()
+	cfg.Mechanism, cfg.Inputs = msr.New(dev, cfg.Bytes, msr.Default()), keptInputs(batches)
+	e2, _, err := Recover(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runEpochs(t, e2, gen, 2*advised-crashAfter, 1000)
+	after := 0
+	for _, s := range dev.Sites() {
+		if s.Op != "append" || s.Name != storage.LogFT {
+			continue
 		}
-		var e *Engine
-		var err error
-		if recovered {
-			e, _, err = Recover(cfg) // an empty device: recovery lands at epoch 0
-		} else {
-			e, err = New(cfg)
+		if s.Epoch%uint64(advised) != 0 {
+			t.Errorf("commit record at epoch %d, not a multiple of the advised %d", s.Epoch, advised)
 		}
-		if err != nil {
-			t.Fatal(err)
+		if s.Seq >= crashed {
+			after++
 		}
-		runEpochs(t, e, gen, 1, 1000)
-		want := 8
-		if recovered {
-			want = 1
-		}
-		if got := e.CommitEvery(); got != want {
-			t.Errorf("recovered=%v: LSFD auto commit interval = %d, want %d", recovered, got, want)
-		}
+	}
+	if after == 0 {
+		t.Fatal("the recovered engine wrote no commit record")
 	}
 }
 
@@ -185,10 +212,10 @@ func TestNativeRecoveryImpossible(t *testing.T) {
 	dev := storage.NewMem()
 	_, _, err := Recover(Config{
 		App: gen.App(), Device: dev, Mechanism: nativeStub{},
-		RunShape: types.RunShape{Workers: 1},
+		RunShape: types.RunShape{Workers: 1}, Inputs: keptInputs(nil),
 	})
-	if err == nil {
-		t.Error("native recovery must fail")
+	if err == nil || !strings.Contains(err.Error(), "native") {
+		t.Errorf("native recovery must fail: %v", err)
 	}
 }
 
@@ -233,12 +260,13 @@ func TestRecoveryReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runEpochs(t, e, gen, 6, 50)
+	batches := runEpochs(t, e, gen, 6, 50)
 	e.Crash()
 	bytes2 := metrics.NewBytes()
 	cfg2 := cfg
 	cfg2.Mechanism = wal.New(dev, bytes2)
 	cfg2.Bytes = bytes2
+	cfg2.Inputs = keptInputs(batches)
 	e2, report, err := Recover(cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -287,66 +315,11 @@ func TestFailedEpochMarksCrashed(t *testing.T) {
 	}
 }
 
-// TestRecoverTornInputTail: a crash mid-append can leave a torn final
-// input record. Recovery must discard it (the epoch never processed, so
-// nothing references it) and come back in the state of the last full
-// epoch — matching a clean run of the same seeded workload.
-func TestRecoverTornInputTail(t *testing.T) {
-	gen := slGen(10)
-	inner := storage.NewMem()
-	dev := storage.NewFaultyMode(inner, 2, storage.TornWrite, storage.LogInput)
-	bytes := metrics.NewBytes()
-	cfg := Config{
-		App: gen.App(), Device: dev, Mechanism: wal.New(dev, bytes),
-		RunShape: types.RunShape{Workers: 2, CommitEvery: 1, SnapshotEvery: 8},
-		Bytes:    bytes,
-	}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		err = e.ProcessEpoch(workload.Batch(gen, 30))
-		if i < 2 && err != nil {
-			t.Fatalf("epoch %d: %v", i+1, err)
-		}
-	}
-	if !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("epoch 3 input append should have torn: %v", err)
-	}
-	if recs, _ := inner.ReadLog(storage.LogInput); len(recs) != 3 {
-		t.Fatalf("input log has %d records, want 2 intact + 1 torn", len(recs))
-	}
-
-	// Recover against the surviving (healed) medium.
-	bytes2 := metrics.NewBytes()
-	cfg2 := cfg
-	cfg2.Device = inner
-	cfg2.Mechanism = wal.New(inner, bytes2)
-	cfg2.Bytes = bytes2
-	e2, report, err := Recover(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.CommittedEpoch != 2 || report.LastEpoch != 2 {
-		t.Fatalf("recovered to committed=%d last=%d, want 2/2 (torn epoch 3 dropped)",
-			report.CommittedEpoch, report.LastEpoch)
-	}
-
-	// The recovered state matches a clean 2-epoch run of the same seed.
-	genRef := slGen(10)
-	ref := newEngine(t, ftapi.WAL, genRef, storage.NewMem(), 1, 8)
-	runEpochs(t, ref, genRef, 2, 30)
-	if !ref.st.Equal(e2.st) {
-		t.Errorf("recovered state diverges: %v", ref.st.Diff(e2.st, 5))
-	}
-}
-
 // TestWriteFailuresSurface: every durable-write path must return the
 // device's error instead of silently diverging state from the log.
 func TestWriteFailuresSurface(t *testing.T) {
 	gen := slGen(8)
-	for budget := 0; budget < 12; budget++ {
+	for budget := 0; budget < 10; budget++ {
 		inner := storage.NewMem()
 		dev := storage.NewFaulty(inner, budget)
 		bytes := metrics.NewBytes()
@@ -368,8 +341,8 @@ func TestWriteFailuresSurface(t *testing.T) {
 				break
 			}
 		}
-		// 4 epochs of WAL need: 4 input appends + 4 commits + 2 snapshots
-		// + 2*2 truncates = 14 writes; any smaller budget must fail.
+		// 4 epochs of WAL need: 4 commits + 2 snapshots + 2*2 truncates =
+		// 10 writes; any smaller budget must fail.
 		if !failed {
 			t.Fatalf("budget %d: no failure surfaced", budget)
 		}

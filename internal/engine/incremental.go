@@ -21,10 +21,6 @@ import (
 // stateless across incarnations, so a recovered engine re-derives the exact
 // pre-crash schedule from the epoch number alone.
 
-// manifestKindDelivery tags the engine's delivery-watermark manifest
-// (storage.BlobMeta) so no other layer's blob can be misread as it.
-const manifestKindDelivery = "delivery"
-
 // snapshotIsBase reports whether the marker at ep persists a full base.
 func (e *Engine) snapshotIsBase(ep uint64) bool {
 	if e.cfg.SnapshotBase <= 1 || !e.st.DirtyTracking() {

@@ -103,7 +103,7 @@ func crashedInc(t *testing.T) (storage.Device, func(what string) error) {
 	gen := slGen(13)
 	dev := storage.NewMem()
 	e := newIncEngine(t, dev, gen)
-	runEpochs(t, e, gen, 6, 50)
+	batches := runEpochs(t, e, gen, 6, 50)
 	want := e.Store()
 	e.Crash()
 	return dev, func(what string) error {
@@ -111,7 +111,7 @@ func crashedInc(t *testing.T) (storage.Device, func(what string) error) {
 		e2, report, err := Recover(Config{
 			App: gen.App(), Device: dev, Mechanism: wal.New(dev, bytes),
 			RunShape: types.RunShape{Workers: 2, CommitEvery: 2, SnapshotEvery: 2, SnapshotBase: 2},
-			Bytes:    bytes,
+			Bytes:    bytes, Inputs: keptInputs(batches),
 		})
 		if err != nil {
 			return err
@@ -137,7 +137,7 @@ func TestIncrementalRecoveryComposesDeltas(t *testing.T) {
 
 // TestIncrementalTornDelta: a torn final delta record is logically
 // truncated — recovery composes through the last whole delta and replays
-// the rest from the input log — while the same garbage followed by another
+// the rest from the host's inputs — while the same garbage followed by another
 // record is corruption and must fail loudly.
 func TestIncrementalTornDelta(t *testing.T) {
 	dev, recoverInc := crashedInc(t)
@@ -173,13 +173,13 @@ func TestIncrementalAgreesWithFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runEpochs(t, e, gen, 6, 50)
+		batches := runEpochs(t, e, gen, 6, 50)
 		e.Crash()
 		b2 := metrics.NewBytes()
 		e2, _, err := Recover(Config{
 			App: gen.App(), Device: dev, Mechanism: msr.New(dev, b2, msr.Default()),
 			RunShape: types.RunShape{Workers: 2, CommitEvery: 2, SnapshotEvery: 2, SnapshotBase: base},
-			Bytes:    b2,
+			Bytes:    b2, Inputs: keptInputs(batches),
 		})
 		if err != nil {
 			t.Fatal(err)

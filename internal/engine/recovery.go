@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"sort"
 	"time"
 
-	"morphstreamr/internal/codec"
 	"morphstreamr/internal/ft/ftapi"
 	"morphstreamr/internal/metrics"
 	"morphstreamr/internal/obs"
@@ -70,7 +68,7 @@ func (r *RecoveryReport) Throughput() float64 {
 // following the protocol of Figure 7:
 //
 //  1. restore application state from the latest snapshot;
-//  2. reload persisted input events;
+//  2. reload the input events after it from the host (Config.Inputs);
 //  3. let the mechanism replay its committed epochs (outputs suppressed —
 //     they were delivered before the crash);
 //  4. reprocess the uncommitted tail through the normal pipeline (outputs
@@ -78,11 +76,11 @@ func (r *RecoveryReport) Throughput() float64 {
 //
 // The configuration must match the crashed engine's (same application,
 // same worker count, a fresh Mechanism instance of the same kind), and
-// Device must be the surviving device. Recovery never re-runs the
-// commit-interval advisor, so AutoCommit is ignored: the recovered engine
-// commits every CommitEvery epochs.
+// Device must be the surviving device.
 func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
-	cfg.AutoCommit = false
+	if cfg.Inputs == nil {
+		return nil, nil, errors.New("engine: Recover requires Config.Inputs")
+	}
 	e, err := New(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -118,28 +116,6 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: recover: %w", err)
 	}
-	// Under asynchronous commit, mechanism replay must not cross the
-	// delivery watermark: a commit record may be durable whose outputs
-	// never released; those epochs reprocess through the tail path.
-	commitLimit := uint64(1<<63 - 1)
-	if e.cfg.AsyncCommit {
-		wm, wok, err := e.cfg.Device.ReadBlob(storage.BlobMeta)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: recover watermark: %w", err)
-		}
-		// Async engine that never released anything yet reads as zero; the
-		// clamp below raises it to the snapshot epoch.
-		commitLimit = 0
-		if wok {
-			if m, merr := storage.DecodeManifestKind(wm, manifestKindDelivery); merr == nil {
-				commitLimit = m.Epoch
-			} else if len(wm) == 8 {
-				// Pre-manifest watermark blob (a device written by an older
-				// build): a bare big-endian epoch.
-				commitLimit = binary.BigEndian.Uint64(wm)
-			}
-		}
-	}
 	readStop()
 	logRead.End()
 
@@ -167,13 +143,8 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 		rc.Serial("delta-restore", &report.Breakdown.Reload, time.Duration(restored)*rc.Costs.Compare)
 	}
 
-	// Reload input events after the snapshot frontier (Figure 7 step 4),
-	// from the host (Config.Inputs) or the device's input log.
-	read := e.cfg.Inputs
-	if read == nil {
-		read = e.readInputLog
-	}
-	inputs, through, err := read(snapEpoch)
+	// Reload input events after the snapshot frontier (Figure 7 step 4).
+	inputs, through, err := e.cfg.Inputs(snapEpoch)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: recover inputs: %w", err)
 	}
@@ -187,15 +158,14 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 
 	// Mechanism-specific replay of committed epochs (Figure 7 steps 3-7).
 	replay := e.cfg.Obs.Begin(0, obs.CatRecovery, "replay", 0)
-	rc.SnapshotEpoch, rc.Inputs, rc.CommitLimit = snapEpoch, inputs, max(commitLimit, snapEpoch)
+	rc.SnapshotEpoch, rc.Inputs = snapEpoch, inputs
 	committed, err := e.cfg.Mechanism.Recover(rc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("engine: recover (%v): %w", e.cfg.Mechanism.Kind(), err)
 	}
 	committed = max(committed, snapEpoch)
-	// Input is kept before it is processed (a torn input record can only be
-	// the epoch the crash interrupted), so a mechanism claiming a commit
-	// past the inputs replayed state whose inputs are lost.
+	// The host keeps input before it is processed, so a mechanism claiming
+	// a commit past the inputs replayed state whose inputs are lost.
 	if committed > supplied {
 		return nil, nil, fmt.Errorf("engine: recover: inputs end at epoch %d but %v committed through %d",
 			supplied, e.cfg.Mechanism.Kind(), committed)
@@ -215,7 +185,7 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 			break
 		}
 		if ee.Epoch != e.epoch+1 {
-			return nil, nil, fmt.Errorf("engine: recover: input log gap: have epoch %d, expected %d",
+			return nil, nil, fmt.Errorf("engine: recover: input gap: have epoch %d, expected %d",
 				ee.Epoch, e.epoch+1)
 		}
 		ioBefore := e.runtime.IO
@@ -257,34 +227,4 @@ func Recover(cfg Config) (_ *Engine, _ *RecoveryReport, err error) {
 	e.runtime = metrics.RuntimeBreakdown{}
 	e.totalWall, e.events = 0, 0
 	return e, report, nil
-}
-
-// readInputLog is Recover's input reader for an engine that keeps its own
-// input log: the records after epoch after (the segment store's cursor
-// seeks past the checkpoint-covered prefix), reprocessed through the last.
-// A decode failure on the log's final record is a torn tail: the device
-// died mid-append, the epoch never processed to completion and nothing
-// downstream can reference it, so it is logically truncated here. Failures
-// anywhere earlier are real corruption.
-func (e *Engine) readInputLog(after uint64) ([]ftapi.EpochEvents, uint64, error) {
-	cur, err := storage.ReadFrom(e.cfg.Device, storage.LogInput, after)
-	if err != nil {
-		return nil, 0, err
-	}
-	recs, err := storage.ReadAll(cur)
-	if err != nil {
-		return nil, 0, err
-	}
-	inputs := make([]ftapi.EpochEvents, 0, len(recs))
-	for i, rec := range recs {
-		events, err := codec.DecodeEvents(rec.Payload)
-		if err != nil && i == len(recs)-1 {
-			break
-		} else if err != nil {
-			return nil, 0, fmt.Errorf("epoch %d: %w", rec.Epoch, err)
-		}
-		inputs = append(inputs, ftapi.EpochEvents{Epoch: rec.Epoch, Events: events})
-	}
-	sort.Slice(inputs, func(i, j int) bool { return inputs[i].Epoch < inputs[j].Epoch })
-	return inputs, ^uint64(0), nil
 }

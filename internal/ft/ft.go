@@ -1,7 +1,7 @@
 // Package ft constructs the fault-tolerance mechanisms by kind: the one
-// place that knows every scheme, so hosts that assemble engines (core, the
-// shard group, the crash sweeps, the store bench) import it rather than the
-// public façade.
+// place that knows every scheme, so the shard group, the one host that
+// assembles engines, and the tests that drive a mechanism directly import
+// it.
 package ft
 
 import (

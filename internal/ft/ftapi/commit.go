@@ -24,12 +24,11 @@ var ErrPoisoned = errors.New("ftapi: group committer poisoned")
 // commit marker flushes the whole group as one atomic storage record
 // (a torn group would leak released outputs — see package doc).
 //
-// It also supports splitting a commit into a cheap synchronous prepare
-// (snapshot the buffer, frame the record) and an expensive asynchronous
-// durable write — the "logging off the critical path" future-work
-// direction the paper takes from Lineage Stash (Section VII). The engine
-// uses the split under its AsyncCommit option; outputs still release only
-// after the write completes, so exactly-once delivery is unaffected.
+// A commit splits into a cheap synchronous prepare (snapshot the buffer,
+// frame the record) and the durable write, which PrepareCommit returns as
+// a closure that may run on another goroutine — the "logging off the
+// critical path" direction the paper takes from Lineage Stash (Section
+// VII). Commit runs both in line.
 type GroupCommitter struct {
 	dev   storage.Device
 	bytes *metrics.Bytes
@@ -161,11 +160,4 @@ func (g *GroupCommitter) PrepareCommit(hi uint64) (write func() error, ok bool) 
 		bytes.Written(logCat, int64(len(payload)))
 		return nil
 	}, true
-}
-
-// AsyncCommitter is the optional mechanism capability behind the engine's
-// AsyncCommit mode: a commit that can be prepared synchronously and
-// written durably off the critical path.
-type AsyncCommitter interface {
-	PrepareCommit(hi uint64) (write func() error, ok bool)
 }

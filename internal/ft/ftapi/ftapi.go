@@ -119,13 +119,6 @@ type RecoveryContext struct {
 	// Inputs holds the persisted input events of every epoch after the
 	// snapshot, in epoch order (the engine already paid the reload cost).
 	Inputs []EpochEvents
-	// CommitLimit caps replay: log records of commit groups above it are
-	// ignored even if durable (zero means no cap). The engine sets it
-	// below the mechanism's committed watermark only under asynchronous
-	// commit, where a commit may have landed whose outputs were never
-	// released — those epochs must reprocess through the normal
-	// (output-delivering) path instead.
-	CommitLimit uint64
 	// Execute runs one replayed epoch's graph to completion against Store:
 	// the engine binds its own executor, so a replay runs on the scheduler
 	// the live epochs run on, under its panic contract (an operation panic

@@ -13,7 +13,6 @@ import (
 	"morphstreamr/internal/storage"
 	"morphstreamr/internal/store"
 	"morphstreamr/internal/tpg"
-	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
 
@@ -34,12 +33,7 @@ func realCommitRecords(kind ftapi.Kind) []storage.Record {
 		if err := dev.Append(storage.LogInput, storage.Record{Epoch: epoch}); err != nil {
 			panic(err)
 		}
-		txns := make([]*types.Txn, len(events))
-		for i := range events {
-			txn := gen.App().Preprocess(events[i])
-			txns[i] = &txn
-		}
-		g := tpg.Build(txns, st.Get)
+		g := tpg.BuildEvents(gen.App(), events, st.Get)
 		if _, err := scheduler.Run(g, st, scheduler.Options{Workers: 2}); err != nil {
 			panic(err)
 		}
@@ -96,7 +90,7 @@ func FuzzDecodeGroup(f *testing.F) {
 // FuzzDecodeCommitted: the committed-log walker never panics on arbitrary
 // record payloads and preserves its structural invariants — a torn verdict
 // only ever comes from the tail record with a nil error, and the committed
-// watermark never moves backwards or past the cap.
+// watermark never moves below the snapshot.
 func FuzzDecodeCommitted(f *testing.F) {
 	seedGroups(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -105,9 +99,9 @@ func FuzzDecodeCommitted(f *testing.F) {
 			{{Epoch: 2, Payload: b}},                             // lone record: decode failures are a torn tail
 			{{Epoch: 2, Payload: b}, {Epoch: 4, Payload: valid}}, // non-tail: failures are corruption
 		}
-		const snapEpoch, limit = 1, 10
+		const snapEpoch = 1
 		for i, recs := range cases {
-			groups, committed, torn, err := ftapi.DecodeCommittedCursor(storage.NewSliceCursor(recs, 0), snapEpoch, limit,
+			groups, committed, torn, err := ftapi.DecodeCommittedCursor(storage.NewSliceCursor(recs, 0), snapEpoch,
 				func(epoch uint64, payload []byte) ([]codec.WALRecord, error) {
 					return codec.DecodeWAL(payload)
 				})

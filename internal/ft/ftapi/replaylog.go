@@ -22,7 +22,7 @@ type CommitGroup[T any] struct {
 }
 
 // DecodeCommittedCursor decodes a mechanism's group-commit log: for every
-// record within (snapEpoch, limit] it parses the group frame and runs the
+// record above snapEpoch it parses the group frame and runs the
 // mechanism's decode on each epoch section, returning the groups in log
 // order and the highest committed epoch seen.
 //
@@ -35,8 +35,6 @@ type CommitGroup[T any] struct {
 // the final record is real corruption and returns an error naming the
 // record.
 //
-// A limit of zero means no cap.
-//
 // The log streams through a cursor (the shape every mechanism's recovery
 // path uses against the bounded segment store, where the cursor has already
 // seeked past the checkpoint-covered prefix), so decode memory is bounded by
@@ -45,14 +43,11 @@ type CommitGroup[T any] struct {
 // is the log's final one, which a stream learns by one-record lookahead: the
 // cursor is always one record ahead of the group being decoded. The cursor
 // is closed before returning.
-func DecodeCommittedCursor[T any](cur storage.Cursor, snapEpoch, limit uint64,
+func DecodeCommittedCursor[T any](cur storage.Cursor, snapEpoch uint64,
 	decode func(epoch uint64, payload []byte) (T, error)) (groups []CommitGroup[T], committed uint64, torn bool, err error) {
 
 	defer cur.Close()
 	committed = snapEpoch
-	if limit == 0 {
-		limit = ^uint64(0)
-	}
 	rec, ok, err := cur.Next()
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("log read: %w", err)
@@ -63,7 +58,7 @@ func DecodeCommittedCursor[T any](cur storage.Cursor, snapEpoch, limit uint64,
 			return nil, 0, false, fmt.Errorf("log read after record %d: %w", i, nerr)
 		}
 		tail := !nok
-		if rec.Epoch <= snapEpoch || rec.Epoch > limit {
+		if rec.Epoch <= snapEpoch {
 			rec, ok = next, nok
 			continue
 		}
@@ -107,7 +102,7 @@ func DecodeCommittedCursor[T any](cur storage.Cursor, snapEpoch, limit uint64,
 
 // ReadCommitted is every mechanism's reload: it reads the FT log past the
 // snapshot epoch, charging the read to rc's Reload as a serial phase, and
-// decodes it with DecodeCommittedCursor under rc's commit limit.
+// decodes it with DecodeCommittedCursor.
 func ReadCommitted[T any](rc *RecoveryContext, decode func([]byte) (T, error)) ([]CommitGroup[T], uint64, error) {
 	readStop := metrics.SerialTimer(&rc.Breakdown.Reload, rc.Workers)
 	cur, err := storage.ReadFrom(rc.Device, storage.LogFT, rc.SnapshotEpoch)
@@ -115,7 +110,7 @@ func ReadCommitted[T any](rc *RecoveryContext, decode func([]byte) (T, error)) (
 	if err != nil {
 		return nil, 0, err
 	}
-	groups, committed, _, err := DecodeCommittedCursor(cur, rc.SnapshotEpoch, rc.CommitLimit,
+	groups, committed, _, err := DecodeCommittedCursor(cur, rc.SnapshotEpoch,
 		func(_ uint64, payload []byte) (T, error) { return decode(payload) })
 	return groups, committed, err
 }

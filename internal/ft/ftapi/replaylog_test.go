@@ -25,7 +25,7 @@ func TestDecodeCommittedHappyPath(t *testing.T) {
 		groupRec(2, EpochPayload{Epoch: 1, Payload: []byte("a")}, EpochPayload{Epoch: 2, Payload: []byte("b")}),
 		groupRec(4, EpochPayload{Epoch: 3, Payload: []byte("c")}, EpochPayload{Epoch: 4, Payload: []byte("d")}),
 	}
-	groups, committed, torn, err := DecodeCommittedCursor(storage.NewSliceCursor(recs, 0), 0, 0, passthrough)
+	groups, committed, torn, err := DecodeCommittedCursor(storage.NewSliceCursor(recs, 0), 0, passthrough)
 	if err != nil || torn {
 		t.Fatalf("err=%v torn=%v", err, torn)
 	}
@@ -40,17 +40,17 @@ func TestDecodeCommittedHappyPath(t *testing.T) {
 	}
 }
 
-func TestDecodeCommittedSkipsCoveredAndCapped(t *testing.T) {
+func TestDecodeCommittedSkipsCovered(t *testing.T) {
 	recs := []storage.Record{
 		groupRec(2, EpochPayload{Epoch: 2, Payload: []byte("covered")}),
 		groupRec(4, EpochPayload{Epoch: 4, Payload: []byte("live")}),
-		groupRec(6, EpochPayload{Epoch: 6, Payload: []byte("beyond-limit")}),
+		groupRec(6, EpochPayload{Epoch: 6, Payload: []byte("live")}),
 	}
-	groups, committed, torn, err := DecodeCommittedCursor(storage.NewSliceCursor(recs, 0), 2, 4, passthrough)
+	groups, committed, torn, err := DecodeCommittedCursor(storage.NewSliceCursor(recs, 0), 2, passthrough)
 	if err != nil || torn {
 		t.Fatalf("err=%v torn=%v", err, torn)
 	}
-	if committed != 4 || len(groups) != 1 || groups[0].Hi != 4 {
+	if committed != 6 || len(groups) != 2 || groups[0].Hi != 4 || groups[1].Hi != 6 {
 		t.Fatalf("committed=%d groups=%+v", committed, groups)
 	}
 }
@@ -63,7 +63,7 @@ func TestDecodeCommittedTornTail(t *testing.T) {
 	full := groupRec(4, EpochPayload{Epoch: 3, Payload: []byte("cc")}, EpochPayload{Epoch: 4, Payload: []byte("dd")})
 	for cut := 0; cut < len(full.Payload); cut++ {
 		tornRec := storage.Record{Epoch: 4, Payload: full.Payload[:cut]}
-		groups, committed, torn, err := DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{intact, tornRec}, 0), 0, 0, passthrough)
+		groups, committed, torn, err := DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{intact, tornRec}, 0), 0, passthrough)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -77,14 +77,14 @@ func TestDecodeCommittedTornTail(t *testing.T) {
 
 	// Mechanism-level decode failure in the tail is also a torn group.
 	badTail := groupRec(4, EpochPayload{Epoch: 3, Payload: []byte("ok")}, EpochPayload{Epoch: 4, Payload: []byte("bad")})
-	groups, committed, torn, err := DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{intact, badTail}, 0), 0, 0, passthrough)
+	groups, committed, torn, err := DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{intact, badTail}, 0), 0, passthrough)
 	if err != nil || !torn || committed != 2 || len(groups) != 1 {
 		t.Fatalf("decode-failure tail: groups=%d committed=%d torn=%v err=%v", len(groups), committed, torn, err)
 	}
 
 	// An empty (dropped-tail) record is likewise discarded.
 	empty := storage.Record{Epoch: 4}
-	_, committed, torn, err = DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{intact, empty}, 0), 0, 0, passthrough)
+	_, committed, torn, err = DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{intact, empty}, 0), 0, passthrough)
 	if err != nil || !torn || committed != 2 {
 		t.Fatalf("dropped tail: committed=%d torn=%v err=%v", committed, torn, err)
 	}
@@ -95,11 +95,11 @@ func TestDecodeCommittedTornTail(t *testing.T) {
 func TestDecodeCommittedMidLogCorruption(t *testing.T) {
 	good := groupRec(2, EpochPayload{Epoch: 2, Payload: []byte("x")})
 	corrupt := storage.Record{Epoch: 4, Payload: []byte{0xff, 0x01, 0x02}}
-	if _, _, _, err := DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{corrupt, good}, 0), 0, 0, passthrough); err == nil {
+	if _, _, _, err := DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{corrupt, good}, 0), 0, passthrough); err == nil {
 		t.Fatal("mid-log corruption went undetected")
 	}
 	badMid := groupRec(4, EpochPayload{Epoch: 4, Payload: []byte("bad")})
-	if _, _, _, err := DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{badMid, good}, 0), 0, 0, passthrough); err == nil {
+	if _, _, _, err := DecodeCommittedCursor(storage.NewSliceCursor([]storage.Record{badMid, good}, 0), 0, passthrough); err == nil {
 		t.Fatal("mid-log decode failure went undetected")
 	}
 }

@@ -67,12 +67,7 @@ func (h *Harness) TryRunEpoch(n int) (*ftapi.EpochResult, error) {
 		return nil, err
 	}
 
-	txns := make([]*types.Txn, len(events))
-	for i := range events {
-		txn := h.Gen.App().Preprocess(events[i])
-		txns[i] = &txn
-	}
-	g := tpg.Build(txns, h.Store.Get)
+	g := tpg.BuildEvents(h.Gen.App(), events, h.Store.Get)
 	if _, err := scheduler.Run(g, h.Store, scheduler.Options{Workers: h.Workers}); err != nil {
 		return nil, err
 	}

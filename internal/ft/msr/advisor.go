@@ -124,9 +124,12 @@ func sumTopK(vals []int, k int) int {
 	return sum
 }
 
-// AdviseCommitEvery implements the engine's Advisor hook: profile the
-// first epoch's graph and recommend a log commitment interval.
-func (m *Mech) AdviseCommitEvery(g *tpg.Graph, snapshotEvery int) int {
+// Advise is the workload-aware advisor: it profiles one epoch's graph
+// (a host passes its first batch's) and recommends a log commitment
+// interval that divides snapshotEvery. The host configures CommitEvery
+// with it before the first epoch, so every incarnation, a recovered one
+// included, commits at the advised interval.
+func Advise(g *tpg.Graph, snapshotEvery int) int {
 	return RecommendCommitEvery(ProfileGraph(g), snapshotEvery)
 }
 

@@ -71,12 +71,38 @@ func TestRecommendations(t *testing.T) {
 	}
 }
 
+// TestAdviseFigure9Classes: Advise over the first batch of each of Figure
+// 9's four Grep&Sum classes (its quick-size shape: 1024-event batches over
+// four partitions, snapshots every 16 epochs) picks what the figure
+// reports: a long commit epoch for LSFD, a medium one for LSMD and a short
+// one for both high-skew classes.
+func TestAdviseFigure9Classes(t *testing.T) {
+	for class, want := range map[string]int{"LSFD": 8, "LSMD": 4, "HSFD": 2, "HSMD": 2} {
+		p := workload.DefaultGSParams()
+		p.AbortRatio, p.Partitions = 0, 4
+		switch class {
+		case "LSFD":
+			p.Theta, p.Reads = 0, 0
+		case "LSMD":
+			p.Theta, p.Reads, p.MultiPartitionRatio = 0, 3, 0.8
+		case "HSFD":
+			p.Theta, p.Reads = 1.0, 0
+		case "HSMD":
+			p.Theta, p.Reads, p.MultiPartitionRatio = 1.0, 3, 0.8
+		}
+		gen := workload.NewGS(p)
+		g := tpg.BuildEvents(gen.App(), workload.Batch(gen, 1024), store.New(gen.App().Tables()).Get)
+		if got := Advise(g, 16); got != want {
+			t.Errorf("%s: advised commit epoch %d, want %d", class, got, want)
+		}
+	}
+}
+
 func TestAdviseCommitEveryHook(t *testing.T) {
 	gen := slGen(11)
 	st := store.New(gen.App().Tables())
 	ep := runEpoch(t, gen, st, 1, 500, 4)
-	m := New(nil, nil, Default())
-	got := m.AdviseCommitEvery(ep.Graph, 8)
+	got := Advise(ep.Graph, 8)
 	if got < 1 || 8%got != 0 {
 		t.Errorf("advice %d must divide the snapshot interval 8", got)
 	}

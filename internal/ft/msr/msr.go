@@ -15,9 +15,9 @@
 //     that would force cross-thread communication during recovery — are
 //     logged. Intra-group dependencies are re-resolved during recovery by
 //     the single worker owning the group (shadow-based exploration).
-//   - Workload-aware log commitment: the engine's commit-epoch length is
-//     chosen from profiled contention (see Advisor), trading group-commit
-//     batching against view-index size and runtime load balance.
+//   - Workload-aware log commitment: the commit-epoch length is chosen
+//     from profiled contention (see Advise), trading group-commit batching
+//     against view-index size and runtime load balance.
 package msr
 
 import (

@@ -20,12 +20,7 @@ import (
 func runEpoch(t *testing.T, gen workload.Generator, st *store.Store, epoch uint64, n, workers int) *ftapi.EpochResult {
 	t.Helper()
 	events := workload.Batch(gen, n)
-	txns := make([]*types.Txn, len(events))
-	for i := range events {
-		txn := gen.App().Preprocess(events[i])
-		txns[i] = &txn
-	}
-	g := tpg.Build(txns, st.Get)
+	g := tpg.BuildEvents(gen.App(), events, st.Get)
 	if _, err := scheduler.Run(g, st, scheduler.Options{Workers: workers}); err != nil {
 		t.Fatal(err)
 	}

@@ -128,13 +128,7 @@ func (m *Mech) replayEpoch(rc *ftapi.RecoveryContext, ee ftapi.EpochEvents, view
 		rc.Spread("abort-scan", &rc.Breakdown.Abort, time.Duration(len(ee.Events))*costs.Lookup)
 	}
 
-	// Preprocess and build the replay graph.
-	txns := make([]*types.Txn, 0, len(events))
-	for _, ev := range events {
-		txn := rc.App.Preprocess(ev)
-		txns = append(txns, &txn)
-	}
-	g := tpg.Build(txns, rc.Store.Get)
+	g := tpg.BuildEvents(rc.App, events, rc.Store.Get)
 	rc.Spread("build", &rc.Breakdown.Construct, costs.GraphCost(len(events), g.NumOps))
 
 	// Operation restructuring (Figure 7 step 6): inject recorded

@@ -7,7 +7,7 @@
 // Duration counters are plain values accumulated by a single owner (the
 // engine or a recovery driver); per-worker quantities are recorded in
 // per-worker slots and merged at barriers. Byte accounting is mutex-backed
-// because asynchronous group commits report from their own goroutine.
+// because the telemetry endpoint reads it while the engine writes it.
 package metrics
 
 import (
@@ -172,8 +172,7 @@ type WorkerClock struct {
 }
 
 // Bytes tracks durable and in-memory artifact sizes per category, feeding
-// the memory-footprint study (Figure 12c). It is safe for concurrent use:
-// asynchronous group commits account their writes from another goroutine.
+// the memory-footprint study (Figure 12c). It is safe for concurrent use.
 type Bytes struct {
 	mu     sync.Mutex
 	counts map[string]int64

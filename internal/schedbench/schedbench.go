@@ -17,7 +17,6 @@ import (
 	"morphstreamr/internal/scheduler"
 	"morphstreamr/internal/store"
 	"morphstreamr/internal/tpg"
-	"morphstreamr/internal/types"
 	"morphstreamr/internal/workload"
 )
 
@@ -67,12 +66,7 @@ func Prepare(w Workload) *Epoch {
 	gen := w.NewGen()
 	st := store.New(gen.App().Tables())
 	events := workload.Batch(gen, EpochEvents)
-	txns := make([]*types.Txn, len(events))
-	for i := range events {
-		txn := gen.App().Preprocess(events[i])
-		txns[i] = &txn
-	}
-	return &Epoch{G: tpg.Build(txns, st.Get), St: st}
+	return &Epoch{G: tpg.BuildEvents(gen.App(), events, st.Get), St: st}
 }
 
 // Run resets the epoch's execution state and runs it once on the

@@ -16,12 +16,7 @@ import (
 func buildEpoch(gen workload.Generator, n int) (*tpg.Graph, *store.Store, []types.Event) {
 	st := store.New(gen.App().Tables())
 	events := workload.Batch(gen, n)
-	txns := make([]*types.Txn, len(events))
-	for i := range events {
-		txn := gen.App().Preprocess(events[i])
-		txns[i] = &txn
-	}
-	return tpg.Build(txns, st.Get), st, events
+	return tpg.BuildEvents(gen.App(), events, st.Get), st, events
 }
 
 // oracleState runs the oracle over the same events for comparison.
@@ -105,12 +100,7 @@ func TestAbortAgreement(t *testing.T) {
 	st := store.New(gen.App().Tables())
 	o := oracle.New(gen.App())
 	events := workload.Batch(gen, 600)
-	txns := make([]*types.Txn, len(events))
-	for i := range events {
-		txn := gen.App().Preprocess(events[i])
-		txns[i] = &txn
-	}
-	g := tpg.Build(txns, st.Get)
+	g := tpg.BuildEvents(gen.App(), events, st.Get)
 	if _, err := Run(g, st, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +142,7 @@ func TestTimingClocksPopulated(t *testing.T) {
 
 func rebuild(gen workload.Generator, st *store.Store) *tpg.Graph {
 	events := workload.Batch(gen, 100)
-	txns := make([]*types.Txn, len(events))
-	for i := range events {
-		txn := gen.App().Preprocess(events[i])
-		txns[i] = &txn
-	}
-	return tpg.Build(txns, st.Get)
+	return tpg.BuildEvents(gen.App(), events, st.Get)
 }
 
 func TestBadAssignmentRejected(t *testing.T) {

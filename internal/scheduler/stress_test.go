@@ -17,12 +17,7 @@ import (
 
 // buildEpoch preprocesses one batch against a store and returns its graph.
 func buildEpoch(app types.App, events []types.Event, st *store.Store) *tpg.Graph {
-	txns := make([]*types.Txn, len(events))
-	for i := range events {
-		txn := app.Preprocess(events[i])
-		txns[i] = &txn
-	}
-	return tpg.Build(txns, st.Get)
+	return tpg.BuildEvents(app, events, st.Get)
 }
 
 // runStress drives several epochs of one generator through the parallel

@@ -12,7 +12,7 @@ import (
 )
 
 // BenchmarkGroupEpoch measures one whole group epoch — route, replicate,
-// per-shard engine epoch (input log, TPG, execute, MSR seal, markers),
+// per-shard engine epoch (TPG, execute, MSR seal, markers),
 // barrier, frontier record — on the two group shapes the repository
 // benchmark serves: Grep&Sum on 2 shards with cross-shard replication, and
 // Streaming Ledger on 1 shard. MSR on segment stores, 2048 events an epoch.

@@ -35,6 +35,10 @@ type RecoverConfig struct {
 	// Serial recovers the shards one at a time instead of in parallel —
 	// the baseline the recovery-speedup benchmark compares against.
 	Serial bool
+	// Unpriced recovers as a heal does, without the cost model: the same
+	// replay, reported without model terms (pass no Profilers with it). By
+	// default every shard's recovery is priced with vtime.FixedCosts.
+	Unpriced bool
 	// Profilers, when non-nil, attaches a recovery profiler per shard
 	// (index = shard) so the group report carries a rolled-up virtual-time
 	// profile.
@@ -80,7 +84,8 @@ func (r *GroupReport) Speedup() float64 {
 // GroupRecover rebuilds a working group from the surviving devices at a
 // cold start: a fresh group is assembled over cfg's devices and recovered
 // with recoverShards, the same body a live group's Heal runs in place.
-// Unlike a heal, it prices every shard's recovery with vtime.FixedCosts.
+// Unlike a heal, it prices every shard's recovery with vtime.FixedCosts,
+// unless cfg.Unpriced.
 func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	if cfg.Source == nil {
 		return nil, nil, errors.New("shard: GroupRecover requires a Source")
@@ -89,7 +94,11 @@ func GroupRecover(cfg RecoverConfig) (*Group, *GroupReport, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	report, err := g.recoverShards(cfg.Source, nil, vtime.FixedCosts(), cfg.Serial, cfg.Profilers)
+	costs := vtime.FixedCosts()
+	if cfg.Unpriced {
+		costs = vtime.Costs{}
+	}
+	report, err := g.recoverShards(cfg.Source, nil, costs, cfg.Serial, cfg.Profilers)
 	if err != nil {
 		return nil, nil, err
 	}

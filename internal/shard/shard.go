@@ -83,6 +83,9 @@ type Config struct {
 	App types.App
 	// Kind is the fault-tolerance mechanism every shard runs.
 	Kind ftapi.Kind
+	// MSR, when non-nil, selects MorphStreamR's options for every shard
+	// (Kind MSR); nil means msr.Default().
+	MSR *msr.Options
 	// Devices are the per-shard durable devices (len Shards). Nil entries
 	// and a short or nil slice are filled with fresh in-memory devices.
 	Devices []storage.Device
@@ -313,11 +316,15 @@ func (g *Group) engineConfig(s *shardState, rp *replay) engine.Config {
 	if g.cfg.Sink != nil {
 		sink = func(ep uint64, outs []types.Output) { g.cfg.Sink(s.idx, ep, outs) }
 	}
+	opts := msr.Default()
+	if g.cfg.MSR != nil {
+		opts = *g.cfg.MSR
+	}
 	return engine.Config{
 		RunShape:      g.cfg.RunShape,
 		App:           g.app,
 		Device:        s.dev,
-		Mechanism:     ft.New(g.cfg.Kind, s.dev, s.bytes, msr.Default()),
+		Mechanism:     ft.New(g.cfg.Kind, s.dev, s.bytes, opts),
 		Bytes:         s.bytes,
 		Obs:           g.cfg.Obs,
 		AdaptiveForce: g.cfg.AdaptiveForce,

@@ -23,11 +23,11 @@ const (
 
 // Manifest is the one versioned, self-describing codec for recovery
 // metadata. It replaces the hand-rolled encodings that every layer grew
-// separately — the engine's delivery watermark (BlobMeta), the serving
-// layer's ingest watermark blob and ingest-record header — so every
+// separately — the serving layer's ingest watermark blob and ingest-record
+// header — so every
 // incarnation reads one format with one fuzzed decoder.
 //
-// Kind names the producing layer ("delivery", "ingest-wm", "ingest", ...);
+// Kind names the producing layer ("ingest-wm", "ingest", ...);
 // decoders check it, so a blob written by one layer can never be misread
 // by another. Fields carry named scalars, Entries carry named vectors
 // (e.g. one entry per tenant), and Payload carries an opaque trailing body

@@ -213,6 +213,17 @@ func Build(txns []*types.Txn, readBase ReadBase) *Graph {
 	return g
 }
 
+// BuildEvents preprocesses events into app's transactions and builds
+// their TPG (Build).
+func BuildEvents(app types.App, events []types.Event, readBase ReadBase) *Graph {
+	txns := make([]*types.Txn, len(events))
+	for i, ev := range events {
+		txn := app.Preprocess(ev)
+		txns[i] = &txn
+	}
+	return Build(txns, readBase)
+}
+
 // BuildInput constructs the structural TPG over the transactions in Input
 // (see Builder.Begin). The caller must CaptureBases before executing it.
 func (g *Graph) BuildInput() { g.build(g.inputPtrs[:len(g.Input)]) }

@@ -7,7 +7,7 @@ import "fmt"
 // crashtest.Config (and through it the chaos kernel), and bench.Scale all
 // embed it instead of re-declaring Workers/CommitEvery/SnapshotEvery with
 // their own drifted zero-value defaults. Knobs only some hosts can honour
-// live on those hosts (AutoCommit on engine.Config and bench.Scenario).
+// live on those hosts (Shards on GroupShape).
 //
 // Zero-value rule (the single defaulting path, applied by Normalize):
 //

@@ -189,12 +189,7 @@ func slGraph(tb testing.TB, seed int64, events, workers int, pool bool) *tpg.Gra
 	gen := workload.NewSL(p)
 	st := store.New(gen.App().Tables())
 	batch := workload.Batch(gen, events)
-	txns := make([]*types.Txn, len(batch))
-	for i := range batch {
-		txn := gen.App().Preprocess(batch[i])
-		txns[i] = &txn
-	}
-	g := tpg.Build(txns, st.Get)
+	g := tpg.BuildEvents(gen.App(), batch, st.Get)
 	var err error
 	if pool {
 		_, err = scheduler.Run(g, st, scheduler.Options{Workers: 2})
